@@ -44,6 +44,7 @@ class NGramLM:
         self.token_total = token_total
         self._prob_cache: dict = {}
         self._log_cache: dict = {}
+        self._term_cache: dict = {}
         self._uniform = np.full(len(self.syms), 1.0 / len(self.syms))
         self.interp_alpha = 0.0
         self.eos_logprob = float(np.log(self.eos_prob()))
@@ -101,17 +102,39 @@ class NGramLM:
 
     def logprob(self, sentence: Sentence) -> float:
         """Natural-log probability of the sentence, including end-of-sentence."""
-        total = 0.0
-        history: tuple[str, ...] = ()
-        for token in sentence:
-            total += float(self.cond_logprobs(history)[self.id_or_unk(token)])
-            history = history + (token,)
-            if len(history) >= self.order:
-                history = history[len(history) - self.order + 1:]
-        return total + self.eos_logprob
+        return _sum_terms(self, sentence)
+
+    def _term(self, history: tuple[str, ...], token: str) -> float:
+        return float(self.cond_logprobs(history)[self.id_or_unk(token)])
 
     def scorer_for(self, symbols: tuple[str, ...]) -> "_Scorer":
         return _Scorer(self, symbols)
+
+
+def _sum_terms(model, sentence: Sentence) -> float:
+    """Sum of the per-token log terms plus end-of-sentence, left to right.
+
+    Each (history, token) term is memoized on the model; a miss computes it
+    with the model's scalar formula, so cached and uncached sums agree bit
+    for bit.
+    """
+    cache = model._term_cache
+    order = model.order
+    total = 0.0
+    history: tuple[str, ...] = ()
+    for token in sentence:
+        key = (history, token)
+        term = cache.get(key)
+        if term is None:
+            term = model._term(history, token)
+            if len(cache) > _CACHE_CAP:
+                cache.clear()
+            cache[key] = term
+        total += term
+        history = history + (token,)
+        if len(history) >= order:
+            history = history[len(history) - order + 1:]
+    return total + model.eos_logprob
 
 
 class _Scorer:
@@ -195,19 +218,16 @@ class InterpolatedLM:
         self.k = base.k
         eos = (1.0 - alpha) * base.eos_prob() + alpha * indomain.eos_prob()
         self.eos_logprob = float(np.log(eos))
+        self._term_cache: dict = {}
 
     def logprob(self, sentence: Sentence) -> float:
+        return _sum_terms(self, sentence)
+
+    def _term(self, history: tuple[str, ...], token: str) -> float:
         a = self.interp_alpha
-        total = 0.0
-        history: tuple[str, ...] = ()
-        for token in sentence:
-            pb = self.base.cond_probs(history)[self.base.id_or_unk(token)]
-            pi = self.indomain.cond_probs(history)[self.indomain.id_or_unk(token)]
-            total += float(np.log((1.0 - a) * pb + a * pi))
-            history = history + (token,)
-            if len(history) >= self.order:
-                history = history[len(history) - self.order + 1:]
-        return total + self.eos_logprob
+        pb = self.base.cond_probs(history)[self.base.id_or_unk(token)]
+        pi = self.indomain.cond_probs(history)[self.indomain.id_or_unk(token)]
+        return float(np.log((1.0 - a) * pb + a * pi))
 
     def scorer_for(self, symbols: tuple[str, ...]) -> _Scorer:
         return _Scorer(self, symbols)

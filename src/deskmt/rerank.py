@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from .corpus import Sentence, TaggedDataset
 from .lm import LanguageModel, logprob
 from .metrics import bleu
-from .tm import LexModel, NBestList, channel_score, translate_nbest
+from .tm import LexModel, NBestEntry, NBestList, channel_scores, translate_nbest
 from .util import DataError
 
 LAMBDA_MAX = 3.0
@@ -61,12 +61,16 @@ def _channel_of(model):
 
 
 def fill_scores(nbest: NBestList, backward, lm: LanguageModel) -> NBestList:
-    """Fill the channel and lm slots of every entry (idempotent)."""
-    channel = _channel_of(backward)
+    """Fill the channel and lm slots of every entry (idempotent).
+
+    The channel scores of all unfilled entries come from one batched
+    `channel_scores` call; each equals `channel_score` of its entry exactly.
+    """
+    missing = [e.hyp for e in nbest.entries if e.channel is None]
+    fresh = iter(channel_scores(_channel_of(backward), nbest.source, missing))
     entries = []
     for e in nbest.entries:
-        ch = e.channel if e.channel is not None else channel_score(
-            channel, nbest.source, e.hyp)
+        ch = e.channel if e.channel is not None else next(fresh)
         lp = e.lm if e.lm is not None else logprob(lm, e.hyp)
         entries.append(replace(e, channel=ch, lm=lp))
     return NBestList(source=nbest.source, entries=entries)
@@ -166,6 +170,7 @@ def write_nbest_file(lists: list[NBestList], path: str) -> None:
 
 
 def read_nbest_file(path: str) -> list[NBestList]:
+    """Inverse of write_nbest_file; any malformed line raises DataError."""
     def parse(value):
         return None if value == _UNSET else float(value)
 
@@ -175,17 +180,30 @@ def read_nbest_file(path: str) -> list[NBestList]:
             if not header.startswith(f"#nbest v{NBEST_FILE_VERSION}"):
                 raise DataError(f"{path}: unsupported n-best file version")
             lists: list[NBestList] = []
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 line = line.rstrip("\n")
+                where = f"{path}:{lineno}"
                 if line.startswith("#source "):
-                    _, _, source_text = line.split(" ", 2)
+                    source_text = line.partition(" ")[2].partition(" ")[2]
                     lists.append(NBestList(source=tuple(source_text.split()), entries=[]))
                     continue
-                sid, _, hyp, fwd, ch, lp, comb = line.split("\t")
-                from .tm import NBestEntry
-                lists[int(sid)].entries.append(NBestEntry(
-                    hyp=tuple(hyp.split()), fwd=float(fwd), channel=parse(ch),
-                    lm=parse(lp), combined=parse(comb)))
+                fields = line.split("\t")
+                if len(fields) != 7:
+                    raise DataError(f"{where}: expected 7 tab-separated fields, "
+                                    f"got {len(fields)}")
+                sid, _, hyp, fwd, ch, lp, comb = fields
+                if not lists:
+                    raise DataError(f"{where}: entry before any #source line")
+                try:
+                    sid = int(sid)
+                    entry = NBestEntry(hyp=tuple(hyp.split()), fwd=float(fwd),
+                                       channel=parse(ch), lm=parse(lp), combined=parse(comb))
+                except ValueError as e:
+                    raise DataError(f"{where}: {e}") from e
+                if not 0 <= sid < len(lists):
+                    raise DataError(f"{where}: sentence id {sid} out of range "
+                                    f"[0, {len(lists)})")
+                lists[sid].entries.append(entry)
     except OSError as e:
         raise DataError(f"cannot read n-best file {path}: {e}") from e
     return lists

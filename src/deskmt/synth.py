@@ -36,6 +36,7 @@ _ALPHABET = "abcdefghijklmnop"
 DEFAULT_VOCAB = 200
 DEFAULT_NOISE = 0.06
 MIN_TOPIC_TV = 0.2
+MAX_SPEC_REDRAWS = 100
 
 DEFAULT_SIZES = {"parallel": 2000, "mono_src": 50000, "mono_tgt": 50000,
                  "dev": 500, "test": 500}
@@ -94,7 +95,9 @@ def make_spec(vocab_size: int = DEFAULT_VOCAB, *, noise_rate: float = DEFAULT_NO
 
     `mismatch` in (0, 1] blends the out-of-domain profile between the
     in-domain one and an independently permuted one, controlling how severe
-    the domain shift is; the separation floor is validated either way.
+    the domain shift is. A permutation that leaves the profiles within
+    MIN_TOPIC_TV of each other is redrawn, at most MAX_SPEC_REDRAWS times,
+    before DataError is raised.
     """
     if vocab_size < 4 or vocab_size > len(_ALPHABET) ** 2:
         raise DataError(f"vocab_size must lie in [4, {len(_ALPHABET) ** 2}]")
@@ -117,6 +120,18 @@ def make_spec(vocab_size: int = DEFAULT_VOCAB, *, noise_rate: float = DEFAULT_NO
     in_weights[rng.permutation(vocab_size)] = ranks
     permuted[rng.permutation(vocab_size)] = ranks
     out_weights = (1.0 - mismatch) * in_weights + mismatch * permuted
+    # Small vocabularies can land under the separation floor; redraw the
+    # out-of-domain permutation from derived sub-seeds (first draws that pass
+    # are kept as they are).
+    redraw = 0
+    while topic_tv_distance(in_weights, out_weights) <= MIN_TOPIC_TV:
+        if redraw == MAX_SPEC_REDRAWS:
+            raise DataError(f"no topic profile separated by more than {MIN_TOPIC_TV} "
+                            f"after {MAX_SPEC_REDRAWS} redraws; raise mismatch")
+        redraw += 1
+        sub = np.random.default_rng(derive_seed(seed, f"spec-redraw:{redraw}"))
+        permuted[sub.permutation(vocab_size)] = ranks
+        out_weights = (1.0 - mismatch) * in_weights + mismatch * permuted
     return SynthSpec(vocab_size=vocab_size, lexicon=lexicon, swap_class=swap_class,
                      in_weights=tuple(float(w) for w in in_weights),
                      out_weights=tuple(float(w) for w in out_weights),

@@ -275,6 +275,17 @@ def translate_nbest(model: LexModel, x: Sentence, n: int) -> NBestList:
 
     The effective beam width is max(model.beam, n) so an n-best list can
     always be filled from completed hypotheses.
+
+    Each target step scores one pool of extensions. Its order is a contract,
+    because ties between equal scores resolve by position in it: states are
+    grouped by LM context in order of first appearance in the beam; within a
+    group come the window positions j in ascending order; within a position,
+    the admissible states in beam order; within a state, the candidate
+    targets of source position j in ascending id order. The pool keeps the
+    `width` best by `np.argpartition` and orders them by a stable descending
+    `np.argsort`, so equal scores keep this pool order at the beam's tail as
+    well as within it. Consumed positions are Python-int bitmasks, so source
+    length is unbounded.
     """
     if n < 1:
         raise DataError("n-best size must be >= 1")
@@ -289,61 +300,69 @@ def translate_nbest(model: LexModel, x: Sentence, n: int) -> NBestList:
     order = getattr(model.lm, "order", 1)
     ext_vocab = model._ext_vocab()
 
-    bias = None
+    position = [model._candidates(sym) for sym in src]
+    # All candidates back to back: position j owns columns off[j]:off[j + 1],
+    # so a window of positions is one contiguous column slice.
+    off = [0]
+    for ids, _ in position:
+        off.append(off[-1] + ids.size)
+    ids_all = np.concatenate([ids for ids, _ in position])
+    lex_all = np.concatenate([lex for _, lex in position])
     if tag is not None and model.tag_bias.get(tag):
         table = model.tag_bias[tag]
         bias = np.array([table.get(sym, 0.0) for sym in ext_vocab])
-
-    position = [model._candidates(sym) for sym in src]
-    if bias is not None:
-        position = [(ids, logp + bias[ids]) for ids, logp in position]
+        lex_all = lex_all + bias[ids_all]
 
     # state: (score, consumed bitmask, lm context tuple, emitted ext ids tuple)
     beam = [(0.0, 0, (), ())]
     for i in range(1, m + 1):
         lo, hi = max(0, i - 1 - w), min(m - 1, i - 1 + w)
         must = i - 1 - w  # this position can never be consumed after step i
+        c0 = off[lo]
+        cols = off[hi + 1] - c0
         by_ctx: dict[tuple, list[int]] = {}
         for idx, state in enumerate(beam):
             by_ctx.setdefault(state[2], []).append(idx)
 
-        pool_scores = []
-        pool_meta = []  # (state indices, position j, ids array)
-        for ctx, members in by_ctx.items():
-            lm_vec = scorer.logvec(ctx)
+        # one pool row per (group, position, admissible state): the state's
+        # score plus the step scores of the position's candidates
+        row_state, row_pos, row_start, row_len = [], [], [], []
+        for g, members in enumerate(by_ctx.values()):
             for j in range(lo, hi + 1):
-                ids, lex = position[j]
-                step = lex + lm_weight * lm_vec[ids]
-                free = [idx for idx in members
-                        if not beam[idx][1] >> j & 1
-                        and (must < 0 or j == must or beam[idx][1] >> must & 1)]
-                if not free:
-                    continue
-                scores = np.array([beam[idx][0] for idx in free])
-                pool_scores.append((scores[:, None] + step[None, :]).ravel())
-                pool_meta.append((free, j, ids))
-        if not pool_scores:
+                start = g * cols + off[j] - c0
+                size = off[j + 1] - off[j]
+                for idx in members:
+                    mask = beam[idx][1]
+                    if not mask >> j & 1 and (must < 0 or j == must or mask >> must & 1):
+                        row_state.append(idx)
+                        row_pos.append(j)
+                        row_start.append(start)
+                        row_len.append(size)
+        if not row_state:
             raise DataError("no admissible decoding path (window too small)")
-        flat = np.concatenate(pool_scores)
+        win_ids = ids_all[c0:c0 + cols]
+        lm_rows = np.array([scorer.logvec(ctx) for ctx in by_ctx])[:, win_ids]
+        step = (lex_all[c0:c0 + cols] + lm_weight * lm_rows).ravel()
+        lens = np.array(row_len)
+        ends = lens.cumsum()
+        gather = (np.array(row_start) - ends + lens).repeat(lens) + np.arange(ends[-1])
+        scores = np.array([beam[idx][0] for idx in row_state])
+        flat = scores.repeat(lens) + step[gather]
         if flat.size > width:
-            keep = np.argpartition(flat, -width)[-width:]
-            keep = keep[np.argsort(-flat[keep], kind="stable")]
+            keep = flat.argpartition(-width)[-width:]
+            keep = keep[(-flat[keep]).argsort(kind="stable")]
         else:
-            keep = np.argsort(-flat, kind="stable")
+            keep = (-flat).argsort(kind="stable")
 
-        offsets = np.cumsum([0] + [s.size for s in pool_scores])
+        rows = ends.searchsorted(keep, "right").tolist()
+        kept_ids = win_ids[gather[keep] % cols].tolist()
         new_beam = []
-        for flat_idx in keep:
-            block = int(np.searchsorted(offsets, flat_idx, side="right")) - 1
-            free, j, ids = pool_meta[block]
-            local = int(flat_idx - offsets[block])
-            state = beam[free[local // ids.size]]
-            ext_id = int(ids[local % ids.size])
-            token = ext_vocab[ext_id]
-            ctx = state[2] + (token,)
+        for row, ext_id, score in zip(rows, kept_ids, flat[keep].tolist()):
+            state = beam[row_state[row]]
+            ctx = state[2] + (ext_vocab[ext_id],)
             if len(ctx) >= order:
                 ctx = ctx[len(ctx) - order + 1:]
-            new_beam.append((float(flat[flat_idx]), state[1] | (1 << j), ctx,
+            new_beam.append((score, state[1] | (1 << row_pos[row]), ctx,
                              state[3] + (ext_id,)))
         beam = new_beam
 
@@ -430,31 +449,54 @@ def channel_score(model: LexModel, x: Sentence, y: Sentence) -> float:
     marginal is also floored so the score stays finite.
     """
     x = strip_tag(x)
-    y = strip_tag(y)
     if not x:
         return 0.0
-    t_ext = model._t_ext()
-    ns, nt = model.t.shape
-    rows = np.array([0] + [model.src_id.get(s, ns) for s in y], dtype=np.intp)
-    cols = np.array([model.tgt_id.get(s, nt) for s in x], dtype=np.intp)
-    inner = t_ext[rows[:, None], cols[None, :]].mean(axis=0)
-    inner = np.maximum(inner, model.unk_floor)
-    return float(np.log(inner).sum())
+    return float(_ibm1_marginals(model, [strip_tag(y)], x)[0])
 
 
 def forward_marginal(model: LexModel, x: Sentence, y: Sentence) -> float:
     """IBM1 marginal ln P(y | x) in the model's own direction (length-agnostic)."""
-    x = strip_tag(x)
     y = strip_tag(y)
     if not y:
         return 0.0
-    t_ext = model._t_ext()
+    return float(_ibm1_marginals(model, [strip_tag(x)], y)[0])
+
+
+def channel_scores(model: LexModel, x: Sentence, ys: list[Sentence]) -> list[float]:
+    """channel_score(model, x, y) for every y, as one gather per length of y."""
+    x = strip_tag(x)
+    if not x:
+        return [0.0] * len(ys)
+    ys = [strip_tag(y) for y in ys]
+    by_len: dict[int, list[int]] = {}
+    for k, y in enumerate(ys):
+        by_len.setdefault(len(y), []).append(k)
+    out = [0.0] * len(ys)
+    for members in by_len.values():
+        values = _ibm1_marginals(model, [ys[k] for k in members], x)
+        for k, value in zip(members, values.tolist()):
+            out[k] = value
+    return out
+
+
+def _ibm1_marginals(model: LexModel, conds: list[Sentence], obs: Sentence) -> np.ndarray:
+    """IBM1 marginal ln P(obs | cond) for each of `conds`, which share one length l:
+
+        sum_j ln max( (1/(l+1)) * sum_{i=0..l} t_ext(cond_i, obs_j), unk_floor ),
+
+    with cond index 0 the NULL symbol, from one (E, l+1, |obs|) gather.
+    """
     ns, nt = model.t.shape
-    rows = np.array([0] + [model.src_id.get(s, ns) for s in x], dtype=np.intp)
-    cols = np.array([model.tgt_id.get(s, nt) for s in y], dtype=np.intp)
-    inner = t_ext[rows[:, None], cols[None, :]].mean(axis=0)
-    inner = np.maximum(inner, model.unk_floor)
-    return float(np.log(inner).sum())
+    src_id, tgt_id = model.src_id, model.tgt_id
+    ids = []
+    for cond in conds:
+        ids.append(0)
+        ids += [src_id.get(s, ns) for s in cond]
+    rows = np.array(ids, dtype=np.intp).reshape(len(conds), -1, 1)
+    cols = np.array([tgt_id.get(s, nt) for s in obs], dtype=np.intp)
+    # sum / count is the mean bit for bit, without np.mean's call overhead
+    inner = model._t_ext()[rows, cols].sum(axis=1) / rows.shape[1]
+    return np.log(np.maximum(inner, model.unk_floor)).sum(axis=1)
 
 
 FORMAT_VERSION = 1

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from deskmt import lm as lm_module
 from deskmt.lm import (
     DataError,
     InterpolatedLM,
@@ -197,3 +198,44 @@ class TestScorer:
         for i, sym in enumerate(symbols):
             expected = model.cond_logprobs(("a",))[model.id_or_unk(sym)]
             assert vec[i] == expected
+
+
+def reference_logprob(model, sentence):
+    """Uncached left-to-right sum of the per-token log terms."""
+    total = 0.0
+    history = ()
+    for token in sentence:
+        if isinstance(model, InterpolatedLM):
+            a = model.interp_alpha
+            pb = model.base.cond_probs(history)[model.base.id_or_unk(token)]
+            pi = model.indomain.cond_probs(history)[model.indomain.id_or_unk(token)]
+            total += float(np.log((1.0 - a) * pb + a * pi))
+        else:
+            total += float(model.cond_logprobs(history)[model.id_or_unk(token)])
+        history = (history + (token,))[-(model.order - 1):] if model.order > 1 else ()
+    return total + model.eos_logprob
+
+
+class TestTermCache:
+    def models(self):
+        rng = random.Random(51)
+        vocab = ["a", "b", "c", "d"]
+        base = train_lm(random_corpus(rng, vocab, 40), order=3, k=0.4)
+        return [base, finetune_lm(base, random_corpus(rng, vocab + ["e"], 10), 0.3)]
+
+    def test_cached_sums_equal_uncached_reference(self):
+        rng = random.Random(52)
+        sents = random_corpus(rng, ["a", "b", "c", "d", "e", "zz"], 60, max_len=12)
+        for model in self.models():
+            first = [logprob(model, s) for s in sents]
+            again = [logprob(model, s) for s in sents]    # all terms cached
+            assert first == again == [reference_logprob(model, s) for s in sents]
+
+    def test_cache_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(lm_module, "_CACHE_CAP", 5)
+        rng = random.Random(53)
+        sents = random_corpus(rng, ["a", "b", "c", "d", "e"], 40)
+        for model in self.models():
+            for s in sents:
+                assert logprob(model, s) == reference_logprob(model, s)
+                assert len(model._term_cache) <= 6

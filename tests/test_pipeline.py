@@ -109,6 +109,16 @@ class TestDeterminismAndResume:
         blobs = [open(os.path.join(d, "manifest.json"), "rb").read() for d in dirs]
         assert blobs[0] == blobs[1]
 
+    def test_identical_manifests_across_worker_counts(self, tmp_path):
+        bundle = tiny_bundle(seed=11)
+        blobs = []
+        for workers in (1, 2):
+            run_dir = str(tmp_path / f"w{workers}")
+            run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt,
+                         bundle.dev, run_dir, tiny_config(workers=workers))
+            blobs.append(open(os.path.join(run_dir, "manifest.json"), "rb").read())
+        assert blobs[0] == blobs[1]
+
     def test_resume_skips_and_reproduces(self, finished_run):
         bundle, config, run_dir, _ = finished_run
         before = open(os.path.join(run_dir, "manifest.json"), "rb").read()

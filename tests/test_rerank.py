@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from deskmt.corpus import SIDE_PARALLEL, TaggedDataset, build_mix, swap_direction
-from deskmt.lm import train_lm
+from deskmt.lm import finetune_lm, train_lm
 from deskmt.metrics import bleu
 from deskmt.rerank import (
     NULL_WEIGHTS,
     DataError,
     NoisyChannelWeights,
     combined_score,
+    fill_scores,
     read_nbest_file,
     rerank,
     sample_weights,
@@ -127,6 +128,54 @@ class TestRerank:
             rerank(NBestList(source=("s0",), entries=[]), bwd, fwd.lm, NULL_WEIGHTS)
 
 
+class TestFillScores:
+    """The batched list scorer equals per-entry scoring bit for bit."""
+
+    def mixed_list(self, source):
+        # hypotheses of several lengths, with unknown and tagged symbols
+        hyps = [("t0",), ("t1", "t2"), ("t3", "t0", "t1"), ("t2",),
+                ("zz", "t1"), ("<bt>", "t0", "t0", "t0", "t1"), (), ("t1", "t3")]
+        return NBestList(source=source, entries=[
+            NBestEntry(hyp=h, fwd=-float(k)) for k, h in enumerate(hyps)])
+
+    def interpolated(self, fwd):
+        return finetune_lm(fwd.lm, [("t0", "t1"), ("t2", "t3", "t3"), ("zz",)], 0.4)
+
+    @pytest.mark.parametrize("use_interpolated", [False, True])
+    def test_equals_per_entry_scores(self, use_interpolated):
+        rng = random.Random(31)
+        for _ in range(20):
+            mix, fwd, bwd = random_models(rng)
+            lm = self.interpolated(fwd) if use_interpolated else fwd.lm
+            source = mix.examples[rng.randrange(len(mix.examples))][0] + ("s9",)
+            lists = [self.mixed_list(source), translate_nbest(fwd, source[:-1], 8)]
+            for nb in lists:
+                filled = fill_scores(nb, bwd, lm)
+                assert [e.hyp for e in filled.entries] == [e.hyp for e in nb.entries]
+                for e in filled.entries:
+                    assert e.channel == channel_score(bwd, nb.source, e.hyp)
+                    assert e.lm == logprob(lm, e.hyp)
+
+    def test_prefilled_slots_kept(self):
+        rng = random.Random(32)
+        mix, fwd, bwd = random_models(rng)
+        lm = self.interpolated(fwd)
+        source = mix.examples[0][0]
+        nb = self.mixed_list(source)
+        nb.entries[1].channel = -111.0
+        nb.entries[2].lm = -222.0
+        nb.entries[4].channel, nb.entries[4].lm = -333.0, -444.0
+        filled = fill_scores(nb, bwd, lm)
+        assert filled.entries[1].channel == -111.0
+        assert filled.entries[2].lm == -222.0
+        assert (filled.entries[4].channel, filled.entries[4].lm) == (-333.0, -444.0)
+        for k, e in enumerate(filled.entries):
+            if k not in (1, 4):
+                assert e.channel == channel_score(bwd, source, e.hyp)
+            if k not in (2, 4):
+                assert e.lm == logprob(lm, e.hyp)
+
+
 class TestTuneLambdas:
     def test_single_trial_returns_null_pair(self):
         rng = random.Random(10)
@@ -186,3 +235,32 @@ class TestNbestFile:
                 assert a.channel == b.channel
                 assert a.lm == b.lm
                 assert a.combined == b.combined
+
+    def write_lines(self, tmp_path, lines):
+        path = tmp_path / "nbest.txt"
+        path.write_text("#nbest v1\n" + "".join(line + "\n" for line in lines),
+                        encoding="utf-8")
+        return str(path)
+
+    def test_well_formed_lines_parse(self, tmp_path):
+        path = self.write_lines(tmp_path, ["#source 0 s0 s1", "0\t0\tt0 t1\t-1.5\t-\t-\t-",
+                                           "#source 1 ", "1\t0\tt2\t-0.5\t-2.0\t-3.0\t-4.0"])
+        lists = read_nbest_file(path)
+        assert [nb.source for nb in lists] == [("s0", "s1"), ()]
+        assert lists[0].entries[0].channel is None
+        assert lists[1].entries[0].combined == -4.0
+
+    @pytest.mark.parametrize("lines", [
+        pytest.param(["#source 0 s0", "0\t0\tt0\tnotafloat\t-\t-\t-"], id="bad-fwd"),
+        pytest.param(["#source 0 s0", "0\t0\tt0\t-1.0\t1e\t-\t-"], id="bad-slot"),
+        pytest.param(["#source 0 s0", "x\t0\tt0\t-1.0\t-\t-\t-"], id="bad-id"),
+        pytest.param(["#source 0 s0", "0\t0\tt0\t-1.0\t-\t-"], id="too-few-fields"),
+        pytest.param(["#source 0 s0", "0\t0\tt0\t-1.0\t-\t-\t-\t-"], id="too-many-fields"),
+        pytest.param(["0\t0\tt0\t-1.0\t-\t-\t-"], id="entry-before-source"),
+        pytest.param(["#source 0 s0", "1\t0\tt0\t-1.0\t-\t-\t-"], id="id-past-end"),
+        pytest.param(["#source 0 s0", "-1\t0\tt0\t-1.0\t-\t-\t-"], id="negative-id"),
+    ])
+    def test_malformed_line_is_data_error(self, tmp_path, lines):
+        with pytest.raises(DataError, match=r"nbest\.txt:3"
+                           if lines[0].startswith("#source") else r"nbest\.txt:2"):
+            read_nbest_file(self.write_lines(tmp_path, lines))

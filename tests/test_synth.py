@@ -1,9 +1,11 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from deskmt.synth import (
+    MIN_TOPIC_TV,
     DataError,
     SynthSpec,
     default_synth_spec,
@@ -172,3 +174,25 @@ class TestSpec:
 
     def test_make_spec_deterministic(self):
         assert make_spec(50, seed=3) == make_spec(50, seed=3)
+
+    @pytest.mark.parametrize("vocab_size", [4, 5, 6, 7, 8, 10, 12, 16, 24, 30])
+    def test_small_vocab_seed_sweep_never_raises(self, vocab_size):
+        for seed in range(60):
+            spec = make_spec(vocab_size, seed=seed)
+            assert topic_tv_distance(spec.in_weights, spec.out_weights) > MIN_TOPIC_TV
+
+    @pytest.mark.parametrize("vocab_size,seed,digest", [
+        (200, 1, "f93d927220c269b7"), (200, 2, "f76e61a258bc4e7a"),
+        (200, 3, "6bdca9959fd31ce7"), (24, 5, "ebc96659ba2ee362"),
+        (30, 14, "61500c2e4e4352c6"),
+    ])
+    def test_first_draw_specs_keep_their_bytes(self, tmp_path, vocab_size, seed, digest):
+        # specs whose first permutation clears the floor are never redrawn
+        path = tmp_path / "spec.json"
+        save_spec(make_spec(vocab_size, seed=seed), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
+
+    def test_unreachable_floor_raises(self):
+        # even a fully reversed profile blended at 0.1 stays under the floor
+        with pytest.raises(DataError, match="redraws"):
+            make_spec(8, seed=0, mismatch=0.1)

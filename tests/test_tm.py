@@ -8,13 +8,16 @@ import pytest
 
 from deskmt.corpus import SIDE_PARALLEL, UNK_TOKEN, TaggedDataset, build_mix
 from deskmt.lm import train_lm
+from deskmt.corpus import strip_tag
 from deskmt.tm import (
     NULL,
     DataError,
     LexModel,
     channel_score,
+    channel_scores,
     corpus_log_likelihood,
     em_train,
+    forward_marginal,
     model_from_dict,
     model_to_dict,
     pair_logprob,
@@ -382,6 +385,47 @@ class TestChannelScore:
         plain = channel_score(model, ("x",), ("y",))
         tagged = channel_score(model, ("<bt>", "x"), ("<st>", "y"))
         assert tagged == plain
+
+
+def reference_marginal(model, cond, obs):
+    """Per-pair IBM1 marginal: a (l+1, |obs|) gather averaged over axis 0."""
+    cond, obs = strip_tag(cond), strip_tag(obs)
+    if not obs:
+        return 0.0
+    ns, nt = model.t.shape
+    t_ext = np.full((ns + 1, nt + 1), model.unk_floor)
+    t_ext[:ns, :nt] = model.t
+    rows = np.array([0] + [model.src_id.get(s, ns) for s in cond], dtype=np.intp)
+    cols = np.array([model.tgt_id.get(s, nt) for s in obs], dtype=np.intp)
+    inner = np.maximum(t_ext[rows[:, None], cols[None, :]].mean(axis=0), model.unk_floor)
+    return float(np.log(inner).sum())
+
+
+class TestMarginalKernel:
+    """channel_score, forward_marginal and channel_scores share one kernel and
+    equal the per-pair reference bit for bit, also past 8 summed terms."""
+
+    def sentences(self, rng, model, count):
+        syms = list(model.src_vocab[1:]) + list(model.tgt_vocab) + ["zz"]
+        return [tuple(rng.choice(syms) for _ in range(rng.randint(0, 12)))
+                for _ in range(count)]
+
+    def test_equal_to_reference(self):
+        rng = random.Random(41)
+        for _ in range(10):
+            model = em_train(random_mix(rng, 12), iterations=2)
+            sents = self.sentences(rng, model, 30)
+            x = ("<bt>",) + sents[0]
+            for y in sents:
+                assert channel_score(model, x, y) == reference_marginal(model, y, x)
+                assert forward_marginal(model, y, x) == reference_marginal(model, y, x)
+            assert channel_scores(model, x, sents) == [
+                reference_marginal(model, y, x) for y in sents]
+
+    def test_batch_of_nothing(self):
+        model = em_train(random_mix(random.Random(42), 6), iterations=1)
+        assert channel_scores(model, ("x",), []) == []
+        assert channel_scores(model, ("<bt>",), [("a",), ()]) == [0.0, 0.0]
 
 
 class TestSerialization:
