@@ -56,7 +56,7 @@ def _load_models(paths: list[str]):
 
 def _save_model(model, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(stable_json_dumps(tm.model_to_dict(model)) + "\n")
+        fh.write(tm.model_json(model)[0] + "\n")
 
 
 def _load_lm(path: str):
@@ -275,7 +275,7 @@ def cmd_tune_lambdas(args) -> int:
     dev = load_corpus(args.dev, SIDE_PARALLEL, tag=TAG_IN_DOMAIN)
     if bpe is not None:
         dev = subword.encode_dataset(dev, bpe)
-    weights = rerank.tune_lambdas(
+    weights, _ = rerank.tune_lambdas(
         dev, _load_models(args.model), _load_models(args.channel_model),
         _load_lm(args.lm), trials=args.tune_trials, seed=args.seed,
         nbest=args.nbest, eval_ctx=_eval_ctx(args, bpe))
@@ -386,11 +386,12 @@ def cmd_finetune(args) -> int:
     if bpe is not None:
         in_domain = subword.encode_dataset(in_domain, bpe)
         dev = subword.encode_dataset(dev, bpe)
-    tuned = search.finetune(model, in_domain, dev, args.max_steps,
-                            lm_alpha=args.lm_alpha, eval_ctx=_eval_ctx(args, bpe))
+    eval_ctx = _eval_ctx(args, bpe)
+    before = search.dev_bleu(model, dev, eval_ctx=eval_ctx)
+    tuned, after = search.finetune(model, in_domain, dev, args.max_steps,
+                                   base_bleu=before, lm_alpha=args.lm_alpha,
+                                   eval_ctx=eval_ctx)
     _save_model(tuned, args.out)
-    before = search.dev_bleu(model, dev, eval_ctx=_eval_ctx(args, bpe))
-    after = search.dev_bleu(tuned, dev, eval_ctx=_eval_ctx(args, bpe))
     print(f"dev BLEU {before:.2f} -> {after:.2f}; wrote {args.out}")
     return EXIT_OK
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .corpus import Sentence
 from .tm import LexModel, NBestList, translate_nbest
-from .util import DataError, content_hash
+from .util import DataError
 
 
 class Ensemble:
@@ -72,6 +72,5 @@ def ensemble_nbest(e: Ensemble, x: Sentence, n: int) -> NBestList:
 
 def ensemble_to_dict(e: Ensemble) -> dict:
     """Ensemble manifest: the ordered list of member artifact hashes."""
-    from .tm import model_to_dict
-    return {"kind": "ensemble",
-            "members": [content_hash(model_to_dict(m)) for m in e.members]}
+    from .tm import model_hash
+    return {"kind": "ensemble", "members": [model_hash(m) for m in e.members]}

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Sentence
-from .util import DataError
+from .util import NUMBER, DataError, doc_field, doc_strings
 
 EOS = "</s>"
 BOS = "<s>"
@@ -284,21 +284,38 @@ def lm_to_dict(model: LanguageModel) -> dict:
 
 
 def lm_from_dict(doc: dict) -> LanguageModel:
-    if doc.get("version") != FORMAT_VERSION:
+    """Inverse of lm_to_dict; a malformed document raises DataError naming the key."""
+    what = "language model document"
+    if not isinstance(doc, dict) or doc.get("version") != FORMAT_VERSION:
         raise DataError("unsupported LM serialization version")
-    if doc["kind"] == "interpolated":
-        return InterpolatedLM(lm_from_dict(doc["base"]), lm_from_dict(doc["indomain"]),
-                              doc["alpha"])
+    kind = doc_field(doc, "kind", str, what)
+    if kind == "interpolated":
+        return InterpolatedLM(lm_from_dict(doc_field(doc, "base", dict, what)),
+                              lm_from_dict(doc_field(doc, "indomain", dict, what)),
+                              doc_field(doc, "alpha", NUMBER, what))
+    if kind != "ngram":
+        raise DataError(f"{what}: unknown kind {kind!r}")
+    order = doc_field(doc, "order", int, what)
+    vocab = doc_strings(doc, "vocab", what)
+    levels = doc_field(doc, "counts", list, what)
+    if order < 1 or len(levels) != order:
+        raise DataError(f"{what}: key 'counts' needs one level per order "
+                        f"(order {order}, {len(levels)} levels)")
+    if EOS not in vocab:
+        raise DataError(f"{what}: key 'vocab' lacks {EOS}")
     counts: list[dict] = []
     totals: list[dict] = []
-    for level in doc["counts"]:
-        level_counts = {}
-        level_totals = {}
-        for ctx, items in level:
-            cdict = {int(wid): float(c) for wid, c in items}
-            level_counts[tuple(ctx)] = cdict
-            level_totals[tuple(ctx)] = float(sum(cdict.values()))
-        counts.append(level_counts)
-        totals.append(level_totals)
-    return NGramLM(int(doc["order"]), float(doc["k"]), tuple(doc["vocab"]),
-                   counts, totals, float(doc["token_total"]))
+    try:
+        for level in levels:
+            level_counts = {}
+            level_totals = {}
+            for ctx, items in level:
+                cdict = {int(wid): float(c) for wid, c in items}
+                level_counts[tuple(ctx)] = cdict
+                level_totals[tuple(ctx)] = float(sum(cdict.values()))
+            counts.append(level_counts)
+            totals.append(level_totals)
+    except (TypeError, ValueError) as e:
+        raise DataError(f"{what}: malformed key 'counts': {e}") from e
+    return NGramLM(order, float(doc_field(doc, "k", NUMBER, what)), vocab,
+                   counts, totals, float(doc_field(doc, "token_total", NUMBER, what)))

@@ -43,30 +43,36 @@ def _ngrams(sentence: Sentence, n: int) -> Counter:
     return Counter(tuple(sentence[i:i + n]) for i in range(len(sentence) - n + 1))
 
 
-def bleu(hyps: list[Sentence], refs: list[Sentence]) -> float:
-    """Corpus-level BLEU-4 in [0, 100] against single references."""
-    if not hyps:
-        raise DataError("BLEU needs a non-empty corpus")
-    if len(hyps) != len(refs):
-        raise DataError(f"hypothesis/reference count mismatch: {len(hyps)} vs {len(refs)}")
+# Layout of one row of sufficient statistics: hypothesis length, reference
+# length, then clipped matches for orders 1..BLEU_ORDER, then hypothesis
+# n-gram totals for orders 1..BLEU_ORDER.
+STATS_WIDTH = 2 + 2 * BLEU_ORDER
 
+
+def sentence_stats(hyp: Sentence, ref: Sentence) -> tuple[int, ...]:
+    """Integer BLEU sufficient statistics of one hypothesis against its reference.
+
+    Rows add up to the corpus statistics, so their sum is order-independent.
+    """
+    hyp = tuple(hyp)
+    ref = tuple(ref)
     matches = [0] * BLEU_ORDER
     totals = [0] * BLEU_ORDER
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hyps, refs):
-        hyp = tuple(hyp)
-        ref = tuple(ref)
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for n in range(1, BLEU_ORDER + 1):
-            hyp_counts = _ngrams(hyp, n)
-            if not hyp_counts:
-                continue
-            ref_counts = _ngrams(ref, n)
-            totals[n - 1] += sum(hyp_counts.values())
-            matches[n - 1] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+    for n in range(1, BLEU_ORDER + 1):
+        hyp_counts = _ngrams(hyp, n)
+        if not hyp_counts:
+            continue
+        ref_counts = _ngrams(ref, n)
+        totals[n - 1] = sum(hyp_counts.values())
+        matches[n - 1] = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+    return (len(hyp), len(ref), *matches, *totals)
 
+
+def bleu_from_stats(stats) -> float:
+    """Corpus BLEU-4 in [0, 100] from summed sufficient statistics."""
+    hyp_len, ref_len = int(stats[0]), int(stats[1])
+    matches = [int(v) for v in stats[2:2 + BLEU_ORDER]]
+    totals = [int(v) for v in stats[2 + BLEU_ORDER:STATS_WIDTH]]
     if hyp_len == 0:
         return 0.0
     log_sum = 0.0
@@ -77,6 +83,19 @@ def bleu(hyps: list[Sentence], refs: list[Sentence]) -> float:
         log_sum += math.log(p) / BLEU_ORDER
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return 100.0 * bp * math.exp(log_sum)
+
+
+def bleu(hyps: list[Sentence], refs: list[Sentence]) -> float:
+    """Corpus-level BLEU-4 in [0, 100] against single references."""
+    if not hyps:
+        raise DataError("BLEU needs a non-empty corpus")
+    if len(hyps) != len(refs):
+        raise DataError(f"hypothesis/reference count mismatch: {len(hyps)} vs {len(refs)}")
+    total = [0] * STATS_WIDTH
+    for hyp, ref in zip(hyps, refs):
+        for k, v in enumerate(sentence_stats(hyp, ref)):
+            total[k] += v
+    return bleu_from_stats(total)
 
 
 @dataclass

@@ -28,7 +28,7 @@ from .corpus import (
     save_corpus,
     strip_tag,
 )
-from .ensemble import Ensemble, ensemble_to_dict
+from .ensemble import Ensemble
 from .lm import finetune_lm, lm_from_dict, lm_to_dict, train_lm
 from .metrics import EvalContext
 from .rerank import NoisyChannelWeights, RerankContext, tune_lambdas
@@ -38,14 +38,20 @@ from .search import (
     TrialConfig,
     TrialResult,
     default_search_space,
-    dev_bleu,
     finetune,
     run_search,
     select_top_k,
 )
 from .subword import encode_dataset, learn_bpe, load_bpe, save_bpe
-from .tm import LexModel, em_train, model_from_dict, model_hash, model_to_dict
-from .util import DataError, content_hash, derive_seed, sha256_bytes, stable_json_dumps
+from .tm import em_train, model_from_dict, model_hash, model_json
+from .util import (
+    DataError,
+    content_hash,
+    derive_seed,
+    sha256_bytes,
+    stable_json_dumps,
+    write_text_atomic,
+)
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
@@ -92,9 +98,7 @@ class PipelineManifest:
         return os.path.join(self.run_dir, MANIFEST_NAME)
 
     def save(self) -> None:
-        text = stable_json_dumps(self.data)
-        with open(self.path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        write_text_atomic(self.path, stable_json_dumps(self.data) + "\n")
 
     @classmethod
     def load(cls, run_dir: str) -> "PipelineManifest":
@@ -135,19 +139,14 @@ def _write_text_artifact(run_dir: str, relpath: str, text: str) -> dict:
     path = os.path.join(run_dir, relpath)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     data = text if text.endswith("\n") else text + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(data)
+    write_text_atomic(path, data)
     return {"path": relpath, "hash": sha256_bytes(data.encode("utf-8"))}
 
 
 def _save_model(run_dir: str, model) -> dict:
-    if isinstance(model, Ensemble):
-        doc = ensemble_to_dict(model)
-    else:
-        doc = model_to_dict(model)
-    digest = content_hash(doc)
-    ref = _write_text_artifact(run_dir, f"artifacts/models/{digest}.json",
-                               stable_json_dumps(doc))
+    """Write a model artifact named by its hash; an ensemble's members must be saved first."""
+    text, digest = model_json(model)
+    ref = _write_text_artifact(run_dir, f"artifacts/models/{digest}.json", text)
     ref["model_hash"] = digest
     return ref
 
@@ -403,18 +402,19 @@ class _PipelineState:
                       src_lang="tgt", tgt_lang="src", **kwargs)
         self.fwd = Ensemble([f0])
         self.bwd = Ensemble([g0])
-        self.lambdas_fwd, self.lambdas_bwd = self._tune_both("init")
+        (self.lambdas_fwd, _), (self.lambdas_bwd, _) = self._tune_both("init")
+        for member in self.fwd.members + self.bwd.members:
+            _save_model(manifest.run_dir, member)
         manifest.data["init"] = {
             "fwd": {"model": _save_model(manifest.run_dir, self.fwd),
                     "lambdas": [self.lambdas_fwd.lambda1, self.lambdas_fwd.lambda2]},
             "bwd": {"model": _save_model(manifest.run_dir, self.bwd),
                     "lambdas": [self.lambdas_bwd.lambda1, self.lambdas_bwd.lambda2]},
         }
-        for member in self.fwd.members + self.bwd.members:
-            _save_model(manifest.run_dir, member)
         manifest.mark_completed("init")
 
     def _tune_both(self, label: str):
+        """Tuned weights and their rerank dev BLEU, forward then backward."""
         cfg = self.config
         lf = tune_lambdas(self.dev, self.fwd, self.bwd, self.lm_tgt,
                           trials=cfg.tune_trials, seed=self._seed(f"{label}/lambda/fwd"),
@@ -489,16 +489,9 @@ class _PipelineState:
         # lines 13-14: ensemble the top-k models
         self.fwd = select_top_k(fwd_results, cfg.topk)
         self.bwd = select_top_k(bwd_results, cfg.topk)
-        self.lambdas_fwd, self.lambdas_bwd = self._tune_both(f"iter{t}")
-
-        eval_fwd = dev_bleu(self.fwd, self.dev, eval_ctx=self.eval_ctx_fwd,
-                            decode="rerank", nbest=cfg.nbest,
-                            rerank_ctx=RerankContext(self.bwd, self.lm_tgt,
-                                                     self.lambdas_fwd, cfg.nbest))
-        eval_bwd = dev_bleu(self.bwd, self.dev_swapped, eval_ctx=self.eval_ctx_bwd,
-                            decode="rerank", nbest=cfg.nbest,
-                            rerank_ctx=RerankContext(self.fwd, self.lm_src,
-                                                     self.lambdas_bwd, cfg.nbest))
+        # the BLEU of the tuned weights is the rerank dev BLEU of the new systems
+        (self.lambdas_fwd, eval_fwd), (self.lambdas_bwd, eval_bwd) = \
+            self._tune_both(f"iter{t}")
 
         for r in fwd_results + bwd_results:
             _save_model(manifest.run_dir, r.model)
@@ -521,8 +514,8 @@ class _PipelineState:
         manifest.mark_completed(stage)
 
     def _finetune_result(self, result: TrialResult, in_domain, dev, eval_ctx):
-        model = finetune(result.model, in_domain, dev, self.config.finetune_steps,
-                         lm_alpha=self.config.lm_alpha, eval_ctx=eval_ctx)
-        score = dev_bleu(model, dev, eval_ctx=eval_ctx)
+        model, score = finetune(result.model, in_domain, dev,
+                                self.config.finetune_steps, base_bleu=result.dev_bleu,
+                                lm_alpha=self.config.lm_alpha, eval_ctx=eval_ctx)
         return TrialResult(config=result.config, model=model,
                            dev_ppl_trace=result.dev_ppl_trace, dev_bleu=score)

@@ -13,9 +13,11 @@ import math
 import random
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .corpus import Sentence, TaggedDataset
 from .lm import LanguageModel, logprob
-from .metrics import bleu
+from .metrics import STATS_WIDTH, bleu_from_stats, sentence_stats
 from .tm import LexModel, NBestEntry, NBestList, channel_scores, translate_nbest
 from .util import DataError
 
@@ -110,13 +112,19 @@ def sample_weights(trials: int, seed: int) -> list[NoisyChannelWeights]:
 
 def tune_lambdas(dev: TaggedDataset, forward, backward, lm: LanguageModel,
                  trials: int = DEFAULT_TUNE_TRIALS, seed: int = 0, *,
-                 nbest: int = DEFAULT_NBEST, eval_ctx=None) -> NoisyChannelWeights:
+                 nbest: int = DEFAULT_NBEST,
+                 eval_ctx=None) -> tuple[NoisyChannelWeights, float]:
     """Pick the weight pair maximizing dev BLEU of reranked top-1 outputs.
 
-    Candidate scores are computed once; each trial only recombines and
-    re-ranks them. With an EvalContext, BLEU is measured on detokenized
-    surfaces (the same objective evaluate_system reports); ties keep the
-    earlier trial.
+    Returns the weights with their dev BLEU, which equals `dev_bleu` of
+    rerank decoding with those weights: the same n-best lists, the same
+    combined scores, and the same top-1 choice (ties keep the earlier entry,
+    as `rerank`'s stable sort does). Candidate scores are computed once; each
+    trial only recombines them. An entry's BLEU statistics against its
+    reference are computed the first time a trial picks it, and each trial
+    sums the rows it picked. With an EvalContext, BLEU is measured on
+    detokenized surfaces (the same objective evaluate_system reports); ties
+    between trials keep the earlier trial.
     """
     if trials < 1:
         raise DataError("tuning needs at least one trial")
@@ -128,26 +136,40 @@ def tune_lambdas(dev: TaggedDataset, forward, backward, lm: LanguageModel,
                                nbest=nbest, eval_ctx=eval_ctx)
     lists = [fill_scores(nb, backward, lm) for nb in lists]
     if eval_ctx is not None and eval_ctx.bpe is not None:
-        refs = [eval_ctx.detok_tokens(ref) for _, ref in dev.pairs]
+        surface = eval_ctx.detok_tokens
     else:
-        refs = [tuple(ref) for _, ref in dev.pairs]
+        surface = tuple
+    refs = [surface(ref) for _, ref in dev.pairs]
 
+    components = [(e.fwd, e.channel, e.lm) for nb in lists for e in nb.entries]
+    if not np.isfinite(components).all():
+        raise DataError("combined_score needs finite component scores")
+    # one row per list; padding (fwd -inf) never wins the argmax
+    width = max(len(nb.entries) for nb in lists)
+    fwd = np.full((len(lists), width), -np.inf)
+    channel = np.zeros((len(lists), width))
+    lm_score = np.zeros((len(lists), width))
+    for i, nb in enumerate(lists):
+        for j, e in enumerate(nb.entries):
+            fwd[i, j], channel[i, j], lm_score[i, j] = e.fwd, e.channel, e.lm
+
+    stats = np.zeros((len(lists), width, STATS_WIDTH), dtype=np.int64)
+    known = np.zeros((len(lists), width), dtype=bool)
+    rows = np.arange(len(lists))
     best_weights = None
     best_bleu = -1.0
     for w in sample_weights(trials, seed):
-        hyps = []
-        for nb in lists:
-            top = max(enumerate(nb.entries),
-                      key=lambda ie: (combined_score(ie[1].fwd, ie[1].channel,
-                                                     ie[1].lm, w), -ie[0]))[1]
-            hyps.append(top.hyp)
-        if eval_ctx is not None and eval_ctx.bpe is not None:
-            hyps = [eval_ctx.detok_tokens(h) for h in hyps]
-        score = bleu(hyps, refs)
+        # same operation order as combined_score, so the argmax is the same
+        picks = (fwd + w.lambda1 * channel + w.lambda2 * lm_score).argmax(axis=1)
+        for i in np.flatnonzero(~known[rows, picks]).tolist():
+            j = int(picks[i])
+            stats[i, j] = sentence_stats(surface(lists[i].entries[j].hyp), refs[i])
+            known[i, j] = True
+        score = bleu_from_stats(stats[rows, picks].sum(axis=0))
         if score > best_bleu:
             best_bleu = score
             best_weights = w
-    return best_weights
+    return best_weights, best_bleu
 
 
 NBEST_FILE_VERSION = 1

@@ -243,31 +243,31 @@ def select_top_k(results: list[TrialResult], k: int) -> Ensemble:
 
 
 def finetune(model: LexModel, in_domain: TaggedDataset, dev: TaggedDataset,
-             max_steps: int, *, lm_alpha: float = 0.5,
-             eval_ctx: EvalContext | None = None) -> LexModel:
-    """Continue EM on in-domain data, returning the best dev-BLEU checkpoint.
+             max_steps: int, *, base_bleu: float, lm_alpha: float = 0.5,
+             eval_ctx: EvalContext | None = None) -> tuple[LexModel, float]:
+    """Continue EM on in-domain data; return the best dev-BLEU checkpoint and its BLEU.
 
-    Step 0 is the input model, so fine-tuning can never reduce tuning-set
-    BLEU. The LM is interpolated toward in-domain counts with weight
-    `lm_alpha`; ties between checkpoints keep the earliest.
+    Step 0 is the input model, whose dev BLEU the caller passes as
+    `base_bleu` (`run_trial` has already computed it), so fine-tuning can
+    never reduce tuning-set BLEU. The LM is interpolated toward in-domain
+    counts with weight `lm_alpha`; ties between checkpoints keep the
+    earliest.
     """
     if not in_domain.pairs:
         raise DataError("fine-tuning needs non-empty in-domain data")
-    base_bleu = dev_bleu(model, dev, eval_ctx=eval_ctx)
-    best = (base_bleu, 0, model)
     if max_steps <= 0:
-        return model
+        return model, base_bleu
     targets = [tgt for _, tgt in in_domain.pairs]
     ft_lm = finetune_lm(model.lm, targets, lm_alpha)
     settings = dict(beam=model.beam, window=model.window, lm_weight=model.lm_weight,
                     src_lang=model.src_lang, tgt_lang=model.tgt_lang,
-                    unk_floor=model.unk_floor)
+                    unk_floor=model.unk_floor, tag_bias=model.tag_bias)
     trainer = EMTrainer(build_mix([in_domain]), warm_start=model)
-    for step in range(1, max_steps + 1):
+    best_model, best_bleu = model, base_bleu
+    for _ in range(max_steps):
         trainer.step()
         candidate = trainer.snapshot(ft_lm, **settings)
-        candidate.tag_bias = model.tag_bias
         score = dev_bleu(candidate, dev, eval_ctx=eval_ctx)
-        if score > best[0]:
-            best = (score, step, candidate)
-    return best[2]
+        if score > best_bleu:
+            best_model, best_bleu = candidate, score
+    return best_model, best_bleu

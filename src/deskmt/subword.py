@@ -166,11 +166,16 @@ def load_bpe(path: str) -> BpeModel:
                 raise DataError(f"{path}: missing character inventory line")
             chars = tuple(chars_line.split()[1:])
             merges = []
-            for line in fh:
-                left, right = line.rstrip("\n").split(" ")
-                merges.append((left, right))
+            for lineno, line in enumerate(fh, start=3):
+                pair = line.rstrip("\n").split(" ")
+                if len(pair) != 2 or not all(pair):
+                    raise DataError(f"{path}:{lineno}: a merge line needs exactly "
+                                    f"two symbols separated by one space")
+                merges.append((pair[0], pair[1]))
     except OSError as e:
         raise DataError(f"cannot read BPE model {path}: {e}") from e
+    if not fields.get("vocab", "").isdigit() or "joiner" not in fields:
+        raise DataError(f"{path}:1: the header needs vocab=<int> and joiner=")
     reserved = frozenset(fields.get("reserved", "").split())
     symbols = chars + tuple(l + r for l, r in merges)
     return BpeModel(merges=tuple(merges), vocab_size_target=int(fields["vocab"]),

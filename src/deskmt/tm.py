@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import UNK_TOKEN, DataMix, Sentence, is_tag, strip_tag
 from .lm import LanguageModel, train_lm
-from .util import DataError, content_hash
+from .util import NUMBER, DataError, doc_field, doc_strings, sha256_text, stable_json_dumps
 
 NULL = "<null>"
 DEFAULT_UNK_FLOOR = 1e-9
@@ -44,7 +44,13 @@ class NBestList:
 
 
 class LexModel:
-    """Directional translation model: lexical table + target LM + decoder settings."""
+    """Directional translation model: lexical table + target LM + decoder settings.
+
+    A model is immutable once it has been used: the decoding state in
+    `_caches` and the memoized `model_hash` are built from its table, LM
+    and settings on first use and never invalidated, so changing any of
+    them afterwards gives stale results. Derive a new model instead.
+    """
 
     def __init__(self, src_vocab: tuple[str, ...], tgt_vocab: tuple[str, ...],
                  t: np.ndarray, lm: LanguageModel, *, beam: int = 5, window: int = 1,
@@ -52,7 +58,7 @@ class LexModel:
                  unk_floor: float = DEFAULT_UNK_FLOOR,
                  tag_bias: dict[str, dict[str, float]] | None = None,
                  train_ll_trace: tuple[float, ...] = ()):
-        if src_vocab[0] != NULL:
+        if not src_vocab or src_vocab[0] != NULL:
             raise DataError("source vocabulary must start with the NULL symbol")
         if beam < 1 or window < 0 or lm_weight < 0:
             raise DataError("invalid decoder settings")
@@ -507,7 +513,7 @@ def model_to_dict(model: LexModel) -> dict:
     rows = []
     for i in range(len(model.src_vocab)):
         nz = np.flatnonzero(model.t[i])
-        rows.append([[int(j), float(model.t[i, j])] for j in nz])
+        rows.append([[j, v] for j, v in zip(nz.tolist(), model.t[i, nz].tolist())])
     return {
         "version": FORMAT_VERSION, "kind": "lex",
         "src_lang": model.src_lang, "tgt_lang": model.tgt_lang,
@@ -520,26 +526,50 @@ def model_to_dict(model: LexModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> LexModel:
+    """Inverse of model_to_dict; a malformed document raises DataError naming the key."""
     from .lm import lm_from_dict
-    if doc.get("version") != FORMAT_VERSION or doc.get("kind") != "lex":
+    what = "model document"
+    if not isinstance(doc, dict) or doc.get("version") != FORMAT_VERSION \
+            or doc.get("kind") != "lex":
         raise DataError("unsupported model serialization")
-    src_vocab = tuple(doc["src_vocab"])
-    tgt_vocab = tuple(doc["tgt_vocab"])
+    src_vocab = doc_strings(doc, "src_vocab", what)
+    tgt_vocab = doc_strings(doc, "tgt_vocab", what)
+    tag_bias = doc_field(doc, "tag_bias", dict, what)
+    if not all(isinstance(v, dict) for v in tag_bias.values()):
+        raise DataError(f"{what}: key 'tag_bias' must map tags to objects")
     t = np.zeros((len(src_vocab), len(tgt_vocab)))
-    for i, row in enumerate(doc["t_rows"]):
-        for j, value in row:
-            t[i, int(j)] = float(value)
-    return LexModel(src_vocab, tgt_vocab, t, lm_from_dict(doc["lm"]),
-                    beam=int(doc["beam"]), window=int(doc["window"]),
-                    lm_weight=float(doc["lm_weight"]), src_lang=doc["src_lang"],
-                    tgt_lang=doc["tgt_lang"], unk_floor=float(doc["unk_floor"]),
-                    tag_bias={k: dict(v) for k, v in doc["tag_bias"].items()},
-                    train_ll_trace=tuple(doc["train_ll_trace"]))
+    try:
+        for i, row in enumerate(doc_field(doc, "t_rows", list, what)):
+            for j, value in row:
+                t[i, int(j)] = float(value)
+    except (TypeError, ValueError, IndexError) as e:
+        raise DataError(f"{what}: malformed key 't_rows': {e}") from e
+    return LexModel(src_vocab, tgt_vocab, t, lm_from_dict(doc_field(doc, "lm", dict, what)),
+                    beam=doc_field(doc, "beam", int, what),
+                    window=doc_field(doc, "window", int, what),
+                    lm_weight=float(doc_field(doc, "lm_weight", NUMBER, what)),
+                    src_lang=doc_field(doc, "src_lang", str, what),
+                    tgt_lang=doc_field(doc, "tgt_lang", str, what),
+                    unk_floor=float(doc_field(doc, "unk_floor", NUMBER, what)),
+                    tag_bias={k: dict(v) for k, v in tag_bias.items()},
+                    train_ll_trace=tuple(doc_field(doc, "train_ll_trace", list, what)))
+
+
+def model_json(model) -> tuple[str, str]:
+    """Stable JSON text of a LexModel or Ensemble artifact and its content hash.
+
+    The hash is `content_hash` of the artifact's document; a LexModel's is
+    memoized for `model_hash`.
+    """
+    from .ensemble import Ensemble, ensemble_to_dict
+    if isinstance(model, Ensemble):
+        text = stable_json_dumps(ensemble_to_dict(model))
+        return text, sha256_text(text)
+    text = stable_json_dumps(model_to_dict(model))
+    return text, model._caches.setdefault("hash", sha256_text(text))
 
 
 def model_hash(model) -> str:
-    """Content hash of a LexModel or Ensemble artifact."""
-    from .ensemble import Ensemble, ensemble_to_dict
-    if isinstance(model, Ensemble):
-        return content_hash(ensemble_to_dict(model))
-    return content_hash(model_to_dict(model))
+    """Content hash of a LexModel or Ensemble artifact (memoized per LexModel)."""
+    digest = model._caches.get("hash") if isinstance(model, LexModel) else None
+    return digest if digest is not None else model_json(model)[1]

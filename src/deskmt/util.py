@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import os
 from typing import Any, Callable, Iterable, Sequence
 
 
@@ -28,6 +29,53 @@ def sha256_text(text: str) -> str:
 def content_hash(obj: Any) -> str:
     """Hash of the stable JSON form of a JSON-serializable object."""
     return sha256_text(stable_json_dumps(obj))
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    """Replace `path` with `text` all at once.
+
+    The text goes to `<path>.tmp` in the same directory first, which then
+    replaces `path`; a process that dies partway leaves the previous file
+    intact. (No fsync: this guards against crashes, not power loss.)
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+NUMBER = (int, float)
+
+
+def doc_field(doc: Any, key: str, kind, what: str) -> Any:
+    """`doc[key]`, checked against the type (or tuple of types) `kind`.
+
+    A document that is not a JSON object, a missing key or a value of
+    another type raises DataError naming `what` and the key. Booleans never
+    pass as numbers.
+    """
+    if not isinstance(doc, dict):
+        raise DataError(f"{what}: expected a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise DataError(f"{what}: missing key {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise DataError(f"{what}: key {key!r} has the wrong type "
+                        f"({type(value).__name__})")
+    return value
+
+
+def doc_strings(doc: Any, key: str, what: str) -> tuple[str, ...]:
+    """`doc[key]` as a tuple of strings; DataError naming the key otherwise."""
+    values = doc_field(doc, key, list, what)
+    if not all(isinstance(v, str) for v in values):
+        raise DataError(f"{what}: key {key!r} must hold strings")
+    return tuple(values)
 
 
 def derive_seed(master: int, label: str) -> int:

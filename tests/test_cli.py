@@ -49,6 +49,19 @@ class TestExitCodes:
         assert main(["train", "--parallel", "/nonexistent.tsv",
                      "--dev", "bundle/dev.tsv", "--out", "x.json"]) == EXIT_DATA
 
+    def test_malformed_model_and_bpe_files_are_2(self, workspace):
+        doc = json.load(open("fwd.json", encoding="utf-8"))
+        del doc["t_rows"]
+        with open("broken.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with open("bpe.txt", encoding="utf-8") as fh:
+            lines = fh.readlines()
+        with open("broken_bpe.txt", "w", encoding="utf-8") as fh:
+            fh.writelines(lines[:2] + ["a b c\n"])
+        common = ["evaluate", "--test", "bundle/test.tsv", "--tag", "<d:in>"]
+        assert main([*common, "--model", "broken.json", "--bpe", "bpe.txt"]) == EXIT_DATA
+        assert main([*common, "--model", "fwd.json", "--bpe", "broken_bpe.txt"]) == EXIT_DATA
+
     def test_help_is_0(self):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--help"])

@@ -188,6 +188,31 @@ class TestSerialization:
         for sent in [("a", "b"), ("b", "c"), ("c", "a")]:
             assert logprob(loaded, sent) == logprob(mixed, sent)
 
+    @pytest.mark.parametrize("key", ["kind", "order", "vocab", "counts", "k",
+                                     "token_total"])
+    def test_missing_key_is_data_error(self, key):
+        doc = lm_to_dict(train_lm([("a", "b")] * 3, order=2, k=0.2))
+        del doc[key]
+        with pytest.raises(DataError, match=repr(key)):
+            lm_from_dict(doc)
+
+    def test_missing_interpolated_part_is_data_error(self):
+        base = train_lm([("a", "b")] * 6, order=2, k=0.2)
+        doc = lm_to_dict(finetune_lm(base, [("b", "c")] * 6, alpha=0.3))
+        del doc["indomain"]
+        with pytest.raises(DataError, match="'indomain'"):
+            lm_from_dict(doc)
+
+    @pytest.mark.parametrize("key, value", [("order", "2"), ("k", None),
+                                            ("vocab", "ab"), ("counts", {}),
+                                            ("counts", [[[0, [[1, 2]]]], []]),
+                                            ("token_total", [6])])
+    def test_wrong_type_is_data_error(self, key, value):
+        doc = lm_to_dict(train_lm([("a", "b")] * 3, order=2, k=0.2))
+        doc[key] = value
+        with pytest.raises(DataError, match=repr(key)):
+            lm_from_dict(doc)
+
 
 class TestScorer:
     def test_scorer_matches_logprob_terms(self):

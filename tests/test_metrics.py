@@ -3,8 +3,16 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from deskmt.metrics import EvalContext, bleu, evaluate_system
+from deskmt.metrics import (
+    BLEU_ORDER,
+    EvalContext,
+    bleu,
+    bleu_from_stats,
+    evaluate_system,
+    sentence_stats,
+)
 from deskmt.subword import POLICY_UNSPACED, learn_bpe, encode
 from deskmt.util import DataError
 
@@ -97,6 +105,58 @@ class TestBleu:
             bleu([], [])
         with pytest.raises(DataError):
             bleu([("a",)], [("a",), ("b",)])
+
+
+def bleu_before_stats(hyps, refs):
+    """Corpus BLEU as `bleu` computed it before sufficient statistics existed."""
+    matches = [0] * BLEU_ORDER
+    totals = [0] * BLEU_ORDER
+    hyp_len = 0
+    ref_len = 0
+    for hyp, ref in zip(hyps, refs):
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        for n in range(1, BLEU_ORDER + 1):
+            hyp_counts = Counter(hyp[i:i + n] for i in range(len(hyp) - n + 1))
+            if not hyp_counts:
+                continue
+            ref_counts = Counter(ref[i:i + n] for i in range(len(ref) - n + 1))
+            totals[n - 1] += sum(hyp_counts.values())
+            matches[n - 1] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+    if hyp_len == 0:
+        return 0.0
+    log_sum = 0.0
+    for n in range(BLEU_ORDER):
+        if totals[n] == 0:
+            continue
+        p = matches[n] / totals[n] if matches[n] > 0 else 1.0 / (2.0 * totals[n])
+        log_sum += math.log(p) / BLEU_ORDER
+    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return 100.0 * bp * math.exp(log_sum)
+
+
+_sentences = st.lists(st.sampled_from("abc"), max_size=7).map(tuple)
+
+
+class TestSufficientStatistics:
+    def test_row_layout(self):
+        # lengths, clipped matches per order, hypothesis n-gram totals per order
+        assert sentence_stats(("a", "a", "b"), ("a", "b")) == (3, 2, 2, 1, 0, 0, 3, 2, 1, 0)
+        assert sentence_stats((), ("a",)) == (0, 1) + (0,) * 8
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_sentences, _sentences), min_size=1, max_size=8))
+    @example([((), ())])
+    @example([((), ("a", "b"))])
+    @example([(("a",), ("a", "b", "c", "a", "b"))])
+    @example([(("a", "b"), ("a", "b")), ((), ("c",))])
+    def test_summed_statistics_equal_direct_bleu_bit_for_bit(self, pairs):
+        hyps = [h for h, _ in pairs]
+        refs = [r for _, r in pairs]
+        total = [sum(column) for column in zip(*(sentence_stats(h, r) for h, r in pairs))]
+        expected = bleu_before_stats(hyps, refs)
+        assert bleu_from_stats(total) == expected
+        assert bleu(hyps, refs) == expected
 
 
 class TestEvalContext:

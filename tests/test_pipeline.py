@@ -3,11 +3,13 @@ import os
 
 import pytest
 
-from deskmt.corpus import TAG_BACK_TRANSLATED, TAG_SELF_TRAINED, load_corpus
+from deskmt.corpus import TAG_BACK_TRANSLATED, TAG_SELF_TRAINED, build_mix, load_corpus
+from deskmt.ensemble import Ensemble
 from deskmt.pipeline import PipelineConfig, PipelineManifest, run_parallel_only, run_pipeline
 from deskmt.search import SearchSpace, TrialConfig
 from deskmt.synth import gen_corpora, make_spec
-from deskmt.util import DataError
+from deskmt.tm import em_train
+from deskmt.util import DataError, sha256_text
 
 
 def tiny_bundle(seed=3):
@@ -189,3 +191,158 @@ class TestValidation:
         with pytest.raises(DataError):
             run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt,
                          bundle.dev, str(tmp_path / "r"), tiny_config(iterations=0))
+
+
+class TestNoRecomputation:
+    def test_no_decode_is_repeated(self, tmp_path, monkeypatch):
+        import deskmt.augment as augment
+        bundle = tiny_bundle()
+        for sentences in (bundle.mono_src.sentences, bundle.mono_tgt.sentences,
+                          [s for s, _ in bundle.dev.pairs],
+                          [t for _, t in bundle.dev.pairs]):
+            assert len(set(sentences)) == len(sentences)  # a repeat is the code's
+        decode = augment.translate_nbest
+        seen, repeats, decoders = set(), [], []
+
+        def counting(model, x, n):
+            key = (id(model), tuple(x), n)
+            (repeats.append if key in seen else seen.add)(key)
+            decoders.append(model)  # keeps every id unique for the whole run
+            return decode(model, x, n)
+
+        monkeypatch.setattr(augment, "translate_nbest", counting)
+        run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt, bundle.dev,
+                     str(tmp_path / "r"), tiny_config(iterations=2, finetune_steps=2,
+                                                      finetune_every_iteration=True))
+        assert seen and repeats == []
+
+    def test_final_dev_bleu_is_rerank_dev_bleu(self, finished_run):
+        from deskmt.lm import lm_from_dict
+        from deskmt.metrics import EvalContext
+        from deskmt.pipeline import _load_model, _swap_pairs
+        from deskmt.rerank import NoisyChannelWeights, RerankContext
+        from deskmt.search import dev_bleu
+        from deskmt.subword import encode_dataset, load_bpe
+
+        bundle, config, _, manifest = finished_run
+        data = manifest.data
+        bpe = load_bpe(manifest.verify(data["bpe"]))
+        lms = {side: lm_from_dict(json.load(open(manifest.verify(ref))))
+               for side, ref in data["rerank_lms"].items()}
+        final = data["iterations"][-1]
+        fwd = _load_model(manifest, final["ensembles"]["fwd"])
+        bwd = _load_model(manifest, final["ensembles"]["bwd"])
+        dev = encode_dataset(bundle.dev, bpe)
+        ctx = EvalContext(bpe=bpe, tag="<d:in>")
+        got = {
+            "fwd": dev_bleu(fwd, dev, eval_ctx=ctx, decode="rerank",
+                            rerank_ctx=RerankContext(
+                                bwd, lms["fwd"],
+                                NoisyChannelWeights(*final["lambdas"]["fwd"]),
+                                config.nbest)),
+            "bwd": dev_bleu(bwd, _swap_pairs(dev, dev.tag, "dev-swapped"),
+                            eval_ctx=ctx, decode="rerank",
+                            rerank_ctx=RerankContext(
+                                fwd, lms["bwd"],
+                                NoisyChannelWeights(*final["lambdas"]["bwd"]),
+                                config.nbest)),
+        }
+        assert got == final["dev_bleu"]
+
+    def test_memoized_model_hash_matches_fresh_and_saved(self, tmp_path, monkeypatch):
+        import deskmt.tm as tm
+        from deskmt.pipeline import _save_model
+        from deskmt.util import content_hash
+
+        bundle = tiny_bundle()
+        mix = build_mix([bundle.parallel])
+        fresh = content_hash(tm.model_to_dict(em_train(mix, 2)))
+        hashed_first = em_train(mix, 2)
+        saved_first = em_train(mix, 2)
+        assert tm.model_hash(hashed_first) == fresh
+        ref = _save_model(str(tmp_path), saved_first)
+        assert ref["model_hash"] == fresh
+
+        text = open(tmp_path / ref["path"], encoding="utf-8").read()
+        assert content_hash(json.loads(text)) == fresh
+        assert sha256_text(text.rstrip("\n")) == fresh
+
+        def no_serialization(model):
+            raise AssertionError("model_hash serialized a model twice")
+
+        monkeypatch.setattr(tm, "model_to_dict", no_serialization)
+        assert tm.model_hash(hashed_first) == fresh
+        assert tm.model_hash(saved_first) == fresh
+        assert tm.model_hash(Ensemble([hashed_first, saved_first])) == \
+            content_hash({"kind": "ensemble", "members": [fresh, fresh]})
+
+
+class _Crash(Exception):
+    pass
+
+
+class TestCrashSafety:
+    @pytest.mark.parametrize("target", ["manifest.json", "artifacts/models/"])
+    def test_crash_mid_write_keeps_previous_and_rerun_matches(self, tmp_path,
+                                                              monkeypatch, target):
+        import deskmt.util as util
+        bundle = tiny_bundle(seed=11)
+        config = tiny_config()
+        ref_dir = str(tmp_path / "ref")
+        run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt, bundle.dev,
+                     ref_dir, config)
+        expected = open(os.path.join(ref_dir, "manifest.json"), "rb").read()
+
+        run_dir = str(tmp_path / "crash")
+        manifest_path = os.path.join(run_dir, "manifest.json")
+        real_open = open
+        hits = []
+        before = {}
+
+        class HalfWriter:
+            """Writes the first half of the text, then dies."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+                return False
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                self.fh.flush()
+                raise _Crash("simulated crash mid-write")
+
+        def faulty_open(path, mode="r", **kwargs):
+            rel = os.path.relpath(path, run_dir)
+            if "w" not in mode or not rel.startswith(target):
+                return real_open(path, mode, **kwargs)
+            hits.append(rel)
+            # manifest: crash from its third write (init done) onward
+            if target.startswith("artifacts") or len(hits) >= 3:
+                final = path[:-len(".tmp")] if path.endswith(".tmp") else path
+                if final not in before:
+                    before[final] = (real_open(final, "rb").read()
+                                     if os.path.exists(final) else None)
+                return HalfWriter(real_open(path, mode, **kwargs))
+            return real_open(path, mode, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(util, "open", faulty_open, raising=False)
+            with pytest.raises(_Crash):
+                run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt,
+                             bundle.dev, run_dir, config)
+        assert before
+        for path, content in before.items():
+            now = open(path, "rb").read() if os.path.exists(path) else None
+            assert now == content  # the previous file, or none, is intact
+            assert not os.path.exists(path + ".tmp")
+        json.loads(open(manifest_path, "rb").read())
+
+        run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt, bundle.dev,
+                     run_dir, config)
+        assert open(manifest_path, "rb").read() == expected

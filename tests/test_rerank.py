@@ -19,7 +19,15 @@ from deskmt.rerank import (
     tune_lambdas,
     write_nbest_file,
 )
-from deskmt.tm import NBestEntry, NBestList, channel_score, em_train, translate_nbest
+from deskmt.tm import (
+    NULL,
+    LexModel,
+    NBestEntry,
+    NBestList,
+    channel_score,
+    em_train,
+    translate_nbest,
+)
 from deskmt.lm import logprob
 
 
@@ -177,11 +185,29 @@ class TestFillScores:
 
 
 class TestTuneLambdas:
+    def test_returned_bleu_is_rerank_dev_bleu_under_ties(self):
+        # every A/B string of one length gets the same fwd, channel and lm
+        # score, so only the tie-break decides which hypothesis is scored
+        fwd = LexModel((NULL, "x"), ("A", "B"), np.full((2, 2), 0.5),
+                       train_lm([("A", "B"), ("B", "A")], 1, 0.5), beam=4, window=0)
+        bwd = LexModel((NULL, "A", "B"), ("x",), np.ones((3, 1)),
+                       train_lm([("x",)], 1, 0.5), src_lang="tgt", tgt_lang="src")
+        dev = TaggedDataset("dev", SIDE_PARALLEL, "<d:in>",
+                            pairs=((("x", "x"), ("A", "A")),
+                                   (("x", "x", "x"), ("A", "A", "A"))))
+        w, score = tune_lambdas(dev, fwd, bwd, fwd.lm, trials=4, seed=1, nbest=4)
+        from deskmt.augment import translate_corpus
+        from deskmt.rerank import RerankContext
+        hyps = translate_corpus(fwd, [src for src, _ in dev.pairs], decode="rerank",
+                                rerank_ctx=RerankContext(bwd, fwd.lm, w, nbest=4))
+        assert hyps[0] == ("A", "A")  # the first of the tied entries
+        assert score == bleu(hyps, [ref for _, ref in dev.pairs])
+
     def test_single_trial_returns_null_pair(self):
         rng = random.Random(10)
         mix, fwd, bwd = random_models(rng)
         dev = mix.datasets[0]
-        w = tune_lambdas(dev, fwd, bwd, fwd.lm, trials=1, seed=3, nbest=4)
+        w, _ = tune_lambdas(dev, fwd, bwd, fwd.lm, trials=1, seed=3, nbest=4)
         assert w == NULL_WEIGHTS
 
     def test_dominates_null_weights(self):
@@ -189,7 +215,8 @@ class TestTuneLambdas:
         for seed in range(3):
             mix, fwd, bwd = random_models(rng, n_pairs=14)
             dev = mix.datasets[0]
-            w = tune_lambdas(dev, fwd, bwd, fwd.lm, trials=8, seed=seed, nbest=6)
+            w, score = tune_lambdas(dev, fwd, bwd, fwd.lm, trials=8, seed=seed,
+                                    nbest=6)
             from deskmt.augment import translate_corpus
             from deskmt.rerank import RerankContext
             refs = [tgt for _, tgt in dev.pairs]
@@ -197,6 +224,7 @@ class TestTuneLambdas:
             tuned = translate_corpus(fwd, sources, decode="rerank",
                                      rerank_ctx=RerankContext(bwd, fwd.lm, w, nbest=6))
             beam = translate_corpus(fwd, sources, decode="beam", nbest=6)
+            assert score == bleu(tuned, refs)
             assert bleu(tuned, refs) >= bleu(beam, refs) - 1e-12
 
     def test_deterministic_given_seed(self):

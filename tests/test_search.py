@@ -197,27 +197,33 @@ class TestFinetune:
 
     def test_zero_steps_returns_input(self):
         model, in_ds = self.setup_models()
-        assert finetune(model, in_ds, in_ds, max_steps=0) is model
+        before = dev_bleu(model, in_ds)
+        tuned, score = finetune(model, in_ds, in_ds, max_steps=0, base_bleu=before)
+        assert tuned is model and score == before
 
     def test_never_reduces_dev_bleu(self):
         model, in_ds = self.setup_models()
         before = dev_bleu(model, in_ds)
-        tuned = finetune(model, in_ds, in_ds, max_steps=3)
-        assert dev_bleu(tuned, in_ds) >= before
+        tuned, score = finetune(model, in_ds, in_ds, max_steps=3, base_bleu=before)
+        assert score >= before
+        assert score == dev_bleu(tuned, in_ds)
 
     def test_improves_on_in_domain(self):
         model, in_ds = self.setup_models()
-        tuned = finetune(model, in_ds, in_ds, max_steps=3)
-        assert dev_bleu(tuned, in_ds) > dev_bleu(model, in_ds)
+        before = dev_bleu(model, in_ds)
+        tuned, score = finetune(model, in_ds, in_ds, max_steps=3, base_bleu=before)
+        assert score > before
+        assert score == dev_bleu(tuned, in_ds)
 
     def test_deterministic(self):
         model, in_ds = self.setup_models()
-        a = finetune(model, in_ds, in_ds, max_steps=2)
-        b = finetune(model, in_ds, in_ds, max_steps=2)
-        assert (a.t == b.t).all()
+        before = dev_bleu(model, in_ds)
+        a, score_a = finetune(model, in_ds, in_ds, max_steps=2, base_bleu=before)
+        b, score_b = finetune(model, in_ds, in_ds, max_steps=2, base_bleu=before)
+        assert (a.t == b.t).all() and score_a == score_b
 
     def test_empty_in_domain_rejected(self):
         model, in_ds = self.setup_models()
         empty = TaggedDataset("e", SIDE_PARALLEL, "<t>", pairs=())
         with pytest.raises(DataError):
-            finetune(model, empty, in_ds, max_steps=1)
+            finetune(model, empty, in_ds, max_steps=1, base_bleu=0.0)

@@ -127,3 +127,21 @@ class TestSerialization:
         assert loaded.symbols == model.symbols
         sent = ("abcabc", "xy")
         assert encode(sent, loaded) == encode(sent, model)
+
+    @pytest.mark.parametrize("bad", ["abc", "a b c", "a  b", " a"])
+    def test_malformed_merge_line_is_data_error(self, tmp_path, bad):
+        model = learn_bpe([("abcabc", "xyxy")] * 5, vocab_size=12)
+        path = str(tmp_path / "bpe.txt")
+        save_bpe(model, path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(bad + "\n")
+        line = 3 + len(model.merges)
+        with pytest.raises(DataError, match=f"{path}:{line}"):
+            load_bpe(path)
+
+    def test_header_without_vocab_is_data_error(self, tmp_path):
+        path = str(tmp_path / "bpe.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("#bpe v1 joiner=##\n#chars a b\na b\n")
+        with pytest.raises(DataError, match=f"{path}:1"):
+            load_bpe(path)

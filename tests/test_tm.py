@@ -442,3 +442,20 @@ class TestSerialization:
         a = translate_nbest(model, x, 5)
         b = translate_nbest(loaded, x, 5)
         assert [(e.hyp, e.fwd) for e in a.entries] == [(e.hyp, e.fwd) for e in b.entries]
+
+    @pytest.mark.parametrize("key", ["beam", "t_rows", "src_vocab", "lm", "tag_bias"])
+    def test_missing_key_is_data_error(self, key):
+        doc = model_to_dict(em_train(random_mix(random.Random(4), 8), iterations=1))
+        del doc[key]
+        with pytest.raises(DataError, match=repr(key)):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("key, value", [("beam", "5"), ("t_rows", "rows"),
+                                            ("t_rows", [[["0", "x"]]]),
+                                            ("src_vocab", ["<null>", 3]),
+                                            ("lm_weight", True), ("lm", [])])
+    def test_wrong_type_is_data_error(self, key, value):
+        doc = model_to_dict(em_train(random_mix(random.Random(4), 8), iterations=1))
+        doc[key] = value
+        with pytest.raises(DataError, match=repr(key)):
+            model_from_dict(doc)
