@@ -26,7 +26,7 @@ from .lm import lm_from_dict, lm_to_dict, train_lm
 from .metrics import EvalContext
 from .rerank import NoisyChannelWeights, RerankContext
 from .search import SearchSpace, TrialConfig, default_search_space
-from .util import DataError, stable_json_dumps
+from .util import DataError, stable_json_dumps, write_text_atomic
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -351,11 +351,9 @@ def cmd_mine(args) -> int:
     pairs, matches = mine.mine_bitext(docs_src, docs_tgt, model,
                                       doc_threshold=args.threshold,
                                       floor=args.floor)
-    with open(args.out, "w", encoding="utf-8") as fh, \
-            open(args.out + ".scores.tsv", "w", encoding="utf-8") as sfh:
-        for sa, sb, score in pairs:
-            fh.write(" ".join(sa) + "\t" + " ".join(sb) + "\n")
-            sfh.write(f"{score!r}\n")
+    write_text_atomic(args.out, "".join(" ".join(sa) + "\t" + " ".join(sb) + "\n"
+                                        for sa, sb, _ in pairs))
+    write_text_atomic(args.out + ".scores.tsv", "".join(f"{score!r}\n" for _, _, score in pairs))
     print(f"matched {len(matches)} document pairs, "
           f"mined {len(pairs)} sentence pairs -> {args.out}")
     return EXIT_OK

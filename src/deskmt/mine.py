@@ -4,15 +4,29 @@ Documents are matched by the product of URL Levenshtein similarity and a
 lexicon-augmented token Jaccard similarity, then reduced to a one-to-one
 matching greedily. Within matched documents, sentence pairs are scored by the
 length-normalized lexical channel score and greedily selected above a floor.
+
+Both score matrices are built whole rather than pair by pair. The URL
+similarities come from one exact edit-distance DP per URL of one side, run
+over all URLs of the other side at once as padded code-point arrays: each DP
+row is an array minimum of the deletion and substitution moves followed by a
+running minimum for the insertions. Each document's token set is built once;
+the intersection sizes of all pairs come from one matmul of 0/1 token
+incidence matrices. In a matched document pair, each sentence of one side is
+scored against all sentences of the other with one batched channel call.
+Distances and set sizes are exact integers, so every similarity is the same
+float the per-pair definitions (`lev_sim`, `jaccard`, `channel_score`) give.
 """
 
 from __future__ import annotations
 
+import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .corpus import Sentence
-from .tm import LexModel, channel_score
+from .tm import LexModel, channel_scores
 from .util import DataError
 
 
@@ -46,39 +60,74 @@ class DocMatch:
 
 def lev_sim(a: str, b: str) -> float:
     """1 - editdistance/max(len); two empty strings are perfectly similar."""
-    if not a and not b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        for j, cb in enumerate(b, 1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1,
-                           prev[j - 1] + (ca != cb)))
-        prev = cur
-    return 1.0 - prev[-1] / max(len(a), len(b))
+    return float(_lev_sims([a], [b])[0, 0])
 
 
 def jaccard(a: WebDoc, b: WebDoc, lexicon: dict[str, str]) -> float:
     """Token-set Jaccard with each side augmented by its own tokens' translations."""
-    set_a = set(a.token_set())
-    set_b = set(b.token_set())
-    set_a |= {lexicon[t] for t in a.token_set() if t in lexicon}
-    set_b |= {lexicon[t] for t in b.token_set() if t in lexicon}
-    union = set_a | set_b
-    if not union:
-        return 1.0
-    return len(set_a & set_b) / len(union)
+    return float(_jaccards([a], [b], lexicon)[0, 0])
 
 
 def doc_sim(a: WebDoc, b: WebDoc, lexicon: dict[str, str]) -> float:
     return lev_sim(a.url, b.url) * jaccard(a, b, lexicon)
 
 
+def _lev_sims(urls_a: list[str], urls_b: list[str]) -> np.ndarray:
+    """lev_sim of every (a, b) pair, one exact edit-distance DP per a.
+
+    The b strings are padded code-point arrays and each row of the DP over
+    all of them is two array steps: the deletion and substitution moves,
+    then the insertion chain as a running minimum of row[j] - j.
+    """
+    lens_b = np.array([len(b) for b in urls_b], dtype=np.int64)
+    cols = np.arange(int(lens_b.max(initial=0)) + 1)
+    codes = np.full((len(urls_b), len(cols) - 1), -1, dtype=np.int64)
+    for k, b in enumerate(urls_b):
+        codes[k, :len(b)] = [ord(ch) for ch in b]
+    rows = np.arange(len(urls_b))
+    dists = np.empty((len(urls_a), len(urls_b)), dtype=np.int64)
+    for k, a in enumerate(urls_a):
+        prev = np.broadcast_to(cols, (len(urls_b), len(cols)))
+        for i, ch in enumerate(a, 1):
+            t = np.empty_like(prev)
+            t[:, 0] = i
+            np.minimum(prev[:, 1:] + 1, prev[:, :-1] + (codes != ord(ch)), out=t[:, 1:])
+            prev = np.minimum.accumulate(t - cols, axis=1) + cols
+        dists[k] = prev[rows, lens_b]
+    longest = np.maximum(lens_b, np.array([len(a) for a in urls_a])[:, None])
+    sims = np.ones(dists.shape)
+    np.subtract(1.0, dists / np.maximum(longest, 1), out=sims, where=longest > 0)
+    return sims
+
+
+def _jaccards(docs_a: list[WebDoc], docs_b: list[WebDoc],
+              lexicon: dict[str, str]) -> np.ndarray:
+    """jaccard of every (a, b) pair; intersections from one incidence matmul."""
+    def augmented(doc):
+        tokens = doc.token_set()
+        return tokens | {lexicon[t] for t in tokens if t in lexicon}
+
+    sets_a = [augmented(doc) for doc in docs_a]
+    sets_b = [augmented(doc) for doc in docs_b]
+    vocab = {tok: k for k, tok in enumerate(set().union(*sets_a, *sets_b))}
+
+    def incidence(sets):
+        out = np.zeros((len(sets), len(vocab)))
+        for k, s in enumerate(sets):
+            out[k, [vocab[tok] for tok in s]] = 1.0
+        return out
+
+    # counts are small integers, so the float products and sums are exact
+    inc_a, inc_b = incidence(sets_a), incidence(sets_b)
+    inter = inc_a @ inc_b.T
+    union = inc_a.sum(axis=1)[:, None] + inc_b.sum(axis=1) - inter
+    sims = np.ones(inter.shape)
+    np.divide(inter, union, out=sims, where=union > 0)
+    return sims
+
+
 def build_lexicon(model: LexModel, min_prob: float = 0.1) -> dict[str, str]:
     """Unigram translation dictionary: argmax of each lexical row above min_prob."""
-    import numpy as np
     lexicon = {}
     for i, sym in enumerate(model.src_vocab[1:], start=1):
         row = model.t[i]
@@ -118,7 +167,8 @@ def greedy_match(sims: list[list[float]], threshold: float) -> list[tuple[int, i
 
 def match_documents(docs_a: list[WebDoc], docs_b: list[WebDoc],
                     lexicon: dict[str, str], threshold: float) -> list[DocMatch]:
-    sims = [[doc_sim(a, b, lexicon) for b in docs_b] for a in docs_a]
+    sims = (_lev_sims([a.url for a in docs_a], [b.url for b in docs_b])
+            * _jaccards(docs_a, docs_b, lexicon)).tolist()
     return [DocMatch(i, j, sims[i][j]) for i, j in greedy_match(sims, threshold)]
 
 
@@ -129,12 +179,9 @@ def align_sentences(doc_a: WebDoc, doc_b: WebDoc, model: LexModel,
     The model scores doc_a sentences given doc_b sentences (its source side is
     doc_b's language); pairs below the floor are discarded.
     """
-    scores = []
-    for i, sa in enumerate(doc_a.sentences):
-        row = []
-        for sb in doc_b.sentences:
-            row.append(channel_score(model, sa, sb) / len(sa))
-        scores.append(row)
+    targets = list(doc_b.sentences)
+    scores = [[score / len(sa) for score in channel_scores(model, sa, targets)]
+              for sa in doc_a.sentences]
     selected = greedy_match(scores, floor) if scores else []
     return [(doc_a.sentences[i], doc_b.sentences[j], scores[i][j])
             for i, j in selected]
@@ -168,9 +215,8 @@ def load_doc_dir(path: str, url_index: dict[str, str], lang: str = "") -> list[W
     for name in names:
         if name not in url_index:
             raise DataError(f"no URL recorded for document {name}")
-        with open(os.path.join(path, name), encoding="utf-8") as fh:
-            sentences = tuple(tuple(line.split()) for line in fh
-                              if line.strip())
+        lines = _read_lines(os.path.join(path, name), "document")
+        sentences = tuple(tuple(line.split()) for line in lines if line.strip())
         docs.append(WebDoc(url=url_index[name], sentences=sentences, lang=lang))
     return docs
 
@@ -178,16 +224,28 @@ def load_doc_dir(path: str, url_index: dict[str, str], lang: str = "") -> list[W
 def load_url_index(path: str) -> dict[str, dict[str, str]]:
     """URL index file: lines of "side<TAB>filename<TAB>url", side in {src, tgt}."""
     index: dict[str, dict[str, str]] = {"src": {}, "tgt": {}}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3 or parts[0] not in index:
-                    raise DataError(f"{path}:{lineno}: expected 'src|tgt<TAB>file<TAB>url'")
-                index[parts[0]][parts[1]] = parts[2]
-    except OSError as e:
-        raise DataError(f"cannot read URL index {path}: {e}") from e
+    for lineno, line in enumerate(_read_lines(path, "URL index"), 1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3 or parts[0] not in index:
+            raise DataError(f"{path}:{lineno}: expected 'src|tgt<TAB>file<TAB>url'")
+        index[parts[0]][parts[1]] = parts[2]
     return index
+
+
+def _read_lines(path: str, what: str) -> list[str]:
+    """The UTF-8 lines of a file, split as text-mode reading splits them."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as e:
+        raise DataError(f"cannot read {what} {path}: {e}") from e
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = data[:e.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        lineno = head.count(b"\n") + 1
+        raise DataError(f"{path}:{lineno}: {what} is not valid UTF-8 (byte {e.start})") from e
+    return io.StringIO(text, newline=None).readlines()

@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Sentence, TaggedDataset
+from .corpus import TaggedDataset
 from .lm import LanguageModel, logprob
 from .metrics import STATS_WIDTH, bleu_from_stats, sentence_stats
-from .tm import LexModel, NBestEntry, NBestList, channel_scores, translate_nbest
+from .tm import LexModel, NBestEntry, NBestList, channel_scores
 from .util import DataError
 
 LAMBDA_MAX = 3.0
@@ -88,16 +88,6 @@ def rerank(nbest: NBestList, backward, lm: LanguageModel,
                for e in scored.entries]
     entries.sort(key=lambda e: -e.combined)  # stable: ties keep beam order
     return NBestList(source=nbest.source, entries=entries)
-
-
-def rerank_top1(model, x: Sentence, ctx: RerankContext) -> Sentence:
-    """Convenience: decode an n-best list and return the reranked best hypothesis."""
-    from .ensemble import Ensemble, ensemble_nbest
-    if isinstance(model, Ensemble):
-        nbest = ensemble_nbest(model, x, ctx.nbest)
-    else:
-        nbest = translate_nbest(model, x, ctx.nbest)
-    return rerank(nbest, ctx.channel_model, ctx.lm, ctx.weights).top().hyp
 
 
 def sample_weights(trials: int, seed: int) -> list[NoisyChannelWeights]:

@@ -164,3 +164,66 @@ class TestWorkflows:
         assert all("dev_bleu" in r and "config" in r for r in records)
         assert os.path.exists("searchrun/trial000.json")
         assert os.path.exists("searchrun/ensemble0.json")
+
+
+def write_mine_inputs(root, workspace):
+    """Two document directories and their URL index under `root`."""
+    src_lines = open(os.path.join(workspace, "bundle/mono_src.txt"),
+                     encoding="utf-8").read().splitlines()
+    tgt_lines = [line.split("\t")[1] for line in
+                 open(os.path.join(workspace, "bundle/parallel.tsv"),
+                      encoding="utf-8").read().splitlines()]
+    (root / "src").mkdir()
+    (root / "tgt").mkdir()
+    index = []
+    for k in range(3):
+        (root / "src" / f"d{k}.txt").write_text(
+            "\n".join(src_lines[4 * k:4 * k + 4]) + "\n", encoding="utf-8")
+        (root / "tgt" / f"d{k}.txt").write_text(
+            "\n".join(tgt_lines[4 * k:4 * k + 4]) + "\n", encoding="utf-8")
+        index.append(f"src\td{k}.txt\thttp://ex.org/en/{k}")
+        index.append(f"tgt\td{k}.txt\thttp://ex.org/de/{k}")
+    (root / "urls.tsv").write_text("\n".join(index) + "\n", encoding="utf-8")
+
+
+class TestMine:
+    def mine(self, root, out):
+        return main(["mine", "--docs-src", str(root / "src"), "--docs-tgt",
+                     str(root / "tgt"), "--url-index", str(root / "urls.tsv"),
+                     "--model", "bwd.json", "--threshold", "0.0", "--floor", "-50",
+                     "--out", str(out)])
+
+    def test_writes_pairs_and_scores(self, workspace, tmp_path):
+        write_mine_inputs(tmp_path, workspace)
+        out = tmp_path / "mined.tsv"
+        out.write_text("stale\n" * 100, encoding="utf-8")
+        assert self.mine(tmp_path, out) == EXIT_OK
+        pairs = out.read_text(encoding="utf-8").splitlines()
+        scores = (tmp_path / "mined.tsv.scores.tsv").read_text(encoding="utf-8").splitlines()
+        assert 0 < len(pairs) == len(scores) <= 12
+        assert all(len(line.split("\t")) == 2 for line in pairs)
+        assert all(float(s) >= -50 for s in scores)
+        assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+
+    def test_non_utf8_document_is_2(self, workspace, tmp_path, capsys):
+        write_mine_inputs(tmp_path, workspace)
+        bad = tmp_path / "tgt" / "d1.txt"
+        bad.write_bytes(b"a b\n\xff c\n")
+        assert self.mine(tmp_path, tmp_path / "mined.tsv") == EXIT_DATA
+        assert f"{bad}:2:" in capsys.readouterr().err
+        assert not (tmp_path / "mined.tsv").exists()
+
+    def test_directory_named_like_a_document_is_2(self, workspace, tmp_path, capsys):
+        write_mine_inputs(tmp_path, workspace)
+        (tmp_path / "src" / "d9.txt").mkdir()
+        with open(tmp_path / "urls.tsv", "a", encoding="utf-8") as fh:
+            fh.write("src\td9.txt\thttp://ex.org/en/9\n")
+        assert self.mine(tmp_path, tmp_path / "mined.tsv") == EXIT_DATA
+        assert str(tmp_path / "src" / "d9.txt") in capsys.readouterr().err
+
+    def test_non_utf8_url_index_is_2(self, workspace, tmp_path, capsys):
+        write_mine_inputs(tmp_path, workspace)
+        with open(tmp_path / "urls.tsv", "ab") as fh:
+            fh.write(b"src\td3.txt\thttp://ex.org/\xe9\n")
+        assert self.mine(tmp_path, tmp_path / "mined.tsv") == EXIT_DATA
+        assert f"{tmp_path / 'urls.tsv'}:7:" in capsys.readouterr().err

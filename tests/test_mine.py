@@ -4,11 +4,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from deskmt.corpus import build_mix, swap_direction
 from deskmt.lm import train_lm
 from deskmt.mine import (
     DataError,
+    DocMatch,
     WebDoc,
+    _lev_sims,
     align_sentences,
     build_lexicon,
     doc_sim,
@@ -20,7 +24,8 @@ from deskmt.mine import (
     match_documents,
     mine_bitext,
 )
-from deskmt.tm import NULL, LexModel, channel_score
+from deskmt.synth import gen_corpora, make_spec
+from deskmt.tm import NULL, LexModel, channel_score, em_train
 
 
 def greedy_oracle(sims, threshold):
@@ -51,6 +56,73 @@ def one_hot_model(mapping, extra_src=(), extra_tgt=()):
         t[src.index(s), tgt.index(y)] = 1.0
     lm = train_lm([tgt], 1, 0.5)
     return LexModel(src, tgt, t, lm)
+
+
+def textbook_distance(a, b):
+    """Wagner-Fischer edit distance over the full (|a|+1) x (|b|+1) table."""
+    d = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i in range(len(a) + 1):
+        d[i][0] = i
+    for j in range(len(b) + 1):
+        d[0][j] = j
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1,
+                          d[i - 1][j - 1] + (a[i - 1] != b[j - 1]))
+    return d[len(a)][len(b)]
+
+
+def textbook_lev_sim(a, b):
+    if not a and not b:
+        return 1.0
+    return 1.0 - textbook_distance(a, b) / max(len(a), len(b))
+
+
+def textbook_jaccard(a, b, lexicon):
+    set_a = {t for s in a.sentences for t in s}
+    set_b = {t for s in b.sentences for t in s}
+    set_a |= {lexicon[t] for t in set_a if t in lexicon}
+    set_b |= {lexicon[t] for t in set_b if t in lexicon}
+    union = set_a | set_b
+    return len(set_a & set_b) / len(union) if union else 1.0
+
+
+def small_channel_model():
+    """A channel model trained on a small synthetic bundle, and its bundle."""
+    spec = make_spec(24, seed=5, min_len=2, max_len=5)
+    bundle = gen_corpora(spec, {"parallel": 60, "mono_src": 12, "mono_tgt": 12,
+                                "dev": 1, "test": 1})
+    model = em_train(swap_direction(build_mix([bundle.parallel])), 2,
+                     src_lang="tgt", tgt_lang="src")
+    return model, bundle
+
+
+URLS = st.text(alphabet="ab/éü中😀", max_size=12)
+
+
+class TestLevKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(URLS, min_size=1, max_size=4), st.lists(URLS, min_size=1, max_size=6))
+    @example([""], [""])
+    @example(["", "a"], ["", "ab", "中😀é"])
+    @example(["kitten"], ["sitting", "", "kitten", "sitt"])
+    def test_equals_textbook_dp(self, urls_a, urls_b):
+        sims = _lev_sims(urls_a, urls_b)
+        assert sims.shape == (len(urls_a), len(urls_b))
+        for i, a in enumerate(urls_a):
+            for j, b in enumerate(urls_b):
+                assert sims[i, j] == textbook_lev_sim(a, b), (a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(URLS, URLS)
+    def test_public_lev_sim_is_the_kernel(self, a, b):
+        assert lev_sim(a, b) == textbook_lev_sim(a, b)
+        assert type(lev_sim(a, b)) is float
+
+    def test_known_distances(self):
+        assert lev_sim("kitten", "sitting") == 1.0 - 3 / 7
+        assert lev_sim("flaw", "lawn") == 1.0 - 2 / 4
+        assert lev_sim("日本語", "日本") == 1.0 - 1 / 3
 
 
 class TestLevSim:
@@ -123,6 +195,40 @@ class TestDocSim:
         a = WebDoc("same", (("x",),))
         b = WebDoc("same", (("x",),))
         assert doc_sim(a, b, {}) == 1.0
+
+
+class TestMatchDocuments:
+    def random_docs(self, rng, n, alphabet):
+        docs = []
+        for k in range(n):
+            url = "".join(rng.choice("ab/.é") for _ in range(rng.randint(1, 9)))
+            sents = tuple(tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+                          for _ in range(rng.randint(0, 3)))
+            docs.append(WebDoc(url, sents))
+        return docs
+
+    def test_similarities_equal_per_pair_reference(self):
+        rng = random.Random(7)
+        lexicon = {"a": "A", "b": "B", "c": "C", "A": "a", "x": "y"}
+        for _ in range(60):
+            docs_a = self.random_docs(rng, rng.randint(1, 5), "abcx")
+            docs_b = self.random_docs(rng, rng.randint(1, 5), "ABCyz")
+            reference = [[textbook_lev_sim(a.url, b.url) * textbook_jaccard(a, b, lexicon)
+                          for b in docs_b] for a in docs_a]
+            threshold = rng.choice([0.0, 0.1, 0.3])
+            got = match_documents(docs_a, docs_b, lexicon, threshold)
+            expected = [DocMatch(i, j, reference[i][j])
+                        for i, j in greedy_oracle(reference, threshold)]
+            assert got == expected
+            for i, a in enumerate(docs_a):
+                for j, b in enumerate(docs_b):
+                    assert doc_sim(a, b, lexicon) == reference[i][j]
+                    assert jaccard(a, b, lexicon) == textbook_jaccard(a, b, lexicon)
+
+    def test_empty_sides(self):
+        doc = WebDoc("u", (("a",),))
+        assert match_documents([], [doc], {}, 0.0) == []
+        assert match_documents([doc], [], {}, 0.0) == []
 
 
 class TestGreedyMatch:
@@ -212,6 +318,18 @@ class TestAlignSentences:
         assert got == expected
 
 
+    def test_scores_equal_channel_score_exactly(self):
+        model, bundle = small_channel_model()
+        mono = list(bundle.mono_src.sentences)
+        targets = list(bundle.mono_tgt.sentences)
+        doc_a = WebDoc("u", tuple(mono[:6]) + (mono[0] + ("zz",), ("zz", "zz")), lang="src")
+        doc_b = WebDoc("v", tuple(targets[:5]) + (("qq",) + targets[1],), lang="tgt")
+        out = align_sentences(doc_a, doc_b, model, floor=-1e9)
+        assert len(out) == min(len(doc_a.sentences), len(doc_b.sentences))
+        for sa, sb, score in out:
+            assert score == channel_score(model, sa, sb) / len(sa)
+
+
 class TestEndToEnd:
     def test_mine_bitext_selects_cross_lingual_pages(self):
         model = one_hot_model({"A": "a", "B": "b", "C": "c"})
@@ -227,10 +345,13 @@ class TestEndToEnd:
         pairs, matches = mine_bitext(docs_src, docs_tgt, model,
                                      doc_threshold=0.2, floor=-3.0,
                                      lexicon=lexicon)
-        assert matches[0].doc_a == 0 and matches[0].doc_b == 0
-        assert ((("a", "b"), ("A", "B"), pytest.approx(math.log(1 / 3), abs=1e-9))
-                in [(a, b, s) for a, b, s in pairs]
-                or len(pairs) >= 1)
+        # lev("example.com/page1", "example.com/page1?tr=1") = 1 - 5/22; the
+        # lexicon makes the token sets equal; "other" and "elsewhere" fall short
+        assert matches == [DocMatch(0, 0, 1.0 - 5 / 22)]
+        # t(c|C) = 1 against the NULL and C alignments; a and b each align to
+        # one of NULL, A, B
+        assert pairs == [(("c",), ("C",), math.log(1 / 2)),
+                         (("a", "b"), ("A", "B"), math.log(1 / 3))]
 
     def test_doc_dir_loading(self, tmp_path):
         (tmp_path / "docs").mkdir()
