@@ -30,11 +30,9 @@ DECODE_RERANK = "rerank"
 
 def _decode_chunk(args):
     model, sources, nbest, ctx = args
-    from .ensemble import Ensemble
-    decoder = model.fused() if isinstance(model, Ensemble) else model
     out = []
     for source in sources:
-        nb = translate_nbest(decoder, source, nbest)
+        nb = translate_nbest(model, source, nbest)
         if ctx is not None:
             nb = rerank(nb, ctx.channel_model, ctx.lm, ctx.weights)
         out.append(nb)
@@ -79,10 +77,6 @@ def translate_corpus(model, sources: list[Sentence], *, decode: str = DECODE_BEA
     return [nb.top().hyp for nb in lists]
 
 
-def _model_langs(model) -> tuple[str, str]:
-    return model.src_lang, model.tgt_lang
-
-
 def _generate(model, mono: TaggedDataset, decode: str,
               rerank_ctx: RerankContext | None, keep_side: str, tag: str,
               name: str, workers: int) -> TaggedDataset:
@@ -107,8 +101,7 @@ def back_translate(g, mono_target: TaggedDataset, decode: str = DECODE_BEAM,
     `g` must translate target -> source; real targets are preserved verbatim
     and the dataset carries the back-translation tag.
     """
-    src_lang, tgt_lang = _model_langs(g)
-    if src_lang != target_lang:
+    if g.src_lang != target_lang:
         raise DataError(
             f"back-translation needs a {target_lang}->... model, got {g.direction}")
     if mono_target.side != SIDE_MONO_TARGET:
@@ -128,8 +121,7 @@ def self_train(f, mono_source: TaggedDataset, decode: str = DECODE_BEAM,
     `f` must translate source -> target; real sources are preserved verbatim
     and the dataset carries the self-training tag.
     """
-    src_lang, tgt_lang = _model_langs(f)
-    if src_lang != source_lang:
+    if f.src_lang != source_lang:
         raise DataError(
             f"self-training needs a {source_lang}->... model, got {f.direction}")
     if mono_source.side != SIDE_MONO_SOURCE:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import augment, corpus, metrics, mine, pipeline, rerank, search, subword, synth, tm
 from .corpus import (
@@ -20,6 +21,7 @@ from .corpus import (
     load_corpus,
     save_corpus,
     save_manifest,
+    swap_dataset,
 )
 from .ensemble import Ensemble
 from .lm import lm_from_dict, lm_to_dict, train_lm
@@ -135,10 +137,10 @@ def _load_training_sets(args, bpe):
         st = subword.encode_dataset(st, bpe) if st else None
         bt = subword.encode_dataset(bt, bpe) if bt else None
     if args.swap:
-        bitext = pipeline._swap_pairs(bitext, bitext.tag, bitext.name)
-        dev = pipeline._swap_pairs(dev, dev.tag, dev.name)
-        st = pipeline._swap_pairs(st, st.tag, st.name) if st else None
-        bt = pipeline._swap_pairs(bt, bt.tag, bt.name) if bt else None
+        bitext = swap_dataset(bitext)
+        dev = swap_dataset(dev)
+        st = swap_dataset(st) if st else None
+        bt = swap_dataset(bt) if bt else None
     return bitext, st, bt, dev
 
 
@@ -189,7 +191,7 @@ def cmd_train(args) -> int:
     bpe = _maybe_bpe(args)
     bitext, st, bt, dev = _load_training_sets(args, bpe)
     config = _config_from(args)
-    mix = pipeline._mix_for_config(config, bitext, st, bt)
+    mix = search.trial_mix(config, bitext, st, bt)
     langs = ("tgt", "src") if args.swap else ("src", "tgt")
     result = search.run_trial(config, mix, dev,
                               eval_ctx=_eval_ctx(args, bpe),
@@ -203,13 +205,15 @@ def cmd_train(args) -> int:
 
 def cmd_search(args) -> int:
     import os
+    if not 0 <= args.topk <= args.trials:
+        raise DataError(f"--topk must lie in [0, --trials], got {args.topk}")
     bpe = _maybe_bpe(args)
     bitext, st, bt, dev = _load_training_sets(args, bpe)
     space = SearchSpace.load(args.space) if args.space else default_search_space()
     langs = ("tgt", "src") if args.swap else ("src", "tgt")
     results = search.run_search(
         space, args.trials, args.seed,
-        pipeline._MixBuilder(bitext, st, bt), dev,
+        partial(search.trial_mix, bitext=bitext, st=st, bt=bt), dev,
         eval_ctx=_eval_ctx(args, bpe), patience=args.patience,
         workers=args.workers, src_lang=langs[0], tgt_lang=langs[1])
     os.makedirs(args.out_dir, exist_ok=True)
@@ -220,7 +224,6 @@ def cmd_search(args) -> int:
     print(f"{len(results)} trials -> {args.out_dir}; "
           f"best trial {best} dev BLEU {results[best].dev_bleu:.2f}")
     if args.topk:
-        ens = search.select_top_k(results, args.topk)
         order = sorted(range(len(results)),
                        key=lambda i: (-results[i].dev_bleu, i))[:args.topk]
         print("ensemble members: " + " ".join(f"trial{i:03d}" for i in order))
@@ -346,8 +349,6 @@ def cmd_mine(args) -> int:
     docs_src = mine.load_doc_dir(args.docs_src, index["src"], lang="src")
     docs_tgt = mine.load_doc_dir(args.docs_tgt, index["tgt"], lang="tgt")
     model = _load_models(args.model)
-    if isinstance(model, Ensemble):
-        model = model.fused()
     pairs, matches = mine.mine_bitext(docs_src, docs_tgt, model,
                                       doc_threshold=args.threshold,
                                       floor=args.floor)

@@ -34,7 +34,9 @@ UNK_TOKEN = "<unk>"
 
 
 def is_tag(token: str) -> bool:
-    return len(token) > 2 and token.startswith("<") and token.endswith(">")
+    """A domain tag is a token of the form <...>; the unknown token is not one."""
+    return len(token) > 2 and token.startswith("<") and token.endswith(">") \
+        and token != UNK_TOKEN
 
 
 def strip_tag(sentence: Sentence) -> Sentence:
@@ -173,10 +175,15 @@ class DataMix:
         return len(self.examples)
 
     def weighted_pairs(self) -> dict[Pair, int]:
-        """Multiset view as pair -> multiplicity (order-independent)."""
+        """Multiset view as (untagged source, target) -> multiplicity.
+
+        This is the view EM trains on: domain tags are stripped, and keys
+        keep the order in which they first appear in `examples`.
+        """
         weights: dict[Pair, int] = {}
-        for pair in self.examples:
-            weights[pair] = weights.get(pair, 0) + 1
+        for src, tgt in self.examples:
+            key = (strip_tag(src), tgt)
+            weights[key] = weights.get(key, 0) + 1
         return weights
 
     def target_sentences(self) -> list[tuple[Sentence, int]]:
@@ -207,13 +214,20 @@ def build_mix(datasets: list[TaggedDataset]) -> DataMix:
     return DataMix(datasets=tuple(tagged), examples=tuple(examples))
 
 
+def swap_dataset(ds: TaggedDataset, *, tag: str | None = None,
+                 name: str | None = None) -> TaggedDataset:
+    """Swap source/target on every pair, dropping the old source's tag.
+
+    The result keeps the dataset's tag and name unless new ones are given.
+    """
+    return replace(ds, pairs=tuple((tgt, strip_tag(src)) for src, tgt in ds.pairs),
+                   tag=ds.tag if tag is None else tag,
+                   name=ds.name if name is None else name)
+
+
 def swap_direction(mix: DataMix) -> DataMix:
     """Swap source/target on every pair, re-applying tags on the new source side."""
-    swapped = []
-    for ds in mix.datasets:
-        pairs = tuple((tgt, strip_tag(src)) for src, tgt in ds.pairs)
-        swapped.append(replace(ds, pairs=pairs))
-    return build_mix(swapped)
+    return build_mix([swap_dataset(ds) for ds in mix.datasets])
 
 
 MANIFEST_VERSION = 1

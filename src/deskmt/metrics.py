@@ -134,7 +134,7 @@ def evaluate_system(model, test, decode: str = "beam", *, rerank_ctx=None,
                     eval_ctx=None, nbest: int = 50) -> EvalReport:
     """Decode every test source and score BLEU against the references.
 
-    `model` is a LexModel or Ensemble; `decode` is "beam" or "rerank" (the
+    `model` is a LexModel (an Ensemble too); `decode` is "beam" or "rerank" (the
     latter needs a RerankContext). An EvalContext controls subword inversion
     and the tag prepended to sources before decoding.
     """

@@ -14,12 +14,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 
-from .augment import assemble_training_mix, back_translate, self_train
+from .augment import back_translate, self_train
 from .corpus import (
     SIDE_MONO_SOURCE,
     SIDE_MONO_TARGET,
-    SIDE_PARALLEL,
     TAG_BACK_TRANSLATED,
     TAG_IN_DOMAIN,
     TAG_SELF_TRAINED,
@@ -27,6 +27,7 @@ from .corpus import (
     build_mix,
     save_corpus,
     strip_tag,
+    swap_dataset,
 )
 from .ensemble import Ensemble
 from .lm import finetune_lm, lm_from_dict, lm_to_dict, train_lm
@@ -41,6 +42,7 @@ from .search import (
     finetune,
     run_search,
     select_top_k,
+    trial_mix,
 )
 from .subword import encode_dataset, learn_bpe, load_bpe, save_bpe
 from .tm import em_train, model_from_dict, model_hash, model_json
@@ -186,33 +188,6 @@ def _save_dataset(run_dir: str, ds: TaggedDataset, relpath: str,
         ref["provenance"] = provenance
         ref["provenance_path"] = prov_ref["path"]
     return ref
-
-
-def _swap_pairs(ds: TaggedDataset, tag: str, name: str) -> TaggedDataset:
-    pairs = tuple((tgt, strip_tag(src)) for src, tgt in ds.pairs)
-    return TaggedDataset(name=name, side=SIDE_PARALLEL, tag=tag, pairs=pairs,
-                         upsample=ds.upsample, dropped=ds.dropped)
-
-
-def _mix_for_config(config: TrialConfig, bitext: TaggedDataset,
-                    st: TaggedDataset | None, bt: TaggedDataset | None):
-    return assemble_training_mix(
-        bitext, st if st is not None and st.pairs else None,
-        bt if bt is not None and bt.pairs else None,
-        upsample_bitext=config.up_bitext, upsample_st=config.up_fwd,
-        upsample_bt=config.up_bt)
-
-
-class _MixBuilder:
-    """Picklable mix factory for parallel trial execution."""
-
-    def __init__(self, bitext, st, bt):
-        self.bitext = bitext
-        self.st = st
-        self.bt = bt
-
-    def __call__(self, config: TrialConfig):
-        return _mix_for_config(config, self.bitext, self.st, self.bt)
 
 
 def run_pipeline(parallel: TaggedDataset, mono_src: TaggedDataset | None,
@@ -365,9 +340,9 @@ class _PipelineState:
         self.mono_src = encode_dataset(self.raw_mono_src, self.bpe)
         self.mono_tgt = encode_dataset(self.raw_mono_tgt, self.bpe)
         self.dev = encode_dataset(self.raw_dev, self.bpe)
-        self.dev_swapped = _swap_pairs(self.dev, self.dev.tag, "dev-swapped")
-        self.parallel_swapped = _swap_pairs(self.parallel, self.parallel.tag,
-                                            self.parallel.name + "-swapped")
+        self.dev_swapped = swap_dataset(self.dev, name="dev-swapped")
+        self.parallel_swapped = swap_dataset(self.parallel,
+                                             name=self.parallel.name + "-swapped")
         self.eval_ctx_fwd = EvalContext(bpe=self.bpe, tag=TAG_IN_DOMAIN)
         self.eval_ctx_bwd = EvalContext(bpe=self.bpe, tag=TAG_IN_DOMAIN)
 
@@ -396,10 +371,10 @@ class _PipelineState:
         bwd_mix = build_mix([replace(self.parallel_swapped, upsample=init.up_bitext)])
         kwargs = dict(lm_order=init.lm_order, lm_k=init.smoothing_k, beam=init.beam,
                       window=init.window, lm_weight=init.lm_weight)
-        f0 = em_train(fwd_mix, init.em_iterations, seed=self._seed("init/fwd"),
-                      src_lang="src", tgt_lang="tgt", **kwargs)
-        g0 = em_train(bwd_mix, init.em_iterations, seed=self._seed("init/bwd"),
-                      src_lang="tgt", tgt_lang="src", **kwargs)
+        f0 = em_train(fwd_mix, init.em_iterations, src_lang="src", tgt_lang="tgt",
+                      **kwargs)
+        g0 = em_train(bwd_mix, init.em_iterations, src_lang="tgt", tgt_lang="src",
+                      **kwargs)
         self.fwd = Ensemble([f0])
         self.bwd = Ensemble([g0])
         (self.lambdas_fwd, _), (self.lambdas_bwd, _) = self._tune_both("init")
@@ -465,14 +440,15 @@ class _PipelineState:
         # lines 8-9: random search, both directions
         fwd_results = run_search(
             cfg.search_space, cfg.trials, self._seed(f"iter{t}/search/fwd"),
-            _MixBuilder(self.parallel, f_data, b_data), self.dev,
+            partial(trial_mix, bitext=self.parallel, st=f_data, bt=b_data), self.dev,
             eval_ctx=self.eval_ctx_fwd, patience=cfg.patience, workers=cfg.workers,
             src_lang="src", tgt_lang="tgt")
-        bwd_st = _swap_pairs(b_data, TAG_SELF_TRAINED, f"st-{b_data.name}")
-        bwd_bt = _swap_pairs(f_data, TAG_BACK_TRANSLATED, f"bt-{f_data.name}")
+        bwd_st = swap_dataset(b_data, tag=TAG_SELF_TRAINED, name=f"st-{b_data.name}")
+        bwd_bt = swap_dataset(f_data, tag=TAG_BACK_TRANSLATED, name=f"bt-{f_data.name}")
         bwd_results = run_search(
             cfg.search_space, cfg.trials, self._seed(f"iter{t}/search/bwd"),
-            _MixBuilder(self.parallel_swapped, bwd_st, bwd_bt), self.dev_swapped,
+            partial(trial_mix, bitext=self.parallel_swapped, st=bwd_st, bt=bwd_bt),
+            self.dev_swapped,
             eval_ctx=self.eval_ctx_bwd, patience=cfg.patience, workers=cfg.workers,
             src_lang="tgt", tgt_lang="src")
 

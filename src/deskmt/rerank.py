@@ -44,7 +44,7 @@ NULL_WEIGHTS = NoisyChannelWeights(0.0, 0.0)
 class RerankContext:
     """Everything needed to rerank: channel model, LM, weights, n-best size."""
 
-    channel_model: object  # LexModel or Ensemble, trained opposite to the decoder
+    channel_model: LexModel  # trained opposite to the decoder
     lm: LanguageModel
     weights: NoisyChannelWeights = NULL_WEIGHTS
     nbest: int = DEFAULT_NBEST
@@ -57,19 +57,14 @@ def combined_score(fwd: float, channel: float, lm: float,
     return fwd + w.lambda1 * channel + w.lambda2 * lm
 
 
-def _channel_of(model):
-    from .ensemble import Ensemble
-    return model.fused() if isinstance(model, Ensemble) else model
-
-
-def fill_scores(nbest: NBestList, backward, lm: LanguageModel) -> NBestList:
+def fill_scores(nbest: NBestList, backward: LexModel, lm: LanguageModel) -> NBestList:
     """Fill the channel and lm slots of every entry (idempotent).
 
     The channel scores of all unfilled entries come from one batched
     `channel_scores` call; each equals `channel_score` of its entry exactly.
     """
     missing = [e.hyp for e in nbest.entries if e.channel is None]
-    fresh = iter(channel_scores(_channel_of(backward), nbest.source, missing))
+    fresh = iter(channel_scores(backward, nbest.source, missing))
     entries = []
     for e in nbest.entries:
         ch = e.channel if e.channel is not None else next(fresh)

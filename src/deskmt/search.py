@@ -14,11 +14,12 @@ import math
 import random
 from dataclasses import asdict, dataclass, field, replace
 
+from .augment import assemble_training_mix
 from .corpus import DataMix, TaggedDataset, build_mix
 from .ensemble import Ensemble
 from .lm import finetune_lm, logprob, train_lm
 from .metrics import EvalContext, bleu
-from .tm import EMTrainer, LexModel, forward_marginal, model_hash, _weighted_pairs, _target_sentences
+from .tm import EMTrainer, LexModel, forward_marginal, model_hash
 from .util import DataError, ordered_map
 
 DEFAULT_TRIALS = 30
@@ -171,8 +172,7 @@ def run_trial(config: TrialConfig, mix: DataMix, dev: TaggedDataset, *,
     best-perplexity checkpoint; its dev BLEU comes from beam decoding.
     """
     try:
-        pairs = _weighted_pairs(mix)
-        sents, weights = zip(*_target_sentences(pairs))
+        sents, weights = zip(*mix.target_sentences())
         lm = train_lm(list(sents), config.lm_order, config.smoothing_k,
                       weights=list(weights))
         settings = dict(beam=config.beam, window=config.window,
@@ -201,6 +201,21 @@ def run_trial(config: TrialConfig, mix: DataMix, dev: TaggedDataset, *,
                            dev_ppl_trace=tuple(trace), dev_bleu=score)
     except DataError as e:
         raise TrialError(config, e) from e
+
+
+def trial_mix(config: TrialConfig, bitext: TaggedDataset, st: TaggedDataset | None,
+              bt: TaggedDataset | None) -> DataMix:
+    """Training mix of one trial: bitext plus the non-empty synthetic sets,
+    upsampled by the config's ratios.
+
+    Bind the datasets with `functools.partial` to get the `mix_builder` of
+    `run_search`; the partial pickles, so it also serves `workers > 1`.
+    """
+    return assemble_training_mix(
+        bitext, st if st is not None and st.pairs else None,
+        bt if bt is not None and bt.pairs else None,
+        upsample_bitext=config.up_bitext, upsample_st=config.up_fwd,
+        upsample_bt=config.up_bt)
 
 
 def _run_one(args):

@@ -82,16 +82,6 @@ class LexModel:
     def direction(self) -> str:
         return f"{self.src_lang}->{self.tgt_lang}"
 
-    def t_table(self) -> dict[str, dict[str, float]]:
-        """Sparse dict view of the lexical table (nonzero entries only)."""
-        table: dict[str, dict[str, float]] = {}
-        for i, s in enumerate(self.src_vocab):
-            row = self.t[i]
-            nz = np.flatnonzero(row)
-            if nz.size:
-                table[s] = {self.tgt_vocab[j]: float(row[j]) for j in nz}
-        return table
-
     # decoding state, built lazily and shared across calls
 
     def _ext_vocab(self) -> tuple[str, ...]:
@@ -152,7 +142,7 @@ class EMTrainer:
     """
 
     def __init__(self, mix: DataMix, warm_start: LexModel | None = None):
-        pairs = _weighted_pairs(mix)
+        pairs = mix.weighted_pairs().items()
         if not pairs:
             raise DataError("EM training needs at least one parallel pair")
         src_syms = {s for (src, _), _ in pairs for s in src}
@@ -186,13 +176,12 @@ class EMTrainer:
                         train_ll_trace=tuple(self.ll_trace), **settings)
 
 
-def em_train(mix: DataMix, iterations: int, seed: int = 0, *, lm: LanguageModel | None = None,
+def em_train(mix: DataMix, iterations: int, *, lm: LanguageModel | None = None,
              lm_order: int = 3, lm_k: float = 0.5, beam: int = 5, window: int = 1,
              lm_weight: float = 0.5, src_lang: str = "src", tgt_lang: str = "tgt") -> LexModel:
     """Standard IBM Model 1 EM with a NULL source word, from uniform initialization.
 
-    The target-side LM is trained from the mix unless one is supplied; `seed`
-    is accepted for interface uniformity (EM itself is deterministic).
+    The target-side LM is trained from the mix unless one is supplied.
     """
     if iterations < 1:
         raise DataError("EM needs at least one iteration")
@@ -200,26 +189,10 @@ def em_train(mix: DataMix, iterations: int, seed: int = 0, *, lm: LanguageModel 
     for _ in range(iterations):
         trainer.step()
     if lm is None:
-        pairs = _weighted_pairs(mix)
-        sents, weights = zip(*_target_sentences(pairs))
+        sents, weights = zip(*mix.target_sentences())
         lm = train_lm(list(sents), lm_order, lm_k, weights=list(weights))
     return trainer.snapshot(lm, beam=beam, window=window, lm_weight=lm_weight,
                             src_lang=src_lang, tgt_lang=tgt_lang)
-
-
-def _weighted_pairs(mix: DataMix) -> list[tuple[tuple[Sentence, Sentence], int]]:
-    weights: dict[tuple[Sentence, Sentence], int] = {}
-    for src, tgt in mix.examples:
-        key = (strip_tag(src), tgt)
-        weights[key] = weights.get(key, 0) + 1
-    return list(weights.items())
-
-
-def _target_sentences(pairs) -> list[tuple[Sentence, int]]:
-    weights: dict[Sentence, int] = {}
-    for (_, tgt), w in pairs:
-        weights[tgt] = weights.get(tgt, 0) + w
-    return sorted(weights.items())
 
 
 def _group_pairs(pairs, src_id, tgt_id):
@@ -264,11 +237,10 @@ def _em_iteration(t: np.ndarray, groups) -> tuple[np.ndarray, float]:
 
 def corpus_log_likelihood(model: LexModel, mix: DataMix) -> float:
     """IBM1 marginal log-likelihood of a mix under the model's current table."""
-    pairs = _weighted_pairs(mix)
     src_id = model.src_id
     tgt_id = model.tgt_id
     total = 0.0
-    for (src, tgt), w in pairs:
+    for (src, tgt), w in mix.weighted_pairs().items():
         s_ids = [0] + [src_id[s] for s in src]
         t_ids = [tgt_id[t] for t in tgt]
         sub = model.t[np.ix_(s_ids, t_ids)]
@@ -555,21 +527,22 @@ def model_from_dict(doc: dict) -> LexModel:
                     train_ll_trace=tuple(doc_field(doc, "train_ll_trace", list, what)))
 
 
-def model_json(model) -> tuple[str, str]:
-    """Stable JSON text of a LexModel or Ensemble artifact and its content hash.
+def model_json(model: LexModel) -> tuple[str, str]:
+    """Stable JSON text of a model's artifact and its content hash.
 
-    The hash is `content_hash` of the artifact's document; a LexModel's is
-    memoized for `model_hash`.
+    An Ensemble's artifact lists its members' hashes; any other model's
+    holds its table, LM and settings. The hash is `content_hash` of the
+    artifact's document, memoized for `model_hash`.
     """
     from .ensemble import Ensemble, ensemble_to_dict
     if isinstance(model, Ensemble):
         text = stable_json_dumps(ensemble_to_dict(model))
-        return text, sha256_text(text)
-    text = stable_json_dumps(model_to_dict(model))
+    else:
+        text = stable_json_dumps(model_to_dict(model))
     return text, model._caches.setdefault("hash", sha256_text(text))
 
 
-def model_hash(model) -> str:
-    """Content hash of a LexModel or Ensemble artifact (memoized per LexModel)."""
-    digest = model._caches.get("hash") if isinstance(model, LexModel) else None
+def model_hash(model: LexModel) -> str:
+    """Content hash of a model's artifact (memoized on the model)."""
+    digest = model._caches.get("hash")
     return digest if digest is not None else model_json(model)[1]

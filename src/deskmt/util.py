@@ -6,7 +6,7 @@ import hashlib
 import json
 import multiprocessing
 import os
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 
 class DataError(ValueError):
@@ -105,8 +105,3 @@ def ordered_map(fn: Callable, items: Sequence, workers: int = 1) -> list:
     chunk = max(1, len(items) // (workers * 4))
     with multiprocessing.Pool(processes=workers) as pool:
         return pool.map(_call, [(fn, item) for item in items], chunksize=chunk)
-
-
-def float_list(values: Iterable[float]) -> list[float]:
-    """Plain-float copy (de-numpys values so JSON serialization stays stable)."""
-    return [float(v) for v in values]

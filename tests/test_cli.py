@@ -165,6 +165,12 @@ class TestWorkflows:
         assert os.path.exists("searchrun/trial000.json")
         assert os.path.exists("searchrun/ensemble0.json")
 
+    def test_search_topk_above_trials_is_data_error(self, workspace):
+        assert main(["search", "--parallel", "bundle/parallel.tsv", "--dev",
+                     "bundle/dev.tsv", "--trials", "2", "--topk", "3",
+                     "--out-dir", "searchrun-topk"]) == EXIT_DATA
+        assert not os.path.exists("searchrun-topk")
+
 
 def write_mine_inputs(root, workspace):
     """Two document directories and their URL index under `root`."""

@@ -7,15 +7,18 @@ from deskmt.corpus import (
     SIDE_MONO_SOURCE,
     SIDE_PARALLEL,
     TAG_IN_DOMAIN,
+    UNK_TOKEN,
     DataError,
     TaggedDataset,
     apply_tag,
     build_mix,
+    is_tag,
     load_corpus,
     load_manifest,
     save_corpus,
     save_manifest,
     strip_tag,
+    swap_dataset,
     swap_direction,
 )
 
@@ -107,6 +110,18 @@ class TestApplyTag:
         assert strip_tag(("<t>", "a", "b")) == ("a", "b")
         assert strip_tag(("a", "b")) == ("a", "b")
 
+    def test_unknown_token_is_not_a_tag(self):
+        assert not is_tag(UNK_TOKEN)
+        assert strip_tag((UNK_TOKEN, "a")) == (UNK_TOKEN, "a")
+        assert strip_tag(("<t>", UNK_TOKEN, "a")) == (UNK_TOKEN, "a")
+        with pytest.raises(DataError):
+            TaggedDataset("d", SIDE_PARALLEL, UNK_TOKEN)
+
+    def test_swap_keeps_leading_unknown_target(self):
+        ds = TaggedDataset("d", SIDE_PARALLEL, "<t>",
+                           pairs=(((UNK_TOKEN, "a"), ("x",)), (("<t>", "b"), ("y",))))
+        assert swap_dataset(ds).pairs == ((("x",), (UNK_TOKEN, "a")), (("y",), ("b",)))
+
 
 class TestBuildMix:
     def test_upsample_replicates(self):
@@ -117,6 +132,13 @@ class TestBuildMix:
         assert len(mix) == 9
         counts = mix.weighted_pairs()
         assert all(c == 3 for c in counts.values())
+
+    def test_weighted_pairs_is_the_untagged_multiset(self):
+        a = TaggedDataset("a", SIDE_PARALLEL, "<a>",
+                          pairs=((("x",), ("y",)), (("z",), ("w",))), upsample=2)
+        b = TaggedDataset("b", SIDE_PARALLEL, "<b>", pairs=((("z",), ("w",)),))
+        weights = build_mix([b, a]).weighted_pairs()
+        assert list(weights.items()) == [((("z",), ("w",)), 3), ((("x",), ("y",)), 2)]
 
     def test_sizes_add(self):
         a = TaggedDataset("a", SIDE_PARALLEL, "<a>",

@@ -4,15 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from deskmt.corpus import SIDE_PARALLEL, TaggedDataset, build_mix
-from deskmt.ensemble import (
-    DataError,
-    Ensemble,
-    ensemble_nbest,
-    ensemble_step_logprob,
-    ensemble_to_dict,
-)
+from deskmt.corpus import SIDE_PARALLEL, TaggedDataset, build_mix, swap_direction
+from deskmt.ensemble import DataError, Ensemble, ensemble_to_dict
 from deskmt.lm import train_lm
+from deskmt.rerank import fill_scores
 from deskmt.tm import NULL, LexModel, em_train, translate_nbest
 
 
@@ -32,15 +27,40 @@ def trained_members(k, seed=0):
                  for i in range(k)]
 
 
+def varied_members(mix):
+    """Members over one mix whose LMs and decoder settings all differ."""
+    settings = [dict(lm_order=3, lm_weight=0.4, beam=3, window=1),
+                dict(lm_order=2, lm_k=0.1, lm_weight=0.9, beam=6, window=2),
+                dict(lm_order=1, lm_weight=0.0, beam=2, window=0)]
+    return [em_train(mix, iterations=i + 1, **kw) for i, kw in enumerate(settings)]
+
+
+def loop_mean(members):
+    t = members[0].t.copy()
+    for m in members[1:]:
+        t += m.t
+    t /= len(members)
+    return t
+
+
+def hand_built(members):
+    """A plain LexModel with the mean table and the first member's LM and settings."""
+    first = members[0]
+    return LexModel(first.src_vocab, first.tgt_vocab, loop_mean(members), first.lm,
+                    beam=first.beam, window=first.window, lm_weight=first.lm_weight,
+                    src_lang=first.src_lang, tgt_lang=first.tgt_lang,
+                    unk_floor=first.unk_floor, tag_bias=first.tag_bias)
+
+
+def entries(nbest):
+    return [(e.hyp, e.fwd, e.channel, e.lm) for e in nbest.entries]
+
+
 class TestStepLogprob:
     def test_average_of_equal_members(self):
-        mix, members = trained_members(2, seed=1)
-        e = Ensemble([members[0], members[0]])
-        s, t = members[0].src_vocab[1], members[0].tgt_vocab[0]
-        single = math.log(members[0].t[members[0].src_id[s], members[0].tgt_id[t]]) \
-            if members[0].t[members[0].src_id[s], members[0].tgt_id[t]] > 0 else None
-        if single is not None:
-            assert ensemble_step_logprob(e, s, t) == pytest.approx(single, abs=1e-12)
+        _, members = trained_members(2, seed=1)
+        m = members[0]
+        assert Ensemble([m, m]).t.tobytes() == m.t.tobytes()
 
     def test_mean_of_probabilities(self):
         lm = train_lm([("x",)], 1, 0.5)
@@ -49,36 +69,35 @@ class TestStepLogprob:
         m1 = LexModel((NULL, "a"), ("x", "y"), t1, lm)
         m2 = LexModel((NULL, "a"), ("x", "y"), t2, lm)
         e = Ensemble([m1, m2])
-        assert ensemble_step_logprob(e, "a", "x") == pytest.approx(math.log(0.3))
+        assert e.t[e.src_id["a"], e.tgt_id["x"]] == pytest.approx(0.3)
 
     def test_k1_identity(self):
-        mix, members = trained_members(1, seed=2)
+        _, members = trained_members(1, seed=2)
         e = Ensemble(members)
-        m = members[0]
-        for s in m.src_vocab[1:3]:
-            for t in m.tgt_vocab[:3]:
-                p = m.t[m.src_id[s], m.tgt_id[t]]
-                if p > 0:
-                    assert ensemble_step_logprob(e, s, t) == math.log(p)
+        assert e.t.tobytes() == members[0].t.tobytes()
+        assert e.t is not members[0].t
+
+    def test_table_is_the_bit_equal_mean(self):
+        mix = mix_for(11)
+        members = varied_members(mix)
+        assert Ensemble(members).t.tobytes() == loop_mean(members).tobytes()
 
 
 class TestEnsembleNbest:
     def test_k1_bitwise_identity(self):
         mix, members = trained_members(1, seed=3)
-        e = Ensemble(members)
         x = mix.examples[0][0][1:]
         single = translate_nbest(members[0], x, 6)
-        ens = ensemble_nbest(e, x, 6)
+        ens = translate_nbest(Ensemble(members), x, 6)
         assert [(a.hyp, a.fwd) for a in single.entries] == \
                [(b.hyp, b.fwd) for b in ens.entries]
 
     def test_identical_members_match_single(self):
         mix, members = trained_members(1, seed=4)
         m = members[0]
-        e = Ensemble([m, m])
         x = mix.examples[1][0][1:]
         single = translate_nbest(m, x, 6)
-        ens = ensemble_nbest(e, x, 6)
+        ens = translate_nbest(Ensemble([m, m]), x, 6)
         assert [(a.hyp, a.fwd) for a in single.entries] == \
                [(b.hyp, b.fwd) for b in ens.entries]
 
@@ -88,8 +107,7 @@ class TestEnsembleNbest:
         t2 = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 1.0]])  # a->y, b->y
         m1 = LexModel((NULL, "a", "b"), ("x", "y"), t1, lm, lm_weight=0.0, beam=8)
         m2 = LexModel((NULL, "a", "b"), ("x", "y"), t2, lm, lm_weight=0.0, beam=8)
-        e = Ensemble([m1, m2])
-        nb = ensemble_nbest(e, ("a", "b"), 4)
+        nb = translate_nbest(Ensemble([m1, m2]), ("a", "b"), 4)
         # averaged: t(x|a)=0.5, t(y|a)=0.5, t(y|b)=1 -> both "x y" and "y y" at
         # ln 0.5; lexicographic tie-break prefers "x y"
         assert nb.top().hyp == ("x", "y")
@@ -107,17 +125,39 @@ class TestEnsembleNbest:
     def test_permutation_invariance(self):
         mix, members = trained_members(3, seed=5)
         x = mix.examples[0][0][1:]
-        base = ensemble_nbest(Ensemble(members), x, 5)
-        perm = ensemble_nbest(Ensemble([members[2], members[0], members[1]]), x, 5)
+        base = translate_nbest(Ensemble(members), x, 5)
+        perm = translate_nbest(Ensemble([members[2], members[0], members[1]]), x, 5)
         assert [e.hyp for e in base.entries] == [e.hyp for e in perm.entries]
         for a, b in zip(base.entries, perm.entries):
             assert a.fwd == pytest.approx(b.fwd, abs=1e-12)
 
     def test_averaged_rows_stay_normalized(self):
-        mix, members = trained_members(3, seed=6)
-        fused = Ensemble(members).fused()
-        sums = fused.t.sum(axis=1)
+        _, members = trained_members(3, seed=6)
+        sums = Ensemble(members).t.sum(axis=1)
         assert np.allclose(sums[sums > 0], 1.0, atol=1e-9)
+
+    def test_decodes_as_mean_table_with_first_members_lm_and_settings(self):
+        mix = mix_for(12)
+        tag_bias = {"<t>": {"w": 0.5, "z": -0.25}}
+        members = varied_members(mix)
+        members[0].tag_bias = tag_bias
+        ens, hand = Ensemble(members), hand_built(members)
+        assert ens.lm is members[0].lm and ens.tag_bias == tag_bias
+        for src, _ in mix.examples[:6]:
+            for n in (1, 4, 12):
+                assert entries(translate_nbest(ens, src, n)) == \
+                    entries(translate_nbest(hand, src, n))
+
+    def test_channel_scores_as_mean_table(self):
+        mix = mix_for(13)
+        forward = em_train(mix, 2, lm_order=2)
+        backward = varied_members(swap_direction(mix))
+        ens, hand = Ensemble(backward), hand_built(backward)
+        for src, _ in mix.examples[:6]:
+            nb = translate_nbest(forward, src, 8)
+            got = entries(fill_scores(nb, ens, forward.lm))
+            assert got == entries(fill_scores(nb, hand, forward.lm))
+            assert all(ch is not None for _, _, ch, _ in got)
 
 
 class TestValidation:

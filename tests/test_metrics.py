@@ -176,3 +176,10 @@ class TestEvalContext:
     def test_strips_tags(self):
         ctx = EvalContext()
         assert ctx.detok_tokens(("<d:in>", "a", "b")) == ("a", "b")
+
+    def test_keeps_leading_unknown_token(self):
+        assert EvalContext().detok_tokens(("<unk>", "a")) == ("<unk>", "a")
+        model = learn_bpe([("abab", "cdcd")] * 4, vocab_size=10)
+        ctx = EvalContext(bpe=model, tag="<d:in>")
+        encoded = ("<d:in>", "<unk>") + encode(("abab",), model)
+        assert ctx.detok_tokens(encoded) == ("<unk>", "abab")

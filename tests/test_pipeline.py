@@ -219,7 +219,8 @@ class TestNoRecomputation:
     def test_final_dev_bleu_is_rerank_dev_bleu(self, finished_run):
         from deskmt.lm import lm_from_dict
         from deskmt.metrics import EvalContext
-        from deskmt.pipeline import _load_model, _swap_pairs
+        from deskmt.corpus import swap_dataset
+        from deskmt.pipeline import _load_model
         from deskmt.rerank import NoisyChannelWeights, RerankContext
         from deskmt.search import dev_bleu
         from deskmt.subword import encode_dataset, load_bpe
@@ -240,7 +241,7 @@ class TestNoRecomputation:
                                 bwd, lms["fwd"],
                                 NoisyChannelWeights(*final["lambdas"]["fwd"]),
                                 config.nbest)),
-            "bwd": dev_bleu(bwd, _swap_pairs(dev, dev.tag, "dev-swapped"),
+            "bwd": dev_bleu(bwd, swap_dataset(dev, name="dev-swapped"),
                             eval_ctx=ctx, decode="rerank",
                             rerank_ctx=RerankContext(
                                 fwd, lms["bwd"],

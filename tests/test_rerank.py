@@ -82,10 +82,6 @@ class TestRerank:
             NBestEntry(hyp=("t1",), fwd=-1.2),
         ])
 
-        class StubChannel:
-            def fused(self):
-                return self
-
         rng = random.Random(3)
         _, fwd, bwd = random_models(rng)
         scored = rerank(nb, bwd, fwd.lm, NoisyChannelWeights(3.0, 0.0))

@@ -151,7 +151,7 @@ class TestSelectTopK:
 
     def test_k_equals_all(self):
         results = self.fake_results([1.0, 2.0])
-        assert select_top_k(results, 2).k == 2
+        assert len(select_top_k(results, 2).members) == 2
 
     def test_k_too_large_rejected(self):
         with pytest.raises(DataError):

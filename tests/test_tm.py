@@ -386,6 +386,15 @@ class TestChannelScore:
         tagged = channel_score(model, ("<bt>", "x"), ("<st>", "y"))
         assert tagged == plain
 
+    def test_leading_unknown_token_is_scored(self):
+        # <unk> is a target token, not a tag: it looks up the floor row and
+        # counts toward l
+        model = build_model({("y", "x"): 1.0}, ["y"], ["x"], [("x",)] * 2)
+        got = channel_score(model, ("x",), (UNK_TOKEN, "y"))
+        assert got == pytest.approx(math.log((model.unk_floor + 1.0) / 3), abs=1e-12)
+        assert channel_scores(model, ("x",), [(UNK_TOKEN, "y"), ("y",)]) == \
+            [got, channel_score(model, ("x",), ("y",))]
+
 
 def reference_marginal(model, cond, obs):
     """Per-pair IBM1 marginal: a (l+1, |obs|) gather averaged over axis 0."""
