@@ -11,7 +11,7 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 
-from .util import DataError
+from .util import DataError, write_text_atomic
 
 Sentence = tuple[str, ...]
 Pair = tuple[Sentence, Sentence]
@@ -135,15 +135,18 @@ def load_corpus(path: str, side: str, *, name: str | None = None,
                          upsample=upsample, dropped=dropped)
 
 
-def save_corpus(ds: TaggedDataset, path: str) -> None:
-    """Write a dataset back to the line-oriented text formats used by load_corpus."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if ds.side == SIDE_PARALLEL:
-            for src, tgt in ds.pairs:
-                fh.write(" ".join(src) + "\t" + " ".join(tgt) + "\n")
-        else:
-            for sent in ds.sentences:
-                fh.write(" ".join(sent) + "\n")
+def save_corpus(ds: TaggedDataset, path: str) -> str:
+    """Write a dataset back to the line-oriented text formats used by load_corpus.
+
+    The file is replaced atomically; returns the text written.
+    """
+    if ds.side == SIDE_PARALLEL:
+        lines = [" ".join(src) + "\t" + " ".join(tgt) + "\n" for src, tgt in ds.pairs]
+    else:
+        lines = [" ".join(sent) + "\n" for sent in ds.sentences]
+    text = "".join(lines)
+    write_text_atomic(path, text)
+    return text
 
 
 def apply_tag(ds: TaggedDataset) -> TaggedDataset:
@@ -178,12 +181,16 @@ class DataMix:
         """Multiset view as (untagged source, target) -> multiplicity.
 
         This is the view EM trains on: domain tags are stripped, and keys
-        keep the order in which they first appear in `examples`.
+        keep the order in which they first appear in `examples`. `examples`
+        holds each dataset's pairs `upsample` times in dataset order, so one
+        walk over the datasets, adding `upsample` per pair, gives the same
+        dict without visiting the replicas.
         """
         weights: dict[Pair, int] = {}
-        for src, tgt in self.examples:
-            key = (strip_tag(src), tgt)
-            weights[key] = weights.get(key, 0) + 1
+        for ds in self.datasets:
+            for src, tgt in ds.pairs:
+                key = (strip_tag(src), tgt)
+                weights[key] = weights.get(key, 0) + ds.upsample
         return weights
 
     def target_sentences(self) -> list[tuple[Sentence, int]]:

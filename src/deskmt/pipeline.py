@@ -51,6 +51,7 @@ from .util import (
     content_hash,
     derive_seed,
     sha256_bytes,
+    sha256_text,
     stable_json_dumps,
     write_text_atomic,
 )
@@ -142,7 +143,7 @@ def _write_text_artifact(run_dir: str, relpath: str, text: str) -> dict:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     data = text if text.endswith("\n") else text + "\n"
     write_text_atomic(path, data)
-    return {"path": relpath, "hash": sha256_bytes(data.encode("utf-8"))}
+    return {"path": relpath, "hash": sha256_text(data)}
 
 
 def _save_model(run_dir: str, model) -> dict:
@@ -153,7 +154,8 @@ def _save_model(run_dir: str, model) -> dict:
     return ref
 
 
-def _load_model(manifest: PipelineManifest, ref: dict):
+def load_model(manifest: PipelineManifest, ref: dict):
+    """Load the model a manifest entry names; an ensemble's members are hash-checked."""
     with open(manifest.verify(ref), encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("kind") == "ensemble":
@@ -177,9 +179,7 @@ def _save_dataset(run_dir: str, ds: TaggedDataset, relpath: str,
                   provenance: dict | None = None) -> dict:
     path = os.path.join(run_dir, relpath)
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    save_corpus(ds, path)
-    with open(path, "rb") as fh:
-        digest = sha256_bytes(fh.read())
+    digest = sha256_text(save_corpus(ds, path))
     ref = {"path": relpath, "hash": digest, "name": ds.name, "tag": ds.tag,
            "dropped": ds.dropped}
     if provenance is not None:
@@ -310,10 +310,8 @@ class _PipelineState:
         self.bpe = learn_bpe(corpus, cfg.bpe_vocab)
         bpe_path = os.path.join(manifest.run_dir, "artifacts/bpe.txt")
         os.makedirs(os.path.dirname(bpe_path), exist_ok=True)
-        save_bpe(self.bpe, bpe_path)
-        with open(bpe_path, "rb") as fh:
-            manifest.data["bpe"] = {"path": "artifacts/bpe.txt",
-                                    "hash": sha256_bytes(fh.read())}
+        manifest.data["bpe"] = {"path": "artifacts/bpe.txt",
+                                "hash": sha256_text(save_bpe(self.bpe, bpe_path))}
         self._encode_all()
 
         init = cfg.init_config
@@ -361,8 +359,8 @@ class _PipelineState:
         manifest = self.manifest
         if manifest.completed("init"):
             record = manifest.data["init"]
-            self.fwd = _load_model(manifest, record["fwd"]["model"])
-            self.bwd = _load_model(manifest, record["bwd"]["model"])
+            self.fwd = load_model(manifest, record["fwd"]["model"])
+            self.bwd = load_model(manifest, record["bwd"]["model"])
             self.lambdas_fwd = NoisyChannelWeights(*record["fwd"]["lambdas"])
             self.lambdas_bwd = NoisyChannelWeights(*record["bwd"]["lambdas"])
             return
@@ -407,8 +405,8 @@ class _PipelineState:
         stage = f"iter{t}"
         if manifest.completed(stage):
             record = manifest.data["iterations"][t - 1]
-            self.fwd = _load_model(manifest, record["ensembles"]["fwd"])
-            self.bwd = _load_model(manifest, record["ensembles"]["bwd"])
+            self.fwd = load_model(manifest, record["ensembles"]["fwd"])
+            self.bwd = load_model(manifest, record["ensembles"]["bwd"])
             self.lambdas_fwd = NoisyChannelWeights(*record["lambdas"]["fwd"])
             self.lambdas_bwd = NoisyChannelWeights(*record["lambdas"]["bwd"])
             return

@@ -20,7 +20,7 @@ from .ensemble import Ensemble
 from .lm import finetune_lm, logprob, train_lm
 from .metrics import EvalContext, bleu
 from .tm import EMTrainer, LexModel, forward_marginal, model_hash
-from .util import DataError, ordered_map
+from .util import DataError, doc_field, ordered_map
 
 DEFAULT_TRIALS = 30
 DEFAULT_PATIENCE = 2
@@ -89,7 +89,11 @@ class SearchSpace:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise DataError(f"cannot read search space {path}: {e}") from e
-        return cls(dims=doc["dims"])
+        dims = doc_field(doc, "dims", dict, path)
+        for name in dims:
+            if not doc_field(dims, name, list, f"{path}: dims"):
+                raise DataError(f"{path}: dims: key {name!r} must be a non-empty list")
+        return cls(dims=dims)
 
 
 def default_search_space() -> SearchSpace:

@@ -5,15 +5,25 @@ symbol pair first) and replayed in order at encode time. Reserved tokens
 (domain tags, specials) pass through unsplit. Decoding strips the joiner and
 re-assembles words; the "unspaced" policy additionally removes all spaces
 between words.
+
+Learning counts pairs once and then keeps the counts up to date, as
+subword-nmt does (Sennrich et al. 2016): an index maps each pair to the words
+that hold it, and a merge re-counts only the words that held the merged pair.
+The next merge comes from a heap of (-count, pair) whose stale entries are
+skipped, so it is the most frequent pair with ties broken toward the
+lexicographically smallest (left, right), exactly what a full recount and
+`min(counts, key=lambda p: (-counts[p], p))` would pick. Encoding a dataset
+segments each distinct word once.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .corpus import DEFAULT_TAGS, SIDE_PARALLEL, UNK_TOKEN, Sentence, TaggedDataset
-from .util import DataError
+from .util import DataError, write_text_atomic
 
 DEFAULT_JOINER = "##"
 DEFAULT_RESERVED = frozenset(DEFAULT_TAGS) | {UNK_TOKEN}
@@ -57,6 +67,10 @@ def _word_pieces(word: str, merges: tuple[tuple[str, str], ...]) -> list[str]:
     return pieces
 
 
+def _pairs(pieces: list[str]) -> list[tuple[str, str]]:
+    return list(zip(pieces, pieces[1:]))
+
+
 def learn_bpe(corpus: list[Sentence], vocab_size: int, *,
               joiner: str = DEFAULT_JOINER,
               reserved: frozenset[str] = DEFAULT_RESERVED) -> BpeModel:
@@ -75,39 +89,69 @@ def learn_bpe(corpus: list[Sentence], vocab_size: int, *,
             f"vocab_size {vocab_size} is smaller than the character inventory ({len(chars)})")
 
     words = {w: list(w) for w in word_freq}
+    pair_freq: Counter[tuple[str, str]] = Counter()
+    holders: dict[tuple[str, str], set[str]] = {}  # pair -> words that hold it
+    for word, pieces in words.items():
+        for pair in _pairs(pieces):
+            pair_freq[pair] += word_freq[word]
+            holders.setdefault(pair, set()).add(word)
+    heap = [(-count, pair) for pair, count in pair_freq.items()]
+    heapq.heapify(heap)
+
     merges: list[tuple[str, str]] = []
     symbols = list(chars)
-    while len(symbols) < vocab_size:
-        pair_freq: Counter[tuple[str, str]] = Counter()
-        for word, pieces in words.items():
-            freq = word_freq[word]
-            for i in range(len(pieces) - 1):
-                pair_freq[(pieces[i], pieces[i + 1])] += freq
-        if not pair_freq:
-            break
-        best = min(pair_freq, key=lambda p: (-pair_freq[p], p))
-        if pair_freq[best] < 2:
+    while len(symbols) < vocab_size and heap:
+        neg_count, best = heapq.heappop(heap)
+        if pair_freq.get(best) != -neg_count:
+            continue  # stale: the pair's count changed after this entry was pushed
+        if -neg_count < 2:
             break
         merges.append(best)
         symbols.append(best[0] + best[1])
-        for word, pieces in words.items():
-            if len(pieces) > 1:
-                words[word] = _merge_pass(pieces, *best)
+        changed = set()
+        for word in holders.pop(best):
+            freq = word_freq[word]
+            old = _pairs(words[word])
+            pieces = words[word] = _merge_pass(words[word], *best)
+            new = _pairs(pieces)
+            for pair in old:
+                pair_freq[pair] -= freq
+            for pair in new:
+                pair_freq[pair] += freq
+            changed.update(old, new)
+            for pair in set(old) - set(new) - {best}:
+                holders[pair].discard(word)
+            for pair in set(new) - set(old):
+                holders.setdefault(pair, set()).add(word)
+        for pair in changed:
+            count = pair_freq[pair]
+            if count:
+                heapq.heappush(heap, (-count, pair))
+            else:
+                del pair_freq[pair]
     return BpeModel(merges=tuple(merges), vocab_size_target=vocab_size,
                     joiner=joiner, reserved=reserved, symbols=tuple(symbols))
 
 
-def encode(sentence: Sentence, model: BpeModel) -> Sentence:
-    """Segment each token into subword pieces; continuation pieces carry the joiner."""
+def _encode(sentence: Sentence, model: BpeModel, memo: dict[str, Sentence]) -> Sentence:
+    """`encode`, looking each word's pieces up in `memo` before segmenting it."""
     out: list[str] = []
     for token in sentence:
         if token in model.reserved:
             out.append(token)
             continue
-        pieces = _word_pieces(token, model.merges)
-        out.append(pieces[0])
-        out.extend(model.joiner + p for p in pieces[1:])
+        encoded = memo.get(token)
+        if encoded is None:
+            pieces = _word_pieces(token, model.merges)
+            encoded = memo[token] = (pieces[0],) + tuple(model.joiner + p
+                                                         for p in pieces[1:])
+        out.extend(encoded)
     return tuple(out)
+
+
+def encode(sentence: Sentence, model: BpeModel) -> Sentence:
+    """Segment each token into subword pieces; continuation pieces carry the joiner."""
+    return _encode(sentence, model, {})
 
 
 def decode(sentence: Sentence, model: BpeModel, policy: str = POLICY_SPACED) -> str:
@@ -125,26 +169,35 @@ def decode(sentence: Sentence, model: BpeModel, policy: str = POLICY_SPACED) -> 
 
 
 def encode_dataset(ds: TaggedDataset, model: BpeModel) -> TaggedDataset:
-    """Encode every sentence of a TaggedDataset (both sides of parallel data)."""
+    """Encode every sentence of a TaggedDataset (both sides of parallel data).
+
+    Each distinct word is segmented once per call.
+    """
+    memo: dict[str, Sentence] = {}
     if ds.side == SIDE_PARALLEL:
-        pairs = tuple((encode(s, model), encode(t, model)) for s, t in ds.pairs)
+        pairs = tuple((_encode(s, model, memo), _encode(t, model, memo))
+                      for s, t in ds.pairs)
         return replace(ds, pairs=pairs)
-    return replace(ds, sentences=tuple(encode(s, model) for s in ds.sentences))
+    return replace(ds, sentences=tuple(_encode(s, model, memo) for s in ds.sentences))
 
 
 FORMAT_VERSION = 1
 
 
-def save_bpe(model: BpeModel, path: str) -> None:
-    """Write merges as text: two header lines, then one "left right" pair per line."""
+def save_bpe(model: BpeModel, path: str) -> str:
+    """Write merges as text: two header lines, then one "left right" pair per line.
+
+    The file is replaced atomically; returns the text written.
+    """
     n_chars = len(model.symbols) - len(model.merges)
-    with open(path, "w", encoding="utf-8") as fh:
-        reserved = " ".join(sorted(model.reserved))
-        fh.write(f"#bpe v{FORMAT_VERSION} vocab={model.vocab_size_target} "
-                 f"joiner={model.joiner} reserved={reserved}\n")
-        fh.write("#chars " + " ".join(model.symbols[:n_chars]) + "\n")
-        for left, right in model.merges:
-            fh.write(f"{left} {right}\n")
+    reserved = " ".join(sorted(model.reserved))
+    lines = [f"#bpe v{FORMAT_VERSION} vocab={model.vocab_size_target} "
+             f"joiner={model.joiner} reserved={reserved}\n",
+             "#chars " + " ".join(model.symbols[:n_chars]) + "\n"]
+    lines += [f"{left} {right}\n" for left, right in model.merges]
+    text = "".join(lines)
+    write_text_atomic(path, text)
+    return text
 
 
 def load_bpe(path: str) -> BpeModel:

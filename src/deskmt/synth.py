@@ -30,7 +30,7 @@ from .corpus import (
     Sentence,
     TaggedDataset,
 )
-from .util import DataError, derive_seed
+from .util import NUMBER, DataError, derive_seed, doc_field
 
 _ALPHABET = "abcdefghijklmnop"
 DEFAULT_VOCAB = 200
@@ -328,12 +328,17 @@ def load_spec(path: str) -> SynthSpec:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise DataError(f"cannot read synth spec {path}: {e}") from e
-    if doc.get("version") != SPEC_FILE_VERSION:
+    if not isinstance(doc, dict) or doc.get("version") != SPEC_FILE_VERSION:
         raise DataError(f"unsupported synth spec version in {path}")
+
+    def get(key, kind):
+        return doc_field(doc, key, kind, path)
+
     return SynthSpec(
-        vocab_size=int(doc["vocab_size"]), lexicon=dict(doc["lexicon"]),
-        swap_class=frozenset(doc["swap_class"]),
-        in_weights=tuple(doc["in_weights"]), out_weights=tuple(doc["out_weights"]),
-        noise_rate=float(doc["noise_rate"]), seed=int(doc["seed"]),
-        min_len=int(doc["min_len"]), max_len=int(doc["max_len"]),
-        bigram_boost=float(doc["bigram_boost"]))
+        vocab_size=get("vocab_size", int), lexicon=dict(get("lexicon", dict)),
+        swap_class=frozenset(get("swap_class", list)),
+        in_weights=tuple(get("in_weights", list)),
+        out_weights=tuple(get("out_weights", list)),
+        noise_rate=float(get("noise_rate", NUMBER)), seed=get("seed", int),
+        min_len=get("min_len", int), max_len=get("max_len", int),
+        bigram_boost=float(get("bigram_boost", NUMBER)))

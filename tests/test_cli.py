@@ -165,6 +165,15 @@ class TestWorkflows:
         assert os.path.exists("searchrun/trial000.json")
         assert os.path.exists("searchrun/ensemble0.json")
 
+    @pytest.mark.parametrize("doc", [{}, {"dims": {"beam": 5}}])
+    def test_search_malformed_space_is_data_error(self, workspace, doc):
+        with open("bad.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert main(["search", "--parallel", "bundle/parallel.tsv", "--dev",
+                     "bundle/dev.tsv", "--trials", "2", "--space", "bad.json",
+                     "--out-dir", "searchrun-bad"]) == EXIT_DATA
+        assert not os.path.exists("searchrun-bad")
+
     def test_search_topk_above_trials_is_data_error(self, workspace):
         assert main(["search", "--parallel", "bundle/parallel.tsv", "--dev",
                      "bundle/dev.tsv", "--trials", "2", "--topk", "3",

@@ -81,7 +81,8 @@ class TestLoadCorpus:
         ds = TaggedDataset("x", SIDE_PARALLEL, "<t>",
                            pairs=((("a", "b"), ("c",)), (("d",), ("e", "f"))))
         path = str(tmp_path / "out.tsv")
-        save_corpus(ds, path)
+        text = save_corpus(ds, path)
+        assert open(path, encoding="utf-8").read() == text == "a b\tc\nd\te f\n"
         assert load_corpus(path, SIDE_PARALLEL, tag="<t>", name="x") == ds
 
 
@@ -139,6 +140,22 @@ class TestBuildMix:
         b = TaggedDataset("b", SIDE_PARALLEL, "<b>", pairs=((("z",), ("w",)),))
         weights = build_mix([b, a]).weighted_pairs()
         assert list(weights.items()) == [((("z",), ("w",)), 3), ((("x",), ("y",)), 2)]
+
+    def test_weighted_pairs_equals_a_walk_over_examples(self):
+        xy, zw, uv = (("x",), ("y",)), (("z",), ("w",)), (("u", "x"), ("v",))
+        a = TaggedDataset("a", SIDE_PARALLEL, "<a>", pairs=(xy, zw, xy, uv), upsample=3)
+        b = TaggedDataset("b", SIDE_PARALLEL, "<b>", pairs=(zw, (("<a>", "z"), ("w",))))
+        c = TaggedDataset("c", SIDE_PARALLEL, "<c>", pairs=(uv, (("q",), ("y",)), xy),
+                          upsample=2)
+        for datasets in ([a, b, c], [c, b, a], [b, a]):
+            mix = build_mix(datasets)
+            walked: dict = {}
+            for src, tgt in mix.examples:
+                key = (strip_tag(src), tgt)
+                walked[key] = walked.get(key, 0) + 1
+            got = mix.weighted_pairs()
+            assert got == walked
+            assert list(got) == list(walked)
 
     def test_sizes_add(self):
         a = TaggedDataset("a", SIDE_PARALLEL, "<a>",

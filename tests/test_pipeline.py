@@ -3,10 +3,18 @@ import os
 
 import pytest
 
-from deskmt.corpus import TAG_BACK_TRANSLATED, TAG_SELF_TRAINED, build_mix, load_corpus
+from deskmt.corpus import (
+    TAG_BACK_TRANSLATED,
+    TAG_SELF_TRAINED,
+    TaggedDataset,
+    build_mix,
+    load_corpus,
+    save_corpus,
+)
 from deskmt.ensemble import Ensemble
 from deskmt.pipeline import PipelineConfig, PipelineManifest, run_parallel_only, run_pipeline
 from deskmt.search import SearchSpace, TrialConfig
+from deskmt.subword import learn_bpe, save_bpe
 from deskmt.synth import gen_corpora, make_spec
 from deskmt.tm import em_train
 from deskmt.util import DataError, sha256_text
@@ -220,7 +228,7 @@ class TestNoRecomputation:
         from deskmt.lm import lm_from_dict
         from deskmt.metrics import EvalContext
         from deskmt.corpus import swap_dataset
-        from deskmt.pipeline import _load_model
+        from deskmt.pipeline import load_model
         from deskmt.rerank import NoisyChannelWeights, RerankContext
         from deskmt.search import dev_bleu
         from deskmt.subword import encode_dataset, load_bpe
@@ -231,8 +239,8 @@ class TestNoRecomputation:
         lms = {side: lm_from_dict(json.load(open(manifest.verify(ref))))
                for side, ref in data["rerank_lms"].items()}
         final = data["iterations"][-1]
-        fwd = _load_model(manifest, final["ensembles"]["fwd"])
-        bwd = _load_model(manifest, final["ensembles"]["bwd"])
+        fwd = load_model(manifest, final["ensembles"]["fwd"])
+        bwd = load_model(manifest, final["ensembles"]["bwd"])
         dev = encode_dataset(bundle.dev, bpe)
         ctx = EvalContext(bpe=bpe, tag="<d:in>")
         got = {
@@ -282,8 +290,53 @@ class _Crash(Exception):
     pass
 
 
+class _HalfWriter:
+    """Writes the first half of the text, then dies."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        return False
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        self.fh.flush()
+        raise _Crash("simulated crash mid-write")
+
+
+_BPE_CORPUS = [("abcabc", "abab")] * 3
+
+
+def _parallel(n):
+    return TaggedDataset("p", "parallel", "<d:in>", pairs=((("a",) * n, ("b",)),))
+
+
 class TestCrashSafety:
-    @pytest.mark.parametrize("target", ["manifest.json", "artifacts/models/"])
+    @pytest.mark.parametrize("save,first,second", [
+        (save_bpe, learn_bpe(_BPE_CORPUS, 4), learn_bpe(_BPE_CORPUS, 6)),
+        (save_corpus, _parallel(1), _parallel(3)),
+    ], ids=["save_bpe", "save_corpus"])
+    def test_crash_mid_write_keeps_previous_file(self, tmp_path, monkeypatch, save,
+                                                 first, second):
+        import deskmt.util as util
+        path = str(tmp_path / "artifact.txt")
+        text = save(first, path)
+        real_open = open
+        monkeypatch.setattr(util, "open",
+                            lambda p, mode="r", **kw: _HalfWriter(real_open(p, mode, **kw)),
+                            raising=False)
+        with pytest.raises(_Crash):
+            save(second, path)
+        assert open(path, encoding="utf-8").read() == text
+        assert not os.path.exists(path + ".tmp")
+
+    @pytest.mark.parametrize("target", ["manifest.json", "artifacts/models/",
+                                        "artifacts/bpe.txt", "artifacts/datasets/"])
     def test_crash_mid_write_keeps_previous_and_rerun_matches(self, tmp_path,
                                                               monkeypatch, target):
         import deskmt.util as util
@@ -300,24 +353,6 @@ class TestCrashSafety:
         hits = []
         before = {}
 
-        class HalfWriter:
-            """Writes the first half of the text, then dies."""
-
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-                return False
-
-            def write(self, text):
-                self.fh.write(text[:len(text) // 2])
-                self.fh.flush()
-                raise _Crash("simulated crash mid-write")
-
         def faulty_open(path, mode="r", **kwargs):
             rel = os.path.relpath(path, run_dir)
             if "w" not in mode or not rel.startswith(target):
@@ -329,7 +364,7 @@ class TestCrashSafety:
                 if final not in before:
                     before[final] = (real_open(final, "rb").read()
                                      if os.path.exists(final) else None)
-                return HalfWriter(real_open(path, mode, **kwargs))
+                return _HalfWriter(real_open(path, mode, **kwargs))
             return real_open(path, mode, **kwargs)
 
         with monkeypatch.context() as m:

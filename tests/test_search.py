@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -82,6 +83,17 @@ class TestSampleConfigs:
         path = str(tmp_path / "space.json")
         space.save(path)
         assert SearchSpace.load(path) == space
+
+    @pytest.mark.parametrize("doc,key", [
+        ({}, "'dims'"), ([], "JSON object"), ({"dims": []}, "'dims'"),
+        ({"dims": {"beam": 5}}, "'beam'"), ({"dims": {"beam": []}}, "'beam'"),
+    ])
+    def test_malformed_space_file_is_data_error(self, tmp_path, doc, key):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match=key) as err:
+            SearchSpace.load(str(path))
+        assert str(path) in str(err.value)
 
 
 class TestRunTrial:

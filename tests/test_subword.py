@@ -1,19 +1,177 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from deskmt.corpus import TAG_IN_DOMAIN
+import deskmt.subword as subword
+from deskmt.corpus import (
+    SIDE_MONO_SOURCE,
+    SIDE_PARALLEL,
+    TAG_IN_DOMAIN,
+    UNK_TOKEN,
+    TaggedDataset,
+)
 from deskmt.subword import (
+    DEFAULT_JOINER,
+    DEFAULT_RESERVED,
     POLICY_SPACED,
     POLICY_UNSPACED,
     BpeModel,
     DataError,
     decode,
     encode,
+    encode_dataset,
     learn_bpe,
     load_bpe,
     save_bpe,
 )
+
+
+# -- reference: the full-recount learner and per-token replay ---------------
+# Kept verbatim as the specification that the incremental learner and the
+# memoized encoder must match.
+
+def ref_merge_pass(pieces, left, right):
+    out = []
+    i = 0
+    while i < len(pieces):
+        if i + 1 < len(pieces) and pieces[i] == left and pieces[i + 1] == right:
+            out.append(left + right)
+            i += 2
+        else:
+            out.append(pieces[i])
+            i += 1
+    return out
+
+
+def ref_word_pieces(word, merges):
+    pieces = list(word)
+    for left, right in merges:
+        if len(pieces) > 1:
+            pieces = ref_merge_pass(pieces, left, right)
+    return pieces
+
+
+def ref_learn_bpe(corpus, vocab_size, *, joiner=DEFAULT_JOINER,
+                  reserved=DEFAULT_RESERVED):
+    if not corpus:
+        raise DataError("cannot learn BPE from an empty corpus")
+    word_freq = Counter(tok for sent in corpus for tok in sent if tok not in reserved)
+    chars = sorted({ch for word in word_freq for ch in word})
+    if vocab_size < len(chars):
+        raise DataError(
+            f"vocab_size {vocab_size} is smaller than the character inventory ({len(chars)})")
+
+    words = {w: list(w) for w in word_freq}
+    merges = []
+    symbols = list(chars)
+    while len(symbols) < vocab_size:
+        pair_freq = Counter()
+        for word, pieces in words.items():
+            freq = word_freq[word]
+            for i in range(len(pieces) - 1):
+                pair_freq[(pieces[i], pieces[i + 1])] += freq
+        if not pair_freq:
+            break
+        best = min(pair_freq, key=lambda p: (-pair_freq[p], p))
+        if pair_freq[best] < 2:
+            break
+        merges.append(best)
+        symbols.append(best[0] + best[1])
+        for word, pieces in words.items():
+            if len(pieces) > 1:
+                words[word] = ref_merge_pass(pieces, *best)
+    return BpeModel(merges=tuple(merges), vocab_size_target=vocab_size,
+                    joiner=joiner, reserved=reserved, symbols=tuple(symbols))
+
+
+def ref_encode(sentence, model):
+    out = []
+    for token in sentence:
+        if token in model.reserved:
+            out.append(token)
+            continue
+        pieces = ref_word_pieces(token, model.merges)
+        out.append(pieces[0])
+        out.extend(model.joiner + p for p in pieces[1:])
+    return tuple(out)
+
+
+# Few letters make long runs of one character ("aaaa") and equal-count ties
+# likely; reserved tokens are mixed in, and "z" never occurs at learn time.
+LEARN_LETTERS = "abc"
+words_st = st.text(alphabet=LEARN_LETTERS, min_size=1, max_size=8)
+tokens_st = st.one_of(words_st, words_st, words_st,
+                      st.sampled_from(sorted(DEFAULT_RESERVED)))
+sentences_st = st.lists(tokens_st, min_size=1, max_size=6).map(tuple)
+unseen_st = st.text(alphabet=LEARN_LETTERS + "z", min_size=1, max_size=8)
+probe_st = st.lists(st.one_of(unseen_st, st.sampled_from(sorted(DEFAULT_RESERVED))),
+                    min_size=1, max_size=6).map(tuple)
+
+
+class TestMatchesFullRecount:
+    @settings(max_examples=300, deadline=None)
+    @given(corpus=st.lists(sentences_st, min_size=1, max_size=12),
+           extra=st.integers(min_value=0, max_value=40),
+           probes=st.lists(probe_st, max_size=4))
+    @example(corpus=[("aaaa",), ("aaaa", "aaa")], extra=10, probes=[("aaaaa",)])
+    @example(corpus=[("ab", "cd", "ab", "cd")], extra=1, probes=[("abcd", "z")])
+    @example(corpus=[(TAG_IN_DOMAIN, "abab", UNK_TOKEN)] * 3, extra=0,
+             probes=[(UNK_TOKEN, "bazab")])
+    def test_learn_and_encode_match_reference(self, tmp_path_factory, corpus, extra,
+                                              probes):
+        n_chars = len({ch for sent in corpus for tok in sent
+                       if tok not in DEFAULT_RESERVED for ch in tok})
+        vocab_size = n_chars + extra  # extra 0: no merge; large: runs out of pairs
+        want = ref_learn_bpe(corpus, vocab_size)
+        got = learn_bpe(corpus, vocab_size)
+        assert got.merges == want.merges
+        assert got.symbols == want.symbols
+        path = str(tmp_path_factory.mktemp("bpe") / "bpe.txt")
+        assert save_bpe(got, path) == save_bpe(want, path)
+
+        sentences = list(corpus) + probes
+        for sent in sentences:
+            assert encode(sent, got) == ref_encode(sent, want)
+        mono = TaggedDataset("m", SIDE_MONO_SOURCE, "<mono>", sentences=tuple(sentences))
+        assert encode_dataset(mono, got).sentences == \
+            tuple(ref_encode(s, want) for s in sentences)
+        para = TaggedDataset("p", SIDE_PARALLEL, TAG_IN_DOMAIN,
+                             pairs=tuple(zip(sentences, reversed(sentences))))
+        assert encode_dataset(para, got).pairs == \
+            tuple((ref_encode(s, want), ref_encode(t, want)) for s, t in para.pairs)
+
+    def test_empty_and_too_small_vocab_match_reference(self):
+        for corpus, size in (([], 5), ([("abcdef",)], 3)):
+            with pytest.raises(DataError) as want:
+                ref_learn_bpe(corpus, size)
+            with pytest.raises(DataError) as got:
+                learn_bpe(corpus, size)
+            assert str(got.value) == str(want.value)
+
+
+class TestEncodeDatasetSegmentsOnce:
+    def test_one_segmentation_per_distinct_word(self, monkeypatch):
+        model = learn_bpe([("abab", "abba", "baab")] * 3, vocab_size=8)
+        ds = TaggedDataset("p", SIDE_PARALLEL, TAG_IN_DOMAIN, pairs=(
+            ((TAG_IN_DOMAIN, "abab", "abab", "zz"), ("abba", UNK_TOKEN, "abab")),
+            (("baab", "abab"), ("zz", "abba", "abba")),
+        ))
+        want = tuple((ref_encode(s, model), ref_encode(t, model)) for s, t in ds.pairs)
+        calls = Counter()
+        real = subword._word_pieces
+
+        def counting(word, merges):
+            calls[word] += 1
+            return real(word, merges)
+
+        monkeypatch.setattr(subword, "_word_pieces", counting)
+        assert encode_dataset(ds, model).pairs == want
+        assert calls == Counter({"abab": 1, "abba": 1, "baab": 1, "zz": 1})
+        calls.clear()
+        encode_dataset(ds, model)
+        assert sum(calls.values()) == 4  # nothing is kept between calls
 
 
 class TestLearnBpe:
@@ -119,7 +277,8 @@ class TestSerialization:
         corpus = [("abcabc", "xyxy")] * 5
         model = learn_bpe(corpus, vocab_size=12)
         path = str(tmp_path / "bpe.txt")
-        save_bpe(model, path)
+        text = save_bpe(model, path)
+        assert open(path, encoding="utf-8").read() == text
         loaded = load_bpe(path)
         assert loaded.merges == model.merges
         assert loaded.joiner == model.joiner

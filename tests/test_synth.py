@@ -1,4 +1,5 @@
 import hashlib
+import json
 from collections import Counter
 
 import numpy as np
@@ -171,6 +172,26 @@ class TestSpec:
         path = str(tmp_path / "spec.json")
         save_spec(spec, path)
         assert load_spec(path) == spec
+
+    @pytest.mark.parametrize("key", ["vocab_size", "lexicon", "noise_rate", "max_len"])
+    def test_spec_file_missing_key_is_data_error(self, tmp_path, key):
+        path = tmp_path / "spec.json"
+        save_spec(small_spec(14), str(path))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc[key]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match=f"missing key '{key}'") as err:
+            load_spec(str(path))
+        assert str(path) in str(err.value)
+
+    def test_spec_file_wrong_type_is_data_error(self, tmp_path):
+        path = tmp_path / "spec.json"
+        save_spec(small_spec(14), str(path))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["lexicon"] = ["aa", "AA"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match="'lexicon' has the wrong type"):
+            load_spec(str(path))
 
     def test_make_spec_deterministic(self):
         assert make_spec(50, seed=3) == make_spec(50, seed=3)
