@@ -23,55 +23,39 @@ from .corpus import (
 )
 from .rerank import RerankContext, rerank
 from .tm import translate_nbest
-from .util import DataError, ordered_map
+from .util import DataError
 
 DECODE_BEAM = "beam"
 DECODE_RERANK = "rerank"
 
-def _decode_chunk(args):
-    model, sources, nbest, ctx = args
-    out = []
-    for source in sources:
-        nb = translate_nbest(model, source, nbest)
-        if ctx is not None:
-            nb = rerank(nb, ctx.channel_model, ctx.lm, ctx.weights)
-        out.append(nb)
-    return out
-
 
 def decode_nbest_lists(model, sources: list[Sentence], *, nbest: int,
-                       eval_ctx=None, rerank_ctx: RerankContext | None = None,
-                       workers: int = 1):
-    """Decode each source to an n-best list, optionally rerank-scoring it.
-
-    Output order equals input order regardless of the worker count.
-    """
+                       eval_ctx=None, rerank_ctx: RerankContext | None = None):
+    """Decode each source to an n-best list, optionally rerank-scoring it."""
     tagged = list(sources)
     if eval_ctx is not None and eval_ctx.tag is not None:
         tagged = [s if s and s[0] == eval_ctx.tag else (eval_ctx.tag,) + tuple(s)
                   for s in tagged]
-    n_chunks = max(1, min(workers * 4, len(tagged))) if workers > 1 else 1
-    size = -(-len(tagged) // n_chunks)
-    chunks = [tagged[i:i + size] for i in range(0, len(tagged), size)]
-    results = ordered_map(_decode_chunk,
-                          [(model, chunk, nbest, rerank_ctx) for chunk in chunks],
-                          workers=workers)
-    return [nb for chunk in results for nb in chunk]
+    out = []
+    for source in tagged:
+        nb = translate_nbest(model, source, nbest)
+        if rerank_ctx is not None:
+            nb = rerank(nb, rerank_ctx.channel_model, rerank_ctx.lm, rerank_ctx.weights)
+        out.append(nb)
+    return out
 
 
 def translate_corpus(model, sources: list[Sentence], *, decode: str = DECODE_BEAM,
                      rerank_ctx: RerankContext | None = None, eval_ctx=None,
-                     nbest: int = 50, workers: int = 1) -> list[Sentence]:
+                     nbest: int = 50) -> list[Sentence]:
     """Top-1 translations for a list of sources, beam or reranked."""
     if decode == DECODE_RERANK:
         if rerank_ctx is None:
             raise DataError("rerank decoding needs a RerankContext")
         lists = decode_nbest_lists(model, sources, nbest=rerank_ctx.nbest,
-                                   eval_ctx=eval_ctx, rerank_ctx=rerank_ctx,
-                                   workers=workers)
+                                   eval_ctx=eval_ctx, rerank_ctx=rerank_ctx)
     elif decode == DECODE_BEAM:
-        lists = decode_nbest_lists(model, sources, nbest=nbest, eval_ctx=eval_ctx,
-                                   workers=workers)
+        lists = decode_nbest_lists(model, sources, nbest=nbest, eval_ctx=eval_ctx)
     else:
         raise DataError(f"unknown decode mode {decode!r}")
     return [nb.top().hyp for nb in lists]
@@ -79,9 +63,9 @@ def translate_corpus(model, sources: list[Sentence], *, decode: str = DECODE_BEA
 
 def _generate(model, mono: TaggedDataset, decode: str,
               rerank_ctx: RerankContext | None, keep_side: str, tag: str,
-              name: str, workers: int) -> TaggedDataset:
+              name: str) -> TaggedDataset:
     hyps = translate_corpus(model, list(mono.sentences), decode=decode,
-                            rerank_ctx=rerank_ctx, workers=workers)
+                            rerank_ctx=rerank_ctx)
     pairs = []
     dropped = 0
     for sent, hyp in zip(mono.sentences, hyps):
@@ -95,7 +79,7 @@ def _generate(model, mono: TaggedDataset, decode: str,
 
 def back_translate(g, mono_target: TaggedDataset, decode: str = DECODE_BEAM,
                    rerank_ctx: RerankContext | None = None, *,
-                   target_lang: str = "tgt", workers: int = 1) -> TaggedDataset:
+                   target_lang: str = "tgt") -> TaggedDataset:
     """Pair each monolingual target sentence with its backward translation.
 
     `g` must translate target -> source; real targets are preserved verbatim
@@ -109,13 +93,12 @@ def back_translate(g, mono_target: TaggedDataset, decode: str = DECODE_BEAM,
     if decode == DECODE_RERANK and rerank_ctx is None:
         raise DataError("rerank decoding needs a RerankContext")
     return _generate(g, mono_target, decode, rerank_ctx, keep_side="target",
-                     tag=TAG_BACK_TRANSLATED, name=f"bt-{mono_target.name}",
-                     workers=workers)
+                     tag=TAG_BACK_TRANSLATED, name=f"bt-{mono_target.name}")
 
 
 def self_train(f, mono_source: TaggedDataset, decode: str = DECODE_BEAM,
                rerank_ctx: RerankContext | None = None, *,
-               source_lang: str = "src", workers: int = 1) -> TaggedDataset:
+               source_lang: str = "src") -> TaggedDataset:
     """Pair each monolingual source sentence with its forward translation.
 
     `f` must translate source -> target; real sources are preserved verbatim
@@ -129,8 +112,7 @@ def self_train(f, mono_source: TaggedDataset, decode: str = DECODE_BEAM,
     if decode == DECODE_RERANK and rerank_ctx is None:
         raise DataError("rerank decoding needs a RerankContext")
     return _generate(f, mono_source, decode, rerank_ctx, keep_side="source",
-                     tag=TAG_SELF_TRAINED, name=f"st-{mono_source.name}",
-                     workers=workers)
+                     tag=TAG_SELF_TRAINED, name=f"st-{mono_source.name}")
 
 
 def assemble_training_mix(bitext: TaggedDataset, st: TaggedDataset | None = None,

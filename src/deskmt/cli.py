@@ -57,8 +57,7 @@ def _load_models(paths: list[str]):
 
 
 def _save_model(model, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(tm.model_json(model)[0] + "\n")
+    write_text_atomic(path, tm.model_json(model)[0] + "\n")
 
 
 def _load_lm(path: str):
@@ -215,7 +214,7 @@ def cmd_search(args) -> int:
         space, args.trials, args.seed,
         partial(search.trial_mix, bitext=bitext, st=st, bt=bt), dev,
         eval_ctx=_eval_ctx(args, bpe), patience=args.patience,
-        workers=args.workers, src_lang=langs[0], tgt_lang=langs[1])
+        src_lang=langs[0], tgt_lang=langs[1])
     os.makedirs(args.out_dir, exist_ok=True)
     search.append_trial_log(results, os.path.join(args.out_dir, "runlog.jsonl"))
     for i, r in enumerate(results):
@@ -244,20 +243,18 @@ def cmd_translate(args) -> int:
     eval_ctx = _eval_ctx(args, bpe)
     if args.dump_nbest:
         lists = augment.decode_nbest_lists(model, sources, nbest=args.nbest,
-                                           eval_ctx=eval_ctx, rerank_ctx=rr,
-                                           workers=args.workers)
+                                           eval_ctx=eval_ctx, rerank_ctx=rr)
         rerank.write_nbest_file(lists, args.dump_nbest)
         hyps = [nb.top().hyp for nb in lists]
     else:
         hyps = augment.translate_corpus(model, sources, decode=args.mode,
                                         rerank_ctx=rr, eval_ctx=eval_ctx,
-                                        nbest=args.nbest, workers=args.workers)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        for hyp in hyps:
-            if bpe is not None:
-                fh.write(subword.decode(hyp, bpe, args.policy) + "\n")
-            else:
-                fh.write(" ".join(hyp) + "\n")
+                                        nbest=args.nbest)
+    if bpe is not None:
+        lines = [subword.decode(hyp, bpe, args.policy) for hyp in hyps]
+    else:
+        lines = [" ".join(hyp) for hyp in hyps]
+    write_text_atomic(args.output, "".join(line + "\n" for line in lines))
     print(f"translated {len(hyps)} sentences -> {args.output}")
     return EXIT_OK
 
@@ -284,8 +281,7 @@ def cmd_tune_lambdas(args) -> int:
         nbest=args.nbest, eval_ctx=_eval_ctx(args, bpe))
     doc = {"lambda1": weights.lambda1, "lambda2": weights.lambda2}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(stable_json_dumps(doc) + "\n")
+        write_text_atomic(args.out, stable_json_dumps(doc) + "\n")
     print(stable_json_dumps(doc))
     return EXIT_OK
 
@@ -299,21 +295,18 @@ def _cmd_augment(args, kind: str) -> int:
         if bpe is not None:
             ds = subword.encode_dataset(ds, bpe)
         out = augment.back_translate(model, ds, decode=args.mode, rerank_ctx=rr,
-                                     target_lang=args.mono_lang,
-                                     workers=args.workers)
+                                     target_lang=args.mono_lang)
     else:
         ds = load_corpus(args.mono, SIDE_MONO_SOURCE, tag="<mono>")
         if bpe is not None:
             ds = subword.encode_dataset(ds, bpe)
         out = augment.self_train(model, ds, decode=args.mode, rerank_ctx=rr,
-                                 source_lang=args.mono_lang,
-                                 workers=args.workers)
+                                 source_lang=args.mono_lang)
     save_corpus(out, args.out)
     provenance = {"generator": tm.model_hash(model), "decode": args.mode,
                   "lambdas": [args.lambda1, args.lambda2], "seed": args.seed,
                   "dropped": out.dropped, "tag": out.tag}
-    with open(args.out + ".prov.json", "w", encoding="utf-8") as fh:
-        fh.write(stable_json_dumps(provenance) + "\n")
+    write_text_atomic(args.out + ".prov.json", stable_json_dumps(provenance) + "\n")
     print(f"wrote {len(out.pairs)} pairs ({out.dropped} dropped) -> {args.out}")
     return EXIT_OK
 
@@ -332,8 +325,7 @@ def cmd_pipeline(args) -> int:
         iterations=args.iterations, trials=args.trials, topk=args.topk,
         seed=args.seed, bpe_vocab=args.bpe_vocab, nbest=args.nbest,
         tune_trials=args.tune_trials, patience=args.patience,
-        finetune_steps=args.finetune_steps, search_space=space,
-        workers=args.workers)
+        finetune_steps=args.finetune_steps, search_space=space)
     manifest = pipeline.run_pipeline(parallel, mono_src, mono_tgt, dev,
                                      args.run_dir, config)
     final = manifest.data["iterations"][-1]
@@ -371,8 +363,7 @@ def cmd_evaluate(args) -> int:
                                      eval_ctx=_eval_ctx(args, bpe),
                                      nbest=args.nbest)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(stable_json_dumps(report.to_dict()) + "\n")
+        write_text_atomic(args.report, stable_json_dumps(report.to_dict()) + "\n")
     print(report.format_text())
     return EXIT_OK
 
@@ -445,7 +436,6 @@ def build_parser() -> _Parser:
     p.add_argument("--space", default=None, help="search space JSON file")
     p.add_argument("--topk", type=int, default=0,
                    help="also export the top-k ensemble members")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(handler=cmd_search)
 
@@ -458,7 +448,6 @@ def build_parser() -> _Parser:
     p.add_argument("--policy", choices=[subword.POLICY_SPACED, subword.POLICY_UNSPACED],
                    default=subword.POLICY_SPACED)
     p.add_argument("--dump-nbest", default=None)
-    p.add_argument("--workers", type=int, default=1)
     _add_rerank_flags(p)
     p.set_defaults(handler=cmd_translate)
 
@@ -494,7 +483,6 @@ def build_parser() -> _Parser:
         p.add_argument("--bpe", default=None)
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
         _add_rerank_flags(p)
         p.set_defaults(handler=lambda a, k=kind: _cmd_augment(a, k))
 
@@ -515,7 +503,6 @@ def build_parser() -> _Parser:
     p.add_argument("--patience", type=int, default=search.DEFAULT_PATIENCE)
     p.add_argument("--finetune-steps", type=int, default=3)
     p.add_argument("--space", default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(handler=cmd_pipeline)
 
     p = sub.add_parser("mine", help="mine bitext from comparable documents")

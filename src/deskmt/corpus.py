@@ -11,7 +11,7 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 
-from .util import DataError, write_text_atomic
+from .util import DataError, doc_field, write_text_atomic
 
 Sentence = tuple[str, ...]
 Pair = tuple[Sentence, Sentence]
@@ -243,9 +243,7 @@ MANIFEST_VERSION = 1
 def save_manifest(entries: list[dict], path: str) -> None:
     """Write a dataset manifest: a JSON list of {name, path, side, tag, upsample}."""
     doc = {"version": MANIFEST_VERSION, "datasets": entries}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_manifest(path: str) -> list[TaggedDataset]:
@@ -255,15 +253,18 @@ def load_manifest(path: str) -> list[TaggedDataset]:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise DataError(f"cannot read manifest {path}: {e}") from e
-    if doc.get("version") != MANIFEST_VERSION:
+    if not isinstance(doc, dict) or doc.get("version") != MANIFEST_VERSION:
         raise DataError(f"unsupported manifest version in {path}")
     base = os.path.dirname(os.path.abspath(path))
     datasets = []
-    for entry in doc["datasets"]:
-        fpath = entry["path"]
+    for i, entry in enumerate(doc_field(doc, "datasets", list, path)):
+        what = f"{path}: datasets[{i}]"
+        fpath = doc_field(entry, "path", str, what)
         if not os.path.isabs(fpath):
             fpath = os.path.join(base, fpath)
+        tag = doc_field(entry, "tag", str, what) if "tag" in entry else TAG_IN_DOMAIN
+        upsample = doc_field(entry, "upsample", int, what) if "upsample" in entry else 1
         datasets.append(load_corpus(
-            fpath, entry["side"], name=entry["name"],
-            tag=entry.get("tag", TAG_IN_DOMAIN), upsample=int(entry.get("upsample", 1))))
+            fpath, doc_field(entry, "side", str, what),
+            name=doc_field(entry, "name", str, what), tag=tag, upsample=upsample))
     return datasets

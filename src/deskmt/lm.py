@@ -107,6 +107,14 @@ class NGramLM:
     def _term(self, history: tuple[str, ...], token: str) -> float:
         return float(self.cond_logprobs(history)[self.id_or_unk(token)])
 
+    def symbol_index(self, symbols: tuple[str, ...]) -> np.ndarray:
+        """Prediction-space ids of `symbols`; unknown symbols map to <unk>."""
+        return np.array([self.id_or_unk(s) for s in symbols], dtype=np.intp)
+
+    def cond_logprobs_at(self, context: tuple[str, ...], index: np.ndarray) -> np.ndarray:
+        """cond_logprobs(context) gathered at a `symbol_index`."""
+        return self.cond_logprobs(context)[index]
+
     def scorer_for(self, symbols: tuple[str, ...]) -> "_Scorer":
         return _Scorer(self, symbols)
 
@@ -142,26 +150,15 @@ class _Scorer:
 
     def __init__(self, lm, symbols: tuple[str, ...]):
         self.lm = lm
-        self.symbols = symbols
         self.eos_logprob = lm.eos_logprob
-        if isinstance(lm, InterpolatedLM):
-            self._base_idx = np.array([lm.base.id_or_unk(s) for s in symbols])
-            self._in_idx = np.array([lm.indomain.id_or_unk(s) for s in symbols])
-        else:
-            self._idx = np.array([lm.id_or_unk(s) for s in symbols], dtype=np.intp)
+        self._index = lm.symbol_index(symbols)
         self._cache: dict = {}
 
     def logvec(self, context: tuple[str, ...]) -> np.ndarray:
         vec = self._cache.get(context)
         if vec is not None:
             return vec
-        lm = self.lm
-        if isinstance(lm, InterpolatedLM):
-            pb = lm.base.cond_probs(context)[self._base_idx]
-            pi = lm.indomain.cond_probs(context)[self._in_idx]
-            vec = np.log((1.0 - lm.interp_alpha) * pb + lm.interp_alpha * pi)
-        else:
-            vec = lm.cond_logprobs(context)[self._idx]
+        vec = self.lm.cond_logprobs_at(context, self._index)
         if len(self._cache) > _CACHE_CAP:
             self._cache.clear()
         self._cache[context] = vec
@@ -228,6 +225,18 @@ class InterpolatedLM:
         pb = self.base.cond_probs(history)[self.base.id_or_unk(token)]
         pi = self.indomain.cond_probs(history)[self.indomain.id_or_unk(token)]
         return float(np.log((1.0 - a) * pb + a * pi))
+
+    def symbol_index(self, symbols: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+        return self.base.symbol_index(symbols), self.indomain.symbol_index(symbols)
+
+    def cond_logprobs_at(self, context: tuple[str, ...],
+                         index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Log-probabilities at a `symbol_index`, mixed in probability space."""
+        base_idx, in_idx = index
+        a = self.interp_alpha
+        pb = self.base.cond_probs(context)[base_idx]
+        pi = self.indomain.cond_probs(context)[in_idx]
+        return np.log((1.0 - a) * pb + a * pi)
 
     def scorer_for(self, symbols: tuple[str, ...]) -> _Scorer:
         return _Scorer(self, symbols)

@@ -50,6 +50,7 @@ from .util import (
     DataError,
     content_hash,
     derive_seed,
+    doc_field,
     sha256_bytes,
     sha256_text,
     stable_json_dumps,
@@ -75,6 +76,10 @@ class PipelineConfig:
     lm_alpha: float = 0.5
     init_config: TrialConfig = DEFAULT_CONFIG
     search_space: SearchSpace = field(default_factory=default_search_space)
+    # Decoding and search run in one process; run_pipeline rejects workers != 1.
+    # The field stays only because bench/workloads.py passes workers=1, and goes
+    # with the next change to bench/. It is not in params_dict, so run ids and
+    # manifests do not depend on it.
     workers: int = 1
 
     def params_dict(self) -> dict:
@@ -111,8 +116,11 @@ class PipelineManifest:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise DataError(f"cannot read manifest {path}: {e}") from e
-        if data.get("version") != MANIFEST_VERSION:
+        if not isinstance(data, dict) or data.get("version") != MANIFEST_VERSION:
             raise DataError(f"unsupported manifest version in {path}")
+        doc_field(data, "run_id", str, path)
+        doc_field(data, "stages_completed", list, path)
+        doc_field(data, "iterations", list, path)
         return cls(run_dir, data)
 
     def completed(self, stage: str) -> bool:
@@ -195,10 +203,10 @@ def run_pipeline(parallel: TaggedDataset, mono_src: TaggedDataset | None,
                  run_dir: str, config: PipelineConfig) -> PipelineManifest:
     """Run the iterative algorithm for config.iterations rounds.
 
-    Empty monolingual pools degenerate to the parallel-only regime: synthetic
-    data is generated from the bitext's own sides and the reranking LMs are
-    trained on the bitext alone. A failed stage leaves the manifest recording
-    everything completed so far; rerunning skips completed stages.
+    Empty or missing (None) monolingual pools give the parallel-only regime:
+    synthetic data is generated from the bitext's own sides and the reranking
+    LMs are trained on the bitext alone. A failed stage leaves the manifest
+    recording everything completed so far; rerunning skips completed stages.
     """
     if config.iterations < 1 or config.trials < 1:
         raise DataError("iterations and trials must be >= 1")
@@ -208,6 +216,9 @@ def run_pipeline(parallel: TaggedDataset, mono_src: TaggedDataset | None,
         raise DataError("the pipeline needs non-empty parallel data")
     if not dev.pairs:
         raise DataError("the pipeline needs a non-empty dev set")
+    if config.workers != 1:
+        raise DataError(f"workers must be 1 (decoding runs in one process), "
+                        f"got {config.workers}")
 
     parallel_only = not (mono_src and mono_src.sentences) and \
         not (mono_tgt and mono_tgt.sentences)
@@ -258,16 +269,6 @@ def run_pipeline(parallel: TaggedDataset, mono_src: TaggedDataset | None,
         raise
     manifest.save()
     return manifest
-
-
-def run_parallel_only(parallel: TaggedDataset, dev: TaggedDataset, run_dir: str,
-                      config: PipelineConfig | None = None) -> PipelineManifest:
-    """Parallel-only regime: monolingual pools are the bitext's own sides.
-
-    Defaults to a single round.
-    """
-    config = config or PipelineConfig()
-    return run_pipeline(parallel, None, None, dev, run_dir, config)
 
 
 class _PipelineState:
@@ -419,10 +420,10 @@ class _PipelineState:
         # lines 6-7: translate the monolingual pools with reranking
         st_ctx = RerankContext(self.bwd, self.lm_tgt, self.lambdas_fwd, cfg.nbest)
         f_data = self_train(self.fwd, self.mono_src, decode="rerank",
-                            rerank_ctx=st_ctx, workers=cfg.workers)
+                            rerank_ctx=st_ctx)
         bt_ctx = RerankContext(self.fwd, self.lm_src, self.lambdas_bwd, cfg.nbest)
         b_data = back_translate(self.bwd, self.mono_tgt, decode="rerank",
-                                rerank_ctx=bt_ctx, workers=cfg.workers)
+                                rerank_ctx=bt_ctx)
 
         f_ref = _save_dataset(
             manifest.run_dir, f_data, f"artifacts/datasets/iter{t}_F.tsv",
@@ -439,7 +440,7 @@ class _PipelineState:
         fwd_results = run_search(
             cfg.search_space, cfg.trials, self._seed(f"iter{t}/search/fwd"),
             partial(trial_mix, bitext=self.parallel, st=f_data, bt=b_data), self.dev,
-            eval_ctx=self.eval_ctx_fwd, patience=cfg.patience, workers=cfg.workers,
+            eval_ctx=self.eval_ctx_fwd, patience=cfg.patience,
             src_lang="src", tgt_lang="tgt")
         bwd_st = swap_dataset(b_data, tag=TAG_SELF_TRAINED, name=f"st-{b_data.name}")
         bwd_bt = swap_dataset(f_data, tag=TAG_BACK_TRANSLATED, name=f"bt-{f_data.name}")
@@ -447,7 +448,7 @@ class _PipelineState:
             cfg.search_space, cfg.trials, self._seed(f"iter{t}/search/bwd"),
             partial(trial_mix, bitext=self.parallel_swapped, st=bwd_st, bt=bwd_bt),
             self.dev_swapped,
-            eval_ctx=self.eval_ctx_bwd, patience=cfg.patience, workers=cfg.workers,
+            eval_ctx=self.eval_ctx_bwd, patience=cfg.patience,
             src_lang="tgt", tgt_lang="src")
 
         # lines 10-12: fine-tune on the in-domain bitext at the last round

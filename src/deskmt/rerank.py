@@ -19,7 +19,7 @@ from .corpus import TaggedDataset
 from .lm import LanguageModel, logprob
 from .metrics import STATS_WIDTH, bleu_from_stats, sentence_stats
 from .tm import LexModel, NBestEntry, NBestList, channel_scores
-from .util import DataError
+from .util import DataError, write_text_atomic
 
 LAMBDA_MAX = 3.0
 DEFAULT_NBEST = 50
@@ -166,14 +166,14 @@ def write_nbest_file(lists: list[NBestList], path: str) -> None:
     def fmt(value):
         return _UNSET if value is None else repr(value)
 
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#nbest v{NBEST_FILE_VERSION}\n")
-        for sid, nb in enumerate(lists):
-            fh.write(f"#source {sid} {' '.join(nb.source)}\n")
-            for rank, e in enumerate(nb.entries):
-                fields = [str(sid), str(rank), " ".join(e.hyp), fmt(e.fwd),
-                          fmt(e.channel), fmt(e.lm), fmt(e.combined)]
-                fh.write("\t".join(fields) + "\n")
+    lines = [f"#nbest v{NBEST_FILE_VERSION}\n"]
+    for sid, nb in enumerate(lists):
+        lines.append(f"#source {sid} {' '.join(nb.source)}\n")
+        for rank, e in enumerate(nb.entries):
+            fields = [str(sid), str(rank), " ".join(e.hyp), fmt(e.fwd),
+                      fmt(e.channel), fmt(e.lm), fmt(e.combined)]
+            lines.append("\t".join(fields) + "\n")
+    write_text_atomic(path, "".join(lines))
 
 
 def read_nbest_file(path: str) -> list[NBestList]:

@@ -20,7 +20,7 @@ from .ensemble import Ensemble
 from .lm import finetune_lm, logprob, train_lm
 from .metrics import EvalContext, bleu
 from .tm import EMTrainer, LexModel, forward_marginal, model_hash
-from .util import DataError, doc_field, ordered_map
+from .util import DataError, doc_field, write_text_atomic
 
 DEFAULT_TRIALS = 30
 DEFAULT_PATIENCE = 2
@@ -78,9 +78,8 @@ class SearchSpace:
                 raise DataError(f"search dimension {name!r} is empty")
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"version": 1, "dims": self.dims}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_text_atomic(path, json.dumps({"version": 1, "dims": self.dims},
+                                           indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "SearchSpace":
@@ -213,7 +212,7 @@ def trial_mix(config: TrialConfig, bitext: TaggedDataset, st: TaggedDataset | No
     upsampled by the config's ratios.
 
     Bind the datasets with `functools.partial` to get the `mix_builder` of
-    `run_search`; the partial pickles, so it also serves `workers > 1`.
+    `run_search`.
     """
     return assemble_training_mix(
         bitext, st if st is not None and st.pairs else None,
@@ -222,26 +221,18 @@ def trial_mix(config: TrialConfig, bitext: TaggedDataset, st: TaggedDataset | No
         upsample_bt=config.up_bt)
 
 
-def _run_one(args):
-    config, mix_builder, dev, eval_ctx, patience, src_lang, tgt_lang = args
-    mix = mix_builder(config)
-    return run_trial(config, mix, dev, eval_ctx=eval_ctx, patience=patience,
-                     src_lang=src_lang, tgt_lang=tgt_lang)
-
-
 def run_search(space: SearchSpace, n: int, seed: int, mix_builder, dev: TaggedDataset,
                *, eval_ctx: EvalContext | None = None,
-               patience: int | None = DEFAULT_PATIENCE, workers: int = 1,
+               patience: int | None = DEFAULT_PATIENCE,
                src_lang: str = "src", tgt_lang: str = "tgt") -> list[TrialResult]:
-    """Sample n configs and run every trial; results are schedule-independent.
+    """Sample n configs and run every trial, in sampling order.
 
     `mix_builder(config)` assembles the training mix for a configuration
     (upsampling ratios are config knobs, so the mix depends on the trial).
     """
-    configs = sample_configs(space, n, seed)
-    args = [(c, mix_builder, dev, eval_ctx, patience, src_lang, tgt_lang)
-            for c in configs]
-    return ordered_map(_run_one, args, workers=workers)
+    return [run_trial(config, mix_builder(config), dev, eval_ctx=eval_ctx,
+                      patience=patience, src_lang=src_lang, tgt_lang=tgt_lang)
+            for config in sample_configs(space, n, seed)]
 
 
 def append_trial_log(results: list[TrialResult], path: str) -> None:

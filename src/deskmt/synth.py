@@ -30,7 +30,7 @@ from .corpus import (
     Sentence,
     TaggedDataset,
 )
-from .util import NUMBER, DataError, derive_seed, doc_field
+from .util import NUMBER, DataError, derive_seed, doc_field, write_text_atomic
 
 _ALPHABET = "abcdefghijklmnop"
 DEFAULT_VOCAB = 200
@@ -317,9 +317,7 @@ def save_spec(spec: SynthSpec, path: str) -> None:
         "max_len": spec.max_len,
         "bigram_boost": spec.bigram_boost,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_spec(path: str) -> SynthSpec:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import UNK_TOKEN, DataMix, Sentence, is_tag, strip_tag
-from .lm import LanguageModel, train_lm
+from .lm import LanguageModel, lm_from_dict, lm_to_dict, train_lm
 from .util import NUMBER, DataError, doc_field, doc_strings, sha256_text, stable_json_dumps
 
 NULL = "<null>"
@@ -481,7 +481,6 @@ FORMAT_VERSION = 1
 
 
 def model_to_dict(model: LexModel) -> dict:
-    from .lm import lm_to_dict
     rows = []
     for i in range(len(model.src_vocab)):
         nz = np.flatnonzero(model.t[i])
@@ -499,7 +498,6 @@ def model_to_dict(model: LexModel) -> dict:
 
 def model_from_dict(doc: dict) -> LexModel:
     """Inverse of model_to_dict; a malformed document raises DataError naming the key."""
-    from .lm import lm_from_dict
     what = "model document"
     if not isinstance(doc, dict) or doc.get("version") != FORMAT_VERSION \
             or doc.get("kind") != "lex":

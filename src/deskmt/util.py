@@ -1,12 +1,11 @@
-"""Shared plumbing: deterministic hashing, seed derivation, stable JSON, parallel map."""
+"""Shared plumbing: deterministic hashing, seed derivation, stable JSON, atomic writes."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
-from typing import Any, Callable, Sequence
+from typing import Any
 
 
 class DataError(ValueError):
@@ -86,22 +85,3 @@ def derive_seed(master: int, label: str) -> int:
     """
     digest = hashlib.sha256(f"{master}:{label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def _call(args):
-    fn, item = args
-    return fn(item)
-
-
-def ordered_map(fn: Callable, items: Sequence, workers: int = 1) -> list:
-    """Map fn over items, optionally with a process pool.
-
-    Output order always equals input order, so results are independent of the
-    worker count.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    chunk = max(1, len(items) // (workers * 4))
-    with multiprocessing.Pool(processes=workers) as pool:
-        return pool.map(_call, [(fn, item) for item in items], chunksize=chunk)

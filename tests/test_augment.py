@@ -185,14 +185,6 @@ class TestGeneration:
         b = back_translate(g, mt, target_lang="tgt")
         assert a.pairs == b.pairs
 
-    def test_workers_do_not_change_output(self):
-        f = identity_model(["a", "b", "c"])
-        sentences = [f"{x} {y}" for x in "abc" for y in "abc"]
-        ms = mono("ms", SIDE_MONO_SOURCE, sentences)
-        seq = self_train(f, ms, workers=1)
-        par = self_train(f, ms, workers=2)
-        assert seq.pairs == par.pairs
-
     def test_translate_corpus_order_preserved(self):
         f = identity_model(["a", "b"])
         sources = [("a",), ("b",), ("a", "b")]

@@ -62,6 +62,25 @@ class TestExitCodes:
         assert main([*common, "--model", "broken.json", "--bpe", "bpe.txt"]) == EXIT_DATA
         assert main([*common, "--model", "fwd.json", "--bpe", "broken_bpe.txt"]) == EXIT_DATA
 
+    @pytest.mark.parametrize("argv", [
+        ["search", "--parallel", "p.tsv", "--dev", "d.tsv", "--out-dir", "o"],
+        ["translate", "--model", "m.json", "--input", "i.txt", "--output", "o.txt"],
+        ["augment-bt", "--model", "m.json", "--mono", "m.txt", "--out", "o.tsv"],
+        ["augment-st", "--model", "m.json", "--mono", "m.txt", "--out", "o.tsv"],
+        ["pipeline", "--parallel", "p.tsv", "--dev", "d.tsv", "--run-dir", "r"],
+    ], ids=lambda argv: argv[0])
+    def test_workers_flag_is_gone(self, argv, capsys):
+        assert main([*argv, "--workers", "1"]) == EXIT_USAGE
+        assert "--workers" in capsys.readouterr().err
+
+    def test_malformed_run_manifest_is_2(self, workspace, capsys):
+        os.makedirs("badrun", exist_ok=True)
+        with open("badrun/manifest.json", "w", encoding="utf-8") as fh:
+            json.dump({"version": 1}, fh)
+        assert main(["pipeline", "--parallel", "bundle/parallel.tsv", "--dev",
+                     "bundle/dev.tsv", "--run-dir", "badrun"]) == EXIT_DATA
+        assert "run_id" in capsys.readouterr().err
+
     def test_help_is_0(self):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--help"])

@@ -1,9 +1,13 @@
-"""No deskmt module reaches into another module's private names.
+"""Import rules checked on the source of every deskmt module.
 
-A name that starts with one underscore is private to the module that
-defines it. This test parses every module of the package and fails on
-`from .other import _name` (or `from deskmt.other import _name`) and on
-`other._name` where `other` is bound to a deskmt module.
+No module reaches into another module's private names. A name that starts
+with one underscore is private to the module that defines it; the check
+fails on `from .other import _name` (or `from deskmt.other import _name`)
+and on `other._name` where `other` is bound to a deskmt module.
+
+No module imports `multiprocessing`, `concurrent` or `threading`. The
+library runs in one process; a pool has to come with a benchmark that
+shows it pays on this system.
 """
 
 import ast
@@ -13,6 +17,14 @@ import deskmt
 
 PACKAGE = "deskmt"
 SRC = os.path.dirname(deskmt.__file__)
+CONCURRENCY_MODULES = ("multiprocessing", "concurrent", "threading")
+
+
+def _module_sources():
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
+                yield fname, fh.read()
 
 
 def _private(name: str) -> bool:
@@ -48,15 +60,30 @@ def private_uses(source: str) -> list[str]:
     return found
 
 
+def concurrency_imports(source: str) -> list[str]:
+    """`line: module` of every absolute import of a process or thread module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"{node.lineno}: {name}" for name in names
+                  if name.split(".")[0] in CONCURRENCY_MODULES]
+    return found
+
+
 def test_no_private_names_across_modules():
-    offenders = {}
-    for fname in sorted(os.listdir(SRC)):
-        if fname.endswith(".py"):
-            with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
-                uses = private_uses(fh.read())
-            if uses:
-                offenders[fname] = uses
-    assert offenders == {}
+    offenders = {fname: private_uses(source) for fname, source in _module_sources()}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_no_process_or_thread_pools():
+    offenders = {fname: concurrency_imports(source)
+                 for fname, source in _module_sources()}
+    assert {k: v for k, v in offenders.items() if v} == {}
 
 
 def test_detects_both_forms():
@@ -68,4 +95,17 @@ def test_detects_both_forms():
         "2: from .search import _run_one",
         "3: from deskmt.tm import _split_tag",
         "4: pipeline._helper",
+    ]
+
+
+def test_detects_concurrency_imports():
+    source = ("import os, multiprocessing\n"
+              "from concurrent.futures import ProcessPoolExecutor\n"
+              "import threading as th\n"
+              "from . import threading_notes\n"
+              "from .util import threading\n")
+    assert concurrency_imports(source) == [
+        "1: multiprocessing",
+        "2: concurrent.futures",
+        "3: threading",
     ]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -10,13 +11,15 @@ from deskmt.corpus import (
     build_mix,
     load_corpus,
     save_corpus,
+    save_manifest,
 )
 from deskmt.ensemble import Ensemble
-from deskmt.pipeline import PipelineConfig, PipelineManifest, run_parallel_only, run_pipeline
-from deskmt.search import SearchSpace, TrialConfig
+from deskmt.pipeline import PipelineConfig, PipelineManifest, run_pipeline
+from deskmt.rerank import write_nbest_file
+from deskmt.search import SearchSpace, TrialConfig, default_search_space
 from deskmt.subword import learn_bpe, save_bpe
-from deskmt.synth import gen_corpora, make_spec
-from deskmt.tm import em_train
+from deskmt.synth import gen_corpora, make_spec, save_spec
+from deskmt.tm import NBestEntry, NBestList, em_train
 from deskmt.util import DataError, sha256_text
 
 
@@ -119,16 +122,6 @@ class TestDeterminismAndResume:
         blobs = [open(os.path.join(d, "manifest.json"), "rb").read() for d in dirs]
         assert blobs[0] == blobs[1]
 
-    def test_identical_manifests_across_worker_counts(self, tmp_path):
-        bundle = tiny_bundle(seed=11)
-        blobs = []
-        for workers in (1, 2):
-            run_dir = str(tmp_path / f"w{workers}")
-            run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt,
-                         bundle.dev, run_dir, tiny_config(workers=workers))
-            blobs.append(open(os.path.join(run_dir, "manifest.json"), "rb").read())
-        assert blobs[0] == blobs[1]
-
     def test_resume_skips_and_reproduces(self, finished_run):
         bundle, config, run_dir, _ = finished_run
         before = open(os.path.join(run_dir, "manifest.json"), "rb").read()
@@ -163,16 +156,16 @@ class TestDeterminismAndResume:
 class TestParallelOnly:
     def test_completes_without_monolingual_data(self, tmp_path):
         bundle = tiny_bundle(seed=17)
-        manifest = run_parallel_only(bundle.parallel, bundle.dev,
-                                     str(tmp_path / "r"), tiny_config())
+        manifest = run_pipeline(bundle.parallel, None, None, bundle.dev,
+                                str(tmp_path / "r"), tiny_config())
         assert manifest.data["inputs"]["parallel_only"] is True
         assert len(manifest.data["iterations"]) == 1
 
     def test_synthetic_data_comes_from_bitext_sides(self, tmp_path):
         bundle = tiny_bundle(seed=19)
         run_dir = str(tmp_path / "r")
-        manifest = run_parallel_only(bundle.parallel, bundle.dev, run_dir,
-                                     tiny_config(trials=1, topk=1))
+        manifest = run_pipeline(bundle.parallel, None, None, bundle.dev, run_dir,
+                                tiny_config(trials=1, topk=1))
         record = manifest.data["iterations"][0]
         f_path = manifest.artifact_path(record["synthetic"]["F"])
         st = load_corpus(f_path, "parallel", tag=TAG_SELF_TRAINED)
@@ -184,8 +177,8 @@ class TestParallelOnly:
 
     def test_default_single_iteration(self, tmp_path):
         bundle = tiny_bundle(seed=23)
-        manifest = run_parallel_only(bundle.parallel, bundle.dev,
-                                     str(tmp_path / "r"), tiny_config())
+        manifest = run_pipeline(bundle.parallel, None, None, bundle.dev,
+                                str(tmp_path / "r"), tiny_config())
         assert manifest.data["params"]["iterations"] == 1
 
 
@@ -199,6 +192,29 @@ class TestValidation:
         with pytest.raises(DataError):
             run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt,
                          bundle.dev, str(tmp_path / "r"), tiny_config(iterations=0))
+
+    def test_more_than_one_worker_rejected(self, tmp_path):
+        bundle = tiny_bundle(seed=29)
+        with pytest.raises(DataError, match="workers"):
+            run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt,
+                         bundle.dev, str(tmp_path / "r"), tiny_config(workers=2))
+        assert not os.path.exists(tmp_path / "r")
+
+    @pytest.mark.parametrize("doc", [
+        {"version": 1},
+        {"version": 1, "run_id": "x", "stages_completed": []},
+        {"version": 1, "run_id": 7, "stages_completed": [], "iterations": []},
+        {"version": 1, "run_id": "x", "stages_completed": "setup", "iterations": []},
+        [1],
+    ], ids=["no-run-id", "no-iterations", "int-run-id", "str-stages", "list"])
+    def test_malformed_manifest_is_data_error(self, tmp_path, doc):
+        (tmp_path / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(str(tmp_path / "manifest.json"))):
+            PipelineManifest.load(str(tmp_path))
+        bundle = tiny_bundle(seed=29)
+        with pytest.raises(DataError):
+            run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt,
+                         bundle.dev, str(tmp_path), tiny_config())
 
 
 class TestNoRecomputation:
@@ -316,16 +332,30 @@ def _parallel(n):
     return TaggedDataset("p", "parallel", "<d:in>", pairs=((("a",) * n, ("b",)),))
 
 
+def _entries(n):
+    return [{"name": "p", "path": "p.tsv", "side": "parallel", "upsample": n}]
+
+
+def _nbest(n):
+    return [NBestList(("a",), [NBestEntry(("b",) * (k + 1), -1.0 - k) for k in range(n)])]
+
+
 class TestCrashSafety:
     @pytest.mark.parametrize("save,first,second", [
         (save_bpe, learn_bpe(_BPE_CORPUS, 4), learn_bpe(_BPE_CORPUS, 6)),
         (save_corpus, _parallel(1), _parallel(3)),
-    ], ids=["save_bpe", "save_corpus"])
+        (save_manifest, _entries(1), _entries(3)),
+        (save_spec, make_spec(vocab_size=8, seed=1), make_spec(vocab_size=12, seed=2)),
+        (SearchSpace.save, tiny_space(), default_search_space()),
+        (write_nbest_file, _nbest(1), _nbest(3)),
+    ], ids=["save_bpe", "save_corpus", "save_manifest", "save_spec",
+            "SearchSpace.save", "write_nbest_file"])
     def test_crash_mid_write_keeps_previous_file(self, tmp_path, monkeypatch, save,
                                                  first, second):
         import deskmt.util as util
         path = str(tmp_path / "artifact.txt")
-        text = save(first, path)
+        save(first, path)
+        text = open(path, encoding="utf-8").read()
         real_open = open
         monkeypatch.setattr(util, "open",
                             lambda p, mode="r", **kw: _HalfWriter(real_open(p, mode, **kw)),

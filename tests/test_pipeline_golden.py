@@ -1,8 +1,7 @@
 """Golden manifest digests of the pipeline.
 
 The fixture holds the sha256 of `manifest.json` after the two-round, top-2
-run of `test_pipeline.py`'s `finished_run` fixture, once with one worker and
-once with two. The manifest records the hash of every model, ensemble,
+run of `test_pipeline.py`'s `finished_run` fixture. The manifest records the hash of every model, ensemble,
 dataset and language model the run wrote, and the dev BLEU and tuned weights
 of each round, so any change to training, decoding, reranking, ensembling or
 serialization shows up here as a mismatch.
@@ -23,21 +22,16 @@ from test_pipeline import tiny_bundle, tiny_config
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "pipeline_golden.json")
 
-WORKERS = (1, 2)
-
-
-def manifest_digest(run_dir: str, workers: int) -> str:
+def manifest_digest(run_dir: str) -> str:
     bundle = tiny_bundle()
     manifest = run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt,
-                            bundle.dev, run_dir,
-                            tiny_config(iterations=2, workers=workers))
+                            bundle.dev, run_dir, tiny_config(iterations=2))
     with open(manifest.path, "rb") as fh:
         return sha256_bytes(fh.read())
 
 
 def digests(base: str) -> dict:
-    return {f"workers={w}": manifest_digest(os.path.join(base, f"w{w}"), w)
-            for w in WORKERS}
+    return {"workers=1": manifest_digest(os.path.join(base, "w1"))}
 
 
 def test_pipeline_manifests_match_golden_fixture(tmp_path):
