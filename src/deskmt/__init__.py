@@ -5,7 +5,7 @@ Library layout, one module per subsystem:
 - corpus    sentence datasets, domain tags, upsampled training mixes
 - subword   BPE learn/encode/decode
 - lm        smoothed n-gram language models
-- tm        lexical translation model: EM training, windowed beam decoding
+- tm        lexical translation model: EM training, beam and corpus decoding
 - rerank    noisy-channel n-best reranking and weight tuning
 - ensemble  probability-averaged model ensembles
 - augment   back-translation / self-training data generation

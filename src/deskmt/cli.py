@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 
@@ -152,7 +153,6 @@ def cmd_synth_gen(args) -> int:
     sizes = {"parallel": args.parallel, "mono_src": args.mono_src,
              "mono_tgt": args.mono_tgt, "dev": args.dev, "test": args.test}
     bundle = synth.gen_corpora(spec, sizes)
-    import os
     os.makedirs(args.out, exist_ok=True)
     synth.save_spec(spec, os.path.join(args.out, "spec.json"))
     entries = []
@@ -203,7 +203,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_search(args) -> int:
-    import os
     if not 0 <= args.topk <= args.trials:
         raise DataError(f"--topk must lie in [0, --trials], got {args.topk}")
     bpe = _maybe_bpe(args)
@@ -239,17 +238,11 @@ def cmd_translate(args) -> int:
     sources = list(ds.sentences)
     if bpe is not None:
         sources = [subword.encode(s, bpe) for s in sources]
-    rr = _rerank_ctx(args)
-    eval_ctx = _eval_ctx(args, bpe)
+    lists = tm.translate_corpus(model, sources, args.nbest, tag=args.tag,
+                                rerank_ctx=_rerank_ctx(args))
     if args.dump_nbest:
-        lists = augment.decode_nbest_lists(model, sources, nbest=args.nbest,
-                                           eval_ctx=eval_ctx, rerank_ctx=rr)
         rerank.write_nbest_file(lists, args.dump_nbest)
-        hyps = [nb.top().hyp for nb in lists]
-    else:
-        hyps = augment.translate_corpus(model, sources, decode=args.mode,
-                                        rerank_ctx=rr, eval_ctx=eval_ctx,
-                                        nbest=args.nbest)
+    hyps = [nb.top().hyp for nb in lists]
     if bpe is not None:
         lines = [subword.decode(hyp, bpe, args.policy) for hyp in hyps]
     else:
@@ -294,13 +287,13 @@ def _cmd_augment(args, kind: str) -> int:
         ds = load_corpus(args.mono, SIDE_MONO_TARGET, tag="<mono>")
         if bpe is not None:
             ds = subword.encode_dataset(ds, bpe)
-        out = augment.back_translate(model, ds, decode=args.mode, rerank_ctx=rr,
+        out = augment.back_translate(model, ds, rerank_ctx=rr,
                                      target_lang=args.mono_lang)
     else:
         ds = load_corpus(args.mono, SIDE_MONO_SOURCE, tag="<mono>")
         if bpe is not None:
             ds = subword.encode_dataset(ds, bpe)
-        out = augment.self_train(model, ds, decode=args.mode, rerank_ctx=rr,
+        out = augment.self_train(model, ds, rerank_ctx=rr,
                                  source_lang=args.mono_lang)
     save_corpus(out, args.out)
     provenance = {"generator": tm.model_hash(model), "decode": args.mode,

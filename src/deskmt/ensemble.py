@@ -18,7 +18,7 @@ class Ensemble(LexModel):
     """Mean-table model over `members`, with the first member's LM and settings.
 
     The artifact of an ensemble is the ordered list of its members' hashes
-    (see `tm.model_json`), not its table.
+    (see `artifact`), not its table.
     """
 
     def __init__(self, members: list[LexModel]):
@@ -40,7 +40,6 @@ class Ensemble(LexModel):
                          unk_floor=first.unk_floor, tag_bias=first.tag_bias)
         self.members = list(members)
 
-
-def ensemble_to_dict(e: Ensemble) -> dict:
-    """Ensemble manifest: the ordered list of member artifact hashes."""
-    return {"kind": "ensemble", "members": [model_hash(m) for m in e.members]}
+    def artifact(self) -> dict:
+        """Ensemble manifest: the ordered list of member artifact hashes."""
+        return {"kind": "ensemble", "members": [model_hash(m) for m in self.members]}

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .corpus import Sentence, strip_tag
 from .subword import POLICY_SPACED, BpeModel, decode as bpe_decode
+from .tm import model_hash, translate_corpus
 from .util import DataError
 
 BLEU_ORDER = 4
@@ -37,6 +38,17 @@ class EvalContext:
         if self.bpe is None:
             return tuple(strip_tag(sentence))
         return tuple(bpe_decode(strip_tag(sentence), self.bpe, self.policy).split())
+
+
+def surface_of(eval_ctx: EvalContext | None):
+    """The tokens BLEU scores of a decoded or reference sentence.
+
+    Subword output is detokenized through the context; without a BPE model
+    the sentence is scored as it is.
+    """
+    if eval_ctx is not None and eval_ctx.bpe is not None:
+        return eval_ctx.detok_tokens
+    return tuple
 
 
 def _ngrams(sentence: Sentence, n: int) -> Counter:
@@ -134,26 +146,25 @@ def evaluate_system(model, test, decode: str = "beam", *, rerank_ctx=None,
                     eval_ctx=None, nbest: int = 50) -> EvalReport:
     """Decode every test source and score BLEU against the references.
 
-    `model` is a LexModel (an Ensemble too); `decode` is "beam" or "rerank" (the
-    latter needs a RerankContext). An EvalContext controls subword inversion
-    and the tag prepended to sources before decoding.
+    `model` is a LexModel (an Ensemble too); `decode` is "beam" or "rerank".
+    "beam" ignores `rerank_ctx`; "rerank" needs one. An EvalContext controls
+    subword inversion and the tag prepended to sources before decoding.
     """
-    from .augment import translate_corpus
-    from .tm import model_hash as hash_of
-
+    if decode == "beam":
+        rerank_ctx = None
+    elif decode != "rerank":
+        raise DataError(f"unknown decode mode {decode!r}")
+    elif rerank_ctx is None:
+        raise DataError("rerank decoding needs a RerankContext")
     pairs = list(test.pairs)
     if not pairs:
         raise DataError("evaluation needs a non-empty test set")
-    sources = [src for src, _ in pairs]
-    hyps = translate_corpus(model, sources, decode=decode, rerank_ctx=rerank_ctx,
-                            eval_ctx=eval_ctx, nbest=nbest)
-
-    if eval_ctx is not None and eval_ctx.bpe is not None:
-        hyp_tokens = [eval_ctx.detok_tokens(h) for h in hyps]
-        ref_tokens = [eval_ctx.detok_tokens(r) for _, r in pairs]
-    else:
-        hyp_tokens = [tuple(h) for h in hyps]
-        ref_tokens = [tuple(r) for _, r in pairs]
+    lists = translate_corpus(model, [src for src, _ in pairs], nbest,
+                             tag=eval_ctx.tag if eval_ctx else None,
+                             rerank_ctx=rerank_ctx)
+    surface = surface_of(eval_ctx)
+    hyp_tokens = [surface(nb.top().hyp) for nb in lists]
+    ref_tokens = [surface(r) for _, r in pairs]
 
     score = bleu(hyp_tokens, ref_tokens)
     per_sentence = [
@@ -162,8 +173,8 @@ def evaluate_system(model, test, decode: str = "beam", *, rerank_ctx=None,
         for (src, _), h, r in zip(pairs, hyp_tokens, ref_tokens)
     ]
     lambdas = None
-    if rerank_ctx is not None and decode == "rerank":
+    if rerank_ctx is not None:
         lambdas = (rerank_ctx.weights.lambda1, rerank_ctx.weights.lambda2)
     return EvalReport(bleu=score, sentence_count=len(pairs), decode=decode,
-                      lambdas=lambdas, model_hash=hash_of(model),
+                      lambdas=lambdas, model_hash=model_hash(model),
                       per_sentence=per_sentence)

@@ -47,6 +47,7 @@ from .search import (
 from .subword import encode_dataset, learn_bpe, load_bpe, save_bpe
 from .tm import em_train, model_from_dict, model_hash, model_json
 from .util import (
+    NUMBER,
     DataError,
     content_hash,
     derive_seed,
@@ -132,18 +133,28 @@ class PipelineManifest:
         self.save()
 
     def artifact_path(self, ref: dict) -> str:
-        return os.path.join(self.run_dir, ref["path"])
+        return os.path.join(self.run_dir, doc_field(ref, "path", str, self.path))
 
     def verify(self, ref: dict) -> str:
         path = self.artifact_path(ref)
+        expected = doc_field(ref, "hash", str, self.path)
         try:
             with open(path, "rb") as fh:
                 digest = sha256_bytes(fh.read())
         except OSError as e:
             raise DataError(f"missing artifact {ref['path']}: {e}") from e
-        if digest != ref["hash"]:
+        if digest != expected:
             raise DataError(f"artifact {ref['path']} does not match its recorded hash")
         return path
+
+
+def _weights(doc: dict, key: str, what: str) -> NoisyChannelWeights:
+    """`doc[key]`, a list of two numbers, as reranking weights."""
+    values = doc_field(doc, key, list, what)
+    if len(values) != 2 or not all(isinstance(v, NUMBER) and not isinstance(v, bool)
+                                   for v in values):
+        raise DataError(f"{what}: key {key!r} must hold two numbers")
+    return NoisyChannelWeights(*values)
 
 
 def _write_text_artifact(run_dir: str, relpath: str, text: str) -> dict:
@@ -283,8 +294,7 @@ class _PipelineState:
         self.parallel_only = parallel_only
         # populated by stages
         self.bpe = None
-        self.eval_ctx_fwd = None
-        self.eval_ctx_bwd = None
+        self.eval_ctx = None
         self.lm_tgt = None  # reranking LM over the target language (fwd decode)
         self.lm_src = None  # reranking LM over the source language (bwd decode)
         self.fwd = None     # current forward system (Ensemble)
@@ -301,10 +311,13 @@ class _PipelineState:
         cfg = self.config
         manifest = self.manifest
         if manifest.completed("setup"):
-            self.bpe = load_bpe(manifest.verify(manifest.data["bpe"]))
+            self.bpe = load_bpe(manifest.verify(
+                doc_field(manifest.data, "bpe", dict, manifest.path)))
             self._encode_all()
-            self.lm_tgt = lm_from_dict(self._read_json(manifest.data["rerank_lms"]["fwd"]))
-            self.lm_src = lm_from_dict(self._read_json(manifest.data["rerank_lms"]["bwd"]))
+            lms = doc_field(manifest.data, "rerank_lms", dict, manifest.path)
+            what = f"{manifest.path}: rerank_lms"
+            self.lm_tgt = lm_from_dict(self._read_json(doc_field(lms, "fwd", dict, what)))
+            self.lm_src = lm_from_dict(self._read_json(doc_field(lms, "bwd", dict, what)))
             return
         corpus = [strip_tag(s) for s, _ in self.raw_parallel.pairs]
         corpus += [t for _, t in self.raw_parallel.pairs]
@@ -342,8 +355,7 @@ class _PipelineState:
         self.dev_swapped = swap_dataset(self.dev, name="dev-swapped")
         self.parallel_swapped = swap_dataset(self.parallel,
                                              name=self.parallel.name + "-swapped")
-        self.eval_ctx_fwd = EvalContext(bpe=self.bpe, tag=TAG_IN_DOMAIN)
-        self.eval_ctx_bwd = EvalContext(bpe=self.bpe, tag=TAG_IN_DOMAIN)
+        self.eval_ctx = EvalContext(bpe=self.bpe, tag=TAG_IN_DOMAIN)
 
     def _write_json(self, relpath: str, doc: dict) -> dict:
         return _write_text_artifact(self.manifest.run_dir, relpath,
@@ -359,11 +371,14 @@ class _PipelineState:
         cfg = self.config
         manifest = self.manifest
         if manifest.completed("init"):
-            record = manifest.data["init"]
-            self.fwd = load_model(manifest, record["fwd"]["model"])
-            self.bwd = load_model(manifest, record["bwd"]["model"])
-            self.lambdas_fwd = NoisyChannelWeights(*record["fwd"]["lambdas"])
-            self.lambdas_bwd = NoisyChannelWeights(*record["bwd"]["lambdas"])
+            record = doc_field(manifest.data, "init", dict, manifest.path)
+            what = f"{manifest.path}: init"
+            fwd = doc_field(record, "fwd", dict, what)
+            bwd = doc_field(record, "bwd", dict, what)
+            self.fwd = load_model(manifest, doc_field(fwd, "model", dict, what + ".fwd"))
+            self.bwd = load_model(manifest, doc_field(bwd, "model", dict, what + ".bwd"))
+            self.lambdas_fwd = _weights(fwd, "lambdas", what + ".fwd")
+            self.lambdas_bwd = _weights(bwd, "lambdas", what + ".bwd")
             return
         init = cfg.init_config
         fwd_mix = build_mix([replace(self.parallel, upsample=init.up_bitext)])
@@ -392,10 +407,10 @@ class _PipelineState:
         cfg = self.config
         lf = tune_lambdas(self.dev, self.fwd, self.bwd, self.lm_tgt,
                           trials=cfg.tune_trials, seed=self._seed(f"{label}/lambda/fwd"),
-                          nbest=cfg.nbest, eval_ctx=self.eval_ctx_fwd)
+                          nbest=cfg.nbest, eval_ctx=self.eval_ctx)
         lb = tune_lambdas(self.dev_swapped, self.bwd, self.fwd, self.lm_src,
                           trials=cfg.tune_trials, seed=self._seed(f"{label}/lambda/bwd"),
-                          nbest=cfg.nbest, eval_ctx=self.eval_ctx_bwd)
+                          nbest=cfg.nbest, eval_ctx=self.eval_ctx)
         return lf, lb
 
     # -- one round of the iterative algorithm --------------------------------
@@ -405,11 +420,19 @@ class _PipelineState:
         manifest = self.manifest
         stage = f"iter{t}"
         if manifest.completed(stage):
-            record = manifest.data["iterations"][t - 1]
-            self.fwd = load_model(manifest, record["ensembles"]["fwd"])
-            self.bwd = load_model(manifest, record["ensembles"]["bwd"])
-            self.lambdas_fwd = NoisyChannelWeights(*record["lambdas"]["fwd"])
-            self.lambdas_bwd = NoisyChannelWeights(*record["lambdas"]["bwd"])
+            records = manifest.data["iterations"]
+            if len(records) < t:
+                raise DataError(f"{manifest.path}: key 'iterations' has no record "
+                                f"of completed stage {stage!r}")
+            what = f"{manifest.path}: iterations[{t - 1}]"
+            ensembles = doc_field(records[t - 1], "ensembles", dict, what)
+            lambdas = doc_field(records[t - 1], "lambdas", dict, what)
+            self.fwd = load_model(manifest, doc_field(ensembles, "fwd", dict,
+                                                      what + ".ensembles"))
+            self.bwd = load_model(manifest, doc_field(ensembles, "bwd", dict,
+                                                      what + ".ensembles"))
+            self.lambdas_fwd = _weights(lambdas, "fwd", what + ".lambdas")
+            self.lambdas_bwd = _weights(lambdas, "bwd", what + ".lambdas")
             return
 
         gen_lambdas = {"fwd": [self.lambdas_fwd.lambda1, self.lambdas_fwd.lambda2],
@@ -419,11 +442,9 @@ class _PipelineState:
 
         # lines 6-7: translate the monolingual pools with reranking
         st_ctx = RerankContext(self.bwd, self.lm_tgt, self.lambdas_fwd, cfg.nbest)
-        f_data = self_train(self.fwd, self.mono_src, decode="rerank",
-                            rerank_ctx=st_ctx)
+        f_data = self_train(self.fwd, self.mono_src, rerank_ctx=st_ctx)
         bt_ctx = RerankContext(self.fwd, self.lm_src, self.lambdas_bwd, cfg.nbest)
-        b_data = back_translate(self.bwd, self.mono_tgt, decode="rerank",
-                                rerank_ctx=bt_ctx)
+        b_data = back_translate(self.bwd, self.mono_tgt, rerank_ctx=bt_ctx)
 
         f_ref = _save_dataset(
             manifest.run_dir, f_data, f"artifacts/datasets/iter{t}_F.tsv",
@@ -440,7 +461,7 @@ class _PipelineState:
         fwd_results = run_search(
             cfg.search_space, cfg.trials, self._seed(f"iter{t}/search/fwd"),
             partial(trial_mix, bitext=self.parallel, st=f_data, bt=b_data), self.dev,
-            eval_ctx=self.eval_ctx_fwd, patience=cfg.patience,
+            eval_ctx=self.eval_ctx, patience=cfg.patience,
             src_lang="src", tgt_lang="tgt")
         bwd_st = swap_dataset(b_data, tag=TAG_SELF_TRAINED, name=f"st-{b_data.name}")
         bwd_bt = swap_dataset(f_data, tag=TAG_BACK_TRANSLATED, name=f"bt-{f_data.name}")
@@ -448,17 +469,17 @@ class _PipelineState:
             cfg.search_space, cfg.trials, self._seed(f"iter{t}/search/bwd"),
             partial(trial_mix, bitext=self.parallel_swapped, st=bwd_st, bt=bwd_bt),
             self.dev_swapped,
-            eval_ctx=self.eval_ctx_bwd, patience=cfg.patience,
+            eval_ctx=self.eval_ctx, patience=cfg.patience,
             src_lang="tgt", tgt_lang="src")
 
         # lines 10-12: fine-tune on the in-domain bitext at the last round
         finetuned = (t == cfg.iterations) or cfg.finetune_every_iteration
         if finetuned:
             fwd_results = [self._finetune_result(r, self.parallel, self.dev,
-                                                 self.eval_ctx_fwd)
+                                                 self.eval_ctx)
                            for r in fwd_results]
             bwd_results = [self._finetune_result(r, self.parallel_swapped,
-                                                 self.dev_swapped, self.eval_ctx_bwd)
+                                                 self.dev_swapped, self.eval_ctx)
                            for r in bwd_results]
 
         # lines 13-14: ensemble the top-k models

@@ -17,8 +17,8 @@ import numpy as np
 
 from .corpus import TaggedDataset
 from .lm import LanguageModel, logprob
-from .metrics import STATS_WIDTH, bleu_from_stats, sentence_stats
-from .tm import LexModel, NBestEntry, NBestList, channel_scores
+from .metrics import STATS_WIDTH, bleu_from_stats, sentence_stats, surface_of
+from .tm import LexModel, NBestEntry, NBestList, channel_scores, translate_corpus
 from .util import DataError, write_text_atomic
 
 LAMBDA_MAX = 3.0
@@ -48,6 +48,9 @@ class RerankContext:
     lm: LanguageModel
     weights: NoisyChannelWeights = NULL_WEIGHTS
     nbest: int = DEFAULT_NBEST
+
+    def rerank(self, nbest: NBestList) -> NBestList:
+        return rerank(nbest, self.channel_model, self.lm, self.weights)
 
 
 def combined_score(fwd: float, channel: float, lm: float,
@@ -115,15 +118,10 @@ def tune_lambdas(dev: TaggedDataset, forward, backward, lm: LanguageModel,
         raise DataError("tuning needs at least one trial")
     if not dev.pairs:
         raise DataError("tuning needs a non-empty dev set")
-    from .augment import decode_nbest_lists
-
-    lists = decode_nbest_lists(forward, [src for src, _ in dev.pairs],
-                               nbest=nbest, eval_ctx=eval_ctx)
+    lists = translate_corpus(forward, [src for src, _ in dev.pairs], nbest,
+                             tag=eval_ctx.tag if eval_ctx else None)
     lists = [fill_scores(nb, backward, lm) for nb in lists]
-    if eval_ctx is not None and eval_ctx.bpe is not None:
-        surface = eval_ctx.detok_tokens
-    else:
-        surface = tuple
+    surface = surface_of(eval_ctx)
     refs = [surface(ref) for _, ref in dev.pairs]
 
     components = [(e.fwd, e.channel, e.lm) for nb in lists for e in nb.entries]

@@ -14,12 +14,11 @@ import math
 import random
 from dataclasses import asdict, dataclass, field, replace
 
-from .augment import assemble_training_mix
 from .corpus import DataMix, TaggedDataset, build_mix
 from .ensemble import Ensemble
 from .lm import finetune_lm, logprob, train_lm
-from .metrics import EvalContext, bleu
-from .tm import EMTrainer, LexModel, forward_marginal, model_hash
+from .metrics import EvalContext, bleu, surface_of
+from .tm import EMTrainer, LexModel, forward_marginal, model_hash, translate_corpus
 from .util import DataError, doc_field, write_text_atomic
 
 DEFAULT_TRIALS = 30
@@ -151,16 +150,17 @@ def dev_perplexity(model: LexModel, dev: TaggedDataset) -> float:
 
 
 def dev_bleu(model, dev: TaggedDataset, *, eval_ctx: EvalContext | None = None,
-             decode: str = "beam", rerank_ctx=None, nbest: int = 1) -> float:
-    """Dev BLEU of decoded outputs (detokenized surfaces when a context is given)."""
-    from .augment import translate_corpus
-    sources = [src for src, _ in dev.pairs]
-    hyps = translate_corpus(model, sources, decode=decode, rerank_ctx=rerank_ctx,
-                            eval_ctx=eval_ctx, nbest=nbest)
-    if eval_ctx is not None and eval_ctx.bpe is not None:
-        return bleu([eval_ctx.detok_tokens(h) for h in hyps],
-                    [eval_ctx.detok_tokens(r) for _, r in dev.pairs])
-    return bleu(hyps, [tuple(r) for _, r in dev.pairs])
+             rerank_ctx=None, nbest: int = 1) -> float:
+    """Dev BLEU of top-1 outputs, beam or (with a RerankContext) reranked.
+
+    BLEU is measured on detokenized surfaces when a context is given.
+    """
+    lists = translate_corpus(model, [src for src, _ in dev.pairs], nbest,
+                             tag=eval_ctx.tag if eval_ctx else None,
+                             rerank_ctx=rerank_ctx)
+    surface = surface_of(eval_ctx)
+    return bleu([surface(nb.top().hyp) for nb in lists],
+                [surface(r) for _, r in dev.pairs])
 
 
 def run_trial(config: TrialConfig, mix: DataMix, dev: TaggedDataset, *,
@@ -214,11 +214,14 @@ def trial_mix(config: TrialConfig, bitext: TaggedDataset, st: TaggedDataset | No
     Bind the datasets with `functools.partial` to get the `mix_builder` of
     `run_search`.
     """
-    return assemble_training_mix(
-        bitext, st if st is not None and st.pairs else None,
-        bt if bt is not None and bt.pairs else None,
-        upsample_bitext=config.up_bitext, upsample_st=config.up_fwd,
-        upsample_bt=config.up_bt)
+    if bitext is None or not bitext.pairs:
+        raise DataError("the training mix needs non-empty bitext")
+    datasets = [replace(bitext, upsample=config.up_bitext)]
+    if st is not None and st.pairs:
+        datasets.append(replace(st, upsample=config.up_fwd))
+    if bt is not None and bt.pairs:
+        datasets.append(replace(bt, upsample=config.up_bt))
+    return build_mix(datasets)
 
 
 def run_search(space: SearchSpace, n: int, seed: int, mix_builder, dev: TaggedDataset,

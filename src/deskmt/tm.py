@@ -1,5 +1,7 @@
 """Lexical translation models: IBM-Model-1 EM training, a windowed monotone
-beam decoder producing n-best lists, and channel scoring of sentence pairs.
+beam decoder producing n-best lists, the corpus decoder `translate_corpus`
+that every decode in the package goes through, and channel scoring of
+sentence pairs.
 
 The decoder emits one target symbol per source position; at target step i it
 may consume any unconsumed source position j with |j - i| <= window, so a
@@ -77,6 +79,10 @@ class LexModel:
         self.src_id = {s: i for i, s in enumerate(src_vocab)}
         self.tgt_id = {s: i for i, s in enumerate(tgt_vocab)}
         self._caches: dict = {}
+
+    def artifact(self) -> dict:
+        """The JSON document that `model_json` serializes and hashes."""
+        return model_to_dict(self)
 
     @property
     def direction(self) -> str:
@@ -355,6 +361,25 @@ def translate_nbest(model: LexModel, x: Sentence, n: int) -> NBestList:
     return NBestList(source=x, entries=entries)
 
 
+def translate_corpus(model: LexModel, sources: list[Sentence], nbest: int, *,
+                     tag: str | None = None, rerank_ctx=None) -> list[NBestList]:
+    """n-best lists of every source, in source order.
+
+    `tag` is prepended to each source that does not already start with it.
+    With a `rerank_ctx` (a `rerank.RerankContext`), the lists hold
+    `rerank_ctx.nbest` entries and come back reranked by it.
+    """
+    if rerank_ctx is not None:
+        nbest = rerank_ctx.nbest
+    lists = []
+    for source in sources:
+        if tag is not None and not (source and source[0] == tag):
+            source = (tag,) + tuple(source)
+        nb = translate_nbest(model, source, nbest)
+        lists.append(nb if rerank_ctx is None else rerank_ctx.rerank(nb))
+    return lists
+
+
 def pair_logprob(model: LexModel, x: Sentence, y: Sentence) -> float:
     """Viterbi forced score: max over window-admissible alignments of the
     decoder's scoring function. Matches the fwd score of decoder outputs."""
@@ -528,15 +553,11 @@ def model_from_dict(doc: dict) -> LexModel:
 def model_json(model: LexModel) -> tuple[str, str]:
     """Stable JSON text of a model's artifact and its content hash.
 
-    An Ensemble's artifact lists its members' hashes; any other model's
-    holds its table, LM and settings. The hash is `content_hash` of the
-    artifact's document, memoized for `model_hash`.
+    The document is `model.artifact()`: an Ensemble's lists its members'
+    hashes; any other model's holds its table, LM and settings. The hash is
+    `content_hash` of that document, memoized for `model_hash`.
     """
-    from .ensemble import Ensemble, ensemble_to_dict
-    if isinstance(model, Ensemble):
-        text = stable_json_dumps(ensemble_to_dict(model))
-    else:
-        text = stable_json_dumps(model_to_dict(model))
+    text = stable_json_dumps(model.artifact())
     return text, model._caches.setdefault("hash", sha256_text(text))
 
 

@@ -3,19 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from deskmt.augment import (
-    DataError,
-    assemble_training_mix,
-    back_translate,
-    self_train,
-    translate_corpus,
-)
+from deskmt.augment import DataError, back_translate, self_train
 from deskmt.corpus import (
     SIDE_MONO_SOURCE,
     SIDE_MONO_TARGET,
     SIDE_PARALLEL,
     TAG_BACK_TRANSLATED,
-    TAG_IN_DOMAIN,
     TAG_SELF_TRAINED,
     TaggedDataset,
     build_mix,
@@ -125,50 +118,11 @@ class TestRerankDecoding:
     def test_rerank_flips_beam_choice(self):
         f, g = self.build_scenario()
         ms = mono("ms", SIDE_MONO_SOURCE, ["a"])
-        beam_ds = self_train(f, ms, decode="beam")
+        beam_ds = self_train(f, ms)
         ctx = RerankContext(g, f.lm, NoisyChannelWeights(3.0, 0.0), nbest=2)
-        rr_ds = self_train(f, ms, decode="rerank", rerank_ctx=ctx)
+        rr_ds = self_train(f, ms, rerank_ctx=ctx)
         assert beam_ds.pairs[0][1] == ("x",)  # forward-favored
         assert rr_ds.pairs[0][1] == ("y",)    # channel-favored
-
-    def test_rerank_requires_context(self):
-        f, _ = self.build_scenario()
-        with pytest.raises(DataError):
-            self_train(f, mono("ms", SIDE_MONO_SOURCE, ["a"]), decode="rerank")
-
-
-class TestAssembleMix:
-    def bitext(self):
-        return TaggedDataset("p", SIDE_PARALLEL, TAG_IN_DOMAIN,
-                             pairs=((("a",), ("x",)), (("b",), ("y",))))
-
-    def synth(self, tag, n):
-        return TaggedDataset(f"s{tag}", SIDE_PARALLEL, tag,
-                             pairs=tuple(((f"w{i}",), (f"v{i}",)) for i in range(n)))
-
-    def test_bitext_only(self):
-        mix = assemble_training_mix(self.bitext())
-        assert len(mix) == 2
-
-    def test_sizes_add_per_mix_law(self):
-        st = self.synth(TAG_SELF_TRAINED, 3)
-        bt = self.synth(TAG_BACK_TRANSLATED, 4)
-        mix = assemble_training_mix(self.bitext(), st, bt,
-                                    upsample_bitext=3, upsample_st=2, upsample_bt=1)
-        assert len(mix) == 2 * 3 + 3 * 2 + 4 * 1
-
-    def test_tag_correctness_over_whole_mix(self):
-        st = self.synth(TAG_SELF_TRAINED, 2)
-        bt = self.synth(TAG_BACK_TRANSLATED, 2)
-        mix = assemble_training_mix(self.bitext(), st, bt, upsample_bitext=2)
-        seen = {TAG_IN_DOMAIN: 0, TAG_SELF_TRAINED: 0, TAG_BACK_TRANSLATED: 0}
-        for src, _ in mix.examples:
-            seen[src[0]] += 1
-        assert seen == {TAG_IN_DOMAIN: 4, TAG_SELF_TRAINED: 2, TAG_BACK_TRANSLATED: 2}
-
-    def test_missing_bitext_rejected(self):
-        with pytest.raises(DataError):
-            assemble_training_mix(None, self.synth(TAG_SELF_TRAINED, 1), None)
 
 
 class TestGeneration:
@@ -184,9 +138,3 @@ class TestGeneration:
         a = back_translate(g, mt, target_lang="tgt")
         b = back_translate(g, mt, target_lang="tgt")
         assert a.pairs == b.pairs
-
-    def test_translate_corpus_order_preserved(self):
-        f = identity_model(["a", "b"])
-        sources = [("a",), ("b",), ("a", "b")]
-        hyps = translate_corpus(f, sources, nbest=1)
-        assert hyps == [("a",), ("b",), ("a", "b")]

@@ -4,6 +4,8 @@ import os
 import pytest
 
 from deskmt.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
+from deskmt.rerank import read_nbest_file
+from deskmt.subword import decode, load_bpe
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +82,29 @@ class TestExitCodes:
         assert main(["pipeline", "--parallel", "bundle/parallel.tsv", "--dev",
                      "bundle/dev.tsv", "--run-dir", "badrun"]) == EXIT_DATA
         assert "run_id" in capsys.readouterr().err
+
+    def test_malformed_stage_record_is_2(self, workspace, capsys):
+        space = {"version": 1, "dims": {
+            "em_iterations": [2], "lm_order": [2], "smoothing_k": [0.3],
+            "lm_weight": [0.3], "window": [0], "beam": [2], "up_bitext": [1],
+            "up_fwd": [1], "up_bt": [1], "seed": [1]}}
+        with open("space_run.json", "w", encoding="utf-8") as fh:
+            json.dump(space, fh)
+        argv = ["pipeline", "--parallel", "bundle/parallel.tsv", "--mono-source",
+                "bundle/mono_src.txt", "--mono-target", "bundle/mono_tgt.txt",
+                "--dev", "bundle/dev.tsv", "--run-dir", "run", "--iterations", "1",
+                "--trials", "1", "--topk", "1", "--bpe-vocab", "80", "--nbest", "2",
+                "--tune-trials", "2", "--finetune-steps", "0",
+                "--space", "space_run.json"]
+        assert main(argv) == EXIT_OK
+        with open("run/manifest.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        del doc["init"]
+        with open("run/manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert main(argv) == EXIT_DATA
+        assert "'init'" in capsys.readouterr().err
 
     def test_help_is_0(self):
         with pytest.raises(SystemExit) as exc:
@@ -198,6 +223,52 @@ class TestWorkflows:
                      "bundle/dev.tsv", "--trials", "2", "--topk", "3",
                      "--out-dir", "searchrun-topk"]) == EXIT_DATA
         assert not os.path.exists("searchrun-topk")
+
+
+RERANK = ["--mode", "rerank", "--channel-model", "bwd.json", "--lm", "lm_tgt.json",
+          "--lambda1", "1.0", "--lambda2", "0.5", "--nbest", "3"]
+
+
+class TestRerankMode:
+    def test_translate_with_and_without_nbest_dump(self, workspace):
+        common = ["translate", "--model", "fwd.json", "--input", "bundle/mono_src.txt",
+                  "--bpe", "bpe.txt", "--tag", "<d:in>", *RERANK]
+        assert main([*common, "--output", "rr.txt"]) == EXIT_OK
+        assert main([*common, "--output", "rr_dumped.txt",
+                     "--dump-nbest", "rr_nb.txt"]) == EXIT_OK
+        lines = open("rr.txt", encoding="utf-8").read().splitlines()
+        assert open("rr_dumped.txt", encoding="utf-8").read().splitlines() == lines
+        lists = read_nbest_file("rr_nb.txt")
+        bpe = load_bpe("bpe.txt")
+        assert [decode(nb.top().hyp, bpe) for nb in lists] == lines
+        assert all(e.combined is not None for nb in lists for e in nb.entries)
+
+    def test_augment_provenance(self, workspace):
+        assert main(["augment-st", "--model", "fwd.json", "--mono",
+                     "bundle/mono_src.txt", "--bpe", "bpe.txt", "--out",
+                     "st_rr.tsv", *RERANK]) == EXIT_OK
+        prov = json.load(open("st_rr.tsv.prov.json", encoding="utf-8"))
+        assert prov["decode"] == "rerank"
+        assert prov["lambdas"] == [1.0, 0.5]
+
+    def test_evaluate_report(self, workspace):
+        assert main(["evaluate", "--model", "fwd.json", "--test", "bundle/test.tsv",
+                     "--bpe", "bpe.txt", "--tag", "<d:in>", "--report",
+                     "report_rr.json", *RERANK]) == EXIT_OK
+        doc = json.load(open("report_rr.json", encoding="utf-8"))
+        assert doc["decode"] == "rerank"
+        assert doc["lambdas"] == [1.0, 0.5]
+        assert doc["sentence_count"] == 15
+
+    @pytest.mark.parametrize("argv", [
+        ["translate", "--input", "bundle/mono_src.txt", "--output", "o.txt"],
+        ["augment-st", "--mono", "bundle/mono_src.txt", "--out", "o.tsv"],
+        ["evaluate", "--test", "bundle/test.tsv"],
+    ], ids=lambda argv: argv[0])
+    def test_without_channel_model_is_2(self, workspace, argv, capsys):
+        assert main([*argv, "--model", "fwd.json", "--bpe", "bpe.txt", "--mode",
+                     "rerank", "--lm", "lm_tgt.json"]) == EXIT_DATA
+        assert "--channel-model" in capsys.readouterr().err
 
 
 def write_mine_inputs(root, workspace):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from deskmt.corpus import SIDE_PARALLEL, TaggedDataset, build_mix, swap_direction
-from deskmt.ensemble import DataError, Ensemble, ensemble_to_dict
+from deskmt.ensemble import DataError, Ensemble
 from deskmt.lm import train_lm
 from deskmt.rerank import fill_scores
 from deskmt.tm import NULL, LexModel, em_train, translate_nbest
@@ -180,7 +180,7 @@ class TestValidation:
 
     def test_manifest_lists_member_hashes(self):
         _, members = trained_members(2, seed=10)
-        doc = ensemble_to_dict(Ensemble(members))
+        doc = Ensemble(members).artifact()
         assert doc["kind"] == "ensemble"
         assert len(doc["members"]) == 2
         assert all(isinstance(h, str) and len(h) == 64 for h in doc["members"])

@@ -8,6 +8,10 @@ and on `other._name` where `other` is bound to a deskmt module.
 No module imports `multiprocessing`, `concurrent` or `threading`. The
 library runs in one process; a pool has to come with a benchmark that
 shows it pays on this system.
+
+Every import sits at module level, never inside a function or method, and
+the graph of deskmt modules those imports draw has no cycle. A function-local
+import that hides a cycle is a sign that code sits in the wrong module.
 """
 
 import ast
@@ -75,6 +79,61 @@ def concurrency_imports(source: str) -> list[str]:
     return found
 
 
+def local_imports(source: str) -> list[str]:
+    """`line: function` of every import statement inside a function body."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            found += [f"{inner.lineno}: {node.name}" for inner in ast.walk(node)
+                      if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    return sorted(set(found), key=lambda item: int(item.split(":")[0]))
+
+
+def package_imports(source: str) -> set[str]:
+    """deskmt modules a module imports at module level."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and _is_package_module(node):
+            parts = (node.module or "").split(".")
+            if parts[0] == PACKAGE:
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:  # `from . import a, b` names the modules themselves
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == PACKAGE and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of the module graph as a closed path, or [] when it is acyclic."""
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done:
+            return []
+        path.append(module)
+        for dep in sorted(graph.get(module, ())):
+            cycle = visit(dep)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(module)
+        return []
+
+    for module in sorted(graph):
+        cycle = visit(module)
+        if cycle:
+            return cycle
+    return []
+
+
 def test_no_private_names_across_modules():
     offenders = {fname: private_uses(source) for fname, source in _module_sources()}
     assert {k: v for k, v in offenders.items() if v} == {}
@@ -109,3 +168,42 @@ def test_detects_concurrency_imports():
         "2: concurrent.futures",
         "3: threading",
     ]
+
+
+def test_no_function_local_imports():
+    offenders = {fname: local_imports(source) for fname, source in _module_sources()}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_module_graph_is_acyclic():
+    graph = {fname[:-3]: package_imports(source)
+             for fname, source in _module_sources()}
+    assert import_cycle(graph) == []
+
+
+def test_detects_local_imports():
+    source = ("import os\n"
+              "def f():\n"
+              "    from .augment import translate_corpus\n"
+              "    return translate_corpus\n"
+              "class C:\n"
+              "    def m(self):\n"
+              "        if self:\n"
+              "            import json\n")
+    assert local_imports(source) == ["3: f", "8: m"]
+
+
+def test_detects_cycles():
+    assert package_imports("from . import tm, augment\n"
+                           "from .metrics import bleu\n"
+                           "from deskmt.rerank import rerank\n"
+                           "import deskmt.search\n"
+                           "import numpy\n"
+                           "def f():\n"
+                           "    from .cli import main\n") == {
+        "tm", "augment", "metrics", "rerank", "search"}
+    graph = {"tm": {"lm"}, "lm": set(), "metrics": {"tm", "augment"},
+             "augment": {"rerank"}, "rerank": {"metrics"}}
+    assert import_cycle(graph) == ["augment", "rerank", "metrics", "augment"]
+    del graph["rerank"]
+    assert import_cycle(graph) == []

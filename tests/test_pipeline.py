@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 
 import pytest
 
@@ -217,15 +218,40 @@ class TestValidation:
                          bundle.dev, str(tmp_path), tiny_config())
 
 
+class TestResumeChecksStageRecords:
+    @pytest.mark.parametrize("edit, key", [
+        (lambda data: data.pop("bpe"), "bpe"),
+        (lambda data: data.pop("rerank_lms"), "rerank_lms"),
+        (lambda data: data.pop("init"), "init"),
+        (lambda data: data.update(iterations=[]), "iterations"),
+        (lambda data: data["bpe"].pop("path"), "path"),
+        (lambda data: data["init"]["fwd"].update(lambdas=[9.0]), "lambdas"),
+    ], ids=["no-bpe", "no-rerank-lms", "no-init", "no-iteration-record",
+            "bpe-without-path", "one-lambda"])
+    def test_malformed_record_is_data_error(self, finished_run, tmp_path, edit, key):
+        bundle, config, run_dir, _ = finished_run
+        copy = str(tmp_path / "run")
+        shutil.copytree(run_dir, copy)
+        path = os.path.join(copy, "manifest.json")
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        edit(data)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        with pytest.raises(DataError, match=re.escape(repr(key))):
+            run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt,
+                         bundle.dev, copy, config)
+
+
 class TestNoRecomputation:
     def test_no_decode_is_repeated(self, tmp_path, monkeypatch):
-        import deskmt.augment as augment
+        import deskmt.tm as tm
         bundle = tiny_bundle()
         for sentences in (bundle.mono_src.sentences, bundle.mono_tgt.sentences,
                           [s for s, _ in bundle.dev.pairs],
                           [t for _, t in bundle.dev.pairs]):
             assert len(set(sentences)) == len(sentences)  # a repeat is the code's
-        decode = augment.translate_nbest
+        decode = tm.translate_nbest
         seen, repeats, decoders = set(), [], []
 
         def counting(model, x, n):
@@ -234,7 +260,7 @@ class TestNoRecomputation:
             decoders.append(model)  # keeps every id unique for the whole run
             return decode(model, x, n)
 
-        monkeypatch.setattr(augment, "translate_nbest", counting)
+        monkeypatch.setattr(tm, "translate_nbest", counting)
         run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt, bundle.dev,
                      str(tmp_path / "r"), tiny_config(iterations=2, finetune_steps=2,
                                                       finetune_every_iteration=True))
@@ -260,13 +286,13 @@ class TestNoRecomputation:
         dev = encode_dataset(bundle.dev, bpe)
         ctx = EvalContext(bpe=bpe, tag="<d:in>")
         got = {
-            "fwd": dev_bleu(fwd, dev, eval_ctx=ctx, decode="rerank",
+            "fwd": dev_bleu(fwd, dev, eval_ctx=ctx,
                             rerank_ctx=RerankContext(
                                 bwd, lms["fwd"],
                                 NoisyChannelWeights(*final["lambdas"]["fwd"]),
                                 config.nbest)),
             "bwd": dev_bleu(bwd, swap_dataset(dev, name="dev-swapped"),
-                            eval_ctx=ctx, decode="rerank",
+                            eval_ctx=ctx,
                             rerank_ctx=RerankContext(
                                 fwd, lms["bwd"],
                                 NoisyChannelWeights(*final["lambdas"]["bwd"]),

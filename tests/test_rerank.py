@@ -11,6 +11,7 @@ from deskmt.rerank import (
     NULL_WEIGHTS,
     DataError,
     NoisyChannelWeights,
+    RerankContext,
     combined_score,
     fill_scores,
     read_nbest_file,
@@ -26,6 +27,7 @@ from deskmt.tm import (
     NBestList,
     channel_score,
     em_train,
+    translate_corpus,
     translate_nbest,
 )
 from deskmt.lm import logprob
@@ -192,10 +194,9 @@ class TestTuneLambdas:
                             pairs=((("x", "x"), ("A", "A")),
                                    (("x", "x", "x"), ("A", "A", "A"))))
         w, score = tune_lambdas(dev, fwd, bwd, fwd.lm, trials=4, seed=1, nbest=4)
-        from deskmt.augment import translate_corpus
-        from deskmt.rerank import RerankContext
-        hyps = translate_corpus(fwd, [src for src, _ in dev.pairs], decode="rerank",
-                                rerank_ctx=RerankContext(bwd, fwd.lm, w, nbest=4))
+        lists = translate_corpus(fwd, [src for src, _ in dev.pairs], 4,
+                                 rerank_ctx=RerankContext(bwd, fwd.lm, w, nbest=4))
+        hyps = [nb.top().hyp for nb in lists]
         assert hyps[0] == ("A", "A")  # the first of the tied entries
         assert score == bleu(hyps, [ref for _, ref in dev.pairs])
 
@@ -213,13 +214,11 @@ class TestTuneLambdas:
             dev = mix.datasets[0]
             w, score = tune_lambdas(dev, fwd, bwd, fwd.lm, trials=8, seed=seed,
                                     nbest=6)
-            from deskmt.augment import translate_corpus
-            from deskmt.rerank import RerankContext
             refs = [tgt for _, tgt in dev.pairs]
             sources = [src for src, _ in dev.pairs]
-            tuned = translate_corpus(fwd, sources, decode="rerank",
-                                     rerank_ctx=RerankContext(bwd, fwd.lm, w, nbest=6))
-            beam = translate_corpus(fwd, sources, decode="beam", nbest=6)
+            tuned = [nb.top().hyp for nb in translate_corpus(
+                fwd, sources, 6, rerank_ctx=RerankContext(bwd, fwd.lm, w, nbest=6))]
+            beam = [nb.top().hyp for nb in translate_corpus(fwd, sources, 6)]
             assert score == bleu(tuned, refs)
             assert bleu(tuned, refs) >= bleu(beam, refs) - 1e-12
 

@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from deskmt.corpus import SIDE_PARALLEL, TaggedDataset, build_mix
+from deskmt.corpus import (
+    SIDE_PARALLEL,
+    TAG_BACK_TRANSLATED,
+    TAG_IN_DOMAIN,
+    TAG_SELF_TRAINED,
+    TaggedDataset,
+    build_mix,
+)
 from deskmt.search import (
     DataError,
     SearchSpace,
@@ -18,6 +25,7 @@ from deskmt.search import (
     run_trial,
     sample_configs,
     select_top_k,
+    trial_mix,
 )
 from deskmt.tm import em_train
 
@@ -190,6 +198,41 @@ class TestRunSearch:
         assert [r.dev_bleu for r in a] == [r.dev_bleu for r in b]
         assert [r.dev_ppl_trace for r in a] == [r.dev_ppl_trace for r in b]
         assert [r.config for r in a] == [r.config for r in b]
+
+
+class TestTrialMix:
+    def bitext(self):
+        return TaggedDataset("p", SIDE_PARALLEL, TAG_IN_DOMAIN,
+                             pairs=((("a",), ("x",)), (("b",), ("y",))))
+
+    def synth(self, tag, n):
+        return TaggedDataset(f"s{tag}", SIDE_PARALLEL, tag,
+                             pairs=tuple(((f"w{i}",), (f"v{i}",)) for i in range(n)))
+
+    def test_bitext_only(self):
+        mix = trial_mix(TrialConfig(up_bitext=1), self.bitext(), None, None)
+        assert len(mix) == 2
+
+    def test_sizes_add_per_mix_law(self):
+        st = self.synth(TAG_SELF_TRAINED, 3)
+        bt = self.synth(TAG_BACK_TRANSLATED, 4)
+        config = TrialConfig(up_bitext=3, up_fwd=2, up_bt=1)
+        mix = trial_mix(config, self.bitext(), st, bt)
+        assert len(mix) == 2 * 3 + 3 * 2 + 4 * 1
+
+    def test_tag_correctness_over_whole_mix(self):
+        st = self.synth(TAG_SELF_TRAINED, 2)
+        bt = self.synth(TAG_BACK_TRANSLATED, 2)
+        config = TrialConfig(up_bitext=2, up_fwd=1, up_bt=1)
+        mix = trial_mix(config, self.bitext(), st, bt)
+        seen = {TAG_IN_DOMAIN: 0, TAG_SELF_TRAINED: 0, TAG_BACK_TRANSLATED: 0}
+        for src, _ in mix.examples:
+            seen[src[0]] += 1
+        assert seen == {TAG_IN_DOMAIN: 4, TAG_SELF_TRAINED: 2, TAG_BACK_TRANSLATED: 2}
+
+    def test_missing_bitext_rejected(self):
+        with pytest.raises(DataError):
+            trial_mix(TrialConfig(), None, self.synth(TAG_SELF_TRAINED, 1), None)
 
 
 class TestFinetune:

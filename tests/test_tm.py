@@ -6,9 +6,10 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from deskmt.corpus import SIDE_PARALLEL, UNK_TOKEN, TaggedDataset, build_mix
+from deskmt.corpus import SIDE_PARALLEL, UNK_TOKEN, TaggedDataset, build_mix, swap_direction
 from deskmt.lm import train_lm
 from deskmt.corpus import strip_tag
+from deskmt.rerank import NoisyChannelWeights, RerankContext, rerank
 from deskmt.tm import (
     NULL,
     DataError,
@@ -21,6 +22,7 @@ from deskmt.tm import (
     model_from_dict,
     model_to_dict,
     pair_logprob,
+    translate_corpus,
     translate_nbest,
 )
 
@@ -272,6 +274,51 @@ class TestTranslateNbest:
             translate_nbest(model, ("a",), 0)
         with pytest.raises(DataError):
             translate_nbest(model, (), 1)
+
+
+class TestTranslateCorpus:
+    def identity(self):
+        return build_model({("a", "a"): 1.0, ("b", "b"): 1.0}, ["a", "b"],
+                           ["a", "b"], [("a", "b")])
+
+    def reranking(self, seed):
+        """A forward model, a rerank context with a backward model, and sources."""
+        rng = random.Random(seed)
+        mix = random_mix(rng, 14)
+        fwd = em_train(mix, iterations=2, window=1, lm_weight=0.3, beam=3)
+        bwd = em_train(swap_direction(mix), iterations=2, src_lang="tgt",
+                       tgt_lang="src")
+        ctx = RerankContext(bwd, fwd.lm, NoisyChannelWeights(1.5, 0.5), nbest=4)
+        return fwd, ctx, [strip_tag(src) for src, _ in mix.examples[:6]]
+
+    def test_translate_corpus_order_preserved(self):
+        sources = [("a",), ("b",), ("a", "b")]
+        lists = translate_corpus(self.identity(), sources, 1)
+        assert [nb.top().hyp for nb in lists] == [("a",), ("b",), ("a", "b")]
+
+    def test_tag_prepended_once(self):
+        sources = [("a",), ("<d:in>", "b"), ("a", "b")]
+        lists = translate_corpus(self.identity(), sources, 1, tag="<d:in>")
+        assert [nb.source for nb in lists] == [
+            ("<d:in>", "a"), ("<d:in>", "b"), ("<d:in>", "a", "b")]
+        assert [nb.top().hyp for nb in lists] == [("a",), ("b",), ("a", "b")]
+        untagged = translate_corpus(self.identity(), sources, 1)
+        assert [nb.source for nb in untagged] == sources
+
+    def test_context_nbest_overrides_nbest(self):
+        fwd, ctx, sources = self.reranking(5)
+        lists = translate_corpus(fwd, sources, 1, rerank_ctx=ctx)
+        sizes = [len(translate_nbest(fwd, x, ctx.nbest).entries) for x in sources]
+        assert [len(nb.entries) for nb in lists] == sizes
+        assert max(sizes) > 1
+
+    def test_context_reranks_the_plain_lists(self):
+        fwd, ctx, sources = self.reranking(6)
+        got = translate_corpus(fwd, sources, 1, rerank_ctx=ctx)
+        plain = translate_corpus(fwd, sources, ctx.nbest)
+        assert got == [rerank(nb, ctx.channel_model, ctx.lm, ctx.weights)
+                       for nb in plain]
+        assert all(e.combined is not None for nb in got for e in nb.entries)
 
 
 class TestPairLogprob:
