@@ -8,6 +8,21 @@ with P_0 uniform over the prediction space S = vocabulary + unknown. Training
 counts token events only; the end-of-sentence marker is part of the
 vocabulary and is scored context-free from its unigram (pure smoothing)
 estimate, which keeps log-probabilities strictly decreasing under extension.
+
+Caches, each capped at `_CACHE_CAP` entries and cleared when full:
+
+- `NGramLM._prob_cache`: (level, context ids) -> row of P_level, for levels
+  below `order` only. Many top-order contexts back off to each of these rows.
+  A top-order row is computed on request and not kept.
+- `_term_cache` (both classes): (history, token) -> the log term of
+  `logprob`. A miss computes the top-order probability of that one token
+  with the scalar form of the row recurrence, so no row is built.
+- `_scorer_rows` (both classes): symbol tuple -> (index, rows), where rows
+  maps a token context to `cond_logprobs_at(context, index)`. Every
+  `scorer_for` the same symbols returns a `_Scorer` over these shared rows,
+  so models that share an LM and a target vocabulary share one set of rows.
+  The LM holds no reference to a `_Scorer`, so the rows form no cycle and
+  die with the LM.
 """
 
 from __future__ import annotations
@@ -43,8 +58,8 @@ class NGramLM:
         self.totals = totals                    # per level: ctx ids -> total count
         self.token_total = token_total
         self._prob_cache: dict = {}
-        self._log_cache: dict = {}
         self._term_cache: dict = {}
+        self._scorer_rows: dict = {}
         self._uniform = np.full(len(self.syms), 1.0 / len(self.syms))
         self.interp_alpha = 0.0
         self.eos_logprob = float(np.log(self.eos_prob()))
@@ -65,6 +80,7 @@ class NGramLM:
         return ids
 
     def _probs_level(self, level: int, ctx: tuple[int, ...]) -> np.ndarray:
+        """Row of P_level(. | ctx); kept in `_prob_cache` for levels below `order`."""
         if level == 0:
             return self._uniform
         key = (level, ctx)
@@ -82,30 +98,41 @@ class NGramLM:
             for wid, c in level_counts.items():
                 vec[wid] += c
             vec /= total + ks
-        if len(self._prob_cache) > _CACHE_CAP:
-            self._prob_cache.clear()
-            self._log_cache.clear()
-        self._prob_cache[key] = vec
+        if level < self.order:
+            if len(self._prob_cache) > _CACHE_CAP:
+                self._prob_cache.clear()
+            self._prob_cache[key] = vec
         return vec
+
+    def _token_prob(self, history: tuple[str, ...], token: str) -> float:
+        """cond_probs(history) at `token`, without building the row.
+
+        The scalar form of `_probs_level`'s recurrence, in its operation
+        order, so the value equals the row's element bit for bit.
+        """
+        ctx = self._ctx_ids(history)
+        wid = self.id_or_unk(token)
+        level = self.order
+        ks = self.k * len(self.syms)
+        p = ks * float(self._probs_level(level - 1, ctx[1:])[wid])
+        level_counts = self.counts[level - 1].get(ctx)
+        if level_counts is not None and wid in level_counts:
+            p += level_counts[wid]
+        return p / (self.totals[level - 1].get(ctx, 0.0) + ks)
 
     def cond_probs(self, context: tuple[str, ...]) -> np.ndarray:
         """Conditional distribution over the prediction space, given token context."""
         return self._probs_level(self.order, self._ctx_ids(context))
 
     def cond_logprobs(self, context: tuple[str, ...]) -> np.ndarray:
-        ctx = self._ctx_ids(context)
-        vec = self._log_cache.get(ctx)
-        if vec is None:
-            vec = np.log(self._probs_level(self.order, ctx))
-            self._log_cache[ctx] = vec
-        return vec
+        return np.log(self.cond_probs(context))
 
     def logprob(self, sentence: Sentence) -> float:
         """Natural-log probability of the sentence, including end-of-sentence."""
         return _sum_terms(self, sentence)
 
     def _term(self, history: tuple[str, ...], token: str) -> float:
-        return float(self.cond_logprobs(history)[self.id_or_unk(token)])
+        return float(np.log(self._token_prob(history, token)))
 
     def symbol_index(self, symbols: tuple[str, ...]) -> np.ndarray:
         """Prediction-space ids of `symbols`; unknown symbols map to <unk>."""
@@ -116,6 +143,7 @@ class NGramLM:
         return self.cond_logprobs(context)[index]
 
     def scorer_for(self, symbols: tuple[str, ...]) -> "_Scorer":
+        """A scorer over the rows this LM caches for `symbols`."""
         return _Scorer(self, symbols)
 
 
@@ -146,13 +174,18 @@ def _sum_terms(model, sentence: Sentence) -> float:
 
 
 class _Scorer:
-    """Cached conditional log-probability vectors aligned to a fixed symbol list."""
+    """Conditional log-probability vectors aligned to a fixed symbol list.
+
+    The vectors are cached on the LM (`_scorer_rows`), shared by every
+    scorer for the same symbols.
+    """
 
     def __init__(self, lm, symbols: tuple[str, ...]):
         self.lm = lm
-        self.eos_logprob = lm.eos_logprob
-        self._index = lm.symbol_index(symbols)
-        self._cache: dict = {}
+        shared = lm._scorer_rows.get(symbols)
+        if shared is None:
+            shared = lm._scorer_rows[symbols] = (lm.symbol_index(symbols), {})
+        self._index, self._cache = shared
 
     def logvec(self, context: tuple[str, ...]) -> np.ndarray:
         vec = self._cache.get(context)
@@ -216,14 +249,15 @@ class InterpolatedLM:
         eos = (1.0 - alpha) * base.eos_prob() + alpha * indomain.eos_prob()
         self.eos_logprob = float(np.log(eos))
         self._term_cache: dict = {}
+        self._scorer_rows: dict = {}
 
     def logprob(self, sentence: Sentence) -> float:
         return _sum_terms(self, sentence)
 
     def _term(self, history: tuple[str, ...], token: str) -> float:
         a = self.interp_alpha
-        pb = self.base.cond_probs(history)[self.base.id_or_unk(token)]
-        pi = self.indomain.cond_probs(history)[self.indomain.id_or_unk(token)]
+        pb = self.base._token_prob(history, token)
+        pi = self.indomain._token_prob(history, token)
         return float(np.log((1.0 - a) * pb + a * pi))
 
     def symbol_index(self, symbols: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:

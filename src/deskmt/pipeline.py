@@ -187,6 +187,10 @@ def load_model(manifest: PipelineManifest, ref: dict):
                     member_doc = json.load(mfh)
             except OSError as e:
                 raise DataError(f"missing ensemble member {member_hash}: {e}") from e
+            except json.JSONDecodeError as e:
+                raise DataError(f"ensemble member {member_hash} is not JSON: {e}") from e
+            if not isinstance(member_doc, dict):
+                raise DataError(f"ensemble member {member_hash} is not a JSON object")
             if content_hash(member_doc) != member_hash:
                 raise DataError(f"ensemble member {member_hash} fails its hash check")
             members.append(model_from_dict(member_doc))

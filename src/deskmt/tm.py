@@ -52,6 +52,11 @@ class LexModel:
     `_caches` and the memoized `model_hash` are built from its table, LM
     and settings on first use and never invalidated, so changing any of
     them afterwards gives stale results. Derive a new model instead.
+
+    The LM rows the decoder reads live on the LM, not the model: `_scorer`
+    returns `lm.scorer_for(tgt_vocab + <unk>)`, so models that share an LM
+    and a target vocabulary (fine-tune candidates, an ensemble and its
+    first member) share one set of rows.
     """
 
     def __init__(self, src_vocab: tuple[str, ...], tgt_vocab: tuple[str, ...],
@@ -239,19 +244,6 @@ def _em_iteration(t: np.ndarray, groups) -> tuple[np.ndarray, float]:
     row_sums = counts.sum(axis=1, keepdims=True)
     new_t = np.divide(counts, row_sums, out=np.zeros_like(counts), where=row_sums > 0)
     return new_t, ll
-
-
-def corpus_log_likelihood(model: LexModel, mix: DataMix) -> float:
-    """IBM1 marginal log-likelihood of a mix under the model's current table."""
-    src_id = model.src_id
-    tgt_id = model.tgt_id
-    total = 0.0
-    for (src, tgt), w in mix.weighted_pairs().items():
-        s_ids = [0] + [src_id[s] for s in src]
-        t_ids = [tgt_id[t] for t in tgt]
-        sub = model.t[np.ix_(s_ids, t_ids)]
-        total += w * float(np.log(sub.sum(axis=0)).sum() - len(tgt) * np.log(len(src) + 1))
-    return total
 
 
 def translate_nbest(model: LexModel, x: Sentence, n: int) -> NBestList:

@@ -83,7 +83,9 @@ class TestExitCodes:
                      "bundle/dev.tsv", "--run-dir", "badrun"]) == EXIT_DATA
         assert "run_id" in capsys.readouterr().err
 
-    def test_malformed_stage_record_is_2(self, workspace, capsys):
+    @staticmethod
+    def _finished_pipeline(run_dir):
+        """argv of a one-round pipeline run into `run_dir`, after running it once."""
         space = {"version": 1, "dims": {
             "em_iterations": [2], "lm_order": [2], "smoothing_k": [0.3],
             "lm_weight": [0.3], "window": [0], "beam": [2], "up_bitext": [1],
@@ -92,11 +94,15 @@ class TestExitCodes:
             json.dump(space, fh)
         argv = ["pipeline", "--parallel", "bundle/parallel.tsv", "--mono-source",
                 "bundle/mono_src.txt", "--mono-target", "bundle/mono_tgt.txt",
-                "--dev", "bundle/dev.tsv", "--run-dir", "run", "--iterations", "1",
+                "--dev", "bundle/dev.tsv", "--run-dir", run_dir, "--iterations", "1",
                 "--trials", "1", "--topk", "1", "--bpe-vocab", "80", "--nbest", "2",
                 "--tune-trials", "2", "--finetune-steps", "0",
                 "--space", "space_run.json"]
         assert main(argv) == EXIT_OK
+        return argv
+
+    def test_malformed_stage_record_is_2(self, workspace, capsys):
+        argv = self._finished_pipeline("run")
         with open("run/manifest.json", encoding="utf-8") as fh:
             doc = json.load(fh)
         del doc["init"]
@@ -105,6 +111,19 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(argv) == EXIT_DATA
         assert "'init'" in capsys.readouterr().err
+
+    def test_truncated_ensemble_member_is_2(self, workspace, capsys):
+        argv = self._finished_pipeline("run_member")
+        with open("run_member/manifest.json", encoding="utf-8") as fh:
+            ref = json.load(fh)["init"]["fwd"]["model"]
+        with open(os.path.join("run_member", ref["path"]), encoding="utf-8") as fh:
+            member = json.load(fh)["members"][0]
+        with open(f"run_member/artifacts/models/{member}.json", "w",
+                  encoding="utf-8") as fh:
+            fh.write('{"trunc')
+        capsys.readouterr()
+        assert main(argv) == EXIT_DATA
+        assert member in capsys.readouterr().err
 
     def test_help_is_0(self):
         with pytest.raises(SystemExit) as exc:

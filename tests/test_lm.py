@@ -1,13 +1,16 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deskmt import lm as lm_module
 from deskmt.lm import (
     DataError,
     InterpolatedLM,
+    NGramLM,
     finetune_lm,
     lm_from_dict,
     lm_to_dict,
@@ -241,6 +244,9 @@ def reference_logprob(model, sentence):
     return total + model.eos_logprob
 
 
+_SCORER_SYMBOLS = ("a", "b", "e", "zz")
+
+
 class TestTermCache:
     def models(self):
         rng = random.Random(51)
@@ -261,6 +267,71 @@ class TestTermCache:
         rng = random.Random(53)
         sents = random_corpus(rng, ["a", "b", "c", "d", "e"], 40)
         for model in self.models():
+            parts = [model] if isinstance(model, NGramLM) else [model.base, model.indomain]
+            scorer = model.scorer_for(_SCORER_SYMBOLS)
             for s in sents:
                 assert logprob(model, s) == reference_logprob(model, s)
+                ctx = s[-(model.order - 1):]
+                expected = model.cond_logprobs_at(ctx, model.symbol_index(_SCORER_SYMBOLS))
+                assert np.array_equal(scorer.logvec(ctx), expected)
                 assert len(model._term_cache) <= 6
+                assert all(len(rows) <= 6 for _, rows in model._scorer_rows.values())
+                for part in parts:
+                    assert len(part._prob_cache) <= 6
+                    assert all(level < part.order for level, _ in part._prob_cache)
+            assert all(part._prob_cache for part in parts)
+
+
+# Tokens of the bit-identity properties: a literal "<s>" may occur in training
+# text and in histories, "oov" never occurs in training text.
+_TOKENS = ("a", "b", "c", "d", "<s>")
+_QUERIES = _TOKENS + ("oov", "</s>")
+_corpora = st.lists(st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=6).map(tuple),
+                    min_size=1, max_size=10)
+_histories = st.lists(st.sampled_from(_TOKENS + ("oov",)), max_size=4).map(tuple)
+_orders = st.integers(min_value=1, max_value=4)
+_ks = st.sampled_from([0.01, 0.3, 1.0, 7.5])
+
+
+class TestScalarTerm:
+    """`_term` computes one top-order element; it equals the row's element bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_corpora, _orders, _ks, _histories, st.sampled_from(_QUERIES))
+    def test_ngram_term_is_the_row_element(self, corpus, order, k, history, token):
+        model = train_lm(corpus, order, k)
+        row = model.cond_logprobs(history)
+        assert model._term(history, token).hex() == float(row[model.id_or_unk(token)]).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_corpora, _corpora, _orders, _ks, st.sampled_from([0.0, 0.3, 1.0]),
+           _histories, st.integers(min_value=0, max_value=len(_QUERIES) - 1))
+    def test_interpolated_term_is_the_row_element(self, corpus, in_corpus, order, k,
+                                                  alpha, history, at):
+        model = finetune_lm(train_lm(corpus, order, k), in_corpus, alpha)
+        row = model.cond_logprobs_at(history, model.symbol_index(_QUERIES))
+        assert model._term(history, _QUERIES[at]).hex() == float(row[at]).hex()
+
+    @pytest.mark.parametrize("k", [0.01, 0.3, 7.5])
+    def test_every_term_is_the_row_element(self, k):
+        # A dense sweep over a peaked, weighted model: a scalar log that
+        # differs from np.log's row kernel in rare last bits (math.log does,
+        # mostly for probabilities near 1) shows here when the properties
+        # above miss it.
+        rng = random.Random(54)
+        vocab = [f"w{i}" for i in range(12)]
+        successor = {w: rng.choice(vocab) for w in vocab}
+        corpus = []
+        for _ in range(150):
+            sent = [rng.choice(vocab)]
+            for _ in range(rng.randint(1, 7)):
+                sent.append(successor[sent[-1]] if rng.random() < 0.9
+                            else rng.choice(vocab))
+            corpus.append(tuple(sent))
+        weights = [rng.randint(1, 40) for _ in corpus]
+        model = train_lm(corpus, order=3, k=k, weights=weights)
+        queries = vocab + ["oov", "</s>"]
+        for history in itertools.product(vocab + ["<s>"], repeat=2):
+            row = model.cond_logprobs(history)
+            terms = [model._term(history, token) for token in queries]
+            assert terms == [float(row[model.id_or_unk(t)]) for t in queries]

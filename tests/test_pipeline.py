@@ -15,6 +15,7 @@ from deskmt.corpus import (
     save_manifest,
 )
 from deskmt.ensemble import Ensemble
+from deskmt.lm import NGramLM
 from deskmt.pipeline import PipelineConfig, PipelineManifest, run_pipeline
 from deskmt.rerank import write_nbest_file
 from deskmt.search import SearchSpace, TrialConfig, default_search_space
@@ -241,6 +242,50 @@ class TestResumeChecksStageRecords:
         with pytest.raises(DataError, match=re.escape(repr(key))):
             run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt,
                          bundle.dev, copy, config)
+
+
+def _first_init_member(run_dir):
+    """Hash and file path of the first member of the saved forward init ensemble."""
+    with open(os.path.join(run_dir, "manifest.json"), encoding="utf-8") as fh:
+        ref = json.load(fh)["init"]["fwd"]["model"]
+    with open(os.path.join(run_dir, ref["path"]), encoding="utf-8") as fh:
+        member = json.load(fh)["members"][0]
+    return member, os.path.join(run_dir, "artifacts", "models", f"{member}.json")
+
+
+class TestResumeChecksEnsembleMembers:
+    @pytest.mark.parametrize("text, problem", [
+        ('{"trunc', "is not JSON"),
+        ("[1]", "is not a JSON object"),
+    ], ids=["truncated", "list"])
+    def test_broken_member_is_data_error(self, finished_run, tmp_path, text, problem):
+        bundle, config, run_dir, _ = finished_run
+        copy = str(tmp_path / "run")
+        shutil.copytree(run_dir, copy)
+        member, path = _first_init_member(copy)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with pytest.raises(DataError, match=f"{member} {problem}"):
+            run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt,
+                         bundle.dev, copy, config)
+
+
+class TestLMCaches:
+    def test_no_lm_keeps_a_top_order_row(self, tmp_path, monkeypatch):
+        created = []
+        init = NGramLM.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            created.append(self)
+
+        monkeypatch.setattr(NGramLM, "__init__", recording_init)
+        bundle = tiny_bundle(seed=31)
+        run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt, bundle.dev,
+                     str(tmp_path / "r"), tiny_config())
+        assert created and any(lm._prob_cache for lm in created)
+        for lm in created:
+            assert all(level < lm.order for level, _ in lm._prob_cache)
 
 
 class TestNoRecomputation:

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import weakref
 from collections import defaultdict
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from deskmt.corpus import SIDE_PARALLEL, UNK_TOKEN, TaggedDataset, build_mix, swap_direction
 from deskmt.lm import train_lm
 from deskmt.corpus import strip_tag
+from deskmt.ensemble import Ensemble
 from deskmt.rerank import NoisyChannelWeights, RerankContext, rerank
 from deskmt.tm import (
     NULL,
@@ -16,7 +19,6 @@ from deskmt.tm import (
     LexModel,
     channel_score,
     channel_scores,
-    corpus_log_likelihood,
     em_train,
     forward_marginal,
     model_from_dict,
@@ -105,6 +107,17 @@ def brute_force_nbest(model, x, n):
     recurse(1, frozenset(), (), (), 0.0)
     ranked = sorted(results.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:n]
+
+
+def corpus_log_likelihood(model, mix):
+    """IBM1 marginal log-likelihood of a mix under the model's current table."""
+    total = 0.0
+    for (src, tgt), w in mix.weighted_pairs().items():
+        s_ids = [0] + [model.src_id[s] for s in src]
+        t_ids = [model.tgt_id[t] for t in tgt]
+        sub = model.t[np.ix_(s_ids, t_ids)]
+        total += w * float(np.log(sub.sum(axis=0)).sum() - len(tgt) * np.log(len(src) + 1))
+    return total
 
 
 def random_mix(rng, n_pairs, vocab_size=5, max_len=4):
@@ -515,3 +528,41 @@ class TestSerialization:
         doc[key] = value
         with pytest.raises(DataError, match=repr(key)):
             model_from_dict(doc)
+
+
+class TestSharedScorerRows:
+    def models(self):
+        """A trained model, a second model over its LM and vocabularies, and an ensemble."""
+        model = em_train(random_mix(random.Random(6), 20), iterations=2, window=1,
+                         lm_weight=0.4)
+        twin = LexModel(model.src_vocab, model.tgt_vocab, model.t * 0.5, model.lm,
+                        window=1, lm_weight=0.4)
+        return model, twin, Ensemble([model])
+
+    def test_models_sharing_an_lm_and_vocabulary_share_rows(self):
+        model, twin, ens = self.models()
+        rows = model._scorer()._cache
+        assert twin._scorer()._cache is rows and ens._scorer()._cache is rows
+        x = ("s1", "s2", "s3")
+        translate_nbest(model, x, 3)
+        filled = dict(rows)
+        translate_nbest(twin, x, 3)
+        assert rows.keys() == filled.keys()
+        assert all(rows[ctx] is vec for ctx, vec in filled.items())
+        other = LexModel(model.src_vocab, model.tgt_vocab[:-1], model.t[:, :-1],
+                         model.lm)
+        assert other._scorer()._cache is not rows
+
+    def test_rows_die_with_their_models_without_the_collector(self):
+        gc.disable()
+        try:
+            models = self.models()
+            for m in models:
+                translate_nbest(m, ("s0", "s4"), 2)
+            lm_ref = weakref.ref(models[0].lm)
+            rows_seen = len(models[0]._scorer()._cache)
+            del models, m
+            assert rows_seen > 0
+            assert lm_ref() is None
+        finally:
+            gc.enable()
