@@ -32,12 +32,25 @@ class EvalContext:
     bpe: BpeModel | None = None
     policy: str = POLICY_SPACED
     tag: str | None = None
+    # id(dataset) -> (dataset, its References); holding the dataset keeps its id
+    _references: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def detok_tokens(self, sentence: Sentence) -> tuple[str, ...]:
         """Detokenize then re-tokenize by whitespace (the evaluation tokenization)."""
         if self.bpe is None:
             return tuple(strip_tag(sentence))
         return tuple(bpe_decode(strip_tag(sentence), self.bpe, self.policy).split())
+
+    def references(self, dataset) -> "References":
+        """The scored targets of `dataset`, surfaced and counted once for the
+        life of this context."""
+        got = self._references.get(id(dataset))
+        if got is None:
+            surface = surface_of(self)
+            got = self._references[id(dataset)] = (
+                dataset, References([surface(ref) for _, ref in dataset.pairs]))
+        return got[1]
 
 
 def surface_of(eval_ctx: EvalContext | None):
@@ -61,23 +74,46 @@ def _ngrams(sentence: Sentence, n: int) -> Counter:
 STATS_WIDTH = 2 + 2 * BLEU_ORDER
 
 
-def sentence_stats(hyp: Sentence, ref: Sentence) -> tuple[int, ...]:
-    """Integer BLEU sufficient statistics of one hypothesis against its reference.
+def _ref_counts(ref: Sentence) -> list[Counter]:
+    return [_ngrams(ref, n) for n in range(1, BLEU_ORDER + 1)]
 
-    Rows add up to the corpus statistics, so their sum is order-independent.
-    """
-    hyp = tuple(hyp)
-    ref = tuple(ref)
+
+def _stats(hyp: Sentence, ref_len: int, ref_counts: list[Counter]) -> tuple[int, ...]:
     matches = [0] * BLEU_ORDER
     totals = [0] * BLEU_ORDER
     for n in range(1, BLEU_ORDER + 1):
         hyp_counts = _ngrams(hyp, n)
         if not hyp_counts:
             continue
-        ref_counts = _ngrams(ref, n)
         totals[n - 1] = sum(hyp_counts.values())
-        matches[n - 1] = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-    return (len(hyp), len(ref), *matches, *totals)
+        matches[n - 1] = sum(min(c, ref_counts[n - 1][g]) for g, c in hyp_counts.items())
+    return (len(hyp), ref_len, *matches, *totals)
+
+
+def sentence_stats(hyp: Sentence, ref: Sentence) -> tuple[int, ...]:
+    """Integer BLEU sufficient statistics of one hypothesis against its reference.
+
+    Rows add up to the corpus statistics, so their sum is order-independent.
+    """
+    ref = tuple(ref)
+    return _stats(tuple(hyp), len(ref), _ref_counts(ref))
+
+
+class References:
+    """The reference side of a scored corpus: each reference's length and
+    n-gram counts, computed once for every hypothesis scored against it."""
+
+    def __init__(self, refs):
+        refs = [tuple(ref) for ref in refs]
+        self._lengths = [len(ref) for ref in refs]
+        self._counts = [_ref_counts(ref) for ref in refs]
+
+    def __len__(self) -> int:
+        return len(self._lengths)
+
+    def stats(self, k: int, hyp: Sentence) -> tuple[int, ...]:
+        """`sentence_stats` of `hyp` against reference k."""
+        return _stats(tuple(hyp), self._lengths[k], self._counts[k])
 
 
 def bleu_from_stats(stats) -> float:
@@ -97,17 +133,30 @@ def bleu_from_stats(stats) -> float:
     return 100.0 * bp * math.exp(log_sum)
 
 
-def bleu(hyps: list[Sentence], refs: list[Sentence]) -> float:
-    """Corpus-level BLEU-4 in [0, 100] against single references."""
+def bleu(hyps: list[Sentence], refs) -> float:
+    """Corpus-level BLEU-4 in [0, 100] against single references.
+
+    `refs` is a list of reference sentences or their `References`.
+    """
     if not hyps:
         raise DataError("BLEU needs a non-empty corpus")
     if len(hyps) != len(refs):
         raise DataError(f"hypothesis/reference count mismatch: {len(hyps)} vs {len(refs)}")
+    if not isinstance(refs, References):
+        refs = References(refs)
     total = [0] * STATS_WIDTH
-    for hyp, ref in zip(hyps, refs):
-        for k, v in enumerate(sentence_stats(hyp, ref)):
-            total[k] += v
+    for k, hyp in enumerate(hyps):
+        for j, v in enumerate(refs.stats(k, hyp)):
+            total[j] += v
     return bleu_from_stats(total)
+
+
+def references_of(dataset, eval_ctx: EvalContext | None) -> References:
+    """The scored targets of `dataset`: the context's, counted once per
+    context, or counted now when there is no context."""
+    if eval_ctx is None:
+        return References([ref for _, ref in dataset.pairs])
+    return eval_ctx.references(dataset)
 
 
 @dataclass

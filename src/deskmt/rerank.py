@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import TaggedDataset
 from .lm import LanguageModel, logprob
-from .metrics import STATS_WIDTH, bleu_from_stats, sentence_stats, surface_of
+from .metrics import STATS_WIDTH, bleu_from_stats, references_of, surface_of
 from .tm import LexModel, NBestEntry, NBestList, channel_scores, translate_corpus
 from .util import DataError, write_text_atomic
 
@@ -122,7 +122,7 @@ def tune_lambdas(dev: TaggedDataset, forward, backward, lm: LanguageModel,
                              tag=eval_ctx.tag if eval_ctx else None)
     lists = [fill_scores(nb, backward, lm) for nb in lists]
     surface = surface_of(eval_ctx)
-    refs = [surface(ref) for _, ref in dev.pairs]
+    refs = references_of(dev, eval_ctx)
 
     components = [(e.fwd, e.channel, e.lm) for nb in lists for e in nb.entries]
     if not np.isfinite(components).all():
@@ -146,7 +146,7 @@ def tune_lambdas(dev: TaggedDataset, forward, backward, lm: LanguageModel,
         picks = (fwd + w.lambda1 * channel + w.lambda2 * lm_score).argmax(axis=1)
         for i in np.flatnonzero(~known[rows, picks]).tolist():
             j = int(picks[i])
-            stats[i, j] = sentence_stats(surface(lists[i].entries[j].hyp), refs[i])
+            stats[i, j] = refs.stats(i, surface(lists[i].entries[j].hyp))
             known[i, j] = True
         score = bleu_from_stats(stats[rows, picks].sum(axis=0))
         if score > best_bleu:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 from .corpus import DataMix, TaggedDataset, build_mix
 from .ensemble import Ensemble
 from .lm import finetune_lm, logprob, train_lm
-from .metrics import EvalContext, bleu, surface_of
+from .metrics import EvalContext, bleu, references_of, surface_of
 from .tm import EMTrainer, LexModel, forward_marginal, model_hash, translate_corpus
 from .util import DataError, doc_field, write_text_atomic
 
@@ -153,14 +153,15 @@ def dev_bleu(model, dev: TaggedDataset, *, eval_ctx: EvalContext | None = None,
              rerank_ctx=None, nbest: int = 1) -> float:
     """Dev BLEU of top-1 outputs, beam or (with a RerankContext) reranked.
 
-    BLEU is measured on detokenized surfaces when a context is given.
+    BLEU is measured on detokenized surfaces when a context is given; the
+    context surfaces and counts the references of `dev` once, for every
+    call that scores against them.
     """
     lists = translate_corpus(model, [src for src, _ in dev.pairs], nbest,
                              tag=eval_ctx.tag if eval_ctx else None,
                              rerank_ctx=rerank_ctx)
     surface = surface_of(eval_ctx)
-    return bleu([surface(nb.top().hyp) for nb in lists],
-                [surface(r) for _, r in dev.pairs])
+    return bleu([surface(nb.top().hyp) for nb in lists], references_of(dev, eval_ctx))
 
 
 def run_trial(config: TrialConfig, mix: DataMix, dev: TaggedDataset, *,

@@ -1,0 +1,190 @@
+"""Block decoding: every source decodes as it would alone.
+
+`reference_nbest` is the decoder as it ran one sentence at a time, before
+`tm.translate_corpus` ran each beam step over a block of sources: the same
+pool order, the same float operations and the same `argpartition` plus stable
+`argsort` selection, written as a per-sentence loop. The properties compare
+the block decoder with it, and with itself source by source, bit for bit.
+"""
+
+import random
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from deskmt import tm
+from deskmt.corpus import SIDE_PARALLEL, UNK_TOKEN, TaggedDataset, build_mix, is_tag
+from deskmt.tm import DataError, em_train, translate_corpus, translate_nbest
+
+TAG = "<bt>"
+
+
+def reference_nbest(model, x, n):
+    """Top-n hypotheses of one source, decoded one step at a time in Python."""
+    tag, src = (x[0], x[1:]) if x and is_tag(x[0]) else (None, x)
+    m = len(src)
+    w = model.window
+    width = max(model.beam, n)
+    scorer = model._scorer()
+    order = getattr(model.lm, "order", 1)
+    ext_vocab = model._ext_vocab()
+    position = []
+    for sym in src:
+        sid = model.src_id.get(sym)
+        if sid is None or not np.any(model.t[sid]):
+            position.append((np.array([len(model.tgt_vocab)]),
+                             np.array([np.log(model.unk_floor)])))
+        else:
+            ids = np.flatnonzero(model.t[sid])
+            position.append((ids, np.log(model.t[sid][ids])))
+    off = [0]
+    for ids, _ in position:
+        off.append(off[-1] + ids.size)
+    ids_all = np.concatenate([ids for ids, _ in position])
+    lex_all = np.concatenate([lex for _, lex in position])
+    if tag is not None and model.tag_bias.get(tag):
+        table = model.tag_bias[tag]
+        lex_all = lex_all + np.array([table.get(sym, 0.0) for sym in ext_vocab])[ids_all]
+
+    beam = [(0.0, 0, (), ())]  # (score, consumed bitmask, lm context, emitted ext ids)
+    for i in range(1, m + 1):
+        lo, hi = max(0, i - 1 - w), min(m - 1, i - 1 + w)
+        must = i - 1 - w
+        c0 = off[lo]
+        cols = off[hi + 1] - c0
+        by_ctx = {}
+        for idx, state in enumerate(beam):
+            by_ctx.setdefault(state[2], []).append(idx)
+        row_state, row_pos, row_start, row_len = [], [], [], []
+        for g, members in enumerate(by_ctx.values()):
+            for j in range(lo, hi + 1):
+                for idx in members:
+                    mask = beam[idx][1]
+                    if not mask >> j & 1 and (must < 0 or j == must or mask >> must & 1):
+                        row_state.append(idx)
+                        row_pos.append(j)
+                        row_start.append(g * cols + off[j] - c0)
+                        row_len.append(off[j + 1] - off[j])
+        win_ids = ids_all[c0:c0 + cols]
+        lm_rows = np.array([scorer.logvec(ctx) for ctx in by_ctx])[:, win_ids]
+        step = (lex_all[c0:c0 + cols] + model.lm_weight * lm_rows).ravel()
+        lens = np.array(row_len)
+        ends = lens.cumsum()
+        gather = (np.array(row_start) - ends + lens).repeat(lens) + np.arange(ends[-1])
+        flat = np.array([beam[idx][0] for idx in row_state]).repeat(lens) + step[gather]
+        if flat.size > width:
+            keep = flat.argpartition(-width)[-width:]
+            keep = keep[(-flat[keep]).argsort(kind="stable")]
+        else:
+            keep = (-flat).argsort(kind="stable")
+        new_beam = []
+        for e in keep.tolist():
+            row = int(ends.searchsorted(e, "right"))
+            ext_id = int(win_ids[gather[e] % cols])
+            score, mask, ctx, emitted = beam[row_state[row]]
+            ctx = ctx + (ext_vocab[ext_id],)
+            if len(ctx) >= order:
+                ctx = ctx[len(ctx) - order + 1:]
+            new_beam.append((float(flat[e]), mask | 1 << row_pos[row], ctx,
+                             emitted + (ext_id,)))
+        beam = new_beam
+
+    best = {}
+    for score, _, _, emitted in beam:
+        if best.get(emitted, -np.inf) < score:
+            best[emitted] = score
+    hyps = {tuple(ext_vocab[e] for e in emitted): score for emitted, score in best.items()}
+    return sorted(hyps.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
+
+
+def entries(nb):
+    """Hypotheses with the exact bits of their scores."""
+    return [(e.hyp, float(e.fwd).hex()) for e in nb.entries]
+
+
+def random_model(rng, *, beam, window, order, lm_weight, unk_target):
+    """EM model over a random mix; `unk_target` puts the unknown token among
+    the targets, as self-training does with partly unknown outputs."""
+    vocab = rng.randint(2, 6)
+    src_syms = [f"s{i}" for i in range(vocab)]
+    tgt_syms = [f"t{i}" for i in range(vocab)] + ([UNK_TOKEN] if unk_target else [])
+    pairs = []
+    for _ in range(rng.randint(3, 12)):
+        length = rng.randint(1, 4)
+        pairs.append((tuple(rng.choice(src_syms) for _ in range(length)),
+                      tuple(rng.choice(tgt_syms) for _ in range(length))))
+    mix = build_mix([TaggedDataset("r", SIDE_PARALLEL, "<t>", pairs=tuple(pairs))])
+    model = em_train(mix, rng.randint(1, 3), lm_order=order, beam=beam, window=window,
+                     lm_weight=lm_weight)
+    return model, src_syms
+
+
+def random_sources(rng, src_syms, count):
+    """Sources of length 1-12 with unknown and repeated symbols, some tagged."""
+    pool = src_syms + ["zz", "qq"]
+    sources = []
+    for _ in range(count):
+        length = rng.randint(1, 12)
+        source = tuple(rng.choice(pool[:rng.randint(1, len(pool))]) for _ in range(length))
+        sources.append((TAG,) + source if rng.random() < 0.3 else source)
+    return sources
+
+
+class TestBlocksEqualSingleSentences:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), beam=st.integers(1, 5), window=st.integers(0, 2),
+           n=st.integers(1, 50), order=st.integers(1, 3),
+           lm_weight=st.sampled_from([0.0, 0.4, 1.0]), unk_target=st.booleans(),
+           biased=st.booleans(), count=st.integers(1, 14),
+           states=st.sampled_from([1, 7, 40, tm._DECODE_STATES]))
+    def test_corpus_equals_each_source_alone(self, seed, beam, window, n, order, lm_weight,
+                                             unk_target, biased, count, states):
+        rng = random.Random(seed)
+        model, src_syms = random_model(rng, beam=beam, window=window, order=order,
+                                       lm_weight=lm_weight, unk_target=unk_target)
+        if biased:
+            ext = model._ext_vocab()
+            model.tag_bias = {TAG: {ext[0]: 1.5, ext[-1]: -0.75}}
+        sources = random_sources(rng, src_syms, count)
+        # small block bounds put these few sources in several blocks
+        with mock.patch.object(tm, "_DECODE_STATES", states):
+            lists = translate_corpus(model, sources, n)
+        assert [nb.source for nb in lists] == sources
+        for source, nb in zip(sources, lists):
+            assert entries(nb) == entries(translate_nbest(model, source, n))
+            assert entries(nb) == [(hyp, score.hex())
+                                   for hyp, score in reference_nbest(model, source, n)]
+
+    def test_more_sources_than_one_block_holds(self):
+        rng = random.Random(3)
+        model, src_syms = random_model(rng, beam=5, window=1, order=3, lm_weight=0.4,
+                                       unk_target=False)
+        sources = random_sources(rng, src_syms, tm._DECODE_STATES // 5 + 9)
+        lists = translate_corpus(model, sources, 1)
+        for source, nb in zip(sources, lists):
+            assert entries(nb) == entries(translate_nbest(model, source, 1))
+
+
+class TestEmptySources:
+    def model(self):
+        model, _ = random_model(random.Random(1), beam=2, window=1, order=2,
+                                lm_weight=0.5, unk_target=False)
+        return model
+
+    def message(self, call):
+        with pytest.raises(DataError) as info:
+            call()
+        return str(info.value)
+
+    @pytest.mark.parametrize("where", [0, 1, 3])
+    @pytest.mark.parametrize("empty", [(), (TAG,)])
+    def test_empty_source_anywhere_raises_the_single_sentence_error(self, where, empty):
+        model = self.model()
+        sources = [("s0", "s1"), ("s1",), ("s0",)]
+        sources.insert(where, empty)
+        expected = self.message(lambda: translate_nbest(model, (), 1))
+        assert expected == "cannot translate an empty sentence"
+        assert self.message(lambda: translate_corpus(model, sources, 3)) == expected
+        assert self.message(lambda: translate_corpus(model, sources, 3, tag=TAG)) == expected

@@ -6,7 +6,8 @@ with repeated unknown symbols (whose candidates tie exactly), a tag-biased
 model and a symmetric model whose distinct hypotheses tie exactly, so the
 beam's tie breaking decides which of them survive. Any change to the
 decoder's arithmetic or to its pool order and tie breaking shows up here as a
-mismatch.
+mismatch. Every case is checked twice: decoded on its own, and inside one
+`translate_corpus` call per group of cases that share a model and n.
 
 To regenerate the fixture, deliberately, from a given source tree:
 
@@ -22,7 +23,7 @@ import numpy as np
 from deskmt.corpus import build_mix
 from deskmt.lm import train_lm
 from deskmt.synth import gen_corpora, make_spec
-from deskmt.tm import NULL, LexModel, em_train, translate_nbest
+from deskmt.tm import NULL, LexModel, em_train, translate_corpus, translate_nbest
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "decoder_golden.json")
 
@@ -43,8 +44,12 @@ def _sources(bundle):
     ]
 
 
-def golden_cases():
-    """Yield (case id, model, source, n) for every golden decode."""
+def golden_groups():
+    """Yield (case id prefix, model, sources, n), one group per decoder setting.
+
+    The symmetric model's beam is set before each of its groups, so decode a
+    group before taking the next one.
+    """
     spec = make_spec(24, seed=5, min_len=2, max_len=5)
     bundle = gen_corpora(spec, {"parallel": 80, "mono_src": 8, "mono_tgt": 4,
                                 "dev": 4, "test": 4})
@@ -55,15 +60,13 @@ def golden_cases():
             model = em_train(mix, 3, lm_order=3, beam=beam, window=window,
                              lm_weight=0.4)
             for n in NBEST:
-                for k, source in enumerate(sources):
-                    yield f"b{beam}-w{window}-n{n}-s{k}", model, source, n
+                yield f"b{beam}-w{window}-n{n}", model, sources, n
 
     biased = em_train(mix, 3, lm_order=2, beam=5, window=1, lm_weight=0.4)
     targets = biased.tgt_vocab
     biased.tag_bias = {TAG: {targets[0]: 1.5, targets[3]: -0.75, "<unk>": 0.25}}
     for n in NBEST:
-        for k, source in enumerate(sources):
-            yield f"tag-n{n}-s{k}", biased, (TAG,) + source, n
+        yield f"tag-n{n}", biased, [(TAG,) + source for source in sources], n
 
     # t(A|x) = t(B|x) and a unigram LM with equal A/B counts: every A/B
     # string of a given length scores the same
@@ -74,25 +77,46 @@ def golden_cases():
     for beam in BEAMS:
         symmetric.beam = beam
         for n in NBEST:
-            for k, source in enumerate([("x", "x", "x", "x"), ("x", "y", "x", "zz", "x")]):
-                yield f"tie-b{beam}-n{n}-s{k}", symmetric, source, n
+            yield (f"tie-b{beam}-n{n}", symmetric,
+                   [("x", "x", "x", "x"), ("x", "y", "x", "zz", "x")], n)
+
+
+def _entries(nbest):
+    return [[" ".join(e.hyp), repr(e.fwd)] for e in nbest.entries]
 
 
 def decode_all() -> dict:
+    """Every case decoded on its own."""
     out = {}
-    for case, model, source, n in golden_cases():
-        nbest = translate_nbest(model, source, n)
-        out[case] = [[" ".join(e.hyp), repr(e.fwd)] for e in nbest.entries]
+    for prefix, model, sources, n in golden_groups():
+        for k, source in enumerate(sources):
+            out[f"{prefix}-s{k}"] = _entries(translate_nbest(model, source, n))
     return out
 
 
-def test_decoder_matches_golden_fixture():
+def decode_all_in_blocks() -> dict:
+    """Every case decoded inside one corpus call per group."""
+    out = {}
+    for prefix, model, sources, n in golden_groups():
+        for k, nbest in enumerate(translate_corpus(model, sources, n)):
+            out[f"{prefix}-s{k}"] = _entries(nbest)
+    return out
+
+
+def _assert_matches_fixture(got: dict) -> None:
     with open(FIXTURE, encoding="utf-8") as fh:
         expected = json.load(fh)
-    got = decode_all()
     assert sorted(got) == sorted(expected)
     for case in expected:
         assert got[case] == expected[case], case
+
+
+def test_decoder_matches_golden_fixture():
+    _assert_matches_fixture(decode_all())
+
+
+def test_corpus_decode_matches_golden_fixture():
+    _assert_matches_fixture(decode_all_in_blocks())
 
 
 def test_fixture_exercises_ties():

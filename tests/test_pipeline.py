@@ -296,16 +296,17 @@ class TestNoRecomputation:
                           [s for s, _ in bundle.dev.pairs],
                           [t for _, t in bundle.dev.pairs]):
             assert len(set(sentences)) == len(sentences)  # a repeat is the code's
-        decode = tm.translate_nbest
+        decode = tm._decode_block
         seen, repeats, decoders = set(), [], []
 
-        def counting(model, x, n):
-            key = (id(model), tuple(x), n)
-            (repeats.append if key in seen else seen.add)(key)
+        def counting(model, block, width, n):
+            for x in block:  # every source of every block the corpus decoder runs
+                key = (id(model), tuple(x), n)
+                (repeats.append if key in seen else seen.add)(key)
             decoders.append(model)  # keeps every id unique for the whole run
-            return decode(model, x, n)
+            return decode(model, block, width, n)
 
-        monkeypatch.setattr(tm, "translate_nbest", counting)
+        monkeypatch.setattr(tm, "_decode_block", counting)
         run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt, bundle.dev,
                      str(tmp_path / "r"), tiny_config(iterations=2, finetune_steps=2,
                                                       finetune_every_iteration=True))

@@ -27,7 +27,7 @@ from deskmt.search import (
     select_top_k,
     trial_mix,
 )
-from deskmt.tm import em_train
+from deskmt.tm import em_train, translate_corpus
 
 
 def parallel(seed, n_pairs=16, vocab=4):
@@ -282,3 +282,45 @@ class TestFinetune:
         empty = TaggedDataset("e", SIDE_PARALLEL, "<t>", pairs=())
         with pytest.raises(DataError):
             finetune(model, empty, in_ds, max_steps=1, base_bleu=0.0)
+
+
+class TestDevReferences:
+    def test_each_reference_is_detokenized_once(self, monkeypatch):
+        from deskmt.lm import train_lm
+        from deskmt.metrics import EvalContext, bleu
+        from deskmt.rerank import tune_lambdas
+        from deskmt.subword import encode_dataset, learn_bpe
+
+        raw_train, raw_dev = parallel(21, n_pairs=30, vocab=5), parallel(22, n_pairs=12, vocab=5)
+        bpe = learn_bpe([t for _, t in raw_train.pairs] + [s for s, _ in raw_train.pairs], 12)
+        train, dev = encode_dataset(raw_train, bpe), encode_dataset(raw_dev, bpe)
+        refs = [t for _, t in dev.pairs]
+        assert len({id(r) for r in refs}) == len(refs)
+        ref_ids = {id(r) for r in refs}
+        ctx = EvalContext(bpe=bpe, tag=TAG_IN_DOMAIN)
+        detokenized = []
+        detok = EvalContext.detok_tokens
+
+        def counting(self, sentence):
+            if id(sentence) in ref_ids:
+                detokenized.append(id(sentence))
+            return detok(self, sentence)
+
+        monkeypatch.setattr(EvalContext, "detok_tokens", counting)
+        mix = build_mix([train])
+        results = run_search(tiny_space(), 3, 0, lambda config: mix, dev, eval_ctx=ctx)
+        best = results[0]
+        tuned, score = finetune(best.model, train, dev, 2, base_bleu=best.dev_bleu,
+                                eval_ctx=ctx)
+        bwd = em_train(build_mix([TaggedDataset("b", SIDE_PARALLEL, "<d:in>", pairs=tuple(
+            (t, s) for s, t in train.pairs))]), 2)
+        tune_lambdas(dev, tuned, bwd, train_lm(refs, 2, 0.5), trials=3, eval_ctx=ctx)
+        assert sorted(detokenized) == sorted(ref_ids)
+
+        # the counted references score exactly as references detokenized afresh
+        monkeypatch.undo()
+        fresh = EvalContext(bpe=bpe, tag=TAG_IN_DOMAIN)
+        hyps = [fresh.detok_tokens(nb.top().hyp) for nb in translate_corpus(
+            tuned, [s for s, _ in dev.pairs], 1, tag=TAG_IN_DOMAIN)]
+        assert dev_bleu(tuned, dev, eval_ctx=ctx) == score == bleu(
+            hyps, [fresh.detok_tokens(r) for r in refs])
