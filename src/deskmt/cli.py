@@ -8,7 +8,6 @@ hashing, so identical invocations reproduce identical outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import partial
@@ -21,15 +20,14 @@ from .corpus import (
     TAG_IN_DOMAIN,
     load_corpus,
     save_corpus,
-    save_manifest,
     swap_dataset,
 )
 from .ensemble import Ensemble
-from .lm import lm_from_dict, lm_to_dict, train_lm
+from .lm import lm_from_dict
 from .metrics import EvalContext
 from .rerank import NoisyChannelWeights, RerankContext
 from .search import SearchSpace, TrialConfig, default_search_space
-from .util import DataError, stable_json_dumps, write_text_atomic
+from .util import DataError, read_json, stable_json_dumps, write_text_atomic
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,14 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_models(paths: list[str]):
     """One path gives a LexModel; several give a probability-averaged ensemble."""
-    models = []
-    for path in paths:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            raise DataError(f"cannot read model {path}: {e}") from e
-        models.append(tm.model_from_dict(doc))
+    models = [tm.model_from_dict(read_json(path, "model")) for path in paths]
     return models[0] if len(models) == 1 else Ensemble(models)
 
 
@@ -62,11 +53,7 @@ def _save_model(model, path: str) -> None:
 
 
 def _load_lm(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return lm_from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot read language model {path}: {e}") from e
+    return lm_from_dict(read_json(path, "language model"))
 
 
 def _maybe_bpe(args):
@@ -154,18 +141,10 @@ def cmd_synth_gen(args) -> int:
              "mono_tgt": args.mono_tgt, "dev": args.dev, "test": args.test}
     bundle = synth.gen_corpora(spec, sizes)
     os.makedirs(args.out, exist_ok=True)
-    synth.save_spec(spec, os.path.join(args.out, "spec.json"))
-    entries = []
-    files = {"parallel": ("parallel.tsv", SIDE_PARALLEL),
-             "mono_src": ("mono_src.txt", SIDE_MONO_SOURCE),
-             "mono_tgt": ("mono_tgt.txt", SIDE_MONO_TARGET),
-             "dev": ("dev.tsv", SIDE_PARALLEL), "test": ("test.tsv", SIDE_PARALLEL)}
-    for name, (fname, side) in files.items():
-        ds = getattr(bundle, name)
-        save_corpus(ds, os.path.join(args.out, fname))
-        entries.append({"name": name, "path": fname, "side": side,
-                        "tag": ds.tag, "upsample": 1})
-    save_manifest(entries, os.path.join(args.out, "manifest.json"))
+    files = {"parallel": "parallel.tsv", "mono_src": "mono_src.txt",
+             "mono_tgt": "mono_tgt.txt", "dev": "dev.tsv", "test": "test.tsv"}
+    for name, fname in files.items():
+        save_corpus(getattr(bundle, name), os.path.join(args.out, fname))
     print(f"wrote benchmark bundle to {args.out} "
           f"(vocab {spec.vocab_size}, noise {spec.noise_rate})")
     return EXIT_OK
@@ -218,14 +197,14 @@ def cmd_search(args) -> int:
     search.append_trial_log(results, os.path.join(args.out_dir, "runlog.jsonl"))
     for i, r in enumerate(results):
         _save_model(r.model, os.path.join(args.out_dir, f"trial{i:03d}.json"))
-    best = max(range(len(results)), key=lambda i: (results[i].dev_bleu, -i))
+    order = search.rank_trials(results)
+    best = order[0]
     print(f"{len(results)} trials -> {args.out_dir}; "
           f"best trial {best} dev BLEU {results[best].dev_bleu:.2f}")
     if args.topk:
-        order = sorted(range(len(results)),
-                       key=lambda i: (-results[i].dev_bleu, i))[:args.topk]
-        print("ensemble members: " + " ".join(f"trial{i:03d}" for i in order))
-        for rank, i in enumerate(order):
+        members = order[:args.topk]
+        print("ensemble members: " + " ".join(f"trial{i:03d}" for i in members))
+        for rank, i in enumerate(members):
             _save_model(results[i].model,
                         os.path.join(args.out_dir, f"ensemble{rank}.json"))
     return EXIT_OK
@@ -297,7 +276,7 @@ def _cmd_augment(args, kind: str) -> int:
                                  source_lang=args.mono_lang)
     save_corpus(out, args.out)
     provenance = {"generator": tm.model_hash(model), "decode": args.mode,
-                  "lambdas": [args.lambda1, args.lambda2], "seed": args.seed,
+                  "lambdas": [args.lambda1, args.lambda2],
                   "dropped": out.dropped, "tag": out.tag}
     write_text_atomic(args.out + ".prov.json", stable_json_dumps(provenance) + "\n")
     print(f"wrote {len(out.pairs)} pairs ({out.dropped} dropped) -> {args.out}")
@@ -387,7 +366,8 @@ def build_parser() -> _Parser:
                      description="Desk-scale low-resource MT experimentation toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("synth-gen", help="generate a synthetic benchmark bundle")
+    p = sub.add_parser("synth-gen", help="generate a synthetic benchmark bundle: "
+                       "parallel.tsv, mono_src.txt, mono_tgt.txt, dev.tsv, test.tsv")
     p.add_argument("--out", required=True)
     p.add_argument("--vocab", type=int, default=synth.DEFAULT_VOCAB)
     p.add_argument("--noise", type=float, default=synth.DEFAULT_NOISE)
@@ -475,7 +455,6 @@ def build_parser() -> _Parser:
                        help="language label of the monolingual file")
         p.add_argument("--bpe", default=None)
         p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int, default=0)
         _add_rerank_flags(p)
         p.set_defaults(handler=lambda a, k=kind: _cmd_augment(a, k))
 

@@ -7,11 +7,10 @@ flattens several tagged datasets into one training multiset.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field, replace
 
-from .util import DataError, doc_field, write_text_atomic
+from .util import DataError, read_text, write_text_atomic
 
 Sentence = tuple[str, ...]
 Pair = tuple[Sentence, Sentence]
@@ -96,13 +95,7 @@ def load_corpus(path: str, side: str, *, name: str | None = None,
     """
     if name is None:
         name = os.path.splitext(os.path.basename(path))[0]
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except OSError as e:
-        raise DataError(f"cannot read corpus file {path}: {e}") from e
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path} is not valid UTF-8: {e}") from e
+    lines = read_text(path, "corpus file").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
 
@@ -236,35 +229,3 @@ def swap_direction(mix: DataMix) -> DataMix:
     """Swap source/target on every pair, re-applying tags on the new source side."""
     return build_mix([swap_dataset(ds) for ds in mix.datasets])
 
-
-MANIFEST_VERSION = 1
-
-
-def save_manifest(entries: list[dict], path: str) -> None:
-    """Write a dataset manifest: a JSON list of {name, path, side, tag, upsample}."""
-    doc = {"version": MANIFEST_VERSION, "datasets": entries}
-    write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def load_manifest(path: str) -> list[TaggedDataset]:
-    """Load every dataset listed in a manifest; paths resolve relative to it."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot read manifest {path}: {e}") from e
-    if not isinstance(doc, dict) or doc.get("version") != MANIFEST_VERSION:
-        raise DataError(f"unsupported manifest version in {path}")
-    base = os.path.dirname(os.path.abspath(path))
-    datasets = []
-    for i, entry in enumerate(doc_field(doc, "datasets", list, path)):
-        what = f"{path}: datasets[{i}]"
-        fpath = doc_field(entry, "path", str, what)
-        if not os.path.isabs(fpath):
-            fpath = os.path.join(base, fpath)
-        tag = doc_field(entry, "tag", str, what) if "tag" in entry else TAG_IN_DOMAIN
-        upsample = doc_field(entry, "upsample", int, what) if "upsample" in entry else 1
-        datasets.append(load_corpus(
-            fpath, doc_field(entry, "side", str, what),
-            name=doc_field(entry, "name", str, what), tag=tag, upsample=upsample))
-    return datasets

@@ -28,7 +28,6 @@ Caches, each capped at `_CACHE_CAP` entries and cleared when full:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 

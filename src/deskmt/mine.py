@@ -14,12 +14,12 @@ the intersection sizes of all pairs come from one matmul of 0/1 token
 incidence matrices. In a matched document pair, each sentence of one side is
 scored against all sentences of the other with one batched channel call.
 Distances and set sizes are exact integers, so every similarity is the same
-float the per-pair definitions (`lev_sim`, `jaccard`, `channel_score`) give.
+float the per-pair definitions `lev_sim` and `jaccard` give, and each
+sentence-pair score is the one `channel_scores` gives for that pair alone.
 """
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from .corpus import Sentence
 from .tm import LexModel, channel_scores
-from .util import DataError
+from .util import DataError, read_text
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,6 @@ def lev_sim(a: str, b: str) -> float:
 def jaccard(a: WebDoc, b: WebDoc, lexicon: dict[str, str]) -> float:
     """Token-set Jaccard with each side augmented by its own tokens' translations."""
     return float(_jaccards([a], [b], lexicon)[0, 0])
-
-
-def doc_sim(a: WebDoc, b: WebDoc, lexicon: dict[str, str]) -> float:
-    return lev_sim(a.url, b.url) * jaccard(a, b, lexicon)
 
 
 def _lev_sims(urls_a: list[str], urls_b: list[str]) -> np.ndarray:
@@ -215,7 +211,7 @@ def load_doc_dir(path: str, url_index: dict[str, str], lang: str = "") -> list[W
     for name in names:
         if name not in url_index:
             raise DataError(f"no URL recorded for document {name}")
-        lines = _read_lines(os.path.join(path, name), "document")
+        lines = read_text(os.path.join(path, name), "document").split("\n")
         sentences = tuple(tuple(line.split()) for line in lines if line.strip())
         docs.append(WebDoc(url=url_index[name], sentences=sentences, lang=lang))
     return docs
@@ -224,8 +220,7 @@ def load_doc_dir(path: str, url_index: dict[str, str], lang: str = "") -> list[W
 def load_url_index(path: str) -> dict[str, dict[str, str]]:
     """URL index file: lines of "side<TAB>filename<TAB>url", side in {src, tgt}."""
     index: dict[str, dict[str, str]] = {"src": {}, "tgt": {}}
-    for lineno, line in enumerate(_read_lines(path, "URL index"), 1):
-        line = line.rstrip("\n")
+    for lineno, line in enumerate(read_text(path, "URL index").split("\n"), 1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -234,18 +229,3 @@ def load_url_index(path: str) -> dict[str, dict[str, str]]:
         index[parts[0]][parts[1]] = parts[2]
     return index
 
-
-def _read_lines(path: str, what: str) -> list[str]:
-    """The UTF-8 lines of a file, split as text-mode reading splits them."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as e:
-        raise DataError(f"cannot read {what} {path}: {e}") from e
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        head = data[:e.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        lineno = head.count(b"\n") + 1
-        raise DataError(f"{path}:{lineno}: {what} is not valid UTF-8 (byte {e.start})") from e
-    return io.StringIO(text, newline=None).readlines()

@@ -11,7 +11,6 @@ skip completed stages and two runs with one seed produce identical bytes.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -52,6 +51,8 @@ from .util import (
     content_hash,
     derive_seed,
     doc_field,
+    doc_strings,
+    read_json,
     sha256_bytes,
     sha256_text,
     stable_json_dumps,
@@ -112,12 +113,8 @@ class PipelineManifest:
     @classmethod
     def load(cls, run_dir: str) -> "PipelineManifest":
         path = os.path.join(run_dir, MANIFEST_NAME)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            raise DataError(f"cannot read manifest {path}: {e}") from e
-        if not isinstance(data, dict) or data.get("version") != MANIFEST_VERSION:
+        data = read_json(path, "run manifest")
+        if data.get("version") != MANIFEST_VERSION:
             raise DataError(f"unsupported manifest version in {path}")
         doc_field(data, "run_id", str, path)
         doc_field(data, "stages_completed", list, path)
@@ -175,22 +172,14 @@ def _save_model(run_dir: str, model) -> dict:
 
 def load_model(manifest: PipelineManifest, ref: dict):
     """Load the model a manifest entry names; an ensemble's members are hash-checked."""
-    with open(manifest.verify(ref), encoding="utf-8") as fh:
-        doc = json.load(fh)
+    path = manifest.verify(ref)
+    doc = read_json(path, "model")
     if doc.get("kind") == "ensemble":
         members = []
-        for member_hash in doc["members"]:
-            path = os.path.join(manifest.run_dir,
-                                f"artifacts/models/{member_hash}.json")
-            try:
-                with open(path, encoding="utf-8") as mfh:
-                    member_doc = json.load(mfh)
-            except OSError as e:
-                raise DataError(f"missing ensemble member {member_hash}: {e}") from e
-            except json.JSONDecodeError as e:
-                raise DataError(f"ensemble member {member_hash} is not JSON: {e}") from e
-            if not isinstance(member_doc, dict):
-                raise DataError(f"ensemble member {member_hash} is not a JSON object")
+        for member_hash in doc_strings(doc, "members", path):
+            member_doc = read_json(
+                os.path.join(manifest.run_dir, f"artifacts/models/{member_hash}.json"),
+                f"ensemble member {member_hash}")
             if content_hash(member_doc) != member_hash:
                 raise DataError(f"ensemble member {member_hash} fails its hash check")
             members.append(model_from_dict(member_doc))
@@ -366,8 +355,7 @@ class _PipelineState:
                                     stable_json_dumps(doc))
 
     def _read_json(self, ref: dict) -> dict:
-        with open(self.manifest.verify(ref), encoding="utf-8") as fh:
-            return json.load(fh)
+        return read_json(self.manifest.verify(ref), "run artifact")
 
     # -- init: line-2 models + their tuned lambdas ---------------------------
 

@@ -19,7 +19,7 @@ from .corpus import TaggedDataset
 from .lm import LanguageModel, logprob
 from .metrics import STATS_WIDTH, bleu_from_stats, references_of, surface_of
 from .tm import LexModel, NBestEntry, NBestList, channel_scores, translate_corpus
-from .util import DataError, write_text_atomic
+from .util import DataError, read_text, write_text_atomic
 
 LAMBDA_MAX = 3.0
 DEFAULT_NBEST = 50
@@ -64,7 +64,7 @@ def fill_scores(nbest: NBestList, backward: LexModel, lm: LanguageModel) -> NBes
     """Fill the channel and lm slots of every entry (idempotent).
 
     The channel scores of all unfilled entries come from one batched
-    `channel_scores` call; each equals `channel_score` of its entry exactly.
+    `channel_scores` call; each equals the score of its entry scored alone.
     """
     missing = [e.hyp for e in nbest.entries if e.channel is None]
     fresh = iter(channel_scores(backward, nbest.source, missing))
@@ -179,36 +179,33 @@ def read_nbest_file(path: str) -> list[NBestList]:
     def parse(value):
         return None if value == _UNSET else float(value)
 
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline()
-            if not header.startswith(f"#nbest v{NBEST_FILE_VERSION}"):
-                raise DataError(f"{path}: unsupported n-best file version")
-            lists: list[NBestList] = []
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                where = f"{path}:{lineno}"
-                if line.startswith("#source "):
-                    source_text = line.partition(" ")[2].partition(" ")[2]
-                    lists.append(NBestList(source=tuple(source_text.split()), entries=[]))
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 7:
-                    raise DataError(f"{where}: expected 7 tab-separated fields, "
-                                    f"got {len(fields)}")
-                sid, _, hyp, fwd, ch, lp, comb = fields
-                if not lists:
-                    raise DataError(f"{where}: entry before any #source line")
-                try:
-                    sid = int(sid)
-                    entry = NBestEntry(hyp=tuple(hyp.split()), fwd=float(fwd),
-                                       channel=parse(ch), lm=parse(lp), combined=parse(comb))
-                except ValueError as e:
-                    raise DataError(f"{where}: {e}") from e
-                if not 0 <= sid < len(lists):
-                    raise DataError(f"{where}: sentence id {sid} out of range "
-                                    f"[0, {len(lists)})")
-                lists[sid].entries.append(entry)
-    except OSError as e:
-        raise DataError(f"cannot read n-best file {path}: {e}") from e
+    lines = read_text(path, "n-best file").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines or not lines[0].startswith(f"#nbest v{NBEST_FILE_VERSION}"):
+        raise DataError(f"{path}: unsupported n-best file version")
+    lists: list[NBestList] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        where = f"{path}:{lineno}"
+        if line.startswith("#source "):
+            source_text = line.partition(" ")[2].partition(" ")[2]
+            lists.append(NBestList(source=tuple(source_text.split()), entries=[]))
+            continue
+        fields = line.split("\t")
+        if len(fields) != 7:
+            raise DataError(f"{where}: expected 7 tab-separated fields, "
+                            f"got {len(fields)}")
+        sid, _, hyp, fwd, ch, lp, comb = fields
+        if not lists:
+            raise DataError(f"{where}: entry before any #source line")
+        try:
+            sid = int(sid)
+            entry = NBestEntry(hyp=tuple(hyp.split()), fwd=float(fwd),
+                               channel=parse(ch), lm=parse(lp), combined=parse(comb))
+        except ValueError as e:
+            raise DataError(f"{where}: {e}") from e
+        if not 0 <= sid < len(lists):
+            raise DataError(f"{where}: sentence id {sid} out of range "
+                            f"[0, {len(lists)})")
+        lists[sid].entries.append(entry)
     return lists

@@ -12,14 +12,14 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 from .corpus import DataMix, TaggedDataset, build_mix
 from .ensemble import Ensemble
 from .lm import finetune_lm, logprob, train_lm
 from .metrics import EvalContext, bleu, references_of, surface_of
 from .tm import EMTrainer, LexModel, forward_marginal, model_hash, translate_corpus
-from .util import DataError, doc_field, write_text_atomic
+from .util import DataError, doc_field, read_json, write_text_atomic
 
 DEFAULT_TRIALS = 30
 DEFAULT_PATIENCE = 2
@@ -40,10 +40,6 @@ class TrialConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrialConfig":
-        return cls(**doc)
 
 
 DEFAULT_CONFIG = TrialConfig()
@@ -82,12 +78,7 @@ class SearchSpace:
 
     @classmethod
     def load(cls, path: str) -> "SearchSpace":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            raise DataError(f"cannot read search space {path}: {e}") from e
-        dims = doc_field(doc, "dims", dict, path)
+        dims = doc_field(read_json(path, "search space"), "dims", dict, path)
         for name in dims:
             if not doc_field(dims, name, list, f"{path}: dims"):
                 raise DataError(f"{path}: dims: key {name!r} must be a non-empty list")
@@ -246,14 +237,18 @@ def append_trial_log(results: list[TrialResult], path: str) -> None:
             fh.write(json.dumps(r.record(), sort_keys=True) + "\n")
 
 
+def rank_trials(results: list[TrialResult]) -> list[int]:
+    """Trial indices by dev BLEU, best first; ties keep the lower trial index."""
+    return sorted(range(len(results)), key=lambda i: (-results[i].dev_bleu, i))
+
+
 def select_top_k(results: list[TrialResult], k: int) -> Ensemble:
-    """Ensemble of the k highest dev-BLEU models; ties keep the lower trial index."""
+    """Ensemble of the first k models of `rank_trials`."""
     if k < 1:
         raise DataError("k must be at least 1")
     if k > len(results):
         raise DataError(f"cannot select top {k} from {len(results)} trials")
-    order = sorted(range(len(results)), key=lambda i: (-results[i].dev_bleu, i))
-    return Ensemble([results[i].model for i in order[:k]])
+    return Ensemble([results[i].model for i in rank_trials(results)[:k]])
 
 
 def finetune(model: LexModel, in_domain: TaggedDataset, dev: TaggedDataset,

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .corpus import DEFAULT_TAGS, SIDE_PARALLEL, UNK_TOKEN, Sentence, TaggedDataset
-from .util import DataError, write_text_atomic
+from .util import DataError, read_text, write_text_atomic
 
 DEFAULT_JOINER = "##"
 DEFAULT_RESERVED = frozenset(DEFAULT_TAGS) | {UNK_TOKEN}
@@ -201,32 +201,31 @@ def save_bpe(model: BpeModel, path: str) -> str:
 
 
 def load_bpe(path: str) -> BpeModel:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if not header.startswith(f"#bpe v{FORMAT_VERSION}"):
-                raise DataError(f"{path}: unsupported BPE file header")
-            parts = header.split()
-            fields = {}
-            for part in parts[2:]:
-                key, _, value = part.partition("=")
-                if key == "reserved":
-                    fields["reserved"] = header.split("reserved=", 1)[1]
-                    break
-                fields[key] = value
-            chars_line = fh.readline().rstrip("\n")
-            if not chars_line.startswith("#chars"):
-                raise DataError(f"{path}: missing character inventory line")
-            chars = tuple(chars_line.split()[1:])
-            merges = []
-            for lineno, line in enumerate(fh, start=3):
-                pair = line.rstrip("\n").split(" ")
-                if len(pair) != 2 or not all(pair):
-                    raise DataError(f"{path}:{lineno}: a merge line needs exactly "
-                                    f"two symbols separated by one space")
-                merges.append((pair[0], pair[1]))
-    except OSError as e:
-        raise DataError(f"cannot read BPE model {path}: {e}") from e
+    lines = read_text(path, "BPE model").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    header = lines[0] if lines else ""
+    if not header.startswith(f"#bpe v{FORMAT_VERSION}"):
+        raise DataError(f"{path}: unsupported BPE file header")
+    parts = header.split()
+    fields = {}
+    for part in parts[2:]:
+        key, _, value = part.partition("=")
+        if key == "reserved":
+            fields["reserved"] = header.split("reserved=", 1)[1]
+            break
+        fields[key] = value
+    chars_line = lines[1] if len(lines) > 1 else ""
+    if not chars_line.startswith("#chars"):
+        raise DataError(f"{path}: missing character inventory line")
+    chars = tuple(chars_line.split()[1:])
+    merges = []
+    for lineno, line in enumerate(lines[2:], start=3):
+        pair = line.split(" ")
+        if len(pair) != 2 or not all(pair):
+            raise DataError(f"{path}:{lineno}: a merge line needs exactly "
+                            f"two symbols separated by one space")
+        merges.append((pair[0], pair[1]))
     if not fields.get("vocab", "").isdigit() or "joiner" not in fields:
         raise DataError(f"{path}:1: the header needs vocab=<int> and joiner=")
     reserved = frozenset(fields.get("reserved", "").split())

@@ -16,8 +16,7 @@ targets are corrupted at a configurable noise rate; everything else is clean.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .corpus import (
     Sentence,
     TaggedDataset,
 )
-from .util import NUMBER, DataError, derive_seed, doc_field, write_text_atomic
+from .util import DataError, derive_seed
 
 _ALPHABET = "abcdefghijklmnop"
 DEFAULT_VOCAB = 200
@@ -139,11 +138,6 @@ def make_spec(vocab_size: int = DEFAULT_VOCAB, *, noise_rate: float = DEFAULT_NO
                      min_len=min_len, max_len=max_len)
 
 
-def default_synth_spec(seed: int = 20240801) -> SynthSpec:
-    """The shipped benchmark configuration (calibration pinned by the tests)."""
-    return make_spec(DEFAULT_VOCAB, noise_rate=DEFAULT_NOISE, seed=seed)
-
-
 def ground_truth(spec: SynthSpec, x: Sentence) -> Sentence:
     """Map symbols through the lexicon, then transpose swap-class pairs."""
     try:
@@ -158,27 +152,6 @@ def ground_truth(spec: SynthSpec, x: Sentence) -> Sentence:
             i += 2
         else:
             i += 1
-    return tuple(out)
-
-
-def invert_ground_truth(spec: SynthSpec, y: Sentence) -> Sentence:
-    """Inverse mapping, valid for sentences the generator can produce
-    (no adjacent or sentence-final swap-class symbols)."""
-    inverse = {t: s for s, t in spec.lexicon.items()}
-    swapped_targets = {spec.lexicon[s] for s in spec.swap_class}
-    try:
-        out = []
-        i = 0
-        while i < len(y):
-            if i + 1 < len(y) and y[i + 1] in swapped_targets:
-                out.append(inverse[y[i + 1]])
-                out.append(inverse[y[i]])
-                i += 2
-            else:
-                out.append(inverse[y[i]])
-                i += 1
-    except KeyError as e:
-        raise DataError(f"unknown target symbol {e.args[0]!r}") from e
     return tuple(out)
 
 
@@ -299,44 +272,3 @@ def gen_corpora(spec: SynthSpec, sizes: dict | None = None) -> SynthBundle:
     return SynthBundle(spec=spec, parallel=parallel, mono_src=mono_src,
                        mono_tgt=mono_tgt, dev=dev, test=test)
 
-
-SPEC_FILE_VERSION = 1
-
-
-def save_spec(spec: SynthSpec, path: str) -> None:
-    doc = {
-        "version": SPEC_FILE_VERSION,
-        "vocab_size": spec.vocab_size,
-        "lexicon": spec.lexicon,
-        "swap_class": sorted(spec.swap_class),
-        "in_weights": list(spec.in_weights),
-        "out_weights": list(spec.out_weights),
-        "noise_rate": spec.noise_rate,
-        "seed": spec.seed,
-        "min_len": spec.min_len,
-        "max_len": spec.max_len,
-        "bigram_boost": spec.bigram_boost,
-    }
-    write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def load_spec(path: str) -> SynthSpec:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot read synth spec {path}: {e}") from e
-    if not isinstance(doc, dict) or doc.get("version") != SPEC_FILE_VERSION:
-        raise DataError(f"unsupported synth spec version in {path}")
-
-    def get(key, kind):
-        return doc_field(doc, key, kind, path)
-
-    return SynthSpec(
-        vocab_size=get("vocab_size", int), lexicon=dict(get("lexicon", dict)),
-        swap_class=frozenset(get("swap_class", list)),
-        in_weights=tuple(get("in_weights", list)),
-        out_weights=tuple(get("out_weights", list)),
-        noise_rate=float(get("noise_rate", NUMBER)), seed=get("seed", int),
-        min_len=get("min_len", int), max_len=get("max_len", int),
-        bigram_boost=float(get("bigram_boost", NUMBER)))

@@ -22,7 +22,7 @@ case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,13 +148,6 @@ class LexModel:
                      start, count)
             self._caches["cands"] = table
         return table
-
-    def _candidates(self, position_symbol: str):
-        """(ext ids, lex log-probs) of decodable targets for one source symbol."""
-        ids, lex, start, count = self._candidate_table()
-        sid = self.src_id.get(position_symbol, len(self.src_vocab))
-        a, b = start[sid], start[sid] + count[sid]
-        return ids[a:b], lex[a:b]
 
 
 def _split_tag(sentence: Sentence) -> tuple[str | None, Sentence]:
@@ -479,83 +472,6 @@ def _nbest_list(source: Sentence, beam: list, ext_vocab: tuple[str, ...],
                      entries=[NBestEntry(hyp=hyp, fwd=score) for hyp, score in ranked])
 
 
-def pair_logprob(model: LexModel, x: Sentence, y: Sentence) -> float:
-    """Viterbi forced score: max over window-admissible alignments of the
-    decoder's scoring function. Matches the fwd score of decoder outputs."""
-    tag, src = _split_tag(x)
-    y = strip_tag(y)
-    if len(src) != len(y):
-        raise DataError(f"length mismatch: |x|={len(src)} vs |y|={len(y)}")
-    if not src:
-        raise DataError("cannot score an empty pair")
-    m = len(src)
-    w = model.window
-    scorer = model._scorer()
-    ext_vocab = model._ext_vocab()
-    ext_id = {s: i for i, s in enumerate(ext_vocab)}
-    order = getattr(model.lm, "order", 1)
-    unk_ext = len(model.tgt_vocab)
-
-    bias_of = None
-    if tag is not None and model.tag_bias.get(tag):
-        bias_of = model.tag_bias[tag]
-
-    def lex_term(j: int, token: str) -> float:
-        ids, logp = model._candidates(src[j])
-        tid = ext_id.get(token)
-        if tid is None:
-            value = -np.inf
-        else:
-            hits = np.flatnonzero(ids == tid)
-            value = float(logp[hits[0]]) if hits.size else -np.inf
-        if bias_of is not None and np.isfinite(value):
-            value += bias_of.get(token, 0.0)
-        return value
-
-    states: dict[int, float] = {0: 0.0}
-    ctx: tuple[str, ...] = ()
-    for i in range(1, m + 1):
-        lm_vec = scorer.logvec(ctx)
-        token = y[i - 1]
-        lm_term = float(lm_vec[ext_id.get(token, unk_ext)])
-        lo, hi = max(0, i - 1 - w), min(m - 1, i - 1 + w)
-        new_states: dict[int, float] = {}
-        for mask, score in states.items():
-            for j in range(lo, hi + 1):
-                if mask >> j & 1:
-                    continue
-                lex = lex_term(j, token)
-                if not np.isfinite(lex):
-                    continue
-                new_mask = mask | (1 << j)
-                if i - w >= 1 and not new_mask >> (i - w - 1) & 1:
-                    continue
-                cand = score + (lex + model.lm_weight * lm_term)
-                if new_states.get(new_mask, -np.inf) < cand:
-                    new_states[new_mask] = cand
-        if not new_states:
-            raise DataError("no admissible alignment for this pair")
-        states = new_states
-        ctx = ctx + (token,)
-        if len(ctx) >= order:
-            ctx = ctx[len(ctx) - order + 1:]
-    return states[(1 << m) - 1]
-
-
-def channel_score(model: LexModel, x: Sentence, y: Sentence) -> float:
-    """IBM1 marginal ln P(x | y) under a model trained in the y->x direction:
-
-        sum_j ln( (1/(l+1)) * sum_{i=0..l} t(x_j | y_i) ),  l = |y|, index 0 = NULL.
-
-    Unknown symbols look up at the floor probability; each position's inner
-    marginal is also floored so the score stays finite.
-    """
-    x = strip_tag(x)
-    if not x:
-        return 0.0
-    return float(_ibm1_marginals(model, [strip_tag(y)], x)[0])
-
-
 def forward_marginal(model: LexModel, x: Sentence, y: Sentence) -> float:
     """IBM1 marginal ln P(y | x) in the model's own direction (length-agnostic)."""
     y = strip_tag(y)
@@ -565,7 +481,15 @@ def forward_marginal(model: LexModel, x: Sentence, y: Sentence) -> float:
 
 
 def channel_scores(model: LexModel, x: Sentence, ys: list[Sentence]) -> list[float]:
-    """channel_score(model, x, y) for every y, as one gather per length of y."""
+    """IBM1 marginal ln P(x | y) of every y under a model trained in the y->x
+    direction, as one gather per length of y:
+
+        sum_j ln( (1/(l+1)) * sum_{i=0..l} t(x_j | y_i) ),  l = |y|, index 0 = NULL.
+
+    Unknown symbols look up at the floor probability; each position's inner
+    marginal is also floored so the score stays finite. A score does not
+    depend on the other ys it is computed with.
+    """
     x = strip_tag(x)
     if not x:
         return [0.0] * len(ys)

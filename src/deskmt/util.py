@@ -1,4 +1,5 @@
-"""Shared plumbing: deterministic hashing, seed derivation, stable JSON, atomic writes."""
+"""Shared plumbing: deterministic hashing, seed derivation, stable JSON, file
+reading and atomic writes."""
 
 from __future__ import annotations
 
@@ -46,6 +47,42 @@ def write_text_atomic(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def read_text(path: str, what: str) -> str:
+    """The UTF-8 text of a file, with newlines translated as text-mode reading does.
+
+    `\r\n` and `\r` become `\n` and no other character ends a line, so
+    callers split lines with `.split("\n")`, never `str.splitlines` (which
+    also splits on `\x0c`, `\u2028` and others). A file that cannot be read
+    raises DataError naming `what` and the path; bytes that are not UTF-8
+    raise DataError located as `path:line`.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as e:
+        raise DataError(f"cannot read {what} {path}: {e}") from e
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = data[:e.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        lineno = head.count(b"\n") + 1
+        raise DataError(f"{path}:{lineno}: {what} is not valid UTF-8 (byte {e.start})") from e
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_json(path: str, what: str) -> dict:
+    """The JSON object a file holds; DataError if it is unreadable, not JSON or
+    not an object (see `read_text`)."""
+    text = read_text(path, what)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DataError(f"{path}: {what} is not JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: {what} is not a JSON object")
+    return doc
 
 
 NUMBER = (int, float)

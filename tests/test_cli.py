@@ -125,6 +125,37 @@ class TestExitCodes:
         assert main(argv) == EXIT_DATA
         assert member in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, bad", [
+        (["translate", "--model", "BAD", "--input", "bundle/mono_src.txt",
+          "--output", "o.txt"], "bad_model.json"),
+        (["translate", "--model", "fwd.json", "--input", "bundle/mono_src.txt",
+          "--output", "o.txt", "--mode", "rerank", "--channel-model", "bwd.json",
+          "--lm", "BAD"], "bad_lm.json"),
+        (["translate", "--model", "fwd.json", "--bpe", "BAD", "--input",
+          "bundle/mono_src.txt", "--output", "o.txt"], "bad_bpe.txt"),
+        (["search", "--parallel", "bundle/parallel.tsv", "--dev", "bundle/dev.tsv",
+          "--space", "BAD", "--out-dir", "o"], "bad_space.json"),
+        (["rerank", "--nbest-file", "BAD", "--channel-model", "bwd.json", "--lm",
+          "lm_tgt.json", "--lambda1", "1", "--lambda2", "1", "--out", "o.txt"],
+         "bad_nbest.txt"),
+        (["evaluate", "--model", "BAD", "--test", "bundle/test.tsv"], "bad_eval.json"),
+        (["pipeline", "--parallel", "bundle/parallel.tsv", "--dev", "bundle/dev.tsv",
+          "--run-dir", "badutf8run"], os.path.join("badutf8run", "manifest.json")),
+    ], ids=["translate-model", "translate-lm", "translate-bpe", "search-space",
+            "rerank-nbest-file", "evaluate-model", "pipeline-run-dir"])
+    def test_non_utf8_input_is_2(self, workspace, capsys, argv, bad):
+        os.makedirs(os.path.dirname(bad) or ".", exist_ok=True)
+        with open(bad, "wb") as fh:
+            fh.write(b"ok\n\xff\n")
+        capsys.readouterr()
+        assert main([bad if arg == "BAD" else arg for arg in argv]) == EXIT_DATA
+        assert f"{bad}:2:" in capsys.readouterr().err
+
+    def test_augment_seed_flag_is_gone(self, capsys):
+        assert main(["augment-st", "--model", "m.json", "--mono", "m.txt",
+                     "--out", "o.tsv", "--seed", "1"]) == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
+
     def test_help_is_0(self):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--help"])
@@ -198,7 +229,7 @@ class TestWorkflows:
                      "bundle/mono_src.txt", "--bpe", "bpe.txt", "--out",
                      "st.tsv"]) == EXIT_OK
         prov = json.load(open("st.tsv.prov.json", encoding="utf-8"))
-        assert set(prov) >= {"generator", "decode", "lambdas", "seed", "dropped"}
+        assert set(prov) >= {"generator", "decode", "lambdas", "dropped"}
         assert prov["decode"] == "beam"
 
     def test_evaluate_report(self, workspace):
@@ -227,6 +258,32 @@ class TestWorkflows:
         assert all("dev_bleu" in r and "config" in r for r in records)
         assert os.path.exists("searchrun/trial000.json")
         assert os.path.exists("searchrun/ensemble0.json")
+
+    def test_search_topk_exports_the_ranked_trials(self, workspace, capsys):
+        space = {"version": 1, "dims": {
+            "em_iterations": [2], "lm_order": [2], "smoothing_k": [0.3],
+            "lm_weight": [0.3], "window": [0, 1], "beam": [2], "up_bitext": [1, 4],
+            "up_fwd": [1], "up_bt": [1], "seed": [1]}}
+        with open("space_topk.json", "w", encoding="utf-8") as fh:
+            json.dump(space, fh)
+        capsys.readouterr()
+        assert main(["search", "--parallel", "bundle/parallel.tsv", "--dev",
+                     "bundle/dev.tsv", "--bpe", "bpe.txt", "--tag", "<d:in>",
+                     "--trials", "3", "--seed", "5", "--space", "space_topk.json",
+                     "--topk", "2", "--out-dir", "searchtopk"]) == EXIT_OK
+        out = capsys.readouterr().out
+        best = int(out.split("best trial ")[1].split()[0])
+        members = out.split("ensemble members: ")[1].split()
+        assert len(members) == 2 and members[0] == f"trial{best:03d}"
+        for rank, name in enumerate(members):
+            with open(f"searchtopk/ensemble{rank}.json", "rb") as fh:
+                exported = fh.read()
+            with open(f"searchtopk/{name}.json", "rb") as fh:
+                assert exported == fh.read()
+        bleus = [json.loads(line)["dev_bleu"] for line in
+                 open("searchtopk/runlog.jsonl", encoding="utf-8")]
+        ranked = sorted(range(3), key=lambda i: (-bleus[i], i))
+        assert members == [f"trial{i:03d}" for i in ranked[:2]]
 
     @pytest.mark.parametrize("doc", [{}, {"dims": {"beam": 5}}])
     def test_search_malformed_space_is_data_error(self, workspace, doc):

@@ -14,9 +14,7 @@ from deskmt.corpus import (
     build_mix,
     is_tag,
     load_corpus,
-    load_manifest,
     save_corpus,
-    save_manifest,
     strip_tag,
     swap_dataset,
     swap_direction,
@@ -222,41 +220,3 @@ class TestDatasetValidation:
     def test_unknown_side_rejected(self):
         with pytest.raises(DataError):
             TaggedDataset("d", "sideways", "<t>")
-
-
-class TestManifest:
-    def test_round_trip(self, tmp_path):
-        write(tmp_path, "p.tsv", "a\tb\n")
-        write(tmp_path, "m.txt", "c d\n")
-        path = str(tmp_path / "manifest.json")
-        save_manifest([
-            {"name": "par", "path": "p.tsv", "side": SIDE_PARALLEL,
-             "tag": TAG_IN_DOMAIN, "upsample": 3},
-            {"name": "mono", "path": "m.txt", "side": SIDE_MONO_TARGET,
-             "tag": "<mono>", "upsample": 1},
-        ], path)
-        par, mono = load_manifest(path)
-        assert par.upsample == 3 and par.pairs == ((("a",), ("b",)),)
-        assert mono.sentences == (("c", "d"),)
-
-    @pytest.mark.parametrize("doc,key", [
-        ({"version": 1}, "datasets"),
-        ({"version": 1, "datasets": {}}, "datasets"),
-        ({"version": 1, "datasets": ["p.tsv"]}, "JSON object"),
-        ({"version": 1, "datasets": [{"name": "p", "side": "parallel"}]}, "path"),
-        ({"version": 1, "datasets": [{"name": "p", "path": "p.tsv"}]}, "side"),
-        ({"version": 1, "datasets": [{"path": "p.tsv", "side": "parallel"}]}, "name"),
-        ({"version": 1, "datasets": [{"name": "p", "path": "p.tsv", "side": "parallel",
-                                      "tag": 3}]}, "tag"),
-        ({"version": 1, "datasets": [{"name": "p", "path": "p.tsv", "side": "parallel",
-                                      "upsample": "3"}]}, "upsample"),
-        ([{"name": "p", "path": "p.tsv", "side": "parallel"}], "version"),
-    ], ids=["no-datasets", "datasets-object", "entry-string", "no-path", "no-side",
-            "no-name", "int-tag", "string-upsample", "list"])
-    def test_malformed_manifest_is_data_error(self, tmp_path, doc, key):
-        import json
-        write(tmp_path, "p.tsv", "a\tb\n")
-        path = write(tmp_path, "manifest.json", json.dumps(doc))
-        with pytest.raises(DataError, match=key) as err:
-            load_manifest(path)
-        assert path in str(err.value)

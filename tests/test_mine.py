@@ -15,7 +15,6 @@ from deskmt.mine import (
     _lev_sims,
     align_sentences,
     build_lexicon,
-    doc_sim,
     greedy_match,
     jaccard,
     lev_sim,
@@ -25,7 +24,7 @@ from deskmt.mine import (
     mine_bitext,
 )
 from deskmt.synth import gen_corpora, make_spec
-from deskmt.tm import NULL, LexModel, channel_score, em_train
+from deskmt.tm import NULL, LexModel, channel_scores, em_train
 
 
 def greedy_oracle(sims, threshold):
@@ -180,21 +179,29 @@ class TestJaccard:
 
 
 class TestDocSim:
+    """The similarity of a document pair is URL similarity times lexicon Jaccard."""
+
+    @staticmethod
+    def sim(a, b):
+        matches = match_documents([a], [b], {}, 0.0)
+        assert [(m.doc_a, m.doc_b) for m in matches] == [(0, 0)]
+        return matches[0].sim
+
     def test_product(self):
         a = WebDoc("aaaa", (("x",),))
         b = WebDoc("aabb", (("x",), ("y",)))
         expected = lev_sim("aaaa", "aabb") * jaccard(a, b, {})
-        assert doc_sim(a, b, {}) == pytest.approx(expected)
+        assert self.sim(a, b) == pytest.approx(expected)
 
     def test_zero_factor_zeroes_product(self):
         a = WebDoc("u", (("x",),))
         b = WebDoc("v", (("y",),))
-        assert doc_sim(a, b, {}) == 0.0
+        assert self.sim(a, b) == 0.0
 
     def test_perfect_pair(self):
         a = WebDoc("same", (("x",),))
         b = WebDoc("same", (("x",),))
-        assert doc_sim(a, b, {}) == 1.0
+        assert self.sim(a, b) == 1.0
 
 
 class TestMatchDocuments:
@@ -222,7 +229,7 @@ class TestMatchDocuments:
             assert got == expected
             for i, a in enumerate(docs_a):
                 for j, b in enumerate(docs_b):
-                    assert doc_sim(a, b, lexicon) == reference[i][j]
+                    assert lev_sim(a.url, b.url) * jaccard(a, b, lexicon) == reference[i][j]
                     assert jaccard(a, b, lexicon) == textbook_jaccard(a, b, lexicon)
 
     def test_empty_sides(self):
@@ -282,7 +289,7 @@ class TestAlignSentences:
         assert len(out) == 1
         sa, sb, score = out[0]
         assert (sa, sb) == (("a",), ("B",))
-        assert score == pytest.approx(channel_score(model, ("a",), ("B",)) / 1)
+        assert score == pytest.approx(channel_scores(model, ("a",), [("B",)])[0] / 1)
         assert score == pytest.approx(math.log(1 / 2))
 
     def test_empty_docs_empty_output(self):
@@ -310,7 +317,7 @@ class TestAlignSentences:
         scores = {}
         for (i, sa), (j, sb) in itertools.product(enumerate(doc_a.sentences),
                                                   enumerate(doc_b.sentences)):
-            scores[(i, j)] = channel_score(model, sa, sb) / len(sa)
+            scores[(i, j)] = channel_scores(model, sa, [sb])[0] / len(sa)
         m1 = scores[(0, 0)] + scores[(1, 1)]
         m2 = scores[(0, 1)] + scores[(1, 0)]
         expected = {(("a",), ("A",)), (("b",), ("B",))} if m2 > m1 else \
@@ -327,7 +334,7 @@ class TestAlignSentences:
         out = align_sentences(doc_a, doc_b, model, floor=-1e9)
         assert len(out) == min(len(doc_a.sentences), len(doc_b.sentences))
         for sa, sb, score in out:
-            assert score == channel_score(model, sa, sb) / len(sa)
+            assert score == channel_scores(model, sa, [sb])[0] / len(sa)
 
 
 class TestEndToEnd:

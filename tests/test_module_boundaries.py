@@ -12,6 +12,14 @@ shows it pays on this system.
 Every import sits at module level, never inside a function or method, and
 the graph of deskmt modules those imports draw has no cycle. A function-local
 import that hides a cycle is a sign that code sits in the wrong module.
+
+Files are read in one place: no module but `util` calls `json.load` or
+`json.loads`, so every reader gets `util.read_json`'s errors.
+
+Every public top-level function and class has a caller in the library or the
+benchmark: another `src` module, `bench/`, or code of its own module outside
+its own body. A name that only tests use is an oracle and belongs in
+`tests/`, or it is listed in UNCALLED with the reason it stays.
 """
 
 import ast
@@ -21,14 +29,32 @@ import deskmt
 
 PACKAGE = "deskmt"
 SRC = os.path.dirname(deskmt.__file__)
+BENCH = os.path.join(os.path.dirname(os.path.dirname(SRC)), "bench")
 CONCURRENCY_MODULES = ("multiprocessing", "concurrent", "threading")
+
+# Public names with no caller in src/ or bench/, each with why it stays.
+UNCALLED = {
+    "tm.translate_nbest": "the one-sentence decode of the public API; "
+                          "bench/layertrace.py wraps it by name",
+    "lm.perplexity": "the LM's own quality measure, for library users",
+    "metrics.sentence_stats": "one sentence's BLEU statistics, which "
+                              "References.stats computes for a whole set",
+    "mine.lev_sim": "the per-pair URL similarity that _lev_sims batches; "
+                    "bench/layertrace.py wraps it by name",
+    "mine.jaccard": "the per-pair token similarity that _jaccards batches; "
+                    "bench/layertrace.py wraps it by name",
+}
+
+
+def _sources(directory):
+    for fname in sorted(os.listdir(directory)):
+        if fname.endswith(".py"):
+            with open(os.path.join(directory, fname), encoding="utf-8") as fh:
+                yield fname, fh.read()
 
 
 def _module_sources():
-    for fname in sorted(os.listdir(SRC)):
-        if fname.endswith(".py"):
-            with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
-                yield fname, fh.read()
+    return _sources(SRC)
 
 
 def _private(name: str) -> bool:
@@ -106,6 +132,74 @@ def package_imports(source: str) -> set[str]:
                 parts = alias.name.split(".")
                 if parts[0] == PACKAGE and len(parts) > 1:
                     found.add(parts[1])
+    return found
+
+
+def json_reads(source: str) -> list[str]:
+    """`line: call` of every `json.load` / `json.loads` a module makes."""
+    tree = ast.parse(source)
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names
+             if alias.name == "json"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "json" and node.level == 0:
+            found += [f"{node.lineno}: json.{alias.name}" for alias in node.names
+                      if alias.name in ("load", "loads")]
+        elif isinstance(node, ast.Attribute) and node.attr in ("load", "loads") \
+                and isinstance(node.value, ast.Name) and node.value.id in names:
+            found.append(f"{node.lineno}: json.{node.attr}")
+    return found
+
+
+def public_names(source: str) -> list[str]:
+    """Public top-level functions and classes a module defines."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def package_references(source: str) -> set[tuple[str, str]]:
+    """(module, name) of every deskmt module attribute a source names, as
+    `from .m import name`, `from deskmt.m import name` or `m.name` with `m`
+    bound to a deskmt module."""
+    tree = ast.parse(source)
+    modules = {}  # local name -> deskmt module
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _is_package_module(node):
+            parts = (node.module or "").split(".")
+            if parts[0] == PACKAGE:
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.update((parts[0], alias.name) for alias in node.names)
+            else:
+                modules.update({alias.asname or alias.name: alias.name
+                                for alias in node.names})
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            found.add((modules[node.value.id], node.attr))
+    return found
+
+
+def own_uses(source: str, name: str) -> bool:
+    """Whether a module's code outside the top-level definition of `name` uses it."""
+    return any(isinstance(node, ast.Name) and node.id == name
+               for top in ast.parse(source).body if getattr(top, "name", None) != name
+               for node in ast.walk(top))
+
+
+def uncalled(sources: dict[str, str], bench: list[str]) -> list[str]:
+    """`module.name` of every public top-level function or class without a
+    caller in another module, in `bench` or elsewhere in its own module."""
+    refs = {module: package_references(source) for module, source in sources.items()}
+    bench_refs = set().union(*(package_references(source) for source in bench))
+    found = []
+    for module, source in sources.items():
+        outside = set().union(bench_refs, *(r for m, r in refs.items() if m != module))
+        found += [f"{module}.{name}" for name in public_names(source)
+                  if (module, name) not in outside and not own_uses(source, name)]
     return found
 
 
@@ -207,3 +301,42 @@ def test_detects_cycles():
     assert import_cycle(graph) == ["augment", "rerank", "metrics", "augment"]
     del graph["rerank"]
     assert import_cycle(graph) == []
+
+
+def test_only_util_parses_json():
+    offenders = {fname: json_reads(source) for fname, source in _module_sources()
+                 if fname != "util.py"}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_every_public_name_has_a_caller():
+    sources = {fname[:-3]: source for fname, source in _module_sources()}
+    bench = [source for _, source in _sources(BENCH)]
+    assert sorted(uncalled(sources, bench)) == sorted(UNCALLED)
+
+
+def test_detects_json_reads():
+    source = ("import json\n"
+              "import json as j\n"
+              "from json import loads\n"
+              "a = json.load(fh)\n"
+              "b = j.loads(text)\n"
+              "c = json.dumps(a)\n")
+    assert json_reads(source) == ["3: json.loads", "4: json.load", "5: json.loads"]
+
+
+def test_detects_uncalled_names():
+    sources = {
+        "tm": ("def score(): pass\n"
+               "def rank(): return score()\n"
+               "def oracle(): return oracle()\n"
+               "class Model: pass\n"
+               "def _helper(): pass\n"),
+        "cli": ("from . import tm\n"
+                "from .tm import Model\n"
+                "def main(): return tm.rank()\n"),
+    }
+    assert uncalled(sources, []) == ["tm.oracle", "cli.main"]
+    bench = ["def run():\n    from deskmt.tm import oracle\n",
+             "from deskmt import cli\ncli.main()\n"]
+    assert uncalled(sources, bench) == []

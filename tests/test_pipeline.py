@@ -12,7 +12,6 @@ from deskmt.corpus import (
     build_mix,
     load_corpus,
     save_corpus,
-    save_manifest,
 )
 from deskmt.ensemble import Ensemble
 from deskmt.lm import NGramLM
@@ -20,7 +19,7 @@ from deskmt.pipeline import PipelineConfig, PipelineManifest, run_pipeline
 from deskmt.rerank import write_nbest_file
 from deskmt.search import SearchSpace, TrialConfig, default_search_space
 from deskmt.subword import learn_bpe, save_bpe
-from deskmt.synth import gen_corpora, make_spec, save_spec
+from deskmt.synth import gen_corpora, make_spec
 from deskmt.tm import NBestEntry, NBestList, em_train
 from deskmt.util import DataError, sha256_text
 
@@ -404,10 +403,6 @@ def _parallel(n):
     return TaggedDataset("p", "parallel", "<d:in>", pairs=((("a",) * n, ("b",)),))
 
 
-def _entries(n):
-    return [{"name": "p", "path": "p.tsv", "side": "parallel", "upsample": n}]
-
-
 def _nbest(n):
     return [NBestList(("a",), [NBestEntry(("b",) * (k + 1), -1.0 - k) for k in range(n)])]
 
@@ -416,12 +411,9 @@ class TestCrashSafety:
     @pytest.mark.parametrize("save,first,second", [
         (save_bpe, learn_bpe(_BPE_CORPUS, 4), learn_bpe(_BPE_CORPUS, 6)),
         (save_corpus, _parallel(1), _parallel(3)),
-        (save_manifest, _entries(1), _entries(3)),
-        (save_spec, make_spec(vocab_size=8, seed=1), make_spec(vocab_size=12, seed=2)),
         (SearchSpace.save, tiny_space(), default_search_space()),
         (write_nbest_file, _nbest(1), _nbest(3)),
-    ], ids=["save_bpe", "save_corpus", "save_manifest", "save_spec",
-            "SearchSpace.save", "write_nbest_file"])
+    ], ids=["save_bpe", "save_corpus", "SearchSpace.save", "write_nbest_file"])
     def test_crash_mid_write_keeps_previous_file(self, tmp_path, monkeypatch, save,
                                                  first, second):
         import deskmt.util as util

@@ -25,7 +25,7 @@ from deskmt.tm import (
     LexModel,
     NBestEntry,
     NBestList,
-    channel_score,
+    channel_scores,
     em_train,
     translate_corpus,
     translate_nbest,
@@ -88,8 +88,8 @@ class TestRerank:
         _, fwd, bwd = random_models(rng)
         scored = rerank(nb, bwd, fwd.lm, NoisyChannelWeights(3.0, 0.0))
         # verify against hand-computed combined scores
-        ch0 = channel_score(bwd, src, ("t0",))
-        ch1 = channel_score(bwd, src, ("t1",))
+        ch0 = channel_scores(bwd, src, [("t0",)])[0]
+        ch1 = channel_scores(bwd, src, [("t1",)])[0]
         c0 = -1.0 + 3.0 * ch0
         c1 = -1.2 + 3.0 * ch1
         expected_top = ("t0",) if c0 >= c1 else ("t1",)
@@ -159,7 +159,7 @@ class TestFillScores:
                 filled = fill_scores(nb, bwd, lm)
                 assert [e.hyp for e in filled.entries] == [e.hyp for e in nb.entries]
                 for e in filled.entries:
-                    assert e.channel == channel_score(bwd, nb.source, e.hyp)
+                    assert e.channel == channel_scores(bwd, nb.source, [e.hyp])[0]
                     assert e.lm == logprob(lm, e.hyp)
 
     def test_prefilled_slots_kept(self):
@@ -177,7 +177,7 @@ class TestFillScores:
         assert (filled.entries[4].channel, filled.entries[4].lm) == (-333.0, -444.0)
         for k, e in enumerate(filled.entries):
             if k not in (1, 4):
-                assert e.channel == channel_score(bwd, source, e.hyp)
+                assert e.channel == channel_scores(bwd, source, [e.hyp])[0]
             if k not in (2, 4):
                 assert e.lm == logprob(lm, e.hyp)
 

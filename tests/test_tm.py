@@ -10,20 +10,18 @@ import pytest
 
 from deskmt.corpus import SIDE_PARALLEL, UNK_TOKEN, TaggedDataset, build_mix, swap_direction
 from deskmt.lm import train_lm
-from deskmt.corpus import strip_tag
+from deskmt.corpus import is_tag, strip_tag
 from deskmt.ensemble import Ensemble
 from deskmt.rerank import NoisyChannelWeights, RerankContext, rerank
 from deskmt.tm import (
     NULL,
     DataError,
     LexModel,
-    channel_score,
     channel_scores,
     em_train,
     forward_marginal,
     model_from_dict,
     model_to_dict,
-    pair_logprob,
     translate_corpus,
     translate_nbest,
 )
@@ -75,6 +73,77 @@ def build_model(t_dict, src_vocab, tgt_vocab, lm_corpus, *, beam=5, window=0,
                     lm_weight=lm_weight)
 
 
+def candidates(model, symbol):
+    """(ext ids, lex log-probs) of the decodable targets of one source symbol."""
+    ids, lex, start, count = model._candidate_table()
+    sid = model.src_id.get(symbol, len(model.src_vocab))
+    a, b = start[sid], start[sid] + count[sid]
+    return ids[a:b], lex[a:b]
+
+
+def pair_logprob(model, x, y):
+    """Viterbi forced score: max over window-admissible alignments of the
+    decoder's scoring function. Matches the fwd score of decoder outputs."""
+    tag, src = (x[0], x[1:]) if x and is_tag(x[0]) else (None, x)
+    y = strip_tag(y)
+    if len(src) != len(y):
+        raise DataError(f"length mismatch: |x|={len(src)} vs |y|={len(y)}")
+    if not src:
+        raise DataError("cannot score an empty pair")
+    m = len(src)
+    w = model.window
+    scorer = model._scorer()
+    ext_vocab = model._ext_vocab()
+    ext_id = {s: i for i, s in enumerate(ext_vocab)}
+    order = getattr(model.lm, "order", 1)
+    unk_ext = len(model.tgt_vocab)
+
+    bias_of = None
+    if tag is not None and model.tag_bias.get(tag):
+        bias_of = model.tag_bias[tag]
+
+    def lex_term(j, token):
+        ids, logp = candidates(model, src[j])
+        tid = ext_id.get(token)
+        if tid is None:
+            value = -np.inf
+        else:
+            hits = np.flatnonzero(ids == tid)
+            value = float(logp[hits[0]]) if hits.size else -np.inf
+        if bias_of is not None and np.isfinite(value):
+            value += bias_of.get(token, 0.0)
+        return value
+
+    states = {0: 0.0}
+    ctx = ()
+    for i in range(1, m + 1):
+        lm_vec = scorer.logvec(ctx)
+        token = y[i - 1]
+        lm_term = float(lm_vec[ext_id.get(token, unk_ext)])
+        lo, hi = max(0, i - 1 - w), min(m - 1, i - 1 + w)
+        new_states = {}
+        for mask, score in states.items():
+            for j in range(lo, hi + 1):
+                if mask >> j & 1:
+                    continue
+                lex = lex_term(j, token)
+                if not np.isfinite(lex):
+                    continue
+                new_mask = mask | (1 << j)
+                if i - w >= 1 and not new_mask >> (i - w - 1) & 1:
+                    continue
+                cand = score + (lex + model.lm_weight * lm_term)
+                if new_states.get(new_mask, -np.inf) < cand:
+                    new_states[new_mask] = cand
+        if not new_states:
+            raise DataError("no admissible alignment for this pair")
+        states = new_states
+        ctx = ctx + (token,)
+        if len(ctx) >= order:
+            ctx = ctx[len(ctx) - order + 1:]
+    return states[(1 << m) - 1]
+
+
 def brute_force_nbest(model, x, n):
     """Enumerate every admissible (alignment, symbol) sequence; group by output."""
     m = len(x)
@@ -94,7 +163,7 @@ def brute_force_nbest(model, x, n):
         for j in range(m):
             if j in consumed or abs((j + 1) - step) > w:
                 continue
-            ids, lex = model._candidates(x[j])
+            ids, lex = candidates(model, x[j])
             for idx in range(ids.size):
                 token = ext_vocab[int(ids[idx])]
                 step_score = float(lex[idx]) + model.lm_weight * float(lm_vec[int(ids[idx])])
@@ -354,7 +423,7 @@ class TestPairLogprob:
         expected = 0.0
         ctx = ()
         for j, (sx, sy) in enumerate(zip(x, y)):
-            ids, lex = model._candidates(sx)
+            ids, lex = candidates(model, sx)
             tid = model.tgt_id[sy]
             lex_term = float(lex[list(ids).index(tid)])
             lm_term = float(scorer.logvec(ctx)[tid])
@@ -384,7 +453,7 @@ class TestPairLogprob:
                 ctx = ()
                 feasible = True
                 for i, j in enumerate(perm):
-                    ids, lex = model._candidates(x[j])
+                    ids, lex = candidates(model, x[j])
                     tid = ext_id[y[i]]
                     hits = [k for k in range(ids.size) if int(ids[k]) == tid]
                     if not hits:
@@ -411,7 +480,7 @@ class TestChannelScore:
     def test_single_pair_half(self):
         # t(x|y) = 1, t(x|NULL) = 0 -> ln(1/2)
         model = build_model({("y", "x"): 1.0}, ["y"], ["x"], [("x",)] * 2)
-        assert channel_score(model, ("x",), ("y",)) == pytest.approx(math.log(0.5))
+        assert channel_scores(model, ("x",), [("y",)])[0] == pytest.approx(math.log(0.5))
 
     def test_uniform_table_depends_only_on_length(self):
         tgt = ["x", "y", "z"]
@@ -421,7 +490,7 @@ class TestChannelScore:
         model.t[0, :] = 1.0 / 3  # NULL row uniform too
         model._caches.clear()
         for y in [("a",), ("b", "a"), ("a", "a", "b")]:
-            got = channel_score(model, ("x", "z"), y)
+            got = channel_scores(model, ("x", "z"), [y])[0]
             assert got == pytest.approx(2 * math.log(1.0 / 3), abs=1e-12)
 
     def test_two_by_two_hand_case(self):
@@ -431,29 +500,29 @@ class TestChannelScore:
         # NULL row is all zero
         expected = (math.log((0.0 + 0.7 + 0.2) / 3)
                     + math.log((0.0 + 0.3 + 0.8) / 3))
-        got = channel_score(model, ("x", "y"), ("u", "v"))
+        got = channel_scores(model, ("x", "y"), [("u", "v")])[0]
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_unknown_symbols_get_floor(self):
         model = build_model({("y", "x"): 1.0}, ["y"], ["x"], [("x",)] * 2)
-        score = channel_score(model, ("mystery",), ("y",))
+        score = channel_scores(model, ("mystery",), [("y",)])[0]
         assert math.isfinite(score)
         assert score <= math.log(model.unk_floor) + 1e-6
 
     def test_tags_stripped_before_scoring(self):
         model = build_model({("y", "x"): 1.0}, ["y"], ["x"], [("x",)] * 2)
-        plain = channel_score(model, ("x",), ("y",))
-        tagged = channel_score(model, ("<bt>", "x"), ("<st>", "y"))
+        plain = channel_scores(model, ("x",), [("y",)])[0]
+        tagged = channel_scores(model, ("<bt>", "x"), [("<st>", "y")])[0]
         assert tagged == plain
 
     def test_leading_unknown_token_is_scored(self):
         # <unk> is a target token, not a tag: it looks up the floor row and
         # counts toward l
         model = build_model({("y", "x"): 1.0}, ["y"], ["x"], [("x",)] * 2)
-        got = channel_score(model, ("x",), (UNK_TOKEN, "y"))
+        got = channel_scores(model, ("x",), [(UNK_TOKEN, "y")])[0]
         assert got == pytest.approx(math.log((model.unk_floor + 1.0) / 3), abs=1e-12)
         assert channel_scores(model, ("x",), [(UNK_TOKEN, "y"), ("y",)]) == \
-            [got, channel_score(model, ("x",), ("y",))]
+            [got, channel_scores(model, ("x",), [("y",)])[0]]
 
 
 def reference_marginal(model, cond, obs):
@@ -471,8 +540,8 @@ def reference_marginal(model, cond, obs):
 
 
 class TestMarginalKernel:
-    """channel_score, forward_marginal and channel_scores share one kernel and
-    equal the per-pair reference bit for bit, also past 8 summed terms."""
+    """forward_marginal and channel_scores share one kernel and equal the
+    per-pair reference bit for bit, also past 8 summed terms."""
 
     def sentences(self, rng, model, count):
         syms = list(model.src_vocab[1:]) + list(model.tgt_vocab) + ["zz"]
@@ -486,7 +555,7 @@ class TestMarginalKernel:
             sents = self.sentences(rng, model, 30)
             x = ("<bt>",) + sents[0]
             for y in sents:
-                assert channel_score(model, x, y) == reference_marginal(model, y, x)
+                assert channel_scores(model, x, [y])[0] == reference_marginal(model, y, x)
                 assert forward_marginal(model, y, x) == reference_marginal(model, y, x)
             assert channel_scores(model, x, sents) == [
                 reference_marginal(model, y, x) for y in sents]
