@@ -6,7 +6,6 @@ from deskmt.corpus import (
     SIDE_MONO_TARGET,
     SIDE_MONO_SOURCE,
     SIDE_PARALLEL,
-    TAG_IN_DOMAIN,
     UNK_TOKEN,
     DataError,
     TaggedDataset,
