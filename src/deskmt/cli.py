@@ -100,7 +100,6 @@ def _add_config_flags(p):
     p.add_argument("--up-bitext", type=int, default=d.up_bitext)
     p.add_argument("--up-fwd", type=int, default=d.up_fwd)
     p.add_argument("--up-bt", type=int, default=d.up_bt)
-    p.add_argument("--trial-seed", type=int, default=d.seed)
 
 
 def _config_from(args) -> TrialConfig:
@@ -108,7 +107,7 @@ def _config_from(args) -> TrialConfig:
         em_iterations=args.em_iterations, lm_order=args.lm_order,
         smoothing_k=args.smoothing_k, lm_weight=args.lm_weight,
         window=args.window, beam=args.beam, up_bitext=args.up_bitext,
-        up_fwd=args.up_fwd, up_bt=args.up_bt, seed=args.trial_seed)
+        up_fwd=args.up_fwd, up_bt=args.up_bt)
 
 
 def _load_training_sets(args, bpe):
@@ -194,7 +193,7 @@ def cmd_search(args) -> int:
         eval_ctx=_eval_ctx(args, bpe), patience=args.patience,
         src_lang=langs[0], tgt_lang=langs[1])
     os.makedirs(args.out_dir, exist_ok=True)
-    search.append_trial_log(results, os.path.join(args.out_dir, "runlog.jsonl"))
+    search.write_trial_log(results, os.path.join(args.out_dir, "runlog.jsonl"))
     for i, r in enumerate(results):
         _save_model(r.model, os.path.join(args.out_dir, f"trial{i:03d}.json"))
     order = search.rank_trials(results)

@@ -37,7 +37,7 @@ class Ensemble(LexModel):
         super().__init__(first.src_vocab, first.tgt_vocab, t, first.lm, beam=first.beam,
                          window=first.window, lm_weight=first.lm_weight,
                          src_lang=first.src_lang, tgt_lang=first.tgt_lang,
-                         unk_floor=first.unk_floor, tag_bias=first.tag_bias)
+                         unk_floor=first.unk_floor)
         self.members = list(members)
 
     def artifact(self) -> dict:

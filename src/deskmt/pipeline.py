@@ -37,6 +37,7 @@ from .search import (
     SearchSpace,
     TrialConfig,
     TrialResult,
+    check_sample_size,
     default_search_space,
     finetune,
     run_search,
@@ -216,6 +217,7 @@ def run_pipeline(parallel: TaggedDataset, mono_src: TaggedDataset | None,
         raise DataError("iterations and trials must be >= 1")
     if not 1 <= config.topk <= config.trials:
         raise DataError("need trials >= topk >= 1")
+    check_sample_size(config.search_space, config.trials)
     if not parallel.pairs:
         raise DataError("the pipeline needs non-empty parallel data")
     if not dev.pairs:

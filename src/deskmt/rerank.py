@@ -188,7 +188,9 @@ def read_nbest_file(path: str) -> list[NBestList]:
     for lineno, line in enumerate(lines[1:], start=2):
         where = f"{path}:{lineno}"
         if line.startswith("#source "):
-            source_text = line.partition(" ")[2].partition(" ")[2]
+            sid, _, source_text = line.partition(" ")[2].partition(" ")
+            if sid != str(len(lists)):
+                raise DataError(f"{where}: #source id {sid!r}, expected {len(lists)}")
             lists.append(NBestList(source=tuple(source_text.split()), entries=[]))
             continue
         fields = line.split("\t")

@@ -3,8 +3,9 @@ selection, and in-domain fine-tuning.
 
 The searchable knobs are the lexical model's (EM iterations, LM order,
 smoothing, LM weight, reordering window, beam) plus the data upsampling
-ratios and trial seed. Each dimension is a finite value list; configurations
-are sampled uniformly and independently per dimension.
+ratios. Each dimension is a finite value list; configurations are sampled
+uniformly and independently per dimension, and a sample holds no
+configuration twice.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .ensemble import Ensemble
 from .lm import finetune_lm, logprob, train_lm
 from .metrics import EvalContext, bleu, references_of, surface_of
 from .tm import EMTrainer, LexModel, forward_marginal, model_hash, translate_corpus
-from .util import DataError, doc_field, read_json, write_text_atomic
+from .util import NUMBER, DataError, doc_field, read_json, write_text_atomic
 
 DEFAULT_TRIALS = 30
 DEFAULT_PATIENCE = 2
@@ -36,7 +37,6 @@ class TrialConfig:
     up_bitext: int = 3
     up_fwd: int = 1
     up_bt: int = 1
-    seed: int = 1
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -44,8 +44,8 @@ class TrialConfig:
 
 DEFAULT_CONFIG = TrialConfig()
 
-# Data upsampling ratios and seeds are the published search ranges; the model
-# knobs translate the architecture grid onto this model family.
+# Data upsampling ratios are the published search ranges; the model knobs
+# translate the architecture grid onto this model family.
 DEFAULT_SEARCH_SPACE_DIMS = {
     "em_iterations": [2, 3, 5],
     "lm_order": [2, 3],
@@ -56,7 +56,6 @@ DEFAULT_SEARCH_SPACE_DIMS = {
     "up_bitext": [1, 2, 3, 4, 6, 8, 12, 16, 20, 32, 40, 64],
     "up_fwd": [1, 2, 3, 4, 6, 8, 9],
     "up_bt": [1, 2, 3, 4, 6, 8, 9],
-    "seed": list(range(1, 31)),
 }
 
 
@@ -71,6 +70,8 @@ class SearchSpace:
         for name, values in self.dims.items():
             if not values:
                 raise DataError(f"search dimension {name!r} is empty")
+            if not all(isinstance(v, NUMBER) and not isinstance(v, bool) for v in values):
+                raise DataError(f"search dimension {name!r} must hold numbers")
 
     def save(self, path: str) -> None:
         write_text_atomic(path, json.dumps({"version": 1, "dims": self.dims},
@@ -89,18 +90,26 @@ def default_search_space() -> SearchSpace:
     return SearchSpace(dims={k: list(v) for k, v in DEFAULT_SEARCH_SPACE_DIMS.items()})
 
 
-def sample_configs(space: SearchSpace, n: int, seed: int) -> list[TrialConfig]:
-    """n configurations sampled uniformly per dimension; duplicates allowed."""
+def check_sample_size(space: SearchSpace, n: int) -> None:
+    """Raise DataError unless `space` holds at least n distinct configurations."""
     if n < 1:
         raise DataError("need at least one configuration")
+    size = math.prod(len(set(values)) for values in space.dims.values())
+    if n > size:
+        raise DataError(f"cannot sample {n} distinct configurations from a search "
+                        f"space of {size}")
+
+
+def sample_configs(space: SearchSpace, n: int, seed: int) -> list[TrialConfig]:
+    """n distinct configurations, each drawn uniformly per dimension (in
+    sorted dimension order); a draw equal to an earlier one is redrawn."""
+    check_sample_size(space, n)
     rng = random.Random(seed)
-    configs = []
-    for _ in range(n):
-        values = {}
-        for name in sorted(space.dims):
-            values[name] = rng.choice(space.dims[name])
-        configs.append(TrialConfig(**values))
-    return configs
+    configs: dict[TrialConfig, None] = {}
+    while len(configs) < n:
+        configs.setdefault(TrialConfig(**{name: rng.choice(space.dims[name])
+                                          for name in sorted(space.dims)}))
+    return list(configs)
 
 
 @dataclass
@@ -230,11 +239,10 @@ def run_search(space: SearchSpace, n: int, seed: int, mix_builder, dev: TaggedDa
             for config in sample_configs(space, n, seed)]
 
 
-def append_trial_log(results: list[TrialResult], path: str) -> None:
-    """Append one JSON record per trial to a run log."""
-    with open(path, "a", encoding="utf-8") as fh:
-        for r in results:
-            fh.write(json.dumps(r.record(), sort_keys=True) + "\n")
+def write_trial_log(results: list[TrialResult], path: str) -> None:
+    """Write a run log of one JSON record per trial, replacing any earlier one."""
+    write_text_atomic(path, "".join(json.dumps(r.record(), sort_keys=True) + "\n"
+                                    for r in results))
 
 
 def rank_trials(results: list[TrialResult]) -> list[int]:
@@ -270,7 +278,7 @@ def finetune(model: LexModel, in_domain: TaggedDataset, dev: TaggedDataset,
     ft_lm = finetune_lm(model.lm, targets, lm_alpha)
     settings = dict(beam=model.beam, window=model.window, lm_weight=model.lm_weight,
                     src_lang=model.src_lang, tgt_lang=model.tgt_lang,
-                    unk_floor=model.unk_floor, tag_bias=model.tag_bias)
+                    unk_floor=model.unk_floor)
     trainer = EMTrainer(build_mix([in_domain]), warm_start=model)
     best_model, best_bleu = model, base_bleu
     for _ in range(max_steps):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import UNK_TOKEN, DataMix, Sentence, is_tag, strip_tag
+from .corpus import UNK_TOKEN, DataMix, Sentence, strip_tag
 from .lm import LanguageModel, lm_from_dict, lm_to_dict, train_lm
 from .util import NUMBER, DataError, doc_field, doc_strings, sha256_text, stable_json_dumps
 
@@ -70,7 +70,6 @@ class LexModel:
                  t: np.ndarray, lm: LanguageModel, *, beam: int = 5, window: int = 1,
                  lm_weight: float = 0.5, src_lang: str = "src", tgt_lang: str = "tgt",
                  unk_floor: float = DEFAULT_UNK_FLOOR,
-                 tag_bias: dict[str, dict[str, float]] | None = None,
                  train_ll_trace: tuple[float, ...] = ()):
         if not src_vocab or src_vocab[0] != NULL:
             raise DataError("source vocabulary must start with the NULL symbol")
@@ -86,7 +85,6 @@ class LexModel:
         self.src_lang = src_lang
         self.tgt_lang = tgt_lang
         self.unk_floor = unk_floor
-        self.tag_bias = tag_bias or {}
         self.train_ll_trace = train_ll_trace
         self.src_id = {s: i for i, s in enumerate(src_vocab)}
         self.tgt_id = {s: i for i, s in enumerate(tgt_vocab)}
@@ -148,12 +146,6 @@ class LexModel:
                      start, count)
             self._caches["cands"] = table
         return table
-
-
-def _split_tag(sentence: Sentence) -> tuple[str | None, Sentence]:
-    if sentence and is_tag(sentence[0]):
-        return sentence[0], sentence[1:]
-    return None, sentence
 
 
 class EMTrainer:
@@ -286,11 +278,11 @@ def translate_corpus(model: LexModel, sources: list[Sentence], nbest: int, *,
 
     Sources are decoded in blocks of max(1, `_DECODE_STATES` // width)
     sentences, width = max(model.beam, n), each beam step running once over
-    the whole block. The pool-order contract of `_decode_block` holds per
-    sentence within a block, so every list equals `translate_nbest` of its
-    source. The block is bounded because a step's arrays grow with it: one
-    block for a whole n=50 pool would multiply the decoder's peak memory
-    (see `_DECODE_STATES`).
+    the whole block. Each sentence keeps its own beam from its own pool by
+    the (-score, pool index) rule of `_decode_block`, so every list equals
+    `translate_nbest` of its source. The block is bounded because a step's
+    arrays grow with it: one block for a whole n=50 pool would multiply the
+    decoder's peak memory (see `_DECODE_STATES`).
     """
     if rerank_ctx is not None:
         nbest = rerank_ctx.nbest
@@ -300,7 +292,7 @@ def translate_corpus(model: LexModel, sources: list[Sentence], nbest: int, *,
         return []
     if nbest < 1:
         raise DataError("n-best size must be >= 1")
-    if not all(_split_tag(x)[1] for x in sources):
+    if not all(strip_tag(x) for x in sources):
         raise DataError("cannot translate an empty sentence")
     width = max(model.beam, nbest)
     size = max(1, _DECODE_STATES // width)
@@ -320,16 +312,16 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
     and score-sorted.
 
     Each target step scores one pool of extensions per sentence, and the
-    pools of all sentences lie back to back in one array. The order within
-    a sentence's pool is a contract, because ties between equal scores
-    resolve by position in it: states are grouped by LM context in order of
-    first appearance in the beam; within a group come the window positions
-    j in ascending order; within a position, the admissible states in beam
-    order; within a state, the candidate targets of source position j in
-    ascending id order. Each sentence's pool keeps its `width` best by
-    `np.argpartition` and orders them by a stable descending sort of their
-    scores, so equal scores keep this pool order at the beam's tail as well
-    as within it. A sentence leaves the block after its last step.
+    pools of all sentences lie back to back in one array. The contract is:
+    each sentence's next beam is the first `width` entries of its pool in
+    (-score, pool index) order, so of equal scores the lower pool index
+    wins, at the beam's tail as well as within it. The pool order is
+    therefore part of the contract: states are grouped by LM context in
+    order of first appearance in the beam; within a group come the window
+    positions j in ascending order; within a position, the admissible
+    states in beam order; within a state, the candidate targets of source
+    position j in ascending id order. A sentence leaves the block after its
+    last step.
     """
     w = model.window
     scorer = model._scorer()
@@ -344,21 +336,13 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
 
     # source position j of sentence s decodes to candidate entries
     # pos_start[s, j]:pos_start[s, j] + pos_count[s, j]
-    split = [_split_tag(x) for x in block]
-    lengths = np.array([len(src) for _, src in split])
+    srcs = [strip_tag(x) for x in block]
+    lengths = np.array([len(src) for src in srcs])
     unknown = len(model.src_vocab)
     sids = np.full((len(block), lengths.max()), unknown)
-    for s, (_, src) in enumerate(split):
+    for s, src in enumerate(srcs):
         sids[s, :len(src)] = [model.src_id.get(sym, unknown) for sym in src]
     pos_start, pos_count = cand_start[sids], cand_count[sids]
-    # tag bias: row 0 adds nothing, row k > 0 holds the k-th biased tag's
-    biased = {tag: None for tag, _ in split if tag is not None and model.tag_bias.get(tag)}
-    bias_rows = np.zeros((len(biased) + 1, len(ext_vocab)))
-    for k, tag in enumerate(biased, start=1):
-        table = model.tag_bias[tag]
-        bias_rows[k] = [table.get(sym, 0.0) for sym in ext_vocab]
-        biased[tag] = k
-    sent_bias = np.array([biased.get(tag, 0) for tag, _ in split])
 
     # live states, sentence by sentence, each sentence's in beam order
     score = np.zeros(len(block))
@@ -402,7 +386,7 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
         lm_rows *= model.lm_weight
         # pool entry e extends state row_state[r] of the row r that holds it
         # by candidate entry cols[e], and scores
-        #     score + ((lex + bias) + lm_weight * lm)
+        #     score + (lex + lm_weight * lm)
         # with each addition and product as written (a + b is b + a, bit for
         # bit). Pool-sized arrays are freed as soon as they are used.
         lens = pos_count[row_sent, row_pos]
@@ -413,27 +397,26 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
         at += (group[row_state] * len(ext_vocab)).repeat(lens)
         flat = lm_rows.take(at)
         del at
-        if biased:
-            flat += cand_lex.take(cols) + bias_rows[sent_bias[row_sent].repeat(lens),
-                                                    cand_ids.take(cols)]
-        else:
-            flat += cand_lex.take(cols)
+        flat += cand_lex.take(cols)
         flat += score[row_state].repeat(lens)
 
-        # each sentence keeps the `width` best of its own pool: a pool larger
-        # than that goes through argpartition, then each sentence's kept
-        # entries are ordered by a stable descending sort of their scores
+        # each sentence keeps the first `width` of its pool by (-score, pool
+        # index): a pool larger than that gets its width-th best score as a
+        # threshold, which ties cannot move; the entries at or above it are
+        # sorted stably by (sentence, -score), and each sentence's first
+        # `width` are kept
         bounds = np.concatenate(([0], ends))[np.concatenate(([0], rows_per_sent.cumsum()))]
         first_el, sizes = bounds[live], np.diff(bounds)[live]
-        taken = np.minimum(sizes, width)
-        offset = taken.cumsum() - taken
-        keep = np.arange(offset[-1] + taken[-1]) - offset.repeat(taken)
+        thr = np.full(live.size, -np.inf)
         big = np.flatnonzero(sizes > width)
-        for o, a, b in zip(offset[big].tolist(), first_el[big].tolist(),
+        for k, a, b in zip(big.tolist(), first_el[big].tolist(),
                            (first_el + sizes)[big].tolist()):
-            keep[o:o + width] = flat[a:b].argpartition(-width)[-width:]
-        keep += first_el.repeat(taken)
-        keep = keep[np.lexsort((-flat[keep], np.arange(live.size).repeat(taken)))]
+            thr[k] = np.partition(flat[a:b], -width)[-width]
+        keep = np.flatnonzero(flat >= thr.repeat(sizes))
+        seg = first_el.searchsorted(keep, "right") - 1
+        keep = keep[np.lexsort((-flat[keep], seg))]
+        counts = np.bincount(seg, minlength=live.size)
+        keep = keep[np.arange(keep.size) - (counts.cumsum() - counts).repeat(counts) < width]
 
         rows = ends.searchsorted(keep, "right")
         parent = row_state[rows]
@@ -538,7 +521,7 @@ def model_to_dict(model: LexModel) -> dict:
         "src_lang": model.src_lang, "tgt_lang": model.tgt_lang,
         "src_vocab": list(model.src_vocab), "tgt_vocab": list(model.tgt_vocab),
         "beam": model.beam, "window": model.window, "lm_weight": model.lm_weight,
-        "unk_floor": model.unk_floor, "tag_bias": model.tag_bias,
+        "unk_floor": model.unk_floor,
         "train_ll_trace": list(model.train_ll_trace),
         "t_rows": rows, "lm": lm_to_dict(model.lm),
     }
@@ -552,9 +535,6 @@ def model_from_dict(doc: dict) -> LexModel:
         raise DataError("unsupported model serialization")
     src_vocab = doc_strings(doc, "src_vocab", what)
     tgt_vocab = doc_strings(doc, "tgt_vocab", what)
-    tag_bias = doc_field(doc, "tag_bias", dict, what)
-    if not all(isinstance(v, dict) for v in tag_bias.values()):
-        raise DataError(f"{what}: key 'tag_bias' must map tags to objects")
     t = np.zeros((len(src_vocab), len(tgt_vocab)))
     try:
         for i, row in enumerate(doc_field(doc, "t_rows", list, what)):
@@ -569,7 +549,6 @@ def model_from_dict(doc: dict) -> LexModel:
                     src_lang=doc_field(doc, "src_lang", str, what),
                     tgt_lang=doc_field(doc, "tgt_lang", str, what),
                     unk_floor=float(doc_field(doc, "unk_floor", NUMBER, what)),
-                    tag_bias={k: dict(v) for k, v in tag_bias.items()},
                     train_ll_trace=tuple(doc_field(doc, "train_ll_trace", list, what)))
 
 

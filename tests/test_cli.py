@@ -89,7 +89,7 @@ class TestExitCodes:
         space = {"version": 1, "dims": {
             "em_iterations": [2], "lm_order": [2], "smoothing_k": [0.3],
             "lm_weight": [0.3], "window": [0], "beam": [2], "up_bitext": [1],
-            "up_fwd": [1], "up_bt": [1], "seed": [1]}}
+            "up_fwd": [1], "up_bt": [1]}}
         with open("space_run.json", "w", encoding="utf-8") as fh:
             json.dump(space, fh)
         argv = ["pipeline", "--parallel", "bundle/parallel.tsv", "--mono-source",
@@ -155,6 +155,27 @@ class TestExitCodes:
         assert main(["augment-st", "--model", "m.json", "--mono", "m.txt",
                      "--out", "o.tsv", "--seed", "1"]) == EXIT_USAGE
         assert "--seed" in capsys.readouterr().err
+
+    def test_trial_seed_flag_is_gone(self, capsys):
+        assert main(["train", "--parallel", "p.tsv", "--dev", "d.tsv", "--out", "m.json",
+                     "--trial-seed", "1"]) == EXIT_USAGE
+        assert "--trial-seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["search", "pipeline"])
+    def test_more_trials_than_distinct_configs_is_2(self, workspace, capsys, command):
+        # a space of two configurations cannot give three distinct trials
+        space = {"version": 1, "dims": {"em_iterations": [2], "lm_order": [2],
+                                        "window": [0, 1], "beam": [2]}}
+        with open("space_two.json", "w", encoding="utf-8") as fh:
+            json.dump(space, fh)
+        out = f"{command}-too-many"
+        argv = [command, "--parallel", "bundle/parallel.tsv", "--dev", "bundle/dev.tsv",
+                "--trials", "3", "--topk", "1", "--space", "space_two.json",
+                "--out-dir" if command == "search" else "--run-dir", out]
+        capsys.readouterr()
+        assert main(argv) == EXIT_DATA
+        assert "3 distinct configurations" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_help_is_0(self):
         with pytest.raises(SystemExit) as exc:
@@ -244,8 +265,8 @@ class TestWorkflows:
     def test_search_writes_runlog(self, workspace):
         space = {"version": 1, "dims": {
             "em_iterations": [2], "lm_order": [2], "smoothing_k": [0.3],
-            "lm_weight": [0.3], "window": [0], "beam": [2], "up_bitext": [1],
-            "up_fwd": [1], "up_bt": [1], "seed": [1, 2]}}
+            "lm_weight": [0.3, 0.5], "window": [0], "beam": [2], "up_bitext": [1],
+            "up_fwd": [1], "up_bt": [1]}}
         with open("space.json", "w", encoding="utf-8") as fh:
             json.dump(space, fh)
         assert main(["search", "--parallel", "bundle/parallel.tsv", "--dev",
@@ -263,7 +284,7 @@ class TestWorkflows:
         space = {"version": 1, "dims": {
             "em_iterations": [2], "lm_order": [2], "smoothing_k": [0.3],
             "lm_weight": [0.3], "window": [0, 1], "beam": [2], "up_bitext": [1, 4],
-            "up_fwd": [1], "up_bt": [1], "seed": [1]}}
+            "up_fwd": [1], "up_bt": [1]}}
         with open("space_topk.json", "w", encoding="utf-8") as fh:
             json.dump(space, fh)
         capsys.readouterr()
@@ -284,6 +305,24 @@ class TestWorkflows:
                  open("searchtopk/runlog.jsonl", encoding="utf-8")]
         ranked = sorted(range(3), key=lambda i: (-bleus[i], i))
         assert members == [f"trial{i:03d}" for i in ranked[:2]]
+
+    def test_search_rerun_rewrites_the_runlog(self, workspace):
+        space = {"version": 1, "dims": {"em_iterations": [2], "lm_order": [2],
+                                        "window": [0, 1], "up_bitext": [1, 4], "beam": [2]}}
+        with open("space_rerun.json", "w", encoding="utf-8") as fh:
+            json.dump(space, fh)
+        argv = ["search", "--parallel", "bundle/parallel.tsv", "--dev", "bundle/dev.tsv",
+                "--bpe", "bpe.txt", "--tag", "<d:in>", "--trials", "3", "--seed", "2",
+                "--space", "space_rerun.json", "--out-dir", "searchrerun"]
+        logs = []
+        for _ in range(2):
+            assert main(argv) == EXIT_OK
+            with open("searchrerun/runlog.jsonl", "rb") as fh:
+                logs.append(fh.read())
+        assert logs[0] == logs[1]
+        records = [json.loads(line) for line in logs[1].decode("utf-8").splitlines()]
+        assert len(records) == 3
+        assert len({r["model_hash"] for r in records}) == 3
 
     @pytest.mark.parametrize("doc", [{}, {"dims": {"beam": 5}}])
     def test_search_malformed_space_is_data_error(self, workspace, doc):

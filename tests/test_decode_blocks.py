@@ -1,10 +1,11 @@
-"""Block decoding: every source decodes as it would alone.
+"""Block decoding: every source decodes as it would alone, by the
+documented selection rule.
 
-`reference_nbest` is the decoder as it ran one sentence at a time, before
-`tm.translate_corpus` ran each beam step over a block of sources: the same
-pool order, the same float operations and the same `argpartition` plus stable
-`argsort` selection, written as a per-sentence loop. The properties compare
-the block decoder with it, and with itself source by source, bit for bit.
+`reference_nbest` is the decoder written as a per-sentence loop in Python:
+the same pool order and the same float operations as `tm._decode_block`, and
+its selection rule as a full stable sort, keeping the first `width` entries
+of each pool in (-score, pool index) order. The properties compare the block
+decoder with it, and with itself source by source, bit for bit.
 """
 
 import random
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deskmt import tm
-from deskmt.corpus import SIDE_PARALLEL, UNK_TOKEN, TaggedDataset, build_mix, is_tag
+from deskmt.corpus import SIDE_PARALLEL, UNK_TOKEN, TaggedDataset, build_mix, strip_tag
+from deskmt.lm import train_lm
 from deskmt.tm import DataError, em_train, translate_corpus, translate_nbest
 
 TAG = "<bt>"
@@ -23,7 +25,7 @@ TAG = "<bt>"
 
 def reference_nbest(model, x, n):
     """Top-n hypotheses of one source, decoded one step at a time in Python."""
-    tag, src = (x[0], x[1:]) if x and is_tag(x[0]) else (None, x)
+    src = strip_tag(x)
     m = len(src)
     w = model.window
     width = max(model.beam, n)
@@ -44,9 +46,6 @@ def reference_nbest(model, x, n):
         off.append(off[-1] + ids.size)
     ids_all = np.concatenate([ids for ids, _ in position])
     lex_all = np.concatenate([lex for _, lex in position])
-    if tag is not None and model.tag_bias.get(tag):
-        table = model.tag_bias[tag]
-        lex_all = lex_all + np.array([table.get(sym, 0.0) for sym in ext_vocab])[ids_all]
 
     beam = [(0.0, 0, (), ())]  # (score, consumed bitmask, lm context, emitted ext ids)
     for i in range(1, m + 1):
@@ -74,11 +73,7 @@ def reference_nbest(model, x, n):
         ends = lens.cumsum()
         gather = (np.array(row_start) - ends + lens).repeat(lens) + np.arange(ends[-1])
         flat = np.array([beam[idx][0] for idx in row_state]).repeat(lens) + step[gather]
-        if flat.size > width:
-            keep = flat.argpartition(-width)[-width:]
-            keep = keep[(-flat[keep]).argsort(kind="stable")]
-        else:
-            keep = (-flat).argsort(kind="stable")
+        keep = (-flat).argsort(kind="stable")[:width]
         new_beam = []
         for e in keep.tolist():
             row = int(ends.searchsorted(e, "right"))
@@ -104,9 +99,11 @@ def entries(nb):
     return [(e.hyp, float(e.fwd).hex()) for e in nb.entries]
 
 
-def random_model(rng, *, beam, window, order, lm_weight, unk_target):
+def random_model(rng, *, beam, window, order, lm_weight, unk_target, uniform=False):
     """EM model over a random mix; `unk_target` puts the unknown token among
-    the targets, as self-training does with partly unknown outputs."""
+    the targets, as self-training does with partly unknown outputs, and
+    `uniform` gives every source symbol one probability for every target, so
+    that scores tie exactly across the pools."""
     vocab = rng.randint(2, 6)
     src_syms = [f"s{i}" for i in range(vocab)]
     tgt_syms = [f"t{i}" for i in range(vocab)] + ([UNK_TOKEN] if unk_target else [])
@@ -118,7 +115,16 @@ def random_model(rng, *, beam, window, order, lm_weight, unk_target):
     mix = build_mix([TaggedDataset("r", SIDE_PARALLEL, "<t>", pairs=tuple(pairs))])
     model = em_train(mix, rng.randint(1, 3), lm_order=order, beam=beam, window=window,
                      lm_weight=lm_weight)
+    if uniform:
+        model = uniform_model(model)
     return model, src_syms
+
+
+def uniform_model(model):
+    """`model` with a table that gives every target one probability."""
+    t = np.full(model.t.shape, 1.0 / model.t.shape[1])
+    return tm.LexModel(model.src_vocab, model.tgt_vocab, t, model.lm, beam=model.beam,
+                       window=model.window, lm_weight=model.lm_weight)
 
 
 def random_sources(rng, src_syms, count):
@@ -137,16 +143,14 @@ class TestBlocksEqualSingleSentences:
     @given(seed=st.integers(0, 2**32 - 1), beam=st.integers(1, 5), window=st.integers(0, 2),
            n=st.integers(1, 50), order=st.integers(1, 3),
            lm_weight=st.sampled_from([0.0, 0.4, 1.0]), unk_target=st.booleans(),
-           biased=st.booleans(), count=st.integers(1, 14),
+           uniform=st.booleans(), count=st.integers(1, 14),
            states=st.sampled_from([1, 7, 40, tm._DECODE_STATES]))
     def test_corpus_equals_each_source_alone(self, seed, beam, window, n, order, lm_weight,
-                                             unk_target, biased, count, states):
+                                             unk_target, uniform, count, states):
         rng = random.Random(seed)
         model, src_syms = random_model(rng, beam=beam, window=window, order=order,
-                                       lm_weight=lm_weight, unk_target=unk_target)
-        if biased:
-            ext = model._ext_vocab()
-            model.tag_bias = {TAG: {ext[0]: 1.5, ext[-1]: -0.75}}
+                                       lm_weight=lm_weight, unk_target=unk_target,
+                                       uniform=uniform)
         sources = random_sources(rng, src_syms, count)
         # small block bounds put these few sources in several blocks
         with mock.patch.object(tm, "_DECODE_STATES", states):
@@ -165,6 +169,37 @@ class TestBlocksEqualSingleSentences:
         lists = translate_corpus(model, sources, 1)
         for source, nb in zip(sources, lists):
             assert entries(nb) == entries(translate_nbest(model, source, 1))
+
+
+class TestTiesKeepTheLowestPoolIndex:
+    """A uniform table and no LM weight: every extension of a state scores the
+    same, so each step's `width` survivors are decided by pool index alone."""
+
+    TARGETS = tuple(f"t{i}" for i in range(8))
+
+    def model(self, beam):
+        t = np.full((2, len(self.TARGETS)), 1.0 / len(self.TARGETS))
+        return tm.LexModel((tm.NULL, "s0"), self.TARGETS, t,
+                           train_lm([self.TARGETS], 1, 0.5), beam=beam, window=0,
+                           lm_weight=0.0)
+
+    @pytest.mark.parametrize("beam", [1, 3, 5])
+    def test_one_step_keeps_the_first_targets(self, beam):
+        nb = translate_nbest(self.model(beam), ("s0",), beam)
+        assert [e.hyp for e in nb.entries] == [(t,) for t in self.TARGETS[:beam]]
+
+    @pytest.mark.parametrize("beam", [1, 3, 5])
+    def test_later_steps_extend_the_first_state(self, beam):
+        # one LM context, one window position: the pool is state by state in
+        # beam order, each state's targets in id order, so the first `width`
+        # entries all extend the first state, t0
+        model = self.model(beam)
+        nb = translate_nbest(model, ("s0", "s0", "s0"), beam)
+        assert [e.hyp for e in nb.entries] == [("t0", "t0", t) for t in self.TARGETS[:beam]]
+        assert [(hyp, score.hex()) for hyp, score in
+                reference_nbest(model, ("s0", "s0", "s0"), beam)] == entries(nb)
+        lists = translate_corpus(model, [("s0",), ("s0", "s0", "s0"), (TAG, "s0")], beam)
+        assert entries(lists[1]) == entries(nb)
 
 
 class TestEmptySources:

@@ -2,11 +2,10 @@
 
 The fixture holds, for every case, each hypothesis and the `repr` of its
 score. The cases cover beam {2, 5} x window {0, 1, 2} x n {1, 10, 50}, sources
-with repeated unknown symbols (whose candidates tie exactly), a tag-biased
-model and a symmetric model whose distinct hypotheses tie exactly, so the
-beam's tie breaking decides which of them survive. Any change to the
-decoder's arithmetic or to its pool order and tie breaking shows up here as a
-mismatch. Every case is checked twice: decoded on its own, and inside one
+with repeated unknown symbols (whose candidates tie exactly) and a symmetric
+model whose distinct hypotheses tie exactly, so the beam's tie rule decides
+which of them survive. Any change to the decoder's arithmetic or to its pool
+order and tie rule shows up here as a mismatch. Every case is checked twice: decoded on its own, and inside one
 `translate_corpus` call per group of cases that share a model and n.
 
 To regenerate the fixture, deliberately, from a given source tree:
@@ -30,7 +29,6 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "data", "decoder_golden.json")
 BEAMS = (2, 5)
 WINDOWS = (0, 1, 2)
 NBEST = (1, 10, 50)
-TAG = "<bt>"
 
 
 def _sources(bundle):
@@ -61,12 +59,6 @@ def golden_groups():
                              lm_weight=0.4)
             for n in NBEST:
                 yield f"b{beam}-w{window}-n{n}", model, sources, n
-
-    biased = em_train(mix, 3, lm_order=2, beam=5, window=1, lm_weight=0.4)
-    targets = biased.tgt_vocab
-    biased.tag_bias = {TAG: {targets[0]: 1.5, targets[3]: -0.75, "<unk>": 0.25}}
-    for n in NBEST:
-        yield f"tag-n{n}", biased, [(TAG,) + source for source in sources], n
 
     # t(A|x) = t(B|x) and a unigram LM with equal A/B counts: every A/B
     # string of a given length scores the same

@@ -49,7 +49,7 @@ def hand_built(members):
     return LexModel(first.src_vocab, first.tgt_vocab, loop_mean(members), first.lm,
                     beam=first.beam, window=first.window, lm_weight=first.lm_weight,
                     src_lang=first.src_lang, tgt_lang=first.tgt_lang,
-                    unk_floor=first.unk_floor, tag_bias=first.tag_bias)
+                    unk_floor=first.unk_floor)
 
 
 def entries(nbest):
@@ -138,11 +138,9 @@ class TestEnsembleNbest:
 
     def test_decodes_as_mean_table_with_first_members_lm_and_settings(self):
         mix = mix_for(12)
-        tag_bias = {"<t>": {"w": 0.5, "z": -0.25}}
         members = varied_members(mix)
-        members[0].tag_bias = tag_bias
         ens, hand = Ensemble(members), hand_built(members)
-        assert ens.lm is members[0].lm and ens.tag_bias == tag_bias
+        assert ens.lm is members[0].lm
         for src, _ in mix.examples[:6]:
             for n in (1, 4, 12):
                 assert entries(translate_nbest(ens, src, n)) == \

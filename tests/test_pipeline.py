@@ -33,8 +33,8 @@ def tiny_bundle(seed=3):
 def tiny_space():
     return SearchSpace(dims={
         "em_iterations": [2], "lm_order": [2], "smoothing_k": [0.3],
-        "lm_weight": [0.3], "window": [0, 1], "beam": [2],
-        "up_bitext": [1, 2], "up_fwd": [1], "up_bt": [1], "seed": [1, 2]})
+        "lm_weight": [0.3, 0.5], "window": [0, 1], "beam": [2],
+        "up_bitext": [1, 2], "up_fwd": [1], "up_bt": [1]})
 
 
 def tiny_config(**kw):
@@ -104,6 +104,16 @@ class TestStructure:
             it1["ensembles"]["bwd"]["model_hash"]
         assert it1["synthetic"]["F"]["provenance"]["generator"] == \
             manifest.data["init"]["fwd"]["model"]["model_hash"]
+
+    def test_trials_of_a_round_are_distinct_models(self, finished_run):
+        _, config, _, manifest = finished_run
+        for record in manifest.data["iterations"]:
+            for side in ("fwd", "bwd"):
+                trials = record["trials"][side]
+                assert len(trials) == config.trials
+                assert len({json.dumps(r["config"], sort_keys=True) for r in trials}) \
+                    == config.trials
+                assert len({r["model_hash"] for r in trials}) == config.trials
 
     def test_finetune_only_at_last_iteration(self, finished_run):
         _, _, _, manifest = finished_run
@@ -193,6 +203,14 @@ class TestValidation:
         with pytest.raises(DataError):
             run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt,
                          bundle.dev, str(tmp_path / "r"), tiny_config(iterations=0))
+
+    def test_more_trials_than_distinct_configs_rejected_before_any_stage(self, tmp_path):
+        bundle = tiny_bundle(seed=29)
+        run_dir = tmp_path / "r"
+        with pytest.raises(DataError, match="9 distinct configurations"):
+            run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt,
+                         bundle.dev, str(run_dir), tiny_config(trials=9))
+        assert not run_dir.exists()
 
     def test_more_than_one_worker_rejected(self, tmp_path):
         bundle = tiny_bundle(seed=29)

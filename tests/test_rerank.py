@@ -287,3 +287,14 @@ class TestNbestFile:
         with pytest.raises(DataError, match=r"nbest\.txt:3"
                            if lines[0].startswith("#source") else r"nbest\.txt:2"):
             read_nbest_file(self.write_lines(tmp_path, lines))
+
+    @pytest.mark.parametrize("lines, bad_line", [
+        pytest.param(["#source 7 a b", "0\t0\tx\t-1.0\t-\t-\t-", "#source 3 c"], 2,
+                     id="out-of-order"),
+        pytest.param(["#source 0 a b", "#source 0 c"], 3, id="repeated"),
+        pytest.param(["#source 0 a", "#source 2 c"], 3, id="skipped"),
+        pytest.param(["#source x a"], 2, id="not-a-number"),
+    ])
+    def test_source_id_must_be_the_next_index(self, tmp_path, lines, bad_line):
+        with pytest.raises(DataError, match=rf"nbest\.txt:{bad_line}: #source id"):
+            read_nbest_file(self.write_lines(tmp_path, lines))

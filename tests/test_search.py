@@ -17,6 +17,7 @@ from deskmt.search import (
     SearchSpace,
     TrialConfig,
     TrialResult,
+    check_sample_size,
     default_search_space,
     dev_bleu,
     dev_perplexity,
@@ -50,10 +51,9 @@ def tiny_space():
         "lm_weight": [0.3],
         "window": [0, 1],
         "beam": [2],
-        "up_bitext": [1, 2],
+        "up_bitext": [1, 2, 3],
         "up_fwd": [1],
-        "up_bt": [1],
-        "seed": [1, 2, 3],
+        "up_bt": [1, 2],
     })
 
 
@@ -63,7 +63,7 @@ class TestSampleConfigs:
         configs = sample_configs(space, 1, seed=0)
         assert configs == [TrialConfig(em_iterations=2, lm_order=2, smoothing_k=0.3,
                                        lm_weight=0.3, window=0, beam=2, up_bitext=1,
-                                       up_fwd=1, up_bt=1, seed=1)]
+                                       up_fwd=1, up_bt=1)]
 
     def test_same_seed_same_list(self):
         space = tiny_space()
@@ -71,7 +71,7 @@ class TestSampleConfigs:
 
     def test_values_come_from_dimensions(self):
         space = tiny_space()
-        for cfg in sample_configs(space, 30, seed=1):
+        for cfg in sample_configs(space, 24, seed=1):
             for name, values in space.dims.items():
                 assert getattr(cfg, name) in values
 
@@ -80,7 +80,46 @@ class TestSampleConfigs:
         assert dims["up_bitext"] == [1, 2, 3, 4, 6, 8, 12, 16, 20, 32, 40, 64]
         assert dims["up_fwd"] == [1, 2, 3, 4, 6, 8, 9]
         assert dims["up_bt"] == [1, 2, 3, 4, 6, 8, 9]
-        assert dims["seed"] == list(range(1, 31))
+        assert "seed" not in dims
+
+    @pytest.mark.parametrize("seed", [0, 1, 4, 9])
+    def test_configs_are_distinct(self, seed):
+        assert len(set(sample_configs(tiny_space(), 20, seed))) == 20
+
+    @pytest.mark.parametrize("seed", [0, 1, 4, 9])
+    @pytest.mark.parametrize("n", [1, 5, 24])
+    def test_configs_are_the_first_distinct_draws(self, seed, n):
+        # per-dimension draws in sorted dimension order, duplicates skipped:
+        # a sample without duplicates is the plain with-replacement draw
+        space = tiny_space()
+        rng = random.Random(seed)
+        expected = []
+        while len(expected) < n:
+            config = TrialConfig(**{name: rng.choice(space.dims[name])
+                                    for name in sorted(space.dims)})
+            if config not in expected:
+                expected.append(config)
+        assert sample_configs(space, n, seed) == expected
+
+    @pytest.mark.parametrize("space, size", [
+        (tiny_space(), 24),
+        (SearchSpace(dims={"beam": [2, 2, 5], "window": [1]}), 2),
+        (default_search_space(), 3 * 2 * 3 * 4 * 2 * 2 * 12 * 7 * 7),
+    ], ids=["tiny", "repeated-value", "default"])
+    def test_space_size_counts_distinct_values(self, space, size):
+        check_sample_size(space, size)
+        with pytest.raises(DataError, match=f"{size + 1} distinct configurations"):
+            check_sample_size(space, size + 1)
+
+    @pytest.mark.parametrize("n", [0, 25])
+    def test_sample_size_outside_the_space_is_data_error(self, n):
+        with pytest.raises(DataError):
+            sample_configs(tiny_space(), n, seed=0)
+
+    @pytest.mark.parametrize("values", [["2"], [None], [[2]], [True]])
+    def test_non_numeric_dimension_values_rejected(self, values):
+        with pytest.raises(DataError, match="'beam'"):
+            SearchSpace(dims={"beam": values})
 
     def test_empty_dimension_rejected(self):
         with pytest.raises(DataError):

@@ -10,7 +10,7 @@ import pytest
 
 from deskmt.corpus import SIDE_PARALLEL, UNK_TOKEN, TaggedDataset, build_mix, swap_direction
 from deskmt.lm import train_lm
-from deskmt.corpus import is_tag, strip_tag
+from deskmt.corpus import strip_tag
 from deskmt.ensemble import Ensemble
 from deskmt.rerank import NoisyChannelWeights, RerankContext, rerank
 from deskmt.tm import (
@@ -84,7 +84,7 @@ def candidates(model, symbol):
 def pair_logprob(model, x, y):
     """Viterbi forced score: max over window-admissible alignments of the
     decoder's scoring function. Matches the fwd score of decoder outputs."""
-    tag, src = (x[0], x[1:]) if x and is_tag(x[0]) else (None, x)
+    src = strip_tag(x)
     y = strip_tag(y)
     if len(src) != len(y):
         raise DataError(f"length mismatch: |x|={len(src)} vs |y|={len(y)}")
@@ -98,21 +98,13 @@ def pair_logprob(model, x, y):
     order = getattr(model.lm, "order", 1)
     unk_ext = len(model.tgt_vocab)
 
-    bias_of = None
-    if tag is not None and model.tag_bias.get(tag):
-        bias_of = model.tag_bias[tag]
-
     def lex_term(j, token):
         ids, logp = candidates(model, src[j])
         tid = ext_id.get(token)
         if tid is None:
-            value = -np.inf
-        else:
-            hits = np.flatnonzero(ids == tid)
-            value = float(logp[hits[0]]) if hits.size else -np.inf
-        if bias_of is not None and np.isfinite(value):
-            value += bias_of.get(token, 0.0)
-        return value
+            return -np.inf
+        hits = np.flatnonzero(ids == tid)
+        return float(logp[hits[0]]) if hits.size else -np.inf
 
     states = {0: 0.0}
     ctx = ()
@@ -340,16 +332,6 @@ class TestTranslateNbest:
         nb = translate_nbest(model, ("<d:in>", "a"), 1)
         assert nb.top().hyp == ("x",)
 
-    def test_tag_bias_changes_scores(self):
-        model = build_model({("a", "x"): 0.5, ("a", "y"): 0.5}, ["a"], ["x", "y"],
-                            [("x",), ("y",)] * 2)
-        plain = translate_nbest(model, ("<d:in>", "a"), 2)
-        model.tag_bias = {"<d:in>": {"y": 5.0}}
-        model._caches.pop("cands", None)
-        biased = translate_nbest(model, ("<d:in>", "a"), 2)
-        assert plain.top().hyp == ("x",)  # lexicographic tie-break
-        assert biased.top().hyp == ("y",)
-
     def test_invalid_inputs(self):
         model = build_model({("a", "x"): 1.0}, ["a"], ["x"], [("x",)] * 2)
         with pytest.raises(DataError):
@@ -571,17 +553,15 @@ class TestSerialization:
         rng = random.Random(3)
         mix = random_mix(rng, 12)
         model = em_train(mix, iterations=3, window=1, lm_weight=0.4)
-        model.tag_bias = {"<d:in>": {"t0": 0.5}}
         loaded = model_from_dict(model_to_dict(model))
         assert np.array_equal(loaded.t, model.t)
         assert loaded.src_vocab == model.src_vocab
-        assert loaded.tag_bias == model.tag_bias
         x = mix.examples[0][0][1:]
         a = translate_nbest(model, x, 5)
         b = translate_nbest(loaded, x, 5)
         assert [(e.hyp, e.fwd) for e in a.entries] == [(e.hyp, e.fwd) for e in b.entries]
 
-    @pytest.mark.parametrize("key", ["beam", "t_rows", "src_vocab", "lm", "tag_bias"])
+    @pytest.mark.parametrize("key", ["beam", "t_rows", "src_vocab", "lm"])
     def test_missing_key_is_data_error(self, key):
         doc = model_to_dict(em_train(random_mix(random.Random(4), 8), iterations=1))
         del doc[key]
