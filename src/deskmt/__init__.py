@@ -2,7 +2,7 @@
 
 Library layout, one module per subsystem:
 
-- corpus    sentence datasets, domain tags, upsampled training mixes
+- corpus    sentence datasets with domain labels, upsampled training mixes
 - subword   BPE learn/encode/decode
 - lm        smoothed n-gram language models
 - tm        lexical translation model: EM training, beam and corpus decoding

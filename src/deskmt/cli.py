@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
-from functools import partial
 
 from . import augment, corpus, metrics, mine, pipeline, rerank, search, subword, synth, tm
 from .corpus import (
     SIDE_MONO_SOURCE,
     SIDE_MONO_TARGET,
     SIDE_PARALLEL,
-    TAG_IN_DOMAIN,
     load_corpus,
     save_corpus,
     swap_dataset,
@@ -61,11 +60,9 @@ def _maybe_bpe(args):
 
 
 def _eval_ctx(args, bpe):
-    tag = getattr(args, "tag", None)
-    policy = getattr(args, "policy", subword.POLICY_SPACED)
-    if bpe is None and tag is None:
+    if bpe is None:
         return None
-    return EvalContext(bpe=bpe, policy=policy, tag=tag)
+    return EvalContext(bpe=bpe, policy=getattr(args, "policy", subword.POLICY_SPACED))
 
 
 def _rerank_ctx(args):
@@ -111,12 +108,12 @@ def _config_from(args) -> TrialConfig:
 
 
 def _load_training_sets(args, bpe):
-    bitext = load_corpus(args.parallel, SIDE_PARALLEL, tag=TAG_IN_DOMAIN)
+    bitext = load_corpus(args.parallel, SIDE_PARALLEL)
     st = load_corpus(args.st, SIDE_PARALLEL, tag=corpus.TAG_SELF_TRAINED) \
         if args.st else None
     bt = load_corpus(args.bt, SIDE_PARALLEL, tag=corpus.TAG_BACK_TRANSLATED) \
         if args.bt else None
-    dev = load_corpus(args.dev, SIDE_PARALLEL, tag=TAG_IN_DOMAIN)
+    dev = load_corpus(args.dev, SIDE_PARALLEL)
     if bpe is not None:
         bitext = subword.encode_dataset(bitext, bpe)
         dev = subword.encode_dataset(dev, bpe)
@@ -180,6 +177,9 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+_SEARCH_MODEL = re.compile(r"trial\d{3}\.json|ensemble\d+\.json")
+
+
 def cmd_search(args) -> int:
     if not 0 <= args.topk <= args.trials:
         raise DataError(f"--topk must lie in [0, --trials], got {args.topk}")
@@ -188,14 +188,12 @@ def cmd_search(args) -> int:
     space = SearchSpace.load(args.space) if args.space else default_search_space()
     langs = ("tgt", "src") if args.swap else ("src", "tgt")
     results = search.run_search(
-        space, args.trials, args.seed,
-        partial(search.trial_mix, bitext=bitext, st=st, bt=bt), dev,
+        space, args.trials, args.seed, bitext, st, bt, dev,
         eval_ctx=_eval_ctx(args, bpe), patience=args.patience,
         src_lang=langs[0], tgt_lang=langs[1])
     os.makedirs(args.out_dir, exist_ok=True)
     search.write_trial_log(results, os.path.join(args.out_dir, "runlog.jsonl"))
-    for i, r in enumerate(results):
-        _save_model(r.model, os.path.join(args.out_dir, f"trial{i:03d}.json"))
+    models = {f"trial{i:03d}.json": r.model for i, r in enumerate(results)}
     order = search.rank_trials(results)
     best = order[0]
     print(f"{len(results)} trials -> {args.out_dir}; "
@@ -203,9 +201,15 @@ def cmd_search(args) -> int:
     if args.topk:
         members = order[:args.topk]
         print("ensemble members: " + " ".join(f"trial{i:03d}" for i in members))
-        for rank, i in enumerate(members):
-            _save_model(results[i].model,
-                        os.path.join(args.out_dir, f"ensemble{rank}.json"))
+        models.update({f"ensemble{rank}.json": results[i].model
+                       for rank, i in enumerate(members)})
+    for name, model in models.items():
+        _save_model(model, os.path.join(args.out_dir, name))
+    # an earlier run with more trials or a larger --topk left models this
+    # run did not write
+    for name in os.listdir(args.out_dir):
+        if _SEARCH_MODEL.fullmatch(name) and name not in models:
+            os.remove(os.path.join(args.out_dir, name))
     return EXIT_OK
 
 
@@ -216,7 +220,7 @@ def cmd_translate(args) -> int:
     sources = list(ds.sentences)
     if bpe is not None:
         sources = [subword.encode(s, bpe) for s in sources]
-    lists = tm.translate_corpus(model, sources, args.nbest, tag=args.tag,
+    lists = tm.translate_corpus(model, sources, args.nbest,
                                 rerank_ctx=_rerank_ctx(args))
     if args.dump_nbest:
         rerank.write_nbest_file(lists, args.dump_nbest)
@@ -243,7 +247,7 @@ def cmd_rerank(args) -> int:
 
 def cmd_tune_lambdas(args) -> int:
     bpe = _maybe_bpe(args)
-    dev = load_corpus(args.dev, SIDE_PARALLEL, tag=TAG_IN_DOMAIN)
+    dev = load_corpus(args.dev, SIDE_PARALLEL)
     if bpe is not None:
         dev = subword.encode_dataset(dev, bpe)
     weights, _ = rerank.tune_lambdas(
@@ -283,8 +287,8 @@ def _cmd_augment(args, kind: str) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    parallel = load_corpus(args.parallel, SIDE_PARALLEL, tag=TAG_IN_DOMAIN)
-    dev = load_corpus(args.dev, SIDE_PARALLEL, tag=TAG_IN_DOMAIN)
+    parallel = load_corpus(args.parallel, SIDE_PARALLEL)
+    dev = load_corpus(args.dev, SIDE_PARALLEL)
     mono_src = mono_tgt = None
     if not args.parallel_only:
         if args.mono_source:
@@ -326,7 +330,7 @@ def cmd_mine(args) -> int:
 def cmd_evaluate(args) -> int:
     bpe = _maybe_bpe(args)
     model = _load_models(args.model)
-    test = load_corpus(args.test, SIDE_PARALLEL, tag=TAG_IN_DOMAIN)
+    test = load_corpus(args.test, SIDE_PARALLEL)
     if bpe is not None:
         test = subword.encode_dataset(test, bpe)
     report = metrics.evaluate_system(model, test, decode=args.mode,
@@ -342,8 +346,8 @@ def cmd_evaluate(args) -> int:
 def cmd_finetune(args) -> int:
     bpe = _maybe_bpe(args)
     model = _load_models([args.model])
-    in_domain = load_corpus(args.in_domain, SIDE_PARALLEL, tag=TAG_IN_DOMAIN)
-    dev = load_corpus(args.dev, SIDE_PARALLEL, tag=TAG_IN_DOMAIN)
+    in_domain = load_corpus(args.in_domain, SIDE_PARALLEL)
+    dev = load_corpus(args.dev, SIDE_PARALLEL)
     if bpe is not None:
         in_domain = subword.encode_dataset(in_domain, bpe)
         dev = subword.encode_dataset(dev, bpe)
@@ -390,7 +394,6 @@ def build_parser() -> _Parser:
         p.add_argument("--bt", default=None, help="back-translated synthetic TSV")
         p.add_argument("--dev", required=True)
         p.add_argument("--bpe", default=None)
-        p.add_argument("--tag", default=TAG_IN_DOMAIN)
         p.add_argument("--swap", action="store_true",
                        help="train the reverse (target-to-source) direction")
         p.add_argument("--patience", type=int, default=search.DEFAULT_PATIENCE)
@@ -416,7 +419,6 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--bpe", default=None)
-    p.add_argument("--tag", default=None)
     p.add_argument("--policy", choices=[subword.POLICY_SPACED, subword.POLICY_UNSPACED],
                    default=subword.POLICY_SPACED)
     p.add_argument("--dump-nbest", default=None)
@@ -438,7 +440,6 @@ def build_parser() -> _Parser:
     p.add_argument("--channel-model", nargs="+", required=True)
     p.add_argument("--lm", required=True)
     p.add_argument("--bpe", default=None)
-    p.add_argument("--tag", default=None)
     p.add_argument("--tune-trials", type=int, default=rerank.DEFAULT_TUNE_TRIALS)
     p.add_argument("--nbest", type=int, default=rerank.DEFAULT_NBEST)
     p.add_argument("--seed", type=int, default=0)
@@ -493,7 +494,6 @@ def build_parser() -> _Parser:
     p.add_argument("--model", nargs="+", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--bpe", default=None)
-    p.add_argument("--tag", default=None)
     p.add_argument("--policy", choices=[subword.POLICY_SPACED, subword.POLICY_UNSPACED],
                    default=subword.POLICY_SPACED)
     p.add_argument("--report", default=None)
@@ -505,7 +505,6 @@ def build_parser() -> _Parser:
     p.add_argument("--in-domain", required=True)
     p.add_argument("--dev", required=True)
     p.add_argument("--bpe", default=None)
-    p.add_argument("--tag", default=None)
     p.add_argument("--max-steps", type=int, default=3)
     p.add_argument("--lm-alpha", type=float, default=0.5)
     p.add_argument("--out", required=True)

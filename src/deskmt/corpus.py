@@ -1,14 +1,16 @@
-"""Sentence corpora: loading, domain tagging, upsampled mixing, direction swaps.
+"""Sentence corpora: loading, upsampled mixing, direction swaps.
 
-A Sentence is a tuple of unicode tokens. Datasets carry a domain tag (a single
-reserved token like ``<d:in>``) and an integer upsampling weight; a DataMix
-flattens several tagged datasets into one training multiset.
+A Sentence is a tuple of unicode tokens. Datasets carry a domain tag and an
+integer upsampling weight; a DataMix weights several parallel datasets into
+one training multiset. A tag (a string like ``<d:in>``) is a label recorded
+in manifests and provenance, never a token: no sentence is ever given one,
+and a leading ``<...>`` token read from a file is an ordinary word.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .util import DataError, read_text, write_text_atomic
 
@@ -20,7 +22,7 @@ SIDE_MONO_SOURCE = "mono-source"
 SIDE_MONO_TARGET = "mono-target"
 SIDES = (SIDE_PARALLEL, SIDE_MONO_SOURCE, SIDE_MONO_TARGET)
 
-# The four domain tokens shipped in default configs: in-domain parallel,
+# The four domain labels shipped in default configs: in-domain parallel,
 # out-of-domain parallel, self-trained and back-translated data.
 TAG_IN_DOMAIN = "<d:in>"
 TAG_OUT_DOMAIN = "<d:out>"
@@ -33,13 +35,16 @@ UNK_TOKEN = "<unk>"
 
 
 def is_tag(token: str) -> bool:
-    """A domain tag is a token of the form <...>; the unknown token is not one."""
+    """A domain tag has the form <...>; the unknown token is not one."""
     return len(token) > 2 and token.startswith("<") and token.endswith(">") \
         and token != UNK_TOKEN
 
 
+# No sentence carries a tag, so nothing in deskmt calls strip_tag. It stays
+# only because bench/workloads.py imports it, and goes with the next change
+# to bench/.
 def strip_tag(sentence: Sentence) -> Sentence:
-    """Drop the leading domain tag, if any."""
+    """Drop the leading <...> token, if any."""
     if sentence and is_tag(sentence[0]):
         return sentence[1:]
     return sentence
@@ -53,6 +58,8 @@ def _check_tag(tag: str) -> None:
 @dataclass(frozen=True)
 class TaggedDataset:
     """A named set of sentence pairs (or monolingual sentences) with a domain tag.
+
+    The tag is a label recorded in manifests, never a token of a sentence.
 
     ``pairs`` is used for the parallel side, ``sentences`` for either mono
     side. ``dropped`` counts lines discarded at load/generation time.
@@ -142,48 +149,21 @@ def save_corpus(ds: TaggedDataset, path: str) -> str:
     return text
 
 
-def apply_tag(ds: TaggedDataset) -> TaggedDataset:
-    """Prepend the dataset's tag to every source sentence; idempotent.
-
-    Tags apply to sources only: parallel source sides and mono-source
-    sentences gain the tag, targets and mono-target sentences are unchanged.
-    """
-    def tagged(sentence: Sentence) -> Sentence:
-        if sentence and sentence[0] == ds.tag:
-            return sentence
-        return (ds.tag,) + sentence
-
-    if ds.side == SIDE_PARALLEL:
-        return replace(ds, pairs=tuple((tagged(src), tgt) for src, tgt in ds.pairs))
-    if ds.side == SIDE_MONO_SOURCE:
-        return replace(ds, sentences=tuple(tagged(s) for s in ds.sentences))
-    return ds
-
-
 @dataclass(frozen=True)
 class DataMix:
-    """Several tagged parallel datasets flattened into one training multiset."""
+    """Several parallel datasets, each weighted by its upsampling factor."""
 
     datasets: tuple[TaggedDataset, ...]
-    examples: tuple[Pair, ...] = field(default=(), compare=False)
-
-    def __len__(self) -> int:
-        return len(self.examples)
 
     def weighted_pairs(self) -> dict[Pair, int]:
-        """Multiset view as (untagged source, target) -> multiplicity.
-
-        This is the view EM trains on: domain tags are stripped, and keys
-        keep the order in which they first appear in `examples`. `examples`
-        holds each dataset's pairs `upsample` times in dataset order, so one
-        walk over the datasets, adding `upsample` per pair, gives the same
-        dict without visiting the replicas.
+        """Multiset view as (source, target) -> multiplicity, the view EM
+        trains on. A pair counts `upsample` times per occurrence in a
+        dataset; keys keep the order of first appearance, dataset by dataset.
         """
         weights: dict[Pair, int] = {}
         for ds in self.datasets:
-            for src, tgt in ds.pairs:
-                key = (strip_tag(src), tgt)
-                weights[key] = weights.get(key, 0) + ds.upsample
+            for pair in ds.pairs:
+                weights[pair] = weights.get(pair, 0) + ds.upsample
         return weights
 
     def target_sentences(self) -> list[tuple[Sentence, int]]:
@@ -196,36 +176,25 @@ class DataMix:
 
 
 def build_mix(datasets: list[TaggedDataset]) -> DataMix:
-    """Flatten tagged parallel datasets, replicating each `upsample` times.
+    """A training mix of parallel datasets, in the given order.
 
-    Order is deterministic: dataset order, then line order, then replica
-    index. Tag prepending is applied (idempotently) to every source side.
+    Sentences enter the mix as they are; each dataset's tag stays a label.
     """
-    tagged = [apply_tag(ds) for ds in datasets]
-    if not any(ds.side == SIDE_PARALLEL and ds.pairs for ds in tagged):
+    if not any(ds.side == SIDE_PARALLEL and ds.pairs for ds in datasets):
         raise DataError("a training mix needs at least one non-empty parallel dataset")
-    for ds in tagged:
+    for ds in datasets:
         if ds.side != SIDE_PARALLEL:
             raise DataError(f"{ds.name}: only parallel datasets can enter a training mix")
-    examples = []
-    for ds in tagged:
-        for _ in range(ds.upsample):
-            examples.extend(ds.pairs)
-    return DataMix(datasets=tuple(tagged), examples=tuple(examples))
+    return DataMix(datasets=tuple(datasets))
 
 
-def swap_dataset(ds: TaggedDataset, *, tag: str | None = None,
-                 name: str | None = None) -> TaggedDataset:
-    """Swap source/target on every pair, dropping the old source's tag.
-
-    The result keeps the dataset's tag and name unless new ones are given.
-    """
-    return replace(ds, pairs=tuple((tgt, strip_tag(src)) for src, tgt in ds.pairs),
-                   tag=ds.tag if tag is None else tag,
+def swap_dataset(ds: TaggedDataset, *, name: str | None = None) -> TaggedDataset:
+    """Swap source/target on every pair; the tag is kept, and so is the name
+    unless a new one is given."""
+    return replace(ds, pairs=tuple((tgt, src) for src, tgt in ds.pairs),
                    name=ds.name if name is None else name)
 
 
 def swap_direction(mix: DataMix) -> DataMix:
-    """Swap source/target on every pair, re-applying tags on the new source side."""
+    """Swap source/target on every pair of every dataset of the mix."""
     return build_mix([swap_dataset(ds) for ds in mix.datasets])
-

@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import Sentence, strip_tag
+from .corpus import Sentence
 from .subword import POLICY_SPACED, BpeModel, decode as bpe_decode
 from .tm import model_hash, translate_corpus
 from .util import DataError
@@ -24,13 +24,15 @@ BLEU_ORDER = 4
 class EvalContext:
     """How decoder output is turned back into scoreable surface tokens.
 
-    `bpe` inverts subword segmentation (None scores raw tokens), `policy`
-    picks the detokenization rule, and `tag` is prepended to sources before
-    decoding so tagged-training models see the expected domain marker.
+    `bpe` inverts subword segmentation (None scores raw tokens) and `policy`
+    picks the detokenization rule.
     """
 
     bpe: BpeModel | None = None
     policy: str = POLICY_SPACED
+    # Nothing reads the tag: sources are decoded as they are. The field stays
+    # only because bench/workloads.py passes tag=, and goes with the next
+    # change to bench/.
     tag: str | None = None
     # id(dataset) -> (dataset, its References); holding the dataset keeps its id
     _references: dict = field(default_factory=dict, init=False, repr=False,
@@ -39,8 +41,8 @@ class EvalContext:
     def detok_tokens(self, sentence: Sentence) -> tuple[str, ...]:
         """Detokenize then re-tokenize by whitespace (the evaluation tokenization)."""
         if self.bpe is None:
-            return tuple(strip_tag(sentence))
-        return tuple(bpe_decode(strip_tag(sentence), self.bpe, self.policy).split())
+            return tuple(sentence)
+        return tuple(bpe_decode(sentence, self.bpe, self.policy).split())
 
     def references(self, dataset) -> "References":
         """The scored targets of `dataset`, surfaced and counted once for the
@@ -197,7 +199,7 @@ def evaluate_system(model, test, decode: str = "beam", *, rerank_ctx=None,
 
     `model` is a LexModel (an Ensemble too); `decode` is "beam" or "rerank".
     "beam" ignores `rerank_ctx`; "rerank" needs one. An EvalContext controls
-    subword inversion and the tag prepended to sources before decoding.
+    subword inversion.
     """
     if decode == "beam":
         rerank_ctx = None
@@ -209,7 +211,6 @@ def evaluate_system(model, test, decode: str = "beam", *, rerank_ctx=None,
     if not pairs:
         raise DataError("evaluation needs a non-empty test set")
     lists = translate_corpus(model, [src for src, _ in pairs], nbest,
-                             tag=eval_ctx.tag if eval_ctx else None,
                              rerank_ctx=rerank_ctx)
     surface = surface_of(eval_ctx)
     hyp_tokens = [surface(nb.top().hyp) for nb in lists]
@@ -217,7 +218,7 @@ def evaluate_system(model, test, decode: str = "beam", *, rerank_ctx=None,
 
     score = bleu(hyp_tokens, ref_tokens)
     per_sentence = [
-        {"source": " ".join(strip_tag(src)), "hypothesis": " ".join(h),
+        {"source": " ".join(src), "hypothesis": " ".join(h),
          "reference": " ".join(r)}
         for (src, _), h, r in zip(pairs, hyp_tokens, ref_tokens)
     ]

@@ -13,19 +13,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 from .augment import back_translate, self_train
 from .corpus import (
     SIDE_MONO_SOURCE,
     SIDE_MONO_TARGET,
-    TAG_BACK_TRANSLATED,
-    TAG_IN_DOMAIN,
-    TAG_SELF_TRAINED,
     TaggedDataset,
     build_mix,
     save_corpus,
-    strip_tag,
     swap_dataset,
 )
 from .ensemble import Ensemble
@@ -42,7 +37,6 @@ from .search import (
     finetune,
     run_search,
     select_top_k,
-    trial_mix,
 )
 from .subword import encode_dataset, learn_bpe, load_bpe, save_bpe
 from .tm import em_train, model_from_dict, model_hash, model_json
@@ -230,7 +224,7 @@ def run_pipeline(parallel: TaggedDataset, mono_src: TaggedDataset | None,
         not (mono_tgt and mono_tgt.sentences)
     if mono_src is None or not mono_src.sentences:
         mono_src = TaggedDataset("mono-from-bitext-src", SIDE_MONO_SOURCE, "<mono>",
-                                 sentences=tuple(strip_tag(s) for s, _ in parallel.pairs))
+                                 sentences=tuple(s for s, _ in parallel.pairs))
     if mono_tgt is None or not mono_tgt.sentences:
         mono_tgt = TaggedDataset("mono-from-bitext-tgt", SIDE_MONO_TARGET, "<mono>",
                                  sentences=tuple(t for _, t in parallel.pairs))
@@ -314,7 +308,7 @@ class _PipelineState:
             self.lm_tgt = lm_from_dict(self._read_json(doc_field(lms, "fwd", dict, what)))
             self.lm_src = lm_from_dict(self._read_json(doc_field(lms, "bwd", dict, what)))
             return
-        corpus = [strip_tag(s) for s, _ in self.raw_parallel.pairs]
+        corpus = [s for s, _ in self.raw_parallel.pairs]
         corpus += [t for _, t in self.raw_parallel.pairs]
         self.bpe = learn_bpe(corpus, cfg.bpe_vocab)
         bpe_path = os.path.join(manifest.run_dir, "artifacts/bpe.txt")
@@ -325,7 +319,7 @@ class _PipelineState:
 
         init = cfg.init_config
         tgt_sents = [t for _, t in self.parallel.pairs]
-        src_sents = [strip_tag(s) for s, _ in self.parallel.pairs]
+        src_sents = [s for s, _ in self.parallel.pairs]
         if self.parallel_only:
             self.lm_tgt = train_lm(tgt_sents, init.lm_order, init.smoothing_k)
             self.lm_src = train_lm(src_sents, init.lm_order, init.smoothing_k)
@@ -350,7 +344,7 @@ class _PipelineState:
         self.dev_swapped = swap_dataset(self.dev, name="dev-swapped")
         self.parallel_swapped = swap_dataset(self.parallel,
                                              name=self.parallel.name + "-swapped")
-        self.eval_ctx = EvalContext(bpe=self.bpe, tag=TAG_IN_DOMAIN)
+        self.eval_ctx = EvalContext(bpe=self.bpe)
 
     def _write_json(self, relpath: str, doc: dict) -> dict:
         return _write_text_artifact(self.manifest.run_dir, relpath,
@@ -454,14 +448,13 @@ class _PipelineState:
         # lines 8-9: random search, both directions
         fwd_results = run_search(
             cfg.search_space, cfg.trials, self._seed(f"iter{t}/search/fwd"),
-            partial(trial_mix, bitext=self.parallel, st=f_data, bt=b_data), self.dev,
+            self.parallel, f_data, b_data, self.dev,
             eval_ctx=self.eval_ctx, patience=cfg.patience,
             src_lang="src", tgt_lang="tgt")
-        bwd_st = swap_dataset(b_data, tag=TAG_SELF_TRAINED, name=f"st-{b_data.name}")
-        bwd_bt = swap_dataset(f_data, tag=TAG_BACK_TRANSLATED, name=f"bt-{f_data.name}")
+        # backward, B is self-trained data and F back-translated data
         bwd_results = run_search(
             cfg.search_space, cfg.trials, self._seed(f"iter{t}/search/bwd"),
-            partial(trial_mix, bitext=self.parallel_swapped, st=bwd_st, bt=bwd_bt),
+            self.parallel_swapped, swap_dataset(b_data), swap_dataset(f_data),
             self.dev_swapped,
             eval_ctx=self.eval_ctx, patience=cfg.patience,
             src_lang="tgt", tgt_lang="src")

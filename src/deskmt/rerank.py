@@ -61,19 +61,16 @@ def combined_score(fwd: float, channel: float, lm: float,
 
 
 def fill_scores(nbest: NBestList, backward: LexModel, lm: LanguageModel) -> NBestList:
-    """Fill the channel and lm slots of every entry (idempotent).
+    """Score the channel and lm slots of every entry with the given models,
+    replacing any scores the entries already hold.
 
-    The channel scores of all unfilled entries come from one batched
-    `channel_scores` call; each equals the score of its entry scored alone.
+    The channel scores come from one batched `channel_scores` call; each
+    equals the score of its entry scored alone.
     """
-    missing = [e.hyp for e in nbest.entries if e.channel is None]
-    fresh = iter(channel_scores(backward, nbest.source, missing))
-    entries = []
-    for e in nbest.entries:
-        ch = e.channel if e.channel is not None else next(fresh)
-        lp = e.lm if e.lm is not None else logprob(lm, e.hyp)
-        entries.append(replace(e, channel=ch, lm=lp))
-    return NBestList(source=nbest.source, entries=entries)
+    channel = channel_scores(backward, nbest.source, [e.hyp for e in nbest.entries])
+    return NBestList(source=nbest.source,
+                     entries=[replace(e, channel=ch, lm=logprob(lm, e.hyp))
+                              for e, ch in zip(nbest.entries, channel)])
 
 
 def rerank(nbest: NBestList, backward, lm: LanguageModel,
@@ -118,8 +115,7 @@ def tune_lambdas(dev: TaggedDataset, forward, backward, lm: LanguageModel,
         raise DataError("tuning needs at least one trial")
     if not dev.pairs:
         raise DataError("tuning needs a non-empty dev set")
-    lists = translate_corpus(forward, [src for src, _ in dev.pairs], nbest,
-                             tag=eval_ctx.tag if eval_ctx else None)
+    lists = translate_corpus(forward, [src for src, _ in dev.pairs], nbest)
     lists = [fill_scores(nb, backward, lm) for nb in lists]
     surface = surface_of(eval_ctx)
     refs = references_of(dev, eval_ctx)

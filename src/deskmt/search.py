@@ -158,7 +158,6 @@ def dev_bleu(model, dev: TaggedDataset, *, eval_ctx: EvalContext | None = None,
     call that scores against them.
     """
     lists = translate_corpus(model, [src for src, _ in dev.pairs], nbest,
-                             tag=eval_ctx.tag if eval_ctx else None,
                              rerank_ctx=rerank_ctx)
     surface = surface_of(eval_ctx)
     return bleu([surface(nb.top().hyp) for nb in lists], references_of(dev, eval_ctx))
@@ -210,11 +209,7 @@ def run_trial(config: TrialConfig, mix: DataMix, dev: TaggedDataset, *,
 def trial_mix(config: TrialConfig, bitext: TaggedDataset, st: TaggedDataset | None,
               bt: TaggedDataset | None) -> DataMix:
     """Training mix of one trial: bitext plus the non-empty synthetic sets,
-    upsampled by the config's ratios.
-
-    Bind the datasets with `functools.partial` to get the `mix_builder` of
-    `run_search`.
-    """
+    upsampled by the config's ratios."""
     if bitext is None or not bitext.pairs:
         raise DataError("the training mix needs non-empty bitext")
     datasets = [replace(bitext, upsample=config.up_bitext)]
@@ -225,17 +220,19 @@ def trial_mix(config: TrialConfig, bitext: TaggedDataset, st: TaggedDataset | No
     return build_mix(datasets)
 
 
-def run_search(space: SearchSpace, n: int, seed: int, mix_builder, dev: TaggedDataset,
+def run_search(space: SearchSpace, n: int, seed: int, bitext: TaggedDataset,
+               st: TaggedDataset | None, bt: TaggedDataset | None, dev: TaggedDataset,
                *, eval_ctx: EvalContext | None = None,
                patience: int | None = DEFAULT_PATIENCE,
                src_lang: str = "src", tgt_lang: str = "tgt") -> list[TrialResult]:
     """Sample n configs and run every trial, in sampling order.
 
-    `mix_builder(config)` assembles the training mix for a configuration
-    (upsampling ratios are config knobs, so the mix depends on the trial).
+    Each trial trains on its own `trial_mix` of bitext, st and bt, since the
+    upsampling ratios are config knobs.
     """
-    return [run_trial(config, mix_builder(config), dev, eval_ctx=eval_ctx,
-                      patience=patience, src_lang=src_lang, tgt_lang=tgt_lang)
+    return [run_trial(config, trial_mix(config, bitext, st, bt), dev,
+                      eval_ctx=eval_ctx, patience=patience,
+                      src_lang=src_lang, tgt_lang=tgt_lang)
             for config in sample_configs(space, n, seed)]
 
 

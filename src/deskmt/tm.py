@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import UNK_TOKEN, DataMix, Sentence, strip_tag
+from .corpus import UNK_TOKEN, DataMix, Sentence
 from .lm import LanguageModel, lm_from_dict, lm_to_dict, train_lm
 from .util import NUMBER, DataError, doc_field, doc_strings, sha256_text, stable_json_dumps
 
@@ -152,9 +152,9 @@ class EMTrainer:
     """Stepwise IBM Model 1 EM over a training mix.
 
     Starts from a uniform table, or from an existing model's table when warm
-    starting (symbols unknown to the warm model initialize uniform). Domain
-    tags are stripped before alignment; upsampled duplicates are folded into
-    pair weights, which yields exactly the replicated-corpus estimates.
+    starting (symbols unknown to the warm model initialize uniform).
+    Upsampled duplicates are folded into pair weights, which yields exactly
+    the replicated-corpus estimates.
     """
 
     def __init__(self, mix: DataMix, warm_start: LexModel | None = None):
@@ -269,11 +269,10 @@ def translate_nbest(model: LexModel, x: Sentence, n: int) -> NBestList:
 
 
 def translate_corpus(model: LexModel, sources: list[Sentence], nbest: int, *,
-                     tag: str | None = None, rerank_ctx=None) -> list[NBestList]:
+                     rerank_ctx=None) -> list[NBestList]:
     """n-best lists of every source, in source order.
 
-    `tag` is prepended to each source that does not already start with it.
-    With a `rerank_ctx` (a `rerank.RerankContext`), the lists hold
+    Every token of a source is translated. With a `rerank_ctx` (a `rerank.RerankContext`), the lists hold
     `rerank_ctx.nbest` entries and come back reranked by it.
 
     Sources are decoded in blocks of max(1, `_DECODE_STATES` // width)
@@ -286,13 +285,11 @@ def translate_corpus(model: LexModel, sources: list[Sentence], nbest: int, *,
     """
     if rerank_ctx is not None:
         nbest = rerank_ctx.nbest
-    if tag is not None:
-        sources = [s if s and s[0] == tag else (tag,) + tuple(s) for s in sources]
     if not sources:
         return []
     if nbest < 1:
         raise DataError("n-best size must be >= 1")
-    if not all(strip_tag(x) for x in sources):
+    if not all(sources):
         raise DataError("cannot translate an empty sentence")
     width = max(model.beam, nbest)
     size = max(1, _DECODE_STATES // width)
@@ -336,11 +333,10 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
 
     # source position j of sentence s decodes to candidate entries
     # pos_start[s, j]:pos_start[s, j] + pos_count[s, j]
-    srcs = [strip_tag(x) for x in block]
-    lengths = np.array([len(src) for src in srcs])
+    lengths = np.array([len(src) for src in block])
     unknown = len(model.src_vocab)
     sids = np.full((len(block), lengths.max()), unknown)
-    for s, src in enumerate(srcs):
+    for s, src in enumerate(block):
         sids[s, :len(src)] = [model.src_id.get(sym, unknown) for sym in src]
     pos_start, pos_count = cand_start[sids], cand_count[sids]
 
@@ -457,10 +453,9 @@ def _nbest_list(source: Sentence, beam: list, ext_vocab: tuple[str, ...],
 
 def forward_marginal(model: LexModel, x: Sentence, y: Sentence) -> float:
     """IBM1 marginal ln P(y | x) in the model's own direction (length-agnostic)."""
-    y = strip_tag(y)
     if not y:
         return 0.0
-    return float(_ibm1_marginals(model, [strip_tag(x)], y)[0])
+    return float(_ibm1_marginals(model, [x], y)[0])
 
 
 def channel_scores(model: LexModel, x: Sentence, ys: list[Sentence]) -> list[float]:
@@ -473,10 +468,8 @@ def channel_scores(model: LexModel, x: Sentence, ys: list[Sentence]) -> list[flo
     marginal is also floored so the score stays finite. A score does not
     depend on the other ys it is computed with.
     """
-    x = strip_tag(x)
     if not x:
         return [0.0] * len(ys)
-    ys = [strip_tag(y) for y in ys]
     by_len: dict[int, list[int]] = {}
     for k, y in enumerate(ys):
         by_len.setdefault(len(y), []).append(k)

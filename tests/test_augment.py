@@ -12,7 +12,6 @@ from deskmt.corpus import (
     TAG_SELF_TRAINED,
     TaggedDataset,
     build_mix,
-    strip_tag,
     swap_direction,
 )
 from deskmt.lm import train_lm
@@ -90,9 +89,8 @@ class TestSelfTrain:
         ds = self_train(f, mono("ms", SIDE_MONO_SOURCE, sentences))
         assert [" ".join(s) for s, _ in ds.pairs] == sentences
         mix = build_mix([ds])
-        for src, _ in mix.examples:
-            assert src[0] == TAG_SELF_TRAINED
-            assert " ".join(strip_tag(src)) in sentences
+        assert [d.tag for d in mix.datasets] == [TAG_SELF_TRAINED]
+        assert [" ".join(s) for s, _ in mix.weighted_pairs()] == sentences
 
     def test_direction_mismatch_rejected(self):
         g = identity_model(["a"], direction=("tgt", "src"))

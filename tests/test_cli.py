@@ -3,9 +3,11 @@ import os
 
 import pytest
 
+from deskmt import tm
 from deskmt.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from deskmt.rerank import read_nbest_file
 from deskmt.subword import decode, load_bpe
+from deskmt.util import read_json, read_text
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +25,7 @@ def workspace(tmp_path_factory):
                      "--vocab-size", "80", "--out", "bpe.txt"]) == EXIT_OK
         common = ["--parallel", "bundle/parallel.tsv", "--dev", "bundle/dev.tsv",
                   "--bpe", "bpe.txt", "--em-iterations", "2", "--lm-order", "2",
-                  "--beam", "2", "--tag", "<d:in>"]
+                  "--beam", "2"]
         assert main(["train", *common, "--out", "fwd.json"]) == EXIT_OK
         assert main(["train", *common, "--swap", "--out", "bwd.json"]) == EXIT_OK
 
@@ -52,7 +54,7 @@ class TestExitCodes:
                      "--dev", "bundle/dev.tsv", "--out", "x.json"]) == EXIT_DATA
 
     def test_malformed_model_and_bpe_files_are_2(self, workspace):
-        doc = json.load(open("fwd.json", encoding="utf-8"))
+        doc = read_json("fwd.json", "model")
         del doc["t_rows"]
         with open("broken.json", "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
@@ -60,7 +62,7 @@ class TestExitCodes:
             lines = fh.readlines()
         with open("broken_bpe.txt", "w", encoding="utf-8") as fh:
             fh.writelines(lines[:2] + ["a b c\n"])
-        common = ["evaluate", "--test", "bundle/test.tsv", "--tag", "<d:in>"]
+        common = ["evaluate", "--test", "bundle/test.tsv"]
         assert main([*common, "--model", "broken.json", "--bpe", "bpe.txt"]) == EXIT_DATA
         assert main([*common, "--model", "fwd.json", "--bpe", "broken_bpe.txt"]) == EXIT_DATA
 
@@ -74,6 +76,20 @@ class TestExitCodes:
     def test_workers_flag_is_gone(self, argv, capsys):
         assert main([*argv, "--workers", "1"]) == EXIT_USAGE
         assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--parallel", "p.tsv", "--dev", "d.tsv", "--out", "m.json"],
+        ["search", "--parallel", "p.tsv", "--dev", "d.tsv", "--out-dir", "o"],
+        ["translate", "--model", "m.json", "--input", "i.txt", "--output", "o.txt"],
+        ["tune-lambdas", "--dev", "d.tsv", "--model", "m.json", "--channel-model",
+         "b.json", "--lm", "lm.json"],
+        ["evaluate", "--model", "m.json", "--test", "t.tsv"],
+        ["finetune", "--model", "m.json", "--in-domain", "i.tsv", "--dev", "d.tsv",
+         "--out", "o.json"],
+    ], ids=lambda argv: argv[0])
+    def test_tag_flag_is_gone(self, argv, capsys):
+        assert main([*argv, "--tag", "<d:in>"]) == EXIT_USAGE
+        assert "--tag" in capsys.readouterr().err
 
     def test_malformed_run_manifest_is_2(self, workspace, capsys):
         os.makedirs("badrun", exist_ok=True)
@@ -220,8 +236,8 @@ class TestWorkflows:
         assert main(["translate", "--model", "fwd.json", "--input",
                      "bundle/mono_src.txt", "--output", "out.txt", "--bpe",
                      "bpe.txt", "--nbest", "2"]) == EXIT_OK
-        lines = open("out.txt", encoding="utf-8").read().splitlines()
-        src_lines = open("bundle/mono_src.txt", encoding="utf-8").read().splitlines()
+        lines = read_text("out.txt", "output").splitlines()
+        src_lines = read_text("bundle/mono_src.txt", "input").splitlines()
         assert len(lines) == len(src_lines)
         assert all(line.strip() for line in lines)
 
@@ -236,28 +252,51 @@ class TestWorkflows:
         lists = read_nbest_file("nb2.txt")
         assert all(e.combined is not None for nb in lists for e in nb.entries)
 
+    def test_rerank_rescores_with_the_given_channel_model(self, workspace):
+        # B: a backward model trained on other data than bwd.json (A)
+        assert main(["train", "--parallel", "bundle/dev.tsv", "--dev", "bundle/dev.tsv",
+                     "--bpe", "bpe.txt", "--em-iterations", "2", "--lm-order", "2",
+                     "--beam", "2", "--swap", "--out", "bwd_b.json"]) == EXIT_OK
+        assert main(["translate", "--model", "fwd.json", "--input",
+                     "bundle/mono_src.txt", "--output", "o_a.txt", "--bpe", "bpe.txt",
+                     *RERANK, "--dump-nbest", "nb_a.txt"]) == EXIT_OK
+        assert main(["rerank", "--nbest-file", "nb_a.txt", "--channel-model",
+                     "bwd_b.json", "--lm", "lm_tgt.json", "--lambda1", "1.0",
+                     "--lambda2", "0.5", "--out", "nb_b.txt"]) == EXIT_OK
+        model_a = tm.model_from_dict(read_json("bwd.json", "model"))
+        model_b = tm.model_from_dict(read_json("bwd_b.json", "model"))
+        scored_a, scored_b = read_nbest_file("nb_a.txt"), read_nbest_file("nb_b.txt")
+        for nb in scored_a:
+            assert [e.channel for e in nb.entries] == \
+                tm.channel_scores(model_a, nb.source, [e.hyp for e in nb.entries])
+        for nb in scored_b:
+            assert [e.channel for e in nb.entries] == \
+                tm.channel_scores(model_b, nb.source, [e.hyp for e in nb.entries])
+        assert sorted(e.channel for nb in scored_a for e in nb.entries) != \
+            sorted(e.channel for nb in scored_b for e in nb.entries)
+
     def test_tune_lambdas_writes_weights(self, workspace):
         assert main(["tune-lambdas", "--dev", "bundle/dev.tsv", "--model",
                      "fwd.json", "--channel-model", "bwd.json", "--lm",
-                     "lm_tgt.json", "--bpe", "bpe.txt", "--tag", "<d:in>",
+                     "lm_tgt.json", "--bpe", "bpe.txt",
                      "--tune-trials", "2", "--nbest", "2", "--seed", "1",
                      "--out", "lambdas.json"]) == EXIT_OK
-        doc = json.load(open("lambdas.json", encoding="utf-8"))
+        doc = read_json("lambdas.json", "lambdas")
         assert 0.0 <= doc["lambda1"] <= 3.0 and 0.0 <= doc["lambda2"] <= 3.0
 
     def test_augment_writes_provenance(self, workspace):
         assert main(["augment-st", "--model", "fwd.json", "--mono",
                      "bundle/mono_src.txt", "--bpe", "bpe.txt", "--out",
                      "st.tsv"]) == EXIT_OK
-        prov = json.load(open("st.tsv.prov.json", encoding="utf-8"))
+        prov = read_json("st.tsv.prov.json", "provenance")
         assert set(prov) >= {"generator", "decode", "lambdas", "dropped"}
         assert prov["decode"] == "beam"
 
     def test_evaluate_report(self, workspace):
         assert main(["evaluate", "--model", "fwd.json", "--test",
-                     "bundle/test.tsv", "--bpe", "bpe.txt", "--tag", "<d:in>",
+                     "bundle/test.tsv", "--bpe", "bpe.txt",
                      "--report", "report.json"]) == EXIT_OK
-        doc = json.load(open("report.json", encoding="utf-8"))
+        doc = read_json("report.json", "report")
         assert 0.0 <= doc["bleu"] <= 100.0
         assert doc["sentence_count"] == 15
         assert doc["decode"] == "beam"
@@ -270,11 +309,11 @@ class TestWorkflows:
         with open("space.json", "w", encoding="utf-8") as fh:
             json.dump(space, fh)
         assert main(["search", "--parallel", "bundle/parallel.tsv", "--dev",
-                     "bundle/dev.tsv", "--bpe", "bpe.txt", "--tag", "<d:in>",
+                     "bundle/dev.tsv", "--bpe", "bpe.txt",
                      "--trials", "2", "--seed", "4", "--space", "space.json",
                      "--topk", "1", "--out-dir", "searchrun"]) == EXIT_OK
         records = [json.loads(line) for line in
-                   open("searchrun/runlog.jsonl", encoding="utf-8")]
+                   read_text("searchrun/runlog.jsonl", "run log").splitlines()]
         assert len(records) == 2
         assert all("dev_bleu" in r and "config" in r for r in records)
         assert os.path.exists("searchrun/trial000.json")
@@ -289,7 +328,7 @@ class TestWorkflows:
             json.dump(space, fh)
         capsys.readouterr()
         assert main(["search", "--parallel", "bundle/parallel.tsv", "--dev",
-                     "bundle/dev.tsv", "--bpe", "bpe.txt", "--tag", "<d:in>",
+                     "bundle/dev.tsv", "--bpe", "bpe.txt",
                      "--trials", "3", "--seed", "5", "--space", "space_topk.json",
                      "--topk", "2", "--out-dir", "searchtopk"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -302,7 +341,7 @@ class TestWorkflows:
             with open(f"searchtopk/{name}.json", "rb") as fh:
                 assert exported == fh.read()
         bleus = [json.loads(line)["dev_bleu"] for line in
-                 open("searchtopk/runlog.jsonl", encoding="utf-8")]
+                 read_text("searchtopk/runlog.jsonl", "run log").splitlines()]
         ranked = sorted(range(3), key=lambda i: (-bleus[i], i))
         assert members == [f"trial{i:03d}" for i in ranked[:2]]
 
@@ -312,7 +351,7 @@ class TestWorkflows:
         with open("space_rerun.json", "w", encoding="utf-8") as fh:
             json.dump(space, fh)
         argv = ["search", "--parallel", "bundle/parallel.tsv", "--dev", "bundle/dev.tsv",
-                "--bpe", "bpe.txt", "--tag", "<d:in>", "--trials", "3", "--seed", "2",
+                "--bpe", "bpe.txt", "--trials", "3", "--seed", "2",
                 "--space", "space_rerun.json", "--out-dir", "searchrerun"]
         logs = []
         for _ in range(2):
@@ -323,6 +362,24 @@ class TestWorkflows:
         records = [json.loads(line) for line in logs[1].decode("utf-8").splitlines()]
         assert len(records) == 3
         assert len({r["model_hash"] for r in records}) == 3
+
+    def test_search_rerun_with_fewer_trials_removes_stale_models(self, workspace):
+        space = {"version": 1, "dims": {"em_iterations": [2], "lm_order": [2],
+                                        "window": [0, 1], "up_bitext": [1, 4], "beam": [2]}}
+        with open("space_fewer.json", "w", encoding="utf-8") as fh:
+            json.dump(space, fh)
+        argv = ["search", "--parallel", "bundle/parallel.tsv", "--dev", "bundle/dev.tsv",
+                "--bpe", "bpe.txt", "--seed", "2", "--space", "space_fewer.json",
+                "--out-dir", "searchfewer"]
+        assert main([*argv, "--trials", "3", "--topk", "2"]) == EXIT_OK
+        others = ["notes.txt", "trial7.json", "trial0001.json", "ensemble.json"]
+        for name in others:
+            with open(os.path.join("searchfewer", name), "w", encoding="utf-8") as fh:
+                fh.write("kept\n")
+        assert main([*argv, "--trials", "2", "--topk", "1"]) == EXIT_OK
+        assert sorted(os.listdir("searchfewer")) == sorted(
+            ["runlog.jsonl", "trial000.json", "trial001.json", "ensemble0.json", *others])
+        assert len(read_text("searchfewer/runlog.jsonl", "run log").splitlines()) == 2
 
     @pytest.mark.parametrize("doc", [{}, {"dims": {"beam": 5}}])
     def test_search_malformed_space_is_data_error(self, workspace, doc):
@@ -347,12 +404,12 @@ RERANK = ["--mode", "rerank", "--channel-model", "bwd.json", "--lm", "lm_tgt.jso
 class TestRerankMode:
     def test_translate_with_and_without_nbest_dump(self, workspace):
         common = ["translate", "--model", "fwd.json", "--input", "bundle/mono_src.txt",
-                  "--bpe", "bpe.txt", "--tag", "<d:in>", *RERANK]
+                  "--bpe", "bpe.txt", *RERANK]
         assert main([*common, "--output", "rr.txt"]) == EXIT_OK
         assert main([*common, "--output", "rr_dumped.txt",
                      "--dump-nbest", "rr_nb.txt"]) == EXIT_OK
-        lines = open("rr.txt", encoding="utf-8").read().splitlines()
-        assert open("rr_dumped.txt", encoding="utf-8").read().splitlines() == lines
+        lines = read_text("rr.txt", "output").splitlines()
+        assert read_text("rr_dumped.txt", "output").splitlines() == lines
         lists = read_nbest_file("rr_nb.txt")
         bpe = load_bpe("bpe.txt")
         assert [decode(nb.top().hyp, bpe) for nb in lists] == lines
@@ -362,15 +419,15 @@ class TestRerankMode:
         assert main(["augment-st", "--model", "fwd.json", "--mono",
                      "bundle/mono_src.txt", "--bpe", "bpe.txt", "--out",
                      "st_rr.tsv", *RERANK]) == EXIT_OK
-        prov = json.load(open("st_rr.tsv.prov.json", encoding="utf-8"))
+        prov = read_json("st_rr.tsv.prov.json", "provenance")
         assert prov["decode"] == "rerank"
         assert prov["lambdas"] == [1.0, 0.5]
 
     def test_evaluate_report(self, workspace):
         assert main(["evaluate", "--model", "fwd.json", "--test", "bundle/test.tsv",
-                     "--bpe", "bpe.txt", "--tag", "<d:in>", "--report",
+                     "--bpe", "bpe.txt", "--report",
                      "report_rr.json", *RERANK]) == EXIT_OK
-        doc = json.load(open("report_rr.json", encoding="utf-8"))
+        doc = read_json("report_rr.json", "report")
         assert doc["decode"] == "rerank"
         assert doc["lambdas"] == [1.0, 0.5]
         assert doc["sentence_count"] == 15
@@ -388,11 +445,11 @@ class TestRerankMode:
 
 def write_mine_inputs(root, workspace):
     """Two document directories and their URL index under `root`."""
-    src_lines = open(os.path.join(workspace, "bundle/mono_src.txt"),
-                     encoding="utf-8").read().splitlines()
+    src_lines = read_text(os.path.join(workspace, "bundle/mono_src.txt"),
+                          "input").splitlines()
     tgt_lines = [line.split("\t")[1] for line in
-                 open(os.path.join(workspace, "bundle/parallel.tsv"),
-                      encoding="utf-8").read().splitlines()]
+                 read_text(os.path.join(workspace, "bundle/parallel.tsv"),
+                           "input").splitlines()]
     (root / "src").mkdir()
     (root / "tgt").mkdir()
     index = []

@@ -3,13 +3,11 @@ import random
 import pytest
 
 from deskmt.corpus import (
-    SIDE_MONO_TARGET,
     SIDE_MONO_SOURCE,
     SIDE_PARALLEL,
     UNK_TOKEN,
     DataError,
     TaggedDataset,
-    apply_tag,
     build_mix,
     is_tag,
     load_corpus,
@@ -18,6 +16,7 @@ from deskmt.corpus import (
     swap_dataset,
     swap_direction,
 )
+from deskmt.util import read_text
 
 
 def write(tmp_path, name, text):
@@ -79,30 +78,13 @@ class TestLoadCorpus:
                            pairs=((("a", "b"), ("c",)), (("d",), ("e", "f"))))
         path = str(tmp_path / "out.tsv")
         text = save_corpus(ds, path)
-        assert open(path, encoding="utf-8").read() == text == "a b\tc\nd\te f\n"
+        assert read_text(path, "corpus file") == text == "a b\tc\nd\te f\n"
         assert load_corpus(path, SIDE_PARALLEL, tag="<t>", name="x") == ds
 
 
 class TestApplyTag:
-    def test_prepends_tag_to_source(self):
-        ds = TaggedDataset("d", SIDE_PARALLEL, "<d:alt>", pairs=((("a",), ("b",)),))
-        tagged = apply_tag(ds)
-        assert tagged.pairs == ((("<d:alt>", "a"), ("b",)),)
-
-    def test_idempotent(self):
-        ds = TaggedDataset("d", SIDE_PARALLEL, "<d:alt>", pairs=((("a",), ("b",)),))
-        once = apply_tag(ds)
-        assert apply_tag(once) == once
-
-    def test_mono_target_unchanged(self):
-        ds = TaggedDataset("d", SIDE_MONO_TARGET, "<t>", sentences=(("a", "b"),))
-        assert apply_tag(ds).sentences == (("a", "b"),)
-
-    def test_targets_preserved_exactly(self):
-        pairs = tuple((("w", str(i)), ("y", str(i))) for i in range(20))
-        ds = TaggedDataset("d", SIDE_PARALLEL, "<t>", pairs=pairs)
-        tagged = apply_tag(ds)
-        assert tuple(t for _, t in tagged.pairs) == tuple(t for _, t in pairs)
+    """Tag syntax: `is_tag` and `strip_tag` read it, and no mix or swap
+    treats a leading <...> token as anything but a word."""
 
     def test_strip_tag_inverts(self):
         assert strip_tag(("<t>", "a", "b")) == ("a", "b")
@@ -115,10 +97,23 @@ class TestApplyTag:
         with pytest.raises(DataError):
             TaggedDataset("d", SIDE_PARALLEL, UNK_TOKEN)
 
+    def test_targets_preserved_exactly(self):
+        # a swap moves sentences between sides token for token, so swapping
+        # back restores every pair, leading <...> tokens included
+        pairs = tuple(((f"<d{i}>", "w", str(i)), ("<t>", "y", str(i))) for i in range(20))
+        ds = TaggedDataset("d", SIDE_PARALLEL, "<t>", pairs=pairs)
+        assert swap_dataset(ds).pairs == tuple((t, s) for s, t in pairs)
+        assert swap_dataset(swap_dataset(ds)) == ds
+
     def test_swap_keeps_leading_unknown_target(self):
         ds = TaggedDataset("d", SIDE_PARALLEL, "<t>",
                            pairs=(((UNK_TOKEN, "a"), ("x",)), (("<t>", "b"), ("y",))))
-        assert swap_dataset(ds).pairs == ((("x",), (UNK_TOKEN, "a")), (("y",), ("b",)))
+        assert swap_dataset(ds).pairs == ((("x",), (UNK_TOKEN, "a")), (("y",), ("<t>", "b")))
+
+
+def replicated(datasets):
+    """Every pair of every dataset, `upsample` times, in dataset then line order."""
+    return [pair for ds in datasets for _ in range(ds.upsample) for pair in ds.pairs]
 
 
 class TestBuildMix:
@@ -126,9 +121,8 @@ class TestBuildMix:
         ds = TaggedDataset("d", SIDE_PARALLEL, "<t>",
                            pairs=tuple((("s", str(i)), ("t",)) for i in range(3)),
                            upsample=3)
-        mix = build_mix([ds])
-        assert len(mix) == 9
-        counts = mix.weighted_pairs()
+        counts = build_mix([ds]).weighted_pairs()
+        assert sum(counts.values()) == 9
         assert all(c == 3 for c in counts.values())
 
     def test_weighted_pairs_is_the_untagged_multiset(self):
@@ -145,12 +139,10 @@ class TestBuildMix:
         c = TaggedDataset("c", SIDE_PARALLEL, "<c>", pairs=(uv, (("q",), ("y",)), xy),
                           upsample=2)
         for datasets in ([a, b, c], [c, b, a], [b, a]):
-            mix = build_mix(datasets)
             walked: dict = {}
-            for src, tgt in mix.examples:
-                key = (strip_tag(src), tgt)
-                walked[key] = walked.get(key, 0) + 1
-            got = mix.weighted_pairs()
+            for pair in replicated(datasets):
+                walked[pair] = walked.get(pair, 0) + 1
+            got = build_mix(datasets).weighted_pairs()
             assert got == walked
             assert list(got) == list(walked)
 
@@ -159,14 +151,15 @@ class TestBuildMix:
                           pairs=tuple((("x", str(i)), ("y",)) for i in range(2)))
         b = TaggedDataset("b", SIDE_PARALLEL, "<b>",
                           pairs=((("z",), ("w",)),), upsample=4)
-        assert len(build_mix([a, b])) == 6
+        assert sum(build_mix([a, b]).weighted_pairs().values()) == 6
 
-    def test_every_source_starts_with_its_tag(self):
+    def test_sources_enter_the_mix_as_they_are(self):
         a = TaggedDataset("a", SIDE_PARALLEL, "<a>", pairs=((("x",), ("y",)),))
-        b = TaggedDataset("b", SIDE_PARALLEL, "<b>", pairs=((("z",), ("w",)),), upsample=2)
+        b = TaggedDataset("b", SIDE_PARALLEL, "<b>",
+                          pairs=((("<b>", "z"), ("w",)),), upsample=2)
         mix = build_mix([a, b])
-        tags = [src[0] for src, _ in mix.examples]
-        assert tags == ["<a>", "<b>", "<b>"]
+        assert mix.datasets == (a, b)
+        assert list(mix.weighted_pairs()) == [(("x",), ("y",)), (("<b>", "z"), ("w",))]
 
     def test_zero_parallel_is_error(self):
         mono = TaggedDataset("m", SIDE_MONO_SOURCE, "<t>", sentences=(("a",),))
@@ -185,15 +178,15 @@ class TestBuildMix:
                 datasets.append(TaggedDataset(f"d{d}", SIDE_PARALLEL, f"<d{d}>",
                                               pairs=pairs, upsample=up))
                 expected += n * up
-            assert len(build_mix(datasets)) == expected
+            assert sum(build_mix(datasets).weighted_pairs().values()) == expected
 
 
 class TestSwapDirection:
     def test_swap_and_retag(self):
         ds = TaggedDataset("d", SIDE_PARALLEL, "<t>", pairs=((("a",), ("b",)),))
-        mix = build_mix([ds])
-        swapped = swap_direction(mix)
-        assert swapped.examples == ((("<t>", "b"), ("a",)),)
+        swapped = swap_direction(build_mix([ds]))
+        assert [d.tag for d in swapped.datasets] == ["<t>"]
+        assert swapped.weighted_pairs() == {(("b",), ("a",)): 1}
 
     def test_involution(self):
         ds = TaggedDataset("d", SIDE_PARALLEL, "<t>",

@@ -86,7 +86,7 @@ class TestStepLogprob:
 class TestEnsembleNbest:
     def test_k1_bitwise_identity(self):
         mix, members = trained_members(1, seed=3)
-        x = mix.examples[0][0][1:]
+        x = mix.datasets[0].pairs[0][0]
         single = translate_nbest(members[0], x, 6)
         ens = translate_nbest(Ensemble(members), x, 6)
         assert [(a.hyp, a.fwd) for a in single.entries] == \
@@ -95,7 +95,7 @@ class TestEnsembleNbest:
     def test_identical_members_match_single(self):
         mix, members = trained_members(1, seed=4)
         m = members[0]
-        x = mix.examples[1][0][1:]
+        x = mix.datasets[0].pairs[1][0]
         single = translate_nbest(m, x, 6)
         ens = translate_nbest(Ensemble([m, m]), x, 6)
         assert [(a.hyp, a.fwd) for a in single.entries] == \
@@ -124,7 +124,7 @@ class TestEnsembleNbest:
 
     def test_permutation_invariance(self):
         mix, members = trained_members(3, seed=5)
-        x = mix.examples[0][0][1:]
+        x = mix.datasets[0].pairs[0][0]
         base = translate_nbest(Ensemble(members), x, 5)
         perm = translate_nbest(Ensemble([members[2], members[0], members[1]]), x, 5)
         assert [e.hyp for e in base.entries] == [e.hyp for e in perm.entries]
@@ -141,7 +141,7 @@ class TestEnsembleNbest:
         members = varied_members(mix)
         ens, hand = Ensemble(members), hand_built(members)
         assert ens.lm is members[0].lm
-        for src, _ in mix.examples[:6]:
+        for src, _ in mix.datasets[0].pairs[:6]:
             for n in (1, 4, 12):
                 assert entries(translate_nbest(ens, src, n)) == \
                     entries(translate_nbest(hand, src, n))
@@ -151,7 +151,7 @@ class TestEnsembleNbest:
         forward = em_train(mix, 2, lm_order=2)
         backward = varied_members(swap_direction(mix))
         ens, hand = Ensemble(backward), hand_built(backward)
-        for src, _ in mix.examples[:6]:
+        for src, _ in mix.datasets[0].pairs[:6]:
             nb = translate_nbest(forward, src, 8)
             got = entries(fill_scores(nb, ens, forward.lm))
             assert got == entries(fill_scores(nb, hand, forward.lm))

@@ -173,13 +173,15 @@ class TestEvalContext:
         ctx = EvalContext(bpe=model, policy=POLICY_UNSPACED)
         assert ctx.detok_tokens(("ab", "cd")) == ("abcd",)
 
-    def test_strips_tags(self):
-        ctx = EvalContext()
-        assert ctx.detok_tokens(("<d:in>", "a", "b")) == ("a", "b")
+    def test_keeps_leading_tag_token(self):
+        assert EvalContext().detok_tokens(("<d:in>", "a", "b")) == ("<d:in>", "a", "b")
+        model = learn_bpe([("abab", "cdcd")] * 4, vocab_size=10)
+        encoded = ("<d:in>",) + encode(("abab",), model)
+        assert EvalContext(bpe=model).detok_tokens(encoded) == ("<d:in>", "abab")
 
     def test_keeps_leading_unknown_token(self):
         assert EvalContext().detok_tokens(("<unk>", "a")) == ("<unk>", "a")
         model = learn_bpe([("abab", "cdcd")] * 4, vocab_size=10)
-        ctx = EvalContext(bpe=model, tag="<d:in>")
-        encoded = ("<d:in>", "<unk>") + encode(("abab",), model)
+        ctx = EvalContext(bpe=model)
+        encoded = ("<unk>",) + encode(("abab",), model)
         assert ctx.detok_tokens(encoded) == ("<unk>", "abab")

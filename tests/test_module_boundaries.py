@@ -16,6 +16,10 @@ import that hides a cycle is a sign that code sits in the wrong module.
 Files are read in one place: no module but `util` calls `json.load` or
 `json.loads`, so every reader gets `util.read_json`'s errors.
 
+No module calls `corpus.strip_tag`. A domain tag is a dataset's label, never
+a token of a sentence, so there is nothing to strip: a leading `<...>` token
+is a word like any other.
+
 Every public top-level function and class has a caller in the library or the
 benchmark: another `src` module, `bench/`, or code of its own module outside
 its own body. A name that only tests use is an oracle and belongs in
@@ -150,6 +154,14 @@ def json_reads(source: str) -> list[str]:
                 and isinstance(node.value, ast.Name) and node.value.id in names:
             found.append(f"{node.lineno}: json.{node.attr}")
     return found
+
+
+def strip_tag_calls(source: str) -> list[str]:
+    """`line` of every call of `strip_tag`, by name or as a module attribute."""
+    return [str(node.lineno) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Name) and node.func.id == "strip_tag"
+                 or isinstance(node.func, ast.Attribute) and node.func.attr == "strip_tag")]
 
 
 def public_names(source: str) -> list[str]:
@@ -309,6 +321,11 @@ def test_only_util_parses_json():
     assert {k: v for k, v in offenders.items() if v} == {}
 
 
+def test_nothing_strips_tags():
+    offenders = {fname: strip_tag_calls(source) for fname, source in _module_sources()}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
 def test_every_public_name_has_a_caller():
     sources = {fname[:-3]: source for fname, source in _module_sources()}
     bench = [source for _, source in _sources(BENCH)]
@@ -323,6 +340,15 @@ def test_detects_json_reads():
               "b = j.loads(text)\n"
               "c = json.dumps(a)\n")
     assert json_reads(source) == ["3: json.loads", "4: json.load", "5: json.loads"]
+
+
+def test_detects_strip_tag_calls():
+    source = ("from .corpus import strip_tag\n"
+              "from . import corpus\n"
+              "a = strip_tag(x)\n"
+              "b = [corpus.strip_tag(s) for s in xs]\n"
+              "f = strip_tag\n")
+    assert strip_tag_calls(source) == ["3", "4"]
 
 
 def test_detects_uncalled_names():

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,7 @@ from deskmt.search import SearchSpace, TrialConfig, default_search_space
 from deskmt.subword import learn_bpe, save_bpe
 from deskmt.synth import gen_corpora, make_spec
 from deskmt.tm import NBestEntry, NBestList, em_train
-from deskmt.util import DataError, sha256_text
+from deskmt.util import DataError, read_json, sha256_text
 
 
 def tiny_bundle(seed=3):
@@ -130,15 +131,15 @@ class TestDeterminismAndResume:
         for d in dirs:
             run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt,
                          bundle.dev, d, config)
-        blobs = [open(os.path.join(d, "manifest.json"), "rb").read() for d in dirs]
+        blobs = [Path(d, "manifest.json").read_bytes() for d in dirs]
         assert blobs[0] == blobs[1]
 
     def test_resume_skips_and_reproduces(self, finished_run):
         bundle, config, run_dir, _ = finished_run
-        before = open(os.path.join(run_dir, "manifest.json"), "rb").read()
+        before = Path(run_dir, "manifest.json").read_bytes()
         again = run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt,
                              bundle.dev, run_dir, config)
-        after = open(os.path.join(run_dir, "manifest.json"), "rb").read()
+        after = Path(run_dir, "manifest.json").read_bytes()
         assert before == after
         assert again.data["stages_completed"] == ["setup", "init", "iter1", "iter2"]
 
@@ -341,13 +342,13 @@ class TestNoRecomputation:
         bundle, config, _, manifest = finished_run
         data = manifest.data
         bpe = load_bpe(manifest.verify(data["bpe"]))
-        lms = {side: lm_from_dict(json.load(open(manifest.verify(ref))))
+        lms = {side: lm_from_dict(read_json(manifest.verify(ref), "language model"))
                for side, ref in data["rerank_lms"].items()}
         final = data["iterations"][-1]
         fwd = load_model(manifest, final["ensembles"]["fwd"])
         bwd = load_model(manifest, final["ensembles"]["bwd"])
         dev = encode_dataset(bundle.dev, bpe)
-        ctx = EvalContext(bpe=bpe, tag="<d:in>")
+        ctx = EvalContext(bpe=bpe)
         got = {
             "fwd": dev_bleu(fwd, dev, eval_ctx=ctx,
                             rerank_ctx=RerankContext(
@@ -377,7 +378,7 @@ class TestNoRecomputation:
         ref = _save_model(str(tmp_path), saved_first)
         assert ref["model_hash"] == fresh
 
-        text = open(tmp_path / ref["path"], encoding="utf-8").read()
+        text = (tmp_path / ref["path"]).read_text(encoding="utf-8")
         assert content_hash(json.loads(text)) == fresh
         assert sha256_text(text.rstrip("\n")) == fresh
 
@@ -437,14 +438,14 @@ class TestCrashSafety:
         import deskmt.util as util
         path = str(tmp_path / "artifact.txt")
         save(first, path)
-        text = open(path, encoding="utf-8").read()
+        text = Path(path).read_text(encoding="utf-8")
         real_open = open
         monkeypatch.setattr(util, "open",
                             lambda p, mode="r", **kw: _HalfWriter(real_open(p, mode, **kw)),
                             raising=False)
         with pytest.raises(_Crash):
             save(second, path)
-        assert open(path, encoding="utf-8").read() == text
+        assert Path(path).read_text(encoding="utf-8") == text
         assert not os.path.exists(path + ".tmp")
 
     @pytest.mark.parametrize("target", ["manifest.json", "artifacts/models/",
@@ -457,7 +458,7 @@ class TestCrashSafety:
         ref_dir = str(tmp_path / "ref")
         run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt, bundle.dev,
                      ref_dir, config)
-        expected = open(os.path.join(ref_dir, "manifest.json"), "rb").read()
+        expected = Path(ref_dir, "manifest.json").read_bytes()
 
         run_dir = str(tmp_path / "crash")
         manifest_path = os.path.join(run_dir, "manifest.json")
@@ -474,7 +475,7 @@ class TestCrashSafety:
             if target.startswith("artifacts") or len(hits) >= 3:
                 final = path[:-len(".tmp")] if path.endswith(".tmp") else path
                 if final not in before:
-                    before[final] = (real_open(final, "rb").read()
+                    before[final] = (Path(final).read_bytes()
                                      if os.path.exists(final) else None)
                 return _HalfWriter(real_open(path, mode, **kwargs))
             return real_open(path, mode, **kwargs)
@@ -486,11 +487,11 @@ class TestCrashSafety:
                              bundle.dev, run_dir, config)
         assert before
         for path, content in before.items():
-            now = open(path, "rb").read() if os.path.exists(path) else None
+            now = Path(path).read_bytes() if os.path.exists(path) else None
             assert now == content  # the previous file, or none, is intact
             assert not os.path.exists(path + ".tmp")
-        json.loads(open(manifest_path, "rb").read())
+        json.loads(Path(manifest_path).read_bytes())
 
         run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt, bundle.dev,
                      run_dir, config)
-        assert open(manifest_path, "rb").read() == expected
+        assert Path(manifest_path).read_bytes() == expected

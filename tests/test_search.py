@@ -226,14 +226,9 @@ class TestSelectTopK:
 class TestRunSearch:
     def test_deterministic_and_schedule_independent(self):
         ds = parallel(6)
-
-        def builder(config):
-            from dataclasses import replace
-            return build_mix([replace(ds, upsample=config.up_bitext)])
-
         space = tiny_space()
-        a = run_search(space, 4, seed=1, mix_builder=builder, dev=ds, patience=None)
-        b = run_search(space, 4, seed=1, mix_builder=builder, dev=ds, patience=None)
+        a = run_search(space, 4, 1, ds, None, None, ds, patience=None)
+        b = run_search(space, 4, 1, ds, None, None, ds, patience=None)
         assert [r.dev_bleu for r in a] == [r.dev_bleu for r in b]
         assert [r.dev_ppl_trace for r in a] == [r.dev_ppl_trace for r in b]
         assert [r.config for r in a] == [r.config for r in b]
@@ -250,24 +245,25 @@ class TestTrialMix:
 
     def test_bitext_only(self):
         mix = trial_mix(TrialConfig(up_bitext=1), self.bitext(), None, None)
-        assert len(mix) == 2
+        assert mix.weighted_pairs() == {(("a",), ("x",)): 1, (("b",), ("y",)): 1}
 
     def test_sizes_add_per_mix_law(self):
         st = self.synth(TAG_SELF_TRAINED, 3)
         bt = self.synth(TAG_BACK_TRANSLATED, 4)
         config = TrialConfig(up_bitext=3, up_fwd=2, up_bt=1)
         mix = trial_mix(config, self.bitext(), st, bt)
-        assert len(mix) == 2 * 3 + 3 * 2 + 4 * 1
+        assert sum(mix.weighted_pairs().values()) == 2 * 3 + 3 * 2 + 4 * 1
 
     def test_tag_correctness_over_whole_mix(self):
         st = self.synth(TAG_SELF_TRAINED, 2)
         bt = self.synth(TAG_BACK_TRANSLATED, 2)
         config = TrialConfig(up_bitext=2, up_fwd=1, up_bt=1)
         mix = trial_mix(config, self.bitext(), st, bt)
-        seen = {TAG_IN_DOMAIN: 0, TAG_SELF_TRAINED: 0, TAG_BACK_TRANSLATED: 0}
-        for src, _ in mix.examples:
-            seen[src[0]] += 1
+        seen = {ds.tag: ds.upsample * len(ds.pairs) for ds in mix.datasets}
         assert seen == {TAG_IN_DOMAIN: 4, TAG_SELF_TRAINED: 2, TAG_BACK_TRANSLATED: 2}
+        # tags are labels: every pair enters the mix as it is
+        assert [ds.pairs for ds in mix.datasets] == [self.bitext().pairs, st.pairs,
+                                                     bt.pairs]
 
     def test_missing_bitext_rejected(self):
         with pytest.raises(DataError):
@@ -336,7 +332,7 @@ class TestDevReferences:
         refs = [t for _, t in dev.pairs]
         assert len({id(r) for r in refs}) == len(refs)
         ref_ids = {id(r) for r in refs}
-        ctx = EvalContext(bpe=bpe, tag=TAG_IN_DOMAIN)
+        ctx = EvalContext(bpe=bpe)
         detokenized = []
         detok = EvalContext.detok_tokens
 
@@ -346,8 +342,7 @@ class TestDevReferences:
             return detok(self, sentence)
 
         monkeypatch.setattr(EvalContext, "detok_tokens", counting)
-        mix = build_mix([train])
-        results = run_search(tiny_space(), 3, 0, lambda config: mix, dev, eval_ctx=ctx)
+        results = run_search(tiny_space(), 3, 0, train, None, None, dev, eval_ctx=ctx)
         best = results[0]
         tuned, score = finetune(best.model, train, dev, 2, base_bleu=best.dev_bleu,
                                 eval_ctx=ctx)
@@ -358,8 +353,8 @@ class TestDevReferences:
 
         # the counted references score exactly as references detokenized afresh
         monkeypatch.undo()
-        fresh = EvalContext(bpe=bpe, tag=TAG_IN_DOMAIN)
+        fresh = EvalContext(bpe=bpe)
         hyps = [fresh.detok_tokens(nb.top().hyp) for nb in translate_corpus(
-            tuned, [s for s, _ in dev.pairs], 1, tag=TAG_IN_DOMAIN)]
+            tuned, [s for s, _ in dev.pairs], 1)]
         assert dev_bleu(tuned, dev, eval_ctx=ctx) == score == bleu(
             hyps, [fresh.detok_tokens(r) for r in refs])

@@ -26,6 +26,7 @@ from deskmt.subword import (
     load_bpe,
     save_bpe,
 )
+from deskmt.util import read_text
 
 
 # -- reference: the full-recount learner and per-token replay ---------------
@@ -278,7 +279,7 @@ class TestSerialization:
         model = learn_bpe(corpus, vocab_size=12)
         path = str(tmp_path / "bpe.txt")
         text = save_bpe(model, path)
-        assert open(path, encoding="utf-8").read() == text
+        assert read_text(path, "bpe file") == text
         loaded = load_bpe(path)
         assert loaded.merges == model.merges
         assert loaded.joiner == model.joiner

@@ -10,7 +10,6 @@ import pytest
 
 from deskmt.corpus import SIDE_PARALLEL, UNK_TOKEN, TaggedDataset, build_mix, swap_direction
 from deskmt.lm import train_lm
-from deskmt.corpus import strip_tag
 from deskmt.ensemble import Ensemble
 from deskmt.rerank import NoisyChannelWeights, RerankContext, rerank
 from deskmt.tm import (
@@ -81,11 +80,9 @@ def candidates(model, symbol):
     return ids[a:b], lex[a:b]
 
 
-def pair_logprob(model, x, y):
+def pair_logprob(model, src, y):
     """Viterbi forced score: max over window-admissible alignments of the
     decoder's scoring function. Matches the fwd score of decoder outputs."""
-    src = strip_tag(x)
-    y = strip_tag(y)
     if len(src) != len(y):
         raise DataError(f"length mismatch: |x|={len(src)} vs |y|={len(y)}")
     if not src:
@@ -211,10 +208,9 @@ class TestEmTrain:
             mix = random_mix(rng, rng.randint(2, 8))
             iters = rng.randint(1, 4)
             model = em_train(mix, iterations=iters)
-            pairs = [((src[1:], tgt), 1) for src, tgt in mix.examples]
             merged = defaultdict(int)
-            for key, w in pairs:
-                merged[key] += w
+            for pair in mix.datasets[0].pairs:
+                merged[pair] += 1
             oracle_t, oracle_ll = em_oracle(list(merged.items()), iters)
             for (s, y), p in oracle_t.items():
                 got = model.t[model.src_id[s], model.tgt_id[y]]
@@ -242,9 +238,13 @@ class TestEmTrain:
         rep = em_train(mix_of(pairs * 3), iterations=3)
         assert np.allclose(up.t, rep.t, atol=1e-12)
 
-    def test_tags_are_stripped(self):
-        model = em_train(mix_of([("a", "x")], tag="<d:in>"), iterations=1)
-        assert "<d:in>" not in model.src_id
+    def test_leading_tag_token_is_a_word(self):
+        model = em_train(mix_of([("<x> a", "x y")], tag="<d:in>"), iterations=1)
+        assert "<x>" in model.src_vocab
+        assert "<d:in>" not in model.src_vocab
+        lists = translate_corpus(model, [("<x>", "a")], 3)
+        assert lists[0].source == ("<x>", "a")
+        assert {len(e.hyp) for e in lists[0].entries} == {2}
 
     def test_empty_mix_rejected(self):
         with pytest.raises(DataError):
@@ -311,7 +311,7 @@ class TestTranslateNbest:
         rng = random.Random(8)
         mix = random_mix(rng, 8)
         model = em_train(mix, iterations=2, window=1)
-        x = mix.examples[0][0][1:]
+        x = mix.datasets[0].pairs[0][0]
         first = translate_nbest(model, x, 10)
         second = translate_nbest(model, x, 10)
         assert [(e.hyp, e.fwd) for e in first.entries] == \
@@ -321,16 +321,11 @@ class TestTranslateNbest:
         rng = random.Random(12)
         mix = random_mix(rng, 10)
         model = em_train(mix, iterations=2, window=1)
-        nb = translate_nbest(model, mix.examples[0][0][1:], 20)
+        nb = translate_nbest(model, mix.datasets[0].pairs[0][0], 20)
         hyps = [e.hyp for e in nb.entries]
         assert len(set(hyps)) == len(hyps)
         scores = [e.fwd for e in nb.entries]
         assert scores == sorted(scores, reverse=True)
-
-    def test_tag_is_stripped_not_translated(self):
-        model = build_model({("a", "x"): 1.0}, ["a"], ["x"], [("x",)] * 2)
-        nb = translate_nbest(model, ("<d:in>", "a"), 1)
-        assert nb.top().hyp == ("x",)
 
     def test_invalid_inputs(self):
         model = build_model({("a", "x"): 1.0}, ["a"], ["x"], [("x",)] * 2)
@@ -353,21 +348,12 @@ class TestTranslateCorpus:
         bwd = em_train(swap_direction(mix), iterations=2, src_lang="tgt",
                        tgt_lang="src")
         ctx = RerankContext(bwd, fwd.lm, NoisyChannelWeights(1.5, 0.5), nbest=4)
-        return fwd, ctx, [strip_tag(src) for src, _ in mix.examples[:6]]
+        return fwd, ctx, [src for src, _ in mix.datasets[0].pairs[:6]]
 
     def test_translate_corpus_order_preserved(self):
         sources = [("a",), ("b",), ("a", "b")]
         lists = translate_corpus(self.identity(), sources, 1)
         assert [nb.top().hyp for nb in lists] == [("a",), ("b",), ("a", "b")]
-
-    def test_tag_prepended_once(self):
-        sources = [("a",), ("<d:in>", "b"), ("a", "b")]
-        lists = translate_corpus(self.identity(), sources, 1, tag="<d:in>")
-        assert [nb.source for nb in lists] == [
-            ("<d:in>", "a"), ("<d:in>", "b"), ("<d:in>", "a", "b")]
-        assert [nb.top().hyp for nb in lists] == [("a",), ("b",), ("a", "b")]
-        untagged = translate_corpus(self.identity(), sources, 1)
-        assert [nb.source for nb in untagged] == sources
 
     def test_context_nbest_overrides_nbest(self):
         fwd, ctx, sources = self.reranking(5)
@@ -392,7 +378,7 @@ class TestPairLogprob:
             mix = random_mix(rng, rng.randint(3, 10))
             model = em_train(mix, iterations=2, window=rng.randint(0, 1),
                              lm_weight=0.5, beam=64)
-            x = mix.examples[0][0][1:]
+            x = mix.datasets[0].pairs[0][0]
             nb = translate_nbest(model, x, 5)
             assert pair_logprob(model, x, nb.top().hyp) == nb.top().fwd
 
@@ -491,11 +477,14 @@ class TestChannelScore:
         assert math.isfinite(score)
         assert score <= math.log(model.unk_floor) + 1e-6
 
-    def test_tags_stripped_before_scoring(self):
+    def test_leading_tag_token_is_scored(self):
+        # a leading <...> token is a word on either side: unknown to this
+        # model, it looks up the floor row (source) or column (target)
         model = build_model({("y", "x"): 1.0}, ["y"], ["x"], [("x",)] * 2)
         plain = channel_scores(model, ("x",), [("y",)])[0]
         tagged = channel_scores(model, ("<bt>", "x"), [("<st>", "y")])[0]
-        assert tagged == plain
+        assert tagged == reference_marginal(model, ("<st>", "y"), ("<bt>", "x"))
+        assert tagged < plain
 
     def test_leading_unknown_token_is_scored(self):
         # <unk> is a target token, not a tag: it looks up the floor row and
@@ -509,7 +498,6 @@ class TestChannelScore:
 
 def reference_marginal(model, cond, obs):
     """Per-pair IBM1 marginal: a (l+1, |obs|) gather averaged over axis 0."""
-    cond, obs = strip_tag(cond), strip_tag(obs)
     if not obs:
         return 0.0
     ns, nt = model.t.shape
@@ -545,7 +533,7 @@ class TestMarginalKernel:
     def test_batch_of_nothing(self):
         model = em_train(random_mix(random.Random(42), 6), iterations=1)
         assert channel_scores(model, ("x",), []) == []
-        assert channel_scores(model, ("<bt>",), [("a",), ()]) == [0.0, 0.0]
+        assert channel_scores(model, (), [("a",), ()]) == [0.0, 0.0]
 
 
 class TestSerialization:
@@ -556,7 +544,7 @@ class TestSerialization:
         loaded = model_from_dict(model_to_dict(model))
         assert np.array_equal(loaded.t, model.t)
         assert loaded.src_vocab == model.src_vocab
-        x = mix.examples[0][0][1:]
+        x = mix.datasets[0].pairs[0][0]
         a = translate_nbest(model, x, 5)
         b = translate_nbest(loaded, x, 5)
         assert [(e.hyp, e.fwd) for e in a.entries] == [(e.hyp, e.fwd) for e in b.entries]
