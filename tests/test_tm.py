@@ -238,13 +238,15 @@ class TestEmTrain:
         rep = em_train(mix_of(pairs * 3), iterations=3)
         assert np.allclose(up.t, rep.t, atol=1e-12)
 
+    def test_tags_are_stripped(self):
+        # the dataset tag is a label of the mix and never reaches the sources
+        model = em_train(mix_of([("a", "x")], tag="<d:in>"), iterations=1)
+        assert "<d:in>" not in model.src_id
+
     def test_leading_tag_token_is_a_word(self):
         model = em_train(mix_of([("<x> a", "x y")], tag="<d:in>"), iterations=1)
         assert "<x>" in model.src_vocab
         assert "<d:in>" not in model.src_vocab
-        lists = translate_corpus(model, [("<x>", "a")], 3)
-        assert lists[0].source == ("<x>", "a")
-        assert {len(e.hyp) for e in lists[0].entries} == {2}
 
     def test_empty_mix_rejected(self):
         with pytest.raises(DataError):
@@ -326,6 +328,12 @@ class TestTranslateNbest:
         assert len(set(hyps)) == len(hyps)
         scores = [e.fwd for e in nb.entries]
         assert scores == sorted(scores, reverse=True)
+
+    def test_leading_tag_token_is_translated(self):
+        model = em_train(mix_of([("<x> a", "x y")], tag="<d:in>"), iterations=1)
+        lists = translate_corpus(model, [("<x>", "a")], 3)
+        assert lists[0].source == ("<x>", "a")
+        assert {len(e.hyp) for e in lists[0].entries} == {2}
 
     def test_invalid_inputs(self):
         model = build_model({("a", "x"): 1.0}, ["a"], ["x"], [("x",)] * 2)
