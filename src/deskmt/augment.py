@@ -6,6 +6,9 @@ targets. The machine side is the top-1 of each n-best list that
 `tm.translate_corpus` returns, reranked when a `RerankContext` is given.
 Generated pairs whose output side is empty or entirely unknown tokens are
 dropped and counted.
+
+`training_roles` is the one statement of which synthetic set plays which
+role in each translation direction of `DIRECTIONS`.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .corpus import (
     TAG_SELF_TRAINED,
     UNK_TOKEN,
     TaggedDataset,
+    swap_dataset,
 )
 from .rerank import DEFAULT_NBEST, RerankContext
 from .tm import translate_corpus
@@ -72,3 +76,27 @@ def self_train(f, mono_source: TaggedDataset,
         raise DataError(f"{mono_source.name}: expected a mono-source dataset")
     return _generate(f, mono_source, rerank_ctx, keep_side="source",
                      tag=TAG_SELF_TRAINED, name=f"st-{mono_source.name}")
+
+
+# (source, target) languages of each translation direction, forward first.
+DIRECTIONS = {"fwd": ("src", "tgt"), "bwd": ("tgt", "src")}
+
+
+def orient(direction: str, ds: TaggedDataset | None) -> TaggedDataset | None:
+    """A source-target parallel set (or None) as `direction` trains on it."""
+    return ds if direction == "fwd" or ds is None else swap_dataset(ds)
+
+
+def training_roles(direction: str, by_fwd: TaggedDataset | None,
+                   by_bwd: TaggedDataset | None):
+    """`direction`'s (self-trained, back-translated) sets, in its orientation.
+
+    A round is symmetric: the forward system translates the source-side pool
+    (`by_fwd`, real sources) and the backward system the target-side pool
+    (`by_bwd`, real targets), both held source-target. A direction's own
+    translations are its self-training data and the other direction's are
+    its back-translated data (He et al. 2019, arXiv:1909.13788), so fwd gets
+    (by_fwd, by_bwd) and bwd gets (swapped by_bwd, swapped by_fwd).
+    """
+    own, other = (by_fwd, by_bwd) if direction == "fwd" else (by_bwd, by_fwd)
+    return orient(direction, own), orient(direction, other)

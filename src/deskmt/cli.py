@@ -19,7 +19,6 @@ from .corpus import (
     SIDE_PARALLEL,
     load_corpus,
     save_corpus,
-    swap_dataset,
 )
 from .ensemble import Ensemble
 from .lm import lm_from_dict
@@ -108,6 +107,8 @@ def _config_from(args) -> TrialConfig:
 
 
 def _load_training_sets(args, bpe):
+    """The (source, target) languages of the direction --swap picks, and its
+    bitext, self-trained, back-translated and dev sets in its orientation."""
     bitext = load_corpus(args.parallel, SIDE_PARALLEL)
     st = load_corpus(args.st, SIDE_PARALLEL, tag=corpus.TAG_SELF_TRAINED) \
         if args.st else None
@@ -115,16 +116,12 @@ def _load_training_sets(args, bpe):
         if args.bt else None
     dev = load_corpus(args.dev, SIDE_PARALLEL)
     if bpe is not None:
-        bitext = subword.encode_dataset(bitext, bpe)
-        dev = subword.encode_dataset(dev, bpe)
-        st = subword.encode_dataset(st, bpe) if st else None
-        bt = subword.encode_dataset(bt, bpe) if bt else None
-    if args.swap:
-        bitext = swap_dataset(bitext)
-        dev = swap_dataset(dev)
-        st = swap_dataset(st) if st else None
-        bt = swap_dataset(bt) if bt else None
-    return bitext, st, bt, dev
+        bitext, st, bt, dev = (None if ds is None else subword.encode_dataset(ds, bpe)
+                               for ds in (bitext, st, bt, dev))
+    direction = "bwd" if args.swap else "fwd"
+    st, bt = augment.training_roles(direction, st, bt)
+    return (augment.DIRECTIONS[direction], augment.orient(direction, bitext), st, bt,
+            augment.orient(direction, dev))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -163,14 +160,13 @@ def cmd_learn_bpe(args) -> int:
 
 def cmd_train(args) -> int:
     bpe = _maybe_bpe(args)
-    bitext, st, bt, dev = _load_training_sets(args, bpe)
+    (src_lang, tgt_lang), bitext, st, bt, dev = _load_training_sets(args, bpe)
     config = _config_from(args)
     mix = search.trial_mix(config, bitext, st, bt)
-    langs = ("tgt", "src") if args.swap else ("src", "tgt")
     result = search.run_trial(config, mix, dev,
                               eval_ctx=_eval_ctx(args, bpe),
                               patience=args.patience,
-                              src_lang=langs[0], tgt_lang=langs[1])
+                              src_lang=src_lang, tgt_lang=tgt_lang)
     _save_model(result.model, args.out)
     print(f"dev perplexity trace: {[round(p, 3) for p in result.dev_ppl_trace]}")
     print(f"dev BLEU {result.dev_bleu:.2f} -> {args.out}")
@@ -184,13 +180,12 @@ def cmd_search(args) -> int:
     if not 0 <= args.topk <= args.trials:
         raise DataError(f"--topk must lie in [0, --trials], got {args.topk}")
     bpe = _maybe_bpe(args)
-    bitext, st, bt, dev = _load_training_sets(args, bpe)
+    (src_lang, tgt_lang), bitext, st, bt, dev = _load_training_sets(args, bpe)
     space = SearchSpace.load(args.space) if args.space else default_search_space()
-    langs = ("tgt", "src") if args.swap else ("src", "tgt")
     results = search.run_search(
         space, args.trials, args.seed, bitext, st, bt, dev,
         eval_ctx=_eval_ctx(args, bpe), patience=args.patience,
-        src_lang=langs[0], tgt_lang=langs[1])
+        src_lang=src_lang, tgt_lang=tgt_lang)
     os.makedirs(args.out_dir, exist_ok=True)
     search.write_trial_log(results, os.path.join(args.out_dir, "runlog.jsonl"))
     models = {f"trial{i:03d}.json": r.model for i, r in enumerate(results)}
@@ -390,12 +385,16 @@ def build_parser() -> _Parser:
 
     def add_training_io(p):
         p.add_argument("--parallel", required=True)
-        p.add_argument("--st", default=None, help="self-trained synthetic TSV")
-        p.add_argument("--bt", default=None, help="back-translated synthetic TSV")
+        p.add_argument("--st", default=None,
+                       help="self-trained TSV: real sources, forward translations")
+        p.add_argument("--bt", default=None,
+                       help="back-translated TSV: backward translations, real targets")
         p.add_argument("--dev", required=True)
         p.add_argument("--bpe", default=None)
         p.add_argument("--swap", action="store_true",
-                       help="train the reverse (target-to-source) direction")
+                       help="train the reverse (target-to-source) direction from the "
+                       "same source-target files: its self-trained set is the swapped "
+                       "--bt (--up-fwd), its back-translated set the swapped --st")
         p.add_argument("--patience", type=int, default=search.DEFAULT_PATIENCE)
 
     p = sub.add_parser("train", help="train one model configuration")

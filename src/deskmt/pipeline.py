@@ -1,12 +1,16 @@
 """End-to-end iterative augmentation loop with persistent artifacts.
 
-Each round: the current forward/backward systems translate the monolingual
-pools with noisy-channel reranking; random search retrains both directions on
-bitext + forward-translated + back-translated data; models are fine-tuned on
-the in-domain bitext at the last round; the top-k models per direction become
-the next round's systems. Every stage writes content-addressed artifacts
-under a run directory and records them in a byte-stable manifest, so reruns
-skip completed stages and two runs with one seed produce identical bytes.
+A round is symmetric, and each stage is written once and run for each
+direction of `augment.DIRECTIONS`, forward then backward. Each system
+translates the monolingual pool on its source side with noisy-channel
+reranking. A direction's own translations are its self-training data and the
+other direction's are its back-translated data (`augment.training_roles`).
+Random search retrains each direction on bitext plus those two sets; models
+are fine-tuned on the in-domain bitext at the last round; the top-k models
+per direction become the next round's systems. Every stage writes
+content-addressed artifacts under a run directory and records them in a
+byte-stable manifest, so reruns skip completed stages and two runs with one
+seed produce identical bytes.
 """
 
 from __future__ import annotations
@@ -14,14 +18,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 
-from .augment import back_translate, self_train
+from .augment import DIRECTIONS, back_translate, orient, self_train, training_roles
 from .corpus import (
     SIDE_MONO_SOURCE,
     SIDE_MONO_TARGET,
     TaggedDataset,
     build_mix,
     save_corpus,
-    swap_dataset,
 )
 from .ensemble import Ensemble
 from .lm import finetune_lm, lm_from_dict, lm_to_dict, train_lm
@@ -31,7 +34,6 @@ from .search import (
     DEFAULT_CONFIG,
     SearchSpace,
     TrialConfig,
-    TrialResult,
     check_sample_size,
     default_search_space,
     finetune,
@@ -220,14 +222,13 @@ def run_pipeline(parallel: TaggedDataset, mono_src: TaggedDataset | None,
         raise DataError(f"workers must be 1 (decoding runs in one process), "
                         f"got {config.workers}")
 
-    parallel_only = not (mono_src and mono_src.sentences) and \
-        not (mono_tgt and mono_tgt.sentences)
-    if mono_src is None or not mono_src.sentences:
-        mono_src = TaggedDataset("mono-from-bitext-src", SIDE_MONO_SOURCE, "<mono>",
-                                 sentences=tuple(s for s, _ in parallel.pairs))
-    if mono_tgt is None or not mono_tgt.sentences:
-        mono_tgt = TaggedDataset("mono-from-bitext-tgt", SIDE_MONO_TARGET, "<mono>",
-                                 sentences=tuple(t for _, t in parallel.pairs))
+    pools = {"fwd": mono_src, "bwd": mono_tgt}  # each on its direction's source side
+    parallel_only = not any(pool and pool.sentences for pool in pools.values())
+    for d, side in (("fwd", SIDE_MONO_SOURCE), ("bwd", SIDE_MONO_TARGET)):
+        if pools[d] is None or not pools[d].sentences:
+            sources = tuple(s for s, _ in orient(d, parallel).pairs)
+            pools[d] = TaggedDataset(f"mono-from-bitext-{DIRECTIONS[d][0]}", side, "<mono>",
+                                     sentences=sources)
 
     os.makedirs(os.path.join(run_dir, "artifacts"), exist_ok=True)
     os.makedirs(os.path.join(run_dir, "logs"), exist_ok=True)
@@ -235,8 +236,8 @@ def run_pipeline(parallel: TaggedDataset, mono_src: TaggedDataset | None,
     params = config.params_dict()
     inputs = {
         "parallel": content_hash([[list(s), list(t)] for s, t in parallel.pairs]),
-        "mono_src": content_hash([list(s) for s in mono_src.sentences]),
-        "mono_tgt": content_hash([list(s) for s in mono_tgt.sentences]),
+        "mono_src": content_hash([list(s) for s in pools["fwd"].sentences]),
+        "mono_tgt": content_hash([list(s) for s in pools["bwd"].sentences]),
         "dev": content_hash([[list(s), list(t)] for s, t in dev.pairs]),
         "parallel_only": parallel_only,
     }
@@ -257,8 +258,7 @@ def run_pipeline(parallel: TaggedDataset, mono_src: TaggedDataset | None,
         })
         manifest.save()
 
-    state = _PipelineState(manifest, config, parallel, mono_src, mono_tgt, dev,
-                           parallel_only)
+    state = _PipelineState(manifest, config, parallel, pools, dev, parallel_only)
     try:
         state.stage_setup()
         state.stage_init()
@@ -271,28 +271,35 @@ def run_pipeline(parallel: TaggedDataset, mono_src: TaggedDataset | None,
     return manifest
 
 
+# the direction whose system is a direction's reranking channel model
+_OTHER = {"fwd": "bwd", "bwd": "fwd"}
+
+
 class _PipelineState:
-    def __init__(self, manifest, config, parallel, mono_src, mono_tgt, dev,
-                 parallel_only):
+    """The run's state; every per-direction field is keyed by "fwd" / "bwd"."""
+
+    def __init__(self, manifest, config, parallel, pools, dev, parallel_only):
         self.manifest = manifest
         self.config = config
         self.raw_parallel = parallel
-        self.raw_mono_src = mono_src
-        self.raw_mono_tgt = mono_tgt
+        self.raw_pools = pools
         self.raw_dev = dev
         self.parallel_only = parallel_only
         # populated by stages
         self.bpe = None
         self.eval_ctx = None
-        self.lm_tgt = None  # reranking LM over the target language (fwd decode)
-        self.lm_src = None  # reranking LM over the source language (bwd decode)
-        self.fwd = None     # current forward system (Ensemble)
-        self.bwd = None     # current backward system (Ensemble)
-        self.lambdas_fwd = None
-        self.lambdas_bwd = None
+        self.parallel = {}  # encoded bitext in the direction's orientation
+        self.dev = {}       # encoded dev set in the direction's orientation
+        self.pool = {}      # encoded monolingual pool on the direction's source side
+        self.lm = {}        # reranking LM over the direction's target language
+        self.system = {}    # current system (Ensemble)
+        self.lambdas = {}   # its reranking weights
 
     def _seed(self, label: str) -> int:
         return derive_seed(self.config.seed, label)
+
+    def _lambda_lists(self) -> dict:
+        return {d: [w.lambda1, w.lambda2] for d, w in self.lambdas.items()}
 
     # -- setup: BPE + encoded corpora + reranking LMs ------------------------
 
@@ -304,9 +311,9 @@ class _PipelineState:
                 doc_field(manifest.data, "bpe", dict, manifest.path)))
             self._encode_all()
             lms = doc_field(manifest.data, "rerank_lms", dict, manifest.path)
-            what = f"{manifest.path}: rerank_lms"
-            self.lm_tgt = lm_from_dict(self._read_json(doc_field(lms, "fwd", dict, what)))
-            self.lm_src = lm_from_dict(self._read_json(doc_field(lms, "bwd", dict, what)))
+            for d in DIRECTIONS:
+                ref = doc_field(lms, d, dict, f"{manifest.path}: rerank_lms")
+                self.lm[d] = lm_from_dict(read_json(manifest.verify(ref), "run artifact"))
             return
         corpus = [s for s, _ in self.raw_parallel.pairs]
         corpus += [t for _, t in self.raw_parallel.pairs]
@@ -318,40 +325,29 @@ class _PipelineState:
         self._encode_all()
 
         init = cfg.init_config
-        tgt_sents = [t for _, t in self.parallel.pairs]
-        src_sents = [s for s, _ in self.parallel.pairs]
-        if self.parallel_only:
-            self.lm_tgt = train_lm(tgt_sents, init.lm_order, init.smoothing_k)
-            self.lm_src = train_lm(src_sents, init.lm_order, init.smoothing_k)
-        else:
-            base_tgt = train_lm(list(self.mono_tgt.sentences), init.lm_order,
+        refs = {}
+        for d in DIRECTIONS:
+            targets = [t for _, t in self.parallel[d].pairs]
+            if self.parallel_only:
+                self.lm[d] = train_lm(targets, init.lm_order, init.smoothing_k)
+            else:
+                # the pool in this direction's target language is the other's source pool
+                base = train_lm(list(self.pool[_OTHER[d]].sentences), init.lm_order,
                                 init.smoothing_k)
-            base_src = train_lm(list(self.mono_src.sentences), init.lm_order,
-                                init.smoothing_k)
-            self.lm_tgt = finetune_lm(base_tgt, tgt_sents, cfg.lm_alpha)
-            self.lm_src = finetune_lm(base_src, src_sents, cfg.lm_alpha)
-        manifest.data["rerank_lms"] = {
-            "fwd": self._write_json("artifacts/lm_fwd.json", lm_to_dict(self.lm_tgt)),
-            "bwd": self._write_json("artifacts/lm_bwd.json", lm_to_dict(self.lm_src)),
-        }
+                self.lm[d] = finetune_lm(base, targets, cfg.lm_alpha)
+            refs[d] = _write_text_artifact(manifest.run_dir, f"artifacts/lm_{d}.json",
+                                           stable_json_dumps(lm_to_dict(self.lm[d])))
+        manifest.data["rerank_lms"] = refs
         manifest.mark_completed("setup")
 
     def _encode_all(self) -> None:
-        self.parallel = encode_dataset(self.raw_parallel, self.bpe)
-        self.mono_src = encode_dataset(self.raw_mono_src, self.bpe)
-        self.mono_tgt = encode_dataset(self.raw_mono_tgt, self.bpe)
-        self.dev = encode_dataset(self.raw_dev, self.bpe)
-        self.dev_swapped = swap_dataset(self.dev, name="dev-swapped")
-        self.parallel_swapped = swap_dataset(self.parallel,
-                                             name=self.parallel.name + "-swapped")
+        parallel = encode_dataset(self.raw_parallel, self.bpe)
+        dev = encode_dataset(self.raw_dev, self.bpe)
+        for d in DIRECTIONS:
+            self.parallel[d] = orient(d, parallel)
+            self.dev[d] = orient(d, dev)
+            self.pool[d] = encode_dataset(self.raw_pools[d], self.bpe)
         self.eval_ctx = EvalContext(bpe=self.bpe)
-
-    def _write_json(self, relpath: str, doc: dict) -> dict:
-        return _write_text_artifact(self.manifest.run_dir, relpath,
-                                    stable_json_dumps(doc))
-
-    def _read_json(self, ref: dict) -> dict:
-        return read_json(self.manifest.verify(ref), "run artifact")
 
     # -- init: line-2 models + their tuned lambdas ---------------------------
 
@@ -361,45 +357,40 @@ class _PipelineState:
         if manifest.completed("init"):
             record = doc_field(manifest.data, "init", dict, manifest.path)
             what = f"{manifest.path}: init"
-            fwd = doc_field(record, "fwd", dict, what)
-            bwd = doc_field(record, "bwd", dict, what)
-            self.fwd = load_model(manifest, doc_field(fwd, "model", dict, what + ".fwd"))
-            self.bwd = load_model(manifest, doc_field(bwd, "model", dict, what + ".bwd"))
-            self.lambdas_fwd = _weights(fwd, "lambdas", what + ".fwd")
-            self.lambdas_bwd = _weights(bwd, "lambdas", what + ".bwd")
+            for d in DIRECTIONS:
+                entry = doc_field(record, d, dict, what)
+                self.system[d] = load_model(manifest, doc_field(entry, "model", dict,
+                                                                f"{what}.{d}"))
+                self.lambdas[d] = _weights(entry, "lambdas", f"{what}.{d}")
             return
         init = cfg.init_config
-        fwd_mix = build_mix([replace(self.parallel, upsample=init.up_bitext)])
-        bwd_mix = build_mix([replace(self.parallel_swapped, upsample=init.up_bitext)])
-        kwargs = dict(lm_order=init.lm_order, lm_k=init.smoothing_k, beam=init.beam,
-                      window=init.window, lm_weight=init.lm_weight)
-        f0 = em_train(fwd_mix, init.em_iterations, src_lang="src", tgt_lang="tgt",
-                      **kwargs)
-        g0 = em_train(bwd_mix, init.em_iterations, src_lang="tgt", tgt_lang="src",
-                      **kwargs)
-        self.fwd = Ensemble([f0])
-        self.bwd = Ensemble([g0])
-        (self.lambdas_fwd, _), (self.lambdas_bwd, _) = self._tune_both("init")
-        for member in self.fwd.members + self.bwd.members:
-            _save_model(manifest.run_dir, member)
-        manifest.data["init"] = {
-            "fwd": {"model": _save_model(manifest.run_dir, self.fwd),
-                    "lambdas": [self.lambdas_fwd.lambda1, self.lambdas_fwd.lambda2]},
-            "bwd": {"model": _save_model(manifest.run_dir, self.bwd),
-                    "lambdas": [self.lambdas_bwd.lambda1, self.lambdas_bwd.lambda2]},
-        }
+        for d, (src_lang, tgt_lang) in DIRECTIONS.items():
+            mix = build_mix([replace(self.parallel[d], upsample=init.up_bitext)])
+            self.system[d] = Ensemble([em_train(
+                mix, init.em_iterations, src_lang=src_lang, tgt_lang=tgt_lang,
+                lm_order=init.lm_order, lm_k=init.smoothing_k, beam=init.beam,
+                window=init.window, lm_weight=init.lm_weight)])
+        self._tune("init")
+        lambdas = self._lambda_lists()
+        record = {}
+        for d, system in self.system.items():
+            for member in system.members:
+                _save_model(manifest.run_dir, member)
+            record[d] = {"model": _save_model(manifest.run_dir, system),
+                         "lambdas": lambdas[d]}
+        manifest.data["init"] = record
         manifest.mark_completed("init")
 
-    def _tune_both(self, label: str):
-        """Tuned weights and their rerank dev BLEU, forward then backward."""
+    def _tune(self, label: str) -> dict:
+        """Tune every direction's weights; return their rerank dev BLEU."""
         cfg = self.config
-        lf = tune_lambdas(self.dev, self.fwd, self.bwd, self.lm_tgt,
-                          trials=cfg.tune_trials, seed=self._seed(f"{label}/lambda/fwd"),
-                          nbest=cfg.nbest, eval_ctx=self.eval_ctx)
-        lb = tune_lambdas(self.dev_swapped, self.bwd, self.fwd, self.lm_src,
-                          trials=cfg.tune_trials, seed=self._seed(f"{label}/lambda/bwd"),
-                          nbest=cfg.nbest, eval_ctx=self.eval_ctx)
-        return lf, lb
+        scores = {}
+        for d in DIRECTIONS:
+            self.lambdas[d], scores[d] = tune_lambdas(
+                self.dev[d], self.system[d], self.system[_OTHER[d]], self.lm[d],
+                trials=cfg.tune_trials, seed=self._seed(f"{label}/lambda/{d}"),
+                nbest=cfg.nbest, eval_ctx=self.eval_ctx)
+        return scores
 
     # -- one round of the iterative algorithm --------------------------------
 
@@ -415,90 +406,64 @@ class _PipelineState:
             what = f"{manifest.path}: iterations[{t - 1}]"
             ensembles = doc_field(records[t - 1], "ensembles", dict, what)
             lambdas = doc_field(records[t - 1], "lambdas", dict, what)
-            self.fwd = load_model(manifest, doc_field(ensembles, "fwd", dict,
-                                                      what + ".ensembles"))
-            self.bwd = load_model(manifest, doc_field(ensembles, "bwd", dict,
-                                                      what + ".ensembles"))
-            self.lambdas_fwd = _weights(lambdas, "fwd", what + ".lambdas")
-            self.lambdas_bwd = _weights(lambdas, "bwd", what + ".lambdas")
+            for d in DIRECTIONS:
+                self.system[d] = load_model(manifest, doc_field(ensembles, d, dict,
+                                                                what + ".ensembles"))
+                self.lambdas[d] = _weights(lambdas, d, what + ".lambdas")
             return
 
-        gen_lambdas = {"fwd": [self.lambdas_fwd.lambda1, self.lambdas_fwd.lambda2],
-                       "bwd": [self.lambdas_bwd.lambda1, self.lambdas_bwd.lambda2]}
-        fwd_gen_hash = model_hash(self.fwd)
-        bwd_gen_hash = model_hash(self.bwd)
-
-        # lines 6-7: translate the monolingual pools with reranking
-        st_ctx = RerankContext(self.bwd, self.lm_tgt, self.lambdas_fwd, cfg.nbest)
-        f_data = self_train(self.fwd, self.mono_src, rerank_ctx=st_ctx)
-        bt_ctx = RerankContext(self.fwd, self.lm_src, self.lambdas_bwd, cfg.nbest)
-        b_data = back_translate(self.bwd, self.mono_tgt, rerank_ctx=bt_ctx)
-
-        f_ref = _save_dataset(
-            manifest.run_dir, f_data, f"artifacts/datasets/iter{t}_F.tsv",
-            provenance={"generator": fwd_gen_hash, "decode": "rerank",
-                        "lambdas": gen_lambdas["fwd"], "seed": cfg.seed,
-                        "dropped": f_data.dropped})
-        b_ref = _save_dataset(
-            manifest.run_dir, b_data, f"artifacts/datasets/iter{t}_B.tsv",
-            provenance={"generator": bwd_gen_hash, "decode": "rerank",
-                        "lambdas": gen_lambdas["bwd"], "seed": cfg.seed,
-                        "dropped": b_data.dropped})
+        # lines 6-7: each system translates the pool on its source side, with
+        # reranking: the forward system's output is F, the backward one's B
+        gen_lambdas = self._lambda_lists()
+        made, synthetic = {}, {}
+        for d, generate, name in (("fwd", self_train, "F"), ("bwd", back_translate, "B")):
+            generator = model_hash(self.system[d])
+            ctx = RerankContext(self.system[_OTHER[d]], self.lm[d], self.lambdas[d],
+                                cfg.nbest)
+            made[d] = generate(self.system[d], self.pool[d], rerank_ctx=ctx)
+            synthetic[name] = _save_dataset(
+                manifest.run_dir, made[d], f"artifacts/datasets/iter{t}_{name}.tsv",
+                provenance={"generator": generator, "decode": "rerank",
+                            "lambdas": gen_lambdas[d], "seed": cfg.seed,
+                            "dropped": made[d].dropped})
 
         # lines 8-9: random search, both directions
-        fwd_results = run_search(
-            cfg.search_space, cfg.trials, self._seed(f"iter{t}/search/fwd"),
-            self.parallel, f_data, b_data, self.dev,
-            eval_ctx=self.eval_ctx, patience=cfg.patience,
-            src_lang="src", tgt_lang="tgt")
-        # backward, B is self-trained data and F back-translated data
-        bwd_results = run_search(
-            cfg.search_space, cfg.trials, self._seed(f"iter{t}/search/bwd"),
-            self.parallel_swapped, swap_dataset(b_data), swap_dataset(f_data),
-            self.dev_swapped,
-            eval_ctx=self.eval_ctx, patience=cfg.patience,
-            src_lang="tgt", tgt_lang="src")
+        results = {}
+        for d, (src_lang, tgt_lang) in DIRECTIONS.items():
+            st, bt = training_roles(d, made["fwd"], made["bwd"])
+            results[d] = run_search(
+                cfg.search_space, cfg.trials, self._seed(f"iter{t}/search/{d}"),
+                self.parallel[d], st, bt, self.dev[d], eval_ctx=self.eval_ctx,
+                patience=cfg.patience, src_lang=src_lang, tgt_lang=tgt_lang)
 
         # lines 10-12: fine-tune on the in-domain bitext at the last round
         finetuned = (t == cfg.iterations) or cfg.finetune_every_iteration
         if finetuned:
-            fwd_results = [self._finetune_result(r, self.parallel, self.dev,
-                                                 self.eval_ctx)
-                           for r in fwd_results]
-            bwd_results = [self._finetune_result(r, self.parallel_swapped,
-                                                 self.dev_swapped, self.eval_ctx)
-                           for r in bwd_results]
+            for d, rs in results.items():
+                for k, r in enumerate(rs):
+                    model, score = finetune(r.model, self.parallel[d], self.dev[d],
+                                            cfg.finetune_steps, base_bleu=r.dev_bleu,
+                                            lm_alpha=cfg.lm_alpha, eval_ctx=self.eval_ctx)
+                    rs[k] = replace(r, model=model, dev_bleu=score)
 
         # lines 13-14: ensemble the top-k models
-        self.fwd = select_top_k(fwd_results, cfg.topk)
-        self.bwd = select_top_k(bwd_results, cfg.topk)
+        self.system = {d: select_top_k(rs, cfg.topk) for d, rs in results.items()}
         # the BLEU of the tuned weights is the rerank dev BLEU of the new systems
-        (self.lambdas_fwd, eval_fwd), (self.lambdas_bwd, eval_bwd) = \
-            self._tune_both(f"iter{t}")
+        dev_bleu = self._tune(stage)
 
-        for r in fwd_results + bwd_results:
-            _save_model(manifest.run_dir, r.model)
+        for rs in results.values():
+            for r in rs:
+                _save_model(manifest.run_dir, r.model)
         record = {
             "t": t,
             "gen_lambdas": gen_lambdas,
-            "synthetic": {"F": f_ref, "B": b_ref},
-            "trials": {
-                "fwd": [r.record() for r in fwd_results],
-                "bwd": [r.record() for r in bwd_results],
-            },
+            "synthetic": synthetic,
+            "trials": {d: [r.record() for r in rs] for d, rs in results.items()},
             "finetuned": finetuned,
-            "ensembles": {"fwd": _save_model(manifest.run_dir, self.fwd),
-                          "bwd": _save_model(manifest.run_dir, self.bwd)},
-            "lambdas": {"fwd": [self.lambdas_fwd.lambda1, self.lambdas_fwd.lambda2],
-                        "bwd": [self.lambdas_bwd.lambda1, self.lambdas_bwd.lambda2]},
-            "dev_bleu": {"fwd": eval_fwd, "bwd": eval_bwd},
+            "ensembles": {d: _save_model(manifest.run_dir, system)
+                          for d, system in self.system.items()},
+            "lambdas": self._lambda_lists(),
+            "dev_bleu": dev_bleu,
         }
         manifest.data["iterations"].append(record)
         manifest.mark_completed(stage)
-
-    def _finetune_result(self, result: TrialResult, in_domain, dev, eval_ctx):
-        model, score = finetune(result.model, in_domain, dev,
-                                self.config.finetune_steps, base_bleu=result.dev_bleu,
-                                lm_alpha=self.config.lm_alpha, eval_ctx=eval_ctx)
-        return TrialResult(config=result.config, model=model,
-                           dev_ppl_trace=result.dev_ppl_trace, dev_bleu=score)

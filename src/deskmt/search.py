@@ -19,7 +19,7 @@ from .corpus import DataMix, TaggedDataset, build_mix
 from .ensemble import Ensemble
 from .lm import finetune_lm, logprob, train_lm
 from .metrics import EvalContext, bleu, references_of, surface_of
-from .tm import EMTrainer, LexModel, forward_marginal, model_hash, translate_corpus
+from .tm import EMTrainer, LexModel, channel_scores, model_hash, translate_corpus
 from .util import NUMBER, DataError, doc_field, read_json, write_text_atomic
 
 DEFAULT_TRIALS = 30
@@ -138,12 +138,13 @@ def dev_perplexity(model: LexModel, dev: TaggedDataset) -> float:
 
     The composed score of a pair is the length-agnostic lexical marginal of
     the target given the source plus lm_weight times the LM score; tokens are
-    counted including end-of-sentence.
+    counted including end-of-sentence. The marginal ln P(tgt | src) is the
+    channel score of `tgt` given the hypothesis `src`.
     """
     total = 0.0
     n_tokens = 0
     for src, tgt in dev.pairs:
-        total += forward_marginal(model, src, tgt)
+        total += channel_scores(model, tgt, [src])[0]
         total += model.lm_weight * logprob(model.lm, tgt)
         n_tokens += len(tgt) + 1
     return math.exp(-total / n_tokens)

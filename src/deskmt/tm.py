@@ -451,13 +451,6 @@ def _nbest_list(source: Sentence, beam: list, ext_vocab: tuple[str, ...],
                      entries=[NBestEntry(hyp=hyp, fwd=score) for hyp, score in ranked])
 
 
-def forward_marginal(model: LexModel, x: Sentence, y: Sentence) -> float:
-    """IBM1 marginal ln P(y | x) in the model's own direction (length-agnostic)."""
-    if not y:
-        return 0.0
-    return float(_ibm1_marginals(model, [x], y)[0])
-
-
 def channel_scores(model: LexModel, x: Sentence, ys: list[Sentence]) -> list[float]:
     """IBM1 marginal ln P(x | y) of every y under a model trained in the y->x
     direction, as one gather per length of y:

@@ -284,6 +284,38 @@ class TestWorkflows:
         doc = read_json("lambdas.json", "lambdas")
         assert 0.0 <= doc["lambda1"] <= 3.0 and 0.0 <= doc["lambda2"] <= 3.0
 
+    def test_swap_gives_the_synthetic_sets_their_reverse_roles(self, workspace):
+        # --st holds the forward model's translations and --bt the backward
+        # model's, both source-target; the reverse direction self-trains on
+        # the swapped --bt set and back-translates with the swapped --st set,
+        # as the pipeline's backward search does, so up_fwd weighs swap(bt)
+        from deskmt.corpus import load_corpus, swap_dataset
+        from deskmt.metrics import EvalContext
+        from deskmt.search import TrialConfig, run_trial, trial_mix
+        from deskmt.subword import encode_dataset
+
+        assert main(["augment-st", "--model", "fwd.json", "--mono", "bundle/mono_src.txt",
+                     "--bpe", "bpe.txt", "--out", "roles_st.tsv"]) == EXIT_OK
+        assert main(["augment-bt", "--model", "bwd.json", "--mono", "bundle/mono_tgt.txt",
+                     "--bpe", "bpe.txt", "--out", "roles_bt.tsv"]) == EXIT_OK
+        assert main(["train", "--parallel", "bundle/parallel.tsv", "--dev", "bundle/dev.tsv",
+                     "--bpe", "bpe.txt", "--em-iterations", "2", "--lm-order", "2",
+                     "--beam", "2", "--swap", "--st", "roles_st.tsv",
+                     "--bt", "roles_bt.tsv", "--up-fwd", "3",
+                     "--out", "roles_bwd.json"]) == EXIT_OK
+
+        bpe = load_bpe("bpe.txt")
+
+        def reverse(path):
+            return swap_dataset(encode_dataset(load_corpus(path, "parallel"), bpe))
+
+        config = TrialConfig(em_iterations=2, lm_order=2, beam=2, up_fwd=3)
+        mix = trial_mix(config, reverse("bundle/parallel.tsv"),
+                        reverse("roles_bt.tsv"), reverse("roles_st.tsv"))
+        result = run_trial(config, mix, reverse("bundle/dev.tsv"),
+                           eval_ctx=EvalContext(bpe=bpe), src_lang="tgt", tgt_lang="src")
+        assert read_text("roles_bwd.json", "model") == tm.model_json(result.model)[0] + "\n"
+
     def test_augment_writes_provenance(self, workspace):
         assert main(["augment-st", "--model", "fwd.json", "--mono",
                      "bundle/mono_src.txt", "--bpe", "bpe.txt", "--out",

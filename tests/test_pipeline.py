@@ -495,3 +495,45 @@ class TestCrashSafety:
         run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt, bundle.dev,
                      run_dir, config)
         assert Path(manifest_path).read_bytes() == expected
+
+
+@pytest.fixture(scope="module")
+def parallel_only_run(tmp_path_factory):
+    bundle = tiny_bundle()
+    run_dir = str(tmp_path_factory.mktemp("parallel-only"))
+    run_pipeline(bundle.parallel, None, None, bundle.dev, run_dir,
+                 tiny_config(iterations=2))
+    return Path(run_dir, "manifest.json").read_bytes()
+
+
+class TestResumeAtEveryStageBoundary:
+    """A run that dies right after a stage is recorded resumes from the
+    restored stage state to the manifest of a run that never stopped."""
+
+    @pytest.mark.parametrize("stage", ["setup", "init", "iter1"])
+    @pytest.mark.parametrize("pools", ["mono", "parallel-only"])
+    def test_crash_after_stage_resumes_to_same_manifest(
+            self, finished_run, parallel_only_run, tmp_path, monkeypatch, stage, pools):
+        bundle, config, ref_dir, _ = finished_run
+        if pools == "mono":
+            mono = (bundle.mono_src, bundle.mono_tgt)
+            expected = Path(ref_dir, "manifest.json").read_bytes()
+        else:
+            mono = (None, None)
+            expected = parallel_only_run
+        run_dir = str(tmp_path / "r")
+        mark_completed = PipelineManifest.mark_completed
+
+        def crash_after(manifest, name):
+            mark_completed(manifest, name)
+            if name == stage:
+                raise _Crash(f"simulated crash after {name}")
+
+        with monkeypatch.context() as m:
+            m.setattr(PipelineManifest, "mark_completed", crash_after)
+            with pytest.raises(_Crash):
+                run_pipeline(bundle.parallel, *mono, bundle.dev, run_dir, config)
+        assert read_json(os.path.join(run_dir, "manifest.json"),
+                         "manifest")["stages_completed"][-1] == stage
+        run_pipeline(bundle.parallel, *mono, bundle.dev, run_dir, config)
+        assert Path(run_dir, "manifest.json").read_bytes() == expected

@@ -29,6 +29,7 @@ from deskmt.search import (
     trial_mix,
 )
 from deskmt.tm import em_train, translate_corpus
+from test_tm import reference_marginal
 
 
 def parallel(seed, n_pairs=16, vocab=4):
@@ -183,8 +184,7 @@ class TestRunTrial:
         ds = parallel(4, n_pairs=6)
         model = em_train(build_mix([ds]), 2, lm_weight=0.5)
         from deskmt.lm import logprob
-        from deskmt.tm import forward_marginal
-        total = sum(forward_marginal(model, s, t) + 0.5 * logprob(model.lm, t)
+        total = sum(reference_marginal(model, s, t) + 0.5 * logprob(model.lm, t)
                     for s, t in ds.pairs)
         tokens = sum(len(t) + 1 for _, t in ds.pairs)
         assert dev_perplexity(model, ds) == pytest.approx(math.exp(-total / tokens))
