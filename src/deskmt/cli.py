@@ -234,7 +234,7 @@ def cmd_rerank(args) -> int:
     channel = _load_models(args.channel_model)
     lm = _load_lm(args.lm)
     weights = NoisyChannelWeights(args.lambda1, args.lambda2)
-    out = [rerank.rerank(nb, channel, lm, weights) for nb in lists]
+    out = rerank.rerank(lists, channel, lm, weights)
     rerank.write_nbest_file(out, args.out)
     print(f"reranked {len(out)} lists -> {args.out}")
     return EXIT_OK

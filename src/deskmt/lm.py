@@ -9,14 +9,29 @@ counts token events only; the end-of-sentence marker is part of the
 vocabulary and is scored context-free from its unigram (pure smoothing)
 estimate, which keeps log-probabilities strictly decreasing under extension.
 
-Caches, each capped at `_CACHE_CAP` entries and cleared when full:
+Counts live in sorted arrays over a context trie. Level j (1..order) counts
+words after contexts of length j - 1. The root, the empty context of level
+1, is node 0; a context of length j is the child of its newest j - 1 tokens'
+node under its oldest token c, with key node * B + c, where B = |S| + 1 so
+that the context-only BOS id |S| fits. A level's nodes are numbered by the
+rank of their keys, so keys stay below (number of contexts) * B. Per level:
 
-- `NGramLM._prob_cache`: (level, context ids) -> row of P_level, for levels
-  below `order` only. Many top-order contexts back off to each of these rows.
-  A top-order row is computed on request and not kept.
-- `_term_cache` (both classes): (history, token) -> the log term of
-  `logprob`. A miss computes the top-order probability of that one token
-  with the scalar form of the row recurrence, so no row is built.
+- `_count_keys`: sorted node * B + word keys; `_count_vals`: their counts,
+  then 0.0, the count of any absent key;
+- `_totals`: each node's total count, then 0.0 for an absent context;
+- `_child_keys` (levels below `order`): the keys of the next level's nodes.
+
+`logprobs` scores many sentences in one pass: each level of the recurrence
+runs once over every token, by key lookups in these arrays.
+
+Rows are computed in batches, one array operation per level for all the
+contexts a call asks for. Caches, each cleared before it would pass
+`_CACHE_CAP` entries:
+
+- `NGramLM._prob_cache`: (level, context ids) -> (row of P_level, the
+  context's node), for levels below `order` only. Many top-order contexts
+  back off to each of these rows. A top-order row is computed on request and
+  not kept.
 - `_scorer_rows` (both classes): symbol tuple -> (index, rows), where rows
   maps a token context to `cond_logprobs_at(context, index)`. Every
   `scorer_for` the same symbols returns a `_Scorer` over these shared rows,
@@ -44,7 +59,10 @@ class NGramLM:
     """Add-k interpolated n-gram model over a fixed symbol inventory."""
 
     def __init__(self, order: int, k: float, vocab: tuple[str, ...],
-                 counts: list[dict], totals: list[dict], token_total: float):
+                 events: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                 token_total: float):
+        """`events[j]` holds the counts of level j + 1 as (history, word,
+        count) rows; history[:, d - 1] is the id of the token d back."""
         self.order = order
         self.k = k
         self.vocab = vocab                      # observed tokens + EOS, sorted
@@ -53,19 +71,43 @@ class NGramLM:
         self.unk_id = len(self.syms) - 1
         self.eos_id = self.sym_id[EOS]
         self.bos_id = len(self.syms)            # context-only marker
-        self.counts = counts                    # per level: ctx ids -> {word id: count}
-        self.totals = totals                    # per level: ctx ids -> total count
         self.token_total = token_total
+        self._width = len(self.syms) + 1
+        self._context_id = dict(self.sym_id)
+        self._context_id[BOS] = self.bos_id
+        self._count_tables(events)
         self._prob_cache: dict = {}
-        self._term_cache: dict = {}
         self._scorer_rows: dict = {}
         self._uniform = np.full(len(self.syms), 1.0 / len(self.syms))
         self.interp_alpha = 0.0
         self.eos_logprob = float(np.log(self.eos_prob()))
 
+    def _count_tables(self, events) -> None:
+        """Build the trie tables; repeated (context, word) rows add up in row order."""
+        width = self._width
+        nodes = [np.zeros(len(words), dtype=np.int64) for _, words, _ in events]
+        self._child_keys = []
+        for level in range(1, self.order):
+            # the contexts of length `level`: every row's context cut to it
+            keys = [nodes[j] * width + events[j][0][:, level - 1]
+                    for j in range(level, self.order)]
+            level_keys = np.unique(np.concatenate(keys))
+            self._child_keys.append(level_keys)
+            for j, key in zip(range(level, self.order), keys):
+                nodes[j] = level_keys.searchsorted(key)
+        self._count_keys, self._count_vals, self._totals = [], [], []
+        for j, (_, words, counts) in enumerate(events):
+            keys, at = np.unique(nodes[j] * width + words, return_inverse=True)
+            size = self._child_keys[j - 1].size if j else 1
+            self._count_keys.append(keys)
+            self._count_vals.append(np.append(np.bincount(at, counts, keys.size), 0.0))
+            self._totals.append(np.append(np.bincount(nodes[j], counts, size), 0.0))
+        if not all(np.isfinite(totals).all() for totals in self._totals):
+            raise DataError("the counts of a context sum past the float range")
+
     def eos_prob(self) -> float:
         """Unigram (context-free) end-of-sentence probability."""
-        return float(self._probs_level(1, ())[self.eos_id])
+        return float(self._rows(1, [()])[0][0, self.eos_id])
 
     def id_or_unk(self, token: str) -> int:
         return self.sym_id.get(token, self.unk_id)
@@ -78,60 +120,73 @@ class NGramLM:
             ids = (self.bos_id,) * (self.order - 1 - len(ids)) + ids
         return ids
 
-    def _probs_level(self, level: int, ctx: tuple[int, ...]) -> np.ndarray:
-        """Row of P_level(. | ctx); kept in `_prob_cache` for levels below `order`."""
+    def _lower_rows(self, level: int, ctxs: list[tuple[int, ...]]) -> list:
+        """(row of P_level(. | ctx), ctx's node) of every ctx, for a level
+        below `order`; kept in `_prob_cache`."""
         if level == 0:
-            return self._uniform
-        key = (level, ctx)
-        cached = self._prob_cache.get(key)
-        if cached is not None:
-            return cached
-        lower = self._probs_level(level - 1, ctx[1:])
+            return [(self._uniform, 0)] * len(ctxs)
+
+        def compute(keys):
+            rows, nodes = self._rows(level, [ctx for _, ctx in keys])
+            return zip(rows, nodes.tolist())
+
+        return _cached(self._prob_cache, [(level, ctx) for ctx in ctxs], compute)
+
+    def _rows(self, level: int, ctxs: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of P_level(. | ctx) for every ctx, one per row of an array,
+        and the contexts' nodes; the rows they back off to come from
+        `_lower_rows`."""
+        lower = self._lower_rows(level - 1, [ctx[1:] for ctx in ctxs])
+        nodes = np.array([node for _, node in lower], dtype=np.int64)
+        if level > 1:  # extend each context by its oldest token
+            nodes = _find(self._child_keys[level - 2],
+                          nodes * self._width + np.array([ctx[0] for ctx in ctxs]))
+        # each node's counts: the run of keys from node * B up to (node + 1) * B
+        keys = self._count_keys[level - 1]
+        start = keys.searchsorted(nodes * self._width)
+        counts = keys.searchsorted((nodes + 1) * self._width) - start
+        at = np.arange(counts.sum()) + np.repeat(start - counts.cumsum() + counts, counts)
+        owner = np.repeat(np.arange(len(ctxs)), counts)
         ks = self.k * len(self.syms)
-        level_counts = self.counts[level - 1].get(ctx)
-        total = self.totals[level - 1].get(ctx, 0.0)
-        if level_counts is None:
-            vec = (ks * lower) / (total + ks)
-        else:
-            vec = ks * lower
-            for wid, c in level_counts.items():
-                vec[wid] += c
-            vec /= total + ks
-        if level < self.order:
-            if len(self._prob_cache) > _CACHE_CAP:
-                self._prob_cache.clear()
-            self._prob_cache[key] = vec
-        return vec
+        rows = ks * np.array([row for row, _ in lower])
+        rows[owner, keys[at] - nodes[owner] * self._width] += self._count_vals[level - 1][at]
+        rows /= (self._totals[level - 1][nodes] + ks)[:, None]
+        return rows, nodes
 
-    def _token_prob(self, history: tuple[str, ...], token: str) -> float:
-        """cond_probs(history) at `token`, without building the row.
+    def _token_probs(self, tokens: list[str], lengths: np.ndarray) -> np.ndarray:
+        """P(token | history) of every token of sentences laid end to end.
 
-        The scalar form of `_probs_level`'s recurrence, in its operation
-        order, so the value equals the row's element bit for bit.
+        `_rows`' recurrence at one element per token, run level by level
+        over all tokens at once in its operation order, so each value equals
+        the row's element bit for bit.
         """
-        ctx = self._ctx_ids(history)
-        wid = self.id_or_unk(token)
-        level = self.order
+        get, unk, bos = self._context_id.get, self.unk_id, self.bos_id
+        ctx = np.array([get(t, unk) for t in tokens], dtype=np.int64)
+        word = np.where(ctx == bos, self.id_or_unk(BOS), ctx)
+        node = np.zeros(len(tokens), dtype=np.int64)
+        prob = np.full(len(tokens), self._uniform[0])
         ks = self.k * len(self.syms)
-        p = ks * float(self._probs_level(level - 1, ctx[1:])[wid])
-        level_counts = self.counts[level - 1].get(ctx)
-        if level_counts is not None and wid in level_counts:
-            p += level_counts[wid]
-        return p / (self.totals[level - 1].get(ctx, 0.0) + ks)
+        for level in range(self.order):
+            if level:  # extend each context by the token `level` back
+                node = _find(self._child_keys[level - 1],
+                             node * self._width + _back(ctx, lengths, level, bos))
+            count = self._count_vals[level][_find(self._count_keys[level],
+                                                  node * self._width + word)]
+            prob = (ks * prob + count) / (self._totals[level][node] + ks)
+        return prob
+
+    def _log_terms(self, tokens: list[str], lengths: np.ndarray) -> np.ndarray:
+        return np.log(self._token_probs(tokens, lengths))
 
     def cond_probs(self, context: tuple[str, ...]) -> np.ndarray:
         """Conditional distribution over the prediction space, given token context."""
-        return self._probs_level(self.order, self._ctx_ids(context))
+        return self._top_rows([context])[0]
+
+    def _top_rows(self, contexts: list[tuple[str, ...]]) -> np.ndarray:
+        return self._rows(self.order, [self._ctx_ids(c) for c in contexts])[0]
 
     def cond_logprobs(self, context: tuple[str, ...]) -> np.ndarray:
         return np.log(self.cond_probs(context))
-
-    def logprob(self, sentence: Sentence) -> float:
-        """Natural-log probability of the sentence, including end-of-sentence."""
-        return _sum_terms(self, sentence)
-
-    def _term(self, history: tuple[str, ...], token: str) -> float:
-        return float(np.log(self._token_prob(history, token)))
 
     def symbol_index(self, symbols: tuple[str, ...]) -> np.ndarray:
         """Prediction-space ids of `symbols`; unknown symbols map to <unk>."""
@@ -139,37 +194,45 @@ class NGramLM:
 
     def cond_logprobs_at(self, context: tuple[str, ...], index: np.ndarray) -> np.ndarray:
         """cond_logprobs(context) gathered at a `symbol_index`."""
-        return self.cond_logprobs(context)[index]
+        return self._logprob_rows([context], index)[0]
+
+    def _logprob_rows(self, contexts: list[tuple[str, ...]], index: np.ndarray) -> np.ndarray:
+        return np.log(self._top_rows(contexts))[:, index]
 
     def scorer_for(self, symbols: tuple[str, ...]) -> "_Scorer":
         """A scorer over the rows this LM caches for `symbols`."""
         return _Scorer(self, symbols)
 
 
-def _sum_terms(model, sentence: Sentence) -> float:
-    """Sum of the per-token log terms plus end-of-sentence, left to right.
+def _cached(cache: dict, keys: list, compute) -> list:
+    """cache[key] of every key; the missing values come from one
+    `compute(missing keys)` call. A cache that would pass `_CACHE_CAP`
+    entries is cleared first."""
+    values = [cache.get(key) for key in keys]
+    missing = list(dict.fromkeys(k for k, v in zip(keys, values) if v is None))
+    if missing:
+        new = dict(zip(missing, compute(missing)))
+        if len(cache) + len(new) > _CACHE_CAP:
+            cache.clear()
+        cache.update(new)
+        values = [new[k] if v is None else v for k, v in zip(keys, values)]
+    return values
 
-    Each (history, token) term is memoized on the model; a miss computes it
-    with the model's scalar formula, so cached and uncached sums agree bit
-    for bit.
-    """
-    cache = model._term_cache
-    order = model.order
-    total = 0.0
-    history: tuple[str, ...] = ()
-    for token in sentence:
-        key = (history, token)
-        term = cache.get(key)
-        if term is None:
-            term = model._term(history, token)
-            if len(cache) > _CACHE_CAP:
-                cache.clear()
-            cache[key] = term
-        total += term
-        history = history + (token,)
-        if len(history) >= order:
-            history = history[len(history) - order + 1:]
-    return total + model.eos_logprob
+
+def _find(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Rank of each query in the sorted unique `keys`; keys.size where absent."""
+    at = keys.searchsorted(queries)
+    if keys.size:
+        at[keys[np.minimum(at, keys.size - 1)] != queries] = keys.size
+    return at
+
+
+def _back(ids: np.ndarray, lengths: np.ndarray, d: int, fill: int) -> np.ndarray:
+    """For sentences laid end to end: each token's id d tokens back, or
+    `fill` where that is before its sentence's start."""
+    at = np.arange(len(ids)) - d
+    start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return np.where(at >= start, ids[np.maximum(at, 0)], fill)
 
 
 class _Scorer:
@@ -186,15 +249,10 @@ class _Scorer:
             shared = lm._scorer_rows[symbols] = (lm.symbol_index(symbols), {})
         self._index, self._cache = shared
 
-    def logvec(self, context: tuple[str, ...]) -> np.ndarray:
-        vec = self._cache.get(context)
-        if vec is not None:
-            return vec
-        vec = self.lm.cond_logprobs_at(context, self._index)
-        if len(self._cache) > _CACHE_CAP:
-            self._cache.clear()
-        self._cache[context] = vec
-        return vec
+    def logvecs(self, contexts: list[tuple[str, ...]]) -> np.ndarray:
+        """The vector of every context, one per row."""
+        return np.array(_cached(self._cache, contexts,
+                                lambda missing: self.lm._logprob_rows(missing, self._index)))
 
 
 def train_lm(corpus: list[Sentence], order: int, k: float,
@@ -215,21 +273,16 @@ def train_lm(corpus: list[Sentence], order: int, k: float,
     sym_id = {s: i for i, s in enumerate(syms)}
     bos_id = len(syms)
 
-    counts: list[dict] = [{} for _ in range(order)]
-    totals: list[dict] = [{} for _ in range(order)]
     token_total = 0.0
     for sent, w in zip(corpus, weights):
-        ids = [sym_id[t] for t in sent]
-        token_total += w * len(ids)
-        padded = [bos_id] * (order - 1) + ids
-        for pos, wid in enumerate(ids):
-            end = pos + order - 1
-            for level in range(1, order + 1):
-                ctx = tuple(padded[end - (level - 1):end])
-                level_counts = counts[level - 1].setdefault(ctx, {})
-                level_counts[wid] = level_counts.get(wid, 0.0) + w
-                totals[level - 1][ctx] = totals[level - 1].get(ctx, 0.0) + w
-    return NGramLM(order, k, vocab, counts, totals, token_total)
+        token_total += w * len(sent)
+    lengths = np.array([len(sent) for sent in corpus], dtype=np.intp)
+    ids = np.array([sym_id[t] for sent in corpus for t in sent], dtype=np.int64)
+    counts = np.repeat(np.asarray(weights, dtype=np.float64), lengths)
+    history = np.column_stack([np.zeros((ids.size, 0), dtype=np.int64)]
+                              + [_back(ids, lengths, d, bos_id) for d in range(1, order)])
+    return NGramLM(order, k, vocab,
+                   [(history[:, :j], ids, counts) for j in range(order)], token_total)
 
 
 class InterpolatedLM:
@@ -247,17 +300,13 @@ class InterpolatedLM:
         self.k = base.k
         eos = (1.0 - alpha) * base.eos_prob() + alpha * indomain.eos_prob()
         self.eos_logprob = float(np.log(eos))
-        self._term_cache: dict = {}
         self._scorer_rows: dict = {}
 
-    def logprob(self, sentence: Sentence) -> float:
-        return _sum_terms(self, sentence)
-
-    def _term(self, history: tuple[str, ...], token: str) -> float:
+    def _log_terms(self, tokens: list[str], lengths: np.ndarray) -> np.ndarray:
         a = self.interp_alpha
-        pb = self.base._token_prob(history, token)
-        pi = self.indomain._token_prob(history, token)
-        return float(np.log((1.0 - a) * pb + a * pi))
+        pb = self.base._token_probs(tokens, lengths)
+        pi = self.indomain._token_probs(tokens, lengths)
+        return np.log((1.0 - a) * pb + a * pi)
 
     def symbol_index(self, symbols: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
         return self.base.symbol_index(symbols), self.indomain.symbol_index(symbols)
@@ -265,10 +314,14 @@ class InterpolatedLM:
     def cond_logprobs_at(self, context: tuple[str, ...],
                          index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """Log-probabilities at a `symbol_index`, mixed in probability space."""
+        return self._logprob_rows([context], index)[0]
+
+    def _logprob_rows(self, contexts: list[tuple[str, ...]],
+                      index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         base_idx, in_idx = index
         a = self.interp_alpha
-        pb = self.base.cond_probs(context)[base_idx]
-        pi = self.indomain.cond_probs(context)[in_idx]
+        pb = self.base._top_rows(contexts)[:, base_idx]
+        pi = self.indomain._top_rows(contexts)[:, in_idx]
         return np.log((1.0 - a) * pb + a * pi)
 
     def scorer_for(self, symbols: tuple[str, ...]) -> _Scorer:
@@ -278,15 +331,33 @@ class InterpolatedLM:
 LanguageModel = NGramLM | InterpolatedLM
 
 
+def logprobs(model: LanguageModel, sentences: list[Sentence]) -> np.ndarray:
+    """Natural-log probability of every sentence, including end-of-sentence.
+
+    Every token's log term comes from one pass over all the sentences; each
+    sentence then adds its terms left to right, then the end-of-sentence
+    term, so a sentence's score does not depend on the others.
+    """
+    lengths = np.array([len(s) for s in sentences], dtype=np.intp)
+    terms = model._log_terms([t for s in sentences for t in s], lengths)
+    grid = np.zeros((len(sentences), int(lengths.max(initial=0))))
+    grid[np.arange(grid.shape[1]) < lengths[:, None]] = terms
+    total = np.zeros(len(sentences))
+    for column in grid.T:
+        total += column
+    return total + model.eos_logprob
+
+
 def logprob(model: LanguageModel, sentence: Sentence) -> float:
-    return model.logprob(sentence)
+    """Natural-log probability of the sentence, including end-of-sentence."""
+    return float(logprobs(model, [sentence])[0])
 
 
 def perplexity(model: LanguageModel, corpus: list[Sentence]) -> float:
     """exp(-mean log-probability per token), tokens counted incl. EOS per sentence."""
     if not corpus:
         raise DataError("perplexity needs a non-empty corpus")
-    total = sum(model.logprob(s) for s in corpus)
+    total = sum(logprobs(model, corpus).tolist())
     n_tokens = sum(len(s) + 1 for s in corpus)
     return math.exp(-total / n_tokens)
 
@@ -307,6 +378,30 @@ def finetune_lm(base: NGramLM, in_domain: list[Sentence], alpha: float) -> Langu
 FORMAT_VERSION = 1
 
 
+def _counts_doc(model: NGramLM) -> list:
+    """Per level, [context ids oldest first, [(word id, count), ...]] of
+    every context that holds a count, in context then word order."""
+    width = model._width
+    history = np.zeros((1, 0), dtype=np.int64)   # the root's context
+    levels = []
+    for level in range(model.order):
+        if level:
+            keys = model._child_keys[level - 1]
+            history = np.column_stack((history[keys // width], keys % width))
+        keys = model._count_keys[level]
+        node = keys // width
+        held = np.unique(node)
+        contexts = history[held][:, ::-1]
+        by_context = np.lexsort(contexts.T[::-1]) if level else np.arange(held.size)
+        lo = node.searchsorted(held[by_context])
+        hi = node.searchsorted(held[by_context], "right")
+        words = (keys % width).tolist()
+        counts = model._count_vals[level].tolist()
+        levels.append([[ctx, list(zip(words[a:b], counts[a:b]))] for ctx, a, b in
+                       zip(contexts[by_context].tolist(), lo.tolist(), hi.tolist())])
+    return levels
+
+
 def lm_to_dict(model: LanguageModel) -> dict:
     if isinstance(model, InterpolatedLM):
         return {"version": FORMAT_VERSION, "kind": "interpolated",
@@ -317,16 +412,55 @@ def lm_to_dict(model: LanguageModel) -> dict:
         "order": model.order, "k": model.k,
         "vocab": list(model.vocab),
         "token_total": model.token_total,
-        "counts": [
-            [[list(ctx), sorted((wid, c) for wid, c in cdict.items())]
-             for ctx, cdict in sorted(level.items())]
-            for level in model.counts
-        ],
+        "counts": _counts_doc(model),
     }
 
 
+def _level_events(level: int, entries, n_syms: int):
+    """(history, word, count) rows of one level's `counts` entries, in
+    document order; ValueError for a malformed entry."""
+    if not isinstance(entries, list):
+        raise ValueError(f"level {level + 1} must be a list")
+    history, words, counts = [], [], []
+    seen = set()
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != 2 \
+                or not isinstance(entry[0], list) or not isinstance(entry[1], list):
+            raise ValueError(f"level {level + 1}: an entry must be [context, items]")
+        ctx, items = entry
+        if len(ctx) != level or not all(type(c) is int and 0 <= c <= n_syms for c in ctx):
+            raise ValueError(f"level {level + 1}: context {ctx!r} needs {level} ids "
+                             f"in [0, {n_syms}]")
+        if tuple(ctx) in seen:
+            raise ValueError(f"level {level + 1}: context {ctx!r} repeats")
+        seen.add(tuple(ctx))
+        backwards = ctx[::-1]
+        held = set()
+        for item in items:
+            if not isinstance(item, (list, tuple)) or len(item) != 2:
+                raise ValueError(f"level {level + 1}: an item must be [word id, count]")
+            wid, count = item
+            if type(wid) is not int or not 0 <= wid < n_syms or wid in held:
+                raise ValueError(f"level {level + 1}: word id {wid!r} is not a distinct "
+                                 f"id in [0, {n_syms})")
+            if type(count) not in (int, float) or not (math.isfinite(count) and count >= 0):
+                raise ValueError(f"level {level + 1}: count {count!r} is not a finite "
+                                 f"number >= 0")
+            held.add(wid)
+            history.append(backwards)
+            words.append(wid)
+            counts.append(count)
+    return (np.array(history, dtype=np.int64).reshape(len(words), level),
+            np.array(words, dtype=np.int64), np.array(counts, dtype=np.float64))
+
+
 def lm_from_dict(doc: dict) -> LanguageModel:
-    """Inverse of lm_to_dict; a malformed document raises DataError naming the key."""
+    """Inverse of lm_to_dict; a malformed document raises DataError naming the key.
+
+    Context ids lie in [0, |S|], |S| (BOS) allowed in contexts only; word
+    ids lie in [0, |S|); counts are finite and >= 0. A context listed
+    without counts scores as an unseen one and is not written back.
+    """
     what = "language model document"
     if not isinstance(doc, dict) or doc.get("version") != FORMAT_VERSION:
         raise DataError("unsupported LM serialization version")
@@ -345,19 +479,12 @@ def lm_from_dict(doc: dict) -> LanguageModel:
                         f"(order {order}, {len(levels)} levels)")
     if EOS not in vocab:
         raise DataError(f"{what}: key 'vocab' lacks {EOS}")
-    counts: list[dict] = []
-    totals: list[dict] = []
+    k = float(doc_field(doc, "k", NUMBER, what))
+    if not (k > 0 and math.isfinite(k * (len(vocab) + 1))):
+        raise DataError(f"{what}: key 'k' must be positive and finite, got {k!r}")
     try:
-        for level in levels:
-            level_counts = {}
-            level_totals = {}
-            for ctx, items in level:
-                cdict = {int(wid): float(c) for wid, c in items}
-                level_counts[tuple(ctx)] = cdict
-                level_totals[tuple(ctx)] = float(sum(cdict.values()))
-            counts.append(level_counts)
-            totals.append(level_totals)
-    except (TypeError, ValueError) as e:
+        events = [_level_events(j, level, len(vocab) + 1) for j, level in enumerate(levels)]
+    except ValueError as e:
         raise DataError(f"{what}: malformed key 'counts': {e}") from e
-    return NGramLM(order, float(doc_field(doc, "k", NUMBER, what)), vocab,
-                   counts, totals, float(doc_field(doc, "token_total", NUMBER, what)))
+    return NGramLM(order, k, vocab, events,
+                   float(doc_field(doc, "token_total", NUMBER, what)))

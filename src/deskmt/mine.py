@@ -11,8 +11,8 @@ over all URLs of the other side at once as padded code-point arrays: each DP
 row is an array minimum of the deletion and substitution moves followed by a
 running minimum for the insertions. Each document's token set is built once;
 the intersection sizes of all pairs come from one matmul of 0/1 token
-incidence matrices. In a matched document pair, each sentence of one side is
-scored against all sentences of the other with one batched channel call.
+incidence matrices. In a matched document pair, every sentence of one side
+is scored against every sentence of the other with one batched channel call.
 Distances and set sizes are exact integers, so every similarity is the same
 float the per-pair definitions `lev_sim` and `jaccard` give, and each
 sentence-pair score is the one `channel_scores` gives for that pair alone.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Sentence
-from .tm import LexModel, channel_scores
+from .tm import LexModel, pair_channel_scores
 from .util import DataError, read_text
 
 
@@ -175,9 +175,12 @@ def align_sentences(doc_a: WebDoc, doc_b: WebDoc, model: LexModel,
     The model scores doc_a sentences given doc_b sentences (its source side is
     doc_b's language); pairs below the floor are discarded.
     """
-    targets = list(doc_b.sentences)
-    scores = [[score / len(sa) for score in channel_scores(model, sa, targets)]
-              for sa in doc_a.sentences]
+    height, width = len(doc_a.sentences), len(doc_b.sentences)
+    flat = pair_channel_scores(model, list(doc_a.sentences), list(doc_b.sentences),
+                               np.arange(height).repeat(width),
+                               np.tile(np.arange(width), height)).tolist()
+    scores = [[score / len(sa) for score in flat[i * width:(i + 1) * width]]
+              for i, sa in enumerate(doc_a.sentences)]
     selected = greedy_match(scores, floor) if scores else []
     return [(doc_a.sentences[i], doc_b.sentences[j], scores[i][j])
             for i, j in selected]

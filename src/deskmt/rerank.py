@@ -5,20 +5,25 @@ channel term is the backward model's score of the source given the hypothesis
 and the lm term is the target language model score. Weights are tuned by
 uniform random search over [0, 3]^2 with the null pair (0, 0) always included,
 so reranking can never lose to plain beam search on the tuning set.
+
+Both work on batches of lists held as flat arrays: one
+`tm.pair_channel_scores` call and one `lm.logprobs` call score every entry
+of a batch, each score being the one its entry gets alone. `rerank` orders
+a batch with one stable sort; `tune_lambdas` recombines the dev batch's
+arrays for every trial.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import TaggedDataset
-from .lm import LanguageModel, logprob
+from .lm import LanguageModel, logprobs
 from .metrics import STATS_WIDTH, bleu_from_stats, references_of, surface_of
-from .tm import LexModel, NBestEntry, NBestList, channel_scores, translate_corpus
+from .tm import LexModel, NBestEntry, NBestList, pair_channel_scores, translate_corpus
 from .util import DataError, read_text, write_text_atomic
 
 LAMBDA_MAX = 3.0
@@ -49,40 +54,47 @@ class RerankContext:
     weights: NoisyChannelWeights = NULL_WEIGHTS
     nbest: int = DEFAULT_NBEST
 
-    def rerank(self, nbest: NBestList) -> NBestList:
-        return rerank(nbest, self.channel_model, self.lm, self.weights)
+    def rerank(self, lists: list[NBestList]) -> list[NBestList]:
+        return rerank(lists, self.channel_model, self.lm, self.weights)
 
 
-def combined_score(fwd: float, channel: float, lm: float,
-                   w: NoisyChannelWeights) -> float:
-    if not (math.isfinite(fwd) and math.isfinite(channel) and math.isfinite(lm)):
-        raise DataError("combined_score needs finite component scores")
-    return fwd + w.lambda1 * channel + w.lambda2 * lm
+def _components(lists: list[NBestList], backward: LexModel,
+                lm: LanguageModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fwd, channel and lm scores of every entry of `lists`, list after
+    list; DataError unless all are finite."""
+    hyps = [e.hyp for nb in lists for e in nb.entries]
+    fwd = np.array([e.fwd for nb in lists for e in nb.entries], dtype=np.float64)
+    source_at = np.repeat(np.arange(len(lists)), [len(nb.entries) for nb in lists])
+    channel = pair_channel_scores(backward, [nb.source for nb in lists], hyps,
+                                  source_at, np.arange(len(hyps)))
+    lm_score = logprobs(lm, hyps)
+    if not (np.isfinite(fwd).all() and np.isfinite(channel).all()
+            and np.isfinite(lm_score).all()):
+        raise DataError("reranking needs finite component scores")
+    return fwd, channel, lm_score
 
 
-def fill_scores(nbest: NBestList, backward: LexModel, lm: LanguageModel) -> NBestList:
-    """Score the channel and lm slots of every entry with the given models,
-    replacing any scores the entries already hold.
+def rerank(lists: list[NBestList], backward: LexModel, lm: LanguageModel,
+           w: NoisyChannelWeights) -> list[NBestList]:
+    """Every list re-sorted by combined score, descending; ties keep prior order.
 
-    The channel scores come from one batched `channel_scores` call; each
-    equals the score of its entry scored alone.
+    The channel and lm slots are (re)scored and `combined` is set. All
+    entries are ordered by one stable sort on (list, -combined), so a list
+    comes out as it would reranked alone.
     """
-    channel = channel_scores(backward, nbest.source, [e.hyp for e in nbest.entries])
-    return NBestList(source=nbest.source,
-                     entries=[replace(e, channel=ch, lm=logprob(lm, e.hyp))
-                              for e, ch in zip(nbest.entries, channel)])
-
-
-def rerank(nbest: NBestList, backward, lm: LanguageModel,
-           w: NoisyChannelWeights) -> NBestList:
-    """Re-sort candidates by combined score, descending; ties keep prior order."""
-    if not nbest.entries:
+    if not all(nb.entries for nb in lists):
         raise DataError("cannot rerank an empty n-best list")
-    scored = fill_scores(nbest, backward, lm)
-    entries = [replace(e, combined=combined_score(e.fwd, e.channel, e.lm, w))
-               for e in scored.entries]
-    entries.sort(key=lambda e: -e.combined)  # stable: ties keep beam order
-    return NBestList(source=nbest.source, entries=entries)
+    fwd, channel, lm_score = _components(lists, backward, lm)
+    combined = fwd + w.lambda1 * channel + w.lambda2 * lm_score
+    sizes = [len(nb.entries) for nb in lists]
+    order = np.lexsort((-combined, np.repeat(np.arange(len(lists)), sizes))).tolist()
+    entries = [e for nb in lists for e in nb.entries]
+    channel, lm_score, combined = channel.tolist(), lm_score.tolist(), combined.tolist()
+    ranked = [NBestEntry(hyp=entries[k].hyp, fwd=entries[k].fwd, channel=channel[k],
+                         lm=lm_score[k], combined=combined[k]) for k in order]
+    ends = np.cumsum(sizes).tolist()
+    return [NBestList(source=nb.source, entries=ranked[end - size:end])
+            for nb, size, end in zip(lists, sizes, ends)]
 
 
 def sample_weights(trials: int, seed: int) -> list[NoisyChannelWeights]:
@@ -116,29 +128,24 @@ def tune_lambdas(dev: TaggedDataset, forward, backward, lm: LanguageModel,
     if not dev.pairs:
         raise DataError("tuning needs a non-empty dev set")
     lists = translate_corpus(forward, [src for src, _ in dev.pairs], nbest)
-    lists = [fill_scores(nb, backward, lm) for nb in lists]
     surface = surface_of(eval_ctx)
     refs = references_of(dev, eval_ctx)
 
-    components = [(e.fwd, e.channel, e.lm) for nb in lists for e in nb.entries]
-    if not np.isfinite(components).all():
-        raise DataError("combined_score needs finite component scores")
     # one row per list; padding (fwd -inf) never wins the argmax
-    width = max(len(nb.entries) for nb in lists)
-    fwd = np.full((len(lists), width), -np.inf)
-    channel = np.zeros((len(lists), width))
-    lm_score = np.zeros((len(lists), width))
-    for i, nb in enumerate(lists):
-        for j, e in enumerate(nb.entries):
-            fwd[i, j], channel[i, j], lm_score[i, j] = e.fwd, e.channel, e.lm
+    sizes = np.array([len(nb.entries) for nb in lists])
+    held = np.arange(sizes.max()) < sizes[:, None]
+    fwd = np.full(held.shape, -np.inf)
+    channel = np.zeros(held.shape)
+    lm_score = np.zeros(held.shape)
+    fwd[held], channel[held], lm_score[held] = _components(lists, backward, lm)
 
-    stats = np.zeros((len(lists), width, STATS_WIDTH), dtype=np.int64)
-    known = np.zeros((len(lists), width), dtype=bool)
+    stats = np.zeros(held.shape + (STATS_WIDTH,), dtype=np.int64)
+    known = np.zeros(held.shape, dtype=bool)
     rows = np.arange(len(lists))
     best_weights = None
     best_bleu = -1.0
     for w in sample_weights(trials, seed):
-        # same operation order as combined_score, so the argmax is the same
+        # same operation order as rerank's, so the argmax is the same
         picks = (fwd + w.lambda1 * channel + w.lambda2 * lm_score).argmax(axis=1)
         for i in np.flatnonzero(~known[rows, picks]).tolist():
             j = int(picks[i])

@@ -15,11 +15,13 @@ import math
 import random
 from dataclasses import asdict, dataclass, replace
 
+import numpy as np
+
 from .corpus import DataMix, TaggedDataset, build_mix
 from .ensemble import Ensemble
-from .lm import finetune_lm, logprob, train_lm
+from .lm import finetune_lm, logprobs, train_lm
 from .metrics import EvalContext, bleu, references_of, surface_of
-from .tm import EMTrainer, LexModel, channel_scores, model_hash, translate_corpus
+from .tm import EMTrainer, LexModel, model_hash, pair_channel_scores, translate_corpus
 from .util import NUMBER, DataError, doc_field, read_json, write_text_atomic
 
 DEFAULT_TRIALS = 30
@@ -141,13 +143,16 @@ def dev_perplexity(model: LexModel, dev: TaggedDataset) -> float:
     counted including end-of-sentence. The marginal ln P(tgt | src) is the
     channel score of `tgt` given the hypothesis `src`.
     """
+    sources = [src for src, _ in dev.pairs]
+    targets = [tgt for _, tgt in dev.pairs]
+    each = np.arange(len(dev.pairs))
+    channel = pair_channel_scores(model, targets, sources, each, each)
+    lm_score = logprobs(model.lm, targets)
     total = 0.0
-    n_tokens = 0
-    for src, tgt in dev.pairs:
-        total += channel_scores(model, tgt, [src])[0]
-        total += model.lm_weight * logprob(model.lm, tgt)
-        n_tokens += len(tgt) + 1
-    return math.exp(-total / n_tokens)
+    for ch, lp in zip(channel.tolist(), lm_score.tolist()):
+        total += ch
+        total += model.lm_weight * lp
+    return math.exp(-total / sum(len(tgt) + 1 for tgt in targets))
 
 
 def dev_bleu(model, dev: TaggedDataset, *, eval_ctx: EvalContext | None = None,

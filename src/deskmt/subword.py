@@ -12,8 +12,8 @@ that hold it, and a merge re-counts only the words that held the merged pair.
 The next merge comes from a heap of (-count, pair) whose stale entries are
 skipped, so it is the most frequent pair with ties broken toward the
 lexicographically smallest (left, right), exactly what a full recount and
-`min(counts, key=lambda p: (-counts[p], p))` would pick. Encoding a dataset
-segments each distinct word once.
+`min(counts, key=lambda p: (-counts[p], p))` would pick. A model segments
+each distinct word once and keeps its pieces for every later encode.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ class BpeModel:
     reserved: frozenset[str] = DEFAULT_RESERVED
     # initial character inventory plus one entry per merge, in learned order
     symbols: tuple[str, ...] = field(default=(), compare=False)
+    # word -> its encoded pieces, filled by every encode with this model
+    _pieces: dict[str, Sentence] = field(default_factory=dict, init=False,
+                                         compare=False, repr=False)
 
     def inventory_size(self) -> int:
         return len(self.symbols)
@@ -133,8 +136,13 @@ def learn_bpe(corpus: list[Sentence], vocab_size: int, *,
                     joiner=joiner, reserved=reserved, symbols=tuple(symbols))
 
 
-def _encode(sentence: Sentence, model: BpeModel, memo: dict[str, Sentence]) -> Sentence:
-    """`encode`, looking each word's pieces up in `memo` before segmenting it."""
+def encode(sentence: Sentence, model: BpeModel) -> Sentence:
+    """Segment each token into subword pieces; continuation pieces carry the joiner.
+
+    Each distinct word is segmented once per model: its pieces are kept on
+    the model for every later encode.
+    """
+    memo = model._pieces
     out: list[str] = []
     for token in sentence:
         if token in model.reserved:
@@ -147,11 +155,6 @@ def _encode(sentence: Sentence, model: BpeModel, memo: dict[str, Sentence]) -> S
                                                          for p in pieces[1:])
         out.extend(encoded)
     return tuple(out)
-
-
-def encode(sentence: Sentence, model: BpeModel) -> Sentence:
-    """Segment each token into subword pieces; continuation pieces carry the joiner."""
-    return _encode(sentence, model, {})
 
 
 def decode(sentence: Sentence, model: BpeModel, policy: str = POLICY_SPACED) -> str:
@@ -169,16 +172,11 @@ def decode(sentence: Sentence, model: BpeModel, policy: str = POLICY_SPACED) -> 
 
 
 def encode_dataset(ds: TaggedDataset, model: BpeModel) -> TaggedDataset:
-    """Encode every sentence of a TaggedDataset (both sides of parallel data).
-
-    Each distinct word is segmented once per call.
-    """
-    memo: dict[str, Sentence] = {}
+    """Encode every sentence of a TaggedDataset (both sides of parallel data)."""
     if ds.side == SIDE_PARALLEL:
-        pairs = tuple((_encode(s, model, memo), _encode(t, model, memo))
-                      for s, t in ds.pairs)
-        return replace(ds, pairs=pairs)
-    return replace(ds, sentences=tuple(_encode(s, model, memo) for s in ds.sentences))
+        return replace(ds, pairs=tuple((encode(s, model), encode(t, model))
+                                       for s, t in ds.pairs))
+    return replace(ds, sentences=tuple(encode(s, model) for s in ds.sentences))
 
 
 FORMAT_VERSION = 1

@@ -1,7 +1,7 @@
 """Lexical translation models: IBM-Model-1 EM training, a windowed monotone
 beam decoder producing n-best lists, the corpus decoder `translate_corpus`
 that every decode in the package goes through, and channel scoring of
-sentence pairs.
+sentence pairs in batches (`pair_channel_scores`).
 
 The decoder emits one target symbol per source position; at target step i it
 may consume any unconsumed source position j with |j - i| <= window, so a
@@ -226,7 +226,7 @@ def _group_pairs(pairs, src_id, tgt_id):
     return groups
 
 
-_EM_CHUNK = 400_000  # max gathered elements per batch, keeps memory bounded
+_GATHER_CHUNK = 400_000  # max gathered elements per batch, keeps memory bounded
 
 
 def _em_iteration(t: np.ndarray, groups) -> tuple[np.ndarray, float]:
@@ -234,7 +234,7 @@ def _em_iteration(t: np.ndarray, groups) -> tuple[np.ndarray, float]:
     counts = np.zeros(ns * nt)
     ll = 0.0
     for ls, lt, S, T, W in groups:
-        rows_per_chunk = max(1, _EM_CHUNK // ((ls + 1) * lt))
+        rows_per_chunk = max(1, _GATHER_CHUNK // ((ls + 1) * lt))
         for lo in range(0, S.shape[0], rows_per_chunk):
             s = S[lo:lo + rows_per_chunk]
             tg = T[lo:lo + rows_per_chunk]
@@ -272,8 +272,11 @@ def translate_corpus(model: LexModel, sources: list[Sentence], nbest: int, *,
                      rerank_ctx=None) -> list[NBestList]:
     """n-best lists of every source, in source order.
 
-    Every token of a source is translated. With a `rerank_ctx` (a `rerank.RerankContext`), the lists hold
-    `rerank_ctx.nbest` entries and come back reranked by it.
+    Every token of a source is translated. With a `rerank_ctx` (a
+    `rerank.RerankContext`), the lists hold `rerank_ctx.nbest` entries and
+    come back reranked by it, one `rerank_ctx.rerank` call per decoded block,
+    which scores the block's entries in one pass; a list's order does not
+    depend on the block it is reranked in.
 
     Sources are decoded in blocks of max(1, `_DECODE_STATES` // width)
     sentences, width = max(model.beam, n), each beam step running once over
@@ -296,7 +299,7 @@ def translate_corpus(model: LexModel, sources: list[Sentence], nbest: int, *,
     lists = []
     for lo in range(0, len(sources), size):
         block = _decode_block(model, sources[lo:lo + size], width, nbest)
-        lists += block if rerank_ctx is None else [rerank_ctx.rerank(nb) for nb in block]
+        lists += block if rerank_ctx is None else rerank_ctx.rerank(block)
     return lists
 
 
@@ -377,8 +380,8 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
         rows_per_sent = np.bincount(row_sent, minlength=len(block))
         if not rows_per_sent[live].all():
             raise DataError("no admissible decoding path (window too small)")
-        lm_rows = np.array([scorer.logvec(tuple(c)) for c in
-                            ext_sym[emitted[group_first, c0:i - 1]].tolist()])
+        lm_rows = scorer.logvecs([tuple(c) for c in
+                                  ext_sym[emitted[group_first, c0:i - 1]].tolist()])
         lm_rows *= model.lm_weight
         # pool entry e extends state row_state[r] of the row r that holds it
         # by candidate entry cols[e], and scores
@@ -451,47 +454,58 @@ def _nbest_list(source: Sentence, beam: list, ext_vocab: tuple[str, ...],
                      entries=[NBestEntry(hyp=hyp, fwd=score) for hyp, score in ranked])
 
 
-def channel_scores(model: LexModel, x: Sentence, ys: list[Sentence]) -> list[float]:
-    """IBM1 marginal ln P(x | y) of every y under a model trained in the y->x
-    direction, as one gather per length of y:
+def pair_channel_scores(model: LexModel, xs: list[Sentence], ys: list[Sentence],
+                        x_at: np.ndarray, y_at: np.ndarray) -> np.ndarray:
+    """IBM1 marginal ln P(x | y) of every pair (xs[x_at[k]], ys[y_at[k]])
+    under a model trained in the y->x direction, as one gather per (|y|, |x|)
+    shape:
 
-        sum_j ln( (1/(l+1)) * sum_{i=0..l} t(x_j | y_i) ),  l = |y|, index 0 = NULL.
+        sum_j ln max( (1/(l+1)) * sum_{i=0..l} t_ext(y_i, x_j), unk_floor ),
 
-    Unknown symbols look up at the floor probability; each position's inner
-    marginal is also floored so the score stays finite. A score does not
-    depend on the other ys it is computed with.
+    l = |y|, y index 0 = NULL. Unknown symbols look up at the floor
+    probability; each position's inner marginal is also floored so the score
+    stays finite. Each sentence is mapped to ids once; a gather holds at most
+    about `_GATHER_CHUNK` elements, and a score does not depend on the other
+    pairs it is computed with.
     """
-    if not x:
-        return [0.0] * len(ys)
-    by_len: dict[int, list[int]] = {}
-    for k, y in enumerate(ys):
-        by_len.setdefault(len(y), []).append(k)
-    out = [0.0] * len(ys)
-    for members in by_len.values():
-        values = _ibm1_marginals(model, [ys[k] for k in members], x)
-        for k, value in zip(members, values.tolist()):
-            out[k] = value
+    ns, nt = model.t.shape
+    x_ids, x_start, x_len = _ids_end_to_end(xs, model.tgt_id, nt)
+    y_ids, y_start, y_len = _ids_end_to_end(ys, model.src_id, ns)
+    t_ext = model._t_ext()
+    out = np.zeros(len(x_at))
+    base = int(x_len.max(initial=0)) + 1
+    shapes, group = np.unique(y_len[y_at] * base + x_len[x_at], return_inverse=True)
+    for shape, members in zip(shapes.tolist(), _members(group, len(shapes))):
+        l, m = divmod(shape, base)
+        step = max(1, _GATHER_CHUNK // ((l + 1) * max(m, 1)))
+        for lo in range(0, members.size, step):
+            chunk = members[lo:lo + step]
+            rows = np.zeros((chunk.size, l + 1), dtype=np.intp)   # column 0: NULL
+            rows[:, 1:] = y_ids[y_start[y_at[chunk]][:, None] + np.arange(l)]
+            cols = x_ids[x_start[x_at[chunk]][:, None] + np.arange(m)]
+            # sum / count is the mean bit for bit, without np.mean's call overhead
+            inner = t_ext[rows[:, :, None], cols[:, None, :]].sum(axis=1) / (l + 1)
+            out[chunk] = np.log(np.maximum(inner, model.unk_floor)).sum(axis=1)
     return out
 
 
-def _ibm1_marginals(model: LexModel, conds: list[Sentence], obs: Sentence) -> np.ndarray:
-    """IBM1 marginal ln P(obs | cond) for each of `conds`, which share one length l:
+def _ids_end_to_end(sentences: list[Sentence], ids: dict[str, int], unknown: int):
+    """(ids of all tokens laid end to end, each sentence's start, its length)."""
+    lengths = np.array([len(s) for s in sentences], dtype=np.intp)
+    flat = np.array([ids.get(tok, unknown) for s in sentences for tok in s], dtype=np.intp)
+    return flat, lengths.cumsum() - lengths, lengths
 
-        sum_j ln max( (1/(l+1)) * sum_{i=0..l} t_ext(cond_i, obs_j), unk_floor ),
 
-    with cond index 0 the NULL symbol, from one (E, l+1, |obs|) gather.
-    """
-    ns, nt = model.t.shape
-    src_id, tgt_id = model.src_id, model.tgt_id
-    ids = []
-    for cond in conds:
-        ids.append(0)
-        ids += [src_id.get(s, ns) for s in cond]
-    rows = np.array(ids, dtype=np.intp).reshape(len(conds), -1, 1)
-    cols = np.array([tgt_id.get(s, nt) for s in obs], dtype=np.intp)
-    # sum / count is the mean bit for bit, without np.mean's call overhead
-    inner = model._t_ext()[rows, cols].sum(axis=1) / rows.shape[1]
-    return np.log(np.maximum(inner, model.unk_floor)).sum(axis=1)
+def _members(group: np.ndarray, n_groups: int) -> list[np.ndarray]:
+    """Indices of each group's members, in ascending order."""
+    by_group = np.argsort(group, kind="stable")
+    return np.split(by_group, np.bincount(group, minlength=n_groups).cumsum()[:-1])
+
+
+def channel_scores(model: LexModel, x: Sentence, ys: list[Sentence]) -> list[float]:
+    """`pair_channel_scores` of x with every y: ln P(x | y) for each y."""
+    return pair_channel_scores(model, [x], ys, np.zeros(len(ys), dtype=np.intp),
+                               np.arange(len(ys))).tolist()
 
 
 FORMAT_VERSION = 1

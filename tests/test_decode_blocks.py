@@ -66,7 +66,7 @@ def reference_nbest(model, src, n):
                         row_start.append(g * cols + off[j] - c0)
                         row_len.append(off[j + 1] - off[j])
         win_ids = ids_all[c0:c0 + cols]
-        lm_rows = np.array([scorer.logvec(ctx) for ctx in by_ctx])[:, win_ids]
+        lm_rows = np.array([scorer.logvecs([ctx])[0] for ctx in by_ctx])[:, win_ids]
         step = (lex_all[c0:c0 + cols] + model.lm_weight * lm_rows).ravel()
         lens = np.array(row_len)
         ends = lens.cumsum()

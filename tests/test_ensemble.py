@@ -7,7 +7,7 @@ import pytest
 from deskmt.corpus import SIDE_PARALLEL, TaggedDataset, build_mix, swap_direction
 from deskmt.ensemble import DataError, Ensemble
 from deskmt.lm import train_lm
-from deskmt.rerank import fill_scores
+from deskmt.rerank import NULL_WEIGHTS, rerank
 from deskmt.tm import NULL, LexModel, em_train, translate_nbest
 
 
@@ -153,8 +153,8 @@ class TestEnsembleNbest:
         ens, hand = Ensemble(backward), hand_built(backward)
         for src, _ in mix.datasets[0].pairs[:6]:
             nb = translate_nbest(forward, src, 8)
-            got = entries(fill_scores(nb, ens, forward.lm))
-            assert got == entries(fill_scores(nb, hand, forward.lm))
+            got = entries(rerank([nb], ens, forward.lm, NULL_WEIGHTS)[0])
+            assert got == entries(rerank([nb], hand, forward.lm, NULL_WEIGHTS)[0])
             assert all(ch is not None for _, _, ch, _ in got)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from deskmt.lm import (
     lm_from_dict,
     lm_to_dict,
     logprob,
+    logprobs,
     perplexity,
     train_lm,
 )
@@ -222,7 +224,7 @@ class TestScorer:
         model = train_lm([("a", "b", "c")] * 6, order=2, k=0.3)
         symbols = ("a", "b", "c", "zz")
         scorer = model.scorer_for(symbols)
-        vec = scorer.logvec(("a",))
+        vec = scorer.logvecs([("a",)])[0]
         for i, sym in enumerate(symbols):
             expected = model.cond_logprobs(("a",))[model.id_or_unk(sym)]
             assert vec[i] == expected
@@ -247,22 +249,22 @@ def reference_logprob(model, sentence):
 _SCORER_SYMBOLS = ("a", "b", "e", "zz")
 
 
-class TestTermCache:
+class TestBatchScores:
     def models(self):
         rng = random.Random(51)
         vocab = ["a", "b", "c", "d"]
         base = train_lm(random_corpus(rng, vocab, 40), order=3, k=0.4)
         return [base, finetune_lm(base, random_corpus(rng, vocab + ["e"], 10), 0.3)]
 
-    def test_cached_sums_equal_uncached_reference(self):
+    def test_batch_sums_equal_row_reference(self):
         rng = random.Random(52)
         sents = random_corpus(rng, ["a", "b", "c", "d", "e", "zz"], 60, max_len=12)
         for model in self.models():
-            first = [logprob(model, s) for s in sents]
-            again = [logprob(model, s) for s in sents]    # all terms cached
-            assert first == again == [reference_logprob(model, s) for s in sents]
+            batch = logprobs(model, sents).tolist()
+            assert batch == [logprob(model, s) for s in sents]
+            assert batch == [reference_logprob(model, s) for s in sents]
 
-    def test_cache_stays_bounded(self, monkeypatch):
+    def test_row_caches_stay_bounded(self, monkeypatch):
         monkeypatch.setattr(lm_module, "_CACHE_CAP", 5)
         rng = random.Random(53)
         sents = random_corpus(rng, ["a", "b", "c", "d", "e"], 40)
@@ -273,13 +275,197 @@ class TestTermCache:
                 assert logprob(model, s) == reference_logprob(model, s)
                 ctx = s[-(model.order - 1):]
                 expected = model.cond_logprobs_at(ctx, model.symbol_index(_SCORER_SYMBOLS))
-                assert np.array_equal(scorer.logvec(ctx), expected)
-                assert len(model._term_cache) <= 6
+                assert np.array_equal(scorer.logvecs([ctx])[0], expected)
                 assert all(len(rows) <= 6 for _, rows in model._scorer_rows.values())
                 for part in parts:
                     assert len(part._prob_cache) <= 6
                     assert all(level < part.order for level, _ in part._prob_cache)
             assert all(part._prob_cache for part in parts)
+
+    def test_empty_batch(self):
+        for model in self.models():
+            assert logprobs(model, []).shape == (0,)
+            assert logprobs(model, [()]).tolist() == [model.eos_logprob]
+
+
+def scalar_counts(model):
+    """Per level, context ids -> {word id: count} and context ids -> total,
+    as the scalar scorer kept them, rebuilt from the model's document."""
+    counts = [{tuple(ctx): dict(items) for ctx, items in level}
+              for level in lm_to_dict(model)["counts"]]
+    totals = [{ctx: float(sum(c.values())) for ctx, c in level.items()} for level in counts]
+    return counts, totals
+
+
+def scalar_prob(model, tables, history, token, top=None):
+    """P_top(token | history) by the scalar recurrence, level by level; top
+    defaults to the model's order."""
+    counts, totals = tables
+    syms = len(model.syms)
+    bos = syms
+    ids = tuple(bos if t == "<s>" else model.sym_id.get(t, syms - 1) for t in history)
+    ctx = (((bos,) * model.order + ids)[len(ids) + 1:]) if model.order > 1 else ()
+    wid = model.sym_id.get(token, syms - 1)
+    ks = model.k * syms
+    prob = 1.0 / syms
+    for level in range(1, (top or model.order) + 1):
+        level_ctx = ctx[len(ctx) - (level - 1):] if level > 1 else ()
+        prob = ks * prob
+        count = counts[level - 1].get(level_ctx, {}).get(wid)
+        if count is not None:
+            prob += count
+        prob = prob / (totals[level - 1].get(level_ctx, 0.0) + ks)
+    return prob
+
+
+def scalar_logprob(model, sentence):
+    """The per-token scalar score the batch scorer replaces: each term is
+    np.log of the recurrence (mixed in probability space for an
+    interpolated model), summed left to right, then end-of-sentence."""
+    if isinstance(model, InterpolatedLM):
+        parts = [(model.base, scalar_counts(model.base)),
+                 (model.indomain, scalar_counts(model.indomain))]
+        a = model.interp_alpha
+
+        def term(history, token):
+            pb, pi = (scalar_prob(m, t, history, token) for m, t in parts)
+            return float(np.log((1.0 - a) * pb + a * pi))
+
+        eos = float(np.log((1.0 - a) * scalar_prob(model.base, parts[0][1], (), "</s>", 1)
+                           + a * scalar_prob(model.indomain, parts[1][1], (), "</s>", 1)))
+    else:
+        tables = scalar_counts(model)
+
+        def term(history, token):
+            return float(np.log(scalar_prob(model, tables, history, token)))
+
+        eos = float(np.log(scalar_prob(model, tables, (), "</s>", 1)))
+    total = 0.0
+    for at, token in enumerate(sentence):
+        # a unigram's history is cut to nothing, as in the row path
+        total += term(sentence[max(0, at - model.order + 1):at] if model.order > 1 else (),
+                      token)
+    return total + eos
+
+
+_SENTENCE_TOKENS = ("a", "b", "c", "d", "<s>", "</s>", "oov", "<unk>")
+
+
+class TestBatchEqualsScalarScores:
+    """`logprobs` equals the scalar per-token scorer bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(("a", "b", "c", "d", "<s>", "<unk>")),
+                             max_size=6).map(tuple), min_size=1, max_size=8),
+           st.integers(min_value=1, max_value=4), st.sampled_from([0.01, 0.3, 1.0, 7.5]),
+           st.lists(st.lists(st.sampled_from(_SENTENCE_TOKENS), max_size=7).map(tuple),
+                    min_size=1, max_size=12),
+           st.sampled_from([None, 0.0, 0.4, 1.0]))
+    def test_equals_scalar_reference(self, corpus, order, k, sentences, alpha):
+        model = train_lm(corpus, order, k, weights=[1 + i % 3 for i in range(len(corpus))])
+        if alpha is not None:
+            model = finetune_lm(model, [("b", "e"), ("e", "oov", "a")], alpha)
+        got = [v.hex() for v in logprobs(model, sentences).tolist()]
+        assert got == [scalar_logprob(model, s).hex() for s in sentences]
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("interpolated", [False, True])
+    def test_unknown_empty_and_end_marker(self, order, interpolated):
+        rng = random.Random(60 + order)
+        model = train_lm(random_corpus(rng, ["a", "b", "c"], 30), order, 0.3)
+        if interpolated:
+            model = finetune_lm(model, random_corpus(rng, ["b", "c", "d"], 8), 0.35)
+        sentences = [(), ("oov",), ("a", "</s>", "b"), ("</s>",), ("<s>", "a", "zz", "c"),
+                     ("a", "b", "c", "a", "b", "c", "a")]
+        got = [v.hex() for v in logprobs(model, sentences).tolist()]
+        assert got == [scalar_logprob(model, s).hex() for s in sentences]
+        assert got[0] == float(model.eos_logprob).hex()
+
+
+def batch_term(model, history, token):
+    """The log term `logprobs` gives `token` after `history`."""
+    tokens = list(history) + [token]
+    return float(model._log_terms(tokens, np.array([len(tokens)]))[-1])
+
+
+class TestMalformedCounts:
+    """`lm_from_dict` rejects bad ids and counts with a DataError naming 'counts'."""
+
+    def doc(self):
+        return lm_to_dict(train_lm([("a", "b"), ("b", "a", "a")], order=2, k=0.2))
+
+    @pytest.mark.parametrize("where, value", [
+        ("word", 1000000), ("word", 1.5), ("word", True), ("word", -1),
+        ("word", 4),   # |S| (BOS) is a context id only
+        ("context", 1000000), ("context", 1.5), ("context", True), ("context", -1),
+        ("count", -5.0), ("count", -1e308), ("count", float("inf")),
+        ("count", float("nan")), ("count", "2"), ("count", True),
+    ])
+    def test_bad_value_is_data_error(self, where, value):
+        doc = self.doc()
+        ctx, items = doc["counts"][1][0]
+        if where == "word":
+            items[0] = (value, items[0][1])
+        elif where == "context":
+            ctx[0] = value
+        else:
+            items[0] = (items[0][0], value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="'counts'"):
+                lm_from_dict(doc)
+
+    @pytest.mark.parametrize("level, ctx", [(0, [0]), (1, []), (1, [0, 1])])
+    def test_context_length_is_level_minus_one(self, level, ctx):
+        doc = self.doc()
+        doc["counts"][level][0][0] = ctx
+        with pytest.raises(DataError, match="'counts'"):
+            lm_from_dict(doc)
+
+    def test_repeated_context_or_word_is_data_error(self):
+        doc = self.doc()
+        doc["counts"][1].append(doc["counts"][1][0])
+        with pytest.raises(DataError, match="'counts'"):
+            lm_from_dict(doc)
+        doc = self.doc()
+        items = doc["counts"][0][0][1]
+        items.append(items[0])
+        with pytest.raises(DataError, match="'counts'"):
+            lm_from_dict(doc)
+
+    def test_overflowing_total_is_data_error(self):
+        doc = self.doc()
+        doc["counts"][0][0][1] = [(0, 1.5e308), (1, 1.5e308)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="counts"):
+                lm_from_dict(doc)
+
+    @pytest.mark.parametrize("k", [0, -0.5, float("inf"), 1e308])
+    def test_bad_k_is_data_error(self, k):
+        doc = self.doc()
+        doc["k"] = k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="'k'"):
+                lm_from_dict(doc)
+
+    def test_bos_context_and_zero_count_load(self):
+        doc = self.doc()
+        bos = len(doc["vocab"]) + 1
+        assert [bos] in [ctx for ctx, _ in doc["counts"][1]]
+        doc["counts"][1][0][1][0] = (doc["counts"][1][0][1][0][0], 0)
+        model = lm_from_dict(doc)
+        assert math.isfinite(logprob(model, ("a", "b")))
+
+    def test_context_without_counts_scores_as_unseen(self):
+        doc = self.doc()
+        listed = lm_from_dict(doc)
+        doc["counts"][1].append([[3], []])   # <unk> context, no counts
+        loaded = lm_from_dict(doc)
+        for sent in [("a", "zz", "b"), ("b",)]:
+            assert logprob(loaded, sent) == logprob(listed, sent)
+        assert lm_to_dict(loaded) == lm_to_dict(listed)
 
 
 # Tokens of the bit-identity properties: a literal "<s>" may occur in training
@@ -293,15 +479,16 @@ _orders = st.integers(min_value=1, max_value=4)
 _ks = st.sampled_from([0.01, 0.3, 1.0, 7.5])
 
 
-class TestScalarTerm:
-    """`_term` computes one top-order element; it equals the row's element bit for bit."""
+class TestBatchTerm:
+    """A token's batch log term equals the row's element bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(_corpora, _orders, _ks, _histories, st.sampled_from(_QUERIES))
     def test_ngram_term_is_the_row_element(self, corpus, order, k, history, token):
         model = train_lm(corpus, order, k)
         row = model.cond_logprobs(history)
-        assert model._term(history, token).hex() == float(row[model.id_or_unk(token)]).hex()
+        assert batch_term(model, history, token).hex() == \
+            float(row[model.id_or_unk(token)]).hex()
 
     @settings(max_examples=300, deadline=None)
     @given(_corpora, _corpora, _orders, _ks, st.sampled_from([0.0, 0.3, 1.0]),
@@ -310,14 +497,14 @@ class TestScalarTerm:
                                                   alpha, history, at):
         model = finetune_lm(train_lm(corpus, order, k), in_corpus, alpha)
         row = model.cond_logprobs_at(history, model.symbol_index(_QUERIES))
-        assert model._term(history, _QUERIES[at]).hex() == float(row[at]).hex()
+        assert batch_term(model, history, _QUERIES[at]).hex() == float(row[at]).hex()
 
     @pytest.mark.parametrize("k", [0.01, 0.3, 7.5])
     def test_every_term_is_the_row_element(self, k):
-        # A dense sweep over a peaked, weighted model: a scalar log that
-        # differs from np.log's row kernel in rare last bits (math.log does,
-        # mostly for probabilities near 1) shows here when the properties
-        # above miss it.
+        # A dense sweep over a peaked, weighted model: a log that differs
+        # from np.log's row kernel in rare last bits (math.log does, mostly
+        # for probabilities near 1) shows here when the properties above
+        # miss it.
         rng = random.Random(54)
         vocab = [f"w{i}" for i in range(12)]
         successor = {w: rng.choice(vocab) for w in vocab}
@@ -333,5 +520,5 @@ class TestScalarTerm:
         queries = vocab + ["oov", "</s>"]
         for history in itertools.product(vocab + ["<s>"], repeat=2):
             row = model.cond_logprobs(history)
-            terms = [model._term(history, token) for token in queries]
+            terms = [batch_term(model, history, token) for token in queries]
             assert terms == [float(row[model.id_or_unk(t)]) for t in queries]

@@ -40,7 +40,11 @@ CONCURRENCY_MODULES = ("multiprocessing", "concurrent", "threading")
 UNCALLED = {
     "tm.translate_nbest": "the one-sentence decode of the public API; "
                           "bench/layertrace.py wraps it by name",
+    "lm.logprob": "one sentence's score, the one-sentence case of logprobs; "
+                  "bench/layertrace.py wraps it by name",
     "lm.perplexity": "the LM's own quality measure, for library users",
+    "tm.channel_scores": "one source's channel scores, the one-source case of "
+                         "pair_channel_scores, for library users",
     "metrics.sentence_stats": "one sentence's BLEU statistics, which "
                               "References.stats computes for a whole set",
     "mine.lev_sim": "the per-pair URL similarity that _lev_sims batches; "

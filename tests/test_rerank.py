@@ -12,8 +12,6 @@ from deskmt.rerank import (
     DataError,
     NoisyChannelWeights,
     RerankContext,
-    combined_score,
-    fill_scores,
     read_nbest_file,
     rerank,
     sample_weights,
@@ -48,17 +46,33 @@ def random_models(rng, n_pairs=10):
     return mix, fwd, bwd
 
 
+def rerank_one(nbest, backward, lm, w):
+    """One list reranked alone."""
+    return rerank([nbest], backward, lm, w)[0]
+
+
 class TestCombinedScore:
+    def scored(self, w, fwd=(-1.0, -2.5, -4.0)):
+        rng = random.Random(2)
+        _, model, bwd = random_models(rng)
+        hyps = [("t0", "t1"), ("t2",), ("t3", "t3")]
+        nb = NBestList(source=("s0", "s1"),
+                       entries=[NBestEntry(hyp=h, fwd=f) for h, f in zip(hyps, fwd)])
+        return rerank_one(nb, bwd, model.lm, w).entries
+
     def test_hand_arithmetic(self):
-        assert combined_score(-2.0, -3.0, -5.0, NoisyChannelWeights(1.0, 0.5)) == -7.5
-        assert combined_score(-1.0, -1.0, -1.0, NoisyChannelWeights(3.0, 3.0)) == -7.0
+        w = NoisyChannelWeights(1.0, 0.5)
+        for e in self.scored(w):
+            assert e.combined == e.fwd + 1.0 * e.channel + 0.5 * e.lm
 
     def test_null_weights_reduce_to_fwd(self):
-        assert combined_score(-2.5, -9.0, -4.0, NULL_WEIGHTS) == -2.5
+        entries = self.scored(NULL_WEIGHTS)
+        assert [e.combined for e in entries] == [-1.0, -2.5, -4.0]
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(DataError):
-            combined_score(float("-inf"), -1.0, -1.0, NULL_WEIGHTS)
+    @pytest.mark.parametrize("bad", [float("-inf"), float("nan")])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            self.scored(NULL_WEIGHTS, fwd=(-1.0, bad, -4.0))
 
     def test_weight_bounds_enforced(self):
         with pytest.raises(DataError):
@@ -74,7 +88,7 @@ class TestRerank:
             mix, fwd, bwd = random_models(rng)
             x = mix.datasets[0].pairs[rng.randrange(len(mix.datasets[0].pairs))][0]
             nb = translate_nbest(fwd, x, 8)
-            reranked = rerank(nb, bwd, fwd.lm, NULL_WEIGHTS)
+            reranked = rerank_one(nb, bwd, fwd.lm, NULL_WEIGHTS)
             assert reranked.top().hyp == nb.top().hyp
 
     def test_channel_favored_entry_promoted(self):
@@ -86,7 +100,7 @@ class TestRerank:
 
         rng = random.Random(3)
         _, fwd, bwd = random_models(rng)
-        scored = rerank(nb, bwd, fwd.lm, NoisyChannelWeights(3.0, 0.0))
+        scored = rerank_one(nb, bwd, fwd.lm, NoisyChannelWeights(3.0, 0.0))
         # verify against hand-computed combined scores
         ch0 = channel_scores(bwd, src, [("t0",)])[0]
         ch1 = channel_scores(bwd, src, [("t1",)])[0]
@@ -102,8 +116,8 @@ class TestRerank:
         x = mix.datasets[0].pairs[0][0]
         nb = translate_nbest(fwd, x, 8)
         w = NoisyChannelWeights(1.2, 0.7)
-        once = rerank(nb, bwd, fwd.lm, w)
-        twice = rerank(once, bwd, fwd.lm, w)
+        once = rerank_one(nb, bwd, fwd.lm, w)
+        twice = rerank_one(once, bwd, fwd.lm, w)
         assert [e.hyp for e in once.entries] == [e.hyp for e in twice.entries]
 
     def test_constant_fwd_shift_preserves_ranking(self):
@@ -112,17 +126,17 @@ class TestRerank:
         x = mix.datasets[0].pairs[0][0]
         nb = translate_nbest(fwd, x, 8)
         w = NoisyChannelWeights(0.8, 0.4)
-        base = rerank(nb, bwd, fwd.lm, w)
+        base = rerank_one(nb, bwd, fwd.lm, w)
         shifted = NBestList(source=nb.source, entries=[
             NBestEntry(hyp=e.hyp, fwd=e.fwd + 5.0) for e in nb.entries])
-        again = rerank(shifted, bwd, fwd.lm, w)
+        again = rerank_one(shifted, bwd, fwd.lm, w)
         assert [e.hyp for e in base.entries] == [e.hyp for e in again.entries]
 
     def test_fills_channel_and_lm_slots(self):
         rng = random.Random(7)
         mix, fwd, bwd = random_models(rng)
         nb = translate_nbest(fwd, mix.datasets[0].pairs[0][0], 5)
-        out = rerank(nb, bwd, fwd.lm, NULL_WEIGHTS)
+        out = rerank_one(nb, bwd, fwd.lm, NULL_WEIGHTS)
         for e in out.entries:
             assert e.channel is not None and e.lm is not None
             assert e.lm == pytest.approx(logprob(fwd.lm, e.hyp))
@@ -131,11 +145,11 @@ class TestRerank:
         rng = random.Random(8)
         _, fwd, bwd = random_models(rng)
         with pytest.raises(DataError):
-            rerank(NBestList(source=("s0",), entries=[]), bwd, fwd.lm, NULL_WEIGHTS)
+            rerank_one(NBestList(source=("s0",), entries=[]), bwd, fwd.lm, NULL_WEIGHTS)
 
 
-class TestFillScores:
-    """The batched list scorer equals per-entry scoring bit for bit."""
+class TestBatchScores:
+    """Reranking a block scores each entry as it would be scored alone."""
 
     def mixed_list(self, source):
         # hypotheses of several lengths, with unknown and tagged symbols
@@ -155,8 +169,7 @@ class TestFillScores:
             lm = self.interpolated(fwd) if use_interpolated else fwd.lm
             source = mix.datasets[0].pairs[rng.randrange(len(mix.datasets[0].pairs))][0] + ("s9",)
             lists = [self.mixed_list(source), translate_nbest(fwd, source[:-1], 8)]
-            for nb in lists:
-                filled = fill_scores(nb, bwd, lm)
+            for nb, filled in zip(lists, rerank(lists, bwd, lm, NULL_WEIGHTS)):
                 assert [e.hyp for e in filled.entries] == [e.hyp for e in nb.entries]
                 for e in filled.entries:
                     assert e.channel == channel_scores(bwd, nb.source, [e.hyp])[0]
@@ -171,7 +184,48 @@ class TestFillScores:
         nb.entries[1].channel = -111.0
         nb.entries[2].lm = -222.0
         nb.entries[4].channel, nb.entries[4].lm = -333.0, -444.0
-        assert fill_scores(nb, bwd, lm) == fill_scores(self.mixed_list(source), bwd, lm)
+        nb.entries[5].combined = 555.0
+        w = NoisyChannelWeights(0.7, 1.1)
+        assert rerank_one(nb, bwd, lm, w) == rerank_one(self.mixed_list(source), bwd, lm, w)
+
+    @pytest.mark.parametrize("use_interpolated", [False, True])
+    def test_block_equals_each_list_alone(self, use_interpolated):
+        rng = random.Random(33)
+        for _ in range(10):
+            mix, fwd, bwd = random_models(rng, n_pairs=12)
+            lm = self.interpolated(fwd) if use_interpolated else fwd.lm
+            sources = [src for src, _ in mix.datasets[0].pairs[:6]]
+            lists = [translate_nbest(fwd, x, rng.randint(1, 9)) for x in sources]
+            lists.append(self.mixed_list(sources[0]))
+            w = NoisyChannelWeights(rng.uniform(0, 3), rng.uniform(0, 3))
+
+            def bits(nb):
+                return [(e.hyp, e.fwd.hex(), e.channel.hex(), e.lm.hex(), e.combined.hex())
+                        for e in nb.entries]
+
+            block = rerank(lists, bwd, lm, w)
+            assert [nb.source for nb in block] == sources + [sources[0]]
+            assert [bits(nb) for nb in block] == \
+                [bits(rerank_one(nb, bwd, lm, w)) for nb in lists]
+
+    def test_empty_block(self):
+        rng = random.Random(34)
+        _, fwd, bwd = random_models(rng)
+        assert rerank([], bwd, fwd.lm, NULL_WEIGHTS) == []
+
+    def test_ties_keep_beam_order(self):
+        # every A/B string of one length gets the same channel and lm score
+        lm = train_lm([("A", "B"), ("B", "A")], 1, 0.5)
+        bwd = LexModel((NULL, "A", "B"), ("x",), np.ones((3, 1)),
+                       train_lm([("x",)], 1, 0.5), src_lang="tgt", tgt_lang="src")
+        hyps = [("B", "B"), ("A", "B"), ("B", "A"), ("A", "A")]
+        nb = NBestList(source=("x", "x"), entries=[
+            NBestEntry(hyp=h, fwd=-1.0) for h in hyps]
+            + [NBestEntry(hyp=("A", "B"), fwd=-0.5), NBestEntry(hyp=("B", "B"), fwd=-2.0)])
+        for w in (NULL_WEIGHTS, NoisyChannelWeights(2.0, 0.5)):
+            for out in rerank([nb, nb], bwd, lm, w):
+                assert [(e.hyp, e.fwd) for e in out.entries] == \
+                    [(("A", "B"), -0.5)] + [(h, -1.0) for h in hyps] + [(("B", "B"), -2.0)]
 
 
 class TestTuneLambdas:
@@ -234,7 +288,7 @@ class TestNbestFile:
     def test_round_trip(self, tmp_path):
         rng = random.Random(13)
         mix, fwd, bwd = random_models(rng)
-        lists = [rerank(translate_nbest(fwd, src, 5), bwd, fwd.lm,
+        lists = [rerank_one(translate_nbest(fwd, src, 5), bwd, fwd.lm,
                         NoisyChannelWeights(1.0, 1.0))
                  for src, _ in mix.datasets[0].pairs[:3]]
         lists.append(translate_nbest(fwd, mix.datasets[0].pairs[3][0], 4))  # unscored slots

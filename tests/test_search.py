@@ -189,6 +189,21 @@ class TestRunTrial:
         tokens = sum(len(t) + 1 for _, t in ds.pairs)
         assert dev_perplexity(model, ds) == pytest.approx(math.exp(-total / tokens))
 
+    def test_batched_perplexity_sums_pairs_in_order(self):
+        # one batched channel call and one LM call, then the pairs' terms
+        # added in dev order: the value of scoring pair after pair
+        from deskmt.lm import logprob
+        from deskmt.tm import channel_scores
+        for seed in range(3):
+            ds = parallel(seed, n_pairs=9)
+            model = em_train(build_mix([ds]), 2, lm_weight=0.7)
+            total = 0.0
+            for src, tgt in ds.pairs:
+                total += channel_scores(model, tgt, [src])[0]
+                total += model.lm_weight * logprob(model.lm, tgt)
+            tokens = sum(len(t) + 1 for _, t in ds.pairs)
+            assert dev_perplexity(model, ds).hex() == math.exp(-total / tokens).hex()
+
 
 class TestSelectTopK:
     def fake_results(self, bleus):

@@ -171,8 +171,13 @@ class TestEncodeDatasetSegmentsOnce:
         assert encode_dataset(ds, model).pairs == want
         assert calls == Counter({"abab": 1, "abba": 1, "baab": 1, "zz": 1})
         calls.clear()
-        encode_dataset(ds, model)
-        assert sum(calls.values()) == 4  # nothing is kept between calls
+        assert encode_dataset(ds, model).pairs == want
+        assert encode(("abab", "zz"), model) == ref_encode(("abab", "zz"), model)
+        assert not calls  # the model keeps each word's pieces
+        fresh = learn_bpe([("abab", "abba", "baab")] * 3, vocab_size=8)
+        assert fresh == model
+        encode_dataset(ds, fresh)
+        assert sum(calls.values()) == 4  # a model of its own segments again
 
 
 class TestLearnBpe:

@@ -11,6 +11,7 @@ import pytest
 from deskmt.corpus import SIDE_PARALLEL, UNK_TOKEN, TaggedDataset, build_mix, swap_direction
 from deskmt.lm import train_lm
 from deskmt.ensemble import Ensemble
+from deskmt import tm as tm_module
 from deskmt.rerank import NoisyChannelWeights, RerankContext, rerank
 from deskmt.tm import (
     NULL,
@@ -20,6 +21,7 @@ from deskmt.tm import (
     em_train,
     model_from_dict,
     model_to_dict,
+    pair_channel_scores,
     translate_corpus,
     translate_nbest,
 )
@@ -105,7 +107,7 @@ def pair_logprob(model, src, y):
     states = {0: 0.0}
     ctx = ()
     for i in range(1, m + 1):
-        lm_vec = scorer.logvec(ctx)
+        lm_vec = scorer.logvecs([ctx])[0]
         token = y[i - 1]
         lm_term = float(lm_vec[ext_id.get(token, unk_ext)])
         lo, hi = max(0, i - 1 - w), min(m - 1, i - 1 + w)
@@ -147,7 +149,7 @@ def brute_force_nbest(model, x, n):
             if results.get(key, -math.inf) < score:
                 results[key] = score
             return
-        lm_vec = scorer.logvec(ctx)
+        lm_vec = scorer.logvecs([ctx])[0]
         for j in range(m):
             if j in consumed or abs((j + 1) - step) > w:
                 continue
@@ -265,8 +267,8 @@ class TestTranslateNbest:
         nb = translate_nbest(model, ("a", "a"), 2)
         assert nb.top().hyp == ("b", "b")
         scorer = model._scorer()
-        lm_terms = (0.4 * float(scorer.logvec(())[0])
-                    + 0.4 * float(scorer.logvec(("b",))[0]))
+        lm_terms = (0.4 * float(scorer.logvecs([()])[0][0])
+                    + 0.4 * float(scorer.logvecs([("b",)])[0][0]))
         assert nb.top().fwd == pytest.approx(lm_terms, abs=1e-12)
 
     def test_n1_equals_greedy_for_one_hot(self):
@@ -373,7 +375,8 @@ class TestTranslateCorpus:
         fwd, ctx, sources = self.reranking(6)
         got = translate_corpus(fwd, sources, 1, rerank_ctx=ctx)
         plain = translate_corpus(fwd, sources, ctx.nbest)
-        assert got == [rerank(nb, ctx.channel_model, ctx.lm, ctx.weights)
+        # the block reranks each list as it would be reranked alone
+        assert got == [rerank([nb], ctx.channel_model, ctx.lm, ctx.weights)[0]
                        for nb in plain]
         assert all(e.combined is not None for nb in got for e in nb.entries)
 
@@ -401,7 +404,7 @@ class TestPairLogprob:
             ids, lex = candidates(model, sx)
             tid = model.tgt_id[sy]
             lex_term = float(lex[list(ids).index(tid)])
-            lm_term = float(scorer.logvec(ctx)[tid])
+            lm_term = float(scorer.logvecs([ctx])[0][tid])
             expected += lex_term + 0.7 * lm_term
             ctx = (ctx + (sy,))[-1:]
         assert pair_logprob(model, x, y) == pytest.approx(expected, abs=1e-12)
@@ -434,7 +437,7 @@ class TestPairLogprob:
                     if not hits:
                         feasible = False
                         break
-                    lm_term = float(scorer.logvec(ctx)[tid])
+                    lm_term = float(scorer.logvecs([ctx])[0][tid])
                     score += float(lex[hits[0]]) + model.lm_weight * lm_term
                     ctx = (ctx + (y[i],))[-(model.lm.order - 1):] if model.lm.order > 1 else ()
                 if feasible:
@@ -540,6 +543,24 @@ class TestMarginalKernel:
         model = em_train(random_mix(random.Random(42), 6), iterations=1)
         assert channel_scores(model, ("x",), []) == []
         assert channel_scores(model, (), [("a",), ()]) == [0.0, 0.0]
+        assert pair_channel_scores(model, [], [], np.zeros(0, dtype=np.intp),
+                                   np.zeros(0, dtype=np.intp)).shape == (0,)
+
+    def test_pairs_equal_reference(self, monkeypatch):
+        # many sources and hypotheses, pairs in any order and repeated, some
+        # shapes split over several gathers
+        monkeypatch.setattr(tm_module, "_GATHER_CHUNK", 60)
+        rng = random.Random(43)
+        for _ in range(10):
+            model = em_train(random_mix(rng, 12), iterations=2)
+            xs = self.sentences(rng, model, 7)
+            ys = self.sentences(rng, model, 25)
+            x_at = np.array([rng.randrange(len(xs)) for _ in range(80)])
+            y_at = np.array([rng.randrange(len(ys)) for _ in range(80)])
+            got = pair_channel_scores(model, xs, ys, x_at, y_at).tolist()
+            assert [v.hex() for v in got] == [
+                reference_marginal(model, ys[j], xs[i]).hex()
+                for i, j in zip(x_at.tolist(), y_at.tolist())]
 
 
 class TestSerialization:
