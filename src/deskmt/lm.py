@@ -21,8 +21,13 @@ rank of their keys, so keys stay below (number of contexts) * B. Per level:
 - `_totals`: each node's total count, then 0.0 for an absent context;
 - `_child_keys` (levels below `order`): the keys of the next level's nodes.
 
-`logprobs` scores many sentences in one pass: each level of the recurrence
-runs once over every token, by key lookups in these arrays.
+`logprobs` scores many sentences in one pass. It maps the batch's tokens to
+ids once and scores each distinct event, a word after its BOS-padded
+context, once: each level of the recurrence runs once over the events, by
+key lookups in these arrays (for an interpolated model, once per part).
+The entries of an n-best batch share prefixes, so there are far fewer
+events than tokens: 13,565 against 88,198 over the 300 reranked lists of
+the bench's `recipe` self-training pool (seed 1).
 
 Rows are computed in batches, one array operation per level for all the
 contexts a call asks for. Caches, each cleared before it would pass
@@ -43,6 +48,7 @@ contexts a call asks for. Caches, each cleared before it would pass
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -53,6 +59,7 @@ EOS = "</s>"
 BOS = "<s>"
 
 _CACHE_CAP = 200_000
+_KEY_LIMIT = 2**62  # event keys stay below this, so within int64
 
 
 class NGramLM:
@@ -153,30 +160,35 @@ class NGramLM:
         rows /= (self._totals[level - 1][nodes] + ks)[:, None]
         return rows, nodes
 
-    def _token_probs(self, tokens: list[str], lengths: np.ndarray) -> np.ndarray:
-        """P(token | history) of every token of sentences laid end to end.
+    def _event_probs(self, vocab: list[str], history: np.ndarray,
+                     word: np.ndarray) -> np.ndarray:
+        """P(word | history) of every event, over a batch vocabulary.
 
-        `_rows`' recurrence at one element per token, run level by level
-        over all tokens at once in its operation order, so each value equals
-        the row's element bit for bit.
+        Ids index `vocab`; len(vocab) is the BOS padding before a sentence's
+        start, and history[:, d - 1] is the token d back. `_rows`'
+        recurrence at one element per event, run level by level over all
+        events at once in its operation order, so each value equals the
+        row's element bit for bit.
         """
-        get, unk, bos = self._context_id.get, self.unk_id, self.bos_id
-        ctx = np.array([get(t, unk) for t in tokens], dtype=np.int64)
-        word = np.where(ctx == bos, self.id_or_unk(BOS), ctx)
-        node = np.zeros(len(tokens), dtype=np.int64)
-        prob = np.full(len(tokens), self._uniform[0])
+        unk = self.unk_id
+        ctx = np.array([self._context_id.get(t, unk) for t in vocab] + [self.bos_id],
+                       dtype=np.int64)
+        word = np.array([self.id_or_unk(t) for t in vocab], dtype=np.int64)[word]
+        node = np.zeros(word.size, dtype=np.int64)
+        prob = np.full(word.size, self._uniform[0])
         ks = self.k * len(self.syms)
         for level in range(self.order):
             if level:  # extend each context by the token `level` back
                 node = _find(self._child_keys[level - 1],
-                             node * self._width + _back(ctx, lengths, level, bos))
+                             node * self._width + ctx[history[:, level - 1]])
             count = self._count_vals[level][_find(self._count_keys[level],
                                                   node * self._width + word)]
             prob = (ks * prob + count) / (self._totals[level][node] + ks)
         return prob
 
-    def _log_terms(self, tokens: list[str], lengths: np.ndarray) -> np.ndarray:
-        return np.log(self._token_probs(tokens, lengths))
+    def _event_logprobs(self, vocab: list[str], history: np.ndarray,
+                        word: np.ndarray) -> np.ndarray:
+        return np.log(self._event_probs(vocab, history, word))
 
     def cond_probs(self, context: tuple[str, ...]) -> np.ndarray:
         """Conditional distribution over the prediction space, given token context."""
@@ -302,10 +314,11 @@ class InterpolatedLM:
         self.eos_logprob = float(np.log(eos))
         self._scorer_rows: dict = {}
 
-    def _log_terms(self, tokens: list[str], lengths: np.ndarray) -> np.ndarray:
+    def _event_logprobs(self, vocab: list[str], history: np.ndarray,
+                        word: np.ndarray) -> np.ndarray:
         a = self.interp_alpha
-        pb = self.base._token_probs(tokens, lengths)
-        pi = self.indomain._token_probs(tokens, lengths)
+        pb = self.base._event_probs(vocab, history, word)
+        pi = self.indomain._event_probs(vocab, history, word)
         return np.log((1.0 - a) * pb + a * pi)
 
     def symbol_index(self, symbols: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -334,12 +347,31 @@ LanguageModel = NGramLM | InterpolatedLM
 def logprobs(model: LanguageModel, sentences: list[Sentence]) -> np.ndarray:
     """Natural-log probability of every sentence, including end-of-sentence.
 
-    Every token's log term comes from one pass over all the sentences; each
+    The tokens are mapped to batch ids once. Each distinct event, a word
+    after its BOS-padded context of order - 1 tokens, is scored once
+    (`_event_logprobs`) and every token gathers its event's term; each
     sentence then adds its terms left to right, then the end-of-sentence
     term, so a sentence's score does not depend on the others.
     """
     lengths = np.array([len(s) for s in sentences], dtype=np.intp)
-    terms = model._log_terms([t for s in sentences for t in s], lengths)
+    tokens = list(chain.from_iterable(sentences))
+    index = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
+    ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    history = np.column_stack([np.zeros((ids.size, 0), dtype=np.int64)]
+                              + [_back(ids, lengths, d, len(index))
+                                 for d in range(1, model.order)])
+    # one key per event: (word, history) as digits in base len(index) + 1,
+    # replaced by their ranks whenever the next digit could pass _KEY_LIMIT
+    key, bound, base = ids, len(index), len(index) + 1
+    for column in history.T:
+        if bound * base > _KEY_LIMIT:
+            key = np.unique(key, return_inverse=True)[1]
+            bound = ids.size
+        key, bound = key * base + column, bound * base
+    keys, event = np.unique(key, return_inverse=True)
+    rep = np.empty(keys.size, dtype=np.intp)   # a token of each event
+    rep[event] = np.arange(ids.size)
+    terms = model._event_logprobs(list(index), history[rep], ids[rep])[event]
     grid = np.zeros((len(sentences), int(lengths.max(initial=0))))
     grid[np.arange(grid.shape[1]) < lengths[:, None]] = terms
     total = np.zeros(len(sentences))

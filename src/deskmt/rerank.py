@@ -8,9 +8,11 @@ so reranking can never lose to plain beam search on the tuning set.
 
 Both work on batches of lists held as flat arrays: one
 `tm.pair_channel_scores` call and one `lm.logprobs` call score every entry
-of a batch, each score being the one its entry gets alone. `rerank` orders
-a batch with one stable sort; `tune_lambdas` recombines the dev batch's
-arrays for every trial.
+of a batch, each score being the one its entry gets alone. The LM scores
+each distinct (context, word) event of the batch once, so the prefixes that
+a list's entries share cost nothing extra. `rerank` orders a batch with one
+stable sort; `tune_lambdas` recombines the dev batch's arrays for every
+trial.
 """
 
 from __future__ import annotations

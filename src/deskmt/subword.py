@@ -19,6 +19,7 @@ each distinct word once and keeps its pieces for every later encode.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -43,6 +44,13 @@ class BpeModel:
     # word -> its encoded pieces, filled by every encode with this model
     _pieces: dict[str, Sentence] = field(default_factory=dict, init=False,
                                          compare=False, repr=False)
+    # pair -> the ranks of its merges, ascending (a merge file may repeat one)
+    _ranks: dict[tuple[str, str], list[int]] = field(default_factory=dict, init=False,
+                                                     compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for rank, pair in enumerate(self.merges):
+            self._ranks.setdefault(pair, []).append(rank)
 
     def inventory_size(self) -> int:
         return len(self.symbols)
@@ -62,11 +70,24 @@ def _merge_pass(pieces: list[str], left: str, right: str) -> list[str]:
     return out
 
 
-def _word_pieces(word: str, merges: tuple[tuple[str, str], ...]) -> list[str]:
+def _word_pieces(word: str, ranks: dict[tuple[str, str], list[int]]) -> list[str]:
+    """The pieces of replaying every merge in rank order over the word's
+    characters.
+
+    A merge whose pair the pieces do not hold is a no-op, and a pass leaves
+    no occurrence of its pair, so the replay jumps to the lowest rank above
+    the last one applied among the pairs the pieces hold.
+    """
     pieces = list(word)
-    for left, right in merges:
-        if len(pieces) > 1:
-            pieces = _merge_pass(pieces, left, right)
+    last = -1
+    while len(pieces) > 1:
+        following = [(held[at], pair) for pair in _pairs(pieces)
+                     if (held := ranks.get(pair))
+                     and (at := bisect_right(held, last)) < len(held)]
+        if not following:
+            break
+        last, pair = min(following)
+        pieces = _merge_pass(pieces, *pair)
     return pieces
 
 
@@ -150,7 +171,7 @@ def encode(sentence: Sentence, model: BpeModel) -> Sentence:
             continue
         encoded = memo.get(token)
         if encoded is None:
-            pieces = _word_pieces(token, model.merges)
+            pieces = _word_pieces(token, model._ranks)
             encoded = memo[token] = (pieces[0],) + tuple(model.joiner + p
                                                          for p in pieces[1:])
         out.extend(encoded)

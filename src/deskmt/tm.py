@@ -17,7 +17,10 @@ live beam states (sentences x beam width), running each beam step once for
 the whole block. Every sentence keeps its own beam, its own pool order and
 its own selection (see `_decode_block`), so a source's n-best list does not
 depend on the block it is decoded in; `translate_nbest` is the one-source
-case.
+case. So blocks are filled from the sources sorted by length, which keeps
+a block's steps close to what each of its sources needs, and the lists of
+the sentences that finish at a step are built from the step's arrays with
+a few sorts (`_nbest_lists`).
 """
 
 from __future__ import annotations
@@ -106,6 +109,16 @@ class LexModel:
             ext = self.tgt_vocab + (UNK_TOKEN,)
             self._caches["ext_vocab"] = ext
         return ext
+
+    def _ext_ranks(self) -> np.ndarray:
+        """Each ext symbol's rank among the distinct ext symbols in string
+        order; the two ext ids of the unknown token share theirs."""
+        ranks = self._caches.get("ext_ranks")
+        if ranks is None:
+            ext = self._ext_vocab()
+            rank = {sym: r for r, sym in enumerate(sorted(set(ext)))}
+            ranks = self._caches["ext_ranks"] = np.array([rank[sym] for sym in ext])
+        return ranks
 
     def _scorer(self):
         scorer = self._caches.get("scorer")
@@ -253,9 +266,10 @@ def _em_iteration(t: np.ndarray, groups) -> tuple[np.ndarray, float]:
 
 # Live beam states per decoded block (sentences x beam width). A step's pool
 # arrays grow with the block's states, so the block is bounded: decoding a
-# 300-sentence pool at n=50 as one block peaked at 61.5 MB of traced heap,
-# against 4.4 MB in blocks of this size and 4.0 MB one sentence at a time
-# (3.1 MB of each is the n-best lists).
+# 300-sentence pool at n=50 (the bench's `recipe` self-training pool, seed 1)
+# as one block peaked at 57.8 MB of traced heap (tracemalloc), against 2.9 MB
+# in length-sorted blocks of this size and 2.2 MB one sentence at a time
+# (1.9 MB of each is the n-best lists).
 _DECODE_STATES = 256
 
 
@@ -280,11 +294,15 @@ def translate_corpus(model: LexModel, sources: list[Sentence], nbest: int, *,
 
     Sources are decoded in blocks of max(1, `_DECODE_STATES` // width)
     sentences, width = max(model.beam, n), each beam step running once over
-    the whole block. Each sentence keeps its own beam from its own pool by
+    the whole block. A block runs as many steps as its longest source, so
+    blocks are filled from the sources sorted by length (stably): a block's
+    sources have nondecreasing lengths, and the lists come back in source
+    order. Each sentence keeps its own beam from its own pool by
     the (-score, pool index) rule of `_decode_block`, so every list equals
-    `translate_nbest` of its source. The block is bounded because a step's
-    arrays grow with it: one block for a whole n=50 pool would multiply the
-    decoder's peak memory (see `_DECODE_STATES`).
+    `translate_nbest` of its source whichever block holds it. The block is
+    bounded because a step's arrays grow with it: one block for a whole
+    n=50 pool would multiply the decoder's peak memory (see
+    `_DECODE_STATES`).
     """
     if rerank_ctx is not None:
         nbest = rerank_ctx.nbest
@@ -296,10 +314,15 @@ def translate_corpus(model: LexModel, sources: list[Sentence], nbest: int, *,
         raise DataError("cannot translate an empty sentence")
     width = max(model.beam, nbest)
     size = max(1, _DECODE_STATES // width)
-    lists = []
+    by_length = sorted(range(len(sources)), key=lambda k: len(sources[k]))
+    lists: list[NBestList | None] = [None] * len(sources)
     for lo in range(0, len(sources), size):
-        block = _decode_block(model, sources[lo:lo + size], width, nbest)
-        lists += block if rerank_ctx is None else rerank_ctx.rerank(block)
+        at = by_length[lo:lo + size]
+        block = _decode_block(model, [sources[k] for k in at], width, nbest)
+        if rerank_ctx is not None:
+            block = rerank_ctx.rerank(block)
+        for k, nb in zip(at, block):
+            lists[k] = nb
     return lists
 
 
@@ -308,8 +331,8 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
     """Beam search for the top-n hypotheses of every source of a block.
 
     The effective beam width is max(model.beam, n) so an n-best list can
-    always be filled from completed hypotheses; each list is deduplicated
-    and score-sorted.
+    always be filled from completed hypotheses; a sentence's list is built
+    from its finished beam by `_nbest_lists`.
 
     Each target step scores one pool of extensions per sentence, and the
     pools of all sentences lie back to back in one array. The contract is:
@@ -329,9 +352,8 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
     ext_vocab = model._ext_vocab()
     ext_sym = np.array(ext_vocab, dtype=object)
     # LM contexts compare by symbol, and a target vocabulary that holds the
-    # unknown token spells it with two ext ids: give both one class
-    sym_class = np.arange(len(ext_vocab))
-    sym_class[-1] = model.tgt_id.get(UNK_TOKEN, sym_class[-1])
+    # unknown token spells it with two ext ids: both have one rank
+    ext_rank = model._ext_ranks()
     cand_ids, cand_lex, cand_start, cand_count = model._candidate_table()
 
     # source position j of sentence s decodes to candidate entries
@@ -360,10 +382,9 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
         # group states by (sentence, LM context); a group is ordered by its
         # first state, which lexsort (stable) puts first in the group's run
         c0 = max(0, i - order)  # the LM context is emitted[:, c0:i - 1]
-        key = np.column_stack((sent, sym_class[emitted[:, c0:i - 1]]))
-        by_key = np.lexsort(key.T[::-1])
-        key = key[by_key]
-        new_group = np.concatenate(([True], (key[1:] != key[:-1]).any(axis=1)))
+        ctx = ext_rank[emitted[:, c0:i - 1]]
+        by_key = np.lexsort((*ctx.T[::-1], sent))
+        new_group = _run_starts(sent[by_key], ctx[by_key])
         group = np.empty_like(by_key)
         group[by_key] = new_group.cumsum() - 1
         group_first = by_key[new_group]
@@ -428,30 +449,61 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
 
         done = lengths[sent] == i
         if done.any():
-            beams: dict[int, list] = {}
-            for s, state in zip(sent[done].tolist(),
-                                zip(score[done].tolist(), emitted[done].tolist())):
-                beams.setdefault(s, []).append(state)
-            for s, beam in beams.items():
-                lists[s] = _nbest_list(block[s], beam, ext_vocab, n)
+            for s, nb in _nbest_lists(block, sent[done], score[done], emitted[done],
+                                      ext_sym, ext_rank, n).items():
+                lists[s] = nb
             score, sent = score[~done], sent[~done]
             consumed, emitted = consumed[~done], emitted[~done]
     return lists
 
 
-def _nbest_list(source: Sentence, beam: list, ext_vocab: tuple[str, ...],
-                n: int) -> NBestList:
-    """The deduplicated, score-sorted top n of a finished beam of
-    (score, emitted ext ids) states."""
-    best: dict[tuple, float] = {}
-    for score, ids in beam:
-        ids = tuple(ids)
-        if best.get(ids, -np.inf) < score:
-            best[ids] = score
-    hyps = {tuple(ext_vocab[e] for e in ids): score for ids, score in best.items()}
-    ranked = sorted(hyps.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
-    return NBestList(source=source,
-                     entries=[NBestEntry(hyp=hyp, fwd=score) for hyp, score in ranked])
+def _nbest_lists(block: list[Sentence], sent: np.ndarray, score: np.ndarray,
+                 emitted: np.ndarray, ext_sym: np.ndarray, ext_rank: np.ndarray,
+                 n: int) -> dict[int, NBestList]:
+    """The n-best list of every finished sentence of a block.
+
+    State k of sentence sent[k] emitted the ext ids emitted[k] (all states
+    finish at one step, so the rows have one length) and scores score[k];
+    each sentence's states are given in beam order. A list holds:
+
+    - each id sequence once, with the first of its best scores; a state
+      scored -inf enters no list;
+    - each surface once: two id sequences that spell the same symbols (the
+      two ext ids of the unknown token) keep the one whose first state comes
+      later, with its score;
+    - the top n in (-score, surface) order.
+
+    `ext_rank` orders surfaces as their symbol strings compare. Each rule is
+    one stable lexsort over all the states, runs of equal keys marking the
+    groups.
+    """
+    lists = {s: NBestList(source=block[s], entries=[]) for s in np.unique(sent).tolist()}
+    state = np.flatnonzero(score > -np.inf)
+    # id sequences: within a run, the best score comes first, earliest first
+    by_ids = state[np.lexsort((-score[state], *emitted[state].T[::-1], sent[state]))]
+    starts = np.flatnonzero(_run_starts(sent[by_ids], emitted[by_ids]))
+    best = by_ids[starts]
+    first = np.minimum.reduceat(by_ids, starts) if by_ids.size else by_ids
+    # surfaces: within a run, the id sequence with the latest first state first
+    ranks = ext_rank[emitted[best]]
+    by_surface = np.lexsort((-first, *ranks.T[::-1], sent[best]))
+    won = by_surface[_run_starts(sent[best][by_surface], ranks[by_surface])]
+    # each list: (-score, surface) order, top n
+    kept = best[won]
+    kept = kept[np.lexsort((*ranks[won].T[::-1], -score[kept], sent[kept]))]
+    _, counts = np.unique(sent[kept], return_counts=True)
+    kept = kept[np.arange(kept.size) - (counts.cumsum() - counts).repeat(counts) < n]
+    for s, hyp, fwd in zip(sent[kept].tolist(), ext_sym[emitted[kept]].tolist(),
+                           score[kept].tolist()):
+        lists[s].entries.append(NBestEntry(hyp=tuple(hyp), fwd=fwd))
+    return lists
+
+
+def _run_starts(sent: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Whether each row, in sorted order, starts a run of equal (sent, row)."""
+    starts = np.ones(sent.size, dtype=bool)
+    starts[1:] = (sent[1:] != sent[:-1]) | (rows[1:] != rows[:-1]).any(axis=1)
+    return starts
 
 
 def pair_channel_scores(model: LexModel, xs: list[Sentence], ys: list[Sentence],

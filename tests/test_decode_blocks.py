@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from deskmt import tm
 from deskmt.corpus import SIDE_PARALLEL, UNK_TOKEN, TaggedDataset, build_mix
 from deskmt.lm import train_lm
-from deskmt.tm import DataError, em_train, translate_corpus, translate_nbest
+from deskmt.rerank import NoisyChannelWeights, RerankContext
+from deskmt.tm import DataError, NBestEntry, em_train, translate_corpus, translate_nbest
 
 TAG_LIKE = "<bt>"  # a word like any other: no source loses its first token
 
@@ -223,3 +224,116 @@ class TestEmptySources:
         expected = self.message(lambda: translate_nbest(model, (), 1))
         assert expected == "cannot translate an empty sentence"
         assert self.message(lambda: translate_corpus(model, sources, 3)) == expected
+
+
+def rescored(nb):
+    """Entries with the exact bits of every score slot that is set."""
+    return [(e.hyp,) + tuple(v if v is None else v.hex()
+                             for v in (e.fwd, e.channel, e.lm, e.combined))
+            for e in nb.entries]
+
+
+class TestLengthSortedBlocks:
+    """Blocks are filled from the sources sorted by length; the lists come
+    back in source order, each as its source decodes alone."""
+
+    def decode(self, model, sources, rerank_ctx):
+        blocks = []
+        real = tm._decode_block
+
+        def recording(model, block, width, n):
+            blocks.append([len(src) for src in block])
+            return real(model, block, width, n)
+
+        with mock.patch.object(tm, "_decode_block", recording):
+            lists = translate_corpus(model, sources, 50, rerank_ctx=rerank_ctx)
+        return lists, blocks
+
+    @pytest.mark.parametrize("reranked", [False, True])
+    def test_descending_sources_over_three_blocks(self, reranked):
+        rng = random.Random(17)
+        model, src_syms = random_model(rng, beam=3, window=1, order=3, lm_weight=0.4,
+                                       unk_target=True)
+        backward, _ = random_model(rng, beam=2, window=1, order=2, lm_weight=0.5,
+                                   unk_target=False)
+        ctx = RerankContext(backward, model.lm, NoisyChannelWeights(0.7, 1.3), nbest=50) \
+            if reranked else None
+        sources = sorted(random_sources(rng, src_syms, 14), key=len, reverse=True)
+        assert len(set(map(len, sources))) > 3
+        lists, blocks = self.decode(model, sources, ctx)
+        assert len(blocks) >= 3
+        assert sorted(length for block in blocks for length in block) == \
+            sorted(map(len, sources))
+        for block in blocks:
+            assert block == sorted(block)
+        assert [nb.source for nb in lists] == sources
+        for source, nb in zip(sources, lists):
+            alone = translate_corpus(model, [source], 50, rerank_ctx=ctx)[0]
+            assert rescored(nb) == rescored(alone)
+            if not reranked:
+                assert entries(nb) == entries(translate_nbest(model, source, 50))
+
+
+def reference_nbest_list(source, beam, ext_vocab, n):
+    """The per-state n-best assembly `tm._nbest_lists` replaces, kept as its
+    specification: a finished beam of (score, emitted ext ids) states."""
+    best = {}
+    for score, ids in beam:
+        ids = tuple(ids)
+        if best.get(ids, -np.inf) < score:
+            best[ids] = score
+    hyps = {tuple(ext_vocab[e] for e in ids): score for ids, score in best.items()}
+    ranked = sorted(hyps.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
+    return tm.NBestList(source=source,
+                        entries=[NBestEntry(hyp=hyp, fwd=score) for hyp, score in ranked])
+
+
+class TestArrayNbestLists:
+    """`_nbest_lists` equals the per-state assembly on finished beams with
+    repeated id sequences, tied scores and two ext ids that spell <unk>."""
+
+    # sorted, as EM vocabularies are; the ext vocabulary appends a second
+    # <unk>, which sorts before the letters
+    TARGETS = (UNK_TOKEN, "a", "b", "c", "d")
+
+    def model(self):
+        t = np.full((2, len(self.TARGETS)), 1.0 / len(self.TARGETS))
+        return tm.LexModel((tm.NULL, "s0"), self.TARGETS, t,
+                           train_lm([self.TARGETS], 1, 0.5))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), length=st.integers(1, 4), n=st.integers(1, 8),
+           sentences=st.integers(1, 4))
+    def test_equals_the_per_state_assembly(self, data, length, n, sentences):
+        model = self.model()
+        ext_vocab = model._ext_vocab()
+        assert ext_vocab.count(UNK_TOKEN) == 2
+        # ids 0 and 5 both spell <unk>; few ids and scores make repeats and ties
+        states = data.draw(st.lists(st.tuples(
+            st.integers(0, sentences - 1),
+            st.sampled_from([-0.5, -1.0, -1.0, -2.25, -np.inf]),
+            st.lists(st.sampled_from([0, 1, 2, 5]), min_size=length, max_size=length)),
+            min_size=1, max_size=30))
+        sent = np.array([s for s, _, _ in states])
+        score = np.array([v for _, v, _ in states])
+        emitted = np.array([ids for _, _, ids in states], dtype=np.intp)
+        block = [(f"x{s}",) for s in range(sentences)]
+        got = tm._nbest_lists(block, sent, score, emitted, np.array(ext_vocab, dtype=object),
+                              model._ext_ranks(), n)
+        assert sorted(got) == sorted(set(sent.tolist()))
+        for s, nb in got.items():
+            beam = [(v, ids) for t, v, ids in states if t == s]
+            want = reference_nbest_list(block[s], beam, ext_vocab, n)
+            assert nb.source == want.source
+            assert entries(nb) == entries(want)
+
+    def test_two_spellings_of_unk_keep_the_later_one(self):
+        # of two id sequences with one surface, the one whose first state
+        # comes later wins, so of a beam in score order the lower score is kept
+        model = self.model()
+        ext_vocab = model._ext_vocab()
+        got = tm._nbest_lists([("x",)], np.zeros(3, dtype=np.intp),
+                              np.array([-1.0, -2.0, -3.0]), np.array([[0, 1], [5, 1], [2, 2]]),
+                              np.array(ext_vocab, dtype=object), model._ext_ranks(), 5)
+        assert entries(got[0]) == [((UNK_TOKEN, "a"), (-2.0).hex()),
+                                   (("b", "b"), (-3.0).hex())]

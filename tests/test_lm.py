@@ -381,11 +381,49 @@ class TestBatchEqualsScalarScores:
         assert got == [scalar_logprob(model, s).hex() for s in sentences]
         assert got[0] == float(model.eos_logprob).hex()
 
+    # "a b c" opens some sentences and sits in the middle of others, so its
+    # tokens meet both BOS-padded and full contexts; some sentences are
+    # shorter than the order
+    REPEATS = [("a", "b", "c"), ("c", "a", "b", "c"), ("a", "b", "c", "a", "b", "c"),
+               ("a",), ("b", "a"), ("a", "b"), ("<s>", "a", "b", "c"), ("oov", "a", "b", "c"),
+               ("c", "a", "b", "c"), ("a", "b", "c")]
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("interpolated", [False, True])
+    @pytest.mark.parametrize("key_limit", [None, 1])
+    def test_each_distinct_event_scored_once(self, order, interpolated, key_limit,
+                                             monkeypatch):
+        # key_limit 1 ranks the event keys again before every digit
+        if key_limit is not None:
+            monkeypatch.setattr(lm_module, "_KEY_LIMIT", key_limit)
+        rng = random.Random(70 + order)
+        model = train_lm(random_corpus(rng, ["a", "b", "c", "<s>"], 30), order, 0.3)
+        if interpolated:
+            model = finetune_lm(model, random_corpus(rng, ["b", "c", "d"], 8), 0.35)
+        scored = []
+        real = model._event_logprobs
+
+        def counting(vocab, history, word):
+            scored.append(word.size)
+            return real(vocab, history, word)
+
+        monkeypatch.setattr(model, "_event_logprobs", counting)
+        sentences = self.REPEATS
+        got = [v.hex() for v in logprobs(model, sentences).tolist()]
+        assert got == [scalar_logprob(model, s).hex() for s in sentences]
+        padded = [(None,) * (order - 1) + s for s in sentences]
+        events = {(p[at:at + order - 1], p[at + order - 1])
+                  for p in padded for at in range(len(p) - order + 1)}
+        assert scored == [len(events)]
+        assert len(events) < sum(map(len, sentences))
+
 
 def batch_term(model, history, token):
-    """The log term `logprobs` gives `token` after `history`."""
-    tokens = list(history) + [token]
-    return float(model._log_terms(tokens, np.array([len(tokens)]))[-1])
+    """The log term `logprobs` gives `token` after `history`: its event's."""
+    vocab = list(dict.fromkeys((*history, token)))
+    back = [vocab.index(t) for t in reversed(history)] + [len(vocab)] * model.order
+    return float(model._event_logprobs(vocab, np.array([back[:model.order - 1]]),
+                                       np.array([vocab.index(token)]))[0])
 
 
 class TestMalformedCounts:

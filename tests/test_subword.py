@@ -180,6 +180,45 @@ class TestEncodeDatasetSegmentsOnce:
         assert sum(calls.values()) == 4  # a model of its own segments again
 
 
+# Merge lists as a merge file may hold them: any order, repeated lines (16
+# draws from 49 pairs), and pairs of symbols that earlier merges make.
+_MERGE_SYMBOLS = ("a", "b", "c", "aa", "ab", "bc", "abc")
+_merges_st = st.lists(st.tuples(st.sampled_from(_MERGE_SYMBOLS),
+                                st.sampled_from(_MERGE_SYMBOLS)), max_size=16).map(tuple)
+
+
+class TestJumpToTheNextMerge:
+    """`_word_pieces` jumps to the next merge that applies; it equals the
+    replay of every merge in order."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(merges=_merges_st, words=st.lists(st.text(alphabet="abcz", min_size=1,
+                                                     max_size=10), min_size=1, max_size=6))
+    @example(merges=(("a", "b"), ("ab", "c"), ("b", "c"), ("a", "bc")),
+             words=["abc", "abcabc", "bcabc", "aabcc"])
+    @example(merges=(("a", "a"), ("a", "a"), ("aa", "a"), ("a", "a")),
+             words=["a" * k for k in range(1, 9)])
+    @example(merges=(("c", "bc"), ("b", "c"), ("c", "bc")), words=["cbc"])
+    def test_equals_sequential_replay(self, merges, words):
+        model = BpeModel(merges=merges, vocab_size_target=0)
+        for word in words:
+            assert subword._word_pieces(word, model._ranks) == ref_word_pieces(word, merges)
+
+    def test_duplicate_merge_lines_from_a_file(self, tmp_path):
+        # "abc" is made by two splits, ab+c before a+bc; (c, bc) is listed
+        # twice and applies only at its second line, once (b, c) has made "bc"
+        merges = (("a", "b"), ("ab", "c"), ("c", "bc"), ("b", "c"), ("a", "bc"),
+                  ("abc", "abc"), ("c", "bc"), ("ab", "c"))
+        path = tmp_path / "bpe.txt"
+        path.write_text("#bpe v1 vocab=10 joiner=## reserved=\n#chars a b c\n"
+                        + "".join(f"{l} {r}\n" for l, r in merges), encoding="utf-8")
+        model = load_bpe(str(path))
+        assert model.merges == merges
+        sent = ("abcabc", "aabbcc", "babcab", "cab", "cbc", "acbc")
+        assert encode(sent, model) == ref_encode(sent, model)
+        assert encode(("abcabc", "cbc"), model) == ("abcabc", "cbc")
+
+
 class TestLearnBpe:
     def test_first_merge_on_counted_pairs(self):
         # one word "aaab": adjacent pairs (a,a)x2, (a,b)x1 -> merge ("a","a")
