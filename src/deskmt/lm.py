@@ -29,20 +29,30 @@ The entries of an n-best batch share prefixes, so there are far fewer
 events than tokens: 13,565 against 88,198 over the 300 reranked lists of
 the bench's `recipe` self-training pool (seed 1).
 
-Rows are computed in batches, one array operation per level for all the
-contexts a call asks for. Caches, each cleared before it would pass
-`_CACHE_CAP` entries:
+The decoder reads rows, a word's log-probability after a context at every
+symbol of a fixed list, from a `RowTable`: one per (LM, symbol list), held
+by the LM (`row_table`), so models that share an LM and a target vocabulary
+(fine-tune candidates, an ensemble and its first member) share one table.
+A row depends only on the context's LM state, the longest suffix of the
+BOS-padded context that is a node of the count trie, as (depth, node): the
+levels above it hold no counts and a total of 0, so each turns a row r into
+(ks * r) / ks whatever the tokens are. For an interpolated model the state
+is the pair of its parts' states. So a table holds one row per state: on
+the bench's `recipe` (seed 1) its LMs' tables hold 3,917 rows for 16,631
+distinct contexts decoded. Two indexes lead to the rows: sorted int64
+context keys, each context's symbol ranks as digits, to slots; and a dict
+of state keys to slots. A context seen before costs one `searchsorted`; the
+contexts missed are walked down the count trie (one `_find` per level), and
+rows are computed only for the states not held, in one batch per call. The
+table holds no reference to the LM, so the rows die with it.
 
-- `NGramLM._prob_cache`: (level, context ids) -> (row of P_level, the
-  context's node), for levels below `order` only. Many top-order contexts
-  back off to each of these rows. A top-order row is computed on request and
-  not kept.
-- `_scorer_rows` (both classes): symbol tuple -> (index, rows), where rows
-  maps a token context to `cond_logprobs_at(context, index)`. Every
-  `scorer_for` the same symbols returns a `_Scorer` over these shared rows,
-  so models that share an LM and a target vocabulary share one set of rows.
-  The LM holds no reference to a `_Scorer`, so the rows form no cycle and
-  die with the LM.
+Caches, each cleared before it would pass `_CACHE_CAP` entries:
+
+- `NGramLM._lower`: (level, state key) -> row of P_level after the
+  contexts of that state, for levels below `order` only; many states back
+  off to each of these rows. A top-order row is computed when its state is
+  first met and kept only as a table's log-probability row.
+- `RowTable`: its rows and both indexes, cleared together.
 """
 
 from __future__ import annotations
@@ -59,7 +69,7 @@ EOS = "</s>"
 BOS = "<s>"
 
 _CACHE_CAP = 200_000
-_KEY_LIMIT = 2**62  # event keys stay below this, so within int64
+_KEY_LIMIT = 2**62  # event and context keys stay below this, so within int64
 
 
 class NGramLM:
@@ -83,8 +93,11 @@ class NGramLM:
         self._context_id = dict(self.sym_id)
         self._context_id[BOS] = self.bos_id
         self._count_tables(events)
-        self._prob_cache: dict = {}
-        self._scorer_rows: dict = {}
+        # state key of (level, node): node + the number of nodes of lower levels
+        sizes = [1] + [keys.size for keys in self._child_keys]
+        self._level_start = np.cumsum([0] + sizes)
+        self._lower: dict = {}
+        self._tables: dict = {}
         self._uniform = np.full(len(self.syms), 1.0 / len(self.syms))
         self.interp_alpha = 0.0
         self.eos_logprob = float(np.log(self.eos_prob()))
@@ -114,51 +127,92 @@ class NGramLM:
 
     def eos_prob(self) -> float:
         """Unigram (context-free) end-of-sentence probability."""
-        return float(self._rows(1, [()])[0][0, self.eos_id])
+        root = np.zeros(1, dtype=np.int64)
+        return float(self._level_rows(1, root + 1, root)[0, self.eos_id])
 
     def id_or_unk(self, token: str) -> int:
         return self.sym_id.get(token, self.unk_id)
 
-    def _ctx_ids(self, context: tuple[str, ...]) -> tuple[int, ...]:
-        ids = tuple(self.id_or_unk(t) if t != BOS else self.bos_id for t in context)
-        if len(ids) >= self.order:
-            ids = ids[-(self.order - 1):] if self.order > 1 else ()
-        else:
-            ids = (self.bos_id,) * (self.order - 1 - len(ids)) + ids
-        return ids
+    def _walk(self, ctx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(depth, node) of every context's LM state: the node of the count
+        trie of its longest BOS-padded suffix that has one, and that node's
+        level. `ctx` holds context ids, a row per context, oldest first;
+        columns before the first are BOS."""
+        depth = np.ones(len(ctx), dtype=np.int64)
+        found = np.zeros(len(ctx), dtype=np.int64)   # the root
+        node = found
+        for back in range(1, self.order):  # extend by the token `back` back
+            token = ctx[:, -back] if back <= ctx.shape[1] else self.bos_id
+            keys = self._child_keys[back - 1]
+            node = _find(keys, node * self._width + token)
+            held = node < keys.size   # an absent context has no longer node
+            found = np.where(held, node, found)
+            depth += held
+        return depth, found
 
-    def _lower_rows(self, level: int, ctxs: list[tuple[int, ...]]) -> list:
-        """(row of P_level(. | ctx), ctx's node) of every ctx, for a level
-        below `order`; kept in `_prob_cache`."""
-        if level == 0:
-            return [(self._uniform, 0)] * len(ctxs)
+    def _level_rows(self, level: int, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
+        """`_rows`, with the rows of levels below `order` kept in `_lower`
+        by (level, state key)."""
+        if level == self.order:
+            return self._rows(level, depth, node)
+        keys = (self._level_start[depth - 1] + node).tolist()
+        rows = [self._lower.get((level, key)) for key in keys]
+        missing: dict = {}   # key -> its first context
+        for at, (key, row) in enumerate(zip(keys, rows)):
+            if row is None:
+                missing.setdefault(key, at)
+        if missing:
+            at = np.fromiter(missing.values(), dtype=np.intp, count=len(missing))
+            new = dict(zip(((level, key) for key in missing),
+                           self._rows(level, depth[at], node[at])))
+            if len(self._lower) + len(new) > _CACHE_CAP:
+                self._lower.clear()
+            self._lower.update(new)
+            rows = [new[level, key] if row is None else row for key, row in zip(keys, rows)]
+        return np.array(rows)
 
-        def compute(keys):
-            rows, nodes = self._rows(level, [ctx for _, ctx in keys])
-            return zip(rows, nodes.tolist())
-
-        return _cached(self._prob_cache, [(level, ctx) for ctx in ctxs], compute)
-
-    def _rows(self, level: int, ctxs: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of P_level(. | ctx) for every ctx, one per row of an array,
-        and the contexts' nodes; the rows they back off to come from
-        `_lower_rows`."""
-        lower = self._lower_rows(level - 1, [ctx[1:] for ctx in ctxs])
-        nodes = np.array([node for _, node in lower], dtype=np.int64)
-        if level > 1:  # extend each context by its oldest token
-            nodes = _find(self._child_keys[level - 2],
-                          nodes * self._width + np.array([ctx[0] for ctx in ctxs]))
+    def _rows(self, level: int, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
+        """Rows of P_level after contexts whose LM state (see `_walk`), at
+        depth <= level, is (depth, node), one per row: a context without a
+        node at this level has no counts here and a total of 0."""
+        own = depth == level   # the context's node is of this level
+        if level == 1:
+            lower = np.broadcast_to(self._uniform, (len(node), len(self.syms)))
+        else:  # the rows of the contexts without their oldest token
+            below = node.copy()
+            below[own] = self._child_keys[level - 2][node[own]] // self._width
+            lower = self._level_rows(level - 1, depth - own, below)
+        nodes = np.where(own, node, self._totals[level - 1].size - 1)
         # each node's counts: the run of keys from node * B up to (node + 1) * B
         keys = self._count_keys[level - 1]
         start = keys.searchsorted(nodes * self._width)
         counts = keys.searchsorted((nodes + 1) * self._width) - start
         at = np.arange(counts.sum()) + np.repeat(start - counts.cumsum() + counts, counts)
-        owner = np.repeat(np.arange(len(ctxs)), counts)
+        owner = np.repeat(np.arange(len(nodes)), counts)
         ks = self.k * len(self.syms)
-        rows = ks * np.array([row for row, _ in lower])
-        rows[owner, keys[at] - nodes[owner] * self._width] += self._count_vals[level - 1][at]
+        rows = ks * lower
+        rows[owner, keys[at] % self._width] += self._count_vals[level - 1][at]
         rows /= (self._totals[level - 1][nodes] + ks)[:, None]
-        return rows, nodes
+        return rows
+
+    def _symbol_maps(self, symbols: tuple[str, ...]) -> list:
+        """[(prediction id, context id) of every symbol]: unknown symbols
+        predict and extend as <unk>, a literal BOS extends as BOS."""
+        return [(np.array([self.id_or_unk(s) for s in symbols], dtype=np.intp),
+                 np.array([self._context_id.get(s, self.unk_id) for s in symbols],
+                          dtype=np.int64))]
+
+    def _table_states(self, maps: list, contexts: np.ndarray) -> tuple[np.ndarray, list]:
+        """(state key, [(depth, node)]) of every context of symbol ids."""
+        (_, context_id), = maps
+        depth, node = self._walk(context_id[contexts])
+        return self._level_start[depth - 1] + node, [(depth, node)]
+
+    def _table_rows(self, maps: list, states: list) -> np.ndarray:
+        """Log-probability rows at the symbols of `maps`, one per state."""
+        (index, _), = maps
+        (depth, node), = states
+        return np.log(self._rows(self.order, depth, node)[:, index])
 
     def _event_probs(self, vocab: list[str], history: np.ndarray,
                      word: np.ndarray) -> np.ndarray:
@@ -190,46 +244,6 @@ class NGramLM:
                         word: np.ndarray) -> np.ndarray:
         return np.log(self._event_probs(vocab, history, word))
 
-    def cond_probs(self, context: tuple[str, ...]) -> np.ndarray:
-        """Conditional distribution over the prediction space, given token context."""
-        return self._top_rows([context])[0]
-
-    def _top_rows(self, contexts: list[tuple[str, ...]]) -> np.ndarray:
-        return self._rows(self.order, [self._ctx_ids(c) for c in contexts])[0]
-
-    def cond_logprobs(self, context: tuple[str, ...]) -> np.ndarray:
-        return np.log(self.cond_probs(context))
-
-    def symbol_index(self, symbols: tuple[str, ...]) -> np.ndarray:
-        """Prediction-space ids of `symbols`; unknown symbols map to <unk>."""
-        return np.array([self.id_or_unk(s) for s in symbols], dtype=np.intp)
-
-    def cond_logprobs_at(self, context: tuple[str, ...], index: np.ndarray) -> np.ndarray:
-        """cond_logprobs(context) gathered at a `symbol_index`."""
-        return self._logprob_rows([context], index)[0]
-
-    def _logprob_rows(self, contexts: list[tuple[str, ...]], index: np.ndarray) -> np.ndarray:
-        return np.log(self._top_rows(contexts))[:, index]
-
-    def scorer_for(self, symbols: tuple[str, ...]) -> "_Scorer":
-        """A scorer over the rows this LM caches for `symbols`."""
-        return _Scorer(self, symbols)
-
-
-def _cached(cache: dict, keys: list, compute) -> list:
-    """cache[key] of every key; the missing values come from one
-    `compute(missing keys)` call. A cache that would pass `_CACHE_CAP`
-    entries is cleared first."""
-    values = [cache.get(key) for key in keys]
-    missing = list(dict.fromkeys(k for k, v in zip(keys, values) if v is None))
-    if missing:
-        new = dict(zip(missing, compute(missing)))
-        if len(cache) + len(new) > _CACHE_CAP:
-            cache.clear()
-        cache.update(new)
-        values = [new[k] if v is None else v for k, v in zip(keys, values)]
-    return values
-
 
 def _find(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Rank of each query in the sorted unique `keys`; keys.size where absent."""
@@ -247,24 +261,111 @@ def _back(ids: np.ndarray, lengths: np.ndarray, d: int, fill: int) -> np.ndarray
     return np.where(at >= start, ids[np.maximum(at, 0)], fill)
 
 
-class _Scorer:
-    """Conditional log-probability vectors aligned to a fixed symbol list.
+class RowTable:
+    """Log-probability rows of one LM at a fixed symbol list, one row per
+    LM state met (see the module docstring).
 
-    The vectors are cached on the LM (`_scorer_rows`), shared by every
-    scorer for the same symbols.
+    `rows[slots(lm, contexts)[g], i]` is ln P(symbols[i] | contexts[g]);
+    read `rows` after the `slots` call, which may grow or clear the buffer.
+    `ranks` is each symbol's rank among the distinct symbols in string
+    order, so two ids that spell one symbol share a rank. The table holds
+    arrays only, never the LM.
     """
 
-    def __init__(self, lm, symbols: tuple[str, ...]):
-        self.lm = lm
-        shared = lm._scorer_rows.get(symbols)
-        if shared is None:
-            shared = lm._scorer_rows[symbols] = (lm.symbol_index(symbols), {})
-        self._index, self._cache = shared
+    def __init__(self, symbols: tuple[str, ...], maps: list):
+        rank = {sym: r for r, sym in enumerate(sorted(set(symbols)))}
+        self.ranks = np.array([rank[sym] for sym in symbols], dtype=np.int64)
+        self._digits = self.ranks + 1   # a context key's digits; 0 pads
+        self._base = len(rank) + 1
+        self._maps = maps            # each LM part's ids of the symbols
+        self._clear()
 
-    def logvecs(self, contexts: list[tuple[str, ...]]) -> np.ndarray:
-        """The vector of every context, one per row."""
-        return np.array(_cached(self._cache, contexts,
-                                lambda missing: self.lm._logprob_rows(missing, self._index)))
+    def _clear(self) -> None:
+        self._buffer = np.empty((0, self.ranks.size))
+        self.held = 0
+        self._keys = np.empty(0, dtype=np.int64)     # context keys, sorted
+        self._key_slots = np.empty(0, dtype=np.intp)
+        self._slot_of: dict = {}                     # state key -> slot
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._buffer[:self.held]
+
+    def slots(self, lm: LanguageModel, contexts: np.ndarray) -> np.ndarray:
+        """The row slot of every context: a row of symbol ids, oldest first,
+        at most lm.order - 1 long (a shorter one is BOS-padded).
+
+        A context is keyed by its ranks + 1 as digits in base (number of
+        ranks + 1); where such a key could pass `_KEY_LIMIT`, every context
+        is walked to its state instead. Only the states not held get rows.
+        """
+        slot = np.empty(len(contexts), dtype=np.intp)
+        width = contexts.shape[1]
+        new_keys = self._keys[:0]
+        if self._base ** width <= _KEY_LIMIT:
+            key = self._digits[contexts] @ self._base ** np.arange(width - 1, -1, -1)
+            if self._keys.size:
+                at = np.minimum(self._keys.searchsorted(key), self._keys.size - 1)
+                slot = self._key_slots[at]
+                miss = np.flatnonzero(self._keys[at] != key)
+            else:
+                miss = np.arange(len(contexts))
+            if not miss.size:
+                return slot
+            new_keys, first, inverse = np.unique(key[miss], return_index=True,
+                                                 return_inverse=True)
+            walked = contexts[miss[first]]
+        else:
+            miss = inverse = np.arange(len(contexts))
+            walked = contexts
+        state, parts = lm._table_states(self._maps, walked)
+        state = state.tolist()
+        fresh = {}   # each state not held -> its first walked context
+        for at, state_key in enumerate(state):
+            if state_key not in self._slot_of:
+                fresh.setdefault(state_key, at)
+        if self.held and max(self.held + len(fresh),
+                             self._keys.size + new_keys.size) > _CACHE_CAP:
+            self._clear()
+            return self.slots(lm, contexts)
+        if fresh:
+            at = np.fromiter(fresh.values(), dtype=np.intp, count=len(fresh))
+            self._append(lm._table_rows(self._maps, [(depth[at], node[at])
+                                                     for depth, node in parts]))
+            self._slot_of.update(zip(fresh, range(self.held - len(fresh), self.held)))
+        walked_slot = np.array([self._slot_of[state_key] for state_key in state],
+                               dtype=np.intp)
+        slot[miss] = walked_slot[inverse]
+        if new_keys.size:   # merge the new keys into the sorted index
+            at = self._keys.searchsorted(new_keys) + np.arange(new_keys.size)
+            old = np.ones(self._keys.size + new_keys.size, dtype=bool)
+            old[at] = False
+            keys = np.empty(old.size, dtype=np.int64)
+            key_slots = np.empty(old.size, dtype=np.intp)
+            keys[at], keys[old] = new_keys, self._keys
+            key_slots[at], key_slots[old] = walked_slot, self._key_slots
+            self._keys, self._key_slots = keys, key_slots
+        return slot
+
+    def _append(self, rows: np.ndarray) -> None:
+        # the buffer grows by a quarter: tables of many LMs live at once, so
+        # doubling would leave up to half of every buffer unused
+        need = self.held + len(rows)
+        if need > len(self._buffer):
+            grown = np.empty((max(need, min(len(self._buffer) * 5 // 4, _CACHE_CAP)),
+                              self.ranks.size))
+            grown[:self.held] = self.rows
+            self._buffer = grown
+        self._buffer[self.held:need] = rows
+        self.held = need
+
+
+def row_table(model: LanguageModel, symbols: tuple[str, ...]) -> RowTable:
+    """The LM's row table for `symbols`, made on first request."""
+    table = model._tables.get(symbols)
+    if table is None:
+        table = model._tables[symbols] = RowTable(symbols, model._symbol_maps(symbols))
+    return table
 
 
 def train_lm(corpus: list[Sentence], order: int, k: float,
@@ -312,7 +413,7 @@ class InterpolatedLM:
         self.k = base.k
         eos = (1.0 - alpha) * base.eos_prob() + alpha * indomain.eos_prob()
         self.eos_logprob = float(np.log(eos))
-        self._scorer_rows: dict = {}
+        self._tables: dict = {}
 
     def _event_logprobs(self, vocab: list[str], history: np.ndarray,
                         word: np.ndarray) -> np.ndarray:
@@ -321,24 +422,22 @@ class InterpolatedLM:
         pi = self.indomain._event_probs(vocab, history, word)
         return np.log((1.0 - a) * pb + a * pi)
 
-    def symbol_index(self, symbols: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-        return self.base.symbol_index(symbols), self.indomain.symbol_index(symbols)
+    def _symbol_maps(self, symbols: tuple[str, ...]) -> list:
+        return self.base._symbol_maps(symbols) + self.indomain._symbol_maps(symbols)
 
-    def cond_logprobs_at(self, context: tuple[str, ...],
-                         index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Log-probabilities at a `symbol_index`, mixed in probability space."""
-        return self._logprob_rows([context], index)[0]
+    def _table_states(self, maps: list, contexts: np.ndarray) -> tuple[np.ndarray, list]:
+        """The pair of the parts' states: base key * in-domain states + in-domain key."""
+        base, base_states = self.base._table_states(maps[:1], contexts)
+        indomain, in_states = self.indomain._table_states(maps[1:], contexts)
+        return base * int(self.indomain._level_start[-1]) + indomain, base_states + in_states
 
-    def _logprob_rows(self, contexts: list[tuple[str, ...]],
-                      index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        base_idx, in_idx = index
+    def _table_rows(self, maps: list, states: list) -> np.ndarray:
+        """Rows mixed in probability space, at each part's ids of the symbols."""
+        (base_idx, _), (in_idx, _) = maps
         a = self.interp_alpha
-        pb = self.base._top_rows(contexts)[:, base_idx]
-        pi = self.indomain._top_rows(contexts)[:, in_idx]
+        pb = self.base._rows(self.order, *states[0])[:, base_idx]
+        pi = self.indomain._rows(self.order, *states[1])[:, in_idx]
         return np.log((1.0 - a) * pb + a * pi)
-
-    def scorer_for(self, symbols: tuple[str, ...]) -> _Scorer:
-        return _Scorer(self, symbols)
 
 
 LanguageModel = NGramLM | InterpolatedLM

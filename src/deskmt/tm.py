@@ -26,11 +26,12 @@ a few sorts (`_nbest_lists`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
 from .corpus import UNK_TOKEN, DataMix, Sentence
-from .lm import LanguageModel, lm_from_dict, lm_to_dict, train_lm
+from .lm import LanguageModel, lm_from_dict, lm_to_dict, row_table, train_lm
 from .util import NUMBER, DataError, doc_field, doc_strings, sha256_text, stable_json_dumps
 
 NULL = "<null>"
@@ -63,10 +64,10 @@ class LexModel:
     and settings on first use and never invalidated, so changing any of
     them afterwards gives stale results. Derive a new model instead.
 
-    The LM rows the decoder reads live on the LM, not the model: `_scorer`
-    returns `lm.scorer_for(tgt_vocab + <unk>)`, so models that share an LM
-    and a target vocabulary (fine-tune candidates, an ensemble and its
-    first member) share one set of rows.
+    The LM rows the decoder reads live on the LM, not the model:
+    `_row_table` returns `lm.row_table(lm, tgt_vocab + <unk>)`, which holds
+    one row per LM state, so models that share an LM and a target vocabulary
+    (fine-tune candidates, an ensemble and its first member) share one table.
     """
 
     def __init__(self, src_vocab: tuple[str, ...], tgt_vocab: tuple[str, ...],
@@ -110,22 +111,11 @@ class LexModel:
             self._caches["ext_vocab"] = ext
         return ext
 
-    def _ext_ranks(self) -> np.ndarray:
-        """Each ext symbol's rank among the distinct ext symbols in string
-        order; the two ext ids of the unknown token share theirs."""
-        ranks = self._caches.get("ext_ranks")
-        if ranks is None:
-            ext = self._ext_vocab()
-            rank = {sym: r for r, sym in enumerate(sorted(set(ext)))}
-            ranks = self._caches["ext_ranks"] = np.array([rank[sym] for sym in ext])
-        return ranks
-
-    def _scorer(self):
-        scorer = self._caches.get("scorer")
-        if scorer is None:
-            scorer = self.lm.scorer_for(self._ext_vocab())
-            self._caches["scorer"] = scorer
-        return scorer
+    def _row_table(self):
+        """The LM's `RowTable` over the ext symbols; its `ranks` order the
+        ext symbols as strings, the two ext ids of the unknown token sharing
+        one rank."""
+        return row_table(self.lm, self._ext_vocab())
 
     def _t_ext(self) -> np.ndarray:
         """Lexical table padded with a floor row/column for unknown symbols."""
@@ -347,13 +337,13 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
     last step.
     """
     w = model.window
-    scorer = model._scorer()
+    table = model._row_table()
     order = getattr(model.lm, "order", 1)
     ext_vocab = model._ext_vocab()
     ext_sym = np.array(ext_vocab, dtype=object)
     # LM contexts compare by symbol, and a target vocabulary that holds the
     # unknown token spells it with two ext ids: both have one rank
-    ext_rank = model._ext_ranks()
+    ext_rank = table.ranks
     cand_ids, cand_lex, cand_start, cand_count = model._candidate_table()
 
     # source position j of sentence s decodes to candidate entries
@@ -401,22 +391,24 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
         rows_per_sent = np.bincount(row_sent, minlength=len(block))
         if not rows_per_sent[live].all():
             raise DataError("no admissible decoding path (window too small)")
-        lm_rows = scorer.logvecs([tuple(c) for c in
-                                  ext_sym[emitted[group_first, c0:i - 1]].tolist()])
-        lm_rows *= model.lm_weight
-        # pool entry e extends state row_state[r] of the row r that holds it
+        # each group's LM row is the table's row at the group's slot; the
+        # table holds one row per LM state and is gathered from in place.
+        # Pool entry e extends state row_state[r] of the row r that holds it
         # by candidate entry cols[e], and scores
         #     score + (lex + lm_weight * lm)
-        # with each addition and product as written (a + b is b + a, bit for
-        # bit). Pool-sized arrays are freed as soon as they are used.
+        # with each addition and product as written (a + b is b + a and
+        # a * b is b * a, bit for bit). Pool-sized arrays are freed as soon
+        # as they are used.
+        slot = table.slots(model.lm, emitted[group_first, c0:i - 1])
         lens = pos_count[row_sent, row_pos]
         ends = lens.cumsum()
         cols = (pos_start[row_sent, row_pos] - ends + lens).repeat(lens)
         cols += np.arange(ends[-1])
         at = cand_ids.take(cols)
-        at += (group[row_state] * len(ext_vocab)).repeat(lens)
-        flat = lm_rows.take(at)
+        at += (slot[group[row_state]] * len(ext_vocab)).repeat(lens)
+        flat = table.rows.take(at)
         del at
+        flat *= model.lm_weight
         flat += cand_lex.take(cols)
         flat += score[row_state].repeat(lens)
 
@@ -544,7 +536,8 @@ def pair_channel_scores(model: LexModel, xs: list[Sentence], ys: list[Sentence],
 def _ids_end_to_end(sentences: list[Sentence], ids: dict[str, int], unknown: int):
     """(ids of all tokens laid end to end, each sentence's start, its length)."""
     lengths = np.array([len(s) for s in sentences], dtype=np.intp)
-    flat = np.array([ids.get(tok, unknown) for s in sentences for tok in s], dtype=np.intp)
+    flat = np.fromiter(map(ids.get, chain.from_iterable(sentences), repeat(unknown)),
+                       dtype=np.intp, count=int(lengths.sum()))
     return flat, lengths.cumsum() - lengths, lengths
 
 

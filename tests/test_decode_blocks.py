@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deskmt import lm as lm_module
 from deskmt import tm
 from deskmt.corpus import SIDE_PARALLEL, UNK_TOKEN, TaggedDataset, build_mix
 from deskmt.lm import train_lm
@@ -24,12 +25,21 @@ from deskmt.tm import DataError, NBestEntry, em_train, translate_corpus, transla
 TAG_LIKE = "<bt>"  # a word like any other: no source loses its first token
 
 
+def lm_row(model, ctx):
+    """The decoder's LM log-probabilities over the ext ids after a context
+    of ext symbols."""
+    ext_id = {s: i for i, s in enumerate(model._ext_vocab())}
+    table = model._row_table()
+    slot = table.slots(model.lm, np.array([[ext_id[t] for t in ctx]],
+                                          dtype=np.intp).reshape(1, len(ctx)))[0]
+    return table.rows[slot]
+
+
 def reference_nbest(model, src, n):
     """Top-n hypotheses of one source, decoded one step at a time in Python."""
     m = len(src)
     w = model.window
     width = max(model.beam, n)
-    scorer = model._scorer()
     order = getattr(model.lm, "order", 1)
     ext_vocab = model._ext_vocab()
     position = []
@@ -67,7 +77,7 @@ def reference_nbest(model, src, n):
                         row_start.append(g * cols + off[j] - c0)
                         row_len.append(off[j + 1] - off[j])
         win_ids = ids_all[c0:c0 + cols]
-        lm_rows = np.array([scorer.logvecs([ctx])[0] for ctx in by_ctx])[:, win_ids]
+        lm_rows = np.array([lm_row(model, ctx) for ctx in by_ctx])[:, win_ids]
         step = (lex_all[c0:c0 + cols] + model.lm_weight * lm_rows).ravel()
         lens = np.array(row_len)
         ends = lens.cumsum()
@@ -161,6 +171,25 @@ class TestBlocksEqualSingleSentences:
             assert entries(nb) == entries(translate_nbest(model, source, n))
             assert entries(nb) == [(hyp, score.hex())
                                    for hyp, score in reference_nbest(model, source, n)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 4),
+           key_limit=st.sampled_from([1, 40]))
+    def test_walked_contexts_decode_as_keyed_ones(self, seed, order, key_limit):
+        # key_limit 1 walks every context to its LM state at every step; 40
+        # keys the contexts of one symbol and walks the longer ones
+        rng = random.Random(seed)
+        model, src_syms = random_model(rng, beam=3, window=1, order=order, lm_weight=0.6,
+                                       unk_target=True)
+        sources = random_sources(rng, src_syms, 6)
+        keyed = translate_corpus(model, sources, 8)
+        fresh = tm.model_from_dict(tm.model_to_dict(model))   # an LM without rows
+        with mock.patch.object(lm_module, "_KEY_LIMIT", key_limit):
+            walked = translate_corpus(fresh, sources, 8)
+        assert [entries(nb) for nb in walked] == [entries(nb) for nb in keyed]
+        if key_limit == 1:   # only the empty context's key, 0, fits
+            assert fresh._row_table()._keys.tolist() == [0]
+        assert fresh._row_table().held == model._row_table().held
 
     def test_more_sources_than_one_block_holds(self):
         rng = random.Random(3)
@@ -319,7 +348,7 @@ class TestArrayNbestLists:
         emitted = np.array([ids for _, _, ids in states], dtype=np.intp)
         block = [(f"x{s}",) for s in range(sentences)]
         got = tm._nbest_lists(block, sent, score, emitted, np.array(ext_vocab, dtype=object),
-                              model._ext_ranks(), n)
+                              model._row_table().ranks, n)
         assert sorted(got) == sorted(set(sent.tolist()))
         for s, nb in got.items():
             beam = [(v, ids) for t, v, ids in states if t == s]
@@ -334,6 +363,6 @@ class TestArrayNbestLists:
         ext_vocab = model._ext_vocab()
         got = tm._nbest_lists([("x",)], np.zeros(3, dtype=np.intp),
                               np.array([-1.0, -2.0, -3.0]), np.array([[0, 1], [5, 1], [2, 2]]),
-                              np.array(ext_vocab, dtype=object), model._ext_ranks(), 5)
+                              np.array(ext_vocab, dtype=object), model._row_table().ranks, 5)
         assert entries(got[0]) == [((UNK_TOKEN, "a"), (-2.0).hex()),
                                    (("b", "b"), (-3.0).hex())]

@@ -1,7 +1,10 @@
+import gc
 import itertools
 import math
 import random
 import warnings
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from deskmt.lm import (
     logprob,
     logprobs,
     perplexity,
+    row_table,
     train_lm,
 )
 
@@ -25,6 +29,25 @@ from deskmt.lm import (
 def random_corpus(rng, vocab, n_sents, max_len=8):
     return [tuple(rng.choice(vocab) for _ in range(rng.randint(1, max_len)))
             for _ in range(n_sents)]
+
+
+def table_row(model, symbols, context):
+    """ln P(symbol | context) of every symbol, read from the model's row
+    table over the symbols and the context's tokens; the context is cut to
+    its last order - 1 tokens, as the decoder gives it."""
+    symbols = tuple(symbols)
+    table_symbols = tuple(dict.fromkeys(symbols + tuple(context)))
+    context = context[max(0, len(context) - model.order + 1):] if model.order > 1 else ()
+    ids = np.array([[table_symbols.index(t) for t in context]],
+                   dtype=np.intp).reshape(1, len(context))
+    table = row_table(model, table_symbols)
+    slot = table.slots(model, ids)[0]
+    return table.rows[slot, :len(symbols)]
+
+
+def probs(model, context):
+    """P(. | context) over the model's prediction space."""
+    return np.exp(table_row(model, model.syms, context))
 
 
 class TestTraining:
@@ -35,14 +58,13 @@ class TestTraining:
     def test_large_k_approaches_uniform(self):
         # 3 distinct tokens + EOS = |V| 4; prediction space adds unk -> 1/5
         model = train_lm([("a", "b", "c")], order=1, k=1e12)
-        probs = model.cond_probs(())
-        assert np.allclose(probs, 1.0 / 5, atol=1e-9)
+        assert np.allclose(probs(model, ()), 1.0 / 5, atol=1e-9)
 
     def test_addk_unigram_formula(self):
         # corpus "a a a b": P(a) = (3+k)/(4+k*|V ∪ unk|), |V ∪ unk| = 4
         k = 0.7
         model = train_lm([("a", "a", "a", "b")], order=1, k=k)
-        p_a = model.cond_probs(())[model.sym_id["a"]]
+        p_a = probs(model, ())[model.sym_id["a"]]
         assert p_a == pytest.approx((3 + k) / (4 + k * 4), abs=1e-12)
 
     def test_order_below_one_rejected(self):
@@ -113,7 +135,7 @@ class TestNormalization:
         model = train_lm(random_corpus(rng, vocab, 50), order=3, k=0.25)
         for _ in range(1000):
             ctx = tuple(rng.choice(vocab + ["oov"]) for _ in range(rng.randint(0, 2)))
-            total = float(model.cond_probs(ctx).sum())
+            total = float(probs(model, ctx).sum())
             assert abs(total - 1.0) < 1e-9
 
 
@@ -160,8 +182,8 @@ class TestFinetune:
         base = train_lm([("a",)] * 4, order=1, k=0.5)
         mixed = finetune_lm(base, [("b",)] * 4, alpha=0.5)
         indomain = train_lm([("b",)] * 4, order=1, k=0.5)
-        pa = 0.5 * base.cond_probs(())[base.sym_id["a"]] \
-            + 0.5 * indomain.cond_probs(())[indomain.id_or_unk("a")]
+        pa = 0.5 * probs(base, ())[base.sym_id["a"]] \
+            + 0.5 * probs(indomain, ())[indomain.id_or_unk("a")]
         got = math.exp(logprob(mixed, ("a",)) - mixed.eos_logprob)
         assert got == pytest.approx(float(pa), abs=1e-12)
 
@@ -219,30 +241,11 @@ class TestSerialization:
             lm_from_dict(doc)
 
 
-class TestScorer:
-    def test_scorer_matches_logprob_terms(self):
-        model = train_lm([("a", "b", "c")] * 6, order=2, k=0.3)
-        symbols = ("a", "b", "c", "zz")
-        scorer = model.scorer_for(symbols)
-        vec = scorer.logvecs([("a",)])[0]
-        for i, sym in enumerate(symbols):
-            expected = model.cond_logprobs(("a",))[model.id_or_unk(sym)]
-            assert vec[i] == expected
-
-
 def reference_logprob(model, sentence):
-    """Uncached left-to-right sum of the per-token log terms."""
+    """Left-to-right sum of the decoder's row terms, token by token."""
     total = 0.0
-    history = ()
-    for token in sentence:
-        if isinstance(model, InterpolatedLM):
-            a = model.interp_alpha
-            pb = model.base.cond_probs(history)[model.base.id_or_unk(token)]
-            pi = model.indomain.cond_probs(history)[model.indomain.id_or_unk(token)]
-            total += float(np.log((1.0 - a) * pb + a * pi))
-        else:
-            total += float(model.cond_logprobs(history)[model.id_or_unk(token)])
-        history = (history + (token,))[-(model.order - 1):] if model.order > 1 else ()
+    for at, token in enumerate(sentence):
+        total += float(table_row(model, (token,), sentence[:at])[0])
     return total + model.eos_logprob
 
 
@@ -270,17 +273,22 @@ class TestBatchScores:
         sents = random_corpus(rng, ["a", "b", "c", "d", "e"], 40)
         for model in self.models():
             parts = [model] if isinstance(model, NGramLM) else [model.base, model.indomain]
-            scorer = model.scorer_for(_SCORER_SYMBOLS)
+            table = row_table(model, _SCORER_SYMBOLS)
             for s in sents:
                 assert logprob(model, s) == reference_logprob(model, s)
-                ctx = s[-(model.order - 1):]
-                expected = model.cond_logprobs_at(ctx, model.symbol_index(_SCORER_SYMBOLS))
-                assert np.array_equal(scorer.logvecs([ctx])[0], expected)
-                assert all(len(rows) <= 6 for _, rows in model._scorer_rows.values())
+                ctx = [_SCORER_SYMBOLS.index(t) if t in _SCORER_SYMBOLS else 3
+                       for t in s[-(model.order - 1):]]
+                slot = table.slots(model, np.array([ctx]))[0]
+                row = table.rows[slot]
+                assert [float(v).hex() for v in row] == \
+                    [batch_term(model, tuple(_SCORER_SYMBOLS[i] for i in ctx), sym).hex()
+                     for sym in _SCORER_SYMBOLS]
+                assert table.held <= 5 and table._keys.size <= 5
+                assert len(table._slot_of) == table.held
                 for part in parts:
-                    assert len(part._prob_cache) <= 6
-                    assert all(level < part.order for level, _ in part._prob_cache)
-            assert all(part._prob_cache for part in parts)
+                    assert len(part._lower) <= 5
+                    assert all(level < part.order for level, _ in part._lower)
+            assert all(part._lower for part in parts)
 
     def test_empty_batch(self):
         for model in self.models():
@@ -524,9 +532,8 @@ class TestBatchTerm:
     @given(_corpora, _orders, _ks, _histories, st.sampled_from(_QUERIES))
     def test_ngram_term_is_the_row_element(self, corpus, order, k, history, token):
         model = train_lm(corpus, order, k)
-        row = model.cond_logprobs(history)
-        assert batch_term(model, history, token).hex() == \
-            float(row[model.id_or_unk(token)]).hex()
+        row = table_row(model, (token,), history)
+        assert batch_term(model, history, token).hex() == float(row[0]).hex()
 
     @settings(max_examples=300, deadline=None)
     @given(_corpora, _corpora, _orders, _ks, st.sampled_from([0.0, 0.3, 1.0]),
@@ -534,7 +541,7 @@ class TestBatchTerm:
     def test_interpolated_term_is_the_row_element(self, corpus, in_corpus, order, k,
                                                   alpha, history, at):
         model = finetune_lm(train_lm(corpus, order, k), in_corpus, alpha)
-        row = model.cond_logprobs_at(history, model.symbol_index(_QUERIES))
+        row = table_row(model, _QUERIES, history)
         assert batch_term(model, history, _QUERIES[at]).hex() == float(row[at]).hex()
 
     @pytest.mark.parametrize("k", [0.01, 0.3, 7.5])
@@ -557,6 +564,83 @@ class TestBatchTerm:
         model = train_lm(corpus, order=3, k=k, weights=weights)
         queries = vocab + ["oov", "</s>"]
         for history in itertools.product(vocab + ["<s>"], repeat=2):
-            row = model.cond_logprobs(history)
+            row = table_row(model, queries, history)
             terms = [batch_term(model, history, token) for token in queries]
-            assert terms == [float(row[model.id_or_unk(t)]) for t in queries]
+            assert terms == row.tolist()
+
+
+# A decoder's target symbols: a vocabulary that holds "<unk>", so two ext ids
+# spell it, and a literal "<s>", with symbols no LM here was trained on; "#"
+# sorts first, so a context key digit without its + 1 would read as padding.
+_TABLE_SYMBOLS = ("<s>", "<unk>", "a", "b", "c", "#", "zz", "<unk>")
+
+
+def lm_state(model, context):
+    """The LM state of a context of symbols, by the definition: for each
+    part, the longest suffix of its BOS-padded ids that a trained trie holds
+    as a node, i.e. that holds counts in the model's document."""
+    parts = [model] if isinstance(model, NGramLM) else [model.base, model.indomain]
+    states = []
+    for part in parts:
+        nodes = [{tuple(ctx) for ctx, _ in level} for level in lm_to_dict(part)["counts"]]
+        bos = len(part.syms)
+        ids = tuple(bos if t == "<s>" else part.sym_id.get(t, bos - 1) for t in context)
+        ids = (bos,) * (part.order - 1 - len(ids)) + ids
+        n = max(n for n in range(part.order) if ids[len(ids) - n:] in nodes[n])
+        states.append(ids[len(ids) - n:])
+    return tuple(states)
+
+
+class TestRowTable:
+    """The decoder's rows: one per LM state, each the batch scorer's terms."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_corpora, _orders, _ks, st.sampled_from([None, 0.0, 0.4, 1.0]),
+           st.lists(st.tuples(st.integers(min_value=0, max_value=3),
+                              st.lists(st.tuples(*[st.integers(0, len(_TABLE_SYMBOLS) - 1)] * 3),
+                                       min_size=1, max_size=8)),
+                    min_size=1, max_size=4),
+           st.sampled_from([None, 1, 50]))
+    def test_one_row_per_state_equal_to_the_event_terms(self, corpus, order, k, alpha,
+                                                        steps, key_limit):
+        # key_limit 1 walks every context; 50 keys a context of one symbol
+        # (7 distinct symbols: base 8) and walks the longer ones
+        model = train_lm(corpus, order, k)
+        if alpha is not None:
+            model = finetune_lm(model, [("b", "e"), ("e", "<s>", "a", "a")], alpha)
+        table = row_table(model, _TABLE_SYMBOLS)
+        slot_of = {}
+        limit = lm_module._KEY_LIMIT if key_limit is None else key_limit
+        with mock.patch.object(lm_module, "_KEY_LIMIT", limit):
+            for width, contexts in steps:
+                # one step's contexts share a length of at most order - 1
+                width = min(width, order - 1)
+                ids = np.array([c[3 - width:] for c in contexts],
+                               dtype=np.intp).reshape(len(contexts), width)
+                for ctx, slot in zip(map(tuple, ids.tolist()), table.slots(model, ids).tolist()):
+                    assert slot_of.setdefault(ctx, slot) == slot
+        vocab = list(_TABLE_SYMBOLS)
+        for ctx, slot in slot_of.items():
+            back = [ctx[-d] if d <= len(ctx) else len(vocab) for d in range(1, order)]
+            history = np.array([back] * len(vocab), dtype=np.int64).reshape(len(vocab), order - 1)
+            expected = model._event_logprobs(vocab, history, np.arange(len(vocab)))
+            assert [float(v).hex() for v in table.rows[slot]] == \
+                [float(v).hex() for v in expected]
+        states = {ctx: lm_state(model, [vocab[i] for i in ctx]) for ctx in slot_of}
+        slot_of_state = {}
+        for ctx, state in states.items():
+            assert slot_of_state.setdefault(state, slot_of[ctx]) == slot_of[ctx]
+        assert table.held == len(slot_of_state) == len(set(slot_of.values()))
+
+    def test_rows_die_with_the_lm_without_the_collector(self):
+        gc.disable()
+        try:
+            model = finetune_lm(train_lm([("a", "b", "c")] * 4, 3, 0.3), [("b", "d")], 0.4)
+            table = row_table(model, _TABLE_SYMBOLS)
+            table.slots(model, np.array([[2, 3], [0, 2], [5, 6]]))
+            assert row_table(model, _TABLE_SYMBOLS) is table and table.held > 0
+            refs = [weakref.ref(obj) for obj in (model, model.base, model.indomain, table)]
+            del model, table
+            assert [ref() for ref in refs] == [None] * 4
+        finally:
+            gc.enable()

@@ -301,9 +301,9 @@ class TestLMCaches:
         bundle = tiny_bundle(seed=31)
         run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt, bundle.dev,
                      str(tmp_path / "r"), tiny_config())
-        assert created and any(lm._prob_cache for lm in created)
+        assert created and any(lm._lower for lm in created)
         for lm in created:
-            assert all(level < lm.order for level, _ in lm._prob_cache)
+            assert all(level < lm.order for level, _ in lm._lower)
 
 
 class TestNoRecomputation:

@@ -73,6 +73,15 @@ def build_model(t_dict, src_vocab, tgt_vocab, lm_corpus, *, beam=5, window=0,
                     lm_weight=lm_weight)
 
 
+def lm_row(model, ctx):
+    """The decoder's LM log-probabilities over the ext ids after a token context."""
+    ext_id = {s: i for i, s in enumerate(model._ext_vocab())}
+    table = model._row_table()
+    slot = table.slots(model.lm, np.array([[ext_id[t] for t in ctx]],
+                                          dtype=np.intp).reshape(1, len(ctx)))[0]
+    return table.rows[slot]
+
+
 def candidates(model, symbol):
     """(ext ids, lex log-probs) of the decodable targets of one source symbol."""
     ids, lex, start, count = model._candidate_table()
@@ -90,7 +99,6 @@ def pair_logprob(model, src, y):
         raise DataError("cannot score an empty pair")
     m = len(src)
     w = model.window
-    scorer = model._scorer()
     ext_vocab = model._ext_vocab()
     ext_id = {s: i for i, s in enumerate(ext_vocab)}
     order = getattr(model.lm, "order", 1)
@@ -107,7 +115,7 @@ def pair_logprob(model, src, y):
     states = {0: 0.0}
     ctx = ()
     for i in range(1, m + 1):
-        lm_vec = scorer.logvecs([ctx])[0]
+        lm_vec = lm_row(model, ctx)
         token = y[i - 1]
         lm_term = float(lm_vec[ext_id.get(token, unk_ext)])
         lo, hi = max(0, i - 1 - w), min(m - 1, i - 1 + w)
@@ -138,7 +146,6 @@ def brute_force_nbest(model, x, n):
     """Enumerate every admissible (alignment, symbol) sequence; group by output."""
     m = len(x)
     w = model.window
-    scorer = model._scorer()
     ext_vocab = model._ext_vocab()
     order = getattr(model.lm, "order", 1)
     results = {}
@@ -149,7 +156,7 @@ def brute_force_nbest(model, x, n):
             if results.get(key, -math.inf) < score:
                 results[key] = score
             return
-        lm_vec = scorer.logvecs([ctx])[0]
+        lm_vec = lm_row(model, ctx)
         for j in range(m):
             if j in consumed or abs((j + 1) - step) > w:
                 continue
@@ -266,9 +273,8 @@ class TestTranslateNbest:
                             [("b", "b")] * 3, lm_weight=0.4)
         nb = translate_nbest(model, ("a", "a"), 2)
         assert nb.top().hyp == ("b", "b")
-        scorer = model._scorer()
-        lm_terms = (0.4 * float(scorer.logvecs([()])[0][0])
-                    + 0.4 * float(scorer.logvecs([("b",)])[0][0]))
+        lm_terms = (0.4 * float(lm_row(model, ())[0])
+                    + 0.4 * float(lm_row(model, ("b",))[0]))
         assert nb.top().fwd == pytest.approx(lm_terms, abs=1e-12)
 
     def test_n1_equals_greedy_for_one_hot(self):
@@ -397,14 +403,13 @@ class TestPairLogprob:
                             ["a", "b"], ["x", "y"], [("x", "y")] * 3,
                             lm_weight=0.7, window=0)
         x, y = ("a", "b"), ("x", "y")
-        scorer = model._scorer()
         expected = 0.0
         ctx = ()
         for j, (sx, sy) in enumerate(zip(x, y)):
             ids, lex = candidates(model, sx)
             tid = model.tgt_id[sy]
             lex_term = float(lex[list(ids).index(tid)])
-            lm_term = float(scorer.logvecs([ctx])[0][tid])
+            lm_term = float(lm_row(model, ctx)[tid])
             expected += lex_term + 0.7 * lm_term
             ctx = (ctx + (sy,))[-1:]
         assert pair_logprob(model, x, y) == pytest.approx(expected, abs=1e-12)
@@ -422,7 +427,6 @@ class TestPairLogprob:
                 best = pair_logprob(model, x, y)
             except DataError:
                 continue  # no admissible alignment for this random pair
-            scorer = model._scorer()
             ext_id = {s: i for i, s in enumerate(model._ext_vocab())}
             for perm in itertools.permutations(range(length)):
                 if any(abs(perm[i] - i) > window for i in range(length)):
@@ -437,7 +441,7 @@ class TestPairLogprob:
                     if not hits:
                         feasible = False
                         break
-                    lm_term = float(scorer.logvecs([ctx])[0][tid])
+                    lm_term = float(lm_row(model, ctx)[tid])
                     score += float(lex[hits[0]]) + model.lm_weight * lm_term
                     ctx = (ctx + (y[i],))[-(model.lm.order - 1):] if model.lm.order > 1 else ()
                 if feasible:
@@ -594,7 +598,7 @@ class TestSerialization:
             model_from_dict(doc)
 
 
-class TestSharedScorerRows:
+class TestSharedRowTable:
     def models(self):
         """A trained model, a second model over its LM and vocabularies, and an ensemble."""
         model = em_train(random_mix(random.Random(6), 20), iterations=2, window=1,
@@ -603,19 +607,20 @@ class TestSharedScorerRows:
                         window=1, lm_weight=0.4)
         return model, twin, Ensemble([model])
 
-    def test_models_sharing_an_lm_and_vocabulary_share_rows(self):
+    def test_models_sharing_an_lm_and_vocabulary_share_one_table(self):
         model, twin, ens = self.models()
-        rows = model._scorer()._cache
-        assert twin._scorer()._cache is rows and ens._scorer()._cache is rows
+        table = model._row_table()
+        assert twin._row_table() is table and ens._row_table() is table
         x = ("s1", "s2", "s3")
         translate_nbest(model, x, 3)
-        filled = dict(rows)
-        translate_nbest(twin, x, 3)
-        assert rows.keys() == filled.keys()
-        assert all(rows[ctx] is vec for ctx, vec in filled.items())
+        held, keys, rows = table.held, table._keys.copy(), table.rows.copy()
+        assert held > 0
+        translate_nbest(twin, x, 3)   # the twin meets the same contexts: no new row
+        assert table.held == held and np.array_equal(table._keys, keys)
+        assert np.array_equal(table.rows, rows)
         other = LexModel(model.src_vocab, model.tgt_vocab[:-1], model.t[:, :-1],
                          model.lm)
-        assert other._scorer()._cache is not rows
+        assert other._row_table() is not table
 
     def test_rows_die_with_their_models_without_the_collector(self):
         gc.disable()
@@ -624,9 +629,10 @@ class TestSharedScorerRows:
             for m in models:
                 translate_nbest(m, ("s0", "s4"), 2)
             lm_ref = weakref.ref(models[0].lm)
-            rows_seen = len(models[0]._scorer()._cache)
+            table_ref = weakref.ref(models[0]._row_table())
+            rows_seen = table_ref().held
             del models, m
             assert rows_seen > 0
-            assert lm_ref() is None
+            assert lm_ref() is None and table_ref() is None
         finally:
             gc.enable()
