@@ -276,6 +276,7 @@ class TestBatchScores:
             table = row_table(model, _SCORER_SYMBOLS)
             for s in sents:
                 assert logprob(model, s) == reference_logprob(model, s)
+                # a token outside the symbols reads as "zz", which no LM knows
                 ctx = [_SCORER_SYMBOLS.index(t) if t in _SCORER_SYMBOLS else 3
                        for t in s[-(model.order - 1):]]
                 slot = table.slots(model, np.array([ctx]))[0]
