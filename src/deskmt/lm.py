@@ -58,6 +58,7 @@ Caches, each cleared before it would pass `_CACHE_CAP` entries:
 from __future__ import annotations
 
 import math
+import weakref
 from itertools import chain
 
 import numpy as np
@@ -265,86 +266,63 @@ class RowTable:
     """Log-probability rows of one LM at a fixed symbol list, one row per
     LM state met (see the module docstring).
 
-    `rows[slots(lm, contexts)[g], i]` is ln P(symbols[i] | contexts[g]);
-    read `rows` after the `slots` call, which may grow or clear the buffer.
+    `rows[slots(contexts)[g], i]` is ln P(symbols[i] | contexts[g]); read
+    `rows` after the `slots` call, which may grow or clear the buffer.
     `ranks` is each symbol's rank among the distinct symbols in string
-    order, so two ids that spell one symbol share a rank. The table holds
-    arrays only, never the LM.
+    order, so two ids that spell one symbol share a rank. The table reaches
+    its LM through a weak reference, so the rows die with the LM.
     """
 
-    def __init__(self, symbols: tuple[str, ...], maps: list):
+    def __init__(self, model: LanguageModel, symbols: tuple[str, ...]):
         rank = {sym: r for r, sym in enumerate(sorted(set(symbols)))}
         self.ranks = np.array([rank[sym] for sym in symbols], dtype=np.int64)
-        self._digits = self.ranks + 1   # a context key's digits; 0 pads
-        self._base = len(rank) + 1
-        self._maps = maps            # each LM part's ids of the symbols
+        self._lm = weakref.ref(model)
+        self._maps = model._symbol_maps(symbols)   # each LM part's ids of the symbols
         self._clear()
 
     def _clear(self) -> None:
         self._buffer = np.empty((0, self.ranks.size))
         self.held = 0
-        self._keys = np.empty(0, dtype=np.int64)     # context keys, sorted
-        self._key_slots = np.empty(0, dtype=np.intp)
-        self._slot_of: dict = {}                     # state key -> slot
+        self._states = np.empty(0, dtype=np.int64)   # state keys held, sorted
+        self._state_slots = np.empty(0, dtype=np.intp)
 
     @property
     def rows(self) -> np.ndarray:
         return self._buffer[:self.held]
 
-    def slots(self, lm: LanguageModel, contexts: np.ndarray) -> np.ndarray:
+    def slots(self, contexts: np.ndarray) -> np.ndarray:
         """The row slot of every context: a row of symbol ids, oldest first,
-        at most lm.order - 1 long (a shorter one is BOS-padded).
-
-        A context is keyed by its ranks + 1 as digits in base (number of
-        ranks + 1); where such a key could pass `_KEY_LIMIT`, every context
-        is walked to its state instead. Only the states not held get rows.
-        """
-        slot = np.empty(len(contexts), dtype=np.intp)
-        width = contexts.shape[1]
-        new_keys = self._keys[:0]
-        if self._base ** width <= _KEY_LIMIT:
-            key = self._digits[contexts] @ self._base ** np.arange(width - 1, -1, -1)
-            if self._keys.size:
-                at = np.minimum(self._keys.searchsorted(key), self._keys.size - 1)
-                slot = self._key_slots[at]
-                miss = np.flatnonzero(self._keys[at] != key)
-            else:
-                miss = np.arange(len(contexts))
-            if not miss.size:
-                return slot
-            new_keys, first, inverse = np.unique(key[miss], return_index=True,
-                                                 return_inverse=True)
-            walked = contexts[miss[first]]
-        else:
-            miss = inverse = np.arange(len(contexts))
-            walked = contexts
-        state, parts = lm._table_states(self._maps, walked)
-        state = state.tolist()
-        fresh = {}   # each state not held -> its first walked context
-        for at, state_key in enumerate(state):
-            if state_key not in self._slot_of:
-                fresh.setdefault(state_key, at)
-        if self.held and max(self.held + len(fresh),
-                             self._keys.size + new_keys.size) > _CACHE_CAP:
+        at most order - 1 long (a shorter one is BOS-padded). Every context
+        is walked to its state; only the states not held get rows."""
+        model = self._lm()
+        if model is None:
+            raise ValueError("the row table's language model is gone")
+        state, parts = model._table_states(self._maps, contexts)
+        found = _find(self._states, state)
+        miss = np.flatnonzero(found == self._states.size)
+        if not miss.size:
+            return self._state_slots[found]
+        new, first, inverse = np.unique(state[miss], return_index=True, return_inverse=True)
+        if self.held and self.held + new.size > _CACHE_CAP:
             self._clear()
-            return self.slots(lm, contexts)
-        if fresh:
-            at = np.fromiter(fresh.values(), dtype=np.intp, count=len(fresh))
-            self._append(lm._table_rows(self._maps, [(depth[at], node[at])
-                                                     for depth, node in parts]))
-            self._slot_of.update(zip(fresh, range(self.held - len(fresh), self.held)))
-        walked_slot = np.array([self._slot_of[state_key] for state_key in state],
-                               dtype=np.intp)
-        slot[miss] = walked_slot[inverse]
-        if new_keys.size:   # merge the new keys into the sorted index
-            at = self._keys.searchsorted(new_keys) + np.arange(new_keys.size)
-            old = np.ones(self._keys.size + new_keys.size, dtype=bool)
-            old[at] = False
-            keys = np.empty(old.size, dtype=np.int64)
-            key_slots = np.empty(old.size, dtype=np.intp)
-            keys[at], keys[old] = new_keys, self._keys
-            key_slots[at], key_slots[old] = walked_slot, self._key_slots
-            self._keys, self._key_slots = keys, key_slots
+            return self.slots(contexts)
+        at = miss[first]
+        self._append(model._table_rows(self._maps, [(depth[at], node[at])
+                                                    for depth, node in parts]))
+        new_slots = np.arange(self.held - new.size, self.held)
+        slot = np.empty(len(contexts), dtype=np.intp)
+        hit = found < self._states.size
+        slot[hit] = self._state_slots[found[hit]]
+        slot[miss] = new_slots[inverse]
+        # merge the new states into the sorted index
+        place = self._states.searchsorted(new) + np.arange(new.size)
+        old = np.ones(self._states.size + new.size, dtype=bool)
+        old[place] = False
+        states = np.empty(old.size, dtype=np.int64)
+        state_slots = np.empty(old.size, dtype=np.intp)
+        states[place], states[old] = new, self._states
+        state_slots[place], state_slots[old] = new_slots, self._state_slots
+        self._states, self._state_slots = states, state_slots
         return slot
 
     def _append(self, rows: np.ndarray) -> None:
@@ -364,7 +342,7 @@ def row_table(model: LanguageModel, symbols: tuple[str, ...]) -> RowTable:
     """The LM's row table for `symbols`, made on first request."""
     table = model._tables.get(symbols)
     if table is None:
-        table = model._tables[symbols] = RowTable(symbols, model._symbol_maps(symbols))
+        table = model._tables[symbols] = RowTable(model, symbols)
     return table
 
 

@@ -399,7 +399,7 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
         # with each addition and product as written (a + b is b + a and
         # a * b is b * a, bit for bit). Pool-sized arrays are freed as soon
         # as they are used.
-        slot = table.slots(model.lm, emitted[group_first, c0:i - 1])
+        slot = table.slots(emitted[group_first, c0:i - 1])
         lens = pos_count[row_sent, row_pos]
         ends = lens.cumsum()
         cols = (pos_start[row_sent, row_pos] - ends + lens).repeat(lens)

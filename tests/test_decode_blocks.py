@@ -30,8 +30,8 @@ def lm_row(model, ctx):
     of ext symbols."""
     ext_id = {s: i for i, s in enumerate(model._ext_vocab())}
     table = model._row_table()
-    slot = table.slots(model.lm, np.array([[ext_id[t] for t in ctx]],
-                                          dtype=np.intp).reshape(1, len(ctx)))[0]
+    slot = table.slots(np.array([[ext_id[t] for t in ctx]],
+                                dtype=np.intp).reshape(1, len(ctx)))[0]
     return table.rows[slot]
 
 
@@ -174,22 +174,19 @@ class TestBlocksEqualSingleSentences:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 4),
-           key_limit=st.sampled_from([1, 40]))
-    def test_walked_contexts_decode_as_keyed_ones(self, seed, order, key_limit):
-        # key_limit 1 walks every context to its LM state at every step; 40
-        # keys the contexts of one symbol and walks the longer ones
+           cap=st.sampled_from([1, 4]))
+    def test_rows_cleared_at_the_cap_decode_as_kept_ones(self, seed, order, cap):
+        # a cap of 1 clears the table at nearly every step with new states,
+        # so most steps read rows computed after a clear
         rng = random.Random(seed)
         model, src_syms = random_model(rng, beam=3, window=1, order=order, lm_weight=0.6,
                                        unk_target=True)
         sources = random_sources(rng, src_syms, 6)
-        keyed = translate_corpus(model, sources, 8)
+        kept = translate_corpus(model, sources, 8)
         fresh = tm.model_from_dict(tm.model_to_dict(model))   # an LM without rows
-        with mock.patch.object(lm_module, "_KEY_LIMIT", key_limit):
-            walked = translate_corpus(fresh, sources, 8)
-        assert [entries(nb) for nb in walked] == [entries(nb) for nb in keyed]
-        if key_limit == 1:   # only the empty context's key, 0, fits
-            assert fresh._row_table()._keys.tolist() == [0]
-        assert fresh._row_table().held == model._row_table().held
+        with mock.patch.object(lm_module, "_CACHE_CAP", cap):
+            cleared = translate_corpus(fresh, sources, 8)
+        assert [entries(nb) for nb in cleared] == [entries(nb) for nb in kept]
 
     def test_more_sources_than_one_block_holds(self):
         rng = random.Random(3)

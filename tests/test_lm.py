@@ -4,7 +4,6 @@ import math
 import random
 import warnings
 import weakref
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,7 +40,7 @@ def table_row(model, symbols, context):
     ids = np.array([[table_symbols.index(t) for t in context]],
                    dtype=np.intp).reshape(1, len(context))
     table = row_table(model, table_symbols)
-    slot = table.slots(model, ids)[0]
+    slot = table.slots(ids)[0]
     return table.rows[slot, :len(symbols)]
 
 
@@ -279,13 +278,12 @@ class TestBatchScores:
                 # a token outside the symbols reads as "zz", which no LM knows
                 ctx = [_SCORER_SYMBOLS.index(t) if t in _SCORER_SYMBOLS else 3
                        for t in s[-(model.order - 1):]]
-                slot = table.slots(model, np.array([ctx]))[0]
+                slot = table.slots(np.array([ctx]))[0]
                 row = table.rows[slot]
                 assert [float(v).hex() for v in row] == \
                     [batch_term(model, tuple(_SCORER_SYMBOLS[i] for i in ctx), sym).hex()
                      for sym in _SCORER_SYMBOLS]
-                assert table.held <= 5 and table._keys.size <= 5
-                assert len(table._slot_of) == table.held
+                assert table.held <= 5 and table._states.size == table.held
                 for part in parts:
                     assert len(part._lower) <= 5
                     assert all(level < part.order for level, _ in part._lower)
@@ -572,7 +570,7 @@ class TestBatchTerm:
 
 # A decoder's target symbols: a vocabulary that holds "<unk>", so two ext ids
 # spell it, and a literal "<s>", with symbols no LM here was trained on; "#"
-# sorts first, so a context key digit without its + 1 would read as padding.
+# sorts first, so its rank is 0.
 _TABLE_SYMBOLS = ("<s>", "<unk>", "a", "b", "c", "#", "zz", "<unk>")
 
 
@@ -600,26 +598,20 @@ class TestRowTable:
            st.lists(st.tuples(st.integers(min_value=0, max_value=3),
                               st.lists(st.tuples(*[st.integers(0, len(_TABLE_SYMBOLS) - 1)] * 3),
                                        min_size=1, max_size=8)),
-                    min_size=1, max_size=4),
-           st.sampled_from([None, 1, 50]))
-    def test_one_row_per_state_equal_to_the_event_terms(self, corpus, order, k, alpha,
-                                                        steps, key_limit):
-        # key_limit 1 walks every context; 50 keys a context of one symbol
-        # (7 distinct symbols: base 8) and walks the longer ones
+                    min_size=1, max_size=4))
+    def test_one_row_per_state_equal_to_the_event_terms(self, corpus, order, k, alpha, steps):
         model = train_lm(corpus, order, k)
         if alpha is not None:
             model = finetune_lm(model, [("b", "e"), ("e", "<s>", "a", "a")], alpha)
         table = row_table(model, _TABLE_SYMBOLS)
         slot_of = {}
-        limit = lm_module._KEY_LIMIT if key_limit is None else key_limit
-        with mock.patch.object(lm_module, "_KEY_LIMIT", limit):
-            for width, contexts in steps:
-                # one step's contexts share a length of at most order - 1
-                width = min(width, order - 1)
-                ids = np.array([c[3 - width:] for c in contexts],
-                               dtype=np.intp).reshape(len(contexts), width)
-                for ctx, slot in zip(map(tuple, ids.tolist()), table.slots(model, ids).tolist()):
-                    assert slot_of.setdefault(ctx, slot) == slot
+        for width, contexts in steps:
+            # one step's contexts share a length of at most order - 1
+            width = min(width, order - 1)
+            ids = np.array([c[3 - width:] for c in contexts],
+                           dtype=np.intp).reshape(len(contexts), width)
+            for ctx, slot in zip(map(tuple, ids.tolist()), table.slots(ids).tolist()):
+                assert slot_of.setdefault(ctx, slot) == slot
         vocab = list(_TABLE_SYMBOLS)
         for ctx, slot in slot_of.items():
             back = [ctx[-d] if d <= len(ctx) else len(vocab) for d in range(1, order)]
@@ -638,10 +630,17 @@ class TestRowTable:
         try:
             model = finetune_lm(train_lm([("a", "b", "c")] * 4, 3, 0.3), [("b", "d")], 0.4)
             table = row_table(model, _TABLE_SYMBOLS)
-            table.slots(model, np.array([[2, 3], [0, 2], [5, 6]]))
+            table.slots(np.array([[2, 3], [0, 2], [5, 6]]))
             assert row_table(model, _TABLE_SYMBOLS) is table and table.held > 0
             refs = [weakref.ref(obj) for obj in (model, model.base, model.indomain, table)]
             del model, table
             assert [ref() for ref in refs] == [None] * 4
         finally:
             gc.enable()
+
+    def test_a_table_kept_past_its_lm_reads_no_rows(self):
+        model = train_lm([("a", "b", "c")] * 4, 2, 0.3)
+        table = row_table(model, _TABLE_SYMBOLS)
+        del model
+        with pytest.raises(ValueError, match="language model is gone"):
+            table.slots(np.array([[2]]))

@@ -77,8 +77,8 @@ def lm_row(model, ctx):
     """The decoder's LM log-probabilities over the ext ids after a token context."""
     ext_id = {s: i for i, s in enumerate(model._ext_vocab())}
     table = model._row_table()
-    slot = table.slots(model.lm, np.array([[ext_id[t] for t in ctx]],
-                                          dtype=np.intp).reshape(1, len(ctx)))[0]
+    slot = table.slots(np.array([[ext_id[t] for t in ctx]],
+                                dtype=np.intp).reshape(1, len(ctx)))[0]
     return table.rows[slot]
 
 
@@ -613,10 +613,10 @@ class TestSharedRowTable:
         assert twin._row_table() is table and ens._row_table() is table
         x = ("s1", "s2", "s3")
         translate_nbest(model, x, 3)
-        held, keys, rows = table.held, table._keys.copy(), table.rows.copy()
+        held, states, rows = table.held, table._states.copy(), table.rows.copy()
         assert held > 0
         translate_nbest(twin, x, 3)   # the twin meets the same contexts: no new row
-        assert table.held == held and np.array_equal(table._keys, keys)
+        assert table.held == held and np.array_equal(table._states, states)
         assert np.array_equal(table.rows, rows)
         other = LexModel(model.src_vocab, model.tgt_vocab[:-1], model.t[:, :-1],
                          model.lm)
