@@ -39,12 +39,11 @@ levels above it hold no counts and a total of 0, so each turns a row r into
 (ks * r) / ks whatever the tokens are. For an interpolated model the state
 is the pair of its parts' states. So a table holds one row per state: on
 the bench's `recipe` (seed 1) its LMs' tables hold 3,917 rows for 16,631
-distinct contexts decoded. Two indexes lead to the rows: sorted int64
-context keys, each context's symbol ranks as digits, to slots; and a dict
-of state keys to slots. A context seen before costs one `searchsorted`; the
-contexts missed are walked down the count trie (one `_find` per level), and
-rows are computed only for the states not held, in one batch per call. The
-table holds no reference to the LM, so the rows die with it.
+distinct contexts decoded. Every context is walked down the count trie
+(one `_find` per level) to its state key, and one `searchsorted` in the
+table's sorted state keys gives its slot; rows are computed only for the
+states not held, in one batch per call. The table reaches its LM through a
+weak reference, so the rows die with the LM.
 
 Caches, each cleared before it would pass `_CACHE_CAP` entries:
 
@@ -52,7 +51,7 @@ Caches, each cleared before it would pass `_CACHE_CAP` entries:
   contexts of that state, for levels below `order` only; many states back
   off to each of these rows. A top-order row is computed when its state is
   first met and kept only as a table's log-probability row.
-- `RowTable`: its rows and both indexes, cleared together.
+- `RowTable`: its rows and its state index, cleared together.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ EOS = "</s>"
 BOS = "<s>"
 
 _CACHE_CAP = 200_000
-_KEY_LIMIT = 2**62  # event and context keys stay below this, so within int64
+_KEY_LIMIT = 2**62  # `logprobs`' event keys stay below this, so within int64
 
 
 class NGramLM:
