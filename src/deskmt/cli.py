@@ -108,7 +108,9 @@ def _config_from(args) -> TrialConfig:
 
 def _load_training_sets(args, bpe):
     """The (source, target) languages of the direction --swap picks, and its
-    bitext, self-trained, back-translated and dev sets in its orientation."""
+    bitext, self-trained, back-translated and dev sets in its orientation.
+    With --bpe only the bitext and dev are encoded: the synthetic sets are
+    the encoded output of augment-st/-bt."""
     bitext = load_corpus(args.parallel, SIDE_PARALLEL)
     st = load_corpus(args.st, SIDE_PARALLEL, tag=corpus.TAG_SELF_TRAINED) \
         if args.st else None
@@ -116,8 +118,7 @@ def _load_training_sets(args, bpe):
         if args.bt else None
     dev = load_corpus(args.dev, SIDE_PARALLEL)
     if bpe is not None:
-        bitext, st, bt, dev = (None if ds is None else subword.encode_dataset(ds, bpe)
-                               for ds in (bitext, st, bt, dev))
+        bitext, dev = subword.encode_dataset(bitext, bpe), subword.encode_dataset(dev, bpe)
     direction = "bwd" if args.swap else "fwd"
     st, bt = augment.training_roles(direction, st, bt)
     return (augment.DIRECTIONS[direction], augment.orient(direction, bitext), st, bt,
@@ -386,9 +387,11 @@ def build_parser() -> _Parser:
     def add_training_io(p):
         p.add_argument("--parallel", required=True)
         p.add_argument("--st", default=None,
-                       help="self-trained TSV: real sources, forward translations")
+                       help="self-trained TSV: real sources, forward translations; "
+                       "with --bpe, the encoded output of augment-st")
         p.add_argument("--bt", default=None,
-                       help="back-translated TSV: backward translations, real targets")
+                       help="back-translated TSV: backward translations, real targets; "
+                       "with --bpe, the encoded output of augment-bt")
         p.add_argument("--dev", required=True)
         p.add_argument("--bpe", default=None)
         p.add_argument("--swap", action="store_true",

@@ -21,10 +21,18 @@ rank of their keys, so keys stay below (number of contexts) * B. Per level:
 - `_totals`: each node's total count, then 0.0 for an absent context;
 - `_child_keys` (levels below `order`): the keys of the next level's nodes.
 
+Both LM kinds are weighted mixtures of count models: `parts` lists
+(weight, `NGramLM`) pairs, `((1.0, lm),)` for an `NGramLM` and
+`((1 - a, base), (a, indomain))` for an `InterpolatedLM`. Every score,
+`logprobs`' event terms, the decoder's rows and the end-of-sentence term,
+is computed per part in probability space and mixed by `_mix`, which adds
+weight * p in part order and takes the log; for one part of weight 1 that
+is ln p bit for bit.
+
 `logprobs` scores many sentences in one pass. It maps the batch's tokens to
 ids once and scores each distinct event, a word after its BOS-padded
 context, once: each level of the recurrence runs once over the events, by
-key lookups in these arrays (for an interpolated model, once per part).
+key lookups in these arrays, once per part.
 The entries of an n-best batch share prefixes, so there are far fewer
 events than tokens: 13,565 against 88,198 over the 300 reranked lists of
 the bench's `recipe` self-training pool (seed 1).
@@ -36,14 +44,14 @@ by the LM (`row_table`), so models that share an LM and a target vocabulary
 A row depends only on the context's LM state, the longest suffix of the
 BOS-padded context that is a node of the count trie, as (depth, node): the
 levels above it hold no counts and a total of 0, so each turns a row r into
-(ks * r) / ks whatever the tokens are. For an interpolated model the state
-is the pair of its parts' states. So a table holds one row per state: on
-the bench's `recipe` (seed 1) its LMs' tables hold 3,917 rows for 16,631
-distinct contexts decoded. Every context is walked down the count trie
-(one `_find` per level) to its state key, and one `searchsorted` in the
-table's sorted state keys gives its slot; rows are computed only for the
-states not held, in one batch per call. The table reaches its LM through a
-weak reference, so the rows die with the LM.
+(ks * r) / ks whatever the tokens are. A model's state is the tuple of its
+parts' states, keyed by folding the parts' keys as digits. So a table holds
+one row per state: on the bench's `recipe` (seed 1) its LMs' tables hold
+3,917 rows for 16,631 distinct contexts decoded. Every context is walked
+down each part's count trie (one `_find` per level) to its state key, and
+one `searchsorted` in the table's sorted state keys gives its slot; rows
+are computed only for the states not held, in one batch per call. The
+table reaches its LM through a weak reference, so the rows die with the LM.
 
 Caches, each cleared before it would pass `_CACHE_CAP` entries:
 
@@ -57,13 +65,14 @@ Caches, each cleared before it would pass `_CACHE_CAP` entries:
 from __future__ import annotations
 
 import math
+import sys
 import weakref
 from itertools import chain
 
 import numpy as np
 
 from .corpus import Sentence
-from .util import NUMBER, DataError, doc_field, doc_strings
+from .util import NUMBER, DataError, doc_field, doc_float, doc_strings
 
 EOS = "</s>"
 BOS = "<s>"
@@ -99,8 +108,13 @@ class NGramLM:
         self._lower: dict = {}
         self._tables: dict = {}
         self._uniform = np.full(len(self.syms), 1.0 / len(self.syms))
-        self.interp_alpha = 0.0
-        self.eos_logprob = float(np.log(self.eos_prob()))
+        self.eos_logprob = float(_mix(self.parts, [part.eos_prob() for _, part in self.parts]))
+
+    @property
+    def parts(self) -> tuple:
+        """The model as a mixture of one part; computed, as a stored tuple
+        holding the model would be a reference cycle."""
+        return ((1.0, self),)
 
     def _count_tables(self, events) -> None:
         """Build the trie tables; repeated (context, word) rows add up in row order."""
@@ -195,24 +209,12 @@ class NGramLM:
         rows /= (self._totals[level - 1][nodes] + ks)[:, None]
         return rows
 
-    def _symbol_maps(self, symbols: tuple[str, ...]) -> list:
-        """[(prediction id, context id) of every symbol]: unknown symbols
+    def _symbol_ids(self, symbols) -> tuple[np.ndarray, np.ndarray]:
+        """(prediction ids, context ids) of the symbols: unknown symbols
         predict and extend as <unk>, a literal BOS extends as BOS."""
-        return [(np.array([self.id_or_unk(s) for s in symbols], dtype=np.intp),
-                 np.array([self._context_id.get(s, self.unk_id) for s in symbols],
-                          dtype=np.int64))]
-
-    def _table_states(self, maps: list, contexts: np.ndarray) -> tuple[np.ndarray, list]:
-        """(state key, [(depth, node)]) of every context of symbol ids."""
-        (_, context_id), = maps
-        depth, node = self._walk(context_id[contexts])
-        return self._level_start[depth - 1] + node, [(depth, node)]
-
-    def _table_rows(self, maps: list, states: list) -> np.ndarray:
-        """Log-probability rows at the symbols of `maps`, one per state."""
-        (index, _), = maps
-        (depth, node), = states
-        return np.log(self._rows(self.order, depth, node)[:, index])
+        return (np.array([self.id_or_unk(s) for s in symbols], dtype=np.int64),
+                np.array([self._context_id.get(s, self.unk_id) for s in symbols],
+                         dtype=np.int64))
 
     def _event_probs(self, vocab: list[str], history: np.ndarray,
                      word: np.ndarray) -> np.ndarray:
@@ -224,10 +226,9 @@ class NGramLM:
         events at once in its operation order, so each value equals the
         row's element bit for bit.
         """
-        unk = self.unk_id
-        ctx = np.array([self._context_id.get(t, unk) for t in vocab] + [self.bos_id],
-                       dtype=np.int64)
-        word = np.array([self.id_or_unk(t) for t in vocab], dtype=np.int64)[word]
+        word_id, ctx = self._symbol_ids(vocab)
+        ctx = np.append(ctx, self.bos_id)
+        word = word_id[word]
         node = np.zeros(word.size, dtype=np.int64)
         prob = np.full(word.size, self._uniform[0])
         ks = self.k * len(self.syms)
@@ -240,9 +241,15 @@ class NGramLM:
             prob = (ks * prob + count) / (self._totals[level][node] + ks)
         return prob
 
-    def _event_logprobs(self, vocab: list[str], history: np.ndarray,
-                        word: np.ndarray) -> np.ndarray:
-        return np.log(self._event_probs(vocab, history, word))
+
+def _mix(parts: tuple, probs: list):
+    """ln of sum of weight * p over the parts, added in part order, where
+    probs[i] holds part i's probabilities; one part of weight 1 gives ln p
+    bit for bit."""
+    total = 0.0
+    for (weight, _), prob in zip(parts, probs):
+        total = total + weight * prob
+    return np.log(total)
 
 
 def _find(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -276,7 +283,7 @@ class RowTable:
         rank = {sym: r for r, sym in enumerate(sorted(set(symbols)))}
         self.ranks = np.array([rank[sym] for sym in symbols], dtype=np.int64)
         self._lm = weakref.ref(model)
-        self._maps = model._symbol_maps(symbols)   # each LM part's ids of the symbols
+        self._ids = [part._symbol_ids(symbols) for _, part in model.parts]
         self._clear()
 
     def _clear(self) -> None:
@@ -296,7 +303,12 @@ class RowTable:
         model = self._lm()
         if model is None:
             raise ValueError("the row table's language model is gone")
-        state, parts = model._table_states(self._maps, contexts)
+        state, walked = 0, []   # each part's (depth, node) of every context
+        for (_, part), (_, context_id) in zip(model.parts, self._ids):
+            depth, node = part._walk(context_id[contexts])
+            walked.append((depth, node))
+            # a digit per part, in base its number of states
+            state = state * int(part._level_start[-1]) + part._level_start[depth - 1] + node
         found = _find(self._states, state)
         miss = np.flatnonzero(found == self._states.size)
         if not miss.size:
@@ -306,8 +318,9 @@ class RowTable:
             self._clear()
             return self.slots(contexts)
         at = miss[first]
-        self._append(model._table_rows(self._maps, [(depth[at], node[at])
-                                                    for depth, node in parts]))
+        self._append(_mix(model.parts, [
+            part._rows(part.order, depth[at], node[at])[:, index]
+            for (_, part), (depth, node), (index, _) in zip(model.parts, walked, self._ids)]))
         new_slots = np.arange(self.held - new.size, self.held)
         slot = np.empty(len(contexts), dtype=np.intp)
         hit = found < self._states.size
@@ -376,7 +389,8 @@ def train_lm(corpus: list[Sentence], order: int, k: float,
 
 
 class InterpolatedLM:
-    """Probability-space mixture of a base model and an in-domain model."""
+    """Probability-space mixture of a base model and an in-domain model:
+    `parts` weighs them 1 - alpha and alpha."""
 
     def __init__(self, base: NGramLM, indomain: NGramLM, alpha: float):
         if not 0.0 <= alpha <= 1.0:
@@ -387,37 +401,20 @@ class InterpolatedLM:
         self.indomain = indomain
         self.interp_alpha = alpha
         self.order = base.order
-        self.k = base.k
-        eos = (1.0 - alpha) * base.eos_prob() + alpha * indomain.eos_prob()
-        self.eos_logprob = float(np.log(eos))
+        self.parts = ((1.0 - alpha, base), (alpha, indomain))
+        self.eos_logprob = float(_mix(self.parts, [part.eos_prob() for _, part in self.parts]))
         self._tables: dict = {}
-
-    def _event_logprobs(self, vocab: list[str], history: np.ndarray,
-                        word: np.ndarray) -> np.ndarray:
-        a = self.interp_alpha
-        pb = self.base._event_probs(vocab, history, word)
-        pi = self.indomain._event_probs(vocab, history, word)
-        return np.log((1.0 - a) * pb + a * pi)
-
-    def _symbol_maps(self, symbols: tuple[str, ...]) -> list:
-        return self.base._symbol_maps(symbols) + self.indomain._symbol_maps(symbols)
-
-    def _table_states(self, maps: list, contexts: np.ndarray) -> tuple[np.ndarray, list]:
-        """The pair of the parts' states: base key * in-domain states + in-domain key."""
-        base, base_states = self.base._table_states(maps[:1], contexts)
-        indomain, in_states = self.indomain._table_states(maps[1:], contexts)
-        return base * int(self.indomain._level_start[-1]) + indomain, base_states + in_states
-
-    def _table_rows(self, maps: list, states: list) -> np.ndarray:
-        """Rows mixed in probability space, at each part's ids of the symbols."""
-        (base_idx, _), (in_idx, _) = maps
-        a = self.interp_alpha
-        pb = self.base._rows(self.order, *states[0])[:, base_idx]
-        pi = self.indomain._rows(self.order, *states[1])[:, in_idx]
-        return np.log((1.0 - a) * pb + a * pi)
 
 
 LanguageModel = NGramLM | InterpolatedLM
+
+
+def _event_logprobs(model: LanguageModel, vocab: list[str], history: np.ndarray,
+                    word: np.ndarray) -> np.ndarray:
+    """ln P(word | history) of every event (see `NGramLM._event_probs`),
+    mixed over the model's parts."""
+    return _mix(model.parts, [part._event_probs(vocab, history, word)
+                              for _, part in model.parts])
 
 
 def logprobs(model: LanguageModel, sentences: list[Sentence]) -> np.ndarray:
@@ -447,7 +444,7 @@ def logprobs(model: LanguageModel, sentences: list[Sentence]) -> np.ndarray:
     keys, event = np.unique(key, return_inverse=True)
     rep = np.empty(keys.size, dtype=np.intp)   # a token of each event
     rep[event] = np.arange(ids.size)
-    terms = model._event_logprobs(list(index), history[rep], ids[rep])[event]
+    terms = _event_logprobs(model, list(index), history[rep], ids[rep])[event]
     grid = np.zeros((len(sentences), int(lengths.max(initial=0))))
     grid[np.arange(grid.shape[1]) < lengths[:, None]] = terms
     total = np.zeros(len(sentences))
@@ -551,7 +548,7 @@ def _level_events(level: int, entries, n_syms: int):
             if type(wid) is not int or not 0 <= wid < n_syms or wid in held:
                 raise ValueError(f"level {level + 1}: word id {wid!r} is not a distinct "
                                  f"id in [0, {n_syms})")
-            if type(count) not in (int, float) or not (math.isfinite(count) and count >= 0):
+            if type(count) not in (int, float) or not 0 <= count <= sys.float_info.max:
                 raise ValueError(f"level {level + 1}: count {count!r} is not a finite "
                                  f"number >= 0")
             held.add(wid)
@@ -587,7 +584,7 @@ def lm_from_dict(doc: dict) -> LanguageModel:
                         f"(order {order}, {len(levels)} levels)")
     if EOS not in vocab:
         raise DataError(f"{what}: key 'vocab' lacks {EOS}")
-    k = float(doc_field(doc, "k", NUMBER, what))
+    k = doc_float(doc, "k", what)
     if not (k > 0 and math.isfinite(k * (len(vocab) + 1))):
         raise DataError(f"{what}: key 'k' must be positive and finite, got {k!r}")
     try:
@@ -595,4 +592,4 @@ def lm_from_dict(doc: dict) -> LanguageModel:
     except ValueError as e:
         raise DataError(f"{what}: malformed key 'counts': {e}") from e
     return NGramLM(order, k, vocab, events,
-                   float(doc_field(doc, "token_total", NUMBER, what)))
+                   doc_float(doc, "token_total", what))

@@ -191,7 +191,8 @@ def mine_bitext(docs_a: list[WebDoc], docs_b: list[WebDoc], model: LexModel, *,
                 lexicon: dict[str, str] | None = None):
     """Full mining pass: match documents, then align sentences within matches.
 
-    Returns (pairs, per-pair scores, doc matches).
+    Returns (pairs, doc matches); each pair is a (sentence a, sentence b,
+    score) triple from `align_sentences`, in match order.
     """
     if lexicon is None:
         lexicon = build_lexicon(model)

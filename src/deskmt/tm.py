@@ -32,7 +32,7 @@ import numpy as np
 
 from .corpus import UNK_TOKEN, DataMix, Sentence
 from .lm import LanguageModel, lm_from_dict, lm_to_dict, row_table, train_lm
-from .util import NUMBER, DataError, doc_field, doc_strings, sha256_text, stable_json_dumps
+from .util import DataError, doc_field, doc_float, doc_strings, sha256_text, stable_json_dumps
 
 NULL = "<null>"
 DEFAULT_UNK_FLOOR = 1e-9
@@ -175,10 +175,8 @@ class EMTrainer:
         tgt_id = {s: i for i, s in enumerate(self.tgt_vocab)}
         self.groups = _group_pairs(pairs, src_id, tgt_id)
         nt = len(self.tgt_vocab)
-        if warm_start is None:
-            self.t = np.full((len(self.src_vocab), nt), 1.0 / nt)
-        else:
-            self.t = np.full((len(self.src_vocab), nt), 1.0 / nt)
+        self.t = np.full((len(self.src_vocab), nt), 1.0 / nt)
+        if warm_start is not None:
             rows = [src_id[s] for s in warm_start.src_vocab]
             cols = [tgt_id[s] for s in warm_start.tgt_vocab]
             self.t[np.ix_(rows, cols)] = warm_start.t
@@ -338,7 +336,7 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
     """
     w = model.window
     table = model._row_table()
-    order = getattr(model.lm, "order", 1)
+    order = model.lm.order
     ext_vocab = model._ext_vocab()
     ext_sym = np.array(ext_vocab, dtype=object)
     # LM contexts compare by symbol, and a target vocabulary that holds the
@@ -572,6 +570,28 @@ def model_to_dict(model: LexModel) -> dict:
     }
 
 
+def _t_table(rows: list, n_src: int, n_tgt: int) -> np.ndarray:
+    """The translation table of `t_rows`, row i holding [target id,
+    probability] entries of source symbol i; ValueError for a malformed row.
+    Ids are distinct within a row and lie in [0, n_tgt); probabilities lie
+    in [0, 1], as EM's normalized rows do."""
+    if len(rows) > n_src:
+        raise ValueError(f"{len(rows)} rows for {n_src} source symbols")
+    t = np.zeros((n_src, n_tgt))
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or \
+                not all(isinstance(e, (list, tuple)) and len(e) == 2 for e in row):
+            raise ValueError(f"row {i}: entries must be [target id, probability] pairs")
+        ids = [j for j, _ in row]
+        values = [v for _, v in row]
+        if not all(type(j) is int and 0 <= j < n_tgt for j in ids) or len(set(ids)) < len(ids):
+            raise ValueError(f"row {i}: target ids must be distinct ids in [0, {n_tgt})")
+        if not all(type(v) in (int, float) and 0 <= v <= 1 for v in values):
+            raise ValueError(f"row {i}: probabilities must be numbers in [0, 1]")
+        t[i, ids] = values
+    return t
+
+
 def model_from_dict(doc: dict) -> LexModel:
     """Inverse of model_to_dict; a malformed document raises DataError naming the key."""
     what = "model document"
@@ -580,20 +600,17 @@ def model_from_dict(doc: dict) -> LexModel:
         raise DataError("unsupported model serialization")
     src_vocab = doc_strings(doc, "src_vocab", what)
     tgt_vocab = doc_strings(doc, "tgt_vocab", what)
-    t = np.zeros((len(src_vocab), len(tgt_vocab)))
     try:
-        for i, row in enumerate(doc_field(doc, "t_rows", list, what)):
-            for j, value in row:
-                t[i, int(j)] = float(value)
-    except (TypeError, ValueError, IndexError) as e:
+        t = _t_table(doc_field(doc, "t_rows", list, what), len(src_vocab), len(tgt_vocab))
+    except ValueError as e:
         raise DataError(f"{what}: malformed key 't_rows': {e}") from e
     return LexModel(src_vocab, tgt_vocab, t, lm_from_dict(doc_field(doc, "lm", dict, what)),
                     beam=doc_field(doc, "beam", int, what),
                     window=doc_field(doc, "window", int, what),
-                    lm_weight=float(doc_field(doc, "lm_weight", NUMBER, what)),
+                    lm_weight=doc_float(doc, "lm_weight", what),
                     src_lang=doc_field(doc, "src_lang", str, what),
                     tgt_lang=doc_field(doc, "tgt_lang", str, what),
-                    unk_floor=float(doc_field(doc, "unk_floor", NUMBER, what)),
+                    unk_floor=doc_float(doc, "unk_floor", what),
                     train_ll_trace=tuple(doc_field(doc, "train_ll_trace", list, what)))
 
 

@@ -106,6 +106,16 @@ def doc_field(doc: Any, key: str, kind, what: str) -> Any:
     return value
 
 
+def doc_float(doc: Any, key: str, what: str) -> float:
+    """`doc[key]`, a number, as a float; DataError naming the key for a
+    non-number or an integer past the float range."""
+    value = doc_field(doc, key, NUMBER, what)
+    try:
+        return float(value)
+    except OverflowError:
+        raise DataError(f"{what}: key {key!r} is past the float range") from None
+
+
 def doc_strings(doc: Any, key: str, what: str) -> tuple[str, ...]:
     """`doc[key]` as a tuple of strings; DataError naming the key otherwise."""
     values = doc_field(doc, key, list, what)

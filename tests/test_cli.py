@@ -306,15 +306,45 @@ class TestWorkflows:
 
         bpe = load_bpe("bpe.txt")
 
-        def reverse(path):
-            return swap_dataset(encode_dataset(load_corpus(path, "parallel"), bpe))
+        def reverse(path, encode=True):
+            # the synthetic sets are augment's encoded output, read as they are
+            ds = load_corpus(path, "parallel")
+            return swap_dataset(encode_dataset(ds, bpe) if encode else ds)
 
         config = TrialConfig(em_iterations=2, lm_order=2, beam=2, up_fwd=3)
         mix = trial_mix(config, reverse("bundle/parallel.tsv"),
-                        reverse("roles_bt.tsv"), reverse("roles_st.tsv"))
+                        reverse("roles_bt.tsv", encode=False),
+                        reverse("roles_st.tsv", encode=False))
         result = run_trial(config, mix, reverse("bundle/dev.tsv"),
                            eval_ctx=EvalContext(bpe=bpe), src_lang="tgt", tgt_lang="src")
         assert read_text("roles_bwd.json", "model") == tm.model_json(result.model)[0] + "\n"
+
+    def test_bpe_training_reads_the_augment_output_unchanged(self, workspace):
+        # augment-st --bpe writes pieces; train --bpe encodes the bitext and
+        # dev and trains on the --st file's pieces as they are
+        from deskmt.corpus import load_corpus
+        from deskmt.metrics import EvalContext
+        from deskmt.search import TrialConfig, run_trial, trial_mix
+        from deskmt.subword import encode_dataset
+
+        assert main(["augment-st", "--model", "fwd.json", "--mono", "bundle/mono_src.txt",
+                     "--bpe", "bpe.txt", "--out", "pieces_st.tsv"]) == EXIT_OK
+        assert main(["train", "--parallel", "bundle/parallel.tsv", "--dev", "bundle/dev.tsv",
+                     "--bpe", "bpe.txt", "--em-iterations", "2", "--lm-order", "2",
+                     "--beam", "2", "--st", "pieces_st.tsv", "--up-fwd", "3",
+                     "--out", "pieces_fwd.json"]) == EXIT_OK
+
+        bpe = load_bpe("bpe.txt")
+        st = load_corpus("pieces_st.tsv", "parallel")
+        # encoding the file again would change it, so the check below can fail
+        assert encode_dataset(st, bpe).pairs != st.pairs
+        config = TrialConfig(em_iterations=2, lm_order=2, beam=2, up_fwd=3)
+        mix = trial_mix(config, encode_dataset(load_corpus("bundle/parallel.tsv", "parallel"),
+                                               bpe), st, None)
+        result = run_trial(config, mix,
+                           encode_dataset(load_corpus("bundle/dev.tsv", "parallel"), bpe),
+                           eval_ctx=EvalContext(bpe=bpe), src_lang="src", tgt_lang="tgt")
+        assert read_text("pieces_fwd.json", "model") == tm.model_json(result.model)[0] + "\n"
 
     def test_augment_writes_provenance(self, workspace):
         assert main(["augment-st", "--model", "fwd.json", "--mono",

@@ -232,7 +232,12 @@ class TestSerialization:
     @pytest.mark.parametrize("key, value", [("order", "2"), ("k", None),
                                             ("vocab", "ab"), ("counts", {}),
                                             ("counts", [[[0, [[1, 2]]]], []]),
-                                            ("token_total", [6])])
+                                            ("token_total", [6]),
+                                            # integers past the float range
+                                            pytest.param("token_total", 10**400,
+                                                         id="token_total-huge"),
+                                            pytest.param("k", 10**400, id="k-huge"),
+                                            pytest.param("k", -10**400, id="k-minus-huge")])
     def test_wrong_type_is_data_error(self, key, value):
         doc = lm_to_dict(train_lm([("a", "b")] * 3, order=2, k=0.2))
         doc[key] = value
@@ -408,13 +413,13 @@ class TestBatchEqualsScalarScores:
         if interpolated:
             model = finetune_lm(model, random_corpus(rng, ["b", "c", "d"], 8), 0.35)
         scored = []
-        real = model._event_logprobs
+        real = lm_module._event_logprobs
 
-        def counting(vocab, history, word):
+        def counting(model, vocab, history, word):
             scored.append(word.size)
-            return real(vocab, history, word)
+            return real(model, vocab, history, word)
 
-        monkeypatch.setattr(model, "_event_logprobs", counting)
+        monkeypatch.setattr(lm_module, "_event_logprobs", counting)
         sentences = self.REPEATS
         got = [v.hex() for v in logprobs(model, sentences).tolist()]
         assert got == [scalar_logprob(model, s).hex() for s in sentences]
@@ -429,8 +434,8 @@ def batch_term(model, history, token):
     """The log term `logprobs` gives `token` after `history`: its event's."""
     vocab = list(dict.fromkeys((*history, token)))
     back = [vocab.index(t) for t in reversed(history)] + [len(vocab)] * model.order
-    return float(model._event_logprobs(vocab, np.array([back[:model.order - 1]]),
-                                       np.array([vocab.index(token)]))[0])
+    return float(lm_module._event_logprobs(model, vocab, np.array([back[:model.order - 1]]),
+                                           np.array([vocab.index(token)]))[0])
 
 
 class TestMalformedCounts:
@@ -445,6 +450,8 @@ class TestMalformedCounts:
         ("context", 1000000), ("context", 1.5), ("context", True), ("context", -1),
         ("count", -5.0), ("count", -1e308), ("count", float("inf")),
         ("count", float("nan")), ("count", "2"), ("count", True),
+        pytest.param("count", 10**400, id="count-huge"),
+        pytest.param("count", -10**400, id="count-minus-huge"),
     ])
     def test_bad_value_is_data_error(self, where, value):
         doc = self.doc()
@@ -616,7 +623,7 @@ class TestRowTable:
         for ctx, slot in slot_of.items():
             back = [ctx[-d] if d <= len(ctx) else len(vocab) for d in range(1, order)]
             history = np.array([back] * len(vocab), dtype=np.int64).reshape(len(vocab), order - 1)
-            expected = model._event_logprobs(vocab, history, np.arange(len(vocab)))
+            expected = lm_module._event_logprobs(model, vocab, history, np.arange(len(vocab)))
             assert [float(v).hex() for v in table.rows[slot]] == \
                 [float(v).hex() for v in expected]
         states = {ctx: lm_state(model, [vocab[i] for i in ctx]) for ctx in slot_of}

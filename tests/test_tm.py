@@ -590,12 +590,44 @@ class TestSerialization:
     @pytest.mark.parametrize("key, value", [("beam", "5"), ("t_rows", "rows"),
                                             ("t_rows", [[["0", "x"]]]),
                                             ("src_vocab", ["<null>", 3]),
-                                            ("lm_weight", True), ("lm", [])])
+                                            ("lm_weight", True), ("lm", []),
+                                            # integers past the float range
+                                            pytest.param("lm_weight", 10**400,
+                                                         id="lm_weight-huge"),
+                                            pytest.param("unk_floor", -10**400,
+                                                         id="unk_floor-minus-huge")])
     def test_wrong_type_is_data_error(self, key, value):
         doc = model_to_dict(em_train(random_mix(random.Random(4), 8), iterations=1))
         doc[key] = value
         with pytest.raises(DataError, match=repr(key)):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("row", [
+        [[-1, 0.5]], [[1.5, 0.5]], [[True, 0.5]], [[0, -3.0]], [[0, math.nan]],
+        [[0, math.inf]], [[0, 7.0]], [[0, True]], [[0, "0.5"]], [[0, 0.5], [0, 0.25]],
+        [[0]], [[0, 0.5, 1]], [0], "row"])
+    def test_bad_table_row_is_data_error(self, row):
+        doc = model_to_dict(em_train(random_mix(random.Random(4), 8), iterations=1))
+        doc["t_rows"][1] = row
+        with pytest.raises(DataError, match="'t_rows'"):
+            model_from_dict(doc)
+
+    def test_table_ids_past_the_vocabularies_are_data_errors(self):
+        doc = model_to_dict(em_train(random_mix(random.Random(4), 8), iterations=1))
+        doc["t_rows"][1] = [[len(doc["tgt_vocab"]), 0.5]]
+        with pytest.raises(DataError, match="'t_rows'"):
+            model_from_dict(doc)
+        doc = model_to_dict(em_train(random_mix(random.Random(4), 8), iterations=1))
+        doc["t_rows"].append([])
+        with pytest.raises(DataError, match="'t_rows'"):
+            model_from_dict(doc)
+
+    def test_table_bounds_load(self):
+        # 0 and 1, as ints or floats, and an empty row are well formed
+        doc = model_to_dict(em_train(random_mix(random.Random(4), 8), iterations=1))
+        doc["t_rows"][1:3] = [[[0, 1], [1, 0.0]], []]
+        t = model_from_dict(doc).t
+        assert t[1, :2].tolist() == [1.0, 0.0] and not t[1, 2:].any() and not t[2].any()
 
 
 class TestSharedRowTable:
