@@ -72,7 +72,7 @@ from itertools import chain
 import numpy as np
 
 from .corpus import Sentence
-from .util import NUMBER, DataError, doc_field, doc_float, doc_strings
+from .util import NUMBER, DataError, doc_field, doc_float, doc_strings, sorted_distinct
 
 EOS = "</s>"
 BOS = "<s>"
@@ -125,7 +125,7 @@ class NGramLM:
             # the contexts of length `level`: every row's context cut to it
             keys = [nodes[j] * width + events[j][0][:, level - 1]
                     for j in range(level, self.order)]
-            level_keys = np.unique(np.concatenate(keys))
+            level_keys = sorted_distinct(np.concatenate(keys))
             self._child_keys.append(level_keys)
             for j, key in zip(range(level, self.order), keys):
                 nodes[j] = level_keys.searchsorted(key)
@@ -275,8 +275,10 @@ class RowTable:
     `rows[slots(contexts)[g], i]` is ln P(symbols[i] | contexts[g]); read
     `rows` after the `slots` call, which may grow or clear the buffer.
     `ranks` is each symbol's rank among the distinct symbols in string
-    order, so two ids that spell one symbol share a rank. The table reaches
-    its LM through a weak reference, so the rows die with the LM.
+    order, so two ids that spell one symbol share a rank. `row_max` is the
+    largest element of the rows held (-inf with none), the bound the decoder
+    puts on an LM term. The table reaches its LM through a weak reference,
+    so the rows die with the LM.
     """
 
     def __init__(self, model: LanguageModel, symbols: tuple[str, ...]):
@@ -289,6 +291,7 @@ class RowTable:
     def _clear(self) -> None:
         self._buffer = np.empty((0, self.ranks.size))
         self.held = 0
+        self.row_max = -np.inf
         self._states = np.empty(0, dtype=np.int64)   # state keys held, sorted
         self._state_slots = np.empty(0, dtype=np.intp)
 
@@ -348,6 +351,7 @@ class RowTable:
             self._buffer = grown
         self._buffer[self.held:need] = rows
         self.held = need
+        self.row_max = max(self.row_max, float(rows.max()))
 
 
 def row_table(model: LanguageModel, symbols: tuple[str, ...]) -> RowTable:
@@ -495,7 +499,7 @@ def _counts_doc(model: NGramLM) -> list:
             history = np.column_stack((history[keys // width], keys % width))
         keys = model._count_keys[level]
         node = keys // width
-        held = np.unique(node)
+        held = sorted_distinct(node)
         contexts = history[held][:, ::-1]
         by_context = np.lexsort(contexts.T[::-1]) if level else np.arange(held.size)
         lo = node.searchsorted(held[by_context])

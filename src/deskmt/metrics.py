@@ -103,19 +103,27 @@ def sentence_stats(hyp: Sentence, ref: Sentence) -> tuple[int, ...]:
 
 class References:
     """The reference side of a scored corpus: each reference's length and
-    n-gram counts, computed once for every hypothesis scored against it."""
+    n-gram counts, computed once for every hypothesis scored against it, and
+    the statistics of each (reference, hypothesis) pair, computed once: the
+    decodes of a dev set by trials, tuning and evaluation repeat many
+    hypotheses."""
 
     def __init__(self, refs):
         refs = [tuple(ref) for ref in refs]
         self._lengths = [len(ref) for ref in refs]
         self._counts = [_ref_counts(ref) for ref in refs]
+        self._memo: dict = {}
 
     def __len__(self) -> int:
         return len(self._lengths)
 
     def stats(self, k: int, hyp: Sentence) -> tuple[int, ...]:
         """`sentence_stats` of `hyp` against reference k."""
-        return _stats(tuple(hyp), self._lengths[k], self._counts[k])
+        key = (k, tuple(hyp))
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = _stats(key[1], self._lengths[k], self._counts[k])
+        return got
 
 
 def bleu_from_stats(stats) -> float:

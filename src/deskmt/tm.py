@@ -21,10 +21,18 @@ case. So blocks are filled from the sources sorted by length, which keeps
 a block's steps close to what each of its sources needs, and the lists of
 the sentences that finish at a step are built from the step's arrays with
 a few sorts (`_nbest_lists`).
+
+A step scores only the pool entries that can reach the beam: the LM term is
+at most 0, so an entry scores at most the state's score plus its lex term,
+and each source symbol's candidates are kept in descending lex order, so
+the entries of a pool row that can reach a score are a prefix of the row
+(see `_decode_block`). On the bench's `recipe` (seed 1) a step scores 8.5 %
+of the 17.9 M pool entries, and on `search` 3.8 % of 9.4 M.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -32,7 +40,8 @@ import numpy as np
 
 from .corpus import UNK_TOKEN, DataMix, Sentence
 from .lm import LanguageModel, lm_from_dict, lm_to_dict, row_table, train_lm
-from .util import DataError, doc_field, doc_float, doc_strings, sha256_text, stable_json_dumps
+from .util import (DataError, doc_field, doc_float, doc_strings, sha256_text, sorted_distinct,
+                   stable_json_dumps)
 
 NULL = "<null>"
 DEFAULT_UNK_FLOOR = 1e-9
@@ -131,16 +140,20 @@ class LexModel:
         """(ext ids, lex log-probs, start, count) of every source symbol's
         decodable targets, back to back.
 
-        Source id s owns entries start[s]:start[s] + count[s], in ascending
-        target id order; id len(src_vocab) stands for unknown symbols. A symbol
-        that is unknown or whose table row is all zero decodes to the unknown
-        token at the floor probability.
+        Source id s owns entries start[s]:start[s] + count[s], its run, in
+        descending lex order, ties in ascending target id order, so the
+        entries of a run that can reach a score are a prefix of it; id
+        len(src_vocab) stands for unknown symbols. A symbol that is unknown
+        or whose table row is all zero decodes to the unknown token at the
+        floor probability, the last run.
         """
         table = self._caches.get("cands")
         if table is None:
             ns, nt = self.t.shape
             rows, ids = np.nonzero(self.t)
             lex = np.log(self.t[rows, ids])
+            by_lex = np.lexsort((ids, -lex, rows))
+            ids, lex = ids[by_lex], lex[by_lex]
             count = np.bincount(rows, minlength=ns + 1)
             start = count.cumsum() - count
             empty = count == 0
@@ -252,13 +265,19 @@ def _em_iteration(t: np.ndarray, groups) -> tuple[np.ndarray, float]:
     return new_t, ll
 
 
-# Live beam states per decoded block (sentences x beam width). A step's pool
-# arrays grow with the block's states, so the block is bounded: decoding a
-# 300-sentence pool at n=50 (the bench's `recipe` self-training pool, seed 1)
-# as one block peaked at 57.8 MB of traced heap (tracemalloc), against 2.9 MB
-# in length-sorted blocks of this size and 2.2 MB one sentence at a time
-# (1.9 MB of each is the n-best lists).
-_DECODE_STATES = 256
+# Live beam states per decoded block (sentences x beam width). A step scores
+# only the pool entries that can reach the beam (see `_decode_block`), but
+# its row arrays still grow with the block's states, so the block is bounded.
+# Decoding a 300-sentence pool at n=50 (the bench's `recipe` self-training
+# pool, seed 1) peaked at 10.3 MB of traced heap (tracemalloc) as one block,
+# against 4.4 MB in length-sorted blocks of this size, 3.2 MB in blocks of
+# 256 states and 3.0 MB one sentence at a time (1.8 MB of each is the n-best
+# lists). Scoring the whole pool, one block peaked at 44.9 MB and blocks of
+# 256 states at 3.7-4.4 MB.
+_DECODE_STATES = 1024
+
+# Relative slack of the bound's comparison; see `_decode_block`.
+_SLACK = 1e-9
 
 
 def translate_nbest(model: LexModel, x: Sentence, n: int) -> NBestList:
@@ -287,9 +306,11 @@ def translate_corpus(model: LexModel, sources: list[Sentence], nbest: int, *,
     sources have nondecreasing lengths, and the lists come back in source
     order. Each sentence keeps its own beam from its own pool by
     the (-score, pool index) rule of `_decode_block`, so every list equals
-    `translate_nbest` of its source whichever block holds it. The block is
-    bounded because a step's arrays grow with it: one block for a whole
-    n=50 pool would multiply the decoder's peak memory (see
+    `translate_nbest` of its source whichever block holds it. A step scores
+    only the entries whose bound, state + lex, reaches a lower bound on the
+    sentence's width-th best score (see `_decode_block`), so its cost
+    follows what can survive rather than the whole pool; the block is still
+    bounded, because a step's row arrays grow with it (see
     `_DECODE_STATES`).
     """
     if rerank_ctx is not None:
@@ -322,17 +343,39 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
     always be filled from completed hypotheses; a sentence's list is built
     from its finished beam by `_nbest_lists`.
 
-    Each target step scores one pool of extensions per sentence, and the
-    pools of all sentences lie back to back in one array. The contract is:
-    each sentence's next beam is the first `width` entries of its pool in
-    (-score, pool index) order, so of equal scores the lower pool index
+    Each target step has one pool of extensions per sentence. The contract
+    is: each sentence's next beam is the first `width` entries of its pool
+    in (-score, pool index) order, so of equal scores the lower pool index
     wins, at the beam's tail as well as within it. The pool order is
     therefore part of the contract: states are grouped by LM context in
     order of first appearance in the beam; within a group come the window
     positions j in ascending order; within a position, the admissible
-    states in beam order; within a state, the candidate targets of source
-    position j in ascending id order. A sentence leaves the block after its
-    last step.
+    states in beam order, one pool row each; within a row, the candidate
+    targets of source position j in ascending id order. A sentence leaves
+    the block after its last step.
+
+    A step scores only the entries that can reach the beam. An entry scores
+
+        state + (lex + lm_weight * lm)
+
+    and no LM row exceeds the table's `row_max` (LM rows are log-probabilities,
+    at most 0), so it scores at most its bound state + lex + lift, lift =
+    lm_weight * max(row_max, 0). A row's candidates come in descending lex
+    order (`LexModel._candidate_table`), so the entries whose bound reaches
+    a given score are a prefix of the row. The step first scores each row's
+    first ceil(width / rows of its sentence) entries; their width-th best
+    score per sentence, thr (-inf when they are fewer than width), is at
+    most the pool's width-th best, so every entry of the next beam scores at
+    least thr. Each row then also scores the rest of the prefix whose bound
+    reaches thr, found for all rows by one searchsorted in a key over the
+    candidate table. Its comparison, lex >= thr - state - lift, has a slack
+    of `_SLACK` times 1 + |thr| + |state| + lift + max |lex|: the score's
+    three roundings and the comparison's own move a value by at most 2**-53
+    of a magnitude below that sum, so the slack covers them many times
+    over. The scored entries at or above thr are sorted by (sentence,
+    -score, row, candidate id), which is the pool's (-score, pool index)
+    order, and each sentence keeps its first `width`: the beam the whole
+    pool gives, bit for bit.
     """
     w = model.window
     table = model._row_table()
@@ -343,6 +386,16 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
     # unknown token spells it with two ext ids: both have one rank
     ext_rank = table.ranks
     cand_ids, cand_lex, cand_start, cand_count = model._candidate_table()
+    # one ascending key over the table, run index * span - lex; only the
+    # last run's entry (the floor) can have a lex that is not finite, and it
+    # sorts last whatever it is
+    finite = cand_lex[np.isfinite(cand_lex)]
+    lex_top, lex_bottom = finite.max(initial=0.0), finite.min(initial=0.0)
+    run_start = np.zeros(cand_ids.size, dtype=bool)
+    run_start[cand_start] = True
+    run_base = (run_start.cumsum() - 1) * (lex_top - lex_bottom + 1.0)
+    cand_key = run_base - cand_lex
+    slack_floor = 1.0 + max(lex_top, -lex_bottom)
 
     # source position j of sentence s decodes to candidate entries
     # pos_start[s, j]:pos_start[s, j] + pos_count[s, j]
@@ -377,58 +430,66 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
         group[by_key] = new_group.cumsum() - 1
         group_first = by_key[new_group]
 
-        # one pool row per (group, window position, admissible state): the
-        # state's score plus the step scores of the position's candidates
+        # one pool row per (group, window position, admissible state), in
+        # pool order, so each sentence's rows lie together
         row_state, row_win = np.nonzero(admissible)
         pool_key = (group_first[group[row_state]] * window.size + row_win) * sent.size
         by_pool = (pool_key + row_state).argsort()
         row_state = row_state[by_pool]
         row_pos = window[row_win[by_pool]]
         row_sent = sent[row_state]
-        live = np.flatnonzero(lengths >= i)
         rows_per_sent = np.bincount(row_sent, minlength=len(block))
-        if not rows_per_sent[live].all():
+        if not rows_per_sent[lengths >= i].all():
             raise DataError("no admissible decoding path (window too small)")
         # each group's LM row is the table's row at the group's slot; the
-        # table holds one row per LM state and is gathered from in place.
-        # Pool entry e extends state row_state[r] of the row r that holds it
-        # by candidate entry cols[e], and scores
-        #     score + (lex + lm_weight * lm)
-        # with each addition and product as written (a + b is b + a and
-        # a * b is b * a, bit for bit). Pool-sized arrays are freed as soon
-        # as they are used.
+        # table holds one row per LM state and is gathered from in place
         slot = table.slots(emitted[group_first, c0:i - 1])
-        lens = pos_count[row_sent, row_pos]
-        ends = lens.cumsum()
-        cols = (pos_start[row_sent, row_pos] - ends + lens).repeat(lens)
-        cols += np.arange(ends[-1])
-        at = cand_ids.take(cols)
-        at += (slot[group[row_state]] * len(ext_vocab)).repeat(lens)
-        flat = table.rows.take(at)
-        del at
-        flat *= model.lm_weight
-        flat += cand_lex.take(cols)
-        flat += score[row_state].repeat(lens)
+        row_lm = slot[group[row_state]] * len(ext_vocab)
+        row_score = score[row_state]
+        row_first = pos_start[row_sent, row_pos]
+        row_count = pos_count[row_sent, row_pos]
 
-        # each sentence keeps the first `width` of its pool by (-score, pool
-        # index): a pool larger than that gets its width-th best score as a
-        # threshold, which ties cannot move; the entries at or above it are
-        # sorted stably by (sentence, -score), and each sentence's first
-        # `width` are kept
-        bounds = np.concatenate(([0], ends))[np.concatenate(([0], rows_per_sent.cumsum()))]
-        first_el, sizes = bounds[live], np.diff(bounds)[live]
-        thr = np.full(live.size, -np.inf)
-        big = np.flatnonzero(sizes > width)
-        for k, a, b in zip(big.tolist(), first_el[big].tolist(),
-                           (first_el + sizes)[big].tolist()):
-            thr[k] = np.partition(flat[a:b], -width)[-width]
-        keep = np.flatnonzero(flat >= thr.repeat(sizes))
-        seg = first_el.searchsorted(keep, "right") - 1
-        keep = keep[np.lexsort((-flat[keep], seg))]
-        counts = np.bincount(seg, minlength=live.size)
+        # the sample, each row's first ceil(width / rows of its sentence)
+        # entries, and thr, each sentence's width-th best sampled score
+        sampled = np.minimum(row_count, (-(-width // np.maximum(rows_per_sent, 1)))[row_sent])
+        flat, cols = _entry_scores(table, model.lm_weight, cand_ids, cand_lex,
+                                   row_lm, row_score, row_first, sampled)
+        sample_sent = row_sent.repeat(sampled)
+        per_sent = np.bincount(sample_sent, minlength=len(block))
+        by_score = (-flat).argsort()
+        by_score = _by_sentence(by_score, sample_sent[by_score])
+        thr = np.full(len(block), -np.inf)
+        bounded = np.flatnonzero(per_sent >= width)
+        thr[bounded] = flat[by_score[(per_sent.cumsum() - per_sent)[bounded] + width - 1]]
+
+        # the rest of each row's prefix whose bound reaches thr
+        lift = model.lm_weight * max(table.row_max, 0.0)
+        row_thr = thr[row_sent]
+        with np.errstate(invalid="ignore"):  # -inf - -inf: the row keeps all
+            least = row_thr - row_score - (
+                lift + _SLACK * (slack_floor + lift + np.abs(row_thr) + np.abs(row_score)))
+        reach = cand_key.searchsorted(run_base[row_first] - least, "right") - row_first
+        more = np.clip(reach, sampled, row_count) - sampled
+        more_flat, more_cols = _entry_scores(table, model.lm_weight, cand_ids, cand_lex,
+                                             row_lm, row_score, row_first + sampled, more)
+        flat = np.concatenate((flat, more_flat))
+        cols = np.concatenate((cols, more_cols))
+        rows = np.concatenate((np.arange(row_sent.size).repeat(sampled),
+                               np.arange(row_sent.size).repeat(more)))
+        del more_flat, more_cols
+
+        # each sentence keeps the first `width` of its entries at or above
+        # thr by (-score, row, candidate id): one sort per key, the least
+        # significant first, (row, candidate id) being distinct
+        keep = np.flatnonzero(flat >= row_thr[rows])
+        keep = keep[(rows[keep] * len(ext_vocab) + cand_ids[cols[keep]]).argsort()]
+        keep = keep[(-flat[keep]).argsort(kind="stable")]
+        keep_sent = row_sent[rows[keep]]
+        keep = _by_sentence(keep, keep_sent)
+        counts = np.bincount(keep_sent, minlength=len(block))
         keep = keep[np.arange(keep.size) - (counts.cumsum() - counts).repeat(counts) < width]
 
-        rows = ends.searchsorted(keep, "right")
+        rows = rows[keep]
         parent = row_state[rows]
         score = flat[keep]
         sent = sent[parent]
@@ -445,6 +506,41 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
             score, sent = score[~done], sent[~done]
             consumed, emitted = consumed[~done], emitted[~done]
     return lists
+
+
+def _by_sentence(order: np.ndarray, sent: np.ndarray) -> np.ndarray:
+    """`order` stably sorted by `sent`, the sentence of each of its entries.
+    The ids are cast to the smallest unsigned type that holds them, which
+    numpy sorts stably by radix: several times faster than `np.lexsort`,
+    whose keys take merge sorts."""
+    return order[sent.astype(np.min_scalar_type(sent.max(initial=0))).argsort(kind="stable")]
+
+
+def _entry_scores(table, lm_weight: float, cand_ids: np.ndarray, cand_lex: np.ndarray,
+                  row_lm: np.ndarray, row_score: np.ndarray, first: np.ndarray,
+                  lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(scores, candidate entries) of candidate entries first[r]:first[r] +
+    lens[r] of every pool row r, row by row. Row r extends a state scored
+    row_score[r] and reads the LM row at table.rows.flat[row_lm[r]:]; an
+    entry scores
+
+        score + (lex + lm_weight * lm)
+
+    with each addition and product as written (a + b is b + a and a * b is
+    b * a, bit for bit), so an entry's score does not depend on which
+    entries are scored with it. The LM gather is freed once it is used.
+    """
+    ends = lens.cumsum()
+    cols = (first - ends + lens).repeat(lens)
+    cols += np.arange(cols.size)
+    at = cand_ids.take(cols)
+    at += row_lm.repeat(lens)
+    flat = table.rows.take(at)
+    del at
+    flat *= lm_weight
+    flat += cand_lex.take(cols)
+    flat += row_score.repeat(lens)
+    return flat, cols
 
 
 def _nbest_lists(block: list[Sentence], sent: np.ndarray, score: np.ndarray,
@@ -467,7 +563,7 @@ def _nbest_lists(block: list[Sentence], sent: np.ndarray, score: np.ndarray,
     one stable lexsort over all the states, runs of equal keys marking the
     groups.
     """
-    lists = {s: NBestList(source=block[s], entries=[]) for s in np.unique(sent).tolist()}
+    lists = {s: NBestList(source=block[s], entries=[]) for s in sorted_distinct(sent).tolist()}
     state = np.flatnonzero(score > -np.inf)
     # id sequences: within a run, the best score comes first, earliest first
     by_ids = state[np.lexsort((-score[state], *emitted[state].T[::-1], sent[state]))]
@@ -604,6 +700,10 @@ def model_from_dict(doc: dict) -> LexModel:
         t = _t_table(doc_field(doc, "t_rows", list, what), len(src_vocab), len(tgt_vocab))
     except ValueError as e:
         raise DataError(f"{what}: malformed key 't_rows': {e}") from e
+    trace = doc_field(doc, "train_ll_trace", list, what)
+    if not all(type(v) in (int, float) and -sys.float_info.max <= v <= sys.float_info.max
+               for v in trace):
+        raise DataError(f"{what}: key 'train_ll_trace' must hold finite numbers")
     return LexModel(src_vocab, tgt_vocab, t, lm_from_dict(doc_field(doc, "lm", dict, what)),
                     beam=doc_field(doc, "beam", int, what),
                     window=doc_field(doc, "window", int, what),
@@ -611,7 +711,7 @@ def model_from_dict(doc: dict) -> LexModel:
                     src_lang=doc_field(doc, "src_lang", str, what),
                     tgt_lang=doc_field(doc, "tgt_lang", str, what),
                     unk_floor=doc_float(doc, "unk_floor", what),
-                    train_ll_trace=tuple(doc_field(doc, "train_ll_trace", list, what)))
+                    train_ll_trace=tuple(trace))
 
 
 def model_json(model: LexModel) -> tuple[str, str]:

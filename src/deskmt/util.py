@@ -1,5 +1,5 @@
 """Shared plumbing: deterministic hashing, seed derivation, stable JSON, file
-reading and atomic writes."""
+reading and atomic writes, and the distinct values of an array."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import hashlib
 import json
 import os
 from typing import Any
+
+import numpy as np
 
 
 class DataError(ValueError):
@@ -132,3 +134,13 @@ def derive_seed(master: int, label: str) -> int:
     """
     digest = hashlib.sha256(f"{master}:{label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of an array in ascending order, as `np.unique`
+    without options gives them, but by one sort: `np.unique` asks
+    `np.ma.is_masked` on that path, which imports `numpy.ma` on first use."""
+    ordered = np.sort(values, axis=None)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first]

@@ -5,7 +5,10 @@ documented selection rule.
 the same pool order and the same float operations as `tm._decode_block`, and
 its selection rule as a full stable sort, keeping the first `width` entries
 of each pool in (-score, pool index) order. The properties compare the block
-decoder with it, and with itself source by source, bit for bit.
+decoder with it, and with itself source by source, bit for bit. The block
+decoder scores only the entries whose bound can reach the beam; the pruning
+tests also count the entries it scores against the pools the reference
+builds.
 """
 
 import random
@@ -35,8 +38,9 @@ def lm_row(model, ctx):
     return table.rows[slot]
 
 
-def reference_nbest(model, src, n):
-    """Top-n hypotheses of one source, decoded one step at a time in Python."""
+def reference_nbest(model, src, n, pools=None):
+    """Top-n hypotheses of one source, decoded one step at a time in Python;
+    the size of every step's pool is appended to `pools` when one is given."""
     m = len(src)
     w = model.window
     width = max(model.beam, n)
@@ -83,6 +87,8 @@ def reference_nbest(model, src, n):
         ends = lens.cumsum()
         gather = (np.array(row_start) - ends + lens).repeat(lens) + np.arange(ends[-1])
         flat = np.array([beam[idx][0] for idx in row_state]).repeat(lens) + step[gather]
+        if pools is not None:
+            pools.append(flat.size)
         keep = (-flat).argsort(kind="stable")[:width]
         new_beam = []
         for e in keep.tolist():
@@ -230,6 +236,143 @@ class TestTiesKeepTheLowestPoolIndex:
         assert entries(lists[1]) == entries(nb)
 
 
+def scored_entries(calls):
+    """A stand-in for `tm._entry_scores` that adds the entries it scores to
+    calls[0]."""
+    real = tm._entry_scores
+
+    def counting(*args):
+        calls[0] += int(args[-1].sum())
+        return real(*args)
+
+    return counting
+
+
+TINY = 1e-300   # ln TINY = -690.8, far below any pool's width-th best
+
+
+def pruning_model(rng, *, targets, tiny, beam, window, order, lm_weight, uniform):
+    """A table over `targets` targets whose every source row gives the last
+    `tiny` targets probability TINY and the others random probabilities, or
+    one probability when `uniform`, so that scores tie at the bound; the
+    floor of unknown symbols is TINY too. The LM is trained on random target
+    sentences."""
+    tgt = tuple(f"t{i:02d}" for i in range(targets))
+    src = (tm.NULL,) + tuple(f"s{i}" for i in range(rng.randint(2, 4)))
+    t = np.zeros((len(src), targets))
+    for row in t[1:]:
+        row[:targets - tiny] = 1.0 if uniform else [rng.random() + 0.01
+                                                     for _ in range(targets - tiny)]
+        row /= row.sum()
+        row[targets - tiny:] = TINY
+    corpus = [tuple(rng.choice(tgt) for _ in range(rng.randint(1, 6)))
+              for _ in range(rng.randint(5, 15))]
+    return tm.LexModel(src, tgt, t, train_lm(corpus, order, 0.5), beam=beam,
+                       window=window, lm_weight=lm_weight, unk_floor=TINY), src[1:]
+
+
+class TestBoundPruning:
+    """A step scores only the entries whose bound, state + lex, can reach
+    the beam; the lists stay those of the whole pool, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), targets=st.integers(20, 26),
+           tiny=st.integers(1, 4), beam=st.integers(1, 5), window=st.integers(0, 2),
+           n=st.sampled_from([1, 5, 50]), order=st.integers(1, 3),
+           lm_weight=st.sampled_from([0.0, 0.4, 1.0, 50.0]), uniform=st.booleans(),
+           count=st.integers(1, 5))
+    def test_pruned_steps_equal_the_whole_pool(self, seed, targets, tiny, beam, window, n,
+                                               order, lm_weight, uniform, count):
+        rng = random.Random(seed)
+        model, src_syms = pruning_model(rng, targets=targets, tiny=tiny, beam=beam,
+                                        window=window, order=order, lm_weight=lm_weight,
+                                        uniform=uniform)
+        # the first two positions hold known symbols, so some step has rows
+        # longer than their sample; a later one may be unknown
+        sources = [tuple(rng.choice(src_syms) for _ in range(rng.randint(2, 5)))
+                   + (("zz",) if rng.random() < 0.3 else ()) for _ in range(count)]
+        scored = [0]
+        with mock.patch.object(tm, "_entry_scores", scored_entries(scored)):
+            lists = translate_corpus(model, sources, n)
+        pools = []
+        for source, nb in zip(sources, lists):
+            assert entries(nb) == [(hyp, score.hex())
+                                   for hyp, score in reference_nbest(model, source, n, pools)]
+        assert scored[0] < sum(pools)
+
+    def test_a_row_that_reaches_thr_exactly_is_kept(self):
+        # no LM weight and one probability: every entry scores its bound, and
+        # the bound of the first state's row equals thr
+        model, _ = pruning_model(random.Random(5), targets=20, tiny=2, beam=3, window=1,
+                                 order=2, lm_weight=0.0, uniform=True)
+        for source in [("s0", "s1"), ("s1", "s0", "s1", "s0")]:
+            for n in (1, 5, 50):
+                assert entries(translate_nbest(model, source, n)) == [
+                    (hyp, score.hex()) for hyp, score in reference_nbest(model, source, n)]
+
+    def test_equal_scores_in_a_row_keep_the_lower_target_id(self):
+        # lex and LM terms swapped between a and b: b comes first in lex
+        # order, a in id order, and both score ln 0.5 + ln 0.25 at weight 1
+        row = np.log([0.5, 0.25, 0.125, 0.125])   # over a, b, c, <unk>
+        t = np.array([[0.0, 0.0, 0.0], [0.25, 0.5, 0.0]])
+        model = tm.LexModel((tm.NULL, "x"), ("a", "b", "c"), t,
+                            train_lm([("a", "b", "c")], 1, 0.5), beam=1, window=0,
+                            lm_weight=1.0)
+        with mock.patch.object(lm_module, "_mix",
+                               lambda parts, probs: np.broadcast_to(row, probs[0].shape).copy()):
+            nb = translate_nbest(model, ("x",), 1)
+            assert model._candidate_table()[0][:2].tolist() == [1, 0]
+            assert entries(nb) == [(hyp, score.hex())
+                                   for hyp, score in reference_nbest(model, ("x",), 1)]
+        assert entries(nb) == [(("a",), (np.log(0.5) + np.log(0.25)).hex())]
+
+
+class TestMarginCoversTheLmRows:
+    """The bound adds lm_weight * max(row_max, 0) for the LM term, so it holds
+    whatever the weight, also for rows at or above 0."""
+
+    WEIGHTS = [0.0, 0.4, 1.0, 50.0, 1e6, 1e12, 1e300]
+
+    def test_one_symbol_lm_rows_reach_zero(self):
+        # with k tiny, P(a | any context) rounds to 1: the rows are 0.0 at
+        # "a", and ln P rounds no higher (each rounding of the estimate is
+        # monotone), but the margin does not rest on that
+        targets = tuple("abcdefghijklmnopqrstuvwxyz")
+        t = np.full((3, len(targets)), 1.0 / len(targets))
+        t[2, :] = 0.5 / len(targets)
+        t[2, 0] = 0.5
+        lm = train_lm([("a",)] * 3, 2, 1e-20)
+        for lm_weight in self.WEIGHTS:
+            model = tm.LexModel((tm.NULL, "x", "y"), targets, t, lm, beam=2, window=1,
+                                lm_weight=lm_weight, unk_floor=TINY)
+            for source in [("x", "y"), ("y", "x", "x"), ("x", "zz", "y")]:
+                assert entries(translate_nbest(model, source, 3)) == [
+                    (hyp, score.hex()) for hyp, score in reference_nbest(model, source, 3)]
+        table = model._row_table()
+        assert table.row_max == 0.0 == table.rows[:, 0].min()
+
+    @pytest.mark.parametrize("lm_weight", WEIGHTS)
+    def test_rows_above_zero(self, lm_weight):
+        # every LM row lifted by 1: "a" and "c" score ln 0.5 + 1 > 0. Step 1
+        # has a row for x, its candidates b then a, and a row for y, whose
+        # one candidate c ties a's lex; the sample holds b and c, so thr is
+        # c's score, which a's equals. a's bound, its lex, lies below thr by
+        # lm_weight * (ln 0.5 + 1), yet a wins the tie by pool index
+        real = lm_module._mix
+        targets = ("a", "b", "c")
+        t = np.array([[0.0, 0.0, 0.0], [0.3, 0.6, 0.0], [0.0, 0.0, 0.3]])
+        with mock.patch.object(lm_module, "_mix", lambda parts, probs: real(parts, probs) + 1.0):
+            model = tm.LexModel((tm.NULL, "x", "y"), targets, t,
+                                train_lm([("a", "c")], 1, 1e-20), beam=1, window=1,
+                                lm_weight=lm_weight)
+            nb = translate_nbest(model, ("x", "y"), 1)
+            assert entries(nb) == [(hyp, score.hex())
+                                   for hyp, score in reference_nbest(model, ("x", "y"), 1)]
+            assert model._row_table().row_max == pytest.approx(np.log(0.5) + 1.0)
+        if lm_weight:
+            assert nb.top().hyp == ("a", "c")
+
+
 class TestEmptySources:
     def model(self):
         model, _ = random_model(random.Random(1), beam=2, window=1, order=2,
@@ -286,7 +429,9 @@ class TestLengthSortedBlocks:
             if reranked else None
         sources = sorted(random_sources(rng, src_syms, 14), key=len, reverse=True)
         assert len(set(map(len, sources))) > 3
-        lists, blocks = self.decode(model, sources, ctx)
+        # 256 states make blocks of 5 sentences at n=50
+        with mock.patch.object(tm, "_DECODE_STATES", 256):
+            lists, blocks = self.decode(model, sources, ctx)
         assert len(blocks) >= 3
         assert sorted(length for block in blocks for length in block) == \
             sorted(map(len, sources))

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from deskmt.metrics import (
     BLEU_ORDER,
     EvalContext,
+    References,
     bleu,
     bleu_from_stats,
     evaluate_system,
@@ -156,6 +157,26 @@ class TestSufficientStatistics:
         total = [sum(column) for column in zip(*(sentence_stats(h, r) for h, r in pairs))]
         expected = bleu_before_stats(hyps, refs)
         assert bleu_from_stats(total) == expected
+        assert bleu(hyps, refs) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_sentences, _sentences), min_size=1, max_size=6),
+           st.data())
+    def test_repeated_hypotheses_keep_their_statistics_and_bleu(self, pairs, data):
+        # one References scores each hypothesis, then hypotheses drawn again
+        # from the same ones (as lambda tuning does), as tuples and as lists
+        hyps = [h for h, _ in pairs]
+        refs = References([r for _, r in pairs])
+        first = [refs.stats(k, h) for k, h in enumerate(hyps)]
+        assert first == [sentence_stats(h, r) for h, r in pairs]
+        expected = bleu(hyps, [r for _, r in pairs])
+        for _ in range(3):
+            again = [data.draw(st.sampled_from(hyps)) if data.draw(st.booleans()) else h
+                     for h in hyps]
+            assert [refs.stats(k, list(h)) for k, h in enumerate(again)] == \
+                [sentence_stats(h, r) for h, (_, r) in zip(again, pairs)]
+            assert bleu(again, refs) == bleu(again, [r for _, r in pairs])
+        assert [refs.stats(k, h) for k, h in enumerate(hyps)] == first
         assert bleu(hyps, refs) == expected
 
 

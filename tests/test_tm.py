@@ -612,6 +612,23 @@ class TestSerialization:
         with pytest.raises(DataError, match="'t_rows'"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("trace", [
+        ["x"], [[1]], [None], [True], [-1.5, False], [math.nan], [-math.inf], [math.inf],
+        [10**400], {"0": -1.0}, "trace"])
+    def test_bad_train_ll_trace_is_data_error(self, trace):
+        doc = model_to_dict(em_train(random_mix(random.Random(4), 8), iterations=1))
+        doc["train_ll_trace"] = trace
+        with pytest.raises(DataError, match="'train_ll_trace'"):
+            model_from_dict(doc)
+
+    def test_train_ll_trace_of_numbers_loads(self):
+        doc = model_to_dict(em_train(random_mix(random.Random(4), 8), iterations=2))
+        assert len(doc["train_ll_trace"]) == 2
+        doc["train_ll_trace"] += [-3, 0, -1e300]
+        assert model_from_dict(doc).train_ll_trace == tuple(doc["train_ll_trace"])
+        doc["train_ll_trace"] = []
+        assert model_from_dict(doc).train_ll_trace == ()
+
     def test_table_ids_past_the_vocabularies_are_data_errors(self):
         doc = model_to_dict(em_train(random_mix(random.Random(4), 8), iterations=1))
         doc["t_rows"][1] = [[len(doc["tgt_vocab"]), 0.5]]

@@ -1,8 +1,14 @@
+import os
 import re
+import subprocess
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from deskmt.util import DataError, read_json, read_text
+import deskmt
+from deskmt.util import DataError, read_json, read_text, sorted_distinct
 
 
 class TestReadText:
@@ -43,3 +49,44 @@ class TestReadJson:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(DataError, match=re.escape(f"{path}: {problem}")):
             read_json(str(path), "doc")
+
+
+class TestSortedDistinct:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.integers(-5, 5), max_size=30), floats=st.booleans())
+    def test_equals_np_unique(self, values, floats):
+        array = np.array(values, dtype=np.float64 if floats else np.int64)
+        got = sorted_distinct(array)
+        assert got.dtype == array.dtype
+        assert got.tolist() == np.unique(array).tolist()
+
+    def test_a_fresh_process_never_imports_numpy_ma(self):
+        # np.unique without options imports numpy.ma on first use; training
+        # an LM, decoding and mining must not reach it
+        script = """
+import sys
+from deskmt import mine, synth, tm
+from deskmt.corpus import build_mix, swap_direction
+from deskmt.lm import train_lm
+
+spec = synth.make_spec(30, seed=5)
+bundle = synth.gen_corpora(spec, {"parallel": 40, "mono_src": 12, "mono_tgt": 12,
+                                  "dev": 2, "test": 2})
+mix = build_mix([bundle.parallel])
+model = tm.em_train(mix, 2, lm=train_lm(list(bundle.mono_tgt.sentences), 3, 0.5))
+lists = tm.translate_corpus(model, list(bundle.mono_src.sentences), 5)
+channel = tm.em_train(swap_direction(mix), 2, src_lang="tgt", tgt_lang="src")
+pairs = bundle.parallel.pairs
+docs_a = [mine.WebDoc(f"example.com/{d}", tuple(s for s, _ in pairs[4 * d:4 * d + 4]),
+                      lang="src") for d in range(3)]
+docs_b = [mine.WebDoc(f"example.com/{d}?tr=1", tuple(t for _, t in pairs[4 * d:4 * d + 4]),
+                      lang="tgt") for d in range(3)]
+mined, matches = mine.mine_bitext(docs_a, docs_b, channel, doc_threshold=0.1, floor=-50.0)
+assert len(lists) == 12 and mined and len(matches) == 3
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(deskmt.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
