@@ -30,12 +30,11 @@ from .util import DataError
 
 def _generate(model, mono: TaggedDataset, rerank_ctx: RerankContext | None,
               keep_side: str, tag: str, name: str) -> TaggedDataset:
-    lists = translate_corpus(model, list(mono.sentences), DEFAULT_NBEST,
+    block = translate_corpus(model, list(mono.sentences), DEFAULT_NBEST,
                              rerank_ctx=rerank_ctx)
     pairs = []
     dropped = 0
-    for sent, nb in zip(mono.sentences, lists):
-        hyp = nb.top().hyp
+    for sent, hyp in zip(mono.sentences, block.top_hyps()):
         if not hyp or all(tok == UNK_TOKEN for tok in hyp):
             dropped += 1
             continue

@@ -216,11 +216,11 @@ def cmd_translate(args) -> int:
     sources = list(ds.sentences)
     if bpe is not None:
         sources = [subword.encode(s, bpe) for s in sources]
-    lists = tm.translate_corpus(model, sources, args.nbest,
+    block = tm.translate_corpus(model, sources, args.nbest,
                                 rerank_ctx=_rerank_ctx(args))
     if args.dump_nbest:
-        rerank.write_nbest_file(lists, args.dump_nbest)
-    hyps = [nb.top().hyp for nb in lists]
+        rerank.write_nbest_file(block.to_lists(), args.dump_nbest)
+    hyps = block.top_hyps()
     if bpe is not None:
         lines = [subword.decode(hyp, bpe, args.policy) for hyp in hyps]
     else:
@@ -231,12 +231,12 @@ def cmd_translate(args) -> int:
 
 
 def cmd_rerank(args) -> int:
-    lists = rerank.read_nbest_file(args.nbest_file)
+    block = tm.NBestBlock.from_lists(rerank.read_nbest_file(args.nbest_file))
     channel = _load_models(args.channel_model)
     lm = _load_lm(args.lm)
     weights = NoisyChannelWeights(args.lambda1, args.lambda2)
-    out = rerank.rerank(lists, channel, lm, weights)
-    rerank.write_nbest_file(out, args.out)
+    out = rerank.rerank(block, channel, lm, weights)
+    rerank.write_nbest_file(out.to_lists(), args.out)
     print(f"reranked {len(out)} lists -> {args.out}")
     return EXIT_OK
 

@@ -8,6 +8,10 @@ with P_0 uniform over the prediction space S = vocabulary + unknown. Training
 counts token events only; the end-of-sentence marker is part of the
 vocabulary and is scored context-free from its unigram (pure smoothing)
 estimate, which keeps log-probabilities strictly decreasing under extension.
+A model is rejected (DataError naming 'k') when its k lets an unseen
+event's probability fall below the smallest normal float, so every
+log-probability is finite (above -710 for a mixture too); `tm.LM_WEIGHT_MAX`
+rests on that.
 
 Counts live in sorted arrays over a context trie. Level j (1..order) counts
 words after contexts of length j - 1. The root, the empty context of level
@@ -30,9 +34,10 @@ weight * p in part order and takes the log; for one part of weight 1 that
 is ln p bit for bit.
 
 `logprobs` scores many sentences in one pass. It maps the batch's tokens to
-ids once and scores each distinct event, a word after its BOS-padded
-context, once: each level of the recurrence runs once over the events, by
-key lookups in these arrays, once per part.
+ids once, and `logprobs_of_ids`, which reranking calls with an n-best
+block's ids and symbols, scores each distinct event, a word after its
+BOS-padded context, once: each level of the recurrence runs once over the
+events, by key lookups in these arrays, once per part.
 The entries of an n-best batch share prefixes, so there are far fewer
 events than tokens: 13,565 against 88,198 over the 300 reranked lists of
 the bench's `recipe` self-training pool (seed 1).
@@ -102,6 +107,7 @@ class NGramLM:
         self._context_id = dict(self.sym_id)
         self._context_id[BOS] = self.bos_id
         self._count_tables(events)
+        self._check_unseen_floor()
         # state key of (level, node): node + the number of nodes of lower levels
         sizes = [1] + [keys.size for keys in self._child_keys]
         self._level_start = np.cumsum([0] + sizes)
@@ -138,6 +144,19 @@ class NGramLM:
             self._totals.append(np.append(np.bincount(nodes[j], counts, size), 0.0))
         if not all(np.isfinite(totals).all() for totals in self._totals):
             raise DataError("the counts of a context sum past the float range")
+
+    def _check_unseen_floor(self) -> None:
+        """DataError unless every event's probability is at least the
+        smallest normal float. The least is that of a word unseen at every
+        level after contexts of the largest totals, and the recurrence's
+        float operations are monotone, so it is computed as they run."""
+        ks = self.k * len(self.syms)
+        prob = 1.0 / len(self.syms)
+        for totals in self._totals:
+            prob = ks * prob / (float(totals.max()) + ks)
+        if not prob >= sys.float_info.min:
+            raise DataError(f"smoothing 'k' = {self.k!r} is too small: an unseen event's "
+                            f"probability falls to {prob!r}, below {sys.float_info.min!r}")
 
     def eos_prob(self) -> float:
         """Unigram (context-free) end-of-sentence probability."""
@@ -424,22 +443,34 @@ def _event_logprobs(model: LanguageModel, vocab: list[str], history: np.ndarray,
 def logprobs(model: LanguageModel, sentences: list[Sentence]) -> np.ndarray:
     """Natural-log probability of every sentence, including end-of-sentence.
 
-    The tokens are mapped to batch ids once. Each distinct event, a word
-    after its BOS-padded context of order - 1 tokens, is scored once
-    (`_event_logprobs`) and every token gathers its event's term; each
-    sentence then adds its terms left to right, then the end-of-sentence
-    term, so a sentence's score does not depend on the others.
+    The tokens are mapped to batch ids once and scored by `logprobs_of_ids`.
     """
     lengths = np.array([len(s) for s in sentences], dtype=np.intp)
     tokens = list(chain.from_iterable(sentences))
     index = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
     ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    return logprobs_of_ids(model, list(index), ids, lengths)
+
+
+def logprobs_of_ids(model: LanguageModel, symbols, ids: np.ndarray,
+                    lengths: np.ndarray) -> np.ndarray:
+    """`logprobs` of sentences given as ids into `symbols`, laid end to end
+    with the given lengths.
+
+    Each distinct event, a word after its BOS-padded context of order - 1
+    tokens, is scored once (`_event_logprobs`, which maps `symbols` to the
+    model's ids once per part) and every token gathers its event's term;
+    each sentence then adds its terms left to right, then the
+    end-of-sentence term, so a sentence's score does not depend on the
+    others or on how its symbols are numbered.
+    """
+    ids = ids.astype(np.int64, copy=False)
     history = np.column_stack([np.zeros((ids.size, 0), dtype=np.int64)]
-                              + [_back(ids, lengths, d, len(index))
+                              + [_back(ids, lengths, d, len(symbols))
                                  for d in range(1, model.order)])
-    # one key per event: (word, history) as digits in base len(index) + 1,
+    # one key per event: (word, history) as digits in base len(symbols) + 1,
     # replaced by their ranks whenever the next digit could pass _KEY_LIMIT
-    key, bound, base = ids, len(index), len(index) + 1
+    key, bound, base = ids, len(symbols), len(symbols) + 1
     for column in history.T:
         if bound * base > _KEY_LIMIT:
             key = np.unique(key, return_inverse=True)[1]
@@ -448,10 +479,10 @@ def logprobs(model: LanguageModel, sentences: list[Sentence]) -> np.ndarray:
     keys, event = np.unique(key, return_inverse=True)
     rep = np.empty(keys.size, dtype=np.intp)   # a token of each event
     rep[event] = np.arange(ids.size)
-    terms = _event_logprobs(model, list(index), history[rep], ids[rep])[event]
-    grid = np.zeros((len(sentences), int(lengths.max(initial=0))))
+    terms = _event_logprobs(model, symbols, history[rep], ids[rep])[event]
+    grid = np.zeros((lengths.size, int(lengths.max(initial=0))))
     grid[np.arange(grid.shape[1]) < lengths[:, None]] = terms
-    total = np.zeros(len(sentences))
+    total = np.zeros(lengths.size)
     for column in grid.T:
         total += column
     return total + model.eos_logprob

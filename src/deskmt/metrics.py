@@ -218,10 +218,10 @@ def evaluate_system(model, test, decode: str = "beam", *, rerank_ctx=None,
     pairs = list(test.pairs)
     if not pairs:
         raise DataError("evaluation needs a non-empty test set")
-    lists = translate_corpus(model, [src for src, _ in pairs], nbest,
+    block = translate_corpus(model, [src for src, _ in pairs], nbest,
                              rerank_ctx=rerank_ctx)
     surface = surface_of(eval_ctx)
-    hyp_tokens = [surface(nb.top().hyp) for nb in lists]
+    hyp_tokens = [surface(hyp) for hyp in block.top_hyps()]
     ref_tokens = [surface(r) for _, r in pairs]
 
     score = bleu(hyp_tokens, ref_tokens)

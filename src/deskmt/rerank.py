@@ -6,13 +6,21 @@ and the lm term is the target language model score. Weights are tuned by
 uniform random search over [0, 3]^2 with the null pair (0, 0) always included,
 so reranking can never lose to plain beam search on the tuning set.
 
-Both work on batches of lists held as flat arrays: one
-`tm.pair_channel_scores` call and one `lm.logprobs` call score every entry
-of a batch, each score being the one its entry gets alone. The LM scores
-each distinct (context, word) event of the batch once, so the prefixes that
-a list's entries share cost nothing extra. `rerank` orders a batch with one
-stable sort; `tune_lambdas` recombines the dev batch's arrays for every
-trial.
+Both work on blocks of lists held as arrays (`tm.NBestBlock`: padded symbol
+ids with their lengths, fwd scores and list offsets). A decoded block holds
+each surface once per list: the decoder tells hypotheses apart by sequence
+ids kept per beam state (its parent's with the token appended), not by
+strings. One
+`tm.block_channel_scores` call and one `lm.logprobs_of_ids` call score every
+entry of a block from its ids, each score being the one its entry gets
+alone; the block's symbols are mapped to each model's ids once. The LM
+scores each distinct (context, word) event of the block once, so the
+prefixes that a list's entries share cost nothing extra. `rerank` orders a
+block with one stable sort and returns it taken in that order, with the
+`channel`, `lm` and `combined` arrays set; `tune_lambdas` recombines the dev
+block's arrays for every trial and turns only the entries a trial picks into
+strings. An n-best file is read into a block whose symbols are the file's
+distinct tokens, so files and decodes are reranked by the same code.
 """
 
 from __future__ import annotations
@@ -23,9 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import TaggedDataset
-from .lm import LanguageModel, logprobs
+from .lm import LanguageModel, logprobs_of_ids
 from .metrics import STATS_WIDTH, bleu_from_stats, references_of, surface_of
-from .tm import LexModel, NBestEntry, NBestList, pair_channel_scores, translate_corpus
+from .tm import (LexModel, NBestBlock, NBestEntry, NBestList, block_channel_scores,
+                 translate_corpus)
 from .util import DataError, read_text, write_text_atomic
 
 LAMBDA_MAX = 3.0
@@ -56,47 +65,38 @@ class RerankContext:
     weights: NoisyChannelWeights = NULL_WEIGHTS
     nbest: int = DEFAULT_NBEST
 
-    def rerank(self, lists: list[NBestList]) -> list[NBestList]:
-        return rerank(lists, self.channel_model, self.lm, self.weights)
+    def rerank(self, block: NBestBlock) -> NBestBlock:
+        return rerank(block, self.channel_model, self.lm, self.weights)
 
 
-def _components(lists: list[NBestList], backward: LexModel,
+def _components(block: NBestBlock, backward: LexModel,
                 lm: LanguageModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fwd, channel and lm scores of every entry of `lists`, list after
-    list; DataError unless all are finite."""
-    hyps = [e.hyp for nb in lists for e in nb.entries]
-    fwd = np.array([e.fwd for nb in lists for e in nb.entries], dtype=np.float64)
-    source_at = np.repeat(np.arange(len(lists)), [len(nb.entries) for nb in lists])
-    channel = pair_channel_scores(backward, [nb.source for nb in lists], hyps,
-                                  source_at, np.arange(len(hyps)))
-    lm_score = logprobs(lm, hyps)
-    if not (np.isfinite(fwd).all() and np.isfinite(channel).all()
+    """The fwd, channel and lm scores of every entry of `block`; DataError
+    unless all are finite."""
+    channel = block_channel_scores(backward, block)
+    lm_score = logprobs_of_ids(lm, block.symbols, *block.tokens())
+    if not (np.isfinite(block.fwd).all() and np.isfinite(channel).all()
             and np.isfinite(lm_score).all()):
         raise DataError("reranking needs finite component scores")
-    return fwd, channel, lm_score
+    return block.fwd, channel, lm_score
 
 
-def rerank(lists: list[NBestList], backward: LexModel, lm: LanguageModel,
-           w: NoisyChannelWeights) -> list[NBestList]:
+def rerank(block: NBestBlock, backward: LexModel, lm: LanguageModel,
+           w: NoisyChannelWeights) -> NBestBlock:
     """Every list re-sorted by combined score, descending; ties keep prior order.
 
-    The channel and lm slots are (re)scored and `combined` is set. All
+    The channel and lm scores are (re)computed and `combined` is set. The
     entries are ordered by one stable sort on (list, -combined), so a list
-    comes out as it would reranked alone.
+    comes out as it would reranked alone; the block comes back taken in
+    that order, with its channel, lm and combined arrays.
     """
-    if not all(nb.entries for nb in lists):
+    if not block.sizes().all():
         raise DataError("cannot rerank an empty n-best list")
-    fwd, channel, lm_score = _components(lists, backward, lm)
+    fwd, channel, lm_score = _components(block, backward, lm)
     combined = fwd + w.lambda1 * channel + w.lambda2 * lm_score
-    sizes = [len(nb.entries) for nb in lists]
-    order = np.lexsort((-combined, np.repeat(np.arange(len(lists)), sizes))).tolist()
-    entries = [e for nb in lists for e in nb.entries]
-    channel, lm_score, combined = channel.tolist(), lm_score.tolist(), combined.tolist()
-    ranked = [NBestEntry(hyp=entries[k].hyp, fwd=entries[k].fwd, channel=channel[k],
-                         lm=lm_score[k], combined=combined[k]) for k in order]
-    ends = np.cumsum(sizes).tolist()
-    return [NBestList(source=nb.source, entries=ranked[end - size:end])
-            for nb, size, end in zip(lists, sizes, ends)]
+    order = np.lexsort((-combined, block.list_of_entries()))
+    return block.take(order, block.offsets, block.sources, channel=channel[order],
+                      lm=lm_score[order], combined=combined[order])
 
 
 def sample_weights(trials: int, seed: int) -> list[NoisyChannelWeights]:
@@ -129,30 +129,30 @@ def tune_lambdas(dev: TaggedDataset, forward, backward, lm: LanguageModel,
         raise DataError("tuning needs at least one trial")
     if not dev.pairs:
         raise DataError("tuning needs a non-empty dev set")
-    lists = translate_corpus(forward, [src for src, _ in dev.pairs], nbest)
+    block = translate_corpus(forward, [src for src, _ in dev.pairs], nbest)
     surface = surface_of(eval_ctx)
     refs = references_of(dev, eval_ctx)
 
     # one row per list; padding (fwd -inf) never wins the argmax
-    sizes = np.array([len(nb.entries) for nb in lists])
+    sizes = block.sizes()
     held = np.arange(sizes.max()) < sizes[:, None]
     fwd = np.full(held.shape, -np.inf)
     channel = np.zeros(held.shape)
     lm_score = np.zeros(held.shape)
-    fwd[held], channel[held], lm_score[held] = _components(lists, backward, lm)
+    fwd[held], channel[held], lm_score[held] = _components(block, backward, lm)
 
     stats = np.zeros(held.shape + (STATS_WIDTH,), dtype=np.int64)
     known = np.zeros(held.shape, dtype=bool)
-    rows = np.arange(len(lists))
+    rows = np.arange(len(block))
     best_weights = None
     best_bleu = -1.0
     for w in sample_weights(trials, seed):
         # same operation order as rerank's, so the argmax is the same
         picks = (fwd + w.lambda1 * channel + w.lambda2 * lm_score).argmax(axis=1)
-        for i in np.flatnonzero(~known[rows, picks]).tolist():
-            j = int(picks[i])
-            stats[i, j] = refs.stats(i, surface(lists[i].entries[j].hyp))
-            known[i, j] = True
+        new = np.flatnonzero(~known[rows, picks])
+        for i, hyp in zip(new.tolist(), block.surfaces(block.offsets[new] + picks[new])):
+            stats[i, picks[i]] = refs.stats(i, surface(hyp))
+        known[new, picks[new]] = True
         score = bleu_from_stats(stats[rows, picks].sum(axis=0))
         if score > best_bleu:
             best_bleu = score

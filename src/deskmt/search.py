@@ -127,8 +127,9 @@ class TrialResult:
                 "dev_ppl_trace": list(self.dev_ppl_trace), "dev_bleu": self.dev_bleu}
 
 
-class TrialError(RuntimeError):
-    """Training failure with the offending configuration attached."""
+class TrialError(DataError):
+    """A trial's DataError with the offending configuration attached (so a
+    CLI run that trains with bad settings exits 2)."""
 
     def __init__(self, config: TrialConfig, cause: Exception):
         super().__init__(f"trial failed for {config}: {cause}")
@@ -163,10 +164,10 @@ def dev_bleu(model, dev: TaggedDataset, *, eval_ctx: EvalContext | None = None,
     context surfaces and counts the references of `dev` once, for every
     call that scores against them.
     """
-    lists = translate_corpus(model, [src for src, _ in dev.pairs], nbest,
+    block = translate_corpus(model, [src for src, _ in dev.pairs], nbest,
                              rerank_ctx=rerank_ctx)
     surface = surface_of(eval_ctx)
-    return bleu([surface(nb.top().hyp) for nb in lists], references_of(dev, eval_ctx))
+    return bleu([surface(hyp) for hyp in block.top_hyps()], references_of(dev, eval_ctx))
 
 
 def run_trial(config: TrialConfig, mix: DataMix, dev: TaggedDataset, *,

@@ -1,7 +1,8 @@
 """Lexical translation models: IBM-Model-1 EM training, a windowed monotone
 beam decoder producing n-best lists, the corpus decoder `translate_corpus`
 that every decode in the package goes through, and channel scoring of
-sentence pairs in batches (`pair_channel_scores`).
+sentence pairs in batches (`pair_channel_scores`, and `block_channel_scores`
+for the entries of an n-best block).
 
 The decoder emits one target symbol per source position; at target step i it
 may consume any unconsumed source position j with |j - i| <= window, so a
@@ -19,8 +20,20 @@ its own selection (see `_decode_block`), so a source's n-best list does not
 depend on the block it is decoded in; `translate_nbest` is the one-source
 case. So blocks are filled from the sources sorted by length, which keeps
 a block's steps close to what each of its sources needs, and the lists of
-the sentences that finish at a step are built from the step's arrays with
-a few sorts (`_nbest_lists`).
+the sentences that finish at a step are picked from the step's states with
+three sorts of three keys (`_nbest_lists`): each state carries two sequence
+ids, its parent's with the token appended as a digit (made dense ranks again
+before they could overflow), that stand for its whole id sequence and its
+whole surface. States are grouped by LM context through one key per state
+in the same way.
+
+The lists stay arrays from the decoder to BLEU: `translate_corpus` returns
+an `NBestBlock`, padded ext ids with their lengths, the fwd scores and each
+list's offsets, over the model's ext symbols. Reranking adds score arrays
+and reorders the entries (`rerank.rerank`), and callers turn only the
+entries they read into strings (`NBestBlock.top_hyps`, `surfaces`).
+`NBestEntry`/`NBestList` objects are built only by `NBestBlock.to_lists`,
+for the n-best file writer, the CLI and callers that want whole lists.
 
 A step scores only the pool entries that can reach the beam: the LM term is
 at most 0, so an entry scores at most the state's score plus its lex term,
@@ -40,11 +53,19 @@ import numpy as np
 
 from .corpus import UNK_TOKEN, DataMix, Sentence
 from .lm import LanguageModel, lm_from_dict, lm_to_dict, row_table, train_lm
-from .util import (DataError, doc_field, doc_float, doc_strings, sha256_text, sorted_distinct,
-                   stable_json_dumps)
+from .util import DataError, doc_field, doc_float, doc_strings, sha256_text, stable_json_dumps
 
 NULL = "<null>"
 DEFAULT_UNK_FLOOR = 1e-9
+
+# The largest lm_weight a model takes. An LM probability is at least the
+# smallest normal float (the LM rejects a smoothing k that would take an
+# unseen event below it, and a mixture's weights sum to 1), so ln P > -710
+# and lm_weight * ln P > -7.1e302. With the lex term (at least ln of the
+# smallest float, -745) a step scores more than -7.2e302, so a path of up to
+# 100,000 steps stays finite, as do the sums of two such scores that the
+# decoder's bound forms.
+LM_WEIGHT_MAX = 1e300
 
 
 @dataclass
@@ -63,6 +84,133 @@ class NBestList:
 
     def top(self) -> NBestEntry:
         return self.entries[0]
+
+
+@dataclass(eq=False)
+class NBestBlock:
+    """The n-best lists of many sources as arrays.
+
+    List k belongs to sources[k] and holds entries offsets[k]:offsets[k + 1],
+    best first. Entry e spells symbols[hyps[e, :lengths[e]]] (the rest of
+    the row is padding) and scored `fwd[e]` under the decoder; `rerank` adds
+    its `channel`, `lm` and `combined` scores. The ids take the smallest
+    unsigned type that holds them. A decoded block's symbols are the model's
+    ext symbols; a block made from entries (`from_lists`) has their distinct
+    tokens, sorted, as symbols. Strings are made only for the entries that
+    are read (`surfaces`, `top_hyps`), and `NBestList` objects only by
+    `to_lists`.
+    """
+
+    sources: list[Sentence]
+    symbols: tuple[str, ...]
+    hyps: np.ndarray
+    lengths: np.ndarray
+    fwd: np.ndarray
+    offsets: np.ndarray
+    channel: np.ndarray | None = None
+    lm: np.ndarray | None = None
+    combined: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def list_of_entries(self) -> np.ndarray:
+        """The list index of every entry."""
+        return np.repeat(np.arange(len(self.sources)), self.sizes())
+
+    def tokens(self) -> tuple[np.ndarray, np.ndarray]:
+        """(the ids of every entry laid end to end, each entry's length)."""
+        return (self.hyps[np.arange(self.hyps.shape[1]) < self.lengths[:, None]],
+                self.lengths)
+
+    def surfaces(self, entries) -> list[Sentence]:
+        """The symbol tuples of the given entries."""
+        syms = np.array(self.symbols, dtype=object)
+        return [tuple(row[:n]) for row, n in zip(syms[self.hyps[entries]].tolist(),
+                                                 self.lengths[entries].tolist())]
+
+    def top_hyps(self) -> list[Sentence]:
+        """The first entry of every list as symbols."""
+        if not self.sizes().all():
+            raise DataError("an n-best list is empty")
+        return self.surfaces(self.offsets[:-1])
+
+    def take(self, entries: np.ndarray, offsets: np.ndarray, sources: list[Sentence],
+             **scores) -> NBestBlock:
+        """A block of the given entries, in that order, as lists at
+        `offsets` of `sources`; `scores` sets score arrays of the new order."""
+        for name in ("channel", "lm", "combined"):
+            if name not in scores and getattr(self, name) is not None:
+                scores[name] = getattr(self, name)[entries]
+        return NBestBlock(sources, self.symbols, self.hyps[entries], self.lengths[entries],
+                          self.fwd[entries], offsets, **scores)
+
+    def select(self, lists: np.ndarray) -> NBestBlock:
+        """The given lists, in that order."""
+        sizes = self.sizes()[lists]
+        offsets = np.concatenate(([0], sizes.cumsum()))
+        entries = np.arange(offsets[-1]) + (self.offsets[lists] - offsets[:-1]).repeat(sizes)
+        return self.take(entries, offsets, [self.sources[k] for k in lists.tolist()])
+
+    @staticmethod
+    def concat(blocks: list[NBestBlock]) -> NBestBlock:
+        """The lists of every block, one block after another; the blocks
+        share one symbol table and the score arrays the first one has."""
+        first = blocks[0]
+        if any(b.symbols != first.symbols for b in blocks[1:]):
+            raise ValueError("blocks of different symbol tables")
+        width = max(b.hyps.shape[1] for b in blocks)
+        hyps = np.zeros((sum(b.fwd.size for b in blocks), width), dtype=first.hyps.dtype)
+        at = 0
+        for b in blocks:
+            hyps[at:at + b.fwd.size, :b.hyps.shape[1]] = b.hyps
+            at += b.fwd.size
+        scores = {name: np.concatenate([getattr(b, name) for b in blocks])
+                  for name in ("channel", "lm", "combined") if getattr(first, name) is not None}
+        shifts = np.cumsum([0] + [b.fwd.size for b in blocks[:-1]])
+        return NBestBlock([src for b in blocks for src in b.sources], first.symbols, hyps,
+                          np.concatenate([b.lengths for b in blocks]),
+                          np.concatenate([b.fwd for b in blocks]),
+                          np.concatenate([[0]] + [b.offsets[1:] + shift
+                                                  for b, shift in zip(blocks, shifts)]),
+                          **scores)
+
+    @classmethod
+    def from_lists(cls, lists: list[NBestList]) -> NBestBlock:
+        """The block of `lists`' sources, hypotheses and fwd scores; the
+        other score slots are left out, as `rerank` sets them anew."""
+        entries = [e for nb in lists for e in nb.entries]
+        symbols = tuple(sorted({tok for e in entries for tok in e.hyp}))
+        sym_id = {s: i for i, s in enumerate(symbols)}
+        lengths = np.array([len(e.hyp) for e in entries], dtype=np.intp)
+        hyps = np.zeros((len(entries), int(lengths.max(initial=0))),
+                        dtype=_id_type(len(symbols)))
+        hyps[np.arange(hyps.shape[1]) < lengths[:, None]] = [
+            sym_id[tok] for e in entries for tok in e.hyp]
+        sizes = [len(nb.entries) for nb in lists]
+        return cls([nb.source for nb in lists], symbols, hyps, lengths,
+                   np.array([e.fwd for e in entries], dtype=np.float64),
+                   np.concatenate(([0], np.cumsum(sizes, dtype=np.intp))))
+
+    def to_lists(self) -> list[NBestList]:
+        """The lists as `NBestList` objects, for files, the CLI and callers
+        that read whole lists."""
+        values = [self.fwd.tolist()] + [
+            [None] * self.fwd.size if v is None else v.tolist()
+            for v in (self.channel, self.lm, self.combined)]
+        entries = [NBestEntry(hyp, fwd, channel, lm, combined) for hyp, fwd, channel, lm, combined
+                   in zip(self.surfaces(np.arange(self.fwd.size)), *values)]
+        ends = self.offsets.tolist()
+        return [NBestList(source=src, entries=entries[ends[k]:ends[k + 1]])
+                for k, src in enumerate(self.sources)]
+
+
+def _id_type(n_symbols: int) -> np.dtype:
+    """The smallest unsigned type that holds ids below n_symbols."""
+    return np.min_scalar_type(max(n_symbols - 1, 0))
 
 
 class LexModel:
@@ -86,8 +234,13 @@ class LexModel:
                  train_ll_trace: tuple[float, ...] = ()):
         if not src_vocab or src_vocab[0] != NULL:
             raise DataError("source vocabulary must start with the NULL symbol")
-        if beam < 1 or window < 0 or lm_weight < 0:
+        if beam < 1 or window < 0:
             raise DataError("invalid decoder settings")
+        if not 0.0 <= lm_weight <= LM_WEIGHT_MAX:
+            raise DataError(f"decoder setting 'lm_weight' must lie in [0, {LM_WEIGHT_MAX}], "
+                            f"got {lm_weight!r}")
+        if not 0.0 < unk_floor <= 1.0:
+            raise DataError(f"decoder setting 'unk_floor' must lie in (0, 1], got {unk_floor!r}")
         self.src_vocab = src_vocab
         self.tgt_vocab = tgt_vocab
         self.t = t
@@ -267,17 +420,23 @@ def _em_iteration(t: np.ndarray, groups) -> tuple[np.ndarray, float]:
 
 # Live beam states per decoded block (sentences x beam width). A step scores
 # only the pool entries that can reach the beam (see `_decode_block`), but
-# its row arrays still grow with the block's states, so the block is bounded.
-# Decoding a 300-sentence pool at n=50 (the bench's `recipe` self-training
-# pool, seed 1) peaked at 10.3 MB of traced heap (tracemalloc) as one block,
-# against 4.4 MB in length-sorted blocks of this size, 3.2 MB in blocks of
-# 256 states and 3.0 MB one sentence at a time (1.8 MB of each is the n-best
-# lists). Scoring the whole pool, one block peaked at 44.9 MB and blocks of
-# 256 states at 3.7-4.4 MB.
-_DECODE_STATES = 1024
+# its row arrays still grow with the block's states, so the block is bounded;
+# larger blocks run fewer steps, and each step has a fixed cost. Decoding a
+# 300-sentence pool at n=50 (the bench's `recipe` self-training pool, seed 1,
+# with warm LM rows) peaked at 10.7 MB of traced heap (tracemalloc) as one
+# block, against 3.1 MB in length-sorted blocks of this size, 1.8 MB of 2048
+# states, 1.2 MB of 1024 or 256 states and 1.4 MB one sentence at a time;
+# the returned `NBestBlock` of 13,008 entries holds 0.4 MB of it. Reranked
+# block by block, the peaks are 3.4, 2.3 and 2.1 MB at 4096, 2048 and 1024
+# states. Decoding and reranking that pool took a median of 114, 132 and
+# 152 ms of CPU at 4096, 2048 and 1024 states (6 rounds each, interleaved).
+_DECODE_STATES = 4096
 
 # Relative slack of the bound's comparison; see `_decode_block`.
 _SLACK = 1e-9
+
+# The decoder's one-key sorts keep their keys below this, within int64.
+_KEY_LIMIT = 2**62
 
 
 def translate_nbest(model: LexModel, x: Sentence, n: int) -> NBestList:
@@ -286,18 +445,20 @@ def translate_nbest(model: LexModel, x: Sentence, n: int) -> NBestList:
     The one-source case of `translate_corpus`: a block of one sentence, with
     the pool order and tie breaking that `_decode_block` documents.
     """
-    return translate_corpus(model, [x], n)[0]
+    return translate_corpus(model, [x], n).to_lists()[0]
 
 
 def translate_corpus(model: LexModel, sources: list[Sentence], nbest: int, *,
-                     rerank_ctx=None) -> list[NBestList]:
-    """n-best lists of every source, in source order.
+                     rerank_ctx=None) -> NBestBlock:
+    """The n-best lists of every source, in source order, as one
+    `NBestBlock` over the model's ext symbols.
 
     Every token of a source is translated. With a `rerank_ctx` (a
     `rerank.RerankContext`), the lists hold `rerank_ctx.nbest` entries and
     come back reranked by it, one `rerank_ctx.rerank` call per decoded block,
     which scores the block's entries in one pass; a list's order does not
-    depend on the block it is reranked in.
+    depend on the block it is reranked in. The decoded blocks are then
+    joined and their lists put back in source order.
 
     Sources are decoded in blocks of max(1, `_DECODE_STATES` // width)
     sentences, width = max(model.beam, n), each beam step running once over
@@ -316,7 +477,8 @@ def translate_corpus(model: LexModel, sources: list[Sentence], nbest: int, *,
     if rerank_ctx is not None:
         nbest = rerank_ctx.nbest
     if not sources:
-        return []
+        return NBestBlock([], model._ext_vocab(), np.zeros((0, 0), dtype=np.uint8),
+                          np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(1, dtype=np.intp))
     if nbest < 1:
         raise DataError("n-best size must be >= 1")
     if not all(sources):
@@ -324,24 +486,33 @@ def translate_corpus(model: LexModel, sources: list[Sentence], nbest: int, *,
     width = max(model.beam, nbest)
     size = max(1, _DECODE_STATES // width)
     by_length = sorted(range(len(sources)), key=lambda k: len(sources[k]))
-    lists: list[NBestList | None] = [None] * len(sources)
+    blocks = []
     for lo in range(0, len(sources), size):
-        at = by_length[lo:lo + size]
-        block = _decode_block(model, [sources[k] for k in at], width, nbest)
-        if rerank_ctx is not None:
-            block = rerank_ctx.rerank(block)
-        for k, nb in zip(at, block):
-            lists[k] = nb
-    return lists
+        block = _decode_block(model, [sources[k] for k in by_length[lo:lo + size]],
+                              width, nbest)
+        blocks.append(block if rerank_ctx is None else rerank_ctx.rerank(block))
+    return NBestBlock.concat(blocks).select(np.argsort(by_length))
 
 
 def _decode_block(model: LexModel, block: list[Sentence], width: int,
-                  n: int) -> list[NBestList]:
+                  n: int) -> NBestBlock:
     """Beam search for the top-n hypotheses of every source of a block.
 
     The effective beam width is max(model.beam, n) so an n-best list can
-    always be filled from completed hypotheses; a sentence's list is built
-    from its finished beam by `_nbest_lists`.
+    always be filled from completed hypotheses; a sentence's list is picked
+    from its finished beam by `_nbest_lists`, and the lists come back as an
+    `NBestBlock` of the block's sources in block order.
+
+    Each state carries two sequence ids besides its emitted ext ids: `surf`,
+    its parent's surf with the ext id's string rank appended as a digit in
+    base |ext symbols|, and `seq`, its parent's seq with the ext id
+    appended. Before a digit could take them past `_KEY_LIMIT`, both are
+    made dense ranks over the step's states, which keeps their order. The
+    states of one step all have one length, so equal ids mean equal
+    surfaces (id sequences), and `surf` orders as the surfaces compare;
+    `seq` is only compared for equality, so where no two ext ids spell one
+    symbol it is `surf`. `_nbest_lists` sorts by one id where it would sort
+    by every emitted token.
 
     Each target step has one pool of extensions per sentence. The contract
     is: each sentence's next beam is the first `width` entries of its pool
@@ -381,10 +552,12 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
     table = model._row_table()
     order = model.lm.order
     ext_vocab = model._ext_vocab()
-    ext_sym = np.array(ext_vocab, dtype=object)
     # LM contexts compare by symbol, and a target vocabulary that holds the
     # unknown token spells it with two ext ids: both have one rank
     ext_rank = table.ranks
+    n_ranks = int(ext_rank.max()) + 1
+    # without such a pair, equal surfaces are equal id sequences
+    one_spelling = n_ranks == ext_rank.size
     cand_ids, cand_lex, cand_start, cand_count = model._candidate_table()
     # one ascending key over the table, run index * span - lex; only the
     # last run's entry (the floor) can have a lex that is not finite, and it
@@ -411,7 +584,10 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
     sent = np.arange(len(block))
     consumed = np.zeros(sids.shape, dtype=bool)
     emitted = np.zeros((len(block), 0), dtype=np.intp)
-    lists: list[NBestList | None] = [None] * len(block)
+    seq = np.zeros(len(block), dtype=np.int64)
+    surf = np.zeros(len(block), dtype=np.int64)
+    id_bound = 1   # seq and surf lie below it
+    finished = []   # (sentence, emitted ext ids, score) of each step's list entries
     for i in range(1, sids.shape[1] + 1):
         lo = max(0, i - 1 - w)
         must = i - 1 - w  # this position can never be consumed after step i
@@ -420,15 +596,17 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
         if must >= 0:
             admissible &= (window == must) | consumed[:, must][:, None]
 
-        # group states by (sentence, LM context); a group is ordered by its
-        # first state, which lexsort (stable) puts first in the group's run
+        # group states by (sentence, LM context), one key per state: the
+        # context's symbol ranks as digits after the sentence, made dense
+        # ranks again whenever the next digit could pass _KEY_LIMIT. A group
+        # is ordered by its first state
         c0 = max(0, i - order)  # the LM context is emitted[:, c0:i - 1]
-        ctx = ext_rank[emitted[:, c0:i - 1]]
-        by_key = np.lexsort((*ctx.T[::-1], sent))
-        new_group = _run_starts(sent[by_key], ctx[by_key])
-        group = np.empty_like(by_key)
-        group[by_key] = new_group.cumsum() - 1
-        group_first = by_key[new_group]
+        key, bound = sent, len(block)
+        for column in ext_rank[emitted[:, c0:i - 1]].T:
+            if bound * n_ranks > _KEY_LIMIT:
+                key, bound = _dense_rank(key), sent.size
+            key, bound = key * n_ranks + column, bound * n_ranks
+        _, group_first, group = np.unique(key, return_index=True, return_inverse=True)
 
         # one pool row per (group, window position, admissible state), in
         # pool order, so each sentence's rows lie together
@@ -491,21 +669,47 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
 
         rows = rows[keep]
         parent = row_state[rows]
+        token = cand_ids[cols[keep]]
         score = flat[keep]
         sent = sent[parent]
         consumed = consumed[parent]
         consumed[np.arange(keep.size), row_pos[rows]] = True
-        emitted = np.concatenate((emitted[parent], cand_ids[cols[keep]][:, None]), axis=1)
+        emitted = np.concatenate((emitted[parent], token[:, None]), axis=1)
+        if id_bound * len(ext_vocab) > _KEY_LIMIT:
+            surf, id_bound = _dense_rank(surf), surf.size
+            seq = surf if one_spelling else _dense_rank(seq)
+        surf = surf[parent] * len(ext_vocab) + ext_rank[token]
+        seq = surf if one_spelling else seq[parent] * len(ext_vocab) + token
+        id_bound *= len(ext_vocab)
         del flat, cols
 
         done = lengths[sent] == i
         if done.any():
-            for s, nb in _nbest_lists(block, sent[done], score[done], emitted[done],
-                                      ext_sym, ext_rank, n).items():
-                lists[s] = nb
-            score, sent = score[~done], sent[~done]
-            consumed, emitted = consumed[~done], emitted[~done]
-    return lists
+            at = np.flatnonzero(done)
+            at = at[_nbest_lists(sent[at], score[at], seq[at], surf[at], n)]
+            finished.append((sent[at], emitted[at], score[at]))
+            live = ~done
+            score, sent, seq, surf = score[live], sent[live], seq[live], surf[live]
+            consumed, emitted = consumed[live], emitted[live]
+
+    # the lists in block order: each sentence finished at one step, and a
+    # step's entries come sentence by sentence, each list in its order
+    sent = np.concatenate([s for s, _, _ in finished])
+    by_sent = _by_sentence(np.arange(sent.size), sent)
+    hyps = np.zeros((sent.size, sids.shape[1]), dtype=_id_type(len(ext_vocab)))
+    at = 0
+    for _, ids, _ in finished:
+        hyps[at:at + len(ids), :ids.shape[1]] = ids
+        at += len(ids)
+    sizes = np.bincount(sent, minlength=len(block))
+    return NBestBlock(list(block), ext_vocab, hyps[by_sent], lengths[sent[by_sent]],
+                      np.concatenate([v for _, _, v in finished])[by_sent],
+                      np.concatenate(([0], sizes.cumsum())))
+
+
+def _dense_rank(key: np.ndarray) -> np.ndarray:
+    """Each key's rank among the distinct keys."""
+    return np.unique(key, return_inverse=True)[1]
 
 
 def _by_sentence(order: np.ndarray, sent: np.ndarray) -> np.ndarray:
@@ -543,14 +747,17 @@ def _entry_scores(table, lm_weight: float, cand_ids: np.ndarray, cand_lex: np.nd
     return flat, cols
 
 
-def _nbest_lists(block: list[Sentence], sent: np.ndarray, score: np.ndarray,
-                 emitted: np.ndarray, ext_sym: np.ndarray, ext_rank: np.ndarray,
-                 n: int) -> dict[int, NBestList]:
-    """The n-best list of every finished sentence of a block.
+def _nbest_lists(sent: np.ndarray, score: np.ndarray, seq: np.ndarray,
+                 surf: np.ndarray, n: int) -> np.ndarray:
+    """The states that make the n-best lists of a step's finished sentences:
+    their indices, sentence by sentence in ascending order, each list in its
+    order.
 
-    State k of sentence sent[k] emitted the ext ids emitted[k] (all states
-    finish at one step, so the rows have one length) and scores score[k];
-    each sentence's states are given in beam order. A list holds:
+    State k of sentence sent[k] scores score[k]; seq[k] and surf[k] are its
+    sequence ids (see `_decode_block`): seq is equal for equal id sequences
+    and surf for equal surfaces, and surf orders as the surfaces' symbol
+    strings compare. Each sentence's states are given in beam order. A list
+    holds:
 
     - each id sequence once, with the first of its best scores; a state
       scored -inf enters no list;
@@ -559,36 +766,31 @@ def _nbest_lists(block: list[Sentence], sent: np.ndarray, score: np.ndarray,
       later, with its score;
     - the top n in (-score, surface) order.
 
-    `ext_rank` orders surfaces as their symbol strings compare. Each rule is
-    one stable lexsort over all the states, runs of equal keys marking the
-    groups.
+    Each rule is one stable lexsort of three keys over all the states, runs
+    of equal keys marking the groups.
     """
-    lists = {s: NBestList(source=block[s], entries=[]) for s in sorted_distinct(sent).tolist()}
     state = np.flatnonzero(score > -np.inf)
     # id sequences: within a run, the best score comes first, earliest first
-    by_ids = state[np.lexsort((-score[state], *emitted[state].T[::-1], sent[state]))]
-    starts = np.flatnonzero(_run_starts(sent[by_ids], emitted[by_ids]))
+    by_ids = state[np.lexsort((-score[state], seq[state], sent[state]))]
+    starts = np.flatnonzero(_run_starts(sent[by_ids], seq[by_ids]))
     best = by_ids[starts]
     first = np.minimum.reduceat(by_ids, starts) if by_ids.size else by_ids
     # surfaces: within a run, the id sequence with the latest first state first
-    ranks = ext_rank[emitted[best]]
-    by_surface = np.lexsort((-first, *ranks.T[::-1], sent[best]))
-    won = by_surface[_run_starts(sent[best][by_surface], ranks[by_surface])]
+    by_surface = np.lexsort((-first, surf[best], sent[best]))
+    won = by_surface[_run_starts(sent[best][by_surface], surf[best][by_surface])]
     # each list: (-score, surface) order, top n
     kept = best[won]
-    kept = kept[np.lexsort((*ranks[won].T[::-1], -score[kept], sent[kept]))]
+    kept = kept[np.lexsort((surf[kept], -score[kept], sent[kept]))]
     _, counts = np.unique(sent[kept], return_counts=True)
-    kept = kept[np.arange(kept.size) - (counts.cumsum() - counts).repeat(counts) < n]
-    for s, hyp, fwd in zip(sent[kept].tolist(), ext_sym[emitted[kept]].tolist(),
-                           score[kept].tolist()):
-        lists[s].entries.append(NBestEntry(hyp=tuple(hyp), fwd=fwd))
-    return lists
+    return kept[np.arange(kept.size) - (counts.cumsum() - counts).repeat(counts) < n]
 
 
-def _run_starts(sent: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Whether each row, in sorted order, starts a run of equal (sent, row)."""
-    starts = np.ones(sent.size, dtype=bool)
-    starts[1:] = (sent[1:] != sent[:-1]) | (rows[1:] != rows[:-1]).any(axis=1)
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Whether each element, in sorted order, starts a run of equal keys."""
+    starts = np.zeros(keys[0].size, dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        starts[1:] |= key[1:] != key[:-1]
     return starts
 
 
@@ -607,8 +809,29 @@ def pair_channel_scores(model: LexModel, xs: list[Sentence], ys: list[Sentence],
     pairs it is computed with.
     """
     ns, nt = model.t.shape
-    x_ids, x_start, x_len = _ids_end_to_end(xs, model.tgt_id, nt)
-    y_ids, y_start, y_len = _ids_end_to_end(ys, model.src_id, ns)
+    return _pair_scores(model, _ids_end_to_end(xs, model.tgt_id, nt),
+                        _ids_end_to_end(ys, model.src_id, ns), x_at, y_at)
+
+
+def block_channel_scores(model: LexModel, block: NBestBlock) -> np.ndarray:
+    """`pair_channel_scores` of every entry of a block with its list's
+    source: ln P(source | entry) under a model trained opposite to the
+    block's decoder. The entries' ids go through one map from the block's
+    symbols to the model's source ids."""
+    ns, nt = model.t.shape
+    to_src = np.fromiter(map(model.src_id.get, block.symbols, repeat(ns)), dtype=np.intp,
+                         count=len(block.symbols))
+    ids, lengths = block.tokens()
+    return _pair_scores(model, _ids_end_to_end(block.sources, model.tgt_id, nt),
+                        (to_src.take(ids), lengths.cumsum() - lengths, lengths),
+                        block.list_of_entries(), np.arange(lengths.size))
+
+
+def _pair_scores(model: LexModel, x, y, x_at: np.ndarray, y_at: np.ndarray) -> np.ndarray:
+    """`pair_channel_scores` of sentences given as (ids laid end to end,
+    each sentence's start, its length): x in the model's target ids, y in
+    its source ids."""
+    (x_ids, x_start, x_len), (y_ids, y_start, y_len) = x, y
     t_ext = model._t_ext()
     out = np.zeros(len(x_at))
     base = int(x_len.max(initial=0)) + 1

@@ -66,6 +66,25 @@ class TestExitCodes:
         assert main([*common, "--model", "broken.json", "--bpe", "bpe.txt"]) == EXIT_DATA
         assert main([*common, "--model", "fwd.json", "--bpe", "broken_bpe.txt"]) == EXIT_DATA
 
+    @pytest.mark.parametrize("flags", [["--lm-weight", "nan"], ["--lm-weight", "1e308"],
+                                       ["--lm-weight", "-1"], ["--smoothing-k", "1e-300"]])
+    def test_bad_model_settings_are_2(self, workspace, flags, capsys):
+        assert main(["train", "--parallel", "bundle/parallel.tsv", "--dev", "bundle/dev.tsv",
+                     "--em-iterations", "1", "--lm-order", "2", *flags,
+                     "--out", "bad_settings.json"]) == EXIT_DATA
+        assert not os.path.exists("bad_settings.json")
+
+    @pytest.mark.parametrize("key, value", [("lm_weight", float("nan")), ("unk_floor", 0.0),
+                                            ("unk_floor", 2.0)])
+    def test_model_document_with_bad_settings_is_2(self, workspace, key, value, capsys):
+        doc = read_json("fwd.json", "model")
+        doc[key] = value
+        with open("bad_doc.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert main(["translate", "--model", "bad_doc.json", "--input", "bundle/mono_src.txt",
+                     "--output", "bad_doc.txt", "--bpe", "bpe.txt"]) == EXIT_DATA
+        assert repr(key) in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["search", "--parallel", "p.tsv", "--dev", "d.tsv", "--out-dir", "o"],
         ["translate", "--model", "m.json", "--input", "i.txt", "--output", "o.txt"],

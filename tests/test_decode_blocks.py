@@ -171,7 +171,7 @@ class TestBlocksEqualSingleSentences:
         sources = random_sources(rng, src_syms, count)
         # small block bounds put these few sources in several blocks
         with mock.patch.object(tm, "_DECODE_STATES", states):
-            lists = translate_corpus(model, sources, n)
+            lists = translate_corpus(model, sources, n).to_lists()
         assert [nb.source for nb in lists] == sources
         for source, nb in zip(sources, lists):
             assert entries(nb) == entries(translate_nbest(model, source, n))
@@ -188,18 +188,32 @@ class TestBlocksEqualSingleSentences:
         model, src_syms = random_model(rng, beam=3, window=1, order=order, lm_weight=0.6,
                                        unk_target=True)
         sources = random_sources(rng, src_syms, 6)
-        kept = translate_corpus(model, sources, 8)
+        kept = translate_corpus(model, sources, 8).to_lists()
         fresh = tm.model_from_dict(tm.model_to_dict(model))   # an LM without rows
         with mock.patch.object(lm_module, "_CACHE_CAP", cap):
-            cleared = translate_corpus(fresh, sources, 8)
+            cleared = translate_corpus(fresh, sources, 8).to_lists()
         assert [entries(nb) for nb in cleared] == [entries(nb) for nb in kept]
+
+    @pytest.mark.parametrize("limit", [1, 200])
+    def test_context_keys_made_dense_group_alike(self, limit):
+        # below the key limit the grouping key is made dense ranks before
+        # context columns (every column at 1); the lists stay the reference's
+        rng = random.Random(11)
+        model, src_syms = random_model(rng, beam=4, window=1, order=4, lm_weight=0.6,
+                                       unk_target=True)
+        sources = random_sources(rng, src_syms, 8)
+        with mock.patch.object(tm, "_KEY_LIMIT", limit):
+            lists = translate_corpus(model, sources, 6).to_lists()
+        for source, nb in zip(sources, lists):
+            assert entries(nb) == [(hyp, score.hex())
+                                   for hyp, score in reference_nbest(model, source, 6)]
 
     def test_more_sources_than_one_block_holds(self):
         rng = random.Random(3)
         model, src_syms = random_model(rng, beam=5, window=1, order=3, lm_weight=0.4,
                                        unk_target=False)
         sources = random_sources(rng, src_syms, tm._DECODE_STATES // 5 + 9)
-        lists = translate_corpus(model, sources, 1)
+        lists = translate_corpus(model, sources, 1).to_lists()
         for source, nb in zip(sources, lists):
             assert entries(nb) == entries(translate_nbest(model, source, 1))
 
@@ -232,7 +246,7 @@ class TestTiesKeepTheLowestPoolIndex:
         assert [(hyp, score.hex()) for hyp, score in
                 reference_nbest(model, ("s0", "s0", "s0"), beam)] == entries(nb)
         lists = translate_corpus(model, [("s0",), ("s0", "s0", "s0"), (TAG_LIKE, "s0")],
-                                 beam)
+                                 beam).to_lists()
         assert entries(lists[1]) == entries(nb)
 
 
@@ -293,7 +307,7 @@ class TestBoundPruning:
                    + (("zz",) if rng.random() < 0.3 else ()) for _ in range(count)]
         scored = [0]
         with mock.patch.object(tm, "_entry_scores", scored_entries(scored)):
-            lists = translate_corpus(model, sources, n)
+            lists = translate_corpus(model, sources, n).to_lists()
         pools = []
         for source, nb in zip(sources, lists):
             assert entries(nb) == [(hyp, score.hex())
@@ -415,7 +429,7 @@ class TestLengthSortedBlocks:
             return real(model, block, width, n)
 
         with mock.patch.object(tm, "_decode_block", recording):
-            lists = translate_corpus(model, sources, 50, rerank_ctx=rerank_ctx)
+            lists = translate_corpus(model, sources, 50, rerank_ctx=rerank_ctx).to_lists()
         return lists, blocks
 
     @pytest.mark.parametrize("reranked", [False, True])
@@ -439,7 +453,7 @@ class TestLengthSortedBlocks:
             assert block == sorted(block)
         assert [nb.source for nb in lists] == sources
         for source, nb in zip(sources, lists):
-            alone = translate_corpus(model, [source], 50, rerank_ctx=ctx)[0]
+            alone = translate_corpus(model, [source], 50, rerank_ctx=ctx).to_lists()[0]
             assert rescored(nb) == rescored(alone)
             if not reranked:
                 assert entries(nb) == entries(translate_nbest(model, source, 50))
@@ -459,9 +473,31 @@ def reference_nbest_list(source, beam, ext_vocab, n):
                         entries=[NBestEntry(hyp=hyp, fwd=score) for hyp, score in ranked])
 
 
+def sequence_ids(emitted, ext_rank):
+    """The decoder's (seq, surf) ids of finished states' ext id rows, built
+    column by column by the step rule of `tm._decode_block`."""
+    seq = np.zeros(len(emitted), dtype=np.int64)
+    surf = np.zeros(len(emitted), dtype=np.int64)
+    for token in emitted.T:
+        seq = tm._dense_rank(seq * ext_rank.size + token)
+        surf = tm._dense_rank(surf * ext_rank.size + ext_rank[token])
+    return seq, surf
+
+
+def picked_lists(block, sent, score, emitted, ext_vocab, kept):
+    """The lists `_nbest_lists`' picked states make, by sentence."""
+    assert np.all(np.diff(sent[kept]) >= 0)
+    lists = {s: tm.NBestList(source=block[s], entries=[]) for s in set(sent.tolist())}
+    for k in kept.tolist():
+        lists[int(sent[k])].entries.append(
+            NBestEntry(hyp=tuple(ext_vocab[e] for e in emitted[k]), fwd=float(score[k])))
+    return lists
+
+
 class TestArrayNbestLists:
-    """`_nbest_lists` equals the per-state assembly on finished beams with
-    repeated id sequences, tied scores and two ext ids that spell <unk>."""
+    """`_nbest_lists` on sequence ids equals the per-state assembly on
+    finished beams with repeated id sequences, tied scores and two ext ids
+    that spell <unk>."""
 
     # sorted, as EM vocabularies are; the ext vocabulary appends a second
     # <unk>, which sorts before the letters
@@ -489,22 +525,39 @@ class TestArrayNbestLists:
         score = np.array([v for _, v, _ in states])
         emitted = np.array([ids for _, _, ids in states], dtype=np.intp)
         block = [(f"x{s}",) for s in range(sentences)]
-        got = tm._nbest_lists(block, sent, score, emitted, np.array(ext_vocab, dtype=object),
-                              model._row_table().ranks, n)
-        assert sorted(got) == sorted(set(sent.tolist()))
+        kept = tm._nbest_lists(sent, score, *sequence_ids(emitted, model._row_table().ranks), n)
+        got = picked_lists(block, sent, score, emitted, ext_vocab, kept)
         for s, nb in got.items():
             beam = [(v, ids) for t, v, ids in states if t == s]
             want = reference_nbest_list(block[s], beam, ext_vocab, n)
             assert nb.source == want.source
             assert entries(nb) == entries(want)
 
+    @pytest.mark.parametrize("limit", [tm._KEY_LIMIT, 1, 100])
+    def test_two_spellings_collide_in_a_decode(self, limit):
+        # an unknown source symbol decodes to the appended <unk> and a known
+        # one may give the target <unk>, so with a window of 1 two id
+        # sequences spell (<unk>, <unk>); the sequence ids, made dense at
+        # every step or every few below a small key limit, keep one of them
+        t = np.full((2, len(self.TARGETS)), 1.0 / len(self.TARGETS))
+        model = tm.LexModel((tm.NULL, "s0"), self.TARGETS, t, train_lm([self.TARGETS], 2, 0.5),
+                            beam=8, window=1, lm_weight=0.3)
+        sources = [("zz", "s0"), ("s0", "zz", "s0", "zz"), ("zz", "s0", "s0")]
+        with mock.patch.object(tm, "_KEY_LIMIT", limit):
+            lists = translate_corpus(model, sources, 40).to_lists()
+        assert (UNK_TOKEN, UNK_TOKEN) in [e.hyp for e in lists[0].entries]
+        for source, nb in zip(sources, lists):
+            assert entries(nb) == [(hyp, score.hex())
+                                   for hyp, score in reference_nbest(model, source, 40)]
+
     def test_two_spellings_of_unk_keep_the_later_one(self):
         # of two id sequences with one surface, the one whose first state
         # comes later wins, so of a beam in score order the lower score is kept
         model = self.model()
         ext_vocab = model._ext_vocab()
-        got = tm._nbest_lists([("x",)], np.zeros(3, dtype=np.intp),
-                              np.array([-1.0, -2.0, -3.0]), np.array([[0, 1], [5, 1], [2, 2]]),
-                              np.array(ext_vocab, dtype=object), model._row_table().ranks, 5)
+        sent, score = np.zeros(3, dtype=np.intp), np.array([-1.0, -2.0, -3.0])
+        emitted = np.array([[0, 1], [5, 1], [2, 2]])
+        kept = tm._nbest_lists(sent, score, *sequence_ids(emitted, model._row_table().ranks), 5)
+        got = picked_lists([("x",)], sent, score, emitted, ext_vocab, kept)
         assert entries(got[0]) == [((UNK_TOKEN, "a"), (-2.0).hex()),
                                    (("b", "b"), (-3.0).hex())]

@@ -90,7 +90,7 @@ def decode_all_in_blocks() -> dict:
     """Every case decoded inside one corpus call per group."""
     out = {}
     for prefix, model, sources, n in golden_groups():
-        for k, nbest in enumerate(translate_corpus(model, sources, n)):
+        for k, nbest in enumerate(translate_corpus(model, sources, n).to_lists()):
             out[f"{prefix}-s{k}"] = _entries(nbest)
     return out
 

@@ -8,7 +8,7 @@ from deskmt.corpus import SIDE_PARALLEL, TaggedDataset, build_mix, swap_directio
 from deskmt.ensemble import DataError, Ensemble
 from deskmt.lm import train_lm
 from deskmt.rerank import NULL_WEIGHTS, rerank
-from deskmt.tm import NULL, LexModel, em_train, translate_nbest
+from deskmt.tm import NULL, LexModel, NBestBlock, em_train, translate_nbest
 
 
 def mix_for(seed, n_pairs=10):
@@ -153,8 +153,9 @@ class TestEnsembleNbest:
         ens, hand = Ensemble(backward), hand_built(backward)
         for src, _ in mix.datasets[0].pairs[:6]:
             nb = translate_nbest(forward, src, 8)
-            got = entries(rerank([nb], ens, forward.lm, NULL_WEIGHTS)[0])
-            assert got == entries(rerank([nb], hand, forward.lm, NULL_WEIGHTS)[0])
+            block = NBestBlock.from_lists([nb])
+            got = entries(rerank(block, ens, forward.lm, NULL_WEIGHTS).to_lists()[0])
+            assert got == entries(rerank(block, hand, forward.lm, NULL_WEIGHTS).to_lists()[0])
             assert all(ch is not None for _, _, ch, _ in got)
 
 

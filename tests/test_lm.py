@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import sys
 import warnings
 import weakref
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from deskmt import lm as lm_module
 from deskmt.lm import (
+    EOS,
     DataError,
     InterpolatedLM,
     NGramLM,
@@ -73,6 +75,21 @@ class TestTraining:
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
             train_lm([], order=2, k=0.5)
+
+    @pytest.mark.parametrize("k", [1e-300, 1e-160, math.nan])
+    def test_k_whose_unseen_events_underflow_is_data_error(self, k):
+        # at k = 1e-300 an unseen word after the trained context scored
+        # ln 0 in the decoder's rows and in logprob
+        with pytest.raises(DataError, match="'k'"):
+            train_lm([("a",)] * 3, 2, k)
+
+    def test_smallest_unseen_probability_is_normal(self):
+        # the least event probability of a trained model, unseen at both
+        # levels after the context of the largest total, stays a normal float
+        model = train_lm([("a",)] * 3, 2, 1e-150)
+        assert model.syms == ("a", EOS, "<unk>")
+        least = math.exp(logprob(model, ("<unk>",)) - model.eos_logprob)
+        assert least >= sys.float_info.min
 
     def test_weighted_training_equals_replication(self):
         corpus = [("a", "b"), ("b", "a", "a")]
@@ -497,6 +514,14 @@ class TestMalformedCounts:
     def test_bad_k_is_data_error(self, k):
         doc = self.doc()
         doc["k"] = k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="'k'"):
+                lm_from_dict(doc)
+
+    def test_k_whose_unseen_events_underflow_is_data_error(self):
+        doc = self.doc()
+        doc["k"] = 1e-300
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="'k'"):

@@ -21,6 +21,7 @@ from deskmt.rerank import (
 from deskmt.tm import (
     NULL,
     LexModel,
+    NBestBlock,
     NBestEntry,
     NBestList,
     channel_scores,
@@ -48,7 +49,12 @@ def random_models(rng, n_pairs=10):
 
 def rerank_one(nbest, backward, lm, w):
     """One list reranked alone."""
-    return rerank([nbest], backward, lm, w)[0]
+    return rerank_lists([nbest], backward, lm, w)[0]
+
+
+def rerank_lists(lists, backward, lm, w):
+    """Lists reranked as one block."""
+    return rerank(NBestBlock.from_lists(lists), backward, lm, w).to_lists()
 
 
 class TestCombinedScore:
@@ -169,7 +175,7 @@ class TestBatchScores:
             lm = self.interpolated(fwd) if use_interpolated else fwd.lm
             source = mix.datasets[0].pairs[rng.randrange(len(mix.datasets[0].pairs))][0] + ("s9",)
             lists = [self.mixed_list(source), translate_nbest(fwd, source[:-1], 8)]
-            for nb, filled in zip(lists, rerank(lists, bwd, lm, NULL_WEIGHTS)):
+            for nb, filled in zip(lists, rerank_lists(lists, bwd, lm, NULL_WEIGHTS)):
                 assert [e.hyp for e in filled.entries] == [e.hyp for e in nb.entries]
                 for e in filled.entries:
                     assert e.channel == channel_scores(bwd, nb.source, [e.hyp])[0]
@@ -203,7 +209,7 @@ class TestBatchScores:
                 return [(e.hyp, e.fwd.hex(), e.channel.hex(), e.lm.hex(), e.combined.hex())
                         for e in nb.entries]
 
-            block = rerank(lists, bwd, lm, w)
+            block = rerank_lists(lists, bwd, lm, w)
             assert [nb.source for nb in block] == sources + [sources[0]]
             assert [bits(nb) for nb in block] == \
                 [bits(rerank_one(nb, bwd, lm, w)) for nb in lists]
@@ -211,7 +217,7 @@ class TestBatchScores:
     def test_empty_block(self):
         rng = random.Random(34)
         _, fwd, bwd = random_models(rng)
-        assert rerank([], bwd, fwd.lm, NULL_WEIGHTS) == []
+        assert rerank_lists([], bwd, fwd.lm, NULL_WEIGHTS) == []
 
     def test_ties_keep_beam_order(self):
         # every A/B string of one length gets the same channel and lm score
@@ -223,7 +229,7 @@ class TestBatchScores:
             NBestEntry(hyp=h, fwd=-1.0) for h in hyps]
             + [NBestEntry(hyp=("A", "B"), fwd=-0.5), NBestEntry(hyp=("B", "B"), fwd=-2.0)])
         for w in (NULL_WEIGHTS, NoisyChannelWeights(2.0, 0.5)):
-            for out in rerank([nb, nb], bwd, lm, w):
+            for out in rerank_lists([nb, nb], bwd, lm, w):
                 assert [(e.hyp, e.fwd) for e in out.entries] == \
                     [(("A", "B"), -0.5)] + [(h, -1.0) for h in hyps] + [(("B", "B"), -2.0)]
 
@@ -240,9 +246,8 @@ class TestTuneLambdas:
                             pairs=((("x", "x"), ("A", "A")),
                                    (("x", "x", "x"), ("A", "A", "A"))))
         w, score = tune_lambdas(dev, fwd, bwd, fwd.lm, trials=4, seed=1, nbest=4)
-        lists = translate_corpus(fwd, [src for src, _ in dev.pairs], 4,
-                                 rerank_ctx=RerankContext(bwd, fwd.lm, w, nbest=4))
-        hyps = [nb.top().hyp for nb in lists]
+        hyps = translate_corpus(fwd, [src for src, _ in dev.pairs], 4,
+                                rerank_ctx=RerankContext(bwd, fwd.lm, w, nbest=4)).top_hyps()
         assert hyps[0] == ("A", "A")  # the first of the tied entries
         assert score == bleu(hyps, [ref for _, ref in dev.pairs])
 
@@ -262,9 +267,9 @@ class TestTuneLambdas:
                                     nbest=6)
             refs = [tgt for _, tgt in dev.pairs]
             sources = [src for src, _ in dev.pairs]
-            tuned = [nb.top().hyp for nb in translate_corpus(
-                fwd, sources, 6, rerank_ctx=RerankContext(bwd, fwd.lm, w, nbest=6))]
-            beam = [nb.top().hyp for nb in translate_corpus(fwd, sources, 6)]
+            tuned = translate_corpus(
+                fwd, sources, 6, rerank_ctx=RerankContext(bwd, fwd.lm, w, nbest=6)).top_hyps()
+            beam = translate_corpus(fwd, sources, 6).top_hyps()
             assert score == bleu(tuned, refs)
             assert bleu(tuned, refs) >= bleu(beam, refs) - 1e-12
 

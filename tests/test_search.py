@@ -369,7 +369,7 @@ class TestDevReferences:
         # the counted references score exactly as references detokenized afresh
         monkeypatch.undo()
         fresh = EvalContext(bpe=bpe)
-        hyps = [fresh.detok_tokens(nb.top().hyp) for nb in translate_corpus(
-            tuned, [s for s, _ in dev.pairs], 1)]
+        hyps = [fresh.detok_tokens(hyp) for hyp in translate_corpus(
+            tuned, [s for s, _ in dev.pairs], 1).top_hyps()]
         assert dev_bleu(tuned, dev, eval_ctx=ctx) == score == bleu(
             hyps, [fresh.detok_tokens(r) for r in refs])

@@ -2,6 +2,8 @@ import gc
 import itertools
 import math
 import random
+import sys
+import warnings
 import weakref
 from collections import defaultdict
 
@@ -17,6 +19,7 @@ from deskmt.tm import (
     NULL,
     DataError,
     LexModel,
+    NBestBlock,
     channel_scores,
     em_train,
     model_from_dict,
@@ -338,7 +341,7 @@ class TestTranslateNbest:
 
     def test_leading_tag_token_is_translated(self):
         model = em_train(mix_of([("<x> a", "x y")], tag="<d:in>"), iterations=1)
-        lists = translate_corpus(model, [("<x>", "a")], 3)
+        lists = translate_corpus(model, [("<x>", "a")], 3).to_lists()
         assert lists[0].source == ("<x>", "a")
         assert {len(e.hyp) for e in lists[0].entries} == {2}
 
@@ -367,22 +370,23 @@ class TestTranslateCorpus:
 
     def test_translate_corpus_order_preserved(self):
         sources = [("a",), ("b",), ("a", "b")]
-        lists = translate_corpus(self.identity(), sources, 1)
-        assert [nb.top().hyp for nb in lists] == [("a",), ("b",), ("a", "b")]
+        block = translate_corpus(self.identity(), sources, 1)
+        assert block.top_hyps() == [("a",), ("b",), ("a", "b")]
 
     def test_context_nbest_overrides_nbest(self):
         fwd, ctx, sources = self.reranking(5)
-        lists = translate_corpus(fwd, sources, 1, rerank_ctx=ctx)
+        block = translate_corpus(fwd, sources, 1, rerank_ctx=ctx)
         sizes = [len(translate_nbest(fwd, x, ctx.nbest).entries) for x in sources]
-        assert [len(nb.entries) for nb in lists] == sizes
+        assert block.sizes().tolist() == sizes
         assert max(sizes) > 1
 
     def test_context_reranks_the_plain_lists(self):
         fwd, ctx, sources = self.reranking(6)
-        got = translate_corpus(fwd, sources, 1, rerank_ctx=ctx)
-        plain = translate_corpus(fwd, sources, ctx.nbest)
+        got = translate_corpus(fwd, sources, 1, rerank_ctx=ctx).to_lists()
+        plain = translate_corpus(fwd, sources, ctx.nbest).to_lists()
         # the block reranks each list as it would be reranked alone
-        assert got == [rerank([nb], ctx.channel_model, ctx.lm, ctx.weights)[0]
+        assert got == [rerank(NBestBlock.from_lists([nb]), ctx.channel_model, ctx.lm,
+                              ctx.weights).to_lists()[0]
                        for nb in plain]
         assert all(e.combined is not None for nb in got for e in nb.entries)
 
@@ -645,6 +649,53 @@ class TestSerialization:
         doc["t_rows"][1:3] = [[[0, 1], [1, 0.0]], []]
         t = model_from_dict(doc).t
         assert t[1, :2].tolist() == [1.0, 0.0] and not t[1, 2:].any() and not t[2].any()
+
+
+class TestDecoderSettings:
+    """`lm_weight` lies in [0, LM_WEIGHT_MAX] and `unk_floor` in (0, 1]; any
+    other value is a DataError naming the setting, from the constructor and
+    from a model document."""
+
+    BAD_LM_WEIGHTS = [math.nan, math.inf, -math.inf, -0.5, sys.float_info.max,
+                      tm_module.LM_WEIGHT_MAX * 10]
+    BAD_UNK_FLOORS = [math.nan, 0.0, -0.0, 2.0, math.inf, -1e-9]
+
+    def build(self, **settings):
+        return build_model({("a", "x"): 1.0}, ["a"], ["x"], [("x",)] * 2, **settings)
+
+    @pytest.mark.parametrize("value", BAD_LM_WEIGHTS)
+    def test_bad_lm_weight(self, value):
+        with pytest.raises(DataError, match="'lm_weight'"):
+            LexModel((NULL, "a"), ("x",), np.ones((2, 1)), train_lm([("x",)], 1, 0.5),
+                     lm_weight=value)
+        doc = model_to_dict(self.build())
+        doc["lm_weight"] = value
+        with pytest.raises(DataError, match="'lm_weight'"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("value", BAD_UNK_FLOORS)
+    def test_bad_unk_floor(self, value):
+        with pytest.raises(DataError, match="'unk_floor'"):
+            LexModel((NULL, "a"), ("x",), np.ones((2, 1)), train_lm([("x",)], 1, 0.5),
+                     unk_floor=value)
+        doc = model_to_dict(self.build())
+        doc["unk_floor"] = value
+        with pytest.raises(DataError, match="'unk_floor'"):
+            model_from_dict(doc)
+
+    def test_bounds_load_and_decode_finite(self):
+        # at the largest weight an LM far from certain still scores finite
+        lm = train_lm([("x", "y"), ("y",)], 2, 0.5)
+        t = np.array([[0.5, 0.5], [0.5, 0.5]])
+        for lm_weight, unk_floor in [(0.0, 1.0), (tm_module.LM_WEIGHT_MAX, 5e-324)]:
+            model = LexModel((NULL, "a"), ("x", "y"), t, lm, lm_weight=lm_weight,
+                             unk_floor=unk_floor)
+            loaded = model_from_dict(model_to_dict(model))
+            assert (loaded.lm_weight, loaded.unk_floor) == (lm_weight, unk_floor)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                nb = translate_nbest(loaded, ("a", "zz") * 20, 4)
+            assert all(math.isfinite(e.fwd) for e in nb.entries)
 
 
 class TestSharedRowTable:
