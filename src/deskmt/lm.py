@@ -43,9 +43,12 @@ events than tokens: 13,565 against 88,198 over the 300 reranked lists of
 the bench's `recipe` self-training pool (seed 1).
 
 The decoder reads rows, a word's log-probability after a context at every
-symbol of a fixed list, from a `RowTable`: one per (LM, symbol list), held
-by the LM (`row_table`), so models that share an LM and a target vocabulary
-(fine-tune candidates, an ensemble and its first member) share one table.
+symbol of a fixed list, from a `RowTable`: one per (LM, symbol list), kept
+in the decoder cache (`cache`) by `row_table`, so models that share an LM
+and a target vocabulary (fine-tune candidates, an ensemble and its first
+member) share one table while it is held there. The cache holds a bounded
+number of tables, evicting the least recently used; an evicted table is
+built again on the next request, with the same rows.
 A row depends only on the context's LM state, the longest suffix of the
 BOS-padded context that is a node of the count trie, as (depth, node): the
 levels above it hold no counts and a total of 0, so each turns a row r into
@@ -56,15 +59,17 @@ one row per state: on the bench's `recipe` (seed 1) its LMs' tables hold
 down each part's count trie (one `_find` per level) to its state key, and
 one `searchsorted` in the table's sorted state keys gives its slot; rows
 are computed only for the states not held, in one batch per call. The
-table reaches its LM through a weak reference, so the rows die with the LM.
+table reaches its LM through a weak reference, so no table keeps its LM
+alive, and the cache drops the tables of an LM that dies.
 
-Caches, each cleared before it would pass `_CACHE_CAP` entries:
+A table's caches, each cleared before it would pass `_CACHE_CAP` entries:
 
-- `NGramLM._lower`: (level, state key) -> row of P_level after the
-  contexts of that state, for levels below `order` only; many states back
-  off to each of these rows. A top-order row is computed when its state is
-  first met and kept only as a table's log-probability row.
-- `RowTable`: its rows and its state index, cleared together.
+- its lower-order rows, one dict per part: (level, state key) -> row of
+  P_level after the contexts of that state, for levels below `order`
+  only; many states back off to each of these rows. A top-order row is
+  computed when its state is first met and kept only as the table's
+  log-probability row. The rows die with the table.
+- its rows and its state index, cleared together.
 """
 
 from __future__ import annotations
@@ -76,6 +81,7 @@ from itertools import chain
 
 import numpy as np
 
+from .cache import cached
 from .corpus import Sentence
 from .util import NUMBER, DataError, doc_field, doc_float, doc_strings, sorted_distinct
 
@@ -111,8 +117,6 @@ class NGramLM:
         # state key of (level, node): node + the number of nodes of lower levels
         sizes = [1] + [keys.size for keys in self._child_keys]
         self._level_start = np.cumsum([0] + sizes)
-        self._lower: dict = {}
-        self._tables: dict = {}
         self._uniform = np.full(len(self.syms), 1.0 / len(self.syms))
         self.eos_logprob = float(_mix(self.parts, [part.eos_prob() for _, part in self.parts]))
 
@@ -161,7 +165,7 @@ class NGramLM:
     def eos_prob(self) -> float:
         """Unigram (context-free) end-of-sentence probability."""
         root = np.zeros(1, dtype=np.int64)
-        return float(self._level_rows(1, root + 1, root)[0, self.eos_id])
+        return float(self._rows(1, root + 1, root, {})[0, self.eos_id])
 
     def id_or_unk(self, token: str) -> int:
         return self.sym_id.get(token, self.unk_id)
@@ -183,13 +187,14 @@ class NGramLM:
             depth += held
         return depth, found
 
-    def _level_rows(self, level: int, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
-        """`_rows`, with the rows of levels below `order` kept in `_lower`
-        by (level, state key)."""
+    def _level_rows(self, level: int, depth: np.ndarray, node: np.ndarray,
+                    kept: dict) -> np.ndarray:
+        """`_rows`, with the rows of levels below `order` kept in `kept` by
+        (level, state key)."""
         if level == self.order:
-            return self._rows(level, depth, node)
+            return self._rows(level, depth, node, kept)
         keys = (self._level_start[depth - 1] + node).tolist()
-        rows = [self._lower.get((level, key)) for key in keys]
+        rows = [kept.get((level, key)) for key in keys]
         missing: dict = {}   # key -> its first context
         for at, (key, row) in enumerate(zip(keys, rows)):
             if row is None:
@@ -197,24 +202,26 @@ class NGramLM:
         if missing:
             at = np.fromiter(missing.values(), dtype=np.intp, count=len(missing))
             new = dict(zip(((level, key) for key in missing),
-                           self._rows(level, depth[at], node[at])))
-            if len(self._lower) + len(new) > _CACHE_CAP:
-                self._lower.clear()
-            self._lower.update(new)
+                           self._rows(level, depth[at], node[at], kept)))
+            if len(kept) + len(new) > _CACHE_CAP:
+                kept.clear()
+            kept.update(new)
             rows = [new[level, key] if row is None else row for key, row in zip(keys, rows)]
         return np.array(rows)
 
-    def _rows(self, level: int, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
+    def _rows(self, level: int, depth: np.ndarray, node: np.ndarray,
+              kept: dict) -> np.ndarray:
         """Rows of P_level after contexts whose LM state (see `_walk`), at
         depth <= level, is (depth, node), one per row: a context without a
-        node at this level has no counts here and a total of 0."""
+        node at this level has no counts here and a total of 0. The rows of
+        lower levels it builds from are read from and kept in `kept`."""
         own = depth == level   # the context's node is of this level
         if level == 1:
             lower = np.broadcast_to(self._uniform, (len(node), len(self.syms)))
         else:  # the rows of the contexts without their oldest token
             below = node.copy()
             below[own] = self._child_keys[level - 2][node[own]] // self._width
-            lower = self._level_rows(level - 1, depth - own, below)
+            lower = self._level_rows(level - 1, depth - own, below, kept)
         nodes = np.where(own, node, self._totals[level - 1].size - 1)
         # each node's counts: the run of keys from node * B up to (node + 1) * B
         keys = self._count_keys[level - 1]
@@ -296,8 +303,10 @@ class RowTable:
     `ranks` is each symbol's rank among the distinct symbols in string
     order, so two ids that spell one symbol share a rank. `row_max` is the
     largest element of the rows held (-inf with none), the bound the decoder
-    puts on an LM term. The table reaches its LM through a weak reference,
-    so the rows die with the LM.
+    puts on an LM term; a table built again after its eviction from the
+    decoder cache may hold other rows and so another `row_max`, which
+    changes how many entries a beam step scores, not which survive. The
+    table reaches its LM through a weak reference, so it keeps no LM alive.
     """
 
     def __init__(self, model: LanguageModel, symbols: tuple[str, ...]):
@@ -305,6 +314,7 @@ class RowTable:
         self.ranks = np.array([rank[sym] for sym in symbols], dtype=np.int64)
         self._lm = weakref.ref(model)
         self._ids = [part._symbol_ids(symbols) for _, part in model.parts]
+        self._lower = [{} for _ in model.parts]   # each part's lower-order rows
         self._clear()
 
     def _clear(self) -> None:
@@ -341,8 +351,9 @@ class RowTable:
             return self.slots(contexts)
         at = miss[first]
         self._append(_mix(model.parts, [
-            part._rows(part.order, depth[at], node[at])[:, index]
-            for (_, part), (depth, node), (index, _) in zip(model.parts, walked, self._ids)]))
+            part._rows(part.order, depth[at], node[at], kept)[:, index]
+            for (_, part), (depth, node), (index, _), kept
+            in zip(model.parts, walked, self._ids, self._lower)]))
         new_slots = np.arange(self.held - new.size, self.held)
         slot = np.empty(len(contexts), dtype=np.intp)
         hit = found < self._states.size
@@ -374,11 +385,9 @@ class RowTable:
 
 
 def row_table(model: LanguageModel, symbols: tuple[str, ...]) -> RowTable:
-    """The LM's row table for `symbols`, made on first request."""
-    table = model._tables.get(symbols)
-    if table is None:
-        table = model._tables[symbols] = RowTable(model, symbols)
-    return table
+    """The LM's row table for `symbols`, from the decoder cache: made on
+    first request, and again after the cache evicted it."""
+    return cached(model, symbols, lambda: RowTable(model, symbols))
 
 
 def train_lm(corpus: list[Sentence], order: int, k: float,
@@ -426,7 +435,6 @@ class InterpolatedLM:
         self.order = base.order
         self.parts = ((1.0 - alpha, base), (alpha, indomain))
         self.eos_logprob = float(_mix(self.parts, [part.eos_prob() for _, part in self.parts]))
-        self._tables: dict = {}
 
 
 LanguageModel = NGramLM | InterpolatedLM

@@ -51,6 +51,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from .cache import cached
 from .corpus import UNK_TOKEN, DataMix, Sentence
 from .lm import LanguageModel, lm_from_dict, lm_to_dict, row_table, train_lm
 from .util import DataError, doc_field, doc_float, doc_strings, sha256_text, stable_json_dumps
@@ -216,15 +217,20 @@ def _id_type(n_symbols: int) -> np.dtype:
 class LexModel:
     """Directional translation model: lexical table + target LM + decoder settings.
 
-    A model is immutable once it has been used: the decoding state in
-    `_caches` and the memoized `model_hash` are built from its table, LM
-    and settings on first use and never invalidated, so changing any of
-    them afterwards gives stale results. Derive a new model instead.
+    A model is immutable once it has been used: its decoding tables and
+    the memoized `model_hash` are built from its table, LM and settings on
+    first use and never invalidated, so changing any of them afterwards
+    gives stale results. Derive a new model instead. `_caches` holds the
+    ext vocabulary and the hash; the candidate table and the padded table
+    (`_candidate_table`, `_t_ext`) are kept in the decoder cache (`cache`),
+    which evicts the least recently used tables past its bound and builds
+    them again on request.
 
-    The LM rows the decoder reads live on the LM, not the model:
+    The LM rows the decoder reads belong to the LM, not the model:
     `_row_table` returns `lm.row_table(lm, tgt_vocab + <unk>)`, which holds
     one row per LM state, so models that share an LM and a target vocabulary
-    (fine-tune candidates, an ensemble and its first member) share one table.
+    (fine-tune candidates, an ensemble and its first member) share one table
+    while the cache holds it.
     """
 
     def __init__(self, src_vocab: tuple[str, ...], tgt_vocab: tuple[str, ...],
@@ -280,18 +286,19 @@ class LexModel:
         return row_table(self.lm, self._ext_vocab())
 
     def _t_ext(self) -> np.ndarray:
-        """Lexical table padded with a floor row/column for unknown symbols."""
-        t_ext = self._caches.get("t_ext")
-        if t_ext is None:
-            ns, nt = self.t.shape
-            t_ext = np.full((ns + 1, nt + 1), self.unk_floor)
-            t_ext[:ns, :nt] = self.t
-            self._caches["t_ext"] = t_ext
+        """Lexical table padded with a floor row/column for unknown symbols,
+        from the decoder cache."""
+        return cached(self, "t_ext", self._build_t_ext)
+
+    def _build_t_ext(self) -> np.ndarray:
+        ns, nt = self.t.shape
+        t_ext = np.full((ns + 1, nt + 1), self.unk_floor)
+        t_ext[:ns, :nt] = self.t
         return t_ext
 
     def _candidate_table(self):
         """(ext ids, lex log-probs, start, count) of every source symbol's
-        decodable targets, back to back.
+        decodable targets, back to back, from the decoder cache.
 
         Source id s owns entries start[s]:start[s] + count[s], its run, in
         descending lex order, ties in ascending target id order, so the
@@ -300,21 +307,19 @@ class LexModel:
         or whose table row is all zero decodes to the unknown token at the
         floor probability, the last run.
         """
-        table = self._caches.get("cands")
-        if table is None:
-            ns, nt = self.t.shape
-            rows, ids = np.nonzero(self.t)
-            lex = np.log(self.t[rows, ids])
-            by_lex = np.lexsort((ids, -lex, rows))
-            ids, lex = ids[by_lex], lex[by_lex]
-            count = np.bincount(rows, minlength=ns + 1)
-            start = count.cumsum() - count
-            empty = count == 0
-            start[empty], count[empty] = ids.size, 1
-            table = (np.append(ids, nt), np.append(lex, np.log(self.unk_floor)),
-                     start, count)
-            self._caches["cands"] = table
-        return table
+        return cached(self, "cands", self._build_candidate_table)
+
+    def _build_candidate_table(self):
+        ns, nt = self.t.shape
+        rows, ids = np.nonzero(self.t)
+        lex = np.log(self.t[rows, ids])
+        by_lex = np.lexsort((ids, -lex, rows))
+        ids, lex = ids[by_lex], lex[by_lex]
+        count = np.bincount(rows, minlength=ns + 1)
+        start = count.cumsum() - count
+        empty = count == 0
+        start[empty], count[empty] = ids.size, 1
+        return (np.append(ids, nt), np.append(lex, np.log(self.unk_floor)), start, count)
 
 
 class EMTrainer:
@@ -355,7 +360,10 @@ class EMTrainer:
         return ll
 
     def snapshot(self, lm: LanguageModel, **settings) -> LexModel:
-        return LexModel(self.src_vocab, self.tgt_vocab, self.t.copy(), lm,
+        """A model of the current table, shared read-only: each step makes
+        a new table, so a later step leaves the snapshot's as it is."""
+        self.t.flags.writeable = False
+        return LexModel(self.src_vocab, self.tgt_vocab, self.t, lm,
                         train_ll_trace=tuple(self.ll_trace), **settings)
 
 
@@ -421,12 +429,16 @@ def _em_iteration(t: np.ndarray, groups) -> tuple[np.ndarray, float]:
 # Live beam states per decoded block (sentences x beam width). A step scores
 # only the pool entries that can reach the beam (see `_decode_block`), but
 # its row arrays still grow with the block's states, so the block is bounded;
-# larger blocks run fewer steps, and each step has a fixed cost. Decoding a
-# 300-sentence pool at n=50 (the bench's `recipe` self-training pool, seed 1,
-# with warm LM rows) peaked at 10.7 MB of traced heap (tracemalloc) as one
-# block, against 3.1 MB in length-sorted blocks of this size, 1.8 MB of 2048
-# states, 1.2 MB of 1024 or 256 states and 1.4 MB one sentence at a time;
-# the returned `NBestBlock` of 13,008 entries holds 0.4 MB of it. Reranked
+# larger blocks run fewer steps, and each step has a fixed cost. A block
+# reads the LM's row table and the candidate table from the decoder cache
+# once and holds them for all its steps; the cache keeps them, and a
+# reranked decode's padded channel table, from one block to the next (see
+# `cache.BOUND`). Decoding a 300-sentence pool at n=50 (the bench's `recipe`
+# self-training pool, seed 1, with the LM's row table already filled)
+# peaked at 10.7 MB of traced heap (tracemalloc) as one block, against
+# 3.1 MB in length-sorted blocks of this size, 1.8 MB of 2048 states,
+# 1.2 MB of 1024 or 256 states and 1.4 MB one sentence at a time; the
+# returned `NBestBlock` of 13,008 entries holds 0.4 MB of it. Reranked
 # block by block, the peaks are 3.4, 2.3 and 2.1 MB at 4096, 2048 and 1024
 # states. Decoding and reranking that pool took a median of 114, 132 and
 # 152 ms of CPU at 4096, 2048 and 1024 states (6 rounds each, interleaved).

@@ -189,9 +189,13 @@ class TestBlocksEqualSingleSentences:
                                        unk_target=True)
         sources = random_sources(rng, src_syms, 6)
         kept = translate_corpus(model, sources, 8).to_lists()
-        fresh = tm.model_from_dict(tm.model_to_dict(model))   # an LM without rows
+        # a copy whose LM has no row table in the cache: its table is made,
+        # and cleared, under the cap
+        fresh = tm.model_from_dict(tm.model_to_dict(model))
         with mock.patch.object(lm_module, "_CACHE_CAP", cap):
             cleared = translate_corpus(fresh, sources, 8).to_lists()
+            table = fresh._row_table()
+        assert table is not model._row_table()
         assert [entries(nb) for nb in cleared] == [entries(nb) for nb in kept]
 
     @pytest.mark.parametrize("limit", [1, 200])

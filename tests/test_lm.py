@@ -293,7 +293,6 @@ class TestBatchScores:
         rng = random.Random(53)
         sents = random_corpus(rng, ["a", "b", "c", "d", "e"], 40)
         for model in self.models():
-            parts = [model] if isinstance(model, NGramLM) else [model.base, model.indomain]
             table = row_table(model, _SCORER_SYMBOLS)
             for s in sents:
                 assert logprob(model, s) == reference_logprob(model, s)
@@ -306,10 +305,12 @@ class TestBatchScores:
                     [batch_term(model, tuple(_SCORER_SYMBOLS[i] for i in ctx), sym).hex()
                      for sym in _SCORER_SYMBOLS]
                 assert table.held <= 5 and table._states.size == table.held
-                for part in parts:
-                    assert len(part._lower) <= 5
-                    assert all(level < part.order for level, _ in part._lower)
-            assert all(part._lower for part in parts)
+                # the lower-order rows the table builds from, one dict per part
+                assert len(table._lower) == len(model.parts)
+                for (_, part), kept in zip(model.parts, table._lower):
+                    assert len(kept) <= 5
+                    assert all(level < part.order for level, _ in kept)
+            assert all(table._lower)
 
     def test_empty_batch(self):
         for model in self.models():

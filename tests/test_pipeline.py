@@ -15,7 +15,7 @@ from deskmt.corpus import (
     save_corpus,
 )
 from deskmt.ensemble import Ensemble
-from deskmt.lm import NGramLM
+from deskmt.lm import RowTable
 from deskmt.pipeline import PipelineConfig, PipelineManifest, run_pipeline
 from deskmt.rerank import write_nbest_file
 from deskmt.search import SearchSpace, TrialConfig, default_search_space
@@ -289,21 +289,24 @@ class TestResumeChecksEnsembleMembers:
 
 
 class TestLMCaches:
-    def test_no_lm_keeps_a_top_order_row(self, tmp_path, monkeypatch):
+    def test_no_table_keeps_a_top_order_row_of_a_part(self, tmp_path, monkeypatch):
+        # every row table of the run, kept past its eviction from the cache,
+        # with its LM's parts' orders
         created = []
-        init = NGramLM.__init__
+        init = RowTable.__init__
 
-        def recording_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            created.append(self)
+        def recording_init(self, model, symbols):
+            init(self, model, symbols)
+            created.append((self, [part.order for _, part in model.parts]))
 
-        monkeypatch.setattr(NGramLM, "__init__", recording_init)
+        monkeypatch.setattr(RowTable, "__init__", recording_init)
         bundle = tiny_bundle(seed=31)
         run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt, bundle.dev,
                      str(tmp_path / "r"), tiny_config())
-        assert created and any(lm._lower for lm in created)
-        for lm in created:
-            assert all(level < lm.order for level, _ in lm._lower)
+        assert created and any(any(table._lower) for table, _ in created)
+        for table, orders in created:
+            for kept, order in zip(table._lower, orders):
+                assert all(level < order for level, _ in kept)
 
 
 class TestNoRecomputation:

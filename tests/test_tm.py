@@ -13,11 +13,13 @@ import pytest
 from deskmt.corpus import SIDE_PARALLEL, UNK_TOKEN, TaggedDataset, build_mix, swap_direction
 from deskmt.lm import train_lm
 from deskmt.ensemble import Ensemble
+from deskmt import cache
 from deskmt import tm as tm_module
 from deskmt.rerank import NoisyChannelWeights, RerankContext, rerank
 from deskmt.tm import (
     NULL,
     DataError,
+    EMTrainer,
     LexModel,
     NBestBlock,
     channel_scores,
@@ -262,6 +264,20 @@ class TestEmTrain:
     def test_empty_mix_rejected(self):
         with pytest.raises(DataError):
             em_train(mix_of([]), iterations=1)
+
+    def test_a_later_step_leaves_an_earlier_snapshot_unchanged(self):
+        trainer = EMTrainer(random_mix(random.Random(12), 10))
+        lm = train_lm([("t0", "t1")], 2, 0.5)
+        trainer.step()
+        first = trainer.snapshot(lm)
+        table = first.t.copy()
+        trainer.step()
+        second = trainer.snapshot(lm)
+        assert np.array_equal(first.t, table) and not np.array_equal(second.t, table)
+        assert not first.t.flags.writeable
+        with pytest.raises(ValueError):
+            first.t[0, 0] = 0.5
+        assert first.train_ll_trace == tuple(trainer.ll_trace[:1])
 
     def test_corpus_log_likelihood_matches_trace_start(self):
         mix = mix_of([("a b", "x y"), ("a", "y")])
@@ -707,7 +723,7 @@ class TestSharedRowTable:
                         window=1, lm_weight=0.4)
         return model, twin, Ensemble([model])
 
-    def test_models_sharing_an_lm_and_vocabulary_share_one_table(self):
+    def test_models_sharing_an_lm_and_vocabulary_share_one_table(self, monkeypatch):
         model, twin, ens = self.models()
         table = model._row_table()
         assert twin._row_table() is table and ens._row_table() is table
@@ -721,6 +737,12 @@ class TestSharedRowTable:
         other = LexModel(model.src_vocab, model.tgt_vocab[:-1], model.t[:, :-1],
                          model.lm)
         assert other._row_table() is not table
+        # shared while it is in the cache: once evicted, the next request
+        # builds a new table, which the other models then share
+        monkeypatch.setattr(cache, "BOUND", 1)
+        model._t_ext()
+        rebuilt = twin._row_table()
+        assert rebuilt is not table and ens._row_table() is rebuilt
 
     def test_rows_die_with_their_models_without_the_collector(self):
         gc.disable()
@@ -734,5 +756,7 @@ class TestSharedRowTable:
             del models, m
             assert rows_seen > 0
             assert lm_ref() is None and table_ref() is None
+            # the cache dropped the entries of the dead models and LM
+            assert all(ref() is not None for ref, _ in cache._STORE._entries.values())
         finally:
             gc.enable()
