@@ -183,13 +183,17 @@ def cmd_search(args) -> int:
     bpe = _maybe_bpe(args)
     (src_lang, tgt_lang), bitext, st, bt, dev = _load_training_sets(args, bpe)
     space = SearchSpace.load(args.space) if args.space else default_search_space()
+
+    def save(index, model):
+        os.makedirs(args.out_dir, exist_ok=True)
+        _save_model(model, os.path.join(args.out_dir, f"trial{index:03d}.json"))
+
     results = search.run_search(
-        space, args.trials, args.seed, bitext, st, bt, dev,
+        space, args.trials, args.seed, bitext, st, bt, dev, topk=args.topk, save=save,
         eval_ctx=_eval_ctx(args, bpe), patience=args.patience,
         src_lang=src_lang, tgt_lang=tgt_lang)
-    os.makedirs(args.out_dir, exist_ok=True)
     search.write_trial_log(results, os.path.join(args.out_dir, "runlog.jsonl"))
-    models = {f"trial{i:03d}.json": r.model for i, r in enumerate(results)}
+    written = {f"trial{i:03d}.json" for i in range(len(results))}
     order = search.rank_trials(results)
     best = order[0]
     print(f"{len(results)} trials -> {args.out_dir}; "
@@ -197,14 +201,13 @@ def cmd_search(args) -> int:
     if args.topk:
         members = order[:args.topk]
         print("ensemble members: " + " ".join(f"trial{i:03d}" for i in members))
-        models.update({f"ensemble{rank}.json": results[i].model
-                       for rank, i in enumerate(members)})
-    for name, model in models.items():
-        _save_model(model, os.path.join(args.out_dir, name))
+        for rank, i in enumerate(members):
+            _save_model(results[i].model, os.path.join(args.out_dir, f"ensemble{rank}.json"))
+            written.add(f"ensemble{rank}.json")
     # an earlier run with more trials or a larger --topk left models this
     # run did not write
     for name in os.listdir(args.out_dir):
-        if _SEARCH_MODEL.fullmatch(name) and name not in models:
+        if _SEARCH_MODEL.fullmatch(name) and name not in written:
             os.remove(os.path.join(args.out_dir, name))
     return EXIT_OK
 

@@ -7,7 +7,10 @@ reranking. A direction's own translations are its self-training data and the
 other direction's are its back-translated data (`augment.training_roles`).
 Random search retrains each direction on bitext plus those two sets; models
 are fine-tuned on the in-domain bitext at the last round; the top-k models
-per direction become the next round's systems. Every stage writes
+per direction become the next round's systems. Each trial's final model is
+saved when its trial ends, and a round holds at most the top-k of each
+direction plus the trial in flight, so its memory does not grow with the
+trial count. Every stage writes
 content-addressed artifacts under a run directory and records them in a
 byte-stable manifest, so reruns skip completed stages and two runs with one
 seed produce identical bytes.
@@ -36,7 +39,6 @@ from .search import (
     TrialConfig,
     check_sample_size,
     default_search_space,
-    finetune,
     run_search,
     select_top_k,
 )
@@ -427,33 +429,27 @@ class _PipelineState:
                             "lambdas": gen_lambdas[d], "seed": cfg.seed,
                             "dropped": made[d].dropped})
 
-        # lines 8-9: random search, both directions
+        # lines 8-12: random search, both directions; at the last round each
+        # trial's model is fine-tuned on the in-domain bitext. Each final
+        # model is saved when its trial ends, and only the running top-k stay
+        # alive
+        finetuned = (t == cfg.iterations) or cfg.finetune_every_iteration
         results = {}
         for d, (src_lang, tgt_lang) in DIRECTIONS.items():
             st, bt = training_roles(d, made["fwd"], made["bwd"])
             results[d] = run_search(
                 cfg.search_space, cfg.trials, self._seed(f"iter{t}/search/{d}"),
-                self.parallel[d], st, bt, self.dev[d], eval_ctx=self.eval_ctx,
-                patience=cfg.patience, src_lang=src_lang, tgt_lang=tgt_lang)
-
-        # lines 10-12: fine-tune on the in-domain bitext at the last round
-        finetuned = (t == cfg.iterations) or cfg.finetune_every_iteration
-        if finetuned:
-            for d, rs in results.items():
-                for k, r in enumerate(rs):
-                    model, score = finetune(r.model, self.parallel[d], self.dev[d],
-                                            cfg.finetune_steps, base_bleu=r.dev_bleu,
-                                            lm_alpha=cfg.lm_alpha, eval_ctx=self.eval_ctx)
-                    rs[k] = replace(r, model=model, dev_bleu=score)
+                self.parallel[d], st, bt, self.dev[d], topk=cfg.topk,
+                save=lambda _, model: _save_model(manifest.run_dir, model),
+                finetune_steps=cfg.finetune_steps if finetuned else None,
+                lm_alpha=cfg.lm_alpha, eval_ctx=self.eval_ctx, patience=cfg.patience,
+                src_lang=src_lang, tgt_lang=tgt_lang)
 
         # lines 13-14: ensemble the top-k models
         self.system = {d: select_top_k(rs, cfg.topk) for d, rs in results.items()}
         # the BLEU of the tuned weights is the rerank dev BLEU of the new systems
         dev_bleu = self._tune(stage)
 
-        for rs in results.values():
-            for r in rs:
-                _save_model(manifest.run_dir, r.model)
         record = {
             "t": t,
             "gen_lambdas": gen_lambdas,

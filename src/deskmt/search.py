@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -116,14 +117,23 @@ def sample_configs(space: SearchSpace, n: int, seed: int) -> list[TrialConfig]:
 
 @dataclass
 class TrialResult:
+    """One trial: its configuration, dev perplexity trace, dev BLEU and final
+    model (fine-tuned when the search fine-tunes).
+
+    `run_search` holds a trial's model only while the trial ranks in its
+    running top-k; once the trial falls out, `model` is None and
+    `model_hash` names the model's saved artifact.
+    """
     config: TrialConfig
-    model: LexModel
+    model: LexModel | None
     dev_ppl_trace: tuple[float, ...]
     dev_bleu: float
+    model_hash: str | None = None
 
     def record(self) -> dict:
         """Machine-readable run-log record (model referenced by hash)."""
-        return {"config": self.config.to_dict(), "model_hash": model_hash(self.model),
+        digest = self.model_hash if self.model is None else model_hash(self.model)
+        return {"config": self.config.to_dict(), "model_hash": digest,
                 "dev_ppl_trace": list(self.dev_ppl_trace), "dev_bleu": self.dev_bleu}
 
 
@@ -229,18 +239,41 @@ def trial_mix(config: TrialConfig, bitext: TaggedDataset, st: TaggedDataset | No
 
 def run_search(space: SearchSpace, n: int, seed: int, bitext: TaggedDataset,
                st: TaggedDataset | None, bt: TaggedDataset | None, dev: TaggedDataset,
-               *, eval_ctx: EvalContext | None = None,
+               *, topk: int, save: Callable[[int, LexModel], object] | None = None,
+               finetune_steps: int | None = None, lm_alpha: float = 0.5,
+               eval_ctx: EvalContext | None = None,
                patience: int | None = DEFAULT_PATIENCE,
                src_lang: str = "src", tgt_lang: str = "tgt") -> list[TrialResult]:
-    """Sample n configs and run every trial, in sampling order.
+    """Sample n configs and run every trial, in sampling order, holding the
+    models of at most `topk` finished trials at a time.
 
     Each trial trains on its own `trial_mix` of bitext, st and bt, since the
-    upsampling ratios are config knobs.
+    upsampling ratios are config knobs. With `finetune_steps` (not None) its
+    model is then fine-tuned on `bitext`, the in-domain data. When a trial
+    ends, `save(index, model)` writes its final model; the model stays alive
+    only while the trial ranks in the first `topk` of `rank_trials` so far.
+    So the results hold the models `select_top_k(results, topk)` takes, and
+    the memory a search holds does not grow with n.
     """
-    return [run_trial(config, trial_mix(config, bitext, st, bt), dev,
-                      eval_ctx=eval_ctx, patience=patience,
-                      src_lang=src_lang, tgt_lang=tgt_lang)
-            for config in sample_configs(space, n, seed)]
+    results: list[TrialResult] = []
+    held: list[int] = []  # the trials whose models are alive, best first
+    for i, config in enumerate(sample_configs(space, n, seed)):
+        result = run_trial(config, trial_mix(config, bitext, st, bt), dev,
+                           eval_ctx=eval_ctx, patience=patience,
+                           src_lang=src_lang, tgt_lang=tgt_lang)
+        if finetune_steps is not None:
+            result.model, result.dev_bleu = finetune(
+                result.model, bitext, dev, finetune_steps, base_bleu=result.dev_bleu,
+                lm_alpha=lm_alpha, eval_ctx=eval_ctx)
+        if save is not None:
+            save(i, result.model)
+        results.append(result)
+        held = sorted(held + [i], key=lambda j: (-results[j].dev_bleu, j))
+        for j in held[topk:]:
+            results[j].model_hash = model_hash(results[j].model)
+            results[j].model = None
+        del held[topk:]
+    return results
 
 
 def write_trial_log(results: list[TrialResult], path: str) -> None:
@@ -255,7 +288,8 @@ def rank_trials(results: list[TrialResult]) -> list[int]:
 
 
 def select_top_k(results: list[TrialResult], k: int) -> Ensemble:
-    """Ensemble of the first k models of `rank_trials`."""
+    """Ensemble of the first k models of `rank_trials`; `run_search`'s
+    results hold them for any k up to its `topk`."""
     if k < 1:
         raise DataError("k must be at least 1")
     if k > len(results):

@@ -262,9 +262,10 @@ class LexModel:
         self.tgt_id = {s: i for i, s in enumerate(tgt_vocab)}
         self._caches: dict = {}
 
-    def artifact(self) -> dict:
-        """The JSON document that `model_json` serializes and hashes."""
-        return model_to_dict(self)
+    def artifact_json(self) -> str:
+        """The stable JSON text that `model_json` hashes: the document of
+        `model_to_dict`, its table written one source row at a time."""
+        return _lex_json(self)
 
     @property
     def direction(self) -> str:
@@ -885,11 +886,9 @@ def channel_scores(model: LexModel, x: Sentence, ys: list[Sentence]) -> list[flo
 FORMAT_VERSION = 1
 
 
-def model_to_dict(model: LexModel) -> dict:
-    rows = []
-    for i in range(len(model.src_vocab)):
-        nz = np.flatnonzero(model.t[i])
-        rows.append([[j, v] for j, v in zip(nz.tolist(), model.t[i, nz].tolist())])
+def _lex_document(model: LexModel, t_rows) -> dict:
+    """A model's document with the given `t_rows`: the one definition of
+    its keys, shared by `model_to_dict` and `model_json`."""
     return {
         "version": FORMAT_VERSION, "kind": "lex",
         "src_lang": model.src_lang, "tgt_lang": model.tgt_lang,
@@ -897,8 +896,31 @@ def model_to_dict(model: LexModel) -> dict:
         "beam": model.beam, "window": model.window, "lm_weight": model.lm_weight,
         "unk_floor": model.unk_floor,
         "train_ll_trace": list(model.train_ll_trace),
-        "t_rows": rows, "lm": lm_to_dict(model.lm),
+        "t_rows": t_rows, "lm": lm_to_dict(model.lm),
     }
+
+
+def _t_rows(model: LexModel):
+    """The [target id, probability] entries of each source symbol's row, a
+    row at a time."""
+    for i in range(len(model.src_vocab)):
+        nz = np.flatnonzero(model.t[i])
+        yield [[j, v] for j, v in zip(nz.tolist(), model.t[i, nz].tolist())]
+
+
+def model_to_dict(model: LexModel) -> dict:
+    return _lex_document(model, list(_t_rows(model)))
+
+
+def _lex_json(model: LexModel) -> str:
+    """`stable_json_dumps(model_to_dict(model))` without holding every row's
+    entries at once: the keys are sorted, so the text is the keys before
+    `t_rows`, then the rows one by one, then the keys after it."""
+    doc = _lex_document(model, None)
+    head = stable_json_dumps({k: v for k, v in doc.items() if k < "t_rows"})
+    tail = stable_json_dumps({k: v for k, v in doc.items() if k > "t_rows"})
+    rows = ",".join(map(stable_json_dumps, _t_rows(model)))
+    return f'{head[:-1]},"t_rows":[{rows}],{tail[1:]}'
 
 
 def _t_table(rows: list, n_src: int, n_tgt: int) -> np.ndarray:
@@ -952,11 +974,12 @@ def model_from_dict(doc: dict) -> LexModel:
 def model_json(model: LexModel) -> tuple[str, str]:
     """Stable JSON text of a model's artifact and its content hash.
 
-    The document is `model.artifact()`: an Ensemble's lists its members'
-    hashes; any other model's holds its table, LM and settings. The hash is
-    `content_hash` of that document, memoized for `model_hash`.
+    The text is `model.artifact_json()`: an Ensemble's document lists its
+    members' hashes; any other model's is `model_to_dict`'s, which holds its
+    table, LM and settings. The hash is `content_hash` of that document,
+    memoized for `model_hash`.
     """
-    text = stable_json_dumps(model.artifact())
+    text = model.artifact_json()
     return text, model._caches.setdefault("hash", sha256_text(text))
 
 

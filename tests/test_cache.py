@@ -21,7 +21,7 @@ from deskmt import cache
 from deskmt.cache import cache_counts, cached
 from deskmt.lm import RowTable, finetune_lm, train_lm
 from deskmt.rerank import NoisyChannelWeights, RerankContext
-from deskmt.search import finetune, run_search
+from deskmt.search import run_search
 from deskmt.tm import translate_corpus
 from test_decoder_golden import _assert_matches_fixture, decode_all, decode_all_in_blocks
 from test_pipeline_golden import FIXTURE as PIPELINE_FIXTURE
@@ -86,8 +86,8 @@ class TestCounts:
 
 class TestStoreStaysBounded:
     def test_a_search_and_its_finetune_hold_at_most_the_bound(self, monkeypatch):
-        # every row table made, by weak reference; the search's results
-        # stay alive, as a pipeline round keeps them until it saves them
+        # every row table made, by weak reference; with topk 8 every trial's
+        # fine-tuned model stays alive
         made = []
         init = RowTable.__init__
 
@@ -97,12 +97,12 @@ class TestStoreStaysBounded:
 
         monkeypatch.setattr(RowTable, "__init__", recording_init)
         ds = parallel(5, n_pairs=24)
-        results = run_search(tiny_space(), 8, 3, ds, None, None, ds, patience=None)
-        tuned = [finetune(r.model, ds, ds, 3, base_bleu=r.dev_bleu) for r in results]
+        results = run_search(tiny_space(), 8, 3, ds, None, None, ds, topk=8,
+                             finetune_steps=3, patience=None)
         assert len(made) > cache.BOUND
         assert sum(ref() is not None for ref in made) <= cache.BOUND
         assert cache_counts()["held"] <= cache.BOUND
-        assert len(tuned) == 8
+        assert all(r.model is not None for r in results)
 
 
 def reranked_decode(seed: int):

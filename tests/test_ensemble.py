@@ -8,7 +8,15 @@ from deskmt.corpus import SIDE_PARALLEL, TaggedDataset, build_mix, swap_directio
 from deskmt.ensemble import DataError, Ensemble
 from deskmt.lm import train_lm
 from deskmt.rerank import NULL_WEIGHTS, rerank
-from deskmt.tm import NULL, LexModel, NBestBlock, em_train, translate_nbest
+from deskmt.tm import (
+    NULL,
+    LexModel,
+    NBestBlock,
+    em_train,
+    model_from_dict,
+    model_to_dict,
+    translate_nbest,
+)
 
 
 def mix_for(seed, n_pairs=10):
@@ -72,10 +80,19 @@ class TestStepLogprob:
         assert e.t[e.src_id["a"], e.tgt_id["x"]] == pytest.approx(0.3)
 
     def test_k1_identity(self):
+        # one member's table is read through a read-only view, not copied
         _, members = trained_members(1, seed=2)
         e = Ensemble(members)
         assert e.t.tobytes() == members[0].t.tobytes()
-        assert e.t is not members[0].t
+        assert np.shares_memory(e.t, members[0].t)
+        with pytest.raises(ValueError):
+            e.t[0, 0] = 0.5
+        # also over a member whose own table is writable, which stays so
+        loaded = model_from_dict(model_to_dict(members[0]))
+        e = Ensemble([loaded])
+        assert np.shares_memory(e.t, loaded.t) and loaded.t.flags.writeable
+        with pytest.raises(ValueError):
+            e.t[0, 0] = 0.5
 
     def test_table_is_the_bit_equal_mean(self):
         mix = mix_for(11)

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shutil
+import weakref
 from pathlib import Path
 
 import pytest
@@ -385,14 +386,112 @@ class TestNoRecomputation:
         assert content_hash(json.loads(text)) == fresh
         assert sha256_text(text.rstrip("\n")) == fresh
 
-        def no_serialization(model):
+        def no_serialization(*args):
             raise AssertionError("model_hash serialized a model twice")
 
-        monkeypatch.setattr(tm, "model_to_dict", no_serialization)
+        # every serialization of a model builds its document here
+        monkeypatch.setattr(tm, "_lex_document", no_serialization)
         assert tm.model_hash(hashed_first) == fresh
         assert tm.model_hash(saved_first) == fresh
         assert tm.model_hash(Ensemble([hashed_first, saved_first])) == \
             content_hash({"kind": "ensemble", "members": [fresh, fresh]})
+
+
+def _round_config():
+    return tiny_config(trials=5, topk=2, finetune_steps=2)
+
+
+class TestRoundHoldsTheRunningTopK:
+    """A round saves each trial's final model when the trial ends and keeps
+    alive only the models of each direction's running top-k."""
+
+    def test_after_each_save_only_the_running_top_k_and_the_trial_in_flight_live(
+            self, tmp_path, monkeypatch):
+        import deskmt.pipeline as pipeline
+        import deskmt.tm as tm
+
+        snapshots = []  # every model EMTrainer.snapshot returns, by weak reference
+        snapshot = tm.EMTrainer.snapshot
+
+        def recording(trainer, lm, **settings):
+            model = snapshot(trainer, lm, **settings)
+            snapshots.append(weakref.ref(model))
+            return model
+
+        saves = []  # per saved model: its hash, and the hashes of the live snapshots
+        save_model = pipeline._save_model
+
+        def checking(run_dir, model):
+            ref = save_model(run_dir, model)
+            if not isinstance(model, Ensemble):
+                live = (alive() for alive in snapshots)
+                # a model that was never saved has no memoized hash: None
+                saves.append((ref["model_hash"],
+                               {m._caches.get("hash") for m in live if m is not None}))
+            return ref
+
+        monkeypatch.setattr(tm.EMTrainer, "snapshot", recording)
+        monkeypatch.setattr(pipeline, "_save_model", checking)
+        bundle = tiny_bundle(seed=5)
+        config = _round_config()
+        manifest = run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt,
+                                bundle.dev, str(tmp_path / "r"), config)
+
+        def top_k(records, n):
+            ranked = sorted(range(n), key=lambda j: (-records[j]["dev_bleu"], j))
+            return {records[j]["model_hash"] for j in ranked[:config.topk]}
+
+        # the init stage saves each direction's one member first
+        assert len(saves) == 2 + 2 * config.trials
+        systems = {saves[0][0], saves[1][0]}
+        events = iter(saves[2:])
+        held = set()  # the top-k of the directions whose search has ended
+        for d, records in manifest.data["iterations"][0]["trials"].items():
+            for i, record in enumerate(records):
+                saved, live = next(events)
+                assert saved == record["model_hash"] and saved in live
+                assert live <= systems | held | top_k(records, i) | {saved}
+            held |= top_k(records, len(records))
+        assert len(snapshots) > len(saves)
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, tmp_path_factory):
+        bundle = tiny_bundle(seed=11)
+        run_dir = str(tmp_path_factory.mktemp("uninterrupted"))
+        run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt, bundle.dev,
+                     run_dir, _round_config())
+        return (bundle, Path(run_dir, "manifest.json").read_bytes(),
+                sorted(os.listdir(os.path.join(run_dir, "artifacts/models"))))
+
+    # round 1 saves 5 forward trials, 5 backward ones, then the two
+    # ensembles; the init stage saves 4 models before it
+    @pytest.mark.parametrize("k", [1, 7, 12])
+    def test_crash_at_a_model_save_then_rerun_gives_the_same_run(
+            self, uninterrupted, tmp_path, monkeypatch, k):
+        import deskmt.pipeline as pipeline
+
+        bundle, manifest_bytes, models = uninterrupted
+        run_dir = str(tmp_path / "r")
+        save_model = pipeline._save_model
+        saves = []
+
+        def crashing(directory, model):
+            saves.append(model)
+            if len(saves) == 4 + k:
+                raise _Crash(f"simulated crash at round 1's model save {k}")
+            return save_model(directory, model)
+
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "_save_model", crashing)
+            with pytest.raises(_Crash):
+                run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt,
+                             bundle.dev, run_dir, _round_config())
+        assert read_json(os.path.join(run_dir, "manifest.json"),
+                         "manifest")["stages_completed"] == ["setup", "init"]
+        run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt, bundle.dev,
+                     run_dir, _round_config())
+        assert Path(run_dir, "manifest.json").read_bytes() == manifest_bytes
+        assert sorted(os.listdir(os.path.join(run_dir, "artifacts/models"))) == models
 
 
 class _Crash(Exception):

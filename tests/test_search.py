@@ -242,8 +242,8 @@ class TestRunSearch:
     def test_deterministic_and_schedule_independent(self):
         ds = parallel(6)
         space = tiny_space()
-        a = run_search(space, 4, 1, ds, None, None, ds, patience=None)
-        b = run_search(space, 4, 1, ds, None, None, ds, patience=None)
+        a = run_search(space, 4, 1, ds, None, None, ds, topk=1, patience=None)
+        b = run_search(space, 4, 1, ds, None, None, ds, topk=1, patience=None)
         assert [r.dev_bleu for r in a] == [r.dev_bleu for r in b]
         assert [r.dev_ppl_trace for r in a] == [r.dev_ppl_trace for r in b]
         assert [r.config for r in a] == [r.config for r in b]
@@ -357,7 +357,8 @@ class TestDevReferences:
             return detok(self, sentence)
 
         monkeypatch.setattr(EvalContext, "detok_tokens", counting)
-        results = run_search(tiny_space(), 3, 0, train, None, None, dev, eval_ctx=ctx)
+        results = run_search(tiny_space(), 3, 0, train, None, None, dev, topk=3,
+                             eval_ctx=ctx)
         best = results[0]
         tuned, score = finetune(best.model, train, dev, 2, base_bleu=best.dev_bleu,
                                 eval_ctx=ctx)

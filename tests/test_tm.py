@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import math
 import random
 import sys
@@ -9,9 +10,10 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deskmt.corpus import SIDE_PARALLEL, UNK_TOKEN, TaggedDataset, build_mix, swap_direction
-from deskmt.lm import train_lm
+from deskmt.lm import finetune_lm, train_lm
 from deskmt.ensemble import Ensemble
 from deskmt import cache
 from deskmt import tm as tm_module
@@ -30,6 +32,7 @@ from deskmt.tm import (
     translate_corpus,
     translate_nbest,
 )
+from deskmt.util import content_hash, stable_json_dumps
 
 
 def mix_of(pairs, tag="<t>", upsample=1):
@@ -665,6 +668,62 @@ class TestSerialization:
         doc["t_rows"][1:3] = [[[0, 1], [1, 0.0]], []]
         t = model_from_dict(doc).t
         assert t[1, :2].tolist() == [1.0, 0.0] and not t[1, 2:].any() and not t[2].any()
+
+
+# symbols JSON must escape or keep as they are: quotes, backslashes, control
+# and non-ASCII characters
+_SYMBOLS = st.text(st.sampled_from(["a", "b", " ", '"', "\\", "\x01", "é", "中", "😀"]),
+                   min_size=1, max_size=3)
+# zero, the smallest subnormal, another subnormal, the smallest normal, one
+_PROBABILITIES = st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0]) \
+    | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _models(draw, interpolated):
+    src = (NULL,) + tuple(draw(st.lists(_SYMBOLS, max_size=4, unique=True)))
+    tgt = tuple(draw(st.lists(_SYMBOLS, max_size=4, unique=True)))
+    # some rows all zero, which serialize as empty rows
+    t = np.array([draw(st.lists(_PROBABILITIES, min_size=len(tgt), max_size=len(tgt)))
+                  if draw(st.booleans()) else [0.0] * len(tgt) for _ in src],
+                 dtype=float).reshape(len(src), len(tgt))
+    sentences = draw(st.lists(st.lists(st.sampled_from(tgt or ("a",)), min_size=1,
+                                       max_size=4).map(tuple), min_size=1, max_size=4))
+    lm = train_lm(sentences, draw(st.integers(1, 3)), draw(st.sampled_from([0.1, 1.0])))
+    if interpolated:
+        lm = finetune_lm(lm, sentences[:1], draw(st.sampled_from([0.2, 0.7])))
+    trace = tuple(draw(st.lists(st.floats(-1e300, 0.0), max_size=2)))
+    return LexModel(src, tgt, t, lm, lm_weight=draw(st.sampled_from([0.0, 0.3])),
+                    train_ll_trace=trace)
+
+
+class TestModelJson:
+    """`model_json` writes the table a row at a time; its text is still the
+    stable JSON of `model_to_dict`'s document, with the same hash."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), interpolated=st.booleans())
+    def test_text_is_the_stable_json_of_the_document(self, data, interpolated):
+        model = data.draw(_models(interpolated))
+        doc = model_to_dict(model)
+        text, digest = tm_module.model_json(model)
+        assert text == stable_json_dumps(doc)
+        assert digest == content_hash(doc) == tm_module.model_hash(model)
+
+    @pytest.mark.parametrize("interpolated", [False, True])
+    def test_rows_of_every_kind(self, interpolated):
+        src, tgt = (NULL, 'q"', "b\\s"), ("é", "中", "x")
+        t = np.array([[0.0, 0.0, 0.0], [5e-324, 1.0, 0.0], [0.25, 1e-310, 0.75]])
+        lm = train_lm([tgt, tgt[:1]], 2, 0.5)
+        if interpolated:
+            lm = finetune_lm(lm, [tgt[1:]], 0.3)
+        model = LexModel(src, tgt, t, lm)
+        doc = model_to_dict(model)
+        assert doc["t_rows"] == [[], [[0, 5e-324], [1, 1.0]], [[0, 0.25], [1, 1e-310], [2, 0.75]]]
+        assert doc["lm"]["kind"] == ("interpolated" if interpolated else "ngram")
+        text, digest = tm_module.model_json(model)
+        assert text == stable_json_dumps(doc) and digest == content_hash(doc)
+        assert model_from_dict(json.loads(text)).t.tobytes() == t.tobytes()
 
 
 class TestDecoderSettings:
