@@ -473,11 +473,12 @@ class TestRoundHoldsTheRunningTopK:
         bundle, manifest_bytes, models = uninterrupted
         run_dir = str(tmp_path / "r")
         save_model = pipeline._save_model
-        saves = []
+        saves = 0
 
         def crashing(directory, model):
-            saves.append(model)
-            if len(saves) == 4 + k:
+            nonlocal saves
+            saves += 1
+            if saves == 4 + k:
                 raise _Crash(f"simulated crash at round 1's model save {k}")
             return save_model(directory, model)
 
