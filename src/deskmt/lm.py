@@ -25,6 +25,10 @@ rank of their keys, so keys stay below (number of contexts) * B. Per level:
 - `_totals`: each node's total count, then 0.0 for an absent context;
 - `_child_keys` (levels below `order`): the keys of the next level's nodes.
 
+An LM's document is the stable JSON text `lm_json` writes and
+`lm_from_dict` reads; its counts are formatted from these arrays level by
+level (`_counts_json`), with no list built per count.
+
 Both LM kinds are weighted mixtures of count models: `parts` lists
 (weight, `NGramLM`) pairs, `((1.0, lm),)` for an `NGramLM` and
 `((1 - a, base), (a, indomain))` for an `InterpolatedLM`. Every score,
@@ -83,7 +87,8 @@ import numpy as np
 
 from .cache import cached
 from .corpus import Sentence
-from .util import NUMBER, DataError, doc_field, doc_float, doc_strings, sorted_distinct
+from .util import (NUMBER, DataError, doc_field, doc_float, doc_strings, pair_runs_json,
+                   sorted_distinct, stable_json_object)
 
 EOS = "</s>"
 BOS = "<s>"
@@ -526,9 +531,10 @@ def finetune_lm(base: NGramLM, in_domain: list[Sentence], alpha: float) -> Langu
 FORMAT_VERSION = 1
 
 
-def _counts_doc(model: NGramLM) -> list:
-    """Per level, [context ids oldest first, [(word id, count), ...]] of
-    every context that holds a count, in context then word order."""
+def _counts_json(model: NGramLM) -> str:
+    """The text of the `counts` member: per level, [context ids oldest
+    first, [[word id, count], ...]] of every context that holds a count, in
+    context then word order."""
     width = model._width
     history = np.zeros((1, 0), dtype=np.int64)   # the root's context
     levels = []
@@ -542,26 +548,26 @@ def _counts_doc(model: NGramLM) -> list:
         contexts = history[held][:, ::-1]
         by_context = np.lexsort(contexts.T[::-1]) if level else np.arange(held.size)
         lo = node.searchsorted(held[by_context])
-        hi = node.searchsorted(held[by_context], "right")
-        words = (keys % width).tolist()
-        counts = model._count_vals[level].tolist()
-        levels.append([[ctx, list(zip(words[a:b], counts[a:b]))] for ctx, a, b in
-                       zip(contexts[by_context].tolist(), lo.tolist(), hi.tolist())])
-    return levels
+        sizes = node.searchsorted(held[by_context], "right") - lo
+        # each context's keys are a run of `keys`: their order by context
+        entries = np.arange(keys.size) + np.repeat(lo - (sizes.cumsum() - sizes), sizes)
+        levels.append(pair_runs_json(keys[entries] % width, model._count_vals[level][entries],
+                                     sizes, contexts[by_context]))
+    return "[" + ",".join(levels) + "]"
 
 
-def lm_to_dict(model: LanguageModel) -> dict:
+def lm_json(model: LanguageModel) -> str:
+    """The stable JSON text of an LM's document, which `lm_from_dict`
+    reads: an n-gram model's settings, vocabulary and counts, or an
+    interpolated model's weight and two parts."""
     if isinstance(model, InterpolatedLM):
-        return {"version": FORMAT_VERSION, "kind": "interpolated",
-                "alpha": model.interp_alpha,
-                "base": lm_to_dict(model.base), "indomain": lm_to_dict(model.indomain)}
-    return {
-        "version": FORMAT_VERSION, "kind": "ngram",
-        "order": model.order, "k": model.k,
-        "vocab": list(model.vocab),
-        "token_total": model.token_total,
-        "counts": _counts_doc(model),
-    }
+        return stable_json_object(
+            {"version": FORMAT_VERSION, "kind": "interpolated", "alpha": model.interp_alpha},
+            {"base": lm_json(model.base), "indomain": lm_json(model.indomain)})
+    return stable_json_object(
+        {"version": FORMAT_VERSION, "kind": "ngram", "order": model.order, "k": model.k,
+         "vocab": list(model.vocab), "token_total": model.token_total},
+        {"counts": _counts_json(model)})
 
 
 def _level_events(level: int, entries, n_syms: int):
@@ -603,7 +609,8 @@ def _level_events(level: int, entries, n_syms: int):
 
 
 def lm_from_dict(doc: dict) -> LanguageModel:
-    """Inverse of lm_to_dict; a malformed document raises DataError naming the key.
+    """The LM of a document `lm_json` writes; a malformed document raises
+    DataError naming the key.
 
     Context ids lie in [0, |S|], |S| (BOS) allowed in contexts only; word
     ids lie in [0, |S|); counts are finite and >= 0. A context listed

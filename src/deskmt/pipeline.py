@@ -30,7 +30,7 @@ from .corpus import (
     save_corpus,
 )
 from .ensemble import Ensemble
-from .lm import finetune_lm, lm_from_dict, lm_to_dict, train_lm
+from .lm import finetune_lm, lm_from_dict, lm_json, train_lm
 from .metrics import EvalContext
 from .rerank import NoisyChannelWeights, RerankContext, tune_lambdas
 from .search import (
@@ -338,7 +338,7 @@ class _PipelineState:
                                 init.smoothing_k)
                 self.lm[d] = finetune_lm(base, targets, cfg.lm_alpha)
             refs[d] = _write_text_artifact(manifest.run_dir, f"artifacts/lm_{d}.json",
-                                           stable_json_dumps(lm_to_dict(self.lm[d])))
+                                           lm_json(self.lm[d]))
         manifest.data["rerank_lms"] = refs
         manifest.mark_completed("setup")
 

@@ -41,6 +41,15 @@ and each source symbol's candidates are kept in descending lex order, so
 the entries of a pool row that can reach a score are a prefix of the row
 (see `_decode_block`). On the bench's `recipe` (seed 1) a step scores 8.5 %
 of the 17.9 M pool entries, and on `search` 3.8 % of 9.4 M.
+
+A model's artifact is the stable JSON text `model_json` writes, with one
+writer per document (`_lex_json`, beside its reader `model_from_dict`). The
+large members come straight from arrays: the table rows from the table's
+nonzero entries, each probability by `repr`, and the LM from
+`lm.lm_json`; the small members are dumped by `stable_json_dumps` and the
+text is spliced in at its sorted-key position (`util.stable_json_object`).
+No dict or list of the document is built, and the dict form of an
+artifact is `json.loads` of its text.
 """
 
 from __future__ import annotations
@@ -53,8 +62,9 @@ import numpy as np
 
 from .cache import cached
 from .corpus import UNK_TOKEN, DataMix, Sentence
-from .lm import LanguageModel, lm_from_dict, lm_to_dict, row_table, train_lm
-from .util import DataError, doc_field, doc_float, doc_strings, sha256_text, stable_json_dumps
+from .lm import LanguageModel, lm_from_dict, lm_json, row_table, train_lm
+from .util import (DataError, doc_field, doc_float, doc_strings, pair_runs_json, sha256_text,
+                   stable_json_object)
 
 NULL = "<null>"
 DEFAULT_UNK_FLOOR = 1e-9
@@ -217,6 +227,12 @@ def _id_type(n_symbols: int) -> np.dtype:
 class LexModel:
     """Directional translation model: lexical table + target LM + decoder settings.
 
+    The table `t` is a (|src_vocab|, |tgt_vocab|) array of probabilities
+    in [0, 1]; any other table (the wrong shape, or a value that is NaN,
+    infinite or outside [0, 1]) is a DataError naming 't'. So every model's
+    document reads back through `model_from_dict`, and its probabilities
+    are finite, whose `repr` is the text `json` writes (`_t_rows_json`).
+
     A model is immutable once it has been used: its decoding tables and
     the memoized `model_hash` are built from its table, LM and settings on
     first use and never invalidated, so changing any of them afterwards
@@ -247,6 +263,11 @@ class LexModel:
                             f"got {lm_weight!r}")
         if not 0.0 < unk_floor <= 1.0:
             raise DataError(f"decoder setting 'unk_floor' must lie in (0, 1], got {unk_floor!r}")
+        if t.shape != (len(src_vocab), len(tgt_vocab)):
+            raise DataError(f"table 't' must have shape ({len(src_vocab)}, {len(tgt_vocab)}) "
+                            f"for its vocabularies, got {t.shape}")
+        if not (t.min(initial=0.0) >= 0.0 and t.max(initial=0.0) <= 1.0):
+            raise DataError("table 't' must hold probabilities in [0, 1]")
         self.src_vocab = src_vocab
         self.tgt_vocab = tgt_vocab
         self.t = t
@@ -263,8 +284,7 @@ class LexModel:
         self._caches: dict = {}
 
     def artifact_json(self) -> str:
-        """The stable JSON text that `model_json` hashes: the document of
-        `model_to_dict`, its table written one source row at a time."""
+        """The stable JSON text that `model_json` hashes (`_lex_json`)."""
         return _lex_json(self)
 
     @property
@@ -314,7 +334,10 @@ class LexModel:
         ns, nt = self.t.shape
         rows, ids = np.nonzero(self.t)
         lex = np.log(self.t[rows, ids])
-        by_lex = np.lexsort((ids, -lex, rows))
+        # descending lex within each row, ties in the ascending id order
+        # np.nonzero gives: a stable sort by -lex, then a stable one by row
+        by_lex = np.argsort(-lex, kind="stable")
+        by_lex = _by_sentence(by_lex, rows[by_lex])
         ids, lex = ids[by_lex], lex[by_lex]
         count = np.bincount(rows, minlength=ns + 1)
         start = count.cumsum() - count
@@ -886,41 +909,25 @@ def channel_scores(model: LexModel, x: Sentence, ys: list[Sentence]) -> list[flo
 FORMAT_VERSION = 1
 
 
-def _lex_document(model: LexModel, t_rows) -> dict:
-    """A model's document with the given `t_rows`: the one definition of
-    its keys, shared by `model_to_dict` and `model_json`."""
-    return {
-        "version": FORMAT_VERSION, "kind": "lex",
-        "src_lang": model.src_lang, "tgt_lang": model.tgt_lang,
-        "src_vocab": list(model.src_vocab), "tgt_vocab": list(model.tgt_vocab),
-        "beam": model.beam, "window": model.window, "lm_weight": model.lm_weight,
-        "unk_floor": model.unk_floor,
-        "train_ll_trace": list(model.train_ll_trace),
-        "t_rows": t_rows, "lm": lm_to_dict(model.lm),
-    }
-
-
-def _t_rows(model: LexModel):
-    """The [target id, probability] entries of each source symbol's row, a
-    row at a time."""
-    for i in range(len(model.src_vocab)):
-        nz = np.flatnonzero(model.t[i])
-        yield [[j, v] for j, v in zip(nz.tolist(), model.t[i, nz].tolist())]
-
-
-def model_to_dict(model: LexModel) -> dict:
-    return _lex_document(model, list(_t_rows(model)))
+def _t_rows_json(model: LexModel) -> str:
+    """The text of the `t_rows` member: each source symbol's row of
+    [target id, probability] entries, from the table's nonzero entries in
+    row-major order."""
+    rows, ids = np.nonzero(model.t)
+    return pair_runs_json(ids, model.t[rows, ids],
+                          np.bincount(rows, minlength=len(model.src_vocab)))
 
 
 def _lex_json(model: LexModel) -> str:
-    """`stable_json_dumps(model_to_dict(model))` without holding every row's
-    entries at once: the keys are sorted, so the text is the keys before
-    `t_rows`, then the rows one by one, then the keys after it."""
-    doc = _lex_document(model, None)
-    head = stable_json_dumps({k: v for k, v in doc.items() if k < "t_rows"})
-    tail = stable_json_dumps({k: v for k, v in doc.items() if k > "t_rows"})
-    rows = ",".join(map(stable_json_dumps, _t_rows(model)))
-    return f'{head[:-1]},"t_rows":[{rows}],{tail[1:]}'
+    """The stable JSON text of a model's document, which `model_from_dict`
+    reads: its settings, vocabularies, table rows and LM."""
+    return stable_json_object(
+        {"version": FORMAT_VERSION, "kind": "lex",
+         "src_lang": model.src_lang, "tgt_lang": model.tgt_lang,
+         "src_vocab": list(model.src_vocab), "tgt_vocab": list(model.tgt_vocab),
+         "beam": model.beam, "window": model.window, "lm_weight": model.lm_weight,
+         "unk_floor": model.unk_floor, "train_ll_trace": list(model.train_ll_trace)},
+        {"t_rows": _t_rows_json(model), "lm": lm_json(model.lm)})
 
 
 def _t_table(rows: list, n_src: int, n_tgt: int) -> np.ndarray:
@@ -946,7 +953,8 @@ def _t_table(rows: list, n_src: int, n_tgt: int) -> np.ndarray:
 
 
 def model_from_dict(doc: dict) -> LexModel:
-    """Inverse of model_to_dict; a malformed document raises DataError naming the key."""
+    """The model of a document `model_json` writes; a malformed document
+    raises DataError naming the key."""
     what = "model document"
     if not isinstance(doc, dict) or doc.get("version") != FORMAT_VERSION \
             or doc.get("kind") != "lex":
@@ -975,9 +983,11 @@ def model_json(model: LexModel) -> tuple[str, str]:
     """Stable JSON text of a model's artifact and its content hash.
 
     The text is `model.artifact_json()`: an Ensemble's document lists its
-    members' hashes; any other model's is `model_to_dict`'s, which holds its
-    table, LM and settings. The hash is `content_hash` of that document,
-    memoized for `model_hash`.
+    members' hashes; any other model's holds its table, LM and settings,
+    written from the table's and the LM's arrays (`_lex_json`). The text is
+    `stable_json_dumps` of the document, so the dict form of an artifact is
+    `json.loads` of its text and `model_from_dict` reads it back. The hash
+    is `content_hash` of that document, memoized for `model_hash`.
     """
     text = model.artifact_json()
     return text, model._caches.setdefault("hash", sha256_text(text))

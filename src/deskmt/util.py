@@ -1,5 +1,6 @@
-"""Shared plumbing: deterministic hashing, seed derivation, stable JSON, file
-reading and atomic writes, and the distinct values of an array."""
+"""Shared plumbing: deterministic hashing, seed derivation, stable JSON (also
+written from arrays), file reading and atomic writes, and the distinct
+values of an array."""
 
 from __future__ import annotations
 
@@ -18,6 +19,43 @@ class DataError(ValueError):
 def stable_json_dumps(obj: Any) -> str:
     """Serialize to JSON with a byte-stable layout (sorted keys, fixed separators)."""
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
+def stable_json_object(members: dict[str, Any], texts: dict[str, str]) -> str:
+    """`stable_json_dumps` of the object of `members` and `texts`, whose
+    values are already the stable JSON text of theirs: each member is
+    dumped on its own and every text is spliced in at its key's sorted
+    position, so a writer formats its large members straight from arrays."""
+    values = {key: stable_json_dumps(value) for key, value in members.items()} | texts
+    return "{" + ",".join(f"{stable_json_dumps(key)}:{values[key]}"
+                          for key in sorted(values)) + "}"
+
+
+def pair_runs_json(ids: np.ndarray, values: np.ndarray, sizes: np.ndarray,
+                   heads: np.ndarray | None = None) -> str:
+    """The stable JSON text of a list of runs of [id, value] pairs: run i
+    holds the next sizes[i] pairs of `ids` and `values`, as
+    `[[id, value], ...]`, or as `[heads[i], [[id, value], ...]]` given a
+    (runs, width) array of integer heads.
+
+    The ids are integers and the values finite numbers, whose `repr` is
+    the text `json` writes. The text is one `%` format of a template, with
+    one template per run length, over the numbers as Python objects, so no
+    list or string is built per pair or per run.
+    """
+    n, width = sizes.size, 0 if heads is None else heads.shape[1]
+    numbers = np.empty(n * width + 2 * ids.size, dtype=object)
+    at = width * (np.repeat(np.arange(n), sizes) + 1) + 2 * np.arange(ids.size)
+    numbers[at] = ids
+    numbers[at + 1] = values
+    lengths = sizes.tolist()
+    run = {size: "[" + ",".join(["[%d,%r]"] * size) + "]" for size in set(lengths)}
+    if heads is not None:
+        before = sizes.cumsum() - sizes
+        numbers[(width * np.arange(n) + 2 * before)[:, None] + np.arange(width)] = heads
+        head = "[[" + ",".join(["%d"] * width) + "],"
+        run = {size: head + pairs + "]" for size, pairs in run.items()}
+    return ("[" + ",".join(map(run.__getitem__, lengths)) + "]") % tuple(numbers.tolist())
 
 
 def sha256_bytes(data: bytes) -> str:

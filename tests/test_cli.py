@@ -30,13 +30,13 @@ def workspace(tmp_path_factory):
         assert main(["train", *common, "--swap", "--out", "bwd.json"]) == EXIT_OK
 
         from deskmt.corpus import load_corpus
-        from deskmt.lm import lm_to_dict, train_lm
+        from deskmt.lm import lm_json, train_lm
         from deskmt.subword import encode, load_bpe
         ds = load_corpus("bundle/parallel.tsv", "parallel")
         bpe = load_bpe("bpe.txt")
         lm = train_lm([encode(t, bpe) for _, t in ds.pairs], 2, 0.3)
         with open("lm_tgt.json", "w", encoding="utf-8") as fh:
-            json.dump(lm_to_dict(lm), fh)
+            fh.write(lm_json(lm))
         yield str(root)
     finally:
         os.chdir(old)

@@ -25,10 +25,10 @@ import tempfile
 
 from deskmt.cli import EXIT_OK, main
 from deskmt.corpus import load_corpus
-from deskmt.lm import lm_to_dict, train_lm
+from deskmt.lm import lm_json, train_lm
 from deskmt.search import SearchSpace
 from deskmt.subword import encode, load_bpe
-from deskmt.util import sha256_bytes, sha256_text, stable_json_dumps, write_text_atomic
+from deskmt.util import sha256_bytes, sha256_text, write_text_atomic
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")
 
@@ -93,7 +93,7 @@ def _write_rerank_lm() -> None:
     targets = [encode(t, bpe) for _, t in load_corpus("bundle/parallel.tsv",
                                                       "parallel").pairs]
     lm = train_lm(targets, 2, 0.3)
-    write_text_atomic("lm_tgt.json", stable_json_dumps(lm_to_dict(lm)))
+    write_text_atomic("lm_tgt.json", lm_json(lm))
 
 
 def run_sequence(cwd: str) -> dict:

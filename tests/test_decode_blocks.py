@@ -11,6 +11,7 @@ tests also count the entries it scores against the pools the reference
 builds.
 """
 
+import json
 import random
 from unittest import mock
 
@@ -191,7 +192,7 @@ class TestBlocksEqualSingleSentences:
         kept = translate_corpus(model, sources, 8).to_lists()
         # a copy whose LM has no row table in the cache: its table is made,
         # and cleared, under the cap
-        fresh = tm.model_from_dict(tm.model_to_dict(model))
+        fresh = tm.model_from_dict(json.loads(tm.model_json(model)[0]))
         with mock.patch.object(lm_module, "_CACHE_CAP", cap):
             cleared = translate_corpus(fresh, sources, 8).to_lists()
             table = fresh._row_table()

@@ -1,7 +1,7 @@
 """The LM and model readers on structurally mutated documents.
 
-Each example takes a document written by `lm_to_dict` (a plain and an
-interpolated LM) or `model_to_dict` (a model with a plain and one with a
+Each example takes a document written by `lm_json` (a plain and an
+interpolated LM) or `model_json` (a model with a plain and one with a
 fine-tuned LM), replaces one of its nodes, a leaf or a whole subtree, with
 another JSON value or deletes it, and loads the result. A load either
 succeeds or raises DataError; any other exception is an escape.
@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deskmt.corpus import SIDE_PARALLEL, TaggedDataset, build_mix
-from deskmt.lm import finetune_lm, lm_from_dict, lm_to_dict, train_lm
-from deskmt.tm import em_train, model_from_dict, model_to_dict
+from deskmt.lm import finetune_lm, lm_from_dict, lm_json, train_lm
+from deskmt.tm import em_train, model_from_dict, model_json
 from deskmt.util import DataError
 
 
@@ -28,11 +28,11 @@ def _documents():
     mix = build_mix([TaggedDataset("d", SIDE_PARALLEL, "<t>", pairs=pairs)])
     lm = train_lm([tgt for _, tgt in pairs], 2, 0.3)
     tuned = finetune_lm(lm, [("b", "e"), ("e", "a")], 0.4)
-    docs = {"lm": lm_to_dict(lm), "interpolated lm": lm_to_dict(tuned),
-            "model": model_to_dict(em_train(mix, iterations=1, lm=lm)),
-            "fine-tuned model": model_to_dict(em_train(mix, iterations=1, lm=tuned))}
-    # through JSON text, as the readers meet documents in files
-    return {kind: json.loads(json.dumps(doc)) for kind, doc in docs.items()}
+    texts = {"lm": lm_json(lm), "interpolated lm": lm_json(tuned),
+             "model": model_json(em_train(mix, iterations=1, lm=lm))[0],
+             "fine-tuned model": model_json(em_train(mix, iterations=1, lm=tuned))[0]}
+    # from JSON text, as the readers meet documents in files
+    return {kind: json.loads(text) for kind, text in texts.items()}
 
 
 DOCUMENTS = _documents()

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -14,7 +15,7 @@ from deskmt.tm import (
     NBestBlock,
     em_train,
     model_from_dict,
-    model_to_dict,
+    model_json,
     translate_nbest,
 )
 
@@ -88,7 +89,7 @@ class TestStepLogprob:
         with pytest.raises(ValueError):
             e.t[0, 0] = 0.5
         # also over a member whose own table is writable, which stays so
-        loaded = model_from_dict(model_to_dict(members[0]))
+        loaded = model_from_dict(json.loads(model_json(members[0])[0]))
         e = Ensemble([loaded])
         assert np.shares_memory(e.t, loaded.t) and loaded.t.flags.writeable
         with pytest.raises(ValueError):

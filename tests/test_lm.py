@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import math
 import random
 import sys
@@ -18,13 +19,20 @@ from deskmt.lm import (
     NGramLM,
     finetune_lm,
     lm_from_dict,
-    lm_to_dict,
+    lm_json,
     logprob,
     logprobs,
     perplexity,
     row_table,
     train_lm,
 )
+from deskmt.util import stable_json_dumps
+from reference_docs import lm_to_dict as reference_lm_to_dict
+
+
+def lm_doc(model):
+    """The dict form of an LM's document: `json.loads` of its text."""
+    return json.loads(lm_json(model))
 
 
 def random_corpus(rng, vocab, n_sents, max_len=8):
@@ -219,7 +227,7 @@ class TestSerialization:
         vocab = ["a", "b", "c", "d"]
         corpus = random_corpus(rng, vocab, 40)
         model = train_lm(corpus, order=3, k=0.35)
-        loaded = lm_from_dict(lm_to_dict(model))
+        loaded = lm_from_dict(lm_doc(model))
         for _ in range(50):
             sent = tuple(rng.choice(vocab + ["oov"]) for _ in range(rng.randint(1, 6)))
             assert logprob(loaded, sent) == logprob(model, sent)
@@ -227,21 +235,21 @@ class TestSerialization:
     def test_interpolated_round_trip(self):
         base = train_lm([("a", "b")] * 6, order=2, k=0.2)
         mixed = finetune_lm(base, [("b", "c")] * 6, alpha=0.3)
-        loaded = lm_from_dict(lm_to_dict(mixed))
+        loaded = lm_from_dict(lm_doc(mixed))
         for sent in [("a", "b"), ("b", "c"), ("c", "a")]:
             assert logprob(loaded, sent) == logprob(mixed, sent)
 
     @pytest.mark.parametrize("key", ["kind", "order", "vocab", "counts", "k",
                                      "token_total"])
     def test_missing_key_is_data_error(self, key):
-        doc = lm_to_dict(train_lm([("a", "b")] * 3, order=2, k=0.2))
+        doc = lm_doc(train_lm([("a", "b")] * 3, order=2, k=0.2))
         del doc[key]
         with pytest.raises(DataError, match=repr(key)):
             lm_from_dict(doc)
 
     def test_missing_interpolated_part_is_data_error(self):
         base = train_lm([("a", "b")] * 6, order=2, k=0.2)
-        doc = lm_to_dict(finetune_lm(base, [("b", "c")] * 6, alpha=0.3))
+        doc = lm_doc(finetune_lm(base, [("b", "c")] * 6, alpha=0.3))
         del doc["indomain"]
         with pytest.raises(DataError, match="'indomain'"):
             lm_from_dict(doc)
@@ -256,10 +264,71 @@ class TestSerialization:
                                             pytest.param("k", 10**400, id="k-huge"),
                                             pytest.param("k", -10**400, id="k-minus-huge")])
     def test_wrong_type_is_data_error(self, key, value):
-        doc = lm_to_dict(train_lm([("a", "b")] * 3, order=2, k=0.2))
+        doc = lm_doc(train_lm([("a", "b")] * 3, order=2, k=0.2))
         doc[key] = value
         with pytest.raises(DataError, match=repr(key)):
             lm_from_dict(doc)
+
+
+# symbols JSON must escape or keep as they are: quotes, backslashes, control
+# and non-ASCII characters
+_LM_SYMBOLS = st.text(st.sampled_from(["a", "b", '"', "\\", "\x01", "\x7f", "é", "中"]),
+                      min_size=1, max_size=2)
+# sentence weights: whole, fractional, at repr's exponent switch, and large
+_WEIGHTS = st.sampled_from([1, 3, 0.5, 0.1, 2.75, 1e-05, 9.999999999999999e-05, 0.0001,
+                            1e16, 1 / 3])
+
+
+@st.composite
+def _lms(draw, interpolated):
+    vocab = draw(st.lists(_LM_SYMBOLS, min_size=1, max_size=4, unique=True))
+    sentences = st.lists(st.lists(st.sampled_from(vocab), max_size=5).map(tuple),
+                         min_size=1, max_size=5)
+    corpus = draw(sentences)
+    weights = draw(st.none() | st.lists(_WEIGHTS, min_size=len(corpus), max_size=len(corpus)))
+    lm = train_lm(corpus, draw(st.integers(1, 4)), draw(st.sampled_from([0.1, 0.5, 1.0])),
+                  weights=weights)
+    if interpolated:
+        lm = finetune_lm(lm, draw(sentences), draw(st.sampled_from([0.0, 0.25, 1.0])))
+    return lm
+
+
+class TestLmJson:
+    """`lm_json` writes the text from the count arrays; it is the stable
+    JSON of the reference `lm_to_dict`'s document (tests/reference_docs.py)
+    and a fixed point of `stable_json_dumps` after `json.loads`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), interpolated=st.booleans())
+    def test_text_is_the_stable_json_of_the_document(self, data, interpolated):
+        lm = data.draw(_lms(interpolated))
+        text = lm_json(lm)
+        assert text == stable_json_dumps(reference_lm_to_dict(lm))
+        assert stable_json_dumps(json.loads(text)) == text
+        assert lm_json(lm_from_dict(json.loads(text))) == text
+
+    def test_counts_at_the_exponent_switch_and_the_float_ends(self):
+        counts = [1e-05, 9.999999999999999e-05, 0.0001, 1e16, 5e-324, 0.1]
+        vocab = ['q"', "b\\s", "\x01", "é", "中", "😀"]
+        lm = train_lm([(w,) for w in vocab], 1, 0.5, weights=counts)
+        text = lm_json(lm)
+        assert text == stable_json_dumps(reference_lm_to_dict(lm))
+        spelled = [repr(c) for c in counts]
+        assert spelled == ["1e-05", "9.999999999999999e-05", "0.0001", "1e+16", "5e-324", "0.1"]
+        items = ",".join(f"[{lm.sym_id[w]},{c}]" for w, c in sorted(zip(vocab, spelled)))
+        assert f'"counts":[[[[],[{items}]]]]' in text
+        assert json.loads(text)["vocab"] == list(lm.vocab)
+        loaded = lm_from_dict(json.loads(text))
+        for level in range(lm.order):
+            assert np.array_equal(loaded._count_vals[level], lm._count_vals[level])
+
+    def test_interpolated_parts_nest(self):
+        base = train_lm([("a", "b", "a")], 3, 0.2, weights=[0.5])
+        lm = finetune_lm(base, [("b", "c")], 0.3)
+        text = lm_json(lm)
+        assert text == stable_json_dumps(reference_lm_to_dict(lm))
+        assert text.startswith('{"alpha":0.3,"base":{"counts":[[[[],[[0,1.0],[1,0.5]]]],')
+        assert text.endswith('"kind":"interpolated","version":1}')
 
 
 def reference_logprob(model, sentence):
@@ -322,7 +391,7 @@ def scalar_counts(model):
     """Per level, context ids -> {word id: count} and context ids -> total,
     as the scalar scorer kept them, rebuilt from the model's document."""
     counts = [{tuple(ctx): dict(items) for ctx, items in level}
-              for level in lm_to_dict(model)["counts"]]
+              for level in lm_doc(model)["counts"]]
     totals = [{ctx: float(sum(c.values())) for ctx, c in level.items()} for level in counts]
     return counts, totals
 
@@ -460,7 +529,7 @@ class TestMalformedCounts:
     """`lm_from_dict` rejects bad ids and counts with a DataError naming 'counts'."""
 
     def doc(self):
-        return lm_to_dict(train_lm([("a", "b"), ("b", "a", "a")], order=2, k=0.2))
+        return lm_doc(train_lm([("a", "b"), ("b", "a", "a")], order=2, k=0.2))
 
     @pytest.mark.parametrize("where, value", [
         ("word", 1000000), ("word", 1.5), ("word", True), ("word", -1),
@@ -543,7 +612,7 @@ class TestMalformedCounts:
         loaded = lm_from_dict(doc)
         for sent in [("a", "zz", "b"), ("b",)]:
             assert logprob(loaded, sent) == logprob(listed, sent)
-        assert lm_to_dict(loaded) == lm_to_dict(listed)
+        assert lm_json(loaded) == lm_json(listed)
 
 
 # Tokens of the bit-identity properties: a literal "<s>" may occur in training
@@ -614,7 +683,7 @@ def lm_state(model, context):
     parts = [model] if isinstance(model, NGramLM) else [model.base, model.indomain]
     states = []
     for part in parts:
-        nodes = [{tuple(ctx) for ctx, _ in level} for level in lm_to_dict(part)["counts"]]
+        nodes = [{tuple(ctx) for ctx, _ in level} for level in lm_doc(part)["counts"]]
         bos = len(part.syms)
         ids = tuple(bos if t == "<s>" else part.sym_id.get(t, bos - 1) for t in context)
         ids = (bos,) * (part.order - 1 - len(ids)) + ids

@@ -51,9 +51,6 @@ UNCALLED = {
                     "bench/layertrace.py wraps it by name",
     "mine.jaccard": "the per-pair token similarity that _jaccards batches; "
                     "bench/layertrace.py wraps it by name",
-    "tm.model_to_dict": "a model's document as a dict, the inverse of model_from_dict, "
-                        "for library users; model_json writes the same document's "
-                        "text a table row at a time",
     "cache.cache_counts": "the decoder cache's hits, builds and evictions, the "
                           "source of its figures for run events and library users",
 }

@@ -7,7 +7,6 @@ symbols are its distinct tokens, and reranks to the bytes the decoder's own
 block gives.
 """
 
-import json
 import random
 
 import numpy as np
@@ -16,7 +15,7 @@ import pytest
 from deskmt import augment, metrics, rerank as rerank_module, search, synth, tm
 from deskmt.cli import EXIT_OK, main
 from deskmt.corpus import UNK_TOKEN, build_mix, swap_direction
-from deskmt.lm import lm_to_dict, train_lm
+from deskmt.lm import lm_json, train_lm
 from deskmt.metrics import EvalContext
 from deskmt.rerank import (NoisyChannelWeights, RerankContext, read_nbest_file, rerank,
                            tune_lambdas, write_nbest_file)
@@ -106,9 +105,9 @@ class TestFileAndDecoderPathsAgree:
         write_nbest_file(translate_corpus(system["fwd"], sources, 8).to_lists(),
                          str(tmp_path / "plain.txt"))
         with open(tmp_path / "bwd.json", "w", encoding="utf-8") as fh:
-            json.dump(tm.model_to_dict(system["bwd"]), fh)
+            fh.write(tm.model_json(system["bwd"])[0])
         with open(tmp_path / "lm.json", "w", encoding="utf-8") as fh:
-            json.dump(lm_to_dict(system["lm"]), fh)
+            fh.write(lm_json(system["lm"]))
         monkeypatch.chdir(tmp_path)
         assert main(["rerank", "--nbest-file", "plain.txt", "--channel-model", "bwd.json",
                      "--lm", "lm.json", "--lambda1", repr(lambdas[0]),

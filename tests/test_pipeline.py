@@ -24,6 +24,7 @@ from deskmt.subword import learn_bpe, save_bpe
 from deskmt.synth import gen_corpora, make_spec
 from deskmt.tm import NBestEntry, NBestList, em_train
 from deskmt.util import DataError, read_json, sha256_text
+from reference_docs import model_to_dict
 
 
 def tiny_bundle(seed=3):
@@ -375,7 +376,7 @@ class TestNoRecomputation:
 
         bundle = tiny_bundle()
         mix = build_mix([bundle.parallel])
-        fresh = content_hash(tm.model_to_dict(em_train(mix, 2)))
+        fresh = content_hash(model_to_dict(em_train(mix, 2)))
         hashed_first = em_train(mix, 2)
         saved_first = em_train(mix, 2)
         assert tm.model_hash(hashed_first) == fresh
@@ -389,8 +390,8 @@ class TestNoRecomputation:
         def no_serialization(*args):
             raise AssertionError("model_hash serialized a model twice")
 
-        # every serialization of a model builds its document here
-        monkeypatch.setattr(tm, "_lex_document", no_serialization)
+        # every serialization of a model writes its text here
+        monkeypatch.setattr(tm, "_lex_json", no_serialization)
         assert tm.model_hash(hashed_first) == fresh
         assert tm.model_hash(saved_first) == fresh
         assert tm.model_hash(Ensemble([hashed_first, saved_first])) == \

@@ -27,12 +27,17 @@ from deskmt.tm import (
     channel_scores,
     em_train,
     model_from_dict,
-    model_to_dict,
     pair_channel_scores,
     translate_corpus,
     translate_nbest,
 )
 from deskmt.util import content_hash, stable_json_dumps
+from reference_docs import model_to_dict as reference_model_to_dict
+
+
+def model_doc(model):
+    """The dict form of a model's artifact: `json.loads` of its text."""
+    return json.loads(tm_module.model_json(model)[0])
 
 
 def mix_of(pairs, tag="<t>", upsample=1):
@@ -595,7 +600,7 @@ class TestSerialization:
         rng = random.Random(3)
         mix = random_mix(rng, 12)
         model = em_train(mix, iterations=3, window=1, lm_weight=0.4)
-        loaded = model_from_dict(model_to_dict(model))
+        loaded = model_from_dict(model_doc(model))
         assert np.array_equal(loaded.t, model.t)
         assert loaded.src_vocab == model.src_vocab
         x = mix.datasets[0].pairs[0][0]
@@ -605,7 +610,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("key", ["beam", "t_rows", "src_vocab", "lm"])
     def test_missing_key_is_data_error(self, key):
-        doc = model_to_dict(em_train(random_mix(random.Random(4), 8), iterations=1))
+        doc = model_doc(em_train(random_mix(random.Random(4), 8), iterations=1))
         del doc[key]
         with pytest.raises(DataError, match=repr(key)):
             model_from_dict(doc)
@@ -620,7 +625,7 @@ class TestSerialization:
                                             pytest.param("unk_floor", -10**400,
                                                          id="unk_floor-minus-huge")])
     def test_wrong_type_is_data_error(self, key, value):
-        doc = model_to_dict(em_train(random_mix(random.Random(4), 8), iterations=1))
+        doc = model_doc(em_train(random_mix(random.Random(4), 8), iterations=1))
         doc[key] = value
         with pytest.raises(DataError, match=repr(key)):
             model_from_dict(doc)
@@ -630,7 +635,7 @@ class TestSerialization:
         [[0, math.inf]], [[0, 7.0]], [[0, True]], [[0, "0.5"]], [[0, 0.5], [0, 0.25]],
         [[0]], [[0, 0.5, 1]], [0], "row"])
     def test_bad_table_row_is_data_error(self, row):
-        doc = model_to_dict(em_train(random_mix(random.Random(4), 8), iterations=1))
+        doc = model_doc(em_train(random_mix(random.Random(4), 8), iterations=1))
         doc["t_rows"][1] = row
         with pytest.raises(DataError, match="'t_rows'"):
             model_from_dict(doc)
@@ -639,13 +644,13 @@ class TestSerialization:
         ["x"], [[1]], [None], [True], [-1.5, False], [math.nan], [-math.inf], [math.inf],
         [10**400], {"0": -1.0}, "trace"])
     def test_bad_train_ll_trace_is_data_error(self, trace):
-        doc = model_to_dict(em_train(random_mix(random.Random(4), 8), iterations=1))
+        doc = model_doc(em_train(random_mix(random.Random(4), 8), iterations=1))
         doc["train_ll_trace"] = trace
         with pytest.raises(DataError, match="'train_ll_trace'"):
             model_from_dict(doc)
 
     def test_train_ll_trace_of_numbers_loads(self):
-        doc = model_to_dict(em_train(random_mix(random.Random(4), 8), iterations=2))
+        doc = model_doc(em_train(random_mix(random.Random(4), 8), iterations=2))
         assert len(doc["train_ll_trace"]) == 2
         doc["train_ll_trace"] += [-3, 0, -1e300]
         assert model_from_dict(doc).train_ll_trace == tuple(doc["train_ll_trace"])
@@ -653,18 +658,18 @@ class TestSerialization:
         assert model_from_dict(doc).train_ll_trace == ()
 
     def test_table_ids_past_the_vocabularies_are_data_errors(self):
-        doc = model_to_dict(em_train(random_mix(random.Random(4), 8), iterations=1))
+        doc = model_doc(em_train(random_mix(random.Random(4), 8), iterations=1))
         doc["t_rows"][1] = [[len(doc["tgt_vocab"]), 0.5]]
         with pytest.raises(DataError, match="'t_rows'"):
             model_from_dict(doc)
-        doc = model_to_dict(em_train(random_mix(random.Random(4), 8), iterations=1))
+        doc = model_doc(em_train(random_mix(random.Random(4), 8), iterations=1))
         doc["t_rows"].append([])
         with pytest.raises(DataError, match="'t_rows'"):
             model_from_dict(doc)
 
     def test_table_bounds_load(self):
         # 0 and 1, as ints or floats, and an empty row are well formed
-        doc = model_to_dict(em_train(random_mix(random.Random(4), 8), iterations=1))
+        doc = model_doc(em_train(random_mix(random.Random(4), 8), iterations=1))
         doc["t_rows"][1:3] = [[[0, 1], [1, 0.0]], []]
         t = model_from_dict(doc).t
         assert t[1, :2].tolist() == [1.0, 0.0] and not t[1, 2:].any() and not t[2].any()
@@ -698,16 +703,19 @@ def _models(draw, interpolated):
 
 
 class TestModelJson:
-    """`model_json` writes the table a row at a time; its text is still the
-    stable JSON of `model_to_dict`'s document, with the same hash."""
+    """`model_json` writes the text from the table's and the LM's arrays; it
+    is the stable JSON of the reference `model_to_dict`'s document
+    (tests/reference_docs.py), with the same hash, and a fixed point of
+    `stable_json_dumps` after `json.loads`."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), interpolated=st.booleans())
     def test_text_is_the_stable_json_of_the_document(self, data, interpolated):
         model = data.draw(_models(interpolated))
-        doc = model_to_dict(model)
+        doc = reference_model_to_dict(model)
         text, digest = tm_module.model_json(model)
         assert text == stable_json_dumps(doc)
+        assert stable_json_dumps(json.loads(text)) == text
         assert digest == content_hash(doc) == tm_module.model_hash(model)
 
     @pytest.mark.parametrize("interpolated", [False, True])
@@ -718,12 +726,103 @@ class TestModelJson:
         if interpolated:
             lm = finetune_lm(lm, [tgt[1:]], 0.3)
         model = LexModel(src, tgt, t, lm)
-        doc = model_to_dict(model)
+        doc = reference_model_to_dict(model)
         assert doc["t_rows"] == [[], [[0, 5e-324], [1, 1.0]], [[0, 0.25], [1, 1e-310], [2, 0.75]]]
         assert doc["lm"]["kind"] == ("interpolated" if interpolated else "ngram")
         text, digest = tm_module.model_json(model)
         assert text == stable_json_dumps(doc) and digest == content_hash(doc)
         assert model_from_dict(json.loads(text)).t.tobytes() == t.tobytes()
+
+
+    def test_probabilities_at_the_exponent_switch(self):
+        t = np.array([[0.0, 1e-05, 9.999999999999999e-05], [0.0001, 0.5, 1.0]])
+        model = LexModel((NULL, "a"), ("x", "y", "z"), t, train_lm([("x",)], 1, 0.5))
+        text = tm_module.model_json(model)[0]
+        assert text == stable_json_dumps(reference_model_to_dict(model))
+        assert '"t_rows":[[[1,1e-05],[2,9.999999999999999e-05]],[[0,0.0001],[1,0.5],[2,1.0]]]' \
+            in text
+
+
+class TestTableChecks:
+    """A model's table is a (|src_vocab|, |tgt_vocab|) array of
+    probabilities in [0, 1], so its document reads back; any other table is
+    a DataError naming 't'."""
+
+    LM = train_lm([("x", "y")], 1, 0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5, 7.0,
+                                       1.0000000000000002, -5e-324])
+    def test_values_outside_the_unit_interval(self, value):
+        t = np.array([[0.5, 0.5], [0.25, 0.75]])
+        t[1, 0] = value
+        with pytest.raises(DataError, match="'t'"):
+            LexModel((NULL, "a"), ("x", "y"), t, self.LM)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 2), (2, 3), (2, 1), (2,), (4,), (2, 2, 1),
+                                       ()])
+    def test_shapes_other_than_the_vocabularies(self, shape):
+        with pytest.raises(DataError, match="'t'"):
+            LexModel((NULL, "a"), ("x", "y"), np.full(shape, 0.5), self.LM)
+
+    @pytest.mark.parametrize("src, tgt, t", [
+        ((NULL, "a"), ("x", "y"), [[0.0, 1.0], [1.0, -0.0]]),
+        ((NULL, "a"), ("x", "y"), [[5e-324, 0.0], [0.0, 0.0]]),
+        ((NULL, "a"), (), np.zeros((2, 0))),
+        ((NULL,), ("x", "y", "z"), [[0.25, 0.5, 0.25]])])
+    def test_tables_that_read_back(self, src, tgt, t):
+        t = np.array(t, dtype=float).reshape(len(src), len(tgt))
+        model = LexModel(src, tgt, t, self.LM)
+        assert np.array_equal(model_from_dict(model_doc(model)).t, t)
+
+
+def reference_candidate_table(model):
+    """`_build_candidate_table` as it was written with one three-key sort."""
+    ns, nt = model.t.shape
+    rows, ids = np.nonzero(model.t)
+    lex = np.log(model.t[rows, ids])
+    by_lex = np.lexsort((ids, -lex, rows))
+    ids, lex = ids[by_lex], lex[by_lex]
+    count = np.bincount(rows, minlength=ns + 1)
+    start = count.cumsum() - count
+    empty = count == 0
+    start[empty], count[empty] = ids.size, 1
+    return (np.append(ids, nt), np.append(lex, np.log(model.unk_floor)), start, count)
+
+
+# distinct probabilities whose natural logs are equal
+_SAME_LOG = [(p, np.nextafter(p, 1.0)) for p in (1e-300, 1e-3)]
+_CANDIDATE_PROBABILITIES = st.sampled_from(
+    [0.0, 0.0, 0.25, 0.5, 1.0, 5e-324] + [p for pair in _SAME_LOG for p in pair]) \
+    | st.floats(0.0, 1.0)
+
+
+class TestCandidateTable:
+    """The candidate table's two stable sorts give the order of one
+    lexsort by (row, -lex, id)."""
+
+    def test_the_equal_logs_exist(self):
+        for p, q in _SAME_LOG:
+            assert p != q and np.log(p) == np.log(q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), ns=st.integers(1, 6), nt=st.integers(0, 7))
+    def test_matches_the_lexsort_reference(self, data, ns, nt):
+        t = np.array(data.draw(st.lists(_CANDIDATE_PROBABILITIES, min_size=ns * nt,
+                                        max_size=ns * nt)), dtype=float).reshape(ns, nt)
+        model = LexModel((NULL,) + tuple(f"s{i}" for i in range(1, ns)),
+                         tuple(f"t{j}" for j in range(nt)), t, TestTableChecks.LM)
+        got = model._build_candidate_table()
+        want = reference_candidate_table(model)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_ties_keep_the_ascending_ids(self):
+        p, q = _SAME_LOG[1]
+        t = np.array([[0.25, 0.5, 0.25, 0.5], [q, p, 0.0, q]])
+        model = LexModel((NULL, "a"), ("w", "x", "y", "z"), t, TestTableChecks.LM)
+        ids, _, start, count = model._build_candidate_table()
+        assert ids.tolist() == [1, 3, 0, 2, 0, 1, 3, 4]
+        assert start.tolist() == [0, 4, 7] and count.tolist() == [4, 3, 1]
 
 
 class TestDecoderSettings:
@@ -743,7 +842,7 @@ class TestDecoderSettings:
         with pytest.raises(DataError, match="'lm_weight'"):
             LexModel((NULL, "a"), ("x",), np.ones((2, 1)), train_lm([("x",)], 1, 0.5),
                      lm_weight=value)
-        doc = model_to_dict(self.build())
+        doc = model_doc(self.build())
         doc["lm_weight"] = value
         with pytest.raises(DataError, match="'lm_weight'"):
             model_from_dict(doc)
@@ -753,7 +852,7 @@ class TestDecoderSettings:
         with pytest.raises(DataError, match="'unk_floor'"):
             LexModel((NULL, "a"), ("x",), np.ones((2, 1)), train_lm([("x",)], 1, 0.5),
                      unk_floor=value)
-        doc = model_to_dict(self.build())
+        doc = model_doc(self.build())
         doc["unk_floor"] = value
         with pytest.raises(DataError, match="'unk_floor'"):
             model_from_dict(doc)
@@ -765,7 +864,7 @@ class TestDecoderSettings:
         for lm_weight, unk_floor in [(0.0, 1.0), (tm_module.LM_WEIGHT_MAX, 5e-324)]:
             model = LexModel((NULL, "a"), ("x", "y"), t, lm, lm_weight=lm_weight,
                              unk_floor=unk_floor)
-            loaded = model_from_dict(model_to_dict(model))
+            loaded = model_from_dict(model_doc(model))
             assert (loaded.lm_weight, loaded.unk_floor) == (lm_weight, unk_floor)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")

@@ -8,7 +8,39 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import deskmt
-from deskmt.util import DataError, read_json, read_text, sorted_distinct
+from deskmt.util import (DataError, pair_runs_json, read_json, read_text, sorted_distinct,
+                         stable_json_dumps, stable_json_object)
+
+
+class TestJsonFromArrays:
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 4), max_size=6), width=st.none() | st.integers(0, 3),
+           data=st.data())
+    def test_pair_runs_are_the_stable_json_of_the_lists(self, sizes, width, data):
+        n = sum(sizes)
+        ids = data.draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
+        values = data.draw(st.lists(st.sampled_from([0.0, 5e-324, 1e-05, 1e16, 1.0, 2])
+                                    | st.floats(-1e300, 1e300), min_size=n, max_size=n))
+        heads = data.draw(st.lists(st.lists(st.integers(0, 99), min_size=width or 0,
+                                            max_size=width or 0),
+                                   min_size=len(sizes), max_size=len(sizes)))
+        runs, at = [], 0
+        for size, head in zip(sizes, heads):
+            pairs = [[i, float(v)] for i, v in zip(ids[at:at + size], values[at:at + size])]
+            runs.append(pairs if width is None else [head, pairs])
+            at += size
+        text = pair_runs_json(np.array(ids, dtype=np.int64), np.array(values, dtype=float),
+                              np.array(sizes, dtype=np.intp),
+                              None if width is None else
+                              np.array(heads, dtype=np.int64).reshape(len(sizes), width))
+        assert text == stable_json_dumps(runs)
+
+    def test_object_splices_texts_at_their_sorted_keys(self):
+        members = {"z": [1, "é"], "a": 0.5, "m\"": None}
+        texts = {"b": "[1,2]", "n": '{"x":1}'}
+        assert stable_json_object(members, texts) == stable_json_dumps(
+            members | {"b": [1, 2], "n": {"x": 1}})
+        assert stable_json_object({}, {}) == "{}"
 
 
 class TestReadText:
