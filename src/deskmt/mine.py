@@ -5,17 +5,22 @@ lexicon-augmented token Jaccard similarity, then reduced to a one-to-one
 matching greedily. Within matched documents, sentence pairs are scored by the
 length-normalized lexical channel score and greedily selected above a floor.
 
-Both score matrices are built whole rather than pair by pair. The URL
-similarities come from one exact edit-distance DP per URL of one side, run
-over all URLs of the other side at once as padded code-point arrays: each DP
-row is an array minimum of the deletion and substitution moves followed by a
-running minimum for the insertions. Each document's token set is built once;
-the intersection sizes of all pairs come from one matmul of 0/1 token
-incidence matrices. In a matched document pair, every sentence of one side
-is scored against every sentence of the other with one batched channel call.
-Distances and set sizes are exact integers, so every similarity is the same
-float the per-pair definitions `lev_sim` and `jaccard` give, and each
-sentence-pair score is the one `channel_scores` gives for that pair alone.
+A mining pass works in a few whole-array passes rather than pair by pair.
+The URL similarities come from one exact edit-distance DP per URL of one
+side, run over all URLs of the other side at once as padded code-point
+arrays, on the middles left once the prefix all URLs share and the suffix
+their remainders share are cut: each DP row is an array minimum of the
+deletion and substitution moves followed by a running minimum for the
+insertions. Each document's token set is built once; the intersection sizes
+of all pairs come from one matmul of 0/1 token incidence matrices. The
+sentence pairs of all matched document pairs are scored together, a bounded
+number per batched channel call (`_ALIGN_PAIRS`). `greedy_match` runs on a
+score array in rounds that accept every pair best in both its row and its
+column at once. Distances and set sizes are exact integers, so every
+similarity is the same float the per-pair definitions `lev_sim` and
+`jaccard` give; each sentence-pair score is the one `channel_scores` gives
+for that pair alone, and each matching is the one a scan of the pairs in
+(-score, row, column) order gives.
 """
 
 from __future__ import annotations
@@ -71,26 +76,36 @@ def jaccard(a: WebDoc, b: WebDoc, lexicon: dict[str, str]) -> float:
 def _lev_sims(urls_a: list[str], urls_b: list[str]) -> np.ndarray:
     """lev_sim of every (a, b) pair, one exact edit-distance DP per a.
 
-    The b strings are padded code-point arrays and each row of the DP over
+    A prefix or suffix that two strings share never changes their distance,
+    so the DP runs on the middles only: the prefix all URLs of both sides
+    share is cut first, then the suffix the remainders share, so the two
+    cuts never overlap. Each similarity still divides by the full lengths.
+    The b middles are padded code-point arrays and each row of the DP over
     all of them is two array steps: the deletion and substitution moves,
     then the insertion chain as a running minimum of row[j] - j.
     """
-    lens_b = np.array([len(b) for b in urls_b], dtype=np.int64)
+    head = len(os.path.commonprefix(urls_a + urls_b))
+    rests = [url[head:] for url in urls_a + urls_b]
+    tail = len(os.path.commonprefix([rest[::-1] for rest in rests]))
+    mids = [rest[:len(rest) - tail] for rest in rests]
+    mids_a, mids_b = mids[:len(urls_a)], mids[len(urls_a):]
+    lens_b = np.array([len(b) for b in mids_b], dtype=np.int64)
     cols = np.arange(int(lens_b.max(initial=0)) + 1)
-    codes = np.full((len(urls_b), len(cols) - 1), -1, dtype=np.int64)
-    for k, b in enumerate(urls_b):
+    codes = np.full((len(mids_b), len(cols) - 1), -1, dtype=np.int64)
+    for k, b in enumerate(mids_b):
         codes[k, :len(b)] = [ord(ch) for ch in b]
-    rows = np.arange(len(urls_b))
-    dists = np.empty((len(urls_a), len(urls_b)), dtype=np.int64)
-    for k, a in enumerate(urls_a):
-        prev = np.broadcast_to(cols, (len(urls_b), len(cols)))
+    rows = np.arange(len(mids_b))
+    dists = np.empty((len(mids_a), len(mids_b)), dtype=np.int64)
+    for k, a in enumerate(mids_a):
+        prev = np.broadcast_to(cols, (len(mids_b), len(cols)))
         for i, ch in enumerate(a, 1):
             t = np.empty_like(prev)
             t[:, 0] = i
             np.minimum(prev[:, 1:] + 1, prev[:, :-1] + (codes != ord(ch)), out=t[:, 1:])
             prev = np.minimum.accumulate(t - cols, axis=1) + cols
         dists[k] = prev[rows, lens_b]
-    longest = np.maximum(lens_b, np.array([len(a) for a in urls_a])[:, None])
+    longest = np.maximum(np.array([len(b) for b in urls_b], dtype=np.int64),
+                         np.array([len(a) for a in urls_a], dtype=np.int64)[:, None])
     sims = np.ones(dists.shape)
     np.subtract(1.0, dists / np.maximum(longest, 1), out=sims, where=longest > 0)
     return sims
@@ -133,39 +148,71 @@ def build_lexicon(model: LexModel, min_prob: float = 0.1) -> dict[str, str]:
     return lexicon
 
 
-def greedy_match(sims: list[list[float]], threshold: float) -> list[tuple[int, int]]:
+def greedy_match(sims, threshold: float) -> list[tuple[int, int]]:
     """Greedy one-to-one bipartite matching over a similarity matrix.
 
     Pairs are visited by similarity descending (ties: lower row, then lower
     column) and accepted when both endpoints are unused and the similarity
-    reaches the threshold.
+    reaches the threshold; the accepted pairs are returned in that order.
+    Every entry must be finite, whatever the threshold.
+
+    `sims` is a 2-D array (or nested lists). The scan's result is computed
+    in rounds over the whole array: under that strict order, a pair that
+    reaches the threshold and comes first in both its row and its column
+    among the unused rows and columns is accepted by the scan, since no
+    pair before it can use either endpoint. Each round accepts every such
+    pair at once and drops their rows and columns; the accepted pairs are
+    then sorted into scan order.
     """
-    candidates = []
-    for i, row in enumerate(sims):
-        for j, sim in enumerate(row):
-            if sim != sim or sim in (float("inf"), float("-inf")):
-                raise DataError("similarity matrix must contain finite scores")
-            candidates.append((-sim, i, j))
-    candidates.sort()
-    used_a: set[int] = set()
-    used_b: set[int] = set()
-    matches = []
-    for neg_sim, i, j in candidates:
-        if -neg_sim < threshold:
+    sims = np.asarray(sims, dtype=np.float64)
+    if sims.size == 0:
+        return []
+    if not np.isfinite(sims).all():
+        raise DataError("similarity matrix must contain finite scores")
+    # -inf marks a pair that can no longer be accepted; every score is finite
+    live = np.where(sims < threshold, -np.inf, sims)
+    rows, cols = np.arange(sims.shape[0]), np.arange(sims.shape[1])
+    found_rows, found_cols = [rows[:0]], [cols[:0]]
+    while rows.size and cols.size:
+        here = np.arange(rows.size)
+        best_col = live.argmax(axis=1)   # argmax keeps the first of tied maxima
+        best_row = live.argmax(axis=0)
+        mutual = (best_row[best_col] == here) & (live[here, best_col] > -np.inf)
+        if not mutual.any():
             break
-        if i in used_a or j in used_b:
-            continue
-        used_a.add(i)
-        used_b.add(j)
-        matches.append((i, j))
-    return matches
+        hit_cols = best_col[mutual]
+        found_rows.append(rows[mutual])
+        found_cols.append(cols[hit_cols])
+        keep_cols = np.ones(cols.size, dtype=bool)
+        keep_cols[hit_cols] = False
+        live = live[~mutual][:, keep_cols]
+        rows, cols = rows[~mutual], cols[keep_cols]
+    i, j = np.concatenate(found_rows), np.concatenate(found_cols)
+    order = np.lexsort((j, i, -sims[i, j]))
+    return list(zip(i[order].tolist(), j[order].tolist()))
 
 
 def match_documents(docs_a: list[WebDoc], docs_b: list[WebDoc],
                     lexicon: dict[str, str], threshold: float) -> list[DocMatch]:
     sims = (_lev_sims([a.url for a in docs_a], [b.url for b in docs_b])
-            * _jaccards(docs_a, docs_b, lexicon)).tolist()
-    return [DocMatch(i, j, sims[i][j]) for i, j in greedy_match(sims, threshold)]
+            * _jaccards(docs_a, docs_b, lexicon))
+    return [DocMatch(i, j, float(sims[i, j])) for i, j in greedy_match(sims, threshold)]
+
+
+# Sentence pairs scored per `pair_channel_scores` call when aligning the
+# matched document pairs; a call's pairs may come from several document
+# pairs, and one document pair's from several calls. On the bench's `mine`
+# inputs (seed 1: 60 matched document pairs of 30 x 30 sentences, 54,000
+# pairs), the alignment's traced heap (tracemalloc) peaked 1.61 MB above
+# what `mine_bitext` starts with at this bound (7 calls), against 1.31 MB
+# at 4096 pairs, 2.17 MB at 16384 and 5.03 MB as one call; `em_train` on
+# the same inputs peaks at 2.48 MB. From 4096 pairs to one call,
+# `mine_bitext` took 65-110 ms a run on a shared 2-core host, no bound
+# faster than another beyond that spread. One call per document pair (a
+# bound of 900 here) took a median of 125 ms against 72 ms at this bound
+# (27 interleaved runs each): `pair_channel_scores` loops once per
+# sentence-length shape in a call.
+_ALIGN_PAIRS = 8192
 
 
 def align_sentences(doc_a: WebDoc, doc_b: WebDoc, model: LexModel,
@@ -173,17 +220,69 @@ def align_sentences(doc_a: WebDoc, doc_b: WebDoc, model: LexModel,
     """Greedy one-to-one sentence pairs scored by the per-token channel score.
 
     The model scores doc_a sentences given doc_b sentences (its source side is
-    doc_b's language); pairs below the floor are discarded.
+    doc_b's language): a pair's score is its `pair_channel_scores` score over
+    the doc_a sentence's length, and `greedy_match` keeps pairs at or above
+    the floor. An empty doc_a sentence to score is a DataError. This is the
+    one-pair case of the aligner `mine_bitext` runs over all its matches at
+    once, and gives the triples that aligner gives for the pair.
     """
-    height, width = len(doc_a.sentences), len(doc_b.sentences)
-    flat = pair_channel_scores(model, list(doc_a.sentences), list(doc_b.sentences),
-                               np.arange(height).repeat(width),
-                               np.tile(np.arange(width), height)).tolist()
-    scores = [[score / len(sa) for score in flat[i * width:(i + 1) * width]]
-              for i, sa in enumerate(doc_a.sentences)]
-    selected = greedy_match(scores, floor) if scores else []
-    return [(doc_a.sentences[i], doc_b.sentences[j], scores[i][j])
-            for i, j in selected]
+    return _align([(doc_a, doc_b)], model, floor)
+
+
+def _align(doc_pairs: list[tuple[WebDoc, WebDoc]], model: LexModel,
+           floor: float) -> list[tuple[Sentence, Sentence, float]]:
+    """`align_sentences` of every document pair, concatenated in order.
+
+    The sentence pairs of all document pairs are numbered end to end, each
+    document pair's row by row, and scored `_ALIGN_PAIRS` at a time; a
+    score does not depend on the pairs it is computed with.
+    """
+    xs = [sent for doc_a, _ in doc_pairs for sent in doc_a.sentences]
+    ys = [sent for _, doc_b in doc_pairs for sent in doc_b.sentences]
+    heights = np.array([len(doc_a.sentences) for doc_a, _ in doc_pairs], dtype=np.intp)
+    widths = np.array([len(doc_b.sentences) for _, doc_b in doc_pairs], dtype=np.intp)
+    sizes = heights * widths
+    x_first, y_first = heights.cumsum() - heights, widths.cumsum() - widths
+    pair_first = sizes.cumsum() - sizes
+    x_len = np.array([len(x) for x in xs], dtype=np.intp)
+    if not x_len[np.repeat(widths > 0, heights)].all():
+        raise DataError("cannot align an empty sentence: its score is per token")
+    scores = np.empty(int(sizes.sum()))
+    for lo in range(0, scores.size, _ALIGN_PAIRS):
+        hi = min(lo + _ALIGN_PAIRS, scores.size)
+        x_at, y_at = _pair_sentences(np.arange(lo, hi), pair_first, widths,
+                                     x_first, y_first)
+        # each call maps only the sentences its pairs use to ids
+        x_lo, y_lo = int(x_at[0]), int(y_at.min())
+        x_hi, y_hi = int(x_at[-1]) + 1, int(y_at.max()) + 1
+        x_at -= x_lo
+        y_at -= y_lo
+        scores[lo:hi] = pair_channel_scores(model, xs[x_lo:x_hi], ys[y_lo:y_hi],
+                                            x_at, y_at)
+    pairs = []
+    for k, (doc_a, doc_b) in enumerate(doc_pairs):
+        if not sizes[k]:
+            continue
+        first, top, height = int(pair_first[k]), int(x_first[k]), int(heights[k])
+        per_token = (scores[first:first + sizes[k]].reshape(height, -1)
+                     / x_len[top:top + height, None])
+        values = per_token.tolist()
+        pairs.extend((doc_a.sentences[i], doc_b.sentences[j], values[i][j])
+                     for i, j in greedy_match(per_token, floor))
+    return pairs
+
+
+def _pair_sentences(at, pair_first, widths, x_first, y_first):
+    """(x index, y index) of the sentence pairs numbered `at`, ascending.
+
+    Its own function so that only the two results outlive it: they are what
+    the channel call holds beside its own arrays (see `_ALIGN_PAIRS`).
+    """
+    doc = np.searchsorted(pair_first, at, side="right") - 1
+    row, col = np.divmod(at - pair_first[doc], widths[doc])
+    row += x_first[doc]
+    col += y_first[doc]
+    return row, col
 
 
 def mine_bitext(docs_a: list[WebDoc], docs_b: list[WebDoc], model: LexModel, *,
@@ -192,16 +291,14 @@ def mine_bitext(docs_a: list[WebDoc], docs_b: list[WebDoc], model: LexModel, *,
     """Full mining pass: match documents, then align sentences within matches.
 
     Returns (pairs, doc matches); each pair is a (sentence a, sentence b,
-    score) triple from `align_sentences`, in match order.
+    score) triple as `align_sentences` gives it, in match order. The
+    sentence pairs of all matches are scored together, `_ALIGN_PAIRS` per
+    channel call.
     """
     if lexicon is None:
         lexicon = build_lexicon(model)
     matches = match_documents(docs_a, docs_b, lexicon, doc_threshold)
-    pairs = []
-    for match in matches:
-        aligned = align_sentences(docs_a[match.doc_a], docs_b[match.doc_b],
-                                  model, floor)
-        pairs.extend(aligned)
+    pairs = _align([(docs_a[m.doc_a], docs_b[m.doc_b]) for m in matches], model, floor)
     return pairs, matches
 
 

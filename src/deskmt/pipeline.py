@@ -55,6 +55,7 @@ from .util import (
     sha256_bytes,
     sha256_text,
     stable_json_dumps,
+    write_bytes_atomic,
     write_text_atomic,
 )
 
@@ -156,9 +157,12 @@ def _weights(doc: dict, key: str, what: str) -> NoisyChannelWeights:
 def _write_text_artifact(run_dir: str, relpath: str, text: str) -> dict:
     path = os.path.join(run_dir, relpath)
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    data = text if text.endswith("\n") else text + "\n"
-    write_text_atomic(path, data)
-    return {"path": relpath, "hash": sha256_text(data)}
+    # the text is encoded once; a copy with the newline appended would hold
+    # a third copy of a model's text at the peak
+    data = text.encode("utf-8")
+    parts = (data,) if data.endswith(b"\n") else (data, b"\n")
+    write_bytes_atomic(path, *parts)
+    return {"path": relpath, "hash": sha256_bytes(*parts)}
 
 
 def _save_model(run_dir: str, model) -> dict:

@@ -58,8 +58,12 @@ def pair_runs_json(ids: np.ndarray, values: np.ndarray, sizes: np.ndarray,
     return ("[" + ",".join(map(run.__getitem__, lengths)) + "]") % tuple(numbers.tolist())
 
 
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def sha256_bytes(*parts: bytes) -> str:
+    """Hash of the concatenated parts, without building the concatenation."""
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.hexdigest()
 
 
 def sha256_text(text: str) -> str:
@@ -72,16 +76,22 @@ def content_hash(obj: Any) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Replace `path` with `text` all at once.
+    """Replace `path` with the UTF-8 bytes of `text` all at once."""
+    write_bytes_atomic(path, text.encode("utf-8"))
 
-    The text goes to `<path>.tmp` in the same directory first, which then
+
+def write_bytes_atomic(path: str, *parts: bytes) -> None:
+    """Replace `path` with the concatenated parts all at once.
+
+    The bytes go to `<path>.tmp` in the same directory first, which then
     replaces `path`; a process that dies partway leaves the previous file
     intact. (No fsync: this guards against crashes, not power loss.)
     """
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import deskmt.mine as mine_module
 from deskmt.corpus import build_mix, swap_direction
 from deskmt.lm import train_lm
 from deskmt.mine import (
@@ -24,12 +25,13 @@ from deskmt.mine import (
     mine_bitext,
 )
 from deskmt.synth import gen_corpora, make_spec
-from deskmt.tm import NULL, LexModel, channel_scores, em_train
+from deskmt.tm import NULL, LexModel, channel_scores, em_train, pair_channel_scores
+from test_mine_golden import FLOORS, THRESHOLDS, golden_inputs
 
 
 def greedy_oracle(sims, threshold):
     """Brute-force simulation: repeatedly take the best remaining pair."""
-    remaining = [(i, j) for i in range(len(sims)) for j in range(len(sims[0]))]
+    remaining = [(i, j) for i in range(len(sims)) for j in range(len(sims[i]))]
     used_a, used_b, out = set(), set(), []
     while True:
         best = None
@@ -122,6 +124,27 @@ class TestLevKernel:
         assert lev_sim("kitten", "sitting") == 1.0 - 3 / 7
         assert lev_sim("flaw", "lawn") == 1.0 - 2 / 4
         assert lev_sim("日本語", "日本") == 1.0 - 1 / 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(URLS, URLS, st.lists(URLS, min_size=1, max_size=4),
+           st.lists(URLS, min_size=1, max_size=4))
+    @example("https://ex.org/", ".html", ["en/ab", ""], ["de/ab", "", "en/ab"])
+    @example("", "", ["aa"], ["aaa"])          # the prefix and suffix cuts would overlap
+    @example("a", "a", ["a", ""], ["", "aa"])  # URLs that are head plus tail
+    @example("", "", ["", "é"], [""])
+    @example("", "/x", ["a", "b"], ["c"])      # no shared head
+    @example("中/", "😀", ["ü", "üü"], ["üü", "ü中"])
+    def test_shared_head_and_tail(self, head, tail, mids_a, mids_b):
+        """The DP runs on the middles left once the head all URLs share and
+        the tail their remainders share are cut; the similarities are the
+        full strings' ones."""
+        urls_a = [head + mid + tail for mid in mids_a]
+        urls_b = [head + mid + tail for mid in mids_b]
+        sims = _lev_sims(urls_a, urls_b)
+        assert sims.shape == (len(urls_a), len(urls_b))
+        for i, a in enumerate(urls_a):
+            for j, b in enumerate(urls_b):
+                assert sims[i, j] == textbook_lev_sim(a, b), (a, b)
 
 
 class TestLevSim:
@@ -265,6 +288,31 @@ class TestGreedyMatch:
     def test_nonfinite_rejected(self):
         with pytest.raises(DataError):
             greedy_match([[float("nan")]], 0.0)
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(DataError):      # even below the threshold
+                greedy_match(np.array([[0.5, bad], [0.1, 0.2]]), 0.9)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 12), st.integers(0, 12), st.data(),
+           st.sampled_from([0.0, 0.3, 0.5, -1.0, 1.0, float("-inf"), float("nan")]))
+    def test_equals_oracle_with_heavy_ties(self, rows, cols, data, threshold):
+        """Scores rounded to 0.1 tie often; the order is (-sim, row, column)."""
+        values = st.integers(-3, 10).map(lambda k: round(k / 10, 1))
+        sims = data.draw(st.lists(st.lists(values, min_size=cols, max_size=cols),
+                                  min_size=rows, max_size=rows))
+        expected = greedy_oracle(sims, threshold)
+        assert greedy_match(sims, threshold) == expected
+        assert greedy_match(np.array(sims, dtype=float).reshape(rows, cols),
+                            threshold) == expected
+
+    def test_signed_zeros_tie(self):
+        assert greedy_match([[-0.0, 0.0], [0.0, -0.0]], 0.0) == [(0, 0), (1, 1)]
+
+    def test_no_rows_or_no_columns(self):
+        assert greedy_match([], 0.0) == []
+        assert greedy_match([[], []], 0.0) == []
+        assert greedy_match(np.zeros((0, 4)), 0.0) == []
+        assert greedy_match(np.zeros((3, 0)), -1.0) == []
 
 
 class TestBuildLexicon:
@@ -335,6 +383,67 @@ class TestAlignSentences:
         assert len(out) == min(len(doc_a.sentences), len(doc_b.sentences))
         for sa, sb, score in out:
             assert score == channel_scores(model, sa, [sb])[0] / len(sa)
+
+
+def reference_align(doc_a, doc_b, model, floor):
+    """align_sentences from per-sentence channel scores and the greedy oracle."""
+    scores = [[score / len(sa) for score in channel_scores(model, sa, list(doc_b.sentences))]
+              for sa in doc_a.sentences]
+    return [(doc_a.sentences[i], doc_b.sentences[j], scores[i][j])
+            for i, j in greedy_oracle(scores, floor)]
+
+
+class TestBatchedAlignment:
+    """mine_bitext scores the sentence pairs of all matches together."""
+
+    @staticmethod
+    def golden_cases():
+        docs_a, docs_b, model = golden_inputs()
+        for threshold in THRESHOLDS:
+            matches = match_documents(docs_a, docs_b, build_lexicon(model), threshold)
+            doc_pairs = [(docs_a[m.doc_a], docs_b[m.doc_b]) for m in matches]
+            for floor in FLOORS:
+                yield docs_a, docs_b, model, threshold, floor, doc_pairs
+
+    @pytest.mark.parametrize("bound", [1, 7, 50, None])
+    def test_equals_per_match_alignment(self, monkeypatch, bound):
+        if bound is not None:
+            monkeypatch.setattr(mine_module, "_ALIGN_PAIRS", bound)
+        for docs_a, docs_b, model, threshold, floor, doc_pairs in self.golden_cases():
+            pairs, _ = mine_bitext(docs_a, docs_b, model,
+                                   doc_threshold=threshold, floor=floor)
+            per_match = [triple for doc_a, doc_b in doc_pairs
+                         for triple in align_sentences(doc_a, doc_b, model, floor)]
+            reference = [triple for doc_a, doc_b in doc_pairs
+                         for triple in reference_align(doc_a, doc_b, model, floor)]
+            assert pairs == per_match == reference
+            assert all(type(score) is float for _, _, score in pairs)
+
+    @pytest.mark.parametrize("bound", [7, 30, None])
+    def test_one_channel_call_per_bound_of_pairs(self, monkeypatch, bound):
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[3]))
+            return pair_channel_scores(*args)
+
+        monkeypatch.setattr(mine_module, "pair_channel_scores", counted)
+        if bound is not None:
+            monkeypatch.setattr(mine_module, "_ALIGN_PAIRS", bound)
+        bound = mine_module._ALIGN_PAIRS
+        docs_a, docs_b, model, threshold, floor, doc_pairs = next(self.golden_cases())
+        mine_bitext(docs_a, docs_b, model, doc_threshold=threshold, floor=floor)
+        total = sum(len(a.sentences) * len(b.sentences) for a, b in doc_pairs)
+        assert len(doc_pairs) == 6 and total == 100
+        assert len(calls) == -(-total // bound)
+        assert sum(calls) == total and max(calls) == min(bound, total)
+
+    def test_empty_sentence_to_align_rejected(self):
+        model = one_hot_model({"B": "a"})
+        doc_a = WebDoc("u", (("a",), ()))
+        with pytest.raises(DataError):
+            align_sentences(doc_a, WebDoc("v", (("B",),)), model, floor=-10.0)
+        assert align_sentences(doc_a, WebDoc("v", ()), model, floor=-10.0) == []
 
 
 class TestEndToEnd:

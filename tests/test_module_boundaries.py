@@ -51,6 +51,9 @@ UNCALLED = {
                     "bench/layertrace.py wraps it by name",
     "mine.jaccard": "the per-pair token similarity that _jaccards batches; "
                     "bench/layertrace.py wraps it by name",
+    "mine.align_sentences": "one document pair's alignment, the one-pair case of "
+                            "the aligner mine_bitext runs over all matches; "
+                            "bench/layertrace.py wraps it by name",
     "cache.cache_counts": "the decoder cache's hits, builds and evictions, the "
                           "source of its figures for run events and library users",
 }

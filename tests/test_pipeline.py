@@ -23,7 +23,7 @@ from deskmt.search import SearchSpace, TrialConfig, default_search_space
 from deskmt.subword import learn_bpe, save_bpe
 from deskmt.synth import gen_corpora, make_spec
 from deskmt.tm import NBestEntry, NBestList, em_train
-from deskmt.util import DataError, read_json, sha256_text
+from deskmt.util import DataError, read_json, sha256_bytes, sha256_text
 from reference_docs import model_to_dict
 
 
@@ -551,6 +551,17 @@ class TestCrashSafety:
             save(second, path)
         assert Path(path).read_text(encoding="utf-8") == text
         assert not os.path.exists(path + ".tmp")
+
+    @pytest.mark.parametrize("text,data", [
+        ("{}", b"{}\n"), ("{}\n", b"{}\n"), ("", b"\n"),
+        ('{"w":"é中😀"}', '{"w":"é中😀"}\n'.encode("utf-8")),
+    ])
+    def test_text_artifact_is_the_bytes_it_hashes(self, tmp_path, text, data):
+        from deskmt.pipeline import _write_text_artifact
+        ref = _write_text_artifact(str(tmp_path), "artifacts/x.json", text)
+        assert ref == {"path": "artifacts/x.json", "hash": sha256_bytes(data)}
+        assert Path(tmp_path, "artifacts", "x.json").read_bytes() == data
+        assert not os.path.exists(Path(tmp_path, "artifacts", "x.json.tmp"))
 
     @pytest.mark.parametrize("target", ["manifest.json", "artifacts/models/",
                                         "artifacts/bpe.txt", "artifacts/datasets/"])
