@@ -12,15 +12,17 @@ arrays, on the middles left once the prefix all URLs share and the suffix
 their remainders share are cut: each DP row is an array minimum of the
 deletion and substitution moves followed by a running minimum for the
 insertions. Each document's token set is built once; the intersection sizes
-of all pairs come from one matmul of 0/1 token incidence matrices. The
-sentence pairs of all matched document pairs are scored together, a bounded
-number per batched channel call (`_ALIGN_PAIRS`). `greedy_match` runs on a
-score array in rounds that accept every pair best in both its row and its
-column at once. Distances and set sizes are exact integers, so every
-similarity is the same float the per-pair definitions `lev_sim` and
-`jaccard` give; each sentence-pair score is the one `channel_scores` gives
-for that pair alone, and each matching is the one a scan of the pairs in
-(-score, row, column) order gives.
+of all pairs come from one integer matmul of 0/1 token incidence matrices.
+The matched document pairs are aligned by one block cross-product channel
+call (`tm.cross_channel_scores`): it builds each doc_b sentence's
+log-marginal row once, over the target symbols its doc_a uses, and scores
+every sentence of that doc_a against it.
+`greedy_match` runs on a score array in rounds that accept every pair best
+in both its row and its column at once. Distances and set sizes are exact
+integers, so every similarity is the same float the per-pair definitions
+`lev_sim` and `jaccard` give; each sentence-pair score is the one
+`channel_scores` gives for that pair alone, and each matching is the one a
+scan of the pairs in (-score, row, column) order gives.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Sentence
-from .tm import LexModel, pair_channel_scores
+from .tm import LexModel, cross_channel_scores
 from .util import DataError, read_text
 
 
@@ -123,12 +125,13 @@ def _jaccards(docs_a: list[WebDoc], docs_b: list[WebDoc],
     vocab = {tok: k for k, tok in enumerate(set().union(*sets_a, *sets_b))}
 
     def incidence(sets):
-        out = np.zeros((len(sets), len(vocab)))
+        out = np.zeros((len(sets), len(vocab)), dtype=np.int64)
         for k, s in enumerate(sets):
-            out[k, [vocab[tok] for tok in s]] = 1.0
+            out[k, [vocab[tok] for tok in s]] = 1
         return out
 
-    # counts are small integers, so the float products and sums are exact
+    # integer counts are exact; an integer matmul also runs NumPy's own loop,
+    # not BLAS, whose worker threads would spin through the passes after it
     inc_a, inc_b = incidence(sets_a), incidence(sets_b)
     inter = inc_a @ inc_b.T
     union = inc_a.sum(axis=1)[:, None] + inc_b.sum(axis=1) - inter
@@ -199,32 +202,18 @@ def match_documents(docs_a: list[WebDoc], docs_b: list[WebDoc],
     return [DocMatch(i, j, float(sims[i, j])) for i, j in greedy_match(sims, threshold)]
 
 
-# Sentence pairs scored per `pair_channel_scores` call when aligning the
-# matched document pairs; a call's pairs may come from several document
-# pairs, and one document pair's from several calls. On the bench's `mine`
-# inputs (seed 1: 60 matched document pairs of 30 x 30 sentences, 54,000
-# pairs), the alignment's traced heap (tracemalloc) peaked 1.61 MB above
-# what `mine_bitext` starts with at this bound (7 calls), against 1.31 MB
-# at 4096 pairs, 2.17 MB at 16384 and 5.03 MB as one call; `em_train` on
-# the same inputs peaks at 2.48 MB. From 4096 pairs to one call,
-# `mine_bitext` took 65-110 ms a run on a shared 2-core host, no bound
-# faster than another beyond that spread. One call per document pair (a
-# bound of 900 here) took a median of 125 ms against 72 ms at this bound
-# (27 interleaved runs each): `pair_channel_scores` loops once per
-# sentence-length shape in a call.
-_ALIGN_PAIRS = 8192
-
-
 def align_sentences(doc_a: WebDoc, doc_b: WebDoc, model: LexModel,
                     floor: float) -> list[tuple[Sentence, Sentence, float]]:
     """Greedy one-to-one sentence pairs scored by the per-token channel score.
 
     The model scores doc_a sentences given doc_b sentences (its source side is
-    doc_b's language): a pair's score is its `pair_channel_scores` score over
-    the doc_a sentence's length, and `greedy_match` keeps pairs at or above
-    the floor. An empty doc_a sentence to score is a DataError. This is the
-    one-pair case of the aligner `mine_bitext` runs over all its matches at
-    once, and gives the triples that aligner gives for the pair.
+    doc_b's language): a pair's score is its channel score ln P(a | b) (see
+    `tm.pair_channel_scores`) over the doc_a sentence's length, and
+    `greedy_match` keeps pairs at or above the floor. An empty doc_a sentence
+    to score is a DataError. This is the one-pair case of the aligner
+    `mine_bitext` runs over all its matches, and gives the triples that
+    aligner gives for the pair: `tm.cross_channel_scores` scores every
+    sentence of doc_a against every sentence of doc_b.
     """
     return _align([(doc_a, doc_b)], model, floor)
 
@@ -233,56 +222,22 @@ def _align(doc_pairs: list[tuple[WebDoc, WebDoc]], model: LexModel,
            floor: float) -> list[tuple[Sentence, Sentence, float]]:
     """`align_sentences` of every document pair, concatenated in order.
 
-    The sentence pairs of all document pairs are numbered end to end, each
-    document pair's row by row, and scored `_ALIGN_PAIRS` at a time; a
-    score does not depend on the pairs it is computed with.
+    The document pairs are the blocks of one `cross_channel_scores` call,
+    which builds each doc_b sentence's row once and scores it against its
+    own doc_a only.
     """
-    xs = [sent for doc_a, _ in doc_pairs for sent in doc_a.sentences]
-    ys = [sent for _, doc_b in doc_pairs for sent in doc_b.sentences]
-    heights = np.array([len(doc_a.sentences) for doc_a, _ in doc_pairs], dtype=np.intp)
-    widths = np.array([len(doc_b.sentences) for _, doc_b in doc_pairs], dtype=np.intp)
-    sizes = heights * widths
-    x_first, y_first = heights.cumsum() - heights, widths.cumsum() - widths
-    pair_first = sizes.cumsum() - sizes
-    x_len = np.array([len(x) for x in xs], dtype=np.intp)
-    if not x_len[np.repeat(widths > 0, heights)].all():
+    if any(not x for doc_a, doc_b in doc_pairs if doc_b.sentences for x in doc_a.sentences):
         raise DataError("cannot align an empty sentence: its score is per token")
-    scores = np.empty(int(sizes.sum()))
-    for lo in range(0, scores.size, _ALIGN_PAIRS):
-        hi = min(lo + _ALIGN_PAIRS, scores.size)
-        x_at, y_at = _pair_sentences(np.arange(lo, hi), pair_first, widths,
-                                     x_first, y_first)
-        # each call maps only the sentences its pairs use to ids
-        x_lo, y_lo = int(x_at[0]), int(y_at.min())
-        x_hi, y_hi = int(x_at[-1]) + 1, int(y_at.max()) + 1
-        x_at -= x_lo
-        y_at -= y_lo
-        scores[lo:hi] = pair_channel_scores(model, xs[x_lo:x_hi], ys[y_lo:y_hi],
-                                            x_at, y_at)
+    blocks = cross_channel_scores(model, [(doc_a.sentences, doc_b.sentences)
+                                          for doc_a, doc_b in doc_pairs])
     pairs = []
-    for k, (doc_a, doc_b) in enumerate(doc_pairs):
-        if not sizes[k]:
-            continue
-        first, top, height = int(pair_first[k]), int(x_first[k]), int(heights[k])
-        per_token = (scores[first:first + sizes[k]].reshape(height, -1)
-                     / x_len[top:top + height, None])
+    for (doc_a, doc_b), scores in zip(doc_pairs, blocks):
+        x_len = np.array([len(x) for x in doc_a.sentences], dtype=np.intp)
+        per_token = scores / x_len[:, None]
         values = per_token.tolist()
         pairs.extend((doc_a.sentences[i], doc_b.sentences[j], values[i][j])
                      for i, j in greedy_match(per_token, floor))
     return pairs
-
-
-def _pair_sentences(at, pair_first, widths, x_first, y_first):
-    """(x index, y index) of the sentence pairs numbered `at`, ascending.
-
-    Its own function so that only the two results outlive it: they are what
-    the channel call holds beside its own arrays (see `_ALIGN_PAIRS`).
-    """
-    doc = np.searchsorted(pair_first, at, side="right") - 1
-    row, col = np.divmod(at - pair_first[doc], widths[doc])
-    row += x_first[doc]
-    col += y_first[doc]
-    return row, col
 
 
 def mine_bitext(docs_a: list[WebDoc], docs_b: list[WebDoc], model: LexModel, *,
@@ -291,9 +246,7 @@ def mine_bitext(docs_a: list[WebDoc], docs_b: list[WebDoc], model: LexModel, *,
     """Full mining pass: match documents, then align sentences within matches.
 
     Returns (pairs, doc matches); each pair is a (sentence a, sentence b,
-    score) triple as `align_sentences` gives it, in match order. The
-    sentence pairs of all matches are scored together, `_ALIGN_PAIRS` per
-    channel call.
+    score) triple as `align_sentences` gives it, in match order.
     """
     if lexicon is None:
         lexicon = build_lexicon(model)
@@ -319,7 +272,11 @@ def load_doc_dir(path: str, url_index: dict[str, str], lang: str = "") -> list[W
 
 
 def load_url_index(path: str) -> dict[str, dict[str, str]]:
-    """URL index file: lines of "side<TAB>filename<TAB>url", side in {src, tgt}."""
+    """URL index file: lines of "side<TAB>filename<TAB>url", side in {src, tgt}.
+
+    A (side, file) may be listed again with the same URL; listed with another
+    URL, it is a DataError naming the line.
+    """
     index: dict[str, dict[str, str]] = {"src": {}, "tgt": {}}
     for lineno, line in enumerate(read_text(path, "URL index").split("\n"), 1):
         if not line.strip():
@@ -327,6 +284,9 @@ def load_url_index(path: str) -> dict[str, dict[str, str]]:
         parts = line.split("\t")
         if len(parts) != 3 or parts[0] not in index:
             raise DataError(f"{path}:{lineno}: expected 'src|tgt<TAB>file<TAB>url'")
-        index[parts[0]][parts[1]] = parts[2]
+        side, name, url = parts
+        if index[side].setdefault(name, url) != url:
+            raise DataError(f"{path}:{lineno}: {side} document {name} already has "
+                            f"URL {index[side][name]!r}, not {url!r}")
     return index
 

@@ -2,7 +2,13 @@
 beam decoder producing n-best lists, the corpus decoder `translate_corpus`
 that every decode in the package goes through, and channel scoring of
 sentence pairs in batches (`pair_channel_scores`, and `block_channel_scores`
-for the entries of an n-best block).
+for the entries of an n-best block). `cross_channel_scores` scores, in
+each of a list of blocks, every sentence of one side given every sentence of
+the other, as mining's alignment does for its document pairs: the IBM-1
+marginal factorises over the observed sentence's positions, so each
+conditioning sentence's floored log-marginal over the target symbols its
+block's observed sentences use is built once, as a row, and a score is a sum
+of its row's entries.
 
 The decoder emits one target symbol per source position; at target step i it
 may consume any unconsumed source position j with |j - i| <= window, so a
@@ -55,6 +61,7 @@ artifact is `json.loads` of its text.
 from __future__ import annotations
 
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -884,6 +891,144 @@ def _pair_scores(model: LexModel, x, y, x_at: np.ndarray, y_at: np.ndarray) -> n
             inner = t_ext[rows[:, :, None], cols[:, None, :]].sum(axis=1) / (l + 1)
             out[chunk] = np.log(np.maximum(inner, model.unk_floor)).sum(axis=1)
     return out
+
+
+# Row elements, and sentence pairs, that `cross_channel_scores` holds at
+# once: a run takes whole blocks, or pieces of a block's ys, while their rows
+# and pairs fit. On the bench's `mine` inputs (seed 1: 60 matched document
+# pairs of 30 x 30 sentences, about 180 doc_a tokens a pair), the
+# alignment's traced heap (tracemalloc, from the end of `match_documents`)
+# peaked at 1.13 MB at this bound (about 6 document pairs a run), against
+# 0.59 MB at 2**13, 0.82 MB at 2**14, 1.73 MB at 2**16 and 2.93 MB at
+# 2**17, and 1.21 MB for the batches of 8192 pairs through
+# `pair_channel_scores` it replaced; `em_train` on the same inputs peaks at
+# 2.19 MB. The alignment took a median of 22.5 ms at this bound, 33.0 ms at
+# 2**13, 24.3 ms at 2**14, 20.5 ms at 2**16, 21.9 ms at 2**17 and 44.6 ms
+# with the batches of pairs (25 interleaved runs each, on a shared 2-core
+# host).
+_CROSS_RUN = 1 << 15
+
+
+def cross_channel_scores(model: LexModel, blocks: list[tuple[Sequence[Sentence], Sequence[Sentence]]]
+                         ) -> list[np.ndarray]:
+    """For each block (xs, ys), the (len(xs), len(ys)) matrix of ln P(x | y):
+    `pair_channel_scores` of every x of the block with every y of it, through
+    one log-marginal row per y.
+
+    A position's floored inner marginal depends only on y and on the target
+    symbol there, so y's row holds it for each ext target id its block's xs
+    use:
+
+        ln max( (t_ext(NULL, .) + t_ext(y_1, .) + ... + t_ext(y_l, .)) / (l+1), unk_floor ),
+
+    summed in sentence order, the order in which `_pair_scores` sums its
+    gather over y when |x| >= 2. A score is its y's row gathered at x's ids
+    and summed along the last axis, as there. A gather over one x sums over
+    y pairwise once l + 1 >= 8, so the |x| = 1 pairs go through
+    `_pair_scores`. Every score is the one `pair_channel_scores` gives, bit
+    for bit.
+
+    A row costs (l+1) additions per column, and it has at most as many
+    columns as its block's xs have tokens, so the rows never gather more than
+    `_pair_scores` does for the same pairs, (l+1) * |x| a pair, and they take
+    one log per y and column where it takes one per pair and position. The
+    blocks are scored in runs (see `_CROSS_RUN`), each run's rows laid end to
+    end and its pairs scored together, so a run costs a fixed number of
+    NumPy calls however many blocks it holds.
+    """
+    ns, nt = model.t.shape
+    out = [np.zeros((len(xs), len(ys))) for xs, ys in blocks]
+    for run in _cross_runs(blocks, nt):
+        _cross_run(model, blocks, run, out)
+    return out
+
+
+def _cross_runs(blocks, nt: int):
+    """Runs of pieces (block, first y, end y), in order: whole blocks, or a
+    block's ys cut into pieces, while the run's rows and pairs number at
+    most `_CROSS_RUN`; a piece holds at least one y."""
+    run, size = [], 0
+    for k, (xs, ys) in enumerate(blocks):
+        # a y's row has at most nt + 1 columns and one per token of the xs,
+        # and the y pairs with every x
+        per_y = max(min(nt + 1, sum(map(len, xs))), len(xs), 1)
+        width = max(1, _CROSS_RUN // per_y)
+        for lo in range(0, len(ys), width):
+            hi = min(lo + width, len(ys))
+            if run and size + (hi - lo) * per_y > _CROSS_RUN:
+                yield run
+                run, size = [], 0
+            run.append((k, lo, hi))
+            size += (hi - lo) * per_y
+    if run:
+        yield run
+
+
+def _cross_run(model: LexModel, blocks, run, out: list[np.ndarray]) -> None:
+    """Score one run of `_cross_runs` into the blocks' matrices `out`."""
+    ns, nt = model.t.shape
+    heights = np.array([len(blocks[k][0]) for k, _, _ in run], dtype=np.intp)
+    widths = np.array([hi - lo for _, lo, hi in run], dtype=np.intp)
+    pieces = np.arange(len(run))
+    x_ids, x_start, x_len = x = _ids_end_to_end(
+        [x for k, _, _ in run for x in blocks[k][0]], model.tgt_id, nt)
+    y = _ids_end_to_end([y for k, lo, hi in run for y in blocks[k][1][lo:hi]],
+                        model.src_id, ns)
+    # each piece's columns: the ext target ids its xs use, pieces in order;
+    # tok_col[j] is token j's column among all of them
+    keys, tok_col = np.unique(np.repeat(np.repeat(pieces, heights), x_len) * (nt + 1) + x_ids,
+                              return_inverse=True)
+    first = np.searchsorted(keys // (nt + 1), np.arange(len(run) + 1))
+    rows, row_base = _cross_rows(model, y, np.repeat(pieces, widths), keys % (nt + 1), first)
+    # each piece's pairs, row by row
+    sizes = heights * widths
+    pair_first = sizes.cumsum() - sizes
+    piece = np.repeat(pieces, sizes)
+    row, col = np.divmod(np.arange(int(sizes.sum())) - pair_first[piece], widths[piece])
+    x_at = row + (heights.cumsum() - heights)[piece]
+    y_at = col + (widths.cumsum() - widths)[piece]
+    scores = np.zeros(x_at.size)
+    lengths, group = np.unique(x_len[x_at], return_inverse=True)
+    for m, members in zip(lengths.tolist(), _members(group, len(lengths))):
+        if m == 1:
+            scores[members] = _pair_scores(model, x, y, x_at[members], y_at[members])
+            continue
+        step = max(1, _CROSS_RUN // max(m, 1))
+        for lo in range(0, members.size, step):
+            chunk = members[lo:lo + step]
+            at = row_base[y_at[chunk], None] + tok_col[x_start[x_at[chunk], None] + np.arange(m)]
+            # a (pairs, m) gather, each sum over a contiguous row, as in
+            # `_pair_scores`
+            scores[chunk] = rows[at].sum(axis=1)
+    for p, (k, lo, hi) in enumerate(run):
+        out[k][:, lo:hi] = scores[pair_first[p]:pair_first[p] + sizes[p]].reshape(heights[p], hi - lo)
+
+
+def _cross_rows(model: LexModel, y, y_piece: np.ndarray, symbols: np.ndarray,
+                first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `cross_channel_scores` for the ys `y`, laid end to end,
+    and each y's base: y's entry for its piece's column c (counted across
+    all pieces) is rows[base[y] + c]. Piece p's columns are the ext target
+    ids symbols[first[p]:first[p + 1]]; y_piece is each y's piece."""
+    y_ids, y_start, y_len = y
+    t_ext = model._t_ext()
+    # ys longest first, so the ys with an i-th symbol are a prefix, and so
+    # are their rows' elements
+    longest = np.argsort(-y_len, kind="stable")
+    piece = y_piece[longest]
+    lens, starts, n_cols = y_len[longest], y_start[longest], np.diff(first)[piece]
+    row_end = n_cols.cumsum()
+    row_start = row_end - n_cols
+    elements = symbols[np.arange(int(row_end[-1]) if row_end.size else 0)
+                       + np.repeat(first[piece] - row_start, n_cols)]
+    acc = t_ext[0, elements]   # NULL
+    for i in range(int(lens.max(initial=0))):
+        alive = int(np.count_nonzero(lens > i))
+        end = int(row_end[alive - 1])
+        acc[:end] += t_ext[np.repeat(y_ids[starts[:alive] + i], n_cols[:alive]), elements[:end]]
+    base = np.empty(lens.size, dtype=np.intp)
+    base[longest] = row_start - first[piece]
+    return np.log(np.maximum(acc / np.repeat(lens + 1, n_cols), model.unk_floor)), base
 
 
 def _ids_end_to_end(sentences: list[Sentence], ids: dict[str, int], unknown: int):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import deskmt.mine as mine_module
+import deskmt.tm as tm_module
 from deskmt.corpus import build_mix, swap_direction
 from deskmt.lm import train_lm
 from deskmt.mine import (
@@ -25,7 +26,7 @@ from deskmt.mine import (
     mine_bitext,
 )
 from deskmt.synth import gen_corpora, make_spec
-from deskmt.tm import NULL, LexModel, channel_scores, em_train, pair_channel_scores
+from deskmt.tm import NULL, LexModel, channel_scores, cross_channel_scores, em_train
 from test_mine_golden import FLOORS, THRESHOLDS, golden_inputs
 
 
@@ -394,7 +395,7 @@ def reference_align(doc_a, doc_b, model, floor):
 
 
 class TestBatchedAlignment:
-    """mine_bitext scores the sentence pairs of all matches together."""
+    """mine_bitext scores all matches in one block cross-product channel call."""
 
     @staticmethod
     def golden_cases():
@@ -405,10 +406,10 @@ class TestBatchedAlignment:
             for floor in FLOORS:
                 yield docs_a, docs_b, model, threshold, floor, doc_pairs
 
-    @pytest.mark.parametrize("bound", [1, 7, 50, None])
+    @pytest.mark.parametrize("bound", [1, 60, None])
     def test_equals_per_match_alignment(self, monkeypatch, bound):
         if bound is not None:
-            monkeypatch.setattr(mine_module, "_ALIGN_PAIRS", bound)
+            monkeypatch.setattr(tm_module, "_CROSS_RUN", bound)
         for docs_a, docs_b, model, threshold, floor, doc_pairs in self.golden_cases():
             pairs, _ = mine_bitext(docs_a, docs_b, model,
                                    doc_threshold=threshold, floor=floor)
@@ -419,24 +420,55 @@ class TestBatchedAlignment:
             assert pairs == per_match == reference
             assert all(type(score) is float for _, _, score in pairs)
 
-    @pytest.mark.parametrize("bound", [7, 30, None])
-    def test_one_channel_call_per_bound_of_pairs(self, monkeypatch, bound):
-        calls = []
+    @pytest.mark.parametrize("bound", [1, 30, 100, None])
+    def test_one_call_and_one_row_per_doc_b_sentence_in_bounded_runs(self, monkeypatch, bound):
+        calls, runs = [], []
 
-        def counted(*args):
-            calls.append(len(args[3]))
-            return pair_channel_scores(*args)
+        def counted(model, blocks):
+            calls.append(blocks)
+            return cross_channel_scores(model, blocks)
 
-        monkeypatch.setattr(mine_module, "pair_channel_scores", counted)
+        def counted_run(model, blocks, run, out):
+            runs.append(list(run))
+            return cross_run(model, blocks, run, out)
+
+        cross_run = tm_module._cross_run
+        monkeypatch.setattr(mine_module, "cross_channel_scores", counted)
+        monkeypatch.setattr(tm_module, "_cross_run", counted_run)
         if bound is not None:
-            monkeypatch.setattr(mine_module, "_ALIGN_PAIRS", bound)
-        bound = mine_module._ALIGN_PAIRS
+            monkeypatch.setattr(tm_module, "_CROSS_RUN", bound)
+        bound = tm_module._CROSS_RUN
         docs_a, docs_b, model, threshold, floor, doc_pairs = next(self.golden_cases())
         mine_bitext(docs_a, docs_b, model, doc_threshold=threshold, floor=floor)
-        total = sum(len(a.sentences) * len(b.sentences) for a, b in doc_pairs)
-        assert len(doc_pairs) == 6 and total == 100
-        assert len(calls) == -(-total // bound)
-        assert sum(calls) == total and max(calls) == min(bound, total)
+        assert len(doc_pairs) == 6
+        # one call, whose blocks are the document pairs' own sentences
+        assert calls == [[(doc_a.sentences, doc_b.sentences) for doc_a, doc_b in doc_pairs]]
+        # the runs' pieces hold each doc_b sentence once, in order, so each
+        # row is built once
+        assert [(k, j) for run in runs for k, lo, hi in run for j in range(lo, hi)] == [
+            (k, j) for k, (_, doc_b) in enumerate(doc_pairs) for j in range(len(doc_b.sentences))]
+        # a run's rows and pairs fit the bound, or it is one y: a y's row has
+        # at most one column per token of its block's xs, and it pairs with
+        # every x
+        nt = model.t.shape[1]
+
+        def size(k, lo, hi):
+            xs = doc_pairs[k][0].sentences
+            return (hi - lo) * max(min(nt + 1, sum(map(len, xs))), len(xs), 1)
+
+        for run in runs:
+            assert sum(size(*piece) for piece in run) <= bound or (
+                len(run) == 1 and run[0][2] - run[0][1] == 1)
+        assert (len(runs) == 1) == (bound >= sum(size(k, 0, len(doc_b.sentences))
+                                                for k, (_, doc_b) in enumerate(doc_pairs)))
+        assert any(len(run) > 1 for run in runs) == (bound >= 100)
+        # an empty doc_a sentence is rejected before any pair is scored
+        calls.clear()
+        runs.clear()
+        empty = (WebDoc("u", (("a",), ())), WebDoc("v", (("B",),)))
+        with pytest.raises(DataError):
+            mine_module._align(doc_pairs + [empty], model, floor)
+        assert calls == [] and runs == []
 
     def test_empty_sentence_to_align_rejected(self):
         model = one_hot_model({"B": "a"})
@@ -481,6 +513,20 @@ class TestEndToEnd:
         assert [d.url for d in docs] == ["http://u/1", "http://u/2"]
         assert docs[0].sentences == (("a", "b"), ("c",))
         assert docs[1].sentences == (("a", "b"),)  # deduplicated at ingestion
+
+    def test_repeated_url_line_loads(self, tmp_path):
+        index_file = tmp_path / "urls.tsv"
+        index_file.write_text("src\td1.txt\thttp://u/1\ntgt\td1.txt\thttp://v/1\n"
+                              "src\td1.txt\thttp://u/1\n", encoding="utf-8")
+        assert load_url_index(str(index_file)) == {"src": {"d1.txt": "http://u/1"},
+                                                   "tgt": {"d1.txt": "http://v/1"}}
+
+    def test_contradictory_url_rejected_at_its_line(self, tmp_path):
+        index_file = tmp_path / "urls.tsv"
+        index_file.write_text("src\td1.txt\thttp://u/1\n\nsrc\td1.txt\thttp://u/2\n",
+                              encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{index_file}:3: .*d1.txt"):
+            load_url_index(str(index_file))
 
     def test_missing_url_rejected(self, tmp_path):
         (tmp_path / "docs").mkdir()

@@ -25,6 +25,7 @@ from deskmt.tm import (
     LexModel,
     NBestBlock,
     channel_scores,
+    cross_channel_scores,
     em_train,
     model_from_dict,
     pair_channel_scores,
@@ -593,6 +594,96 @@ class TestMarginalKernel:
             assert [v.hex() for v in got] == [
                 reference_marginal(model, ys[j], xs[i]).hex()
                 for i, j in zip(x_at.tolist(), y_at.tolist())]
+
+
+class TestCrossKernel:
+    """cross_channel_scores equals the per-pair reference bit for bit for
+    every x and y of every block, at the pairwise edge of one-token xs and
+    with small runs."""
+
+    @pytest.mark.parametrize("bound", [None, 60, 1])
+    def test_equals_reference(self, monkeypatch, bound):
+        if bound is not None:
+            # runs, and the one-token xs' gathers through `_pair_scores`
+            monkeypatch.setattr(tm_module, "_CROSS_RUN", bound)
+            monkeypatch.setattr(tm_module, "_GATHER_CHUNK", bound)
+        rng = random.Random(44)
+        for _ in range(6):
+            model = em_train(random_mix(rng, 12), iterations=2)
+            # both sides draw from both vocabularies and "zz", so unknown
+            # symbols occur in xs and ys; ys runs past 8 summed terms
+            syms = list(model.src_vocab[1:]) + list(model.tgt_vocab) + ["zz"]
+            xs = [tuple(rng.choice(syms) for _ in range(rng.randint(0, 12)))
+                  for _ in range(8)]
+            ys = [tuple(rng.choice(syms) for _ in range(n)) for n in range(7, 13)]
+            ys += [(), ("zz",), ys[0], (rng.choice(syms),) * 9]
+            xs += [(rng.choice(syms),) for _ in range(3)] + [("zz",), xs[0]]
+            # one block of all, blocks of parts, and blocks with no xs or no ys
+            blocks = [(xs, ys), (xs[:5], ys[3:]), (xs[5:], ys[:4]), ([], ys[:2]),
+                      (xs[:3], []), (xs[-4:], ys[-4:])]
+            got = cross_channel_scores(model, blocks)
+            assert len(got) == len(blocks)
+            for (bxs, bys), scores in zip(blocks, got):
+                assert scores.shape == (len(bxs), len(bys))
+                assert [[v.hex() for v in row] for row in scores.tolist()] == [
+                    [reference_marginal(model, y, x).hex() for y in bys] for x in bxs]
+
+    @pytest.mark.parametrize("bound", [None, 50])
+    def test_rows_cover_their_block_symbols_in_bounded_runs(self, monkeypatch, bound):
+        if bound is not None:
+            monkeypatch.setattr(tm_module, "_CROSS_RUN", bound)
+        runs = []
+
+        def counted_run(model, blocks, run, out):
+            runs.append((list(run), []))
+            return cross_run(model, blocks, run, out)
+
+        def counted_rows(model, y, y_piece, symbols, first):
+            runs[-1][1].append((y[2].size, y_piece.tolist(),
+                                [symbols[first[p]:first[p + 1]].tolist()
+                                 for p in range(first.size - 1)]))
+            return cross_rows(model, y, y_piece, symbols, first)
+
+        cross_run, cross_rows = tm_module._cross_run, tm_module._cross_rows
+        monkeypatch.setattr(tm_module, "_cross_run", counted_run)
+        monkeypatch.setattr(tm_module, "_cross_rows", counted_rows)
+        rng = random.Random(46)
+        model = em_train(random_mix(rng, 20), iterations=1)
+        ns, nt = model.t.shape
+        blocks = []
+        for k in range(4):
+            syms = list(model.tgt_vocab[k:k + 2]) + ["zz"]
+            xs = [tuple(rng.choice(syms) for _ in range(rng.randint(2, 5))) for _ in range(3)]
+            ys = [tuple(rng.choice(model.src_vocab[1:]) for _ in range(rng.randint(0, 6)))
+                  for _ in range(12)]
+            blocks.append((xs, ys))
+        cross_channel_scores(model, blocks)
+        used = [sorted({model.tgt_id.get(tok, nt) for x in xs for tok in x}) for xs, _ in blocks]
+        assert all(len(u) < nt + 1 for u in used)
+        pieces = []
+        for run, rows in runs:
+            # one row build a run, over each piece's ys, in order
+            (n_ys, y_piece, columns), = rows
+            assert y_piece == [p for p, (_, lo, hi) in enumerate(run) for _ in range(lo, hi)]
+            assert n_ys == len(y_piece)
+            # a piece's columns are the ext ids its block's xs use
+            assert columns == [used[k] for k, _, _ in run]
+            # the run's rows and pairs fit the bound, or it is one y
+            size = sum((hi - lo) * max(len(used[k]), len(blocks[k][0])) for k, lo, hi in run)
+            assert size <= tm_module._CROSS_RUN or n_ys == 1
+            pieces += run
+        # each y's row is built once, blocks and ys in order
+        assert [(k, j) for k, lo, hi in pieces for j in range(lo, hi)] == [
+            (k, j) for k, (_, ys) in enumerate(blocks) for j in range(len(ys))]
+        # at the default, one run; at 50, blocks cut into pieces
+        assert (len(runs) == 1) == (bound is None)
+        assert any(hi - lo < len(blocks[k][1]) for k, lo, hi in pieces) == (bound is not None)
+
+    def test_empty(self):
+        model = em_train(random_mix(random.Random(45), 6), iterations=1)
+        assert cross_channel_scores(model, []) == []
+        got = cross_channel_scores(model, [([], [("a",)]), ([("a",), ("a", "b")], []), ([], [])])
+        assert [scores.shape for scores in got] == [(0, 1), (2, 0), (0, 0)]
 
 
 class TestSerialization:
