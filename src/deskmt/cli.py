@@ -222,7 +222,7 @@ def cmd_translate(args) -> int:
     block = tm.translate_corpus(model, sources, args.nbest,
                                 rerank_ctx=_rerank_ctx(args))
     if args.dump_nbest:
-        rerank.write_nbest_file(block.to_lists(), args.dump_nbest)
+        rerank.write_nbest_file(block, args.dump_nbest)
     hyps = block.top_hyps()
     if bpe is not None:
         lines = [subword.decode(hyp, bpe, args.policy) for hyp in hyps]
@@ -234,12 +234,12 @@ def cmd_translate(args) -> int:
 
 
 def cmd_rerank(args) -> int:
-    block = tm.NBestBlock.from_lists(rerank.read_nbest_file(args.nbest_file))
+    block = rerank.read_nbest_file(args.nbest_file)
     channel = _load_models(args.channel_model)
     lm = _load_lm(args.lm)
     weights = NoisyChannelWeights(args.lambda1, args.lambda2)
     out = rerank.rerank(block, channel, lm, weights)
-    rerank.write_nbest_file(out.to_lists(), args.out)
+    rerank.write_nbest_file(out, args.out)
     print(f"reranked {len(out)} lists -> {args.out}")
     return EXIT_OK
 

@@ -501,11 +501,6 @@ def logprobs_of_ids(model: LanguageModel, symbols, ids: np.ndarray,
     return total + model.eos_logprob
 
 
-def logprob(model: LanguageModel, sentence: Sentence) -> float:
-    """Natural-log probability of the sentence, including end-of-sentence."""
-    return float(logprobs(model, [sentence])[0])
-
-
 def perplexity(model: LanguageModel, corpus: list[Sentence]) -> float:
     """exp(-mean log-probability per token), tokens counted incl. EOS per sentence."""
     if not corpus:

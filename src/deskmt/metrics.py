@@ -92,15 +92,6 @@ def _stats(hyp: Sentence, ref_len: int, ref_counts: list[Counter]) -> tuple[int,
     return (len(hyp), ref_len, *matches, *totals)
 
 
-def sentence_stats(hyp: Sentence, ref: Sentence) -> tuple[int, ...]:
-    """Integer BLEU sufficient statistics of one hypothesis against its reference.
-
-    Rows add up to the corpus statistics, so their sum is order-independent.
-    """
-    ref = tuple(ref)
-    return _stats(tuple(hyp), len(ref), _ref_counts(ref))
-
-
 class References:
     """The reference side of a scored corpus: each reference's length and
     n-gram counts, computed once for every hypothesis scored against it, and
@@ -118,7 +109,10 @@ class References:
         return len(self._lengths)
 
     def stats(self, k: int, hyp: Sentence) -> tuple[int, ...]:
-        """`sentence_stats` of `hyp` against reference k."""
+        """Integer BLEU sufficient statistics of `hyp` against reference k.
+
+        Rows add up to the corpus statistics, so their sum is order-independent.
+        """
         key = (k, tuple(hyp))
         got = self._memo.get(key)
         if got is None:

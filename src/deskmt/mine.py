@@ -19,10 +19,10 @@ log-marginal row once, over the target symbols its doc_a uses, and scores
 every sentence of that doc_a against it.
 `greedy_match` runs on a score array in rounds that accept every pair best
 in both its row and its column at once. Distances and set sizes are exact
-integers, so every similarity is the same float the per-pair definitions
-`lev_sim` and `jaccard` give; each sentence-pair score is the one
-`channel_scores` gives for that pair alone, and each matching is the one a
-scan of the pairs in (-score, row, column) order gives.
+integers, so every similarity is the same float a per-pair edit distance or
+set intersection gives; each sentence-pair score is the one
+`tm.pair_channel_scores` gives for that pair alone, and each matching is the
+one a scan of the pairs in (-score, row, column) order gives.
 """
 
 from __future__ import annotations
@@ -65,18 +65,9 @@ class DocMatch:
     sim: float
 
 
-def lev_sim(a: str, b: str) -> float:
-    """1 - editdistance/max(len); two empty strings are perfectly similar."""
-    return float(_lev_sims([a], [b])[0, 0])
-
-
-def jaccard(a: WebDoc, b: WebDoc, lexicon: dict[str, str]) -> float:
-    """Token-set Jaccard with each side augmented by its own tokens' translations."""
-    return float(_jaccards([a], [b], lexicon)[0, 0])
-
-
 def _lev_sims(urls_a: list[str], urls_b: list[str]) -> np.ndarray:
-    """lev_sim of every (a, b) pair, one exact edit-distance DP per a.
+    """URL similarity of every (a, b) pair: 1 - editdistance / max(len), and
+    1 for two empty strings; one exact edit-distance DP per a.
 
     A prefix or suffix that two strings share never changes their distance,
     so the DP runs on the middles only: the prefix all URLs of both sides
@@ -115,7 +106,9 @@ def _lev_sims(urls_a: list[str], urls_b: list[str]) -> np.ndarray:
 
 def _jaccards(docs_a: list[WebDoc], docs_b: list[WebDoc],
               lexicon: dict[str, str]) -> np.ndarray:
-    """jaccard of every (a, b) pair; intersections from one incidence matmul."""
+    """Token-set Jaccard of every (a, b) pair, each side augmented by its own
+    tokens' translations, and 1 for two empty sets; intersections from one
+    incidence matmul."""
     def augmented(doc):
         tokens = doc.token_set()
         return tokens | {lexicon[t] for t in tokens if t in lexicon}
@@ -202,29 +195,18 @@ def match_documents(docs_a: list[WebDoc], docs_b: list[WebDoc],
     return [DocMatch(i, j, float(sims[i, j])) for i, j in greedy_match(sims, threshold)]
 
 
-def align_sentences(doc_a: WebDoc, doc_b: WebDoc, model: LexModel,
-                    floor: float) -> list[tuple[Sentence, Sentence, float]]:
-    """Greedy one-to-one sentence pairs scored by the per-token channel score.
-
-    The model scores doc_a sentences given doc_b sentences (its source side is
-    doc_b's language): a pair's score is its channel score ln P(a | b) (see
-    `tm.pair_channel_scores`) over the doc_a sentence's length, and
-    `greedy_match` keeps pairs at or above the floor. An empty doc_a sentence
-    to score is a DataError. This is the one-pair case of the aligner
-    `mine_bitext` runs over all its matches, and gives the triples that
-    aligner gives for the pair: `tm.cross_channel_scores` scores every
-    sentence of doc_a against every sentence of doc_b.
-    """
-    return _align([(doc_a, doc_b)], model, floor)
-
-
 def _align(doc_pairs: list[tuple[WebDoc, WebDoc]], model: LexModel,
            floor: float) -> list[tuple[Sentence, Sentence, float]]:
-    """`align_sentences` of every document pair, concatenated in order.
+    """Greedy one-to-one sentence pairs of every document pair, scored by
+    the per-token channel score, concatenated in order.
 
-    The document pairs are the blocks of one `cross_channel_scores` call,
-    which builds each doc_b sentence's row once and scores it against its
-    own doc_a only.
+    The model scores doc_a sentences given doc_b sentences (its source side
+    is doc_b's language): a pair's score is its channel score ln P(a | b)
+    (see `tm.pair_channel_scores`) over the doc_a sentence's length, and
+    `greedy_match` keeps a document pair's sentence pairs at or above the
+    floor. An empty doc_a sentence to score is a DataError. The document
+    pairs are the blocks of one `cross_channel_scores` call, which builds
+    each doc_b sentence's row once and scores it against its own doc_a only.
     """
     if any(not x for doc_a, doc_b in doc_pairs if doc_b.sentences for x in doc_a.sentences):
         raise DataError("cannot align an empty sentence: its score is per token")
@@ -246,7 +228,7 @@ def mine_bitext(docs_a: list[WebDoc], docs_b: list[WebDoc], model: LexModel, *,
     """Full mining pass: match documents, then align sentences within matches.
 
     Returns (pairs, doc matches); each pair is a (sentence a, sentence b,
-    score) triple as `align_sentences` gives it, in match order.
+    score) triple as `_align` gives it, in match order.
     """
     if lexicon is None:
         lexicon = build_lexicon(model)

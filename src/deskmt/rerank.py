@@ -19,8 +19,9 @@ prefixes that a list's entries share cost nothing extra. `rerank` orders a
 block with one stable sort and returns it taken in that order, with the
 `channel`, `lm` and `combined` arrays set; `tune_lambdas` recombines the dev
 block's arrays for every trial and turns only the entries a trial picks into
-strings. An n-best file is read into a block whose symbols are the file's
-distinct tokens, so files and decodes are reranked by the same code.
+strings. An n-best file is written straight from a block's arrays and read
+back into a block whose symbols are the file's distinct tokens, so files and
+decodes are reranked by the same code.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ import numpy as np
 from .corpus import TaggedDataset
 from .lm import LanguageModel, logprobs_of_ids
 from .metrics import STATS_WIDTH, bleu_from_stats, references_of, surface_of
-from .tm import (LexModel, NBestBlock, NBestEntry, NBestList, block_channel_scores,
-                 translate_corpus)
+from .tm import LexModel, NBestBlock, block_channel_scores, translate_corpus
 from .util import DataError, read_text, write_text_atomic
 
 LAMBDA_MAX = 3.0
@@ -164,55 +164,75 @@ NBEST_FILE_VERSION = 1
 _UNSET = "-"
 
 
-def write_nbest_file(lists: list[NBestList], path: str) -> None:
-    """Line-oriented interchange: id, rank, hypothesis, fwd/channel/lm/combined."""
-    def fmt(value):
-        return _UNSET if value is None else repr(value)
-
+def write_nbest_file(block: NBestBlock, path: str) -> None:
+    """Line-oriented interchange: a `#source` line per list, then a line per
+    entry of id, rank, hypothesis and fwd/channel/lm/combined, each score by
+    `repr` and `-` where the block has no array for it."""
+    n = block.fwd.size
+    columns = [[repr(v) for v in scores.tolist()] if scores is not None else [_UNSET] * n
+               for scores in (block.fwd, block.channel, block.lm, block.combined)]
+    rows = ["\t".join(row) for row in zip(map(" ".join, block.surfaces(np.arange(n))),
+                                           *columns)]
+    ends = block.offsets.tolist()
     lines = [f"#nbest v{NBEST_FILE_VERSION}\n"]
-    for sid, nb in enumerate(lists):
-        lines.append(f"#source {sid} {' '.join(nb.source)}\n")
-        for rank, e in enumerate(nb.entries):
-            fields = [str(sid), str(rank), " ".join(e.hyp), fmt(e.fwd),
-                      fmt(e.channel), fmt(e.lm), fmt(e.combined)]
-            lines.append("\t".join(fields) + "\n")
+    for sid, source in enumerate(block.sources):
+        lines.append(f"#source {sid} {' '.join(source)}\n")
+        lines += [f"{sid}\t{e - ends[sid]}\t{rows[e]}\n" for e in range(ends[sid], ends[sid + 1])]
     write_text_atomic(path, "".join(lines))
 
 
-def read_nbest_file(path: str) -> list[NBestList]:
-    """Inverse of write_nbest_file; any malformed line raises DataError."""
-    def parse(value):
-        return None if value == _UNSET else float(value)
-
+def read_nbest_file(path: str) -> NBestBlock:
+    """The block `write_nbest_file` wrote: its symbols are the file's
+    distinct tokens, sorted, and a channel, lm or combined array is kept
+    when every entry sets it and left out when none does. Any malformed
+    line raises DataError; an entry's id must be that of the latest
+    `#source` line and its rank its place in that list."""
     lines = read_text(path, "n-best file").split("\n")
     if lines[-1] == "":
         lines.pop()
-    if not lines or not lines[0].startswith(f"#nbest v{NBEST_FILE_VERSION}"):
+    if not lines or lines[0] != f"#nbest v{NBEST_FILE_VERSION}":
         raise DataError(f"{path}: unsupported n-best file version")
-    lists: list[NBestList] = []
+    sources, sizes, hyps, fwd, rest = [], [], [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         where = f"{path}:{lineno}"
         if line.startswith("#source "):
             sid, _, source_text = line.partition(" ")[2].partition(" ")
-            if sid != str(len(lists)):
-                raise DataError(f"{where}: #source id {sid!r}, expected {len(lists)}")
-            lists.append(NBestList(source=tuple(source_text.split()), entries=[]))
+            if sid != str(len(sources)):
+                raise DataError(f"{where}: #source id {sid!r}, expected {len(sources)}")
+            sources.append(tuple(source_text.split()))
+            sizes.append(0)
             continue
         fields = line.split("\t")
         if len(fields) != 7:
             raise DataError(f"{where}: expected 7 tab-separated fields, "
                             f"got {len(fields)}")
-        sid, _, hyp, fwd, ch, lp, comb = fields
-        if not lists:
+        if not sources:
             raise DataError(f"{where}: entry before any #source line")
+        if fields[0] != str(len(sources) - 1):
+            raise DataError(f"{where}: sentence id {fields[0]!r}, expected "
+                            f"{len(sources) - 1} of the latest #source line")
+        if fields[1] != str(sizes[-1]):
+            raise DataError(f"{where}: rank {fields[1]!r}, expected {sizes[-1]}")
         try:
-            sid = int(sid)
-            entry = NBestEntry(hyp=tuple(hyp.split()), fwd=float(fwd),
-                               channel=parse(ch), lm=parse(lp), combined=parse(comb))
+            fwd.append(float(fields[3]))
+            rest.append([None if v == _UNSET else float(v) for v in fields[4:]])
         except ValueError as e:
             raise DataError(f"{where}: {e}") from e
-        if not 0 <= sid < len(lists):
-            raise DataError(f"{where}: sentence id {sid} out of range "
-                            f"[0, {len(lists)})")
-        lists[sid].entries.append(entry)
-    return lists
+        hyps.append(tuple(fields[2].split()))
+        sizes[-1] += 1
+    scores = {}
+    for name, column in zip(("channel", "lm", "combined"), zip(*rest)):
+        unset = column.count(None)
+        if 0 < unset < len(column):
+            raise DataError(f"{path}: {name} scores set on some entries and "
+                            f"{_UNSET!r} on others")
+        if not unset:
+            scores[name] = np.array(column, dtype=np.float64)
+    symbols = tuple(sorted({tok for hyp in hyps for tok in hyp}))
+    sym_id = {s: i for i, s in enumerate(symbols)}
+    lengths = np.array([len(hyp) for hyp in hyps], dtype=np.intp)
+    ids = np.zeros((len(hyps), int(lengths.max(initial=0))),
+                   dtype=np.min_scalar_type(max(len(symbols) - 1, 0)))
+    ids[np.arange(ids.shape[1]) < lengths[:, None]] = [sym_id[tok] for hyp in hyps for tok in hyp]
+    return NBestBlock(sources, symbols, ids, lengths, np.array(fwd, dtype=np.float64),
+                      np.concatenate(([0], np.cumsum(sizes, dtype=np.intp))), **scores)

@@ -23,23 +23,23 @@ the reserved unknown token at a configured floor probability.
 live beam states (sentences x beam width), running each beam step once for
 the whole block. Every sentence keeps its own beam, its own pool order and
 its own selection (see `_decode_block`), so a source's n-best list does not
-depend on the block it is decoded in; `translate_nbest` is the one-source
-case. So blocks are filled from the sources sorted by length, which keeps
-a block's steps close to what each of its sources needs, and the lists of
-the sentences that finish at a step are picked from the step's states with
-three sorts of three keys (`_nbest_lists`): each state carries two sequence
-ids, its parent's with the token appended as a digit (made dense ranks again
-before they could overflow), that stand for its whole id sequence and its
-whole surface. States are grouped by LM context through one key per state
-in the same way.
+depend on the block it is decoded in: a one-source decode is
+`translate_corpus` of a list of one. So blocks are filled from the sources
+sorted by length, which keeps a block's steps close to what each of its
+sources needs, and the lists of the sentences that finish at a step are
+picked from the step's states with three sorts of three keys
+(`_nbest_lists`): each state carries two sequence ids, its parent's with the
+token appended as a digit (made dense ranks again before they could
+overflow), that stand for its whole id sequence and its whole surface.
+States are grouped by LM context through one key per state in the same way.
 
-The lists stay arrays from the decoder to BLEU: `translate_corpus` returns
-an `NBestBlock`, padded ext ids with their lengths, the fwd scores and each
-list's offsets, over the model's ext symbols. Reranking adds score arrays
-and reorders the entries (`rerank.rerank`), and callers turn only the
-entries they read into strings (`NBestBlock.top_hyps`, `surfaces`).
-`NBestEntry`/`NBestList` objects are built only by `NBestBlock.to_lists`,
-for the n-best file writer, the CLI and callers that want whole lists.
+The lists stay arrays from the decoder to BLEU and the n-best file:
+`translate_corpus` returns an `NBestBlock`, padded ext ids with their
+lengths, the fwd scores and each list's offsets, over the model's ext
+symbols. Reranking adds score arrays and reorders the entries
+(`rerank.rerank`), callers turn only the entries they read into strings
+(`NBestBlock.top_hyps`, `surfaces`), and the n-best file is written from a
+block and read back into one (`rerank.write_nbest_file`, `read_nbest_file`).
 
 A step scores only the pool entries that can reach the beam: the LM term is
 at most 0, so an entry scores at most the state's score plus its lex term,
@@ -86,24 +86,6 @@ DEFAULT_UNK_FLOOR = 1e-9
 LM_WEIGHT_MAX = 1e300
 
 
-@dataclass
-class NBestEntry:
-    hyp: Sentence
-    fwd: float
-    channel: float | None = None
-    lm: float | None = None
-    combined: float | None = None
-
-
-@dataclass
-class NBestList:
-    source: Sentence
-    entries: list[NBestEntry]
-
-    def top(self) -> NBestEntry:
-        return self.entries[0]
-
-
 @dataclass(eq=False)
 class NBestBlock:
     """The n-best lists of many sources as arrays.
@@ -113,10 +95,9 @@ class NBestBlock:
     the row is padding) and scored `fwd[e]` under the decoder; `rerank` adds
     its `channel`, `lm` and `combined` scores. The ids take the smallest
     unsigned type that holds them. A decoded block's symbols are the model's
-    ext symbols; a block made from entries (`from_lists`) has their distinct
-    tokens, sorted, as symbols. Strings are made only for the entries that
-    are read (`surfaces`, `top_hyps`), and `NBestList` objects only by
-    `to_lists`.
+    ext symbols; a block read from an n-best file (`rerank.read_nbest_file`)
+    has the file's distinct tokens, sorted, as symbols. Strings are made
+    only for the entries that are read (`surfaces`, `top_hyps`).
     """
 
     sources: list[Sentence]
@@ -195,35 +176,6 @@ class NBestBlock:
                           np.concatenate([[0]] + [b.offsets[1:] + shift
                                                   for b, shift in zip(blocks, shifts)]),
                           **scores)
-
-    @classmethod
-    def from_lists(cls, lists: list[NBestList]) -> NBestBlock:
-        """The block of `lists`' sources, hypotheses and fwd scores; the
-        other score slots are left out, as `rerank` sets them anew."""
-        entries = [e for nb in lists for e in nb.entries]
-        symbols = tuple(sorted({tok for e in entries for tok in e.hyp}))
-        sym_id = {s: i for i, s in enumerate(symbols)}
-        lengths = np.array([len(e.hyp) for e in entries], dtype=np.intp)
-        hyps = np.zeros((len(entries), int(lengths.max(initial=0))),
-                        dtype=_id_type(len(symbols)))
-        hyps[np.arange(hyps.shape[1]) < lengths[:, None]] = [
-            sym_id[tok] for e in entries for tok in e.hyp]
-        sizes = [len(nb.entries) for nb in lists]
-        return cls([nb.source for nb in lists], symbols, hyps, lengths,
-                   np.array([e.fwd for e in entries], dtype=np.float64),
-                   np.concatenate(([0], np.cumsum(sizes, dtype=np.intp))))
-
-    def to_lists(self) -> list[NBestList]:
-        """The lists as `NBestList` objects, for files, the CLI and callers
-        that read whole lists."""
-        values = [self.fwd.tolist()] + [
-            [None] * self.fwd.size if v is None else v.tolist()
-            for v in (self.channel, self.lm, self.combined)]
-        entries = [NBestEntry(hyp, fwd, channel, lm, combined) for hyp, fwd, channel, lm, combined
-                   in zip(self.surfaces(np.arange(self.fwd.size)), *values)]
-        ends = self.offsets.tolist()
-        return [NBestList(source=src, entries=entries[ends[k]:ends[k + 1]])
-                for k, src in enumerate(self.sources)]
 
 
 def _id_type(n_symbols: int) -> np.dtype:
@@ -482,15 +434,6 @@ _SLACK = 1e-9
 _KEY_LIMIT = 2**62
 
 
-def translate_nbest(model: LexModel, x: Sentence, n: int) -> NBestList:
-    """Beam search for the top-n target hypotheses of one source.
-
-    The one-source case of `translate_corpus`: a block of one sentence, with
-    the pool order and tie breaking that `_decode_block` documents.
-    """
-    return translate_corpus(model, [x], n).to_lists()[0]
-
-
 def translate_corpus(model: LexModel, sources: list[Sentence], nbest: int, *,
                      rerank_ctx=None) -> NBestBlock:
     """The n-best lists of every source, in source order, as one
@@ -510,7 +453,7 @@ def translate_corpus(model: LexModel, sources: list[Sentence], nbest: int, *,
     sources have nondecreasing lengths, and the lists come back in source
     order. Each sentence keeps its own beam from its own pool by
     the (-score, pool index) rule of `_decode_block`, so every list equals
-    `translate_nbest` of its source whichever block holds it. A step scores
+    the one its source gets alone, whichever block holds it. A step scores
     only the entries whose bound, state + lex, reaches a lower bound on the
     sentence's width-th best score (see `_decode_block`), so its cost
     follows what can survive rather than the whole pool; the block is still
@@ -1043,12 +986,6 @@ def _members(group: np.ndarray, n_groups: int) -> list[np.ndarray]:
     """Indices of each group's members, in ascending order."""
     by_group = np.argsort(group, kind="stable")
     return np.split(by_group, np.bincount(group, minlength=n_groups).cumsum()[:-1])
-
-
-def channel_scores(model: LexModel, x: Sentence, ys: list[Sentence]) -> list[float]:
-    """`pair_channel_scores` of x with every y: ln P(x | y) for each y."""
-    return pair_channel_scores(model, [x], ys, np.zeros(len(ys), dtype=np.intp),
-                               np.arange(len(ys))).tolist()
 
 
 FORMAT_VERSION = 1

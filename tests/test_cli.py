@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from deskmt import tm
@@ -267,9 +268,8 @@ class TestWorkflows:
         assert main(["rerank", "--nbest-file", "nb.txt", "--channel-model",
                      "bwd.json", "--lm", "lm_tgt.json", "--lambda1", "1.0",
                      "--lambda2", "0.5", "--out", "nb2.txt"]) == EXIT_OK
-        from deskmt.rerank import read_nbest_file
-        lists = read_nbest_file("nb2.txt")
-        assert all(e.combined is not None for nb in lists for e in nb.entries)
+        block = read_nbest_file("nb2.txt")
+        assert block.combined is not None
 
     def test_rerank_rescores_with_the_given_channel_model(self, workspace):
         # B: a backward model trained on other data than bwd.json (A)
@@ -285,14 +285,12 @@ class TestWorkflows:
         model_a = tm.model_from_dict(read_json("bwd.json", "model"))
         model_b = tm.model_from_dict(read_json("bwd_b.json", "model"))
         scored_a, scored_b = read_nbest_file("nb_a.txt"), read_nbest_file("nb_b.txt")
-        for nb in scored_a:
-            assert [e.channel for e in nb.entries] == \
-                tm.channel_scores(model_a, nb.source, [e.hyp for e in nb.entries])
-        for nb in scored_b:
-            assert [e.channel for e in nb.entries] == \
-                tm.channel_scores(model_b, nb.source, [e.hyp for e in nb.entries])
-        assert sorted(e.channel for nb in scored_a for e in nb.entries) != \
-            sorted(e.channel for nb in scored_b for e in nb.entries)
+        for model, block in ((model_a, scored_a), (model_b, scored_b)):
+            entries = np.arange(block.fwd.size)
+            assert block.channel.tolist() == tm.pair_channel_scores(
+                model, block.sources, block.surfaces(entries), block.list_of_entries(),
+                entries).tolist()
+        assert sorted(scored_a.channel.tolist()) != sorted(scored_b.channel.tolist())
 
     def test_tune_lambdas_writes_weights(self, workspace):
         assert main(["tune-lambdas", "--dev", "bundle/dev.tsv", "--model",
@@ -491,10 +489,10 @@ class TestRerankMode:
                      "--dump-nbest", "rr_nb.txt"]) == EXIT_OK
         lines = read_text("rr.txt", "output").splitlines()
         assert read_text("rr_dumped.txt", "output").splitlines() == lines
-        lists = read_nbest_file("rr_nb.txt")
+        block = read_nbest_file("rr_nb.txt")
         bpe = load_bpe("bpe.txt")
-        assert [decode(nb.top().hyp, bpe) for nb in lists] == lines
-        assert all(e.combined is not None for nb in lists for e in nb.entries)
+        assert [decode(hyp, bpe) for hyp in block.top_hyps()] == lines
+        assert block.combined is not None
 
     def test_augment_provenance(self, workspace):
         assert main(["augment-st", "--model", "fwd.json", "--mono",

@@ -96,14 +96,17 @@ def _write_rerank_lm() -> None:
     write_text_atomic("lm_tgt.json", lm_json(lm))
 
 
-def run_sequence(cwd: str) -> dict:
-    """Run SEQUENCE in `cwd`; the sha256 of each step's stdout and of every file."""
+def run_sequence(cwd: str, names=None) -> dict:
+    """Run SEQUENCE in `cwd`, or only its steps in `names`; the sha256 of
+    each step's stdout and of every file."""
     old = os.getcwd()
     os.chdir(cwd)
     try:
         SearchSpace(dims=SPACE).save("space.json")
         stdout = {}
         for name, argv in SEQUENCE:
+            if names is not None and name not in names:
+                continue
             if name == "train-fwd":
                 _write_rerank_lm()
             out = io.StringIO()

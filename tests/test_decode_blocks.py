@@ -24,7 +24,8 @@ from deskmt import tm
 from deskmt.corpus import SIDE_PARALLEL, UNK_TOKEN, TaggedDataset, build_mix
 from deskmt.lm import train_lm
 from deskmt.rerank import NoisyChannelWeights, RerankContext
-from deskmt.tm import DataError, NBestEntry, em_train, translate_corpus, translate_nbest
+from deskmt.tm import DataError, em_train, translate_corpus
+from nbest_lists import decode_one, nbest_lists
 
 TAG_LIKE = "<bt>"  # a word like any other: no source loses its first token
 
@@ -113,7 +114,7 @@ def reference_nbest(model, src, n, pools=None):
 
 def entries(nb):
     """Hypotheses with the exact bits of their scores."""
-    return [(e.hyp, float(e.fwd).hex()) for e in nb.entries]
+    return [(hyp, float(fwd).hex()) for hyp, fwd, *_ in nb]
 
 
 def random_model(rng, *, beam, window, order, lm_weight, unk_target, uniform=False):
@@ -172,10 +173,10 @@ class TestBlocksEqualSingleSentences:
         sources = random_sources(rng, src_syms, count)
         # small block bounds put these few sources in several blocks
         with mock.patch.object(tm, "_DECODE_STATES", states):
-            lists = translate_corpus(model, sources, n).to_lists()
-        assert [nb.source for nb in lists] == sources
-        for source, nb in zip(sources, lists):
-            assert entries(nb) == entries(translate_nbest(model, source, n))
+            block = translate_corpus(model, sources, n)
+        assert block.sources == sources
+        for source, nb in zip(sources, nbest_lists(block)):
+            assert entries(nb) == entries(decode_one(model, source, n))
             assert entries(nb) == [(hyp, score.hex())
                                    for hyp, score in reference_nbest(model, source, n)]
 
@@ -189,12 +190,12 @@ class TestBlocksEqualSingleSentences:
         model, src_syms = random_model(rng, beam=3, window=1, order=order, lm_weight=0.6,
                                        unk_target=True)
         sources = random_sources(rng, src_syms, 6)
-        kept = translate_corpus(model, sources, 8).to_lists()
+        kept = nbest_lists(translate_corpus(model, sources, 8))
         # a copy whose LM has no row table in the cache: its table is made,
         # and cleared, under the cap
         fresh = tm.model_from_dict(json.loads(tm.model_json(model)[0]))
         with mock.patch.object(lm_module, "_CACHE_CAP", cap):
-            cleared = translate_corpus(fresh, sources, 8).to_lists()
+            cleared = nbest_lists(translate_corpus(fresh, sources, 8))
             table = fresh._row_table()
         assert table is not model._row_table()
         assert [entries(nb) for nb in cleared] == [entries(nb) for nb in kept]
@@ -208,7 +209,7 @@ class TestBlocksEqualSingleSentences:
                                        unk_target=True)
         sources = random_sources(rng, src_syms, 8)
         with mock.patch.object(tm, "_KEY_LIMIT", limit):
-            lists = translate_corpus(model, sources, 6).to_lists()
+            lists = nbest_lists(translate_corpus(model, sources, 6))
         for source, nb in zip(sources, lists):
             assert entries(nb) == [(hyp, score.hex())
                                    for hyp, score in reference_nbest(model, source, 6)]
@@ -218,9 +219,9 @@ class TestBlocksEqualSingleSentences:
         model, src_syms = random_model(rng, beam=5, window=1, order=3, lm_weight=0.4,
                                        unk_target=False)
         sources = random_sources(rng, src_syms, tm._DECODE_STATES // 5 + 9)
-        lists = translate_corpus(model, sources, 1).to_lists()
+        lists = nbest_lists(translate_corpus(model, sources, 1))
         for source, nb in zip(sources, lists):
-            assert entries(nb) == entries(translate_nbest(model, source, 1))
+            assert entries(nb) == entries(decode_one(model, source, 1))
 
 
 class TestTiesKeepTheLowestPoolIndex:
@@ -237,8 +238,8 @@ class TestTiesKeepTheLowestPoolIndex:
 
     @pytest.mark.parametrize("beam", [1, 3, 5])
     def test_one_step_keeps_the_first_targets(self, beam):
-        nb = translate_nbest(self.model(beam), ("s0",), beam)
-        assert [e.hyp for e in nb.entries] == [(t,) for t in self.TARGETS[:beam]]
+        nb = decode_one(self.model(beam), ("s0",), beam)
+        assert [e.hyp for e in nb] == [(t,) for t in self.TARGETS[:beam]]
 
     @pytest.mark.parametrize("beam", [1, 3, 5])
     def test_later_steps_extend_the_first_state(self, beam):
@@ -246,12 +247,12 @@ class TestTiesKeepTheLowestPoolIndex:
         # beam order, each state's targets in id order, so the first `width`
         # entries all extend the first state, t0
         model = self.model(beam)
-        nb = translate_nbest(model, ("s0", "s0", "s0"), beam)
-        assert [e.hyp for e in nb.entries] == [("t0", "t0", t) for t in self.TARGETS[:beam]]
+        nb = decode_one(model, ("s0", "s0", "s0"), beam)
+        assert [e.hyp for e in nb] == [("t0", "t0", t) for t in self.TARGETS[:beam]]
         assert [(hyp, score.hex()) for hyp, score in
                 reference_nbest(model, ("s0", "s0", "s0"), beam)] == entries(nb)
-        lists = translate_corpus(model, [("s0",), ("s0", "s0", "s0"), (TAG_LIKE, "s0")],
-                                 beam).to_lists()
+        lists = nbest_lists(translate_corpus(
+            model, [("s0",), ("s0", "s0", "s0"), (TAG_LIKE, "s0")], beam))
         assert entries(lists[1]) == entries(nb)
 
 
@@ -312,7 +313,7 @@ class TestBoundPruning:
                    + (("zz",) if rng.random() < 0.3 else ()) for _ in range(count)]
         scored = [0]
         with mock.patch.object(tm, "_entry_scores", scored_entries(scored)):
-            lists = translate_corpus(model, sources, n).to_lists()
+            lists = nbest_lists(translate_corpus(model, sources, n))
         pools = []
         for source, nb in zip(sources, lists):
             assert entries(nb) == [(hyp, score.hex())
@@ -326,7 +327,7 @@ class TestBoundPruning:
                                  order=2, lm_weight=0.0, uniform=True)
         for source in [("s0", "s1"), ("s1", "s0", "s1", "s0")]:
             for n in (1, 5, 50):
-                assert entries(translate_nbest(model, source, n)) == [
+                assert entries(decode_one(model, source, n)) == [
                     (hyp, score.hex()) for hyp, score in reference_nbest(model, source, n)]
 
     def test_equal_scores_in_a_row_keep_the_lower_target_id(self):
@@ -339,7 +340,7 @@ class TestBoundPruning:
                             lm_weight=1.0)
         with mock.patch.object(lm_module, "_mix",
                                lambda parts, probs: np.broadcast_to(row, probs[0].shape).copy()):
-            nb = translate_nbest(model, ("x",), 1)
+            nb = decode_one(model, ("x",), 1)
             assert model._candidate_table()[0][:2].tolist() == [1, 0]
             assert entries(nb) == [(hyp, score.hex())
                                    for hyp, score in reference_nbest(model, ("x",), 1)]
@@ -365,7 +366,7 @@ class TestMarginCoversTheLmRows:
             model = tm.LexModel((tm.NULL, "x", "y"), targets, t, lm, beam=2, window=1,
                                 lm_weight=lm_weight, unk_floor=TINY)
             for source in [("x", "y"), ("y", "x", "x"), ("x", "zz", "y")]:
-                assert entries(translate_nbest(model, source, 3)) == [
+                assert entries(decode_one(model, source, 3)) == [
                     (hyp, score.hex()) for hyp, score in reference_nbest(model, source, 3)]
         table = model._row_table()
         assert table.row_max == 0.0 == table.rows[:, 0].min()
@@ -384,12 +385,12 @@ class TestMarginCoversTheLmRows:
             model = tm.LexModel((tm.NULL, "x", "y"), targets, t,
                                 train_lm([("a", "c")], 1, 1e-20), beam=1, window=1,
                                 lm_weight=lm_weight)
-            nb = translate_nbest(model, ("x", "y"), 1)
+            nb = decode_one(model, ("x", "y"), 1)
             assert entries(nb) == [(hyp, score.hex())
                                    for hyp, score in reference_nbest(model, ("x", "y"), 1)]
             assert model._row_table().row_max == pytest.approx(np.log(0.5) + 1.0)
         if lm_weight:
-            assert nb.top().hyp == ("a", "c")
+            assert nb[0].hyp == ("a", "c")
 
 
 class TestEmptySources:
@@ -409,7 +410,7 @@ class TestEmptySources:
         model = self.model()
         sources = [("s0", "s1"), ("s1",), ("s0",)]
         sources.insert(where, empty)
-        expected = self.message(lambda: translate_nbest(model, (), 1))
+        expected = self.message(lambda: decode_one(model, (), 1))
         assert expected == "cannot translate an empty sentence"
         assert self.message(lambda: translate_corpus(model, sources, 3)) == expected
 
@@ -418,7 +419,7 @@ def rescored(nb):
     """Entries with the exact bits of every score slot that is set."""
     return [(e.hyp,) + tuple(v if v is None else v.hex()
                              for v in (e.fwd, e.channel, e.lm, e.combined))
-            for e in nb.entries]
+            for e in nb]
 
 
 class TestLengthSortedBlocks:
@@ -434,8 +435,8 @@ class TestLengthSortedBlocks:
             return real(model, block, width, n)
 
         with mock.patch.object(tm, "_decode_block", recording):
-            lists = translate_corpus(model, sources, 50, rerank_ctx=rerank_ctx).to_lists()
-        return lists, blocks
+            block = translate_corpus(model, sources, 50, rerank_ctx=rerank_ctx)
+        return block, blocks
 
     @pytest.mark.parametrize("reranked", [False, True])
     def test_descending_sources_over_three_blocks(self, reranked):
@@ -450,32 +451,31 @@ class TestLengthSortedBlocks:
         assert len(set(map(len, sources))) > 3
         # 256 states make blocks of 5 sentences at n=50
         with mock.patch.object(tm, "_DECODE_STATES", 256):
-            lists, blocks = self.decode(model, sources, ctx)
+            decoded, blocks = self.decode(model, sources, ctx)
         assert len(blocks) >= 3
         assert sorted(length for block in blocks for length in block) == \
             sorted(map(len, sources))
         for block in blocks:
             assert block == sorted(block)
-        assert [nb.source for nb in lists] == sources
-        for source, nb in zip(sources, lists):
-            alone = translate_corpus(model, [source], 50, rerank_ctx=ctx).to_lists()[0]
+        assert decoded.sources == sources
+        for source, nb in zip(sources, nbest_lists(decoded)):
+            alone = nbest_lists(translate_corpus(model, [source], 50, rerank_ctx=ctx))[0]
             assert rescored(nb) == rescored(alone)
             if not reranked:
-                assert entries(nb) == entries(translate_nbest(model, source, 50))
+                assert entries(nb) == entries(decode_one(model, source, 50))
 
 
-def reference_nbest_list(source, beam, ext_vocab, n):
+def reference_nbest_list(beam, ext_vocab, n):
     """The per-state n-best assembly `tm._nbest_lists` replaces, kept as its
-    specification: a finished beam of (score, emitted ext ids) states."""
+    specification: the (hyp, score) entries of a finished beam of (score,
+    emitted ext ids) states."""
     best = {}
     for score, ids in beam:
         ids = tuple(ids)
         if best.get(ids, -np.inf) < score:
             best[ids] = score
     hyps = {tuple(ext_vocab[e] for e in ids): score for ids, score in best.items()}
-    ranked = sorted(hyps.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
-    return tm.NBestList(source=source,
-                        entries=[NBestEntry(hyp=hyp, fwd=score) for hyp, score in ranked])
+    return sorted(hyps.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
 
 
 def sequence_ids(emitted, ext_rank):
@@ -489,13 +489,12 @@ def sequence_ids(emitted, ext_rank):
     return seq, surf
 
 
-def picked_lists(block, sent, score, emitted, ext_vocab, kept):
-    """The lists `_nbest_lists`' picked states make, by sentence."""
+def picked_lists(sent, score, emitted, ext_vocab, kept):
+    """The (hyp, score) entries of `_nbest_lists`' picked states, by sentence."""
     assert np.all(np.diff(sent[kept]) >= 0)
-    lists = {s: tm.NBestList(source=block[s], entries=[]) for s in set(sent.tolist())}
+    lists = {s: [] for s in set(sent.tolist())}
     for k in kept.tolist():
-        lists[int(sent[k])].entries.append(
-            NBestEntry(hyp=tuple(ext_vocab[e] for e in emitted[k]), fwd=float(score[k])))
+        lists[int(sent[k])].append((tuple(ext_vocab[e] for e in emitted[k]), float(score[k])))
     return lists
 
 
@@ -529,14 +528,11 @@ class TestArrayNbestLists:
         sent = np.array([s for s, _, _ in states])
         score = np.array([v for _, v, _ in states])
         emitted = np.array([ids for _, _, ids in states], dtype=np.intp)
-        block = [(f"x{s}",) for s in range(sentences)]
         kept = tm._nbest_lists(sent, score, *sequence_ids(emitted, model._row_table().ranks), n)
-        got = picked_lists(block, sent, score, emitted, ext_vocab, kept)
+        got = picked_lists(sent, score, emitted, ext_vocab, kept)
         for s, nb in got.items():
             beam = [(v, ids) for t, v, ids in states if t == s]
-            want = reference_nbest_list(block[s], beam, ext_vocab, n)
-            assert nb.source == want.source
-            assert entries(nb) == entries(want)
+            assert entries(nb) == entries(reference_nbest_list(beam, ext_vocab, n))
 
     @pytest.mark.parametrize("limit", [tm._KEY_LIMIT, 1, 100])
     def test_two_spellings_collide_in_a_decode(self, limit):
@@ -549,8 +545,8 @@ class TestArrayNbestLists:
                             beam=8, window=1, lm_weight=0.3)
         sources = [("zz", "s0"), ("s0", "zz", "s0", "zz"), ("zz", "s0", "s0")]
         with mock.patch.object(tm, "_KEY_LIMIT", limit):
-            lists = translate_corpus(model, sources, 40).to_lists()
-        assert (UNK_TOKEN, UNK_TOKEN) in [e.hyp for e in lists[0].entries]
+            lists = nbest_lists(translate_corpus(model, sources, 40))
+        assert (UNK_TOKEN, UNK_TOKEN) in [e.hyp for e in lists[0]]
         for source, nb in zip(sources, lists):
             assert entries(nb) == [(hyp, score.hex())
                                    for hyp, score in reference_nbest(model, source, 40)]
@@ -563,6 +559,6 @@ class TestArrayNbestLists:
         sent, score = np.zeros(3, dtype=np.intp), np.array([-1.0, -2.0, -3.0])
         emitted = np.array([[0, 1], [5, 1], [2, 2]])
         kept = tm._nbest_lists(sent, score, *sequence_ids(emitted, model._row_table().ranks), 5)
-        got = picked_lists([("x",)], sent, score, emitted, ext_vocab, kept)
+        got = picked_lists(sent, score, emitted, ext_vocab, kept)
         assert entries(got[0]) == [((UNK_TOKEN, "a"), (-2.0).hex()),
                                    (("b", "b"), (-3.0).hex())]

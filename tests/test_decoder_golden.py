@@ -22,7 +22,8 @@ import numpy as np
 from deskmt.corpus import build_mix
 from deskmt.lm import train_lm
 from deskmt.synth import gen_corpora, make_spec
-from deskmt.tm import NULL, LexModel, em_train, translate_corpus, translate_nbest
+from deskmt.tm import NULL, LexModel, em_train, translate_corpus
+from nbest_lists import decode_one, nbest_lists
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "decoder_golden.json")
 
@@ -74,7 +75,7 @@ def golden_groups():
 
 
 def _entries(nbest):
-    return [[" ".join(e.hyp), repr(e.fwd)] for e in nbest.entries]
+    return [[" ".join(e.hyp), repr(e.fwd)] for e in nbest]
 
 
 def decode_all() -> dict:
@@ -82,7 +83,7 @@ def decode_all() -> dict:
     out = {}
     for prefix, model, sources, n in golden_groups():
         for k, source in enumerate(sources):
-            out[f"{prefix}-s{k}"] = _entries(translate_nbest(model, source, n))
+            out[f"{prefix}-s{k}"] = _entries(decode_one(model, source, n))
     return out
 
 
@@ -90,7 +91,7 @@ def decode_all_in_blocks() -> dict:
     """Every case decoded inside one corpus call per group."""
     out = {}
     for prefix, model, sources, n in golden_groups():
-        for k, nbest in enumerate(translate_corpus(model, sources, n).to_lists()):
+        for k, nbest in enumerate(nbest_lists(translate_corpus(model, sources, n))):
             out[f"{prefix}-s{k}"] = _entries(nbest)
     return out
 

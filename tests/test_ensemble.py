@@ -12,12 +12,13 @@ from deskmt.rerank import NULL_WEIGHTS, rerank
 from deskmt.tm import (
     NULL,
     LexModel,
-    NBestBlock,
     em_train,
     model_from_dict,
     model_json,
-    translate_nbest,
+    translate_corpus,
 )
+
+from nbest_lists import decode_one, nbest_lists
 
 
 def mix_for(seed, n_pairs=10):
@@ -62,7 +63,7 @@ def hand_built(members):
 
 
 def entries(nbest):
-    return [(e.hyp, e.fwd, e.channel, e.lm) for e in nbest.entries]
+    return [(e.hyp, e.fwd, e.channel, e.lm) for e in nbest]
 
 
 class TestStepLogprob:
@@ -105,19 +106,19 @@ class TestEnsembleNbest:
     def test_k1_bitwise_identity(self):
         mix, members = trained_members(1, seed=3)
         x = mix.datasets[0].pairs[0][0]
-        single = translate_nbest(members[0], x, 6)
-        ens = translate_nbest(Ensemble(members), x, 6)
-        assert [(a.hyp, a.fwd) for a in single.entries] == \
-               [(b.hyp, b.fwd) for b in ens.entries]
+        single = decode_one(members[0], x, 6)
+        ens = decode_one(Ensemble(members), x, 6)
+        assert [(a.hyp, a.fwd) for a in single] == \
+               [(b.hyp, b.fwd) for b in ens]
 
     def test_identical_members_match_single(self):
         mix, members = trained_members(1, seed=4)
         m = members[0]
         x = mix.datasets[0].pairs[1][0]
-        single = translate_nbest(m, x, 6)
-        ens = translate_nbest(Ensemble([m, m]), x, 6)
-        assert [(a.hyp, a.fwd) for a in single.entries] == \
-               [(b.hyp, b.fwd) for b in ens.entries]
+        single = decode_one(m, x, 6)
+        ens = decode_one(Ensemble([m, m]), x, 6)
+        assert [(a.hyp, a.fwd) for a in single] == \
+               [(b.hyp, b.fwd) for b in ens]
 
     def test_disagreeing_one_hot_members(self):
         lm = train_lm([("x", "y"), ("y", "x")], 2, 0.5)
@@ -125,10 +126,10 @@ class TestEnsembleNbest:
         t2 = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 1.0]])  # a->y, b->y
         m1 = LexModel((NULL, "a", "b"), ("x", "y"), t1, lm, lm_weight=0.0, beam=8)
         m2 = LexModel((NULL, "a", "b"), ("x", "y"), t2, lm, lm_weight=0.0, beam=8)
-        nb = translate_nbest(Ensemble([m1, m2]), ("a", "b"), 4)
+        nb = decode_one(Ensemble([m1, m2]), ("a", "b"), 4)
         # averaged: t(x|a)=0.5, t(y|a)=0.5, t(y|b)=1 -> both "x y" and "y y" at
         # ln 0.5; lexicographic tie-break prefers "x y"
-        assert nb.top().hyp == ("x", "y")
+        assert nb[0].hyp == ("x", "y")
         # brute force over the 2-symbol input space confirms the averaged argmax
         scores = {}
         for h1 in ["x", "y"]:
@@ -138,15 +139,15 @@ class TestEnsembleNbest:
                 if p1 > 0 and p2 > 0:
                     scores[(h1, h2)] = math.log(p1) + math.log(p2)
         best = max(sorted(scores), key=lambda k: scores[k])
-        assert nb.top().hyp == best
+        assert nb[0].hyp == best
 
     def test_permutation_invariance(self):
         mix, members = trained_members(3, seed=5)
         x = mix.datasets[0].pairs[0][0]
-        base = translate_nbest(Ensemble(members), x, 5)
-        perm = translate_nbest(Ensemble([members[2], members[0], members[1]]), x, 5)
-        assert [e.hyp for e in base.entries] == [e.hyp for e in perm.entries]
-        for a, b in zip(base.entries, perm.entries):
+        base = decode_one(Ensemble(members), x, 5)
+        perm = decode_one(Ensemble([members[2], members[0], members[1]]), x, 5)
+        assert [e.hyp for e in base] == [e.hyp for e in perm]
+        for a, b in zip(base, perm):
             assert a.fwd == pytest.approx(b.fwd, abs=1e-12)
 
     def test_averaged_rows_stay_normalized(self):
@@ -161,8 +162,8 @@ class TestEnsembleNbest:
         assert ens.lm is members[0].lm
         for src, _ in mix.datasets[0].pairs[:6]:
             for n in (1, 4, 12):
-                assert entries(translate_nbest(ens, src, n)) == \
-                    entries(translate_nbest(hand, src, n))
+                assert entries(decode_one(ens, src, n)) == \
+                    entries(decode_one(hand, src, n))
 
     def test_channel_scores_as_mean_table(self):
         mix = mix_for(13)
@@ -170,10 +171,9 @@ class TestEnsembleNbest:
         backward = varied_members(swap_direction(mix))
         ens, hand = Ensemble(backward), hand_built(backward)
         for src, _ in mix.datasets[0].pairs[:6]:
-            nb = translate_nbest(forward, src, 8)
-            block = NBestBlock.from_lists([nb])
-            got = entries(rerank(block, ens, forward.lm, NULL_WEIGHTS).to_lists()[0])
-            assert got == entries(rerank(block, hand, forward.lm, NULL_WEIGHTS).to_lists()[0])
+            block = translate_corpus(forward, [src], 8)
+            got = entries(nbest_lists(rerank(block, ens, forward.lm, NULL_WEIGHTS))[0])
+            assert got == entries(nbest_lists(rerank(block, hand, forward.lm, NULL_WEIGHTS))[0])
             assert all(ch is not None for _, _, ch, _ in got)
 
 

@@ -20,7 +20,6 @@ from deskmt.lm import (
     finetune_lm,
     lm_from_dict,
     lm_json,
-    logprob,
     logprobs,
     perplexity,
     row_table,
@@ -28,6 +27,11 @@ from deskmt.lm import (
 )
 from deskmt.util import stable_json_dumps
 from reference_docs import lm_to_dict as reference_lm_to_dict
+
+
+def sentence_logprob(model, sentence):
+    """One sentence's log-probability: `logprobs` of a list of one."""
+    return float(logprobs(model, [sentence])[0])
 
 
 def lm_doc(model):
@@ -62,7 +66,8 @@ def probs(model, context):
 class TestTraining:
     def test_unambiguous_bigram_approaches_certainty(self):
         model = train_lm([("a", "b")] * 10, order=2, k=1e-9)
-        assert math.exp(logprob(model, ("a", "b")) - model.eos_logprob) == pytest.approx(1.0, abs=1e-6)
+        assert math.exp(sentence_logprob(model, ("a", "b")) - model.eos_logprob) == \
+            pytest.approx(1.0, abs=1e-6)
 
     def test_large_k_approaches_uniform(self):
         # 3 distinct tokens + EOS = |V| 4; prediction space adds unk -> 1/5
@@ -96,7 +101,7 @@ class TestTraining:
         # levels after the context of the largest total, stays a normal float
         model = train_lm([("a",)] * 3, 2, 1e-150)
         assert model.syms == ("a", EOS, "<unk>")
-        least = math.exp(logprob(model, ("<unk>",)) - model.eos_logprob)
+        least = math.exp(sentence_logprob(model, ("<unk>",)) - model.eos_logprob)
         assert least >= sys.float_info.min
 
     def test_weighted_training_equals_replication(self):
@@ -105,8 +110,8 @@ class TestTraining:
         replicated = train_lm(corpus * 1 + [corpus[0]] * 2 + [corpus[1]] * 1,
                               order=2, k=0.3)
         for sent in [("a",), ("a", "b"), ("b", "a", "b")]:
-            assert logprob(weighted, sent) == pytest.approx(
-                logprob(replicated, sent), abs=1e-12)
+            assert sentence_logprob(weighted, sent) == pytest.approx(
+                sentence_logprob(replicated, sent), abs=1e-12)
 
 
 class TestLogprob:
@@ -131,7 +136,7 @@ class TestLogprob:
             + math.log(p2("c", "b", {"c": 4, "b": 2}, 6))
             + math.log(p1("</s>"))
         )
-        assert logprob(model, ("a", "b", "c")) == pytest.approx(expected, abs=1e-10)
+        assert sentence_logprob(model, ("a", "b", "c")) == pytest.approx(expected, abs=1e-10)
         assert model.eos_logprob == pytest.approx(math.log(k / (18 + ks)), abs=1e-12)
 
     def test_extension_strictly_decreases(self):
@@ -141,15 +146,15 @@ class TestLogprob:
         for _ in range(200):
             sent = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 6)))
             extended = sent + (rng.choice(vocab + ["zzz"]),)
-            assert logprob(model, extended) < logprob(model, sent)
+            assert sentence_logprob(model, extended) < sentence_logprob(model, sent)
 
     def test_finite_on_unknown_symbols(self):
         model = train_lm([("a", "b")] * 3, order=2, k=0.1)
-        assert math.isfinite(logprob(model, ("never", "seen", "tokens")))
+        assert math.isfinite(sentence_logprob(model, ("never", "seen", "tokens")))
 
     def test_strictly_negative(self):
         model = train_lm([("a", "b"), ("b", "a")], order=2, k=0.5)
-        assert logprob(model, ("a", "b")) < 0
+        assert sentence_logprob(model, ("a", "b")) < 0
 
 
 class TestNormalization:
@@ -174,7 +179,7 @@ class TestPerplexity:
         model = train_lm([("a", "b")] * 5, order=2, k=0.3)
         sent = ("a", "b")
         assert perplexity(model, [sent]) == pytest.approx(
-            math.exp(-logprob(model, sent) / (len(sent) + 1)))
+            math.exp(-sentence_logprob(model, sent) / (len(sent) + 1)))
 
     def test_fitted_beats_random_text(self):
         rng = random.Random(5)
@@ -194,13 +199,13 @@ class TestFinetune:
     def test_alpha_zero_reproduces_base(self):
         mixed = finetune_lm(self.base, self.in_corpus, alpha=0.0)
         for sent in [("a", "b"), ("x", "y"), ("q",)]:
-            assert abs(logprob(mixed, sent) - logprob(self.base, sent)) < 1e-12
+            assert abs(sentence_logprob(mixed, sent) - sentence_logprob(self.base, sent)) < 1e-12
 
     def test_alpha_one_reproduces_fresh_in_domain_model(self):
         mixed = finetune_lm(self.base, self.in_corpus, alpha=1.0)
         fresh = train_lm(self.in_corpus, order=2, k=0.4)
         for sent in [("x", "y"), ("a", "x"), ("b",)]:
-            assert abs(logprob(mixed, sent) - logprob(fresh, sent)) < 1e-12
+            assert abs(sentence_logprob(mixed, sent) - sentence_logprob(fresh, sent)) < 1e-12
 
     def test_midpoint_averages_unigram_estimates(self):
         base = train_lm([("a",)] * 4, order=1, k=0.5)
@@ -208,7 +213,7 @@ class TestFinetune:
         indomain = train_lm([("b",)] * 4, order=1, k=0.5)
         pa = 0.5 * probs(base, ())[base.sym_id["a"]] \
             + 0.5 * probs(indomain, ())[indomain.id_or_unk("a")]
-        got = math.exp(logprob(mixed, ("a",)) - mixed.eos_logprob)
+        got = math.exp(sentence_logprob(mixed, ("a",)) - mixed.eos_logprob)
         assert got == pytest.approx(float(pa), abs=1e-12)
 
     def test_alpha_out_of_range_rejected(self):
@@ -230,14 +235,14 @@ class TestSerialization:
         loaded = lm_from_dict(lm_doc(model))
         for _ in range(50):
             sent = tuple(rng.choice(vocab + ["oov"]) for _ in range(rng.randint(1, 6)))
-            assert logprob(loaded, sent) == logprob(model, sent)
+            assert sentence_logprob(loaded, sent) == sentence_logprob(model, sent)
 
     def test_interpolated_round_trip(self):
         base = train_lm([("a", "b")] * 6, order=2, k=0.2)
         mixed = finetune_lm(base, [("b", "c")] * 6, alpha=0.3)
         loaded = lm_from_dict(lm_doc(mixed))
         for sent in [("a", "b"), ("b", "c"), ("c", "a")]:
-            assert logprob(loaded, sent) == logprob(mixed, sent)
+            assert sentence_logprob(loaded, sent) == sentence_logprob(mixed, sent)
 
     @pytest.mark.parametrize("key", ["kind", "order", "vocab", "counts", "k",
                                      "token_total"])
@@ -354,7 +359,7 @@ class TestBatchScores:
         sents = random_corpus(rng, ["a", "b", "c", "d", "e", "zz"], 60, max_len=12)
         for model in self.models():
             batch = logprobs(model, sents).tolist()
-            assert batch == [logprob(model, s) for s in sents]
+            assert batch == [sentence_logprob(model, s) for s in sents]
             assert batch == [reference_logprob(model, s) for s in sents]
 
     def test_row_caches_stay_bounded(self, monkeypatch):
@@ -364,7 +369,7 @@ class TestBatchScores:
         for model in self.models():
             table = row_table(model, _SCORER_SYMBOLS)
             for s in sents:
-                assert logprob(model, s) == reference_logprob(model, s)
+                assert sentence_logprob(model, s) == reference_logprob(model, s)
                 # a token outside the symbols reads as "zz", which no LM knows
                 ctx = [_SCORER_SYMBOLS.index(t) if t in _SCORER_SYMBOLS else 3
                        for t in s[-(model.order - 1):]]
@@ -603,7 +608,7 @@ class TestMalformedCounts:
         assert [bos] in [ctx for ctx, _ in doc["counts"][1]]
         doc["counts"][1][0][1][0] = (doc["counts"][1][0][1][0][0], 0)
         model = lm_from_dict(doc)
-        assert math.isfinite(logprob(model, ("a", "b")))
+        assert math.isfinite(sentence_logprob(model, ("a", "b")))
 
     def test_context_without_counts_scores_as_unseen(self):
         doc = self.doc()
@@ -611,7 +616,7 @@ class TestMalformedCounts:
         doc["counts"][1].append([[3], []])   # <unk> context, no counts
         loaded = lm_from_dict(doc)
         for sent in [("a", "zz", "b"), ("b",)]:
-            assert logprob(loaded, sent) == logprob(listed, sent)
+            assert sentence_logprob(loaded, sent) == sentence_logprob(listed, sent)
         assert lm_json(loaded) == lm_json(listed)
 
 

@@ -12,7 +12,6 @@ from deskmt.metrics import (
     bleu,
     bleu_from_stats,
     evaluate_system,
-    sentence_stats,
 )
 from deskmt.subword import POLICY_UNSPACED, learn_bpe, encode
 from deskmt.util import DataError
@@ -137,6 +136,12 @@ def bleu_before_stats(hyps, refs):
 
 
 _sentences = st.lists(st.sampled_from("abc"), max_size=7).map(tuple)
+
+
+def sentence_stats(hyp, ref):
+    """The statistics of one hypothesis, from a References of its reference
+    alone: nothing memoized from other hypotheses."""
+    return References([ref]).stats(0, hyp)
 
 
 class TestSufficientStatistics:

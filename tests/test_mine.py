@@ -14,20 +14,36 @@ from deskmt.mine import (
     DataError,
     DocMatch,
     WebDoc,
+    _align,
+    _jaccards,
     _lev_sims,
-    align_sentences,
     build_lexicon,
     greedy_match,
-    jaccard,
-    lev_sim,
     load_doc_dir,
     load_url_index,
     match_documents,
     mine_bitext,
 )
 from deskmt.synth import gen_corpora, make_spec
-from deskmt.tm import NULL, LexModel, channel_scores, cross_channel_scores, em_train
+from deskmt.tm import NULL, LexModel, cross_channel_scores, em_train
 from test_mine_golden import FLOORS, THRESHOLDS, golden_inputs
+from test_tm import reference_marginal
+
+
+def pair_lev_sim(a, b):
+    """The URL similarity of one pair: `_lev_sims` of one URL a side."""
+    return float(_lev_sims([a], [b])[0, 0])
+
+
+def pair_jaccard(a, b, lexicon):
+    """The token similarity of one document pair: `_jaccards` of one
+    document a side."""
+    return float(_jaccards([a], [b], lexicon)[0, 0])
+
+
+def align_pair(doc_a, doc_b, model, floor):
+    """The sentence pairs of one document pair: `_align` of a list of one."""
+    return _align([(doc_a, doc_b)], model, floor)
 
 
 def greedy_oracle(sims, threshold):
@@ -115,16 +131,10 @@ class TestLevKernel:
             for j, b in enumerate(urls_b):
                 assert sims[i, j] == textbook_lev_sim(a, b), (a, b)
 
-    @settings(max_examples=100, deadline=None)
-    @given(URLS, URLS)
-    def test_public_lev_sim_is_the_kernel(self, a, b):
-        assert lev_sim(a, b) == textbook_lev_sim(a, b)
-        assert type(lev_sim(a, b)) is float
-
     def test_known_distances(self):
-        assert lev_sim("kitten", "sitting") == 1.0 - 3 / 7
-        assert lev_sim("flaw", "lawn") == 1.0 - 2 / 4
-        assert lev_sim("日本語", "日本") == 1.0 - 1 / 3
+        assert pair_lev_sim("kitten", "sitting") == 1.0 - 3 / 7
+        assert pair_lev_sim("flaw", "lawn") == 1.0 - 2 / 4
+        assert pair_lev_sim("日本語", "日本") == 1.0 - 1 / 3
 
     @settings(max_examples=300, deadline=None)
     @given(URLS, URLS, st.lists(URLS, min_size=1, max_size=4),
@@ -150,30 +160,30 @@ class TestLevKernel:
 
 class TestLevSim:
     def test_identical(self):
-        assert lev_sim("abc", "abc") == 1.0
+        assert pair_lev_sim("abc", "abc") == 1.0
 
     def test_single_substitution(self):
-        assert lev_sim("abc", "abd") == pytest.approx(1 - 1 / 3)
+        assert pair_lev_sim("abc", "abd") == pytest.approx(1 - 1 / 3)
 
     def test_full_deletion(self):
-        assert lev_sim("", "ab") == 0.0
+        assert pair_lev_sim("", "ab") == 0.0
 
     def test_both_empty(self):
-        assert lev_sim("", "") == 1.0
+        assert pair_lev_sim("", "") == 1.0
 
     def test_symmetry(self):
         rng = random.Random(0)
         for _ in range(50):
             a = "".join(rng.choice("abc") for _ in range(rng.randint(0, 6)))
             b = "".join(rng.choice("abc") for _ in range(rng.randint(0, 6)))
-            assert lev_sim(a, b) == pytest.approx(lev_sim(b, a))
+            assert pair_lev_sim(a, b) == pytest.approx(pair_lev_sim(b, a))
 
     def test_bounds(self):
         rng = random.Random(1)
         for _ in range(50):
             a = "".join(rng.choice("xy") for _ in range(rng.randint(0, 5)))
             b = "".join(rng.choice("xy") for _ in range(rng.randint(0, 5)))
-            assert 0.0 <= lev_sim(a, b) <= 1.0
+            assert 0.0 <= pair_lev_sim(a, b) <= 1.0
 
 
 class TestJaccard:
@@ -183,23 +193,23 @@ class TestJaccard:
     def test_identical_augmented_sets(self):
         a = self.doc("u1", "a b")
         b = self.doc("u2", "b a")
-        assert jaccard(a, b, {}) == 1.0
+        assert pair_jaccard(a, b, {}) == 1.0
 
     def test_disjoint(self):
-        assert jaccard(self.doc("u", "a"), self.doc("v", "b"), {}) == 0.0
+        assert pair_jaccard(self.doc("u", "a"), self.doc("v", "b"), {}) == 0.0
 
     def test_set_arithmetic(self):
         a = self.doc("u", "a b")
         b = self.doc("v", "b c")
-        assert jaccard(a, b, {}) == pytest.approx(1 / 3)
+        assert pair_jaccard(a, b, {}) == pytest.approx(1 / 3)
 
     def test_lexicon_bridges_languages(self):
         a = self.doc("u", "hello world")
         b = self.doc("v", "HELLO WORLD")
         lex = {"hello": "HELLO", "world": "WORLD",
                "HELLO": "hello", "WORLD": "world"}
-        assert jaccard(a, b, lex) == 1.0
-        assert jaccard(a, b, {}) == 0.0
+        assert pair_jaccard(a, b, lex) == 1.0
+        assert pair_jaccard(a, b, {}) == 0.0
 
 
 class TestDocSim:
@@ -214,7 +224,7 @@ class TestDocSim:
     def test_product(self):
         a = WebDoc("aaaa", (("x",),))
         b = WebDoc("aabb", (("x",), ("y",)))
-        expected = lev_sim("aaaa", "aabb") * jaccard(a, b, {})
+        expected = pair_lev_sim("aaaa", "aabb") * pair_jaccard(a, b, {})
         assert self.sim(a, b) == pytest.approx(expected)
 
     def test_zero_factor_zeroes_product(self):
@@ -253,8 +263,8 @@ class TestMatchDocuments:
             assert got == expected
             for i, a in enumerate(docs_a):
                 for j, b in enumerate(docs_b):
-                    assert lev_sim(a.url, b.url) * jaccard(a, b, lexicon) == reference[i][j]
-                    assert jaccard(a, b, lexicon) == textbook_jaccard(a, b, lexicon)
+                    assert pair_lev_sim(a.url, b.url) * pair_jaccard(a, b, lexicon) == reference[i][j]
+                    assert pair_jaccard(a, b, lexicon) == textbook_jaccard(a, b, lexicon)
 
     def test_empty_sides(self):
         doc = WebDoc("u", (("a",),))
@@ -334,11 +344,11 @@ class TestAlignSentences:
         model = one_hot_model({"B": "a"})  # scores src-lang given tgt-lang
         doc_a = WebDoc("u", (("a",),), lang="src")
         doc_b = WebDoc("v", (("B",),), lang="tgt")
-        out = align_sentences(doc_a, doc_b, model, floor=-10.0)
+        out = align_pair(doc_a, doc_b, model, floor=-10.0)
         assert len(out) == 1
         sa, sb, score = out[0]
         assert (sa, sb) == (("a",), ("B",))
-        assert score == pytest.approx(channel_scores(model, ("a",), [("B",)])[0] / 1)
+        assert score == pytest.approx(reference_marginal(model, ("B",), ("a",)) / 1)
         assert score == pytest.approx(math.log(1 / 2))
 
     def test_empty_docs_empty_output(self):
@@ -346,27 +356,27 @@ class TestAlignSentences:
         empty = WebDoc("u", ())
         full_b = WebDoc("v", (("B",),))
         full_a = WebDoc("w", (("a",),))
-        assert align_sentences(empty, full_b, model, floor=0.0) == []
-        assert align_sentences(full_a, empty, model, floor=0.0) == []
+        assert align_pair(empty, full_b, model, floor=0.0) == []
+        assert align_pair(full_a, empty, model, floor=0.0) == []
 
     def test_floor_zero_keeps_nothing_scored_below(self):
         model = one_hot_model({"B": "a"})
         doc_a = WebDoc("u", (("a",),))
         doc_b = WebDoc("v", (("B",),))
         # all channel scores are <= ln(1/2) < 0, so a floor of 0 rejects all
-        assert align_sentences(doc_a, doc_b, model, floor=0.0) == []
+        assert align_pair(doc_a, doc_b, model, floor=0.0) == []
 
     def test_two_by_two_matches_bruteforce(self):
         model = one_hot_model({"A": "a", "B": "b"})
         doc_a = WebDoc("u", (("a",), ("b",)), lang="src")
         doc_b = WebDoc("v", (("B",), ("A",)), lang="tgt")
-        out = align_sentences(doc_a, doc_b, model, floor=-5.0)
+        out = align_pair(doc_a, doc_b, model, floor=-5.0)
         got = {(sa, sb) for sa, sb, _ in out}
         # brute force over both one-to-one matchings
         scores = {}
         for (i, sa), (j, sb) in itertools.product(enumerate(doc_a.sentences),
                                                   enumerate(doc_b.sentences)):
-            scores[(i, j)] = channel_scores(model, sa, [sb])[0] / len(sa)
+            scores[(i, j)] = reference_marginal(model, sb, sa) / len(sa)
         m1 = scores[(0, 0)] + scores[(1, 1)]
         m2 = scores[(0, 1)] + scores[(1, 0)]
         expected = {(("a",), ("A",)), (("b",), ("B",))} if m2 > m1 else \
@@ -380,15 +390,16 @@ class TestAlignSentences:
         targets = list(bundle.mono_tgt.sentences)
         doc_a = WebDoc("u", tuple(mono[:6]) + (mono[0] + ("zz",), ("zz", "zz")), lang="src")
         doc_b = WebDoc("v", tuple(targets[:5]) + (("qq",) + targets[1],), lang="tgt")
-        out = align_sentences(doc_a, doc_b, model, floor=-1e9)
+        out = align_pair(doc_a, doc_b, model, floor=-1e9)
         assert len(out) == min(len(doc_a.sentences), len(doc_b.sentences))
         for sa, sb, score in out:
-            assert score == channel_scores(model, sa, [sb])[0] / len(sa)
+            assert score == reference_marginal(model, sb, sa) / len(sa)
 
 
 def reference_align(doc_a, doc_b, model, floor):
-    """align_sentences from per-sentence channel scores and the greedy oracle."""
-    scores = [[score / len(sa) for score in channel_scores(model, sa, list(doc_b.sentences))]
+    """One document pair's alignment from per-pair channel scores and the
+    greedy oracle."""
+    scores = [[reference_marginal(model, sb, sa) / len(sa) for sb in doc_b.sentences]
               for sa in doc_a.sentences]
     return [(doc_a.sentences[i], doc_b.sentences[j], scores[i][j])
             for i, j in greedy_oracle(scores, floor)]
@@ -414,7 +425,7 @@ class TestBatchedAlignment:
             pairs, _ = mine_bitext(docs_a, docs_b, model,
                                    doc_threshold=threshold, floor=floor)
             per_match = [triple for doc_a, doc_b in doc_pairs
-                         for triple in align_sentences(doc_a, doc_b, model, floor)]
+                         for triple in align_pair(doc_a, doc_b, model, floor)]
             reference = [triple for doc_a, doc_b in doc_pairs
                          for triple in reference_align(doc_a, doc_b, model, floor)]
             assert pairs == per_match == reference
@@ -467,15 +478,15 @@ class TestBatchedAlignment:
         runs.clear()
         empty = (WebDoc("u", (("a",), ())), WebDoc("v", (("B",),)))
         with pytest.raises(DataError):
-            mine_module._align(doc_pairs + [empty], model, floor)
+            _align(doc_pairs + [empty], model, floor)
         assert calls == [] and runs == []
 
     def test_empty_sentence_to_align_rejected(self):
         model = one_hot_model({"B": "a"})
         doc_a = WebDoc("u", (("a",), ()))
         with pytest.raises(DataError):
-            align_sentences(doc_a, WebDoc("v", (("B",),)), model, floor=-10.0)
-        assert align_sentences(doc_a, WebDoc("v", ()), model, floor=-10.0) == []
+            align_pair(doc_a, WebDoc("v", (("B",),)), model, floor=-10.0)
+        assert align_pair(doc_a, WebDoc("v", ()), model, floor=-10.0) == []
 
 
 class TestEndToEnd:

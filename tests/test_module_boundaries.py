@@ -38,22 +38,7 @@ CONCURRENCY_MODULES = ("multiprocessing", "concurrent", "threading")
 
 # Public names with no caller in src/ or bench/, each with why it stays.
 UNCALLED = {
-    "tm.translate_nbest": "the one-sentence decode of the public API; "
-                          "bench/layertrace.py wraps it by name",
-    "lm.logprob": "one sentence's score, the one-sentence case of logprobs; "
-                  "bench/layertrace.py wraps it by name",
     "lm.perplexity": "the LM's own quality measure, for library users",
-    "tm.channel_scores": "one source's channel scores, the one-source case of "
-                         "pair_channel_scores, for library users",
-    "metrics.sentence_stats": "one sentence's BLEU statistics, which "
-                              "References.stats computes for a whole set",
-    "mine.lev_sim": "the per-pair URL similarity that _lev_sims batches; "
-                    "bench/layertrace.py wraps it by name",
-    "mine.jaccard": "the per-pair token similarity that _jaccards batches; "
-                    "bench/layertrace.py wraps it by name",
-    "mine.align_sentences": "one document pair's alignment, the one-pair case of "
-                            "the aligner mine_bitext runs over all matches; "
-                            "bench/layertrace.py wraps it by name",
     "cache.cache_counts": "the decoder cache's hits, builds and evictions, the "
                           "source of its figures for run events and library users",
 }

@@ -5,6 +5,7 @@ import shutil
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from deskmt.corpus import (
@@ -22,7 +23,7 @@ from deskmt.rerank import write_nbest_file
 from deskmt.search import SearchSpace, TrialConfig, default_search_space
 from deskmt.subword import learn_bpe, save_bpe
 from deskmt.synth import gen_corpora, make_spec
-from deskmt.tm import NBestEntry, NBestList, em_train
+from deskmt.tm import NBestBlock, em_train
 from deskmt.util import DataError, read_json, sha256_bytes, sha256_text
 from reference_docs import model_to_dict
 
@@ -527,7 +528,9 @@ def _parallel(n):
 
 
 def _nbest(n):
-    return [NBestList(("a",), [NBestEntry(("b",) * (k + 1), -1.0 - k) for k in range(n)])]
+    """One list of source a: n entries b, b b, ... scored -1, -2, ..."""
+    return NBestBlock([("a",)], ("b",), np.zeros((n, n), dtype=np.uint8),
+                      np.arange(1, n + 1), -1.0 - np.arange(n), np.array([0, n]))
 
 
 class TestCrashSafety:

@@ -1,11 +1,11 @@
-import math
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
 from deskmt.corpus import SIDE_PARALLEL, TaggedDataset, build_mix, swap_direction
-from deskmt.lm import finetune_lm, train_lm
+from deskmt.lm import finetune_lm, logprobs, train_lm
 from deskmt.metrics import bleu
 from deskmt.rerank import (
     NULL_WEIGHTS,
@@ -18,18 +18,9 @@ from deskmt.rerank import (
     tune_lambdas,
     write_nbest_file,
 )
-from deskmt.tm import (
-    NULL,
-    LexModel,
-    NBestBlock,
-    NBestEntry,
-    NBestList,
-    channel_scores,
-    em_train,
-    translate_corpus,
-    translate_nbest,
-)
-from deskmt.lm import logprob
+from deskmt.tm import NULL, LexModel, em_train, translate_corpus
+from nbest_lists import block_of, decode_one, nbest_lists
+from test_tm import reference_marginal
 
 
 def random_models(rng, n_pairs=10):
@@ -47,14 +38,19 @@ def random_models(rng, n_pairs=10):
     return mix, fwd, bwd
 
 
+def decoded(model, source, n):
+    """The (source, [(hyp, fwd), ...]) list of one decoded source."""
+    return source, [(e.hyp, e.fwd) for e in decode_one(model, source, n)]
+
+
 def rerank_one(nbest, backward, lm, w):
-    """One list reranked alone."""
+    """One (source, [(hyp, fwd), ...]) list reranked alone."""
     return rerank_lists([nbest], backward, lm, w)[0]
 
 
 def rerank_lists(lists, backward, lm, w):
-    """Lists reranked as one block."""
-    return rerank(NBestBlock.from_lists(lists), backward, lm, w).to_lists()
+    """(source, [(hyp, fwd), ...]) lists reranked as one block."""
+    return nbest_lists(rerank(block_of(lists), backward, lm, w))
 
 
 class TestCombinedScore:
@@ -62,9 +58,7 @@ class TestCombinedScore:
         rng = random.Random(2)
         _, model, bwd = random_models(rng)
         hyps = [("t0", "t1"), ("t2",), ("t3", "t3")]
-        nb = NBestList(source=("s0", "s1"),
-                       entries=[NBestEntry(hyp=h, fwd=f) for h, f in zip(hyps, fwd)])
-        return rerank_one(nb, bwd, model.lm, w).entries
+        return rerank_one((("s0", "s1"), list(zip(hyps, fwd))), bwd, model.lm, w)
 
     def test_hand_arithmetic(self):
         w = NoisyChannelWeights(1.0, 0.5)
@@ -93,65 +87,56 @@ class TestRerank:
         for _ in range(100):
             mix, fwd, bwd = random_models(rng)
             x = mix.datasets[0].pairs[rng.randrange(len(mix.datasets[0].pairs))][0]
-            nb = translate_nbest(fwd, x, 8)
-            reranked = rerank_one(nb, bwd, fwd.lm, NULL_WEIGHTS)
-            assert reranked.top().hyp == nb.top().hyp
+            block = translate_corpus(fwd, [x], 8)
+            reranked = rerank(block, bwd, fwd.lm, NULL_WEIGHTS)
+            assert reranked.top_hyps() == block.top_hyps()
 
     def test_channel_favored_entry_promoted(self):
         src = ("s0",)
-        nb = NBestList(source=src, entries=[
-            NBestEntry(hyp=("t0",), fwd=-1.0),
-            NBestEntry(hyp=("t1",), fwd=-1.2),
-        ])
-
         rng = random.Random(3)
         _, fwd, bwd = random_models(rng)
-        scored = rerank_one(nb, bwd, fwd.lm, NoisyChannelWeights(3.0, 0.0))
+        scored = rerank_one((src, [(("t0",), -1.0), (("t1",), -1.2)]), bwd, fwd.lm,
+                            NoisyChannelWeights(3.0, 0.0))
         # verify against hand-computed combined scores
-        ch0 = channel_scores(bwd, src, [("t0",)])[0]
-        ch1 = channel_scores(bwd, src, [("t1",)])[0]
-        c0 = -1.0 + 3.0 * ch0
-        c1 = -1.2 + 3.0 * ch1
+        c0 = -1.0 + 3.0 * reference_marginal(bwd, ("t0",), src)
+        c1 = -1.2 + 3.0 * reference_marginal(bwd, ("t1",), src)
         expected_top = ("t0",) if c0 >= c1 else ("t1",)
-        assert scored.top().hyp == expected_top
-        assert scored.top().combined == pytest.approx(max(c0, c1))
+        assert scored[0].hyp == expected_top
+        assert scored[0].combined == pytest.approx(max(c0, c1))
 
     def test_idempotent(self):
         rng = random.Random(4)
         mix, fwd, bwd = random_models(rng)
         x = mix.datasets[0].pairs[0][0]
-        nb = translate_nbest(fwd, x, 8)
         w = NoisyChannelWeights(1.2, 0.7)
-        once = rerank_one(nb, bwd, fwd.lm, w)
-        twice = rerank_one(once, bwd, fwd.lm, w)
-        assert [e.hyp for e in once.entries] == [e.hyp for e in twice.entries]
+        once = rerank(translate_corpus(fwd, [x], 8), bwd, fwd.lm, w)
+        twice = rerank(once, bwd, fwd.lm, w)
+        assert [e.hyp for e in nbest_lists(once)[0]] == [e.hyp for e in nbest_lists(twice)[0]]
 
     def test_constant_fwd_shift_preserves_ranking(self):
         rng = random.Random(6)
         mix, fwd, bwd = random_models(rng)
         x = mix.datasets[0].pairs[0][0]
-        nb = translate_nbest(fwd, x, 8)
+        block = translate_corpus(fwd, [x], 8)
         w = NoisyChannelWeights(0.8, 0.4)
-        base = rerank_one(nb, bwd, fwd.lm, w)
-        shifted = NBestList(source=nb.source, entries=[
-            NBestEntry(hyp=e.hyp, fwd=e.fwd + 5.0) for e in nb.entries])
-        again = rerank_one(shifted, bwd, fwd.lm, w)
-        assert [e.hyp for e in base.entries] == [e.hyp for e in again.entries]
+        base = rerank(block, bwd, fwd.lm, w)
+        again = rerank(dataclasses.replace(block, fwd=block.fwd + 5.0), bwd, fwd.lm, w)
+        assert [e.hyp for e in nbest_lists(base)[0]] == [e.hyp for e in nbest_lists(again)[0]]
 
     def test_fills_channel_and_lm_slots(self):
         rng = random.Random(7)
         mix, fwd, bwd = random_models(rng)
-        nb = translate_nbest(fwd, mix.datasets[0].pairs[0][0], 5)
-        out = rerank_one(nb, bwd, fwd.lm, NULL_WEIGHTS)
-        for e in out.entries:
+        out = rerank(translate_corpus(fwd, [mix.datasets[0].pairs[0][0]], 5), bwd, fwd.lm,
+                     NULL_WEIGHTS)
+        for e in nbest_lists(out)[0]:
             assert e.channel is not None and e.lm is not None
-            assert e.lm == pytest.approx(logprob(fwd.lm, e.hyp))
+            assert e.lm == pytest.approx(float(logprobs(fwd.lm, [e.hyp])[0]))
 
     def test_empty_list_rejected(self):
         rng = random.Random(8)
         _, fwd, bwd = random_models(rng)
         with pytest.raises(DataError):
-            rerank_one(NBestList(source=("s0",), entries=[]), bwd, fwd.lm, NULL_WEIGHTS)
+            rerank_one((("s0",), []), bwd, fwd.lm, NULL_WEIGHTS)
 
 
 class TestBatchScores:
@@ -161,8 +146,7 @@ class TestBatchScores:
         # hypotheses of several lengths, with unknown and tagged symbols
         hyps = [("t0",), ("t1", "t2"), ("t3", "t0", "t1"), ("t2",),
                 ("zz", "t1"), ("<bt>", "t0", "t0", "t0", "t1"), (), ("t1", "t3")]
-        return NBestList(source=source, entries=[
-            NBestEntry(hyp=h, fwd=-float(k)) for k, h in enumerate(hyps)])
+        return source, [(h, -float(k)) for k, h in enumerate(hyps)]
 
     def interpolated(self, fwd):
         return finetune_lm(fwd.lm, [("t0", "t1"), ("t2", "t3", "t3"), ("zz",)], 0.4)
@@ -174,25 +158,24 @@ class TestBatchScores:
             mix, fwd, bwd = random_models(rng)
             lm = self.interpolated(fwd) if use_interpolated else fwd.lm
             source = mix.datasets[0].pairs[rng.randrange(len(mix.datasets[0].pairs))][0] + ("s9",)
-            lists = [self.mixed_list(source), translate_nbest(fwd, source[:-1], 8)]
-            for nb, filled in zip(lists, rerank_lists(lists, bwd, lm, NULL_WEIGHTS)):
-                assert [e.hyp for e in filled.entries] == [e.hyp for e in nb.entries]
-                for e in filled.entries:
-                    assert e.channel == channel_scores(bwd, nb.source, [e.hyp])[0]
-                    assert e.lm == logprob(lm, e.hyp)
+            lists = [self.mixed_list(source), decoded(fwd, source[:-1], 8)]
+            for (src, entries), filled in zip(lists, rerank_lists(lists, bwd, lm, NULL_WEIGHTS)):
+                assert [e.hyp for e in filled] == [hyp for hyp, _ in entries]
+                for e in filled:
+                    assert e.channel == reference_marginal(bwd, e.hyp, src)
+                    assert e.lm == float(logprobs(lm, [e.hyp])[0])
 
     def test_prefilled_slots_are_rescored(self):
         rng = random.Random(32)
         mix, fwd, bwd = random_models(rng)
         lm = self.interpolated(fwd)
-        source = mix.datasets[0].pairs[0][0]
-        nb = self.mixed_list(source)
-        nb.entries[1].channel = -111.0
-        nb.entries[2].lm = -222.0
-        nb.entries[4].channel, nb.entries[4].lm = -333.0, -444.0
-        nb.entries[5].combined = 555.0
+        block = block_of([self.mixed_list(mix.datasets[0].pairs[0][0])])
+        n = block.fwd.size
+        prefilled = dataclasses.replace(block, channel=np.full(n, -111.0),
+                                        lm=np.full(n, -222.0), combined=np.full(n, 555.0))
         w = NoisyChannelWeights(0.7, 1.1)
-        assert rerank_one(nb, bwd, lm, w) == rerank_one(self.mixed_list(source), bwd, lm, w)
+        assert nbest_lists(rerank(prefilled, bwd, lm, w)) == \
+            nbest_lists(rerank(block, bwd, lm, w))
 
     @pytest.mark.parametrize("use_interpolated", [False, True])
     def test_block_equals_each_list_alone(self, use_interpolated):
@@ -201,17 +184,17 @@ class TestBatchScores:
             mix, fwd, bwd = random_models(rng, n_pairs=12)
             lm = self.interpolated(fwd) if use_interpolated else fwd.lm
             sources = [src for src, _ in mix.datasets[0].pairs[:6]]
-            lists = [translate_nbest(fwd, x, rng.randint(1, 9)) for x in sources]
+            lists = [decoded(fwd, x, rng.randint(1, 9)) for x in sources]
             lists.append(self.mixed_list(sources[0]))
             w = NoisyChannelWeights(rng.uniform(0, 3), rng.uniform(0, 3))
 
             def bits(nb):
                 return [(e.hyp, e.fwd.hex(), e.channel.hex(), e.lm.hex(), e.combined.hex())
-                        for e in nb.entries]
+                        for e in nb]
 
-            block = rerank_lists(lists, bwd, lm, w)
-            assert [nb.source for nb in block] == sources + [sources[0]]
-            assert [bits(nb) for nb in block] == \
+            block = rerank(block_of(lists), bwd, lm, w)
+            assert block.sources == sources + [sources[0]]
+            assert [bits(nb) for nb in nbest_lists(block)] == \
                 [bits(rerank_one(nb, bwd, lm, w)) for nb in lists]
 
     def test_empty_block(self):
@@ -225,12 +208,10 @@ class TestBatchScores:
         bwd = LexModel((NULL, "A", "B"), ("x",), np.ones((3, 1)),
                        train_lm([("x",)], 1, 0.5), src_lang="tgt", tgt_lang="src")
         hyps = [("B", "B"), ("A", "B"), ("B", "A"), ("A", "A")]
-        nb = NBestList(source=("x", "x"), entries=[
-            NBestEntry(hyp=h, fwd=-1.0) for h in hyps]
-            + [NBestEntry(hyp=("A", "B"), fwd=-0.5), NBestEntry(hyp=("B", "B"), fwd=-2.0)])
+        nb = (("x", "x"), [(h, -1.0) for h in hyps] + [(("A", "B"), -0.5), (("B", "B"), -2.0)])
         for w in (NULL_WEIGHTS, NoisyChannelWeights(2.0, 0.5)):
             for out in rerank_lists([nb, nb], bwd, lm, w):
-                assert [(e.hyp, e.fwd) for e in out.entries] == \
+                assert [(e.hyp, e.fwd) for e in out] == \
                     [(("A", "B"), -0.5)] + [(h, -1.0) for h in hyps] + [(("B", "B"), -2.0)]
 
 
@@ -293,22 +274,17 @@ class TestNbestFile:
     def test_round_trip(self, tmp_path):
         rng = random.Random(13)
         mix, fwd, bwd = random_models(rng)
-        lists = [rerank_one(translate_nbest(fwd, src, 5), bwd, fwd.lm,
-                        NoisyChannelWeights(1.0, 1.0))
-                 for src, _ in mix.datasets[0].pairs[:3]]
-        lists.append(translate_nbest(fwd, mix.datasets[0].pairs[3][0], 4))  # unscored slots
+        sources = [src for src, _ in mix.datasets[0].pairs[:4]]
+        reranked = rerank(translate_corpus(fwd, sources[:3], 5), bwd, fwd.lm,
+                          NoisyChannelWeights(1.0, 1.0))
+        plain = translate_corpus(fwd, sources[3:], 4)  # unscored slots
         path = str(tmp_path / "nbest.txt")
-        write_nbest_file(lists, path)
-        loaded = read_nbest_file(path)
-        assert len(loaded) == len(lists)
-        for orig, back in zip(lists, loaded):
-            assert back.source == orig.source
-            for a, b in zip(orig.entries, back.entries):
-                assert a.hyp == b.hyp
-                assert a.fwd == b.fwd  # repr round-trip is bit-exact
-                assert a.channel == b.channel
-                assert a.lm == b.lm
-                assert a.combined == b.combined
+        for block in (reranked, plain):
+            write_nbest_file(block, path)
+            loaded = read_nbest_file(path)
+            assert loaded.sources == block.sources
+            # repr round-trip is bit-exact
+            assert nbest_lists(loaded) == nbest_lists(block)
 
     def write_lines(self, tmp_path, lines):
         path = tmp_path / "nbest.txt"
@@ -317,12 +293,14 @@ class TestNbestFile:
         return str(path)
 
     def test_well_formed_lines_parse(self, tmp_path):
-        path = self.write_lines(tmp_path, ["#source 0 s0 s1", "0\t0\tt0 t1\t-1.5\t-\t-\t-",
-                                           "#source 1 ", "1\t0\tt2\t-0.5\t-2.0\t-3.0\t-4.0"])
-        lists = read_nbest_file(path)
-        assert [nb.source for nb in lists] == [("s0", "s1"), ()]
-        assert lists[0].entries[0].channel is None
-        assert lists[1].entries[0].combined == -4.0
+        block = read_nbest_file(self.write_lines(
+            tmp_path, ["#source 0 s0 s1", "0\t0\tt0 t1\t-1.5\t-\t-\t-",
+                       "#source 1 ", "1\t0\tt2\t-0.5\t-\t-\t-"]))
+        assert block.sources == [("s0", "s1"), ()]
+        assert block.channel is None and block.lm is None and block.combined is None
+        block = read_nbest_file(self.write_lines(
+            tmp_path, ["#source 0 s0", "0\t0\tt2\t-0.5\t-2.0\t-3.0\t-4.0"]))
+        assert nbest_lists(block) == [[(("t2",), -0.5, -2.0, -3.0, -4.0)]]
 
     @pytest.mark.parametrize("lines", [
         pytest.param(["#source 0 s0", "0\t0\tt0\tnotafloat\t-\t-\t-"], id="bad-fwd"),

@@ -12,6 +12,7 @@ from deskmt.corpus import (
     TaggedDataset,
     build_mix,
 )
+from deskmt.lm import logprobs
 from deskmt.search import (
     DataError,
     SearchSpace,
@@ -183,8 +184,7 @@ class TestRunTrial:
     def test_perplexity_definition(self):
         ds = parallel(4, n_pairs=6)
         model = em_train(build_mix([ds]), 2, lm_weight=0.5)
-        from deskmt.lm import logprob
-        total = sum(reference_marginal(model, s, t) + 0.5 * logprob(model.lm, t)
+        total = sum(reference_marginal(model, s, t) + 0.5 * float(logprobs(model.lm, [t])[0])
                     for s, t in ds.pairs)
         tokens = sum(len(t) + 1 for _, t in ds.pairs)
         assert dev_perplexity(model, ds) == pytest.approx(math.exp(-total / tokens))
@@ -192,15 +192,13 @@ class TestRunTrial:
     def test_batched_perplexity_sums_pairs_in_order(self):
         # one batched channel call and one LM call, then the pairs' terms
         # added in dev order: the value of scoring pair after pair
-        from deskmt.lm import logprob
-        from deskmt.tm import channel_scores
         for seed in range(3):
             ds = parallel(seed, n_pairs=9)
             model = em_train(build_mix([ds]), 2, lm_weight=0.7)
             total = 0.0
             for src, tgt in ds.pairs:
-                total += channel_scores(model, tgt, [src])[0]
-                total += model.lm_weight * logprob(model.lm, tgt)
+                total += reference_marginal(model, src, tgt)
+                total += model.lm_weight * float(logprobs(model.lm, [tgt])[0])
             tokens = sum(len(t) + 1 for _, t in ds.pairs)
             assert dev_perplexity(model, ds).hex() == math.exp(-total / tokens).hex()
 

@@ -23,16 +23,14 @@ from deskmt.tm import (
     DataError,
     EMTrainer,
     LexModel,
-    NBestBlock,
-    channel_scores,
     cross_channel_scores,
     em_train,
     model_from_dict,
     pair_channel_scores,
     translate_corpus,
-    translate_nbest,
 )
 from deskmt.util import content_hash, stable_json_dumps
+from nbest_lists import decode_one, nbest_lists
 from reference_docs import model_to_dict as reference_model_to_dict
 
 
@@ -295,22 +293,22 @@ class TestEmTrain:
         assert corpus_log_likelihood(model, mix) >= model.train_ll_trace[0] - 1e-9
 
 
-class TestTranslateNbest:
+class TestOneSourceDecode:
     def test_one_hot_table_window0(self):
         model = build_model({("a", "b"): 1.0}, ["a"], ["b"],
                             [("b", "b")] * 3, lm_weight=0.4)
-        nb = translate_nbest(model, ("a", "a"), 2)
-        assert nb.top().hyp == ("b", "b")
+        nb = decode_one(model, ("a", "a"), 2)
+        assert nb[0].hyp == ("b", "b")
         lm_terms = (0.4 * float(lm_row(model, ())[0])
                     + 0.4 * float(lm_row(model, ("b",))[0]))
-        assert nb.top().fwd == pytest.approx(lm_terms, abs=1e-12)
+        assert nb[0].fwd == pytest.approx(lm_terms, abs=1e-12)
 
     def test_n1_equals_greedy_for_one_hot(self):
         model = build_model({("a", "x"): 1.0, ("b", "y"): 1.0}, ["a", "b"],
                             ["x", "y"], [("x", "y")] * 2, beam=3)
-        nb = translate_nbest(model, ("a", "b"), 1)
-        assert len(nb.entries) == 1
-        assert nb.top().hyp == ("x", "y")
+        nb = decode_one(model, ("a", "b"), 1)
+        assert len(nb) == 1
+        assert nb[0].hyp == ("x", "y")
 
     def test_window_allows_swap(self):
         # lexical table is ambiguous; LM strongly prefers the swapped order
@@ -318,8 +316,8 @@ class TestTranslateNbest:
             {("a", "x"): 1.0, ("b", "y"): 1.0},
             ["a", "b"], ["x", "y"],
             [("y", "x")] * 20, window=1, lm_weight=2.0, lm_order=2)
-        nb = translate_nbest(model, ("a", "b"), 4)
-        assert nb.top().hyp == ("y", "x")
+        nb = decode_one(model, ("a", "b"), 4)
+        assert nb[0].hyp == ("y", "x")
 
     def test_matches_brute_force(self):
         rng = random.Random(31)
@@ -332,50 +330,50 @@ class TestTranslateNbest:
             x = tuple(rng.choice(model.src_vocab[1:]) for _ in range(length))
             full = 4 ** 6  # exceeds any search-space size at these dims
             model.beam = full
-            nb = translate_nbest(model, x, full)
+            nb = decode_one(model, x, full)
             expected = brute_force_nbest(model, x, full)
-            got = [(e.hyp, e.fwd) for e in nb.entries]
+            got = [(e.hyp, e.fwd) for e in nb]
             assert [h for h, _ in got] == [h for h, _ in expected]
             for (_, a), (_, b) in zip(got, expected):
                 assert a == pytest.approx(b, abs=1e-9)
 
     def test_unknown_source_emits_unk(self):
         model = build_model({("a", "x"): 1.0}, ["a"], ["x"], [("x",)] * 2)
-        nb = translate_nbest(model, ("a", "zzz"), 1)
-        assert nb.top().hyp == ("x", UNK_TOKEN)
+        nb = decode_one(model, ("a", "zzz"), 1)
+        assert nb[0].hyp == ("x", UNK_TOKEN)
 
     def test_deterministic(self):
         rng = random.Random(8)
         mix = random_mix(rng, 8)
         model = em_train(mix, iterations=2, window=1)
         x = mix.datasets[0].pairs[0][0]
-        first = translate_nbest(model, x, 10)
-        second = translate_nbest(model, x, 10)
-        assert [(e.hyp, e.fwd) for e in first.entries] == \
-               [(e.hyp, e.fwd) for e in second.entries]
+        first = decode_one(model, x, 10)
+        second = decode_one(model, x, 10)
+        assert [(e.hyp, e.fwd) for e in first] == \
+               [(e.hyp, e.fwd) for e in second]
 
     def test_entries_unique_and_sorted(self):
         rng = random.Random(12)
         mix = random_mix(rng, 10)
         model = em_train(mix, iterations=2, window=1)
-        nb = translate_nbest(model, mix.datasets[0].pairs[0][0], 20)
-        hyps = [e.hyp for e in nb.entries]
+        nb = decode_one(model, mix.datasets[0].pairs[0][0], 20)
+        hyps = [e.hyp for e in nb]
         assert len(set(hyps)) == len(hyps)
-        scores = [e.fwd for e in nb.entries]
+        scores = [e.fwd for e in nb]
         assert scores == sorted(scores, reverse=True)
 
     def test_leading_tag_token_is_translated(self):
         model = em_train(mix_of([("<x> a", "x y")], tag="<d:in>"), iterations=1)
-        lists = translate_corpus(model, [("<x>", "a")], 3).to_lists()
-        assert lists[0].source == ("<x>", "a")
-        assert {len(e.hyp) for e in lists[0].entries} == {2}
+        block = translate_corpus(model, [("<x>", "a")], 3)
+        assert block.sources == [("<x>", "a")]
+        assert {len(e.hyp) for e in nbest_lists(block)[0]} == {2}
 
     def test_invalid_inputs(self):
         model = build_model({("a", "x"): 1.0}, ["a"], ["x"], [("x",)] * 2)
         with pytest.raises(DataError):
-            translate_nbest(model, ("a",), 0)
+            decode_one(model, ("a",), 0)
         with pytest.raises(DataError):
-            translate_nbest(model, (), 1)
+            decode_one(model, (), 1)
 
 
 class TestTranslateCorpus:
@@ -401,19 +399,20 @@ class TestTranslateCorpus:
     def test_context_nbest_overrides_nbest(self):
         fwd, ctx, sources = self.reranking(5)
         block = translate_corpus(fwd, sources, 1, rerank_ctx=ctx)
-        sizes = [len(translate_nbest(fwd, x, ctx.nbest).entries) for x in sources]
+        sizes = [len(decode_one(fwd, x, ctx.nbest)) for x in sources]
         assert block.sizes().tolist() == sizes
         assert max(sizes) > 1
 
     def test_context_reranks_the_plain_lists(self):
         fwd, ctx, sources = self.reranking(6)
-        got = translate_corpus(fwd, sources, 1, rerank_ctx=ctx).to_lists()
-        plain = translate_corpus(fwd, sources, ctx.nbest).to_lists()
+        got = translate_corpus(fwd, sources, 1, rerank_ctx=ctx)
+        plain = translate_corpus(fwd, sources, ctx.nbest)
         # the block reranks each list as it would be reranked alone
-        assert got == [rerank(NBestBlock.from_lists([nb]), ctx.channel_model, ctx.lm,
-                              ctx.weights).to_lists()[0]
-                       for nb in plain]
-        assert all(e.combined is not None for nb in got for e in nb.entries)
+        assert nbest_lists(got) == [
+            nbest_lists(rerank(plain.select(np.array([k])), ctx.channel_model, ctx.lm,
+                               ctx.weights))[0]
+            for k in range(len(plain))]
+        assert got.combined is not None
 
 
 class TestPairLogprob:
@@ -424,8 +423,8 @@ class TestPairLogprob:
             model = em_train(mix, iterations=2, window=rng.randint(0, 1),
                              lm_weight=0.5, beam=64)
             x = mix.datasets[0].pairs[0][0]
-            nb = translate_nbest(model, x, 5)
-            assert pair_logprob(model, x, nb.top().hyp) == nb.top().fwd
+            nb = decode_one(model, x, 5)
+            assert pair_logprob(model, x, nb[0].hyp) == nb[0].fwd
 
     def test_window0_is_monotone_alignment_sum(self):
         model = build_model({("a", "x"): 0.5, ("a", "y"): 0.5, ("b", "y"): 1.0},
@@ -485,6 +484,12 @@ class TestPairLogprob:
         model = build_model({("a", "x"): 1.0}, ["a"], ["x", "q"], [("x",)] * 2)
         with pytest.raises(DataError):
             pair_logprob(model, ("a",), ("q",))
+
+
+def channel_scores(model, x, ys):
+    """`pair_channel_scores` of x with every y: ln P(x | y) for each y."""
+    return pair_channel_scores(model, [x], ys, np.zeros(len(ys), dtype=np.intp),
+                               np.arange(len(ys))).tolist()
 
 
 class TestChannelScore:
@@ -695,9 +700,9 @@ class TestSerialization:
         assert np.array_equal(loaded.t, model.t)
         assert loaded.src_vocab == model.src_vocab
         x = mix.datasets[0].pairs[0][0]
-        a = translate_nbest(model, x, 5)
-        b = translate_nbest(loaded, x, 5)
-        assert [(e.hyp, e.fwd) for e in a.entries] == [(e.hyp, e.fwd) for e in b.entries]
+        a = decode_one(model, x, 5)
+        b = decode_one(loaded, x, 5)
+        assert [(e.hyp, e.fwd) for e in a] == [(e.hyp, e.fwd) for e in b]
 
     @pytest.mark.parametrize("key", ["beam", "t_rows", "src_vocab", "lm"])
     def test_missing_key_is_data_error(self, key):
@@ -959,8 +964,8 @@ class TestDecoderSettings:
             assert (loaded.lm_weight, loaded.unk_floor) == (lm_weight, unk_floor)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                nb = translate_nbest(loaded, ("a", "zz") * 20, 4)
-            assert all(math.isfinite(e.fwd) for e in nb.entries)
+                nb = decode_one(loaded, ("a", "zz") * 20, 4)
+            assert all(math.isfinite(e.fwd) for e in nb)
 
 
 class TestSharedRowTable:
@@ -977,10 +982,10 @@ class TestSharedRowTable:
         table = model._row_table()
         assert twin._row_table() is table and ens._row_table() is table
         x = ("s1", "s2", "s3")
-        translate_nbest(model, x, 3)
+        translate_corpus(model, [x], 3)
         held, states, rows = table.held, table._states.copy(), table.rows.copy()
         assert held > 0
-        translate_nbest(twin, x, 3)   # the twin meets the same contexts: no new row
+        translate_corpus(twin, [x], 3)   # the twin meets the same contexts: no new row
         assert table.held == held and np.array_equal(table._states, states)
         assert np.array_equal(table.rows, rows)
         other = LexModel(model.src_vocab, model.tgt_vocab[:-1], model.t[:, :-1],
@@ -998,7 +1003,7 @@ class TestSharedRowTable:
         try:
             models = self.models()
             for m in models:
-                translate_nbest(m, ("s0", "s4"), 2)
+                translate_corpus(m, [("s0", "s4")], 2)
             lm_ref = weakref.ref(models[0].lm)
             table_ref = weakref.ref(models[0]._row_table())
             rows_seen = table_ref().held
