@@ -11,6 +11,7 @@ import argparse
 import os
 import re
 import sys
+from dataclasses import fields
 
 from . import augment, corpus, metrics, mine, pipeline, rerank, search, subword, synth, tm
 from .corpus import (
@@ -58,9 +59,7 @@ def _maybe_bpe(args):
     return subword.load_bpe(args.bpe) if getattr(args, "bpe", None) else None
 
 
-def _eval_ctx(args, bpe):
-    if bpe is None:
-        return None
+def _eval_ctx(args, bpe) -> EvalContext:
     return EvalContext(bpe=bpe, policy=getattr(args, "policy", subword.POLICY_SPACED))
 
 
@@ -74,9 +73,8 @@ def _rerank_ctx(args):
                          weights, args.nbest)
 
 
-def _add_rerank_flags(p, with_mode=True):
-    if with_mode:
-        p.add_argument("--mode", choices=["beam", "rerank"], default="beam")
+def _add_rerank_flags(p):
+    p.add_argument("--mode", choices=["beam", "rerank"], default="beam")
     p.add_argument("--channel-model", nargs="+", default=None,
                    help="backward model file(s); several form an ensemble")
     p.add_argument("--lm", default=None, help="language model file for reranking")
@@ -86,24 +84,15 @@ def _add_rerank_flags(p, with_mode=True):
 
 
 def _add_config_flags(p):
-    d = TrialConfig()
-    p.add_argument("--em-iterations", type=int, default=d.em_iterations)
-    p.add_argument("--lm-order", type=int, default=d.lm_order)
-    p.add_argument("--smoothing-k", type=float, default=d.smoothing_k)
-    p.add_argument("--lm-weight", type=float, default=d.lm_weight)
-    p.add_argument("--window", type=int, default=d.window)
-    p.add_argument("--beam", type=int, default=d.beam)
-    p.add_argument("--up-bitext", type=int, default=d.up_bitext)
-    p.add_argument("--up-fwd", type=int, default=d.up_fwd)
-    p.add_argument("--up-bt", type=int, default=d.up_bt)
+    """One flag per TrialConfig field: `--` and the field name with `-` for
+    `_`, typed and defaulted by the field's default."""
+    for f in fields(TrialConfig):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
+                       default=f.default)
 
 
 def _config_from(args) -> TrialConfig:
-    return TrialConfig(
-        em_iterations=args.em_iterations, lm_order=args.lm_order,
-        smoothing_k=args.smoothing_k, lm_weight=args.lm_weight,
-        window=args.window, beam=args.beam, up_bitext=args.up_bitext,
-        up_fwd=args.up_fwd, up_bt=args.up_bt)
+    return TrialConfig(**{f.name: getattr(args, f.name) for f in fields(TrialConfig)})
 
 
 def _load_training_sets(args, bpe):
@@ -131,8 +120,7 @@ def _load_training_sets(args, bpe):
 def cmd_synth_gen(args) -> int:
     spec = synth.make_spec(args.vocab, noise_rate=args.noise, seed=args.seed,
                            min_len=args.min_len, max_len=args.max_len)
-    sizes = {"parallel": args.parallel, "mono_src": args.mono_src,
-             "mono_tgt": args.mono_tgt, "dev": args.dev, "test": args.test}
+    sizes = {name: getattr(args, name) for name in synth.DEFAULT_SIZES}
     bundle = synth.gen_corpora(spec, sizes)
     os.makedirs(args.out, exist_ok=True)
     files = {"parallel": "parallel.tsv", "mono_src": "mono_src.txt",

@@ -92,16 +92,15 @@ class TaggedDataset:
         return len(self.pairs) if self.side == SIDE_PARALLEL else len(self.sentences)
 
 
-def load_corpus(path: str, side: str, *, name: str | None = None,
-                tag: str = TAG_IN_DOMAIN, upsample: int = 1) -> TaggedDataset:
+def load_corpus(path: str, side: str, *, tag: str = TAG_IN_DOMAIN) -> TaggedDataset:
     """Load a UTF-8 corpus file: one sentence per line, parallel lines tab-separated.
 
-    Tokenization is whitespace splitting. Blank lines and parallel lines with
-    an empty side are dropped and counted; a parallel line without exactly one
-    tab is an error.
+    The dataset is named after the file, without its extension. Tokenization
+    is whitespace splitting. Blank lines and parallel lines with an empty
+    side are dropped and counted; a parallel line without exactly one tab is
+    an error.
     """
-    if name is None:
-        name = os.path.splitext(os.path.basename(path))[0]
+    name = os.path.splitext(os.path.basename(path))[0]
     lines = read_text(path, "corpus file").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -121,8 +120,7 @@ def load_corpus(path: str, side: str, *, name: str | None = None,
                 dropped += 1
                 continue
             pairs.append((src, tgt))
-        return TaggedDataset(name, side, tag, pairs=tuple(pairs),
-                             upsample=upsample, dropped=dropped)
+        return TaggedDataset(name, side, tag, pairs=tuple(pairs), dropped=dropped)
 
     sentences = []
     for line in lines:
@@ -131,8 +129,7 @@ def load_corpus(path: str, side: str, *, name: str | None = None,
             dropped += 1
             continue
         sentences.append(tokens)
-    return TaggedDataset(name, side, tag, sentences=tuple(sentences),
-                         upsample=upsample, dropped=dropped)
+    return TaggedDataset(name, side, tag, sentences=tuple(sentences), dropped=dropped)
 
 
 def save_corpus(ds: TaggedDataset, path: str) -> str:
@@ -188,11 +185,9 @@ def build_mix(datasets: list[TaggedDataset]) -> DataMix:
     return DataMix(datasets=tuple(datasets))
 
 
-def swap_dataset(ds: TaggedDataset, *, name: str | None = None) -> TaggedDataset:
-    """Swap source/target on every pair; the tag is kept, and so is the name
-    unless a new one is given."""
-    return replace(ds, pairs=tuple((tgt, src) for src, tgt in ds.pairs),
-                   name=ds.name if name is None else name)
+def swap_dataset(ds: TaggedDataset) -> TaggedDataset:
+    """Swap source/target on every pair; the name and the tag are kept."""
+    return replace(ds, pairs=tuple((tgt, src) for src, tgt in ds.pairs))
 
 
 def swap_direction(mix: DataMix) -> DataMix:

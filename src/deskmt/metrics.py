@@ -22,10 +22,14 @@ BLEU_ORDER = 4
 
 @dataclass
 class EvalContext:
-    """How decoder output is turned back into scoreable surface tokens.
+    """The one way BLEU is scored: how decoder output and references become
+    the surface tokens BLEU counts.
 
-    `bpe` inverts subword segmentation (None scores raw tokens) and `policy`
-    picks the detokenization rule.
+    Every BLEU the library reports for a choice or a system (trial and
+    fine-tune checkpoint scores, lambda tuning, evaluation) is scored
+    through one. `bpe` inverts subword segmentation (None scores raw tokens)
+    and `policy` picks the detokenization rule. A context surfaces and
+    counts the references of each dataset it scores once, for its life.
     """
 
     bpe: BpeModel | None = None
@@ -49,21 +53,9 @@ class EvalContext:
         life of this context."""
         got = self._references.get(id(dataset))
         if got is None:
-            surface = surface_of(self)
             got = self._references[id(dataset)] = (
-                dataset, References([surface(ref) for _, ref in dataset.pairs]))
+                dataset, References([self.detok_tokens(ref) for _, ref in dataset.pairs]))
         return got[1]
-
-
-def surface_of(eval_ctx: EvalContext | None):
-    """The tokens BLEU scores of a decoded or reference sentence.
-
-    Subword output is detokenized through the context; without a BPE model
-    the sentence is scored as it is.
-    """
-    if eval_ctx is not None and eval_ctx.bpe is not None:
-        return eval_ctx.detok_tokens
-    return tuple
 
 
 def _ngrams(sentence: Sentence, n: int) -> Counter:
@@ -155,14 +147,6 @@ def bleu(hyps: list[Sentence], refs) -> float:
     return bleu_from_stats(total)
 
 
-def references_of(dataset, eval_ctx: EvalContext | None) -> References:
-    """The scored targets of `dataset`: the context's, counted once per
-    context, or counted now when there is no context."""
-    if eval_ctx is None:
-        return References([ref for _, ref in dataset.pairs])
-    return eval_ctx.references(dataset)
-
-
 @dataclass
 class EvalReport:
     """Machine-readable evaluation record plus a human-readable rendering."""
@@ -196,12 +180,13 @@ class EvalReport:
 
 
 def evaluate_system(model, test, decode: str = "beam", *, rerank_ctx=None,
-                    eval_ctx=None, nbest: int = 50) -> EvalReport:
+                    eval_ctx: EvalContext, nbest: int = 50) -> EvalReport:
     """Decode every test source and score BLEU against the references.
 
     `model` is a LexModel (an Ensemble too); `decode` is "beam" or "rerank".
-    "beam" ignores `rerank_ctx`; "rerank" needs one. An EvalContext controls
-    subword inversion.
+    "beam" ignores `rerank_ctx`; "rerank" needs one. `eval_ctx` turns the
+    hypotheses and references into the surfaces BLEU scores and the report
+    lists.
     """
     if decode == "beam":
         rerank_ctx = None
@@ -214,9 +199,8 @@ def evaluate_system(model, test, decode: str = "beam", *, rerank_ctx=None,
         raise DataError("evaluation needs a non-empty test set")
     block = translate_corpus(model, [src for src, _ in pairs], nbest,
                              rerank_ctx=rerank_ctx)
-    surface = surface_of(eval_ctx)
-    hyp_tokens = [surface(hyp) for hyp in block.top_hyps()]
-    ref_tokens = [surface(r) for _, r in pairs]
+    hyp_tokens = [eval_ctx.detok_tokens(hyp) for hyp in block.top_hyps()]
+    ref_tokens = [eval_ctx.detok_tokens(r) for _, r in pairs]
 
     score = bleu(hyp_tokens, ref_tokens)
     per_sentence = [

@@ -36,6 +36,9 @@ from .corpus import Sentence
 from .tm import LexModel, cross_channel_scores
 from .util import DataError, read_text
 
+# a source symbol enters the lexicon when its best row entry reaches this
+LEXICON_MIN_PROB = 0.1
+
 
 @dataclass(frozen=True)
 class WebDoc:
@@ -133,13 +136,14 @@ def _jaccards(docs_a: list[WebDoc], docs_b: list[WebDoc],
     return sims
 
 
-def build_lexicon(model: LexModel, min_prob: float = 0.1) -> dict[str, str]:
-    """Unigram translation dictionary: argmax of each lexical row above min_prob."""
+def build_lexicon(model: LexModel) -> dict[str, str]:
+    """Unigram translation dictionary: argmax of each lexical row, where it
+    reaches LEXICON_MIN_PROB."""
     lexicon = {}
     for i, sym in enumerate(model.src_vocab[1:], start=1):
         row = model.t[i]
         j = int(np.argmax(row))
-        if row[j] >= min_prob:
+        if row[j] >= LEXICON_MIN_PROB:
             lexicon[sym] = model.tgt_vocab[j]
     return lexicon
 

@@ -26,6 +26,7 @@ decodes are reranked by the same code.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .corpus import TaggedDataset
 from .lm import LanguageModel, logprobs_of_ids
-from .metrics import STATS_WIDTH, bleu_from_stats, references_of, surface_of
+from .metrics import STATS_WIDTH, EvalContext, bleu_from_stats
 from .tm import LexModel, NBestBlock, block_channel_scores, translate_corpus
 from .util import DataError, read_text, write_text_atomic
 
@@ -112,26 +113,26 @@ def sample_weights(trials: int, seed: int) -> list[NoisyChannelWeights]:
 def tune_lambdas(dev: TaggedDataset, forward, backward, lm: LanguageModel,
                  trials: int = DEFAULT_TUNE_TRIALS, seed: int = 0, *,
                  nbest: int = DEFAULT_NBEST,
-                 eval_ctx=None) -> tuple[NoisyChannelWeights, float]:
+                 eval_ctx: EvalContext) -> tuple[NoisyChannelWeights, float]:
     """Pick the weight pair maximizing dev BLEU of reranked top-1 outputs.
 
-    Returns the weights with their dev BLEU, which equals `dev_bleu` of
-    rerank decoding with those weights: the same n-best lists, the same
-    combined scores, and the same top-1 choice (ties keep the earlier entry,
-    as `rerank`'s stable sort does). Candidate scores are computed once; each
+    Returns the weights with their dev BLEU, which equals the BLEU
+    `evaluate_system` reports for rerank decoding with those weights: the
+    same n-best lists, the same combined scores, and the same top-1 choice
+    (ties keep the earlier entry, as `rerank`'s stable sort does), scored
+    through the same context. Candidate scores are computed once; each
     trial only recombines them. An entry's BLEU statistics against its
     reference are computed the first time a trial picks it, and each trial
-    sums the rows it picked. With an EvalContext, BLEU is measured on
-    detokenized surfaces (the same objective evaluate_system reports); ties
-    between trials keep the earlier trial.
+    sums the rows it picked. BLEU is measured on the surfaces of `eval_ctx`
+    (the same objective evaluate_system reports); ties between trials keep
+    the earlier trial.
     """
     if trials < 1:
         raise DataError("tuning needs at least one trial")
     if not dev.pairs:
         raise DataError("tuning needs a non-empty dev set")
     block = translate_corpus(forward, [src for src, _ in dev.pairs], nbest)
-    surface = surface_of(eval_ctx)
-    refs = references_of(dev, eval_ctx)
+    refs = eval_ctx.references(dev)
 
     # one row per list; padding (fwd -inf) never wins the argmax
     sizes = block.sizes()
@@ -151,7 +152,7 @@ def tune_lambdas(dev: TaggedDataset, forward, backward, lm: LanguageModel,
         picks = (fwd + w.lambda1 * channel + w.lambda2 * lm_score).argmax(axis=1)
         new = np.flatnonzero(~known[rows, picks])
         for i, hyp in zip(new.tolist(), block.surfaces(block.offsets[new] + picks[new])):
-            stats[i, picks[i]] = refs.stats(i, surface(hyp))
+            stats[i, picks[i]] = refs.stats(i, eval_ctx.detok_tokens(hyp))
         known[new, picks[new]] = True
         score = bleu_from_stats(stats[rows, picks].sum(axis=0))
         if score > best_bleu:
@@ -162,6 +163,7 @@ def tune_lambdas(dev: TaggedDataset, forward, backward, lm: LanguageModel,
 
 NBEST_FILE_VERSION = 1
 _UNSET = "-"
+_SCORE_COLUMNS = ("fwd", "channel", "lm", "combined")
 
 
 def write_nbest_file(block: NBestBlock, path: str) -> None:
@@ -186,7 +188,8 @@ def read_nbest_file(path: str) -> NBestBlock:
     distinct tokens, sorted, and a channel, lm or combined array is kept
     when every entry sets it and left out when none does. Any malformed
     line raises DataError; an entry's id must be that of the latest
-    `#source` line and its rank its place in that list."""
+    `#source` line, its rank its place in that list, and every score it
+    sets finite (the writer never writes another)."""
     lines = read_text(path, "n-best file").split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -214,14 +217,19 @@ def read_nbest_file(path: str) -> NBestBlock:
         if fields[1] != str(sizes[-1]):
             raise DataError(f"{where}: rank {fields[1]!r}, expected {sizes[-1]}")
         try:
-            fwd.append(float(fields[3]))
-            rest.append([None if v == _UNSET else float(v) for v in fields[4:]])
+            values = [float(fields[3])] + [None if v == _UNSET else float(v)
+                                           for v in fields[4:]]
         except ValueError as e:
             raise DataError(f"{where}: {e}") from e
+        for name, text, value in zip(_SCORE_COLUMNS, fields[3:], values):
+            if value is not None and not math.isfinite(value):
+                raise DataError(f"{where}: {name} score {text!r} is not finite")
+        fwd.append(values[0])
+        rest.append(values[1:])
         hyps.append(tuple(fields[2].split()))
         sizes[-1] += 1
     scores = {}
-    for name, column in zip(("channel", "lm", "combined"), zip(*rest)):
+    for name, column in zip(_SCORE_COLUMNS[1:], zip(*rest)):
         unset = column.count(None)
         if 0 < unset < len(column):
             raise DataError(f"{path}: {name} scores set on some entries and "

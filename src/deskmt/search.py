@@ -21,7 +21,7 @@ import numpy as np
 from .corpus import DataMix, TaggedDataset, build_mix
 from .ensemble import Ensemble
 from .lm import finetune_lm, logprobs, train_lm
-from .metrics import EvalContext, bleu, references_of, surface_of
+from .metrics import EvalContext, bleu
 from .tm import EMTrainer, LexModel, model_hash, pair_channel_scores, translate_corpus
 from .util import NUMBER, DataError, doc_field, read_json, write_text_atomic
 
@@ -166,22 +166,21 @@ def dev_perplexity(model: LexModel, dev: TaggedDataset) -> float:
     return math.exp(-total / sum(len(tgt) + 1 for tgt in targets))
 
 
-def dev_bleu(model, dev: TaggedDataset, *, eval_ctx: EvalContext | None = None,
-             rerank_ctx=None, nbest: int = 1) -> float:
-    """Dev BLEU of top-1 outputs, beam or (with a RerankContext) reranked.
+def dev_bleu(model, dev: TaggedDataset, *, eval_ctx: EvalContext) -> float:
+    """Dev BLEU of the top-1 beam outputs, the score that ranks trials and
+    fine-tune checkpoints.
 
-    BLEU is measured on detokenized surfaces when a context is given; the
-    context surfaces and counts the references of `dev` once, for every
-    call that scores against them.
+    BLEU is measured on the surfaces of `eval_ctx`, which counts the
+    references of `dev` once for every call that scores against them. A
+    reranked dev BLEU is `metrics.evaluate_system(..., decode="rerank").bleu`.
     """
-    block = translate_corpus(model, [src for src, _ in dev.pairs], nbest,
-                             rerank_ctx=rerank_ctx)
-    surface = surface_of(eval_ctx)
-    return bleu([surface(hyp) for hyp in block.top_hyps()], references_of(dev, eval_ctx))
+    block = translate_corpus(model, [src for src, _ in dev.pairs], 1)
+    return bleu([eval_ctx.detok_tokens(hyp) for hyp in block.top_hyps()],
+                eval_ctx.references(dev))
 
 
 def run_trial(config: TrialConfig, mix: DataMix, dev: TaggedDataset, *,
-              eval_ctx: EvalContext | None = None,
+              eval_ctx: EvalContext,
               patience: int | None = DEFAULT_PATIENCE,
               src_lang: str = "src", tgt_lang: str = "tgt") -> TrialResult:
     """Train one model per the config, early-stopping on dev perplexity.
@@ -241,7 +240,7 @@ def run_search(space: SearchSpace, n: int, seed: int, bitext: TaggedDataset,
                st: TaggedDataset | None, bt: TaggedDataset | None, dev: TaggedDataset,
                *, topk: int, save: Callable[[int, LexModel], object] | None = None,
                finetune_steps: int | None = None, lm_alpha: float = 0.5,
-               eval_ctx: EvalContext | None = None,
+               eval_ctx: EvalContext,
                patience: int | None = DEFAULT_PATIENCE,
                src_lang: str = "src", tgt_lang: str = "tgt") -> list[TrialResult]:
     """Sample n configs and run every trial, in sampling order, holding the
@@ -299,7 +298,7 @@ def select_top_k(results: list[TrialResult], k: int) -> Ensemble:
 
 def finetune(model: LexModel, in_domain: TaggedDataset, dev: TaggedDataset,
              max_steps: int, *, base_bleu: float, lm_alpha: float = 0.5,
-             eval_ctx: EvalContext | None = None) -> tuple[LexModel, float]:
+             eval_ctx: EvalContext) -> tuple[LexModel, float]:
     """Continue EM on in-domain data; return the best dev-BLEU checkpoint and its BLEU.
 
     Step 0 is the input model, whose dev BLEU the caller passes as

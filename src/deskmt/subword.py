@@ -95,9 +95,7 @@ def _pairs(pieces: list[str]) -> list[tuple[str, str]]:
     return list(zip(pieces, pieces[1:]))
 
 
-def learn_bpe(corpus: list[Sentence], vocab_size: int, *,
-              joiner: str = DEFAULT_JOINER,
-              reserved: frozenset[str] = DEFAULT_RESERVED) -> BpeModel:
+def learn_bpe(corpus: list[Sentence], vocab_size: int) -> BpeModel:
     """Learn merges until the symbol inventory reaches vocab_size or no pair repeats.
 
     The inventory is the initial character set plus one symbol per merge. Ties
@@ -106,7 +104,8 @@ def learn_bpe(corpus: list[Sentence], vocab_size: int, *,
     """
     if not corpus:
         raise DataError("cannot learn BPE from an empty corpus")
-    word_freq = Counter(tok for sent in corpus for tok in sent if tok not in reserved)
+    word_freq = Counter(tok for sent in corpus for tok in sent
+                        if tok not in DEFAULT_RESERVED)
     chars = sorted({ch for word in word_freq for ch in word})
     if vocab_size < len(chars):
         raise DataError(
@@ -154,7 +153,7 @@ def learn_bpe(corpus: list[Sentence], vocab_size: int, *,
             else:
                 del pair_freq[pair]
     return BpeModel(merges=tuple(merges), vocab_size_target=vocab_size,
-                    joiner=joiner, reserved=reserved, symbols=tuple(symbols))
+                    symbols=tuple(symbols))
 
 
 def encode(sentence: Sentence, model: BpeModel) -> Sentence:

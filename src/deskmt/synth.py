@@ -36,6 +36,9 @@ DEFAULT_VOCAB = 200
 DEFAULT_NOISE = 0.06
 MIN_TOPIC_TV = 0.2
 MAX_SPEC_REDRAWS = 100
+SWAP_FRACTION = 0.12  # share of source symbols in the swap class
+ZIPF_S = 1.1          # exponent of the topic profiles' Zipf ranks
+BIGRAM_BOOST = 8.0    # ring affinity added to a symbol's next two transitions
 
 DEFAULT_SIZES = {"parallel": 2000, "mono_src": 50000, "mono_tgt": 50000,
                  "dev": 500, "test": 500}
@@ -56,7 +59,6 @@ class SynthSpec:
     seed: int
     min_len: int = 3
     max_len: int = 9
-    bigram_boost: float = 8.0
 
     def __post_init__(self) -> None:
         if len(set(self.lexicon.values())) != len(self.lexicon):
@@ -87,8 +89,8 @@ def topic_tv_distance(p, q) -> float:
 
 
 def make_spec(vocab_size: int = DEFAULT_VOCAB, *, noise_rate: float = DEFAULT_NOISE,
-              seed: int = 0, swap_fraction: float = 0.12, zipf_s: float = 1.1,
-              mismatch: float = 0.5, min_len: int = 3, max_len: int = 9) -> SynthSpec:
+              seed: int = 0, mismatch: float = 0.5, min_len: int = 3,
+              max_len: int = 9) -> SynthSpec:
     """Construct a spec: random bijective lexicon, random swap class, and two
     Zipf topic profiles over shuffled symbol ranks.
 
@@ -109,10 +111,10 @@ def make_spec(vocab_size: int = DEFAULT_VOCAB, *, noise_rate: float = DEFAULT_NO
     rng.shuffle(shuffled)
     lexicon = dict(zip(source, shuffled))
 
-    n_swap = max(1, int(vocab_size * swap_fraction))
+    n_swap = max(1, int(vocab_size * SWAP_FRACTION))
     swap_class = frozenset(str(s) for s in rng.choice(source, size=n_swap, replace=False))
 
-    ranks = 1.0 / np.arange(1, vocab_size + 1) ** zipf_s
+    ranks = 1.0 / np.arange(1, vocab_size + 1) ** ZIPF_S
     ranks /= ranks.sum()
     in_weights = np.empty(vocab_size)
     permuted = np.empty(vocab_size)
@@ -172,7 +174,7 @@ class _TopicSampler:
         affinity = np.ones((v, v))
         idx = np.arange(v)
         for offset in (1, 2):
-            affinity[idx, (idx + offset) % v] += spec.bigram_boost
+            affinity[idx, (idx + offset) % v] += BIGRAM_BOOST
         trans = affinity * w[None, :]
         trans[np.ix_(swap_mask, swap_mask)] = 0.0  # no adjacent swap symbols
         trans /= trans.sum(axis=1, keepdims=True)

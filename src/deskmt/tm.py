@@ -350,21 +350,20 @@ class EMTrainer:
                         train_ll_trace=tuple(self.ll_trace), **settings)
 
 
-def em_train(mix: DataMix, iterations: int, *, lm: LanguageModel | None = None,
-             lm_order: int = 3, lm_k: float = 0.5, beam: int = 5, window: int = 1,
-             lm_weight: float = 0.5, src_lang: str = "src", tgt_lang: str = "tgt") -> LexModel:
+def em_train(mix: DataMix, iterations: int, *, lm_order: int = 3, lm_k: float = 0.5,
+             beam: int = 5, window: int = 1, lm_weight: float = 0.5,
+             src_lang: str = "src", tgt_lang: str = "tgt") -> LexModel:
     """Standard IBM Model 1 EM with a NULL source word, from uniform initialization.
 
-    The target-side LM is trained from the mix unless one is supplied.
+    The target-side LM is trained from the mix.
     """
     if iterations < 1:
         raise DataError("EM needs at least one iteration")
     trainer = EMTrainer(mix)
     for _ in range(iterations):
         trainer.step()
-    if lm is None:
-        sents, weights = zip(*mix.target_sentences())
-        lm = train_lm(list(sents), lm_order, lm_k, weights=list(weights))
+    sents, weights = zip(*mix.target_sentences())
+    lm = train_lm(list(sents), lm_order, lm_k, weights=list(weights))
     return trainer.snapshot(lm, beam=beam, window=window, lm_weight=lm_weight,
                             src_lang=src_lang, tgt_lang=tgt_lang)
 

@@ -20,6 +20,7 @@ import deskmt.tm as tm
 from deskmt import cache
 from deskmt.cache import cache_counts, cached
 from deskmt.lm import RowTable, finetune_lm, train_lm
+from deskmt.metrics import EvalContext
 from deskmt.rerank import NoisyChannelWeights, RerankContext
 from deskmt.search import run_search
 from deskmt.tm import translate_corpus
@@ -98,7 +99,7 @@ class TestStoreStaysBounded:
         monkeypatch.setattr(RowTable, "__init__", recording_init)
         ds = parallel(5, n_pairs=24)
         results = run_search(tiny_space(), 8, 3, ds, None, None, ds, topk=8,
-                             finetune_steps=3, patience=None)
+                             finetune_steps=3, eval_ctx=EvalContext(), patience=None)
         assert len(made) > cache.BOUND
         assert sum(ref() is not None for ref in made) <= cache.BOUND
         assert cache_counts()["held"] <= cache.BOUND

@@ -1,11 +1,13 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from deskmt import tm
-from deskmt.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
+from deskmt.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _config_from, build_parser, main
+from deskmt.search import TrialConfig
 from deskmt.rerank import read_nbest_file
 from deskmt.subword import decode, load_bpe
 from deskmt.util import read_json, read_text
@@ -41,6 +43,33 @@ def workspace(tmp_path_factory):
         yield str(root)
     finally:
         os.chdir(old)
+
+
+class TestConfigFlags:
+    FLAGS = {"em_iterations": "--em-iterations", "lm_order": "--lm-order",
+             "smoothing_k": "--smoothing-k", "lm_weight": "--lm-weight",
+             "window": "--window", "beam": "--beam", "up_bitext": "--up-bitext",
+             "up_fwd": "--up-fwd", "up_bt": "--up-bt"}
+    TRAIN = ["train", "--parallel", "p.tsv", "--dev", "d.tsv", "--out", "m.json"]
+
+    def test_every_trial_config_field_has_a_flag(self):
+        assert [f.name for f in fields(TrialConfig)] == list(self.FLAGS)
+        assert _config_from(build_parser().parse_args(self.TRAIN)) == TrialConfig()
+
+    def test_every_flag_round_trips(self):
+        config = TrialConfig(em_iterations=7, lm_order=4, smoothing_k=0.25, lm_weight=1.5,
+                             window=2, beam=3, up_bitext=12, up_fwd=6, up_bt=9)
+        argv = list(self.TRAIN)
+        for name, flag in self.FLAGS.items():
+            argv += [flag, str(getattr(config, name))]
+        got = _config_from(build_parser().parse_args(argv))
+        assert got == config
+        assert [type(getattr(got, name)) for name in self.FLAGS] == \
+            [type(getattr(TrialConfig(), name)) for name in self.FLAGS]
+
+    def test_an_integer_flag_rejects_a_fraction(self, capsys):
+        assert main([*self.TRAIN, "--beam", "2.5"]) == EXIT_USAGE
+        assert "--beam" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -270,6 +299,16 @@ class TestWorkflows:
                      "--lambda2", "0.5", "--out", "nb2.txt"]) == EXIT_OK
         block = read_nbest_file("nb2.txt")
         assert block.combined is not None
+
+    def test_rerank_rejects_a_non_finite_score(self, workspace, capsys):
+        with open("nan.nbest", "w", encoding="utf-8") as fh:
+            fh.write("#nbest v1\n#source 0 aa\n0\t0\tAA\tnan\t-\t-\t-\n")
+        capsys.readouterr()
+        assert main(["rerank", "--nbest-file", "nan.nbest", "--channel-model",
+                     "bwd.json", "--lm", "lm_tgt.json", "--lambda1", "1.0",
+                     "--lambda2", "0.5", "--out", "nan_out.nbest"]) == EXIT_DATA
+        assert "nan.nbest:3: fwd score 'nan' is not finite" in capsys.readouterr().err
+        assert not os.path.exists("nan_out.nbest")
 
     def test_rerank_rescores_with_the_given_channel_model(self, workspace):
         # B: a backward model trained on other data than bwd.json (A)

@@ -74,12 +74,12 @@ class TestLoadCorpus:
         assert load_corpus(path, SIDE_PARALLEL) == load_corpus(path, SIDE_PARALLEL)
 
     def test_round_trip_through_save(self, tmp_path):
-        ds = TaggedDataset("x", SIDE_PARALLEL, "<t>",
+        ds = TaggedDataset("out", SIDE_PARALLEL, "<t>",
                            pairs=((("a", "b"), ("c",)), (("d",), ("e", "f"))))
         path = str(tmp_path / "out.tsv")
         text = save_corpus(ds, path)
         assert read_text(path, "corpus file") == text == "a b\tc\nd\te f\n"
-        assert load_corpus(path, SIDE_PARALLEL, tag="<t>", name="x") == ds
+        assert load_corpus(path, SIDE_PARALLEL, tag="<t>") == ds
 
 
 class TestApplyTag:

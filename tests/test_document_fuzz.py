@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from deskmt.corpus import SIDE_PARALLEL, TaggedDataset, build_mix
 from deskmt.lm import finetune_lm, lm_from_dict, lm_json, train_lm
-from deskmt.tm import em_train, model_from_dict, model_json
+from deskmt.tm import EMTrainer, model_from_dict, model_json
 from deskmt.util import DataError
 
 
@@ -28,9 +28,11 @@ def _documents():
     mix = build_mix([TaggedDataset("d", SIDE_PARALLEL, "<t>", pairs=pairs)])
     lm = train_lm([tgt for _, tgt in pairs], 2, 0.3)
     tuned = finetune_lm(lm, [("b", "e"), ("e", "a")], 0.4)
+    trainer = EMTrainer(mix)
+    trainer.step()
     texts = {"lm": lm_json(lm), "interpolated lm": lm_json(tuned),
-             "model": model_json(em_train(mix, iterations=1, lm=lm))[0],
-             "fine-tuned model": model_json(em_train(mix, iterations=1, lm=tuned))[0]}
+             "model": model_json(trainer.snapshot(lm))[0],
+             "fine-tuned model": model_json(trainer.snapshot(tuned))[0]}
     # from JSON text, as the readers meet documents in files
     return {kind: json.loads(text) for kind, text in texts.items()}
 

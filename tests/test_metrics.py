@@ -13,8 +13,14 @@ from deskmt.metrics import (
     bleu_from_stats,
     evaluate_system,
 )
-from deskmt.subword import POLICY_UNSPACED, learn_bpe, encode
+from deskmt.corpus import SIDE_PARALLEL, TaggedDataset, build_mix
+from deskmt.rerank import NULL_WEIGHTS, RerankContext, tune_lambdas
+from deskmt.search import dev_bleu
+from deskmt.subword import DEFAULT_JOINER, POLICY_UNSPACED, encode, encode_dataset, learn_bpe
+from deskmt.tm import em_train, translate_corpus
 from deskmt.util import DataError
+from test_rerank import random_models
+from test_search import parallel
 
 
 def bleu_oracle(hyps, refs):
@@ -211,3 +217,60 @@ class TestEvalContext:
         ctx = EvalContext(bpe=model)
         encoded = ("<unk>",) + encode(("abab",), model)
         assert ctx.detok_tokens(encoded) == ("<unk>", "abab")
+
+
+class TestEvaluateSystem:
+    def models(self):
+        mix, fwd, bwd = random_models(random.Random(12), n_pairs=14)
+        return mix.datasets[0], fwd, bwd
+
+    def test_one_best_beam_bleu_is_dev_bleu(self):
+        dev, fwd, _ = self.models()
+        ctx = EvalContext()
+        report = evaluate_system(fwd, dev, eval_ctx=ctx, nbest=1)
+        assert (report.decode, report.lambdas, report.sentence_count) == \
+            ("beam", None, len(dev.pairs))
+        assert report.bleu == dev_bleu(fwd, dev, eval_ctx=ctx)
+
+    def test_rerank_bleu_with_tuned_weights_is_the_tuned_bleu(self):
+        dev, fwd, bwd = self.models()
+        ctx = EvalContext()
+        w, tuned = tune_lambdas(dev, fwd, bwd, fwd.lm, trials=8, seed=4, nbest=6,
+                                eval_ctx=ctx)
+        assert w != NULL_WEIGHTS
+        report = evaluate_system(fwd, dev, "rerank", eval_ctx=ctx, nbest=6,
+                                 rerank_ctx=RerankContext(bwd, fwd.lm, w, nbest=6))
+        assert report.bleu == tuned
+        assert report.lambdas == (w.lambda1, w.lambda2)
+
+    def test_bpe_context_reports_detokenized_surfaces(self):
+        raw = parallel(31, n_pairs=20, vocab=5)
+        bpe = learn_bpe([s for s, _ in raw.pairs] + [t for _, t in raw.pairs], 9)
+        test = encode_dataset(raw, bpe)
+        assert any(piece.startswith(DEFAULT_JOINER) for _, ref in test.pairs for piece in ref)
+        model = em_train(build_mix([test]), 2, lm_order=2)
+        ctx = EvalContext(bpe=bpe)
+        report = evaluate_system(model, test, eval_ctx=ctx, nbest=1)
+        hyps = translate_corpus(model, [src for src, _ in test.pairs], 1).top_hyps()
+        assert [row["reference"] for row in report.per_sentence] == \
+            [" ".join(ref) for _, ref in raw.pairs]
+        assert [row["hypothesis"] for row in report.per_sentence] == \
+            [" ".join(ctx.detok_tokens(hyp)) for hyp in hyps]
+        assert not any(DEFAULT_JOINER in row["hypothesis"] for row in report.per_sentence)
+        assert report.bleu == bleu([ctx.detok_tokens(hyp) for hyp in hyps],
+                                   [ref for _, ref in raw.pairs])
+
+    @pytest.mark.parametrize("decode, has_rerank_ctx, empty, message", [
+        ("rerank", False, False, "needs a RerankContext"),
+        ("sample", False, False, "unknown decode mode"),
+        ("sample", True, False, "unknown decode mode"),
+        ("beam", False, True, "non-empty test set"),
+        ("rerank", True, True, "non-empty test set"),
+    ])
+    def test_data_errors(self, decode, has_rerank_ctx, empty, message):
+        dev, fwd, bwd = self.models()
+        if empty:
+            dev = TaggedDataset("empty", SIDE_PARALLEL, "<t>", pairs=())
+        rerank_ctx = RerankContext(bwd, fwd.lm, nbest=4) if has_rerank_ctx else None
+        with pytest.raises(DataError, match=message):
+            evaluate_system(fwd, dev, decode, rerank_ctx=rerank_ctx, eval_ctx=EvalContext())

@@ -336,7 +336,7 @@ class TestBuildLexicon:
         tgt = tuple(f"t{i}" for i in range(20))
         t = np.full((2, 20), 1 / 20)
         model = LexModel(src, tgt, t, train_lm([tgt], 1, 0.5))
-        assert build_lexicon(model, min_prob=0.1) == {}
+        assert build_lexicon(model) == {}
 
 
 class TestAlignSentences:

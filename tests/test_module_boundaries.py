@@ -24,9 +24,24 @@ Every public top-level function and class has a caller in the library or the
 benchmark: another `src` module, `bench/`, or code of its own module outside
 its own body. A name that only tests use is an oracle and belongs in
 `tests/`, or it is listed in UNCALLED with the reason it stays.
+
+No knob without a caller: every optional parameter of a function, method or
+constructor in `src/`, private ones included, and every dataclass field with
+a default is set by some call in `src/` or `bench/`, by keyword, by position
+or through `**`, or it is listed in UNSET with the reason it stays. A value
+nothing sets is the default's behaviour with a name on it: it goes, and its
+default becomes the only behaviour. A call is matched to a definition by the
+name it calls, so `x.step(...)` counts for every method named `step`;
+`dataclasses.replace(obj, name=...)` sets a field of that name; a `**name`
+whose every binding is `dict(key=...)` sets those keys, and any other `**`
+argument sets every optional parameter of its callee.
+
+No source in `src/` or `tests/` imports a name it never reads, so a deleted
+caller takes its imports with it.
 """
 
 import ast
+import math
 import os
 
 import deskmt
@@ -34,6 +49,7 @@ import deskmt
 PACKAGE = "deskmt"
 SRC = os.path.dirname(deskmt.__file__)
 BENCH = os.path.join(os.path.dirname(os.path.dirname(SRC)), "bench")
+TESTS = os.path.dirname(os.path.abspath(__file__))
 CONCURRENCY_MODULES = ("multiprocessing", "concurrent", "threading")
 
 # Public names with no caller in src/ or bench/, each with why it stays.
@@ -41,6 +57,15 @@ UNCALLED = {
     "lm.perplexity": "the LM's own quality measure, for library users",
     "cache.cache_counts": "the decoder cache's hits, builds and evictions, the "
                           "source of its figures for run events and library users",
+}
+
+# Optional parameters and defaulted dataclass fields that no call in src/ or
+# bench/ sets, each with why it stays.
+UNSET = {
+    "synth.make_spec.mismatch": "the gap between the two topic profiles, which "
+                                "the domain-mismatch study sweeps (ROADMAP item 10)",
+    "search.TrialResult.model_hash": "run_search sets it by assignment when it "
+                                     "releases a trial's model",
 }
 
 
@@ -209,6 +234,147 @@ def uncalled(sources: dict[str, str], bench: list[str]) -> list[str]:
     return found
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _optional(fn, bound: int) -> list[tuple[int | None, str]]:
+    """(position, name) of every parameter of `fn` with a default. The
+    position counts a call's positional arguments, after the `bound` ones a
+    method call fills itself; it is None for a keyword-only parameter."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    found = [(i - bound, p.arg) for i, p in enumerate(positional) if i >= first]
+    found += [(None, p.arg) for p, default in zip(args.kwonlyargs, args.kw_defaults)
+              if default is not None]
+    return found
+
+
+def _init_field(value) -> bool:
+    """Whether a dataclass field's value leaves it a constructor parameter."""
+    return not (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+                and any(k.arg == "init" and getattr(k.value, "value", True) is False
+                        for k in value.keywords))
+
+
+def knobs(source: str) -> list[tuple[str, str, int | None, bool]]:
+    """(knob, callee, position, is_field) of every optional parameter of a
+    module's top-level functions, methods and constructors, and of every
+    dataclass field with a default.
+
+    `knob` reads `function.name`, `Class.method.name` or `Class.name` (a
+    constructor parameter or a field); `callee` is the name a call uses;
+    `position` is as in `_optional`.
+    """
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef):
+            found += [(f"{top.name}.{name}", top.name, position, False)
+                      for position, name in _optional(top, 0)]
+        if not isinstance(top, ast.ClassDef):
+            continue
+        position = 0
+        for node in top.body:
+            if isinstance(node, ast.AnnAssign) and _is_dataclass(top) \
+                    and _init_field(node.value):
+                if node.value is not None:
+                    found.append((f"{top.name}.{node.target.id}", top.name, position, True))
+                position += 1
+            elif isinstance(node, ast.FunctionDef) and (
+                    node.name == "__init__" or not node.name.startswith("__")):
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in node.decorator_list)
+                knob, callee = (top.name, top.name) if node.name == "__init__" \
+                    else (f"{top.name}.{node.name}", node.name)
+                found += [(f"{knob}.{name}", callee, position, False)
+                          for position, name in _optional(node, 0 if static else 1)]
+    return found
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _dict_keys(tree) -> dict[str, set[str] | None]:
+    """For each name a source assigns, the keys when every assignment is
+    `dict(key=...)`, else None."""
+    keys: dict[str, set[str] | None] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            value, name = node.value, node.targets[0].id
+            literal = isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict" \
+                and not value.args and all(k.arg for k in value.keywords)
+            known = keys.get(name, set())
+            keys[name] = known | {k.arg for k in value.keywords} \
+                if literal and known is not None else None
+    return keys
+
+
+def set_arguments(sources: list[str]) -> tuple[set, dict, set]:
+    """What the calls in `sources` set, by the name each calls: the (callee,
+    keyword) pairs, the most positional arguments a call passes (a `*`
+    argument passes them all), and the callees of a `**` argument whose keys
+    are not known."""
+    keywords, positions, spread = set(), {}, set()
+    for source in sources:
+        tree = ast.parse(source)
+        dict_keys = _dict_keys(tree)
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call) or _callee(call) is None:
+                continue
+            callee = _callee(call)
+            count = math.inf if any(isinstance(a, ast.Starred) for a in call.args) \
+                else len(call.args)
+            positions[callee] = max(positions.get(callee, 0), count)
+            for k in call.keywords:
+                if k.arg is not None:
+                    keywords.add((callee, k.arg))
+                elif isinstance(k.value, ast.Name) and dict_keys.get(k.value.id) is not None:
+                    keywords.update((callee, key) for key in dict_keys[k.value.id])
+                else:
+                    spread.add(callee)
+    return keywords, positions, spread
+
+
+def unset(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """`module.knob` of every knob of `sources` that no call in `callers` sets."""
+    keywords, positions, spread = set_arguments(callers)
+    found = []
+    for module, source in sources.items():
+        for knob, callee, position, is_field in knobs(source):
+            name = knob.rsplit(".", 1)[1]
+            if not ((callee, name) in keywords or callee in spread
+                    or is_field and ("replace", name) in keywords
+                    or position is not None and position < positions.get(callee, 0)):
+                found.append(f"{module}.{knob}")
+    return found
+
+
+def unused_imports(source: str) -> list[str]:
+    """`line: name` of every name an import binds that the source never reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            bound.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line}: {name}" for name, line in sorted(bound.items(), key=lambda kv: kv[1])
+            if name not in read]
+
+
 def import_cycle(graph: dict[str, set[str]]) -> list[str]:
     """One cycle of the module graph as a closed path, or [] when it is acyclic."""
     done, path = set(), []
@@ -360,3 +526,62 @@ def test_detects_uncalled_names():
     bench = ["def run():\n    from deskmt.tm import oracle\n",
              "from deskmt import cli\ncli.main()\n"]
     assert uncalled(sources, bench) == []
+
+
+def test_every_optional_parameter_is_set():
+    sources = {fname[:-3]: source for fname, source in _module_sources()}
+    callers = list(sources.values()) + [source for _, source in _sources(BENCH)]
+    assert sorted(unset(sources, callers)) == sorted(UNSET)
+
+
+def test_no_unused_imports():
+    offenders = {f"{where}/{fname}": unused_imports(source)
+                 for where, directory in (("src", SRC), ("tests", TESTS))
+                 for fname, source in _sources(directory)}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_detects_unset_knobs():
+    source = ("from dataclasses import dataclass, field\n"
+              "def f(a, b=1, *, c=2, d=3): pass\n"
+              "def g(x=0): pass\n"
+              "class K:\n"
+              "    def __init__(self, p, q=1): pass\n"
+              "    def m(self, r=1, s=2): pass\n"
+              "    @staticmethod\n"
+              "    def n(t=1): pass\n"
+              "    def __repr__(self, u=1): pass\n"
+              "@dataclass\n"
+              "class D:\n"
+              "    w: int\n"
+              "    memo: dict = field(default_factory=dict, init=False)\n"
+              "    y: int = 0\n"
+              "    z: int = field(default=1)\n")
+    assert [knob for knob, *_ in knobs(source)] == [
+        "f.b", "f.c", "f.d", "g.x", "K.q", "K.m.r", "K.m.s", "K.n.t", "D.y", "D.z"]
+    everything = unset({"mod": source}, [])
+    assert everything == [f"mod.{knob}" for knob, *_ in knobs(source)]
+    callers = ["from mod import f, K, D\n"
+               "settings = dict(c=5)\n"
+               "f(0, 2, **settings)\n"
+               "K(0, 1).m(1)\n"
+               "K.n(*args)\n"
+               "replace(D(0), z=2)\n",
+               "from mod import g\n"
+               "g(**kwargs)\n"
+               "obj.y = 3\n"]
+    assert unset({"mod": source}, callers) == ["mod.f.d", "mod.K.m.s", "mod.D.y"]
+
+
+def test_detects_unused_imports():
+    source = ("from __future__ import annotations\n"
+              "import os, os.path\n"
+              "import numpy as np\n"
+              "from deskmt.tm import (\n"
+              "    LexModel,\n"
+              "    em_train,\n"
+              ")\n"
+              "def f(model: LexModel):\n"
+              "    import json\n"
+              "    return np.zeros(1)\n")
+    assert unused_imports(source) == ["2: os", "4: em_train", "9: json"]

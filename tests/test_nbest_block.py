@@ -233,6 +233,21 @@ class TestReaderChecks:
         with pytest.raises(DataError, match=rf"^{re.escape(path)}: {column} scores set on some"):
             read_nbest_file(path)
 
+    @pytest.mark.parametrize("column", [0, 1, 2, 3])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "-1e400", "NaN"])
+    def test_a_non_finite_score(self, tmp_path, column, value):
+        # column 0 is fwd; the others are set on both entries, so only the
+        # bad value can fail the read
+        names = ("fwd", "channel", "lm", "combined")
+        good = ["-1.0", "-2.0", "-3.0", "-4.0"]
+        bad = list(good)
+        bad[column] = value
+        path = write_lines(tmp_path, ["#source 0 s0", "0\t0\tt0\t" + "\t".join(good),
+                                      "0\t1\tt1\t" + "\t".join(bad)])
+        with pytest.raises(DataError, match=rf"^{re.escape(path)}:4: {names[column]} score "
+                                            rf"'{re.escape(value)}' is not finite"):
+            read_nbest_file(path)
+
 
 def _fuzz_blocks():
     """The texts of a plain and a reranked n-best file of three sources."""

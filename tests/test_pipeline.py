@@ -338,11 +338,10 @@ class TestNoRecomputation:
 
     def test_final_dev_bleu_is_rerank_dev_bleu(self, finished_run):
         from deskmt.lm import lm_from_dict
-        from deskmt.metrics import EvalContext
+        from deskmt.metrics import EvalContext, evaluate_system
         from deskmt.corpus import swap_dataset
         from deskmt.pipeline import load_model
         from deskmt.rerank import NoisyChannelWeights, RerankContext
-        from deskmt.search import dev_bleu
         from deskmt.subword import encode_dataset, load_bpe
 
         bundle, config, _, manifest = finished_run
@@ -355,19 +354,14 @@ class TestNoRecomputation:
         bwd = load_model(manifest, final["ensembles"]["bwd"])
         dev = encode_dataset(bundle.dev, bpe)
         ctx = EvalContext(bpe=bpe)
-        got = {
-            "fwd": dev_bleu(fwd, dev, eval_ctx=ctx,
-                            rerank_ctx=RerankContext(
-                                bwd, lms["fwd"],
-                                NoisyChannelWeights(*final["lambdas"]["fwd"]),
-                                config.nbest)),
-            "bwd": dev_bleu(bwd, swap_dataset(dev, name="dev-swapped"),
-                            eval_ctx=ctx,
-                            rerank_ctx=RerankContext(
-                                fwd, lms["bwd"],
-                                NoisyChannelWeights(*final["lambdas"]["bwd"]),
-                                config.nbest)),
-        }
+        got = {}
+        for d, model, channel, ds in (("fwd", fwd, bwd, dev),
+                                      ("bwd", bwd, fwd, swap_dataset(dev))):
+            rerank_ctx = RerankContext(channel, lms[d],
+                                       NoisyChannelWeights(*final["lambdas"][d]),
+                                       config.nbest)
+            got[d] = evaluate_system(model, ds, "rerank", rerank_ctx=rerank_ctx,
+                                     eval_ctx=ctx, nbest=config.nbest).bleu
         assert got == final["dev_bleu"]
 
     def test_memoized_model_hash_matches_fresh_and_saved(self, tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from deskmt.corpus import SIDE_PARALLEL, TaggedDataset, build_mix, swap_direction
 from deskmt.lm import finetune_lm, logprobs, train_lm
-from deskmt.metrics import bleu
+from deskmt.metrics import EvalContext, bleu
 from deskmt.rerank import (
     NULL_WEIGHTS,
     DataError,
@@ -226,7 +226,8 @@ class TestTuneLambdas:
         dev = TaggedDataset("dev", SIDE_PARALLEL, "<d:in>",
                             pairs=((("x", "x"), ("A", "A")),
                                    (("x", "x", "x"), ("A", "A", "A"))))
-        w, score = tune_lambdas(dev, fwd, bwd, fwd.lm, trials=4, seed=1, nbest=4)
+        w, score = tune_lambdas(dev, fwd, bwd, fwd.lm, trials=4, seed=1, nbest=4,
+                                eval_ctx=EvalContext())
         hyps = translate_corpus(fwd, [src for src, _ in dev.pairs], 4,
                                 rerank_ctx=RerankContext(bwd, fwd.lm, w, nbest=4)).top_hyps()
         assert hyps[0] == ("A", "A")  # the first of the tied entries
@@ -236,7 +237,8 @@ class TestTuneLambdas:
         rng = random.Random(10)
         mix, fwd, bwd = random_models(rng)
         dev = mix.datasets[0]
-        w, _ = tune_lambdas(dev, fwd, bwd, fwd.lm, trials=1, seed=3, nbest=4)
+        w, _ = tune_lambdas(dev, fwd, bwd, fwd.lm, trials=1, seed=3, nbest=4,
+                            eval_ctx=EvalContext())
         assert w == NULL_WEIGHTS
 
     def test_dominates_null_weights(self):
@@ -245,7 +247,7 @@ class TestTuneLambdas:
             mix, fwd, bwd = random_models(rng, n_pairs=14)
             dev = mix.datasets[0]
             w, score = tune_lambdas(dev, fwd, bwd, fwd.lm, trials=8, seed=seed,
-                                    nbest=6)
+                                    nbest=6, eval_ctx=EvalContext())
             refs = [tgt for _, tgt in dev.pairs]
             sources = [src for src, _ in dev.pairs]
             tuned = translate_corpus(
@@ -258,8 +260,10 @@ class TestTuneLambdas:
         rng = random.Random(12)
         mix, fwd, bwd = random_models(rng)
         dev = mix.datasets[0]
-        a = tune_lambdas(dev, fwd, bwd, fwd.lm, trials=6, seed=9, nbest=4)
-        b = tune_lambdas(dev, fwd, bwd, fwd.lm, trials=6, seed=9, nbest=4)
+        a = tune_lambdas(dev, fwd, bwd, fwd.lm, trials=6, seed=9, nbest=4,
+                         eval_ctx=EvalContext())
+        b = tune_lambdas(dev, fwd, bwd, fwd.lm, trials=6, seed=9, nbest=4,
+                         eval_ctx=EvalContext())
         assert a == b
 
     def test_sample_weights_space(self):

@@ -13,6 +13,7 @@ from deskmt.corpus import (
     build_mix,
 )
 from deskmt.lm import logprobs
+from deskmt.metrics import EvalContext
 from deskmt.search import (
     DataError,
     SearchSpace,
@@ -150,7 +151,7 @@ class TestRunTrial:
         ds = parallel(1)
         mix = build_mix([ds])
         cfg = TrialConfig(em_iterations=4, lm_order=2, beam=2)
-        result = run_trial(cfg, mix, ds, patience=None)
+        result = run_trial(cfg, mix, ds, eval_ctx=EvalContext(), patience=None)
         assert len(result.dev_ppl_trace) == 4
 
     def test_stops_after_patience_exhausted(self, monkeypatch):
@@ -161,7 +162,7 @@ class TestRunTrial:
         ds = parallel(2)
         mix = build_mix([ds])
         cfg = TrialConfig(em_iterations=5, lm_order=2, beam=2)
-        result = run_trial(cfg, mix, ds, patience=1)
+        result = run_trial(cfg, mix, ds, eval_ctx=EvalContext(), patience=1)
         assert result.dev_ppl_trace == (5.0, 6.0)
 
     def test_patience_two_tolerates_one_bad_check(self, monkeypatch):
@@ -171,15 +172,16 @@ class TestRunTrial:
         ds = parallel(2)
         mix = build_mix([ds])
         cfg = TrialConfig(em_iterations=6, lm_order=2, beam=2)
-        result = run_trial(cfg, mix, ds, patience=2)
+        result = run_trial(cfg, mix, ds, eval_ctx=EvalContext(), patience=2)
         assert result.dev_ppl_trace == (5.0, 6.0, 4.0, 4.5, 4.6)
 
     def test_bleu_matches_metric_on_decode(self):
         ds = parallel(3)
         mix = build_mix([ds])
         cfg = TrialConfig(em_iterations=2, lm_order=2, beam=2)
-        result = run_trial(cfg, mix, ds, patience=None)
-        assert result.dev_bleu == pytest.approx(dev_bleu(result.model, ds))
+        ctx = EvalContext()
+        result = run_trial(cfg, mix, ds, eval_ctx=ctx, patience=None)
+        assert result.dev_bleu == pytest.approx(dev_bleu(result.model, ds, eval_ctx=ctx))
 
     def test_perplexity_definition(self):
         ds = parallel(4, n_pairs=6)
@@ -240,8 +242,10 @@ class TestRunSearch:
     def test_deterministic_and_schedule_independent(self):
         ds = parallel(6)
         space = tiny_space()
-        a = run_search(space, 4, 1, ds, None, None, ds, topk=1, patience=None)
-        b = run_search(space, 4, 1, ds, None, None, ds, topk=1, patience=None)
+        a = run_search(space, 4, 1, ds, None, None, ds, topk=1,
+                       eval_ctx=EvalContext(), patience=None)
+        b = run_search(space, 4, 1, ds, None, None, ds, topk=1,
+                       eval_ctx=EvalContext(), patience=None)
         assert [r.dev_bleu for r in a] == [r.dev_bleu for r in b]
         assert [r.dev_ppl_trace for r in a] == [r.dev_ppl_trace for r in b]
         assert [r.config for r in a] == [r.config for r in b]
@@ -300,42 +304,48 @@ class TestFinetune:
 
     def test_zero_steps_returns_input(self):
         model, in_ds = self.setup_models()
-        before = dev_bleu(model, in_ds)
-        tuned, score = finetune(model, in_ds, in_ds, max_steps=0, base_bleu=before)
+        before = dev_bleu(model, in_ds, eval_ctx=EvalContext())
+        tuned, score = finetune(model, in_ds, in_ds, max_steps=0, base_bleu=before,
+                                eval_ctx=EvalContext())
         assert tuned is model and score == before
 
     def test_never_reduces_dev_bleu(self):
         model, in_ds = self.setup_models()
-        before = dev_bleu(model, in_ds)
-        tuned, score = finetune(model, in_ds, in_ds, max_steps=3, base_bleu=before)
+        before = dev_bleu(model, in_ds, eval_ctx=EvalContext())
+        tuned, score = finetune(model, in_ds, in_ds, max_steps=3, base_bleu=before,
+                                eval_ctx=EvalContext())
         assert score >= before
-        assert score == dev_bleu(tuned, in_ds)
+        assert score == dev_bleu(tuned, in_ds, eval_ctx=EvalContext())
 
     def test_improves_on_in_domain(self):
         model, in_ds = self.setup_models()
-        before = dev_bleu(model, in_ds)
-        tuned, score = finetune(model, in_ds, in_ds, max_steps=3, base_bleu=before)
+        before = dev_bleu(model, in_ds, eval_ctx=EvalContext())
+        tuned, score = finetune(model, in_ds, in_ds, max_steps=3, base_bleu=before,
+                                eval_ctx=EvalContext())
         assert score > before
-        assert score == dev_bleu(tuned, in_ds)
+        assert score == dev_bleu(tuned, in_ds, eval_ctx=EvalContext())
 
     def test_deterministic(self):
         model, in_ds = self.setup_models()
-        before = dev_bleu(model, in_ds)
-        a, score_a = finetune(model, in_ds, in_ds, max_steps=2, base_bleu=before)
-        b, score_b = finetune(model, in_ds, in_ds, max_steps=2, base_bleu=before)
+        before = dev_bleu(model, in_ds, eval_ctx=EvalContext())
+        a, score_a = finetune(model, in_ds, in_ds, max_steps=2, base_bleu=before,
+                              eval_ctx=EvalContext())
+        b, score_b = finetune(model, in_ds, in_ds, max_steps=2, base_bleu=before,
+                              eval_ctx=EvalContext())
         assert (a.t == b.t).all() and score_a == score_b
 
     def test_empty_in_domain_rejected(self):
         model, in_ds = self.setup_models()
         empty = TaggedDataset("e", SIDE_PARALLEL, "<t>", pairs=())
         with pytest.raises(DataError):
-            finetune(model, empty, in_ds, max_steps=1, base_bleu=0.0)
+            finetune(model, empty, in_ds, max_steps=1, base_bleu=0.0,
+                     eval_ctx=EvalContext())
 
 
 class TestDevReferences:
     def test_each_reference_is_detokenized_once(self, monkeypatch):
         from deskmt.lm import train_lm
-        from deskmt.metrics import EvalContext, bleu
+        from deskmt.metrics import bleu
         from deskmt.rerank import tune_lambdas
         from deskmt.subword import encode_dataset, learn_bpe
 

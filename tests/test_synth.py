@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from deskmt.synth import (
+    BIGRAM_BOOST,
     DEFAULT_NOISE,
     DEFAULT_VOCAB,
     MIN_TOPIC_TV,
@@ -207,7 +208,7 @@ class TestSpec:
                "out_weights": list(spec.out_weights),
                "noise_rate": spec.noise_rate, "seed": spec.seed,
                "min_len": spec.min_len, "max_len": spec.max_len,
-               "bigram_boost": spec.bigram_boost}
+               "bigram_boost": BIGRAM_BOOST}
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == digest
 

@@ -105,7 +105,10 @@ spec = synth.make_spec(30, seed=5)
 bundle = synth.gen_corpora(spec, {"parallel": 40, "mono_src": 12, "mono_tgt": 12,
                                   "dev": 2, "test": 2})
 mix = build_mix([bundle.parallel])
-model = tm.em_train(mix, 2, lm=train_lm(list(bundle.mono_tgt.sentences), 3, 0.5))
+trainer = tm.EMTrainer(mix)
+trainer.step()
+trainer.step()
+model = trainer.snapshot(train_lm(list(bundle.mono_tgt.sentences), 3, 0.5))
 lists = tm.translate_corpus(model, list(bundle.mono_src.sentences), 5)
 channel = tm.em_train(swap_direction(mix), 2, src_lang="tgt", tgt_lang="src")
 pairs = bundle.parallel.pairs
