@@ -23,8 +23,8 @@ from .corpus import (
     TaggedDataset,
     swap_dataset,
 )
-from .rerank import DEFAULT_NBEST, RerankContext
-from .tm import translate_corpus
+from .rerank import RerankContext
+from .tm import DEFAULT_NBEST, translate_corpus
 from .util import DataError
 
 

@@ -22,7 +22,7 @@ from .corpus import (
     save_corpus,
 )
 from .ensemble import Ensemble
-from .lm import lm_from_dict
+from .lm import FINETUNE_ALPHA, lm_from_dict
 from .metrics import EvalContext
 from .rerank import NoisyChannelWeights, RerankContext
 from .search import SearchSpace, TrialConfig, default_search_space
@@ -35,6 +35,11 @@ EXIT_INTERNAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    # no abbreviated flags: a prefix would change its meaning whenever a flag
+    # is added or removed (`--mode` would read as `--model`)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -55,32 +60,48 @@ def _load_lm(path: str):
     return lm_from_dict(read_json(path, "language model"))
 
 
-def _maybe_bpe(args):
-    return subword.load_bpe(args.bpe) if getattr(args, "bpe", None) else None
+class _Inputs:
+    """A command's one corpus reader and the EvalContext that scores its
+    output. With --bpe the BPE model is loaded once: `read` encodes with it
+    and the context decodes with it."""
+
+    def __init__(self, args):
+        bpe = subword.load_bpe(args.bpe) if getattr(args, "bpe", None) else None
+        self.eval_ctx = EvalContext(bpe=bpe,
+                                    policy=getattr(args, "policy", subword.POLICY_SPACED))
+
+    def read(self, path: str, side: str = SIDE_PARALLEL):
+        tag = corpus.TAG_IN_DOMAIN if side == SIDE_PARALLEL else corpus.TAG_MONO
+        ds = load_corpus(path, side, tag=tag)
+        bpe = self.eval_ctx.bpe
+        return ds if bpe is None else subword.encode_dataset(ds, bpe)
 
 
-def _eval_ctx(args, bpe) -> EvalContext:
-    return EvalContext(bpe=bpe, policy=getattr(args, "policy", subword.POLICY_SPACED))
-
-
-def _rerank_ctx(args):
-    if getattr(args, "mode", "beam") != "rerank":
+def _rerank_ctx(args) -> RerankContext | None:
+    """A command reranks exactly when --channel-model is given, with --lm."""
+    if (args.channel_model is None) != (args.lm is None):
+        raise DataError("reranking needs both --channel-model and --lm")
+    if args.channel_model is None:
         return None
-    if not args.channel_model or not args.lm:
-        raise DataError("rerank mode needs --channel-model and --lm")
     weights = NoisyChannelWeights(args.lambda1, args.lambda2)
     return RerankContext(_load_models(args.channel_model), _load_lm(args.lm),
                          weights, args.nbest)
 
 
+def _decode_label(rerank_ctx) -> str:
+    return "beam" if rerank_ctx is None else "rerank"
+
+
 def _add_rerank_flags(p):
-    p.add_argument("--mode", choices=["beam", "rerank"], default="beam")
     p.add_argument("--channel-model", nargs="+", default=None,
-                   help="backward model file(s); several form an ensemble")
+                   help="backward model file(s); several form an ensemble. Given "
+                   "with --lm, the n-best lists are reranked")
     p.add_argument("--lm", default=None, help="language model file for reranking")
     p.add_argument("--lambda1", type=float, default=0.0)
     p.add_argument("--lambda2", type=float, default=0.0)
-    p.add_argument("--nbest", type=int, default=rerank.DEFAULT_NBEST)
+    p.add_argument("--nbest", type=int, default=tm.DEFAULT_NBEST,
+                   help="n-best list size: of the lists beam decoding returns, "
+                   "and of the lists reranking rescores")
 
 
 def _add_config_flags(p):
@@ -95,19 +116,17 @@ def _config_from(args) -> TrialConfig:
     return TrialConfig(**{f.name: getattr(args, f.name) for f in fields(TrialConfig)})
 
 
-def _load_training_sets(args, bpe):
+def _load_training_sets(args, inputs: _Inputs):
     """The (source, target) languages of the direction --swap picks, and its
     bitext, self-trained, back-translated and dev sets in its orientation.
-    With --bpe only the bitext and dev are encoded: the synthetic sets are
-    the encoded output of augment-st/-bt."""
-    bitext = load_corpus(args.parallel, SIDE_PARALLEL)
+    Only the bitext and dev go through the reader: with --bpe the synthetic
+    sets are the encoded output of augment-st/-bt, read as they are."""
+    bitext = inputs.read(args.parallel)
     st = load_corpus(args.st, SIDE_PARALLEL, tag=corpus.TAG_SELF_TRAINED) \
         if args.st else None
     bt = load_corpus(args.bt, SIDE_PARALLEL, tag=corpus.TAG_BACK_TRANSLATED) \
         if args.bt else None
-    dev = load_corpus(args.dev, SIDE_PARALLEL)
-    if bpe is not None:
-        bitext, dev = subword.encode_dataset(bitext, bpe), subword.encode_dataset(dev, bpe)
+    dev = inputs.read(args.dev)
     direction = "bwd" if args.swap else "fwd"
     st, bt = augment.training_roles(direction, st, bt)
     return (augment.DIRECTIONS[direction], augment.orient(direction, bitext), st, bt,
@@ -133,12 +152,13 @@ def cmd_synth_gen(args) -> int:
 
 
 def cmd_learn_bpe(args) -> int:
+    inputs = _Inputs(args)
     sentences = []
     for path in args.parallel or []:
-        ds = load_corpus(path, SIDE_PARALLEL)
+        ds = inputs.read(path)
         sentences += [s for s, _ in ds.pairs] + [t for _, t in ds.pairs]
     for path in args.mono or []:
-        ds = load_corpus(path, SIDE_MONO_SOURCE, tag="<mono>")
+        ds = inputs.read(path, SIDE_MONO_SOURCE)
         sentences += list(ds.sentences)
     model = subword.learn_bpe(sentences, args.vocab_size)
     subword.save_bpe(model, args.out)
@@ -148,12 +168,12 @@ def cmd_learn_bpe(args) -> int:
 
 
 def cmd_train(args) -> int:
-    bpe = _maybe_bpe(args)
-    (src_lang, tgt_lang), bitext, st, bt, dev = _load_training_sets(args, bpe)
+    inputs = _Inputs(args)
+    (src_lang, tgt_lang), bitext, st, bt, dev = _load_training_sets(args, inputs)
     config = _config_from(args)
     mix = search.trial_mix(config, bitext, st, bt)
     result = search.run_trial(config, mix, dev,
-                              eval_ctx=_eval_ctx(args, bpe),
+                              eval_ctx=inputs.eval_ctx,
                               patience=args.patience,
                               src_lang=src_lang, tgt_lang=tgt_lang)
     _save_model(result.model, args.out)
@@ -168,8 +188,8 @@ _SEARCH_MODEL = re.compile(r"trial\d{3}\.json|ensemble\d+\.json")
 def cmd_search(args) -> int:
     if not 0 <= args.topk <= args.trials:
         raise DataError(f"--topk must lie in [0, --trials], got {args.topk}")
-    bpe = _maybe_bpe(args)
-    (src_lang, tgt_lang), bitext, st, bt, dev = _load_training_sets(args, bpe)
+    inputs = _Inputs(args)
+    (src_lang, tgt_lang), bitext, st, bt, dev = _load_training_sets(args, inputs)
     space = SearchSpace.load(args.space) if args.space else default_search_space()
 
     def save(index, model):
@@ -178,7 +198,7 @@ def cmd_search(args) -> int:
 
     results = search.run_search(
         space, args.trials, args.seed, bitext, st, bt, dev, topk=args.topk, save=save,
-        eval_ctx=_eval_ctx(args, bpe), patience=args.patience,
+        eval_ctx=inputs.eval_ctx, patience=args.patience,
         src_lang=src_lang, tgt_lang=tgt_lang)
     search.write_trial_log(results, os.path.join(args.out_dir, "runlog.jsonl"))
     written = {f"trial{i:03d}.json" for i in range(len(results))}
@@ -201,23 +221,16 @@ def cmd_search(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    bpe = _maybe_bpe(args)
+    inputs = _Inputs(args)
     model = _load_models(args.model)
-    ds = load_corpus(args.input, SIDE_MONO_SOURCE, tag="<mono>")
-    sources = list(ds.sentences)
-    if bpe is not None:
-        sources = [subword.encode(s, bpe) for s in sources]
-    block = tm.translate_corpus(model, sources, args.nbest,
+    sources = inputs.read(args.input, SIDE_MONO_SOURCE).sentences
+    block = tm.translate_corpus(model, list(sources), args.nbest,
                                 rerank_ctx=_rerank_ctx(args))
     if args.dump_nbest:
         rerank.write_nbest_file(block, args.dump_nbest)
-    hyps = block.top_hyps()
-    if bpe is not None:
-        lines = [subword.decode(hyp, bpe, args.policy) for hyp in hyps]
-    else:
-        lines = [" ".join(hyp) for hyp in hyps]
+    lines = [" ".join(inputs.eval_ctx.detok_tokens(hyp)) for hyp in block.top_hyps()]
     write_text_atomic(args.output, "".join(line + "\n" for line in lines))
-    print(f"translated {len(hyps)} sentences -> {args.output}")
+    print(f"translated {len(lines)} sentences -> {args.output}")
     return EXIT_OK
 
 
@@ -233,14 +246,11 @@ def cmd_rerank(args) -> int:
 
 
 def cmd_tune_lambdas(args) -> int:
-    bpe = _maybe_bpe(args)
-    dev = load_corpus(args.dev, SIDE_PARALLEL)
-    if bpe is not None:
-        dev = subword.encode_dataset(dev, bpe)
+    inputs = _Inputs(args)
     weights, _ = rerank.tune_lambdas(
-        dev, _load_models(args.model), _load_models(args.channel_model),
+        inputs.read(args.dev), _load_models(args.model), _load_models(args.channel_model),
         _load_lm(args.lm), trials=args.tune_trials, seed=args.seed,
-        nbest=args.nbest, eval_ctx=_eval_ctx(args, bpe))
+        nbest=args.nbest, eval_ctx=inputs.eval_ctx)
     doc = {"lambda1": weights.lambda1, "lambda2": weights.lambda2}
     if args.out:
         write_text_atomic(args.out, stable_json_dumps(doc) + "\n")
@@ -248,24 +258,26 @@ def cmd_tune_lambdas(args) -> int:
     return EXIT_OK
 
 
+# augment-<kind>: its help, the side of its monolingual file, that file's
+# default language label, and the library call that makes the synthetic set
+_AUGMENT = {
+    "bt": ("back-translate a target-side monolingual file", SIDE_MONO_TARGET, "tgt",
+           lambda model, mono, rr, lang: augment.back_translate(model, mono, rr,
+                                                                target_lang=lang)),
+    "st": ("self-train on a source-side monolingual file", SIDE_MONO_SOURCE, "src",
+           lambda model, mono, rr, lang: augment.self_train(model, mono, rr,
+                                                            source_lang=lang)),
+}
+
+
 def _cmd_augment(args, kind: str) -> int:
-    bpe = _maybe_bpe(args)
+    _, side, _, generate = _AUGMENT[kind]
+    inputs = _Inputs(args)
     model = _load_models(args.model)
     rr = _rerank_ctx(args)
-    if kind == "bt":
-        ds = load_corpus(args.mono, SIDE_MONO_TARGET, tag="<mono>")
-        if bpe is not None:
-            ds = subword.encode_dataset(ds, bpe)
-        out = augment.back_translate(model, ds, rerank_ctx=rr,
-                                     target_lang=args.mono_lang)
-    else:
-        ds = load_corpus(args.mono, SIDE_MONO_SOURCE, tag="<mono>")
-        if bpe is not None:
-            ds = subword.encode_dataset(ds, bpe)
-        out = augment.self_train(model, ds, rerank_ctx=rr,
-                                 source_lang=args.mono_lang)
+    out = generate(model, inputs.read(args.mono, side), rr, args.mono_lang)
     save_corpus(out, args.out)
-    provenance = {"generator": tm.model_hash(model), "decode": args.mode,
+    provenance = {"generator": tm.model_hash(model), "decode": _decode_label(rr),
                   "lambdas": [args.lambda1, args.lambda2],
                   "dropped": out.dropped, "tag": out.tag}
     write_text_atomic(args.out + ".prov.json", stable_json_dumps(provenance) + "\n")
@@ -274,14 +286,15 @@ def _cmd_augment(args, kind: str) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    parallel = load_corpus(args.parallel, SIDE_PARALLEL)
-    dev = load_corpus(args.dev, SIDE_PARALLEL)
+    inputs = _Inputs(args)
+    parallel = inputs.read(args.parallel)
+    dev = inputs.read(args.dev)
     mono_src = mono_tgt = None
     if not args.parallel_only:
         if args.mono_source:
-            mono_src = load_corpus(args.mono_source, SIDE_MONO_SOURCE, tag="<mono>")
+            mono_src = inputs.read(args.mono_source, SIDE_MONO_SOURCE)
         if args.mono_target:
-            mono_tgt = load_corpus(args.mono_target, SIDE_MONO_TARGET, tag="<mono>")
+            mono_tgt = inputs.read(args.mono_target, SIDE_MONO_TARGET)
     space = SearchSpace.load(args.space) if args.space else default_search_space()
     config = pipeline.PipelineConfig(
         iterations=args.iterations, trials=args.trials, topk=args.topk,
@@ -315,14 +328,11 @@ def cmd_mine(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    bpe = _maybe_bpe(args)
+    inputs = _Inputs(args)
     model = _load_models(args.model)
-    test = load_corpus(args.test, SIDE_PARALLEL)
-    if bpe is not None:
-        test = subword.encode_dataset(test, bpe)
-    report = metrics.evaluate_system(model, test, decode=args.mode,
-                                     rerank_ctx=_rerank_ctx(args),
-                                     eval_ctx=_eval_ctx(args, bpe),
+    rr = _rerank_ctx(args)
+    report = metrics.evaluate_system(model, inputs.read(args.test), _decode_label(rr),
+                                     rerank_ctx=rr, eval_ctx=inputs.eval_ctx,
                                      nbest=args.nbest)
     if args.report:
         write_text_atomic(args.report, stable_json_dumps(report.to_dict()) + "\n")
@@ -331,18 +341,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    bpe = _maybe_bpe(args)
+    inputs = _Inputs(args)
     model = _load_models([args.model])
-    in_domain = load_corpus(args.in_domain, SIDE_PARALLEL)
-    dev = load_corpus(args.dev, SIDE_PARALLEL)
-    if bpe is not None:
-        in_domain = subword.encode_dataset(in_domain, bpe)
-        dev = subword.encode_dataset(dev, bpe)
-    eval_ctx = _eval_ctx(args, bpe)
-    before = search.dev_bleu(model, dev, eval_ctx=eval_ctx)
+    in_domain = inputs.read(args.in_domain)
+    dev = inputs.read(args.dev)
+    before = search.dev_bleu(model, dev, eval_ctx=inputs.eval_ctx)
     tuned, after = search.finetune(model, in_domain, dev, args.max_steps,
                                    base_bleu=before, lm_alpha=args.lm_alpha,
-                                   eval_ctx=eval_ctx)
+                                   eval_ctx=inputs.eval_ctx)
     _save_model(tuned, args.out)
     print(f"dev BLEU {before:.2f} -> {after:.2f}; wrote {args.out}")
     return EXIT_OK
@@ -434,17 +440,16 @@ def build_parser() -> _Parser:
     p.add_argument("--lm", required=True)
     p.add_argument("--bpe", default=None)
     p.add_argument("--tune-trials", type=int, default=rerank.DEFAULT_TUNE_TRIALS)
-    p.add_argument("--nbest", type=int, default=rerank.DEFAULT_NBEST)
+    p.add_argument("--nbest", type=int, default=tm.DEFAULT_NBEST)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_tune_lambdas)
 
-    for kind, help_text in (("bt", "back-translate a target-side monolingual file"),
-                            ("st", "self-train on a source-side monolingual file")):
+    for kind, (help_text, _, lang, _) in _AUGMENT.items():
         p = sub.add_parser(f"augment-{kind}", help=help_text)
         p.add_argument("--model", nargs="+", required=True)
         p.add_argument("--mono", required=True)
-        p.add_argument("--mono-lang", default="tgt" if kind == "bt" else "src",
+        p.add_argument("--mono-lang", default=lang,
                        help="language label of the monolingual file")
         p.add_argument("--bpe", default=None)
         p.add_argument("--out", required=True)
@@ -462,11 +467,11 @@ def build_parser() -> _Parser:
     p.add_argument("--topk", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--parallel-only", action="store_true")
-    p.add_argument("--bpe-vocab", type=int, default=400)
-    p.add_argument("--nbest", type=int, default=rerank.DEFAULT_NBEST)
+    p.add_argument("--bpe-vocab", type=int, default=pipeline.DEFAULT_BPE_VOCAB)
+    p.add_argument("--nbest", type=int, default=tm.DEFAULT_NBEST)
     p.add_argument("--tune-trials", type=int, default=rerank.DEFAULT_TUNE_TRIALS)
     p.add_argument("--patience", type=int, default=search.DEFAULT_PATIENCE)
-    p.add_argument("--finetune-steps", type=int, default=3)
+    p.add_argument("--finetune-steps", type=int, default=search.DEFAULT_FINETUNE_STEPS)
     p.add_argument("--space", default=None)
     p.set_defaults(handler=cmd_pipeline)
 
@@ -498,8 +503,8 @@ def build_parser() -> _Parser:
     p.add_argument("--in-domain", required=True)
     p.add_argument("--dev", required=True)
     p.add_argument("--bpe", default=None)
-    p.add_argument("--max-steps", type=int, default=3)
-    p.add_argument("--lm-alpha", type=float, default=0.5)
+    p.add_argument("--max-steps", type=int, default=search.DEFAULT_FINETUNE_STEPS)
+    p.add_argument("--lm-alpha", type=float, default=FINETUNE_ALPHA)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_finetune)
 

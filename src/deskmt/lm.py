@@ -510,6 +510,11 @@ def perplexity(model: LanguageModel, corpus: list[Sentence]) -> float:
     return math.exp(-total / n_tokens)
 
 
+# The in-domain weight wherever the library interpolates an LM toward
+# in-domain counts: the pipeline's reranking LMs and fine-tuning.
+FINETUNE_ALPHA = 0.5
+
+
 def finetune_lm(base: NGramLM, in_domain: list[Sentence], alpha: float) -> LanguageModel:
     """Interpolate the base model with fresh in-domain estimates.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .corpus import Sentence
 from .subword import POLICY_SPACED, BpeModel, decode as bpe_decode
-from .tm import model_hash, translate_corpus
+from .tm import DEFAULT_NBEST, model_hash, translate_corpus
 from .util import DataError
 
 BLEU_ORDER = 4
@@ -180,13 +180,15 @@ class EvalReport:
 
 
 def evaluate_system(model, test, decode: str = "beam", *, rerank_ctx=None,
-                    eval_ctx: EvalContext, nbest: int = 50) -> EvalReport:
+                    eval_ctx: EvalContext, nbest: int = DEFAULT_NBEST) -> EvalReport:
     """Decode every test source and score BLEU against the references.
 
     `model` is a LexModel (an Ensemble too); `decode` is "beam" or "rerank".
-    "beam" ignores `rerank_ctx`; "rerank" needs one. `eval_ctx` turns the
-    hypotheses and references into the surfaces BLEU scores and the report
-    lists.
+    "beam" ignores `rerank_ctx`; "rerank" needs one. `nbest` sizes the lists
+    beam decoding returns; a rerank context brings its own list size
+    (`rerank_ctx.nbest`), which `tm.translate_corpus` uses in its place.
+    `eval_ctx` turns the hypotheses and references into the surfaces BLEU
+    scores and the report lists.
     """
     if decode == "beam":
         rerank_ctx = None

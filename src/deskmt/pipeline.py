@@ -30,11 +30,13 @@ from .corpus import (
     save_corpus,
 )
 from .ensemble import Ensemble
-from .lm import finetune_lm, lm_from_dict, lm_json, train_lm
+from .lm import FINETUNE_ALPHA, finetune_lm, lm_from_dict, lm_json, train_lm
 from .metrics import EvalContext
-from .rerank import NoisyChannelWeights, RerankContext, tune_lambdas
+from .rerank import DEFAULT_TUNE_TRIALS, NoisyChannelWeights, RerankContext, tune_lambdas
 from .search import (
     DEFAULT_CONFIG,
+    DEFAULT_FINETUNE_STEPS,
+    DEFAULT_PATIENCE,
     SearchSpace,
     TrialConfig,
     check_sample_size,
@@ -43,7 +45,7 @@ from .search import (
     select_top_k,
 )
 from .subword import encode_dataset, learn_bpe, load_bpe, save_bpe
-from .tm import em_train, model_from_dict, model_hash, model_json
+from .tm import DEFAULT_NBEST, em_train, model_from_dict, model_hash, model_json
 from .util import (
     NUMBER,
     DataError,
@@ -61,6 +63,7 @@ from .util import (
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
+DEFAULT_BPE_VOCAB = 400
 
 
 @dataclass
@@ -69,13 +72,11 @@ class PipelineConfig:
     trials: int = 4
     topk: int = 1
     seed: int = 0
-    bpe_vocab: int = 400
-    nbest: int = 50
-    tune_trials: int = 30
-    patience: int | None = 2
-    finetune_steps: int = 3
-    finetune_every_iteration: bool = False
-    lm_alpha: float = 0.5
+    bpe_vocab: int = DEFAULT_BPE_VOCAB
+    nbest: int = DEFAULT_NBEST
+    tune_trials: int = DEFAULT_TUNE_TRIALS
+    patience: int | None = DEFAULT_PATIENCE
+    finetune_steps: int = DEFAULT_FINETUNE_STEPS
     init_config: TrialConfig = DEFAULT_CONFIG
     search_space: SearchSpace = field(default_factory=default_search_space)
     # Decoding and search run in one process; run_pipeline rejects workers != 1.
@@ -85,13 +86,16 @@ class PipelineConfig:
     workers: int = 1
 
     def params_dict(self) -> dict:
+        # only the last round fine-tunes, and every fine-tuned LM weighs the
+        # in-domain counts by FINETUNE_ALPHA; both keys stay, so run ids and
+        # manifests keep their bytes
         return {
             "iterations": self.iterations, "trials": self.trials, "topk": self.topk,
             "seed": self.seed, "bpe_vocab": self.bpe_vocab, "nbest": self.nbest,
             "tune_trials": self.tune_trials, "patience": self.patience,
             "finetune_steps": self.finetune_steps,
-            "finetune_every_iteration": self.finetune_every_iteration,
-            "lm_alpha": self.lm_alpha, "init_config": self.init_config.to_dict(),
+            "finetune_every_iteration": False,
+            "lm_alpha": FINETUNE_ALPHA, "init_config": self.init_config.to_dict(),
             "search_space": self.search_space.dims,
         }
 
@@ -340,7 +344,7 @@ class _PipelineState:
                 # the pool in this direction's target language is the other's source pool
                 base = train_lm(list(self.pool[_OTHER[d]].sentences), init.lm_order,
                                 init.smoothing_k)
-                self.lm[d] = finetune_lm(base, targets, cfg.lm_alpha)
+                self.lm[d] = finetune_lm(base, targets, FINETUNE_ALPHA)
             refs[d] = _write_text_artifact(manifest.run_dir, f"artifacts/lm_{d}.json",
                                            lm_json(self.lm[d]))
         manifest.data["rerank_lms"] = refs
@@ -437,7 +441,7 @@ class _PipelineState:
         # trial's model is fine-tuned on the in-domain bitext. Each final
         # model is saved when its trial ends, and only the running top-k stay
         # alive
-        finetuned = (t == cfg.iterations) or cfg.finetune_every_iteration
+        finetuned = t == cfg.iterations
         results = {}
         for d, (src_lang, tgt_lang) in DIRECTIONS.items():
             st, bt = training_roles(d, made["fwd"], made["bwd"])
@@ -445,8 +449,8 @@ class _PipelineState:
                 cfg.search_space, cfg.trials, self._seed(f"iter{t}/search/{d}"),
                 self.parallel[d], st, bt, self.dev[d], topk=cfg.topk,
                 save=lambda _, model: _save_model(manifest.run_dir, model),
-                finetune_steps=cfg.finetune_steps if finetuned else None,
-                lm_alpha=cfg.lm_alpha, eval_ctx=self.eval_ctx, patience=cfg.patience,
+                finetune_steps=cfg.finetune_steps if finetuned else 0,
+                eval_ctx=self.eval_ctx, patience=cfg.patience,
                 src_lang=src_lang, tgt_lang=tgt_lang)
 
         # lines 13-14: ensemble the top-k models

@@ -35,11 +35,10 @@ import numpy as np
 from .corpus import TaggedDataset
 from .lm import LanguageModel, logprobs_of_ids
 from .metrics import STATS_WIDTH, EvalContext, bleu_from_stats
-from .tm import LexModel, NBestBlock, block_channel_scores, translate_corpus
+from .tm import DEFAULT_NBEST, LexModel, NBestBlock, block_channel_scores, translate_corpus
 from .util import DataError, read_text, write_text_atomic
 
 LAMBDA_MAX = 3.0
-DEFAULT_NBEST = 50
 DEFAULT_TUNE_TRIALS = 30
 
 

@@ -20,13 +20,14 @@ import numpy as np
 
 from .corpus import DataMix, TaggedDataset, build_mix
 from .ensemble import Ensemble
-from .lm import finetune_lm, logprobs, train_lm
+from .lm import FINETUNE_ALPHA, finetune_lm, logprobs, train_lm
 from .metrics import EvalContext, bleu
 from .tm import EMTrainer, LexModel, model_hash, pair_channel_scores, translate_corpus
 from .util import NUMBER, DataError, doc_field, read_json, write_text_atomic
 
 DEFAULT_TRIALS = 30
 DEFAULT_PATIENCE = 2
+DEFAULT_FINETUNE_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -239,16 +240,15 @@ def trial_mix(config: TrialConfig, bitext: TaggedDataset, st: TaggedDataset | No
 def run_search(space: SearchSpace, n: int, seed: int, bitext: TaggedDataset,
                st: TaggedDataset | None, bt: TaggedDataset | None, dev: TaggedDataset,
                *, topk: int, save: Callable[[int, LexModel], object] | None = None,
-               finetune_steps: int | None = None, lm_alpha: float = 0.5,
-               eval_ctx: EvalContext,
+               finetune_steps: int = 0, eval_ctx: EvalContext,
                patience: int | None = DEFAULT_PATIENCE,
                src_lang: str = "src", tgt_lang: str = "tgt") -> list[TrialResult]:
     """Sample n configs and run every trial, in sampling order, holding the
     models of at most `topk` finished trials at a time.
 
     Each trial trains on its own `trial_mix` of bitext, st and bt, since the
-    upsampling ratios are config knobs. With `finetune_steps` (not None) its
-    model is then fine-tuned on `bitext`, the in-domain data. When a trial
+    upsampling ratios are config knobs. Its model is then fine-tuned for
+    `finetune_steps` steps on `bitext`, the in-domain data. When a trial
     ends, `save(index, model)` writes its final model; the model stays alive
     only while the trial ranks in the first `topk` of `rank_trials` so far.
     So the results hold the models `select_top_k(results, topk)` takes, and
@@ -260,10 +260,9 @@ def run_search(space: SearchSpace, n: int, seed: int, bitext: TaggedDataset,
         result = run_trial(config, trial_mix(config, bitext, st, bt), dev,
                            eval_ctx=eval_ctx, patience=patience,
                            src_lang=src_lang, tgt_lang=tgt_lang)
-        if finetune_steps is not None:
-            result.model, result.dev_bleu = finetune(
-                result.model, bitext, dev, finetune_steps, base_bleu=result.dev_bleu,
-                lm_alpha=lm_alpha, eval_ctx=eval_ctx)
+        result.model, result.dev_bleu = finetune(
+            result.model, bitext, dev, finetune_steps, base_bleu=result.dev_bleu,
+            eval_ctx=eval_ctx)
         if save is not None:
             save(i, result.model)
         results.append(result)
@@ -297,7 +296,7 @@ def select_top_k(results: list[TrialResult], k: int) -> Ensemble:
 
 
 def finetune(model: LexModel, in_domain: TaggedDataset, dev: TaggedDataset,
-             max_steps: int, *, base_bleu: float, lm_alpha: float = 0.5,
+             max_steps: int, *, base_bleu: float, lm_alpha: float = FINETUNE_ALPHA,
              eval_ctx: EvalContext) -> tuple[LexModel, float]:
     """Continue EM on in-domain data; return the best dev-BLEU checkpoint and its BLEU.
 

@@ -432,6 +432,9 @@ _SLACK = 1e-9
 # The decoder's one-key sorts keep their keys below this, within int64.
 _KEY_LIMIT = 2**62
 
+# The n-best list size of decoding and reranking, unless a caller picks one.
+DEFAULT_NBEST = 50
+
 
 def translate_corpus(model: LexModel, sources: list[Sentence], nbest: int, *,
                      rerank_ctx=None) -> NBestBlock:

@@ -123,6 +123,7 @@ def reranked_decode(seed: int):
             + [block.hyps.tolist(), block.lengths.tolist(), block.offsets.tolist()])
 
 
+@pytest.mark.hashseed
 class TestOutputsDoNotDependOnTheBound:
     """Every output with the bound at its minimum, 1: no decode or channel
     score finds the table it read before."""

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from deskmt import tm
+from deskmt import subword, tm
 from deskmt.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _config_from, build_parser, main
 from deskmt.search import TrialConfig
 from deskmt.rerank import read_nbest_file
@@ -194,7 +194,7 @@ class TestExitCodes:
         (["translate", "--model", "BAD", "--input", "bundle/mono_src.txt",
           "--output", "o.txt"], "bad_model.json"),
         (["translate", "--model", "fwd.json", "--input", "bundle/mono_src.txt",
-          "--output", "o.txt", "--mode", "rerank", "--channel-model", "bwd.json",
+          "--output", "o.txt", "--channel-model", "bwd.json",
           "--lm", "BAD"], "bad_lm.json"),
         (["translate", "--model", "fwd.json", "--bpe", "BAD", "--input",
           "bundle/mono_src.txt", "--output", "o.txt"], "bad_bpe.txt"),
@@ -515,7 +515,7 @@ class TestWorkflows:
         assert not os.path.exists("searchrun-topk")
 
 
-RERANK = ["--mode", "rerank", "--channel-model", "bwd.json", "--lm", "lm_tgt.json",
+RERANK = ["--channel-model", "bwd.json", "--lm", "lm_tgt.json",
           "--lambda1", "1.0", "--lambda2", "0.5", "--nbest", "3"]
 
 
@@ -551,14 +551,85 @@ class TestRerankMode:
         assert doc["sentence_count"] == 15
 
     @pytest.mark.parametrize("argv", [
-        ["translate", "--input", "bundle/mono_src.txt", "--output", "o.txt"],
-        ["augment-st", "--mono", "bundle/mono_src.txt", "--out", "o.tsv"],
-        ["evaluate", "--test", "bundle/test.tsv"],
+        ["translate", "--input", "bundle/mono_src.txt", "--output", "half_rr.txt"],
+        ["augment-st", "--mono", "bundle/mono_src.txt", "--out", "half_rr.tsv"],
+        ["evaluate", "--test", "bundle/test.tsv", "--report", "half_rr.json"],
     ], ids=lambda argv: argv[0])
-    def test_without_channel_model_is_2(self, workspace, argv, capsys):
-        assert main([*argv, "--model", "fwd.json", "--bpe", "bpe.txt", "--mode",
-                     "rerank", "--lm", "lm_tgt.json"]) == EXIT_DATA
-        assert "--channel-model" in capsys.readouterr().err
+    @pytest.mark.parametrize("given, missing", [
+        (["--lm", "lm_tgt.json"], "--channel-model"),
+        (["--channel-model", "bwd.json"], "--lm"),
+    ], ids=["lm-only", "channel-model-only"])
+    def test_half_a_rerank_context_is_2(self, workspace, argv, given, missing, capsys):
+        assert main([*argv, "--model", "fwd.json", "--bpe", "bpe.txt", *given]) == EXIT_DATA
+        assert missing in capsys.readouterr().err
+        assert not os.path.exists(argv[-1])
+
+    @pytest.mark.parametrize("argv", [
+        ["translate", "--model", "m.json", "--input", "i.txt", "--output", "o.txt"],
+        ["augment-bt", "--model", "m.json", "--mono", "m.txt", "--out", "o.tsv"],
+        ["augment-st", "--model", "m.json", "--mono", "m.txt", "--out", "o.tsv"],
+        ["evaluate", "--model", "m.json", "--test", "t.tsv"],
+    ], ids=lambda argv: argv[0])
+    def test_mode_flag_is_gone(self, argv, capsys):
+        # --channel-model decides; nor does --mode read as an abbreviated --model
+        assert main([*argv, "--mode", "rerank"]) == EXIT_USAGE
+        assert "unrecognized arguments: --mode rerank" in capsys.readouterr().err
+
+
+class TestTranslateOutput:
+    """translate writes each top hypothesis as `subword.decode` surfaces it."""
+
+    @pytest.mark.parametrize("policy", ["space-joined", "unspaced"])
+    @pytest.mark.parametrize("rerank", [[], RERANK], ids=["beam", "rerank"])
+    def test_lines_are_the_decoded_top_hypotheses(self, workspace, policy, rerank):
+        out, dump = f"policy_{policy}_{len(rerank)}.txt", f"policy_{policy}_{len(rerank)}.nb"
+        argv = ["translate", "--model", "fwd.json", "--input", "bundle/mono_src.txt",
+                "--bpe", "bpe.txt", "--nbest", "3", *rerank, "--output", out,
+                "--dump-nbest", dump]
+        if policy != "space-joined":
+            argv += ["--policy", policy]
+        assert main(argv) == EXIT_OK
+        bpe = load_bpe("bpe.txt")
+        expected = [decode(hyp, bpe, policy) for hyp in read_nbest_file(dump).top_hyps()]
+        assert read_text(out, "output").splitlines() == expected
+        # the unspaced lines differ from the spaced ones, so the policy reaches them
+        if policy == "unspaced":
+            assert all(" " not in line for line in expected)
+            assert expected != [decode(hyp, bpe) for hyp in read_nbest_file(dump).top_hyps()]
+
+    def test_without_bpe_lines_are_the_tokens(self, workspace):
+        assert main(["translate", "--model", "fwd.json", "--input", "bundle/mono_src.txt",
+                     "--nbest", "2", "--output", "raw.txt", "--dump-nbest",
+                     "raw.nb"]) == EXIT_OK
+        assert read_text("raw.txt", "output").splitlines() == [
+            " ".join(hyp) for hyp in read_nbest_file("raw.nb").top_hyps()]
+
+
+class TestBpeLoadedOnce:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--parallel", "bundle/parallel.tsv", "--dev", "bundle/dev.tsv",
+         "--em-iterations", "1", "--lm-order", "2", "--beam", "2", "--out", "once.json"],
+        ["translate", "--model", "fwd.json", "--input", "bundle/mono_src.txt",
+         "--nbest", "2", "--output", "once.txt"],
+        ["tune-lambdas", "--dev", "bundle/dev.tsv", "--model", "fwd.json",
+         "--channel-model", "bwd.json", "--lm", "lm_tgt.json", "--tune-trials", "2",
+         "--nbest", "2"],
+        ["augment-bt", "--model", "bwd.json", "--mono", "bundle/mono_tgt.txt",
+         "--out", "once_bt.tsv"],
+        ["evaluate", "--model", "fwd.json", "--test", "bundle/test.tsv", *RERANK],
+        ["finetune", "--model", "fwd.json", "--in-domain", "bundle/parallel.tsv",
+         "--dev", "bundle/dev.tsv", "--max-steps", "1", "--out", "once_ft.json"],
+    ], ids=lambda argv: argv[0])
+    def test_one_load_per_command(self, workspace, monkeypatch, argv):
+        loads = []
+
+        def counting(path):
+            loads.append(path)
+            return load_bpe(path)
+
+        monkeypatch.setattr(subword, "load_bpe", counting)
+        assert main([*argv, "--bpe", "bpe.txt"]) == EXIT_OK
+        assert loads == ["bpe.txt"]
 
 
 def write_mine_inputs(root, workspace):

@@ -23,6 +23,8 @@ import os
 import sys
 import tempfile
 
+import pytest
+
 from deskmt.cli import EXIT_OK, main
 from deskmt.corpus import load_corpus
 from deskmt.lm import lm_json, train_lm
@@ -30,11 +32,13 @@ from deskmt.search import SearchSpace
 from deskmt.subword import encode, load_bpe
 from deskmt.util import sha256_bytes, sha256_text, write_text_atomic
 
+pytestmark = pytest.mark.hashseed
+
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")
 
 TRAIN = ["--parallel", "bundle/parallel.tsv", "--dev", "bundle/dev.tsv",
          "--bpe", "bpe.txt", "--em-iterations", "2", "--lm-order", "2", "--beam", "2"]
-RERANK = ["--mode", "rerank", "--channel-model", "bwd.json", "--lm", "lm_tgt.json",
+RERANK = ["--channel-model", "bwd.json", "--lm", "lm_tgt.json",
           "--lambda1", "0.5", "--lambda2", "0.3", "--nbest", "4"]
 
 SEQUENCE = [

@@ -27,6 +27,8 @@ from deskmt.rerank import NoisyChannelWeights, RerankContext
 from deskmt.tm import DataError, em_train, translate_corpus
 from nbest_lists import decode_one, nbest_lists
 
+pytestmark = pytest.mark.hashseed
+
 TAG_LIKE = "<bt>"  # a word like any other: no source loses its first token
 
 

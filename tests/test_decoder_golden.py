@@ -18,12 +18,15 @@ import os
 import sys
 
 import numpy as np
+import pytest
 
 from deskmt.corpus import build_mix
 from deskmt.lm import train_lm
 from deskmt.synth import gen_corpora, make_spec
 from deskmt.tm import NULL, LexModel, em_train, translate_corpus
 from nbest_lists import decode_one, nbest_lists
+
+pytestmark = pytest.mark.hashseed
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "decoder_golden.json")
 

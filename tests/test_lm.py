@@ -298,6 +298,7 @@ def _lms(draw, interpolated):
     return lm
 
 
+@pytest.mark.hashseed
 class TestLmJson:
     """`lm_json` writes the text from the count arrays; it is the stable
     JSON of the reference `lm_to_dict`'s document (tests/reference_docs.py)

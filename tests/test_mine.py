@@ -29,6 +29,8 @@ from deskmt.tm import NULL, LexModel, cross_channel_scores, em_train
 from test_mine_golden import FLOORS, THRESHOLDS, golden_inputs
 from test_tm import reference_marginal
 
+pytestmark = pytest.mark.hashseed
+
 
 def pair_lev_sim(a, b):
     """The URL similarity of one pair: `_lev_sims` of one URL a side."""

@@ -18,10 +18,14 @@ import os
 import random
 import sys
 
+import pytest
+
 from deskmt.corpus import build_mix, swap_direction
 from deskmt.mine import WebDoc, mine_bitext
 from deskmt.synth import gen_corpora, ground_truth, make_spec
 from deskmt.tm import em_train
+
+pytestmark = pytest.mark.hashseed
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "mine_golden.json")
 

@@ -32,9 +32,13 @@ or through `**`, or it is listed in UNSET with the reason it stays. A value
 nothing sets is the default's behaviour with a name on it: it goes, and its
 default becomes the only behaviour. A call is matched to a definition by the
 name it calls, so `x.step(...)` counts for every method named `step`;
-`dataclasses.replace(obj, name=...)` sets a field of that name; a `**name`
-whose every binding is `dict(key=...)` sets those keys, and any other `**`
-argument sets every optional parameter of its callee.
+`dataclasses.replace(obj, name=...)` sets a field of that name; a call
+through an alias (`from m import f as g`) counts for `f`. A `**` argument
+sets the keys of every dict it can be, when each is `dict(key=...)` or a
+dict display with string keys, followed through the names it is assigned to
+and the subscripts it takes of dict displays: `**WORKLOADS[name]["config"]`
+sets the keys of every workload's "config". Any other `**` argument sets
+every optional parameter of its callee.
 
 No source in `src/` or `tests/` imports a name it never reads, so a deleted
 caller takes its imports with it.
@@ -66,6 +70,8 @@ UNSET = {
                                 "the domain-mismatch study sweeps (ROADMAP item 10)",
     "search.TrialResult.model_hash": "run_search sets it by assignment when it "
                                      "releases a trial's model",
+    "pipeline.PipelineConfig.init_config": "the pipeline tests and golden shrink the "
+                                           "init systems with it, so they run in seconds",
 }
 
 
@@ -301,19 +307,65 @@ def _callee(call: ast.Call) -> str | None:
     return func.attr if isinstance(func, ast.Attribute) else None
 
 
-def _dict_keys(tree) -> dict[str, set[str] | None]:
-    """For each name a source assigns, the keys when every assignment is
-    `dict(key=...)`, else None."""
-    keys: dict[str, set[str] | None] = {}
+def _bindings(tree) -> dict[str, list]:
+    """The values each name of a source is given by a one-name `=`, anywhere
+    in the source."""
+    found: dict[str, list] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Name):
-            value, name = node.value, node.targets[0].id
-            literal = isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict" \
-                and not value.args and all(k.arg for k in value.keywords)
-            known = keys.get(name, set())
-            keys[name] = known | {k.arg for k in value.keywords} \
-                if literal and known is not None else None
+            found.setdefault(node.targets[0].id, []).append(node.value)
+    return found
+
+
+def _values(expr, bindings, seen=frozenset()) -> list | None:
+    """The expressions `expr` can evaluate to, followed through the names it
+    is bound to and the subscripts of dict displays it takes; None when one
+    of them cannot be followed."""
+    if isinstance(expr, ast.Name):
+        if expr.id in seen or expr.id not in bindings:
+            return None
+        found = []
+        for value in bindings[expr.id]:
+            got = _values(value, bindings, seen | {expr.id})
+            if got is None:
+                return None
+            found += got
+        return found
+    if isinstance(expr, ast.Subscript):
+        outer = _values(expr.value, bindings, seen)
+        if outer is None or not all(isinstance(d, ast.Dict) for d in outer):
+            return None
+        key = expr.slice
+        found = []
+        for d in outer:
+            for k, value in zip(d.keys, d.values):
+                if not isinstance(key, ast.Constant) or \
+                        isinstance(k, ast.Constant) and k.value == key.value:
+                    got = _values(value, bindings, seen)
+                    if got is None:
+                        return None
+                    found += got
+        return found
+    return [expr]
+
+
+def _spread_keys(expr, bindings) -> set[str] | None:
+    """The keys a `**expr` argument sets: known when every value it can take
+    is `dict(key=...)` or a dict display with string keys, else None."""
+    values = _values(expr, bindings)
+    if values is None:
+        return None
+    keys = set()
+    for value in values:
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict" \
+                and not value.args and all(k.arg for k in value.keywords):
+            keys |= {k.arg for k in value.keywords}
+        elif isinstance(value, ast.Dict) and all(
+                isinstance(k, ast.Constant) and isinstance(k.value, str) for k in value.keys):
+            keys |= {k.value for k in value.keys}
+        else:
+            return None
     return keys
 
 
@@ -321,25 +373,30 @@ def set_arguments(sources: list[str]) -> tuple[set, dict, set]:
     """What the calls in `sources` set, by the name each calls: the (callee,
     keyword) pairs, the most positional arguments a call passes (a `*`
     argument passes them all), and the callees of a `**` argument whose keys
-    are not known."""
+    are not known. A call through an imported alias counts for the name it
+    imports."""
     keywords, positions, spread = set(), {}, set()
     for source in sources:
         tree = ast.parse(source)
-        dict_keys = _dict_keys(tree)
+        bindings = _bindings(tree)
+        aliases = {alias.asname: alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) for alias in node.names
+                   if alias.asname}
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call) or _callee(call) is None:
                 continue
             callee = _callee(call)
+            if isinstance(call.func, ast.Name):
+                callee = aliases.get(callee, callee)
             count = math.inf if any(isinstance(a, ast.Starred) for a in call.args) \
                 else len(call.args)
             positions[callee] = max(positions.get(callee, 0), count)
             for k in call.keywords:
-                if k.arg is not None:
-                    keywords.add((callee, k.arg))
-                elif isinstance(k.value, ast.Name) and dict_keys.get(k.value.id) is not None:
-                    keywords.update((callee, key) for key in dict_keys[k.value.id])
-                else:
+                keys = {k.arg} if k.arg is not None else _spread_keys(k.value, bindings)
+                if keys is None:
                     spread.add(callee)
+                else:
+                    keywords.update((callee, key) for key in keys)
     return keywords, positions, spread
 
 
@@ -571,6 +628,25 @@ def test_detects_unset_knobs():
                "g(**kwargs)\n"
                "obj.y = 3\n"]
     assert unset({"mod": source}, callers) == ["mod.f.d", "mod.K.m.s", "mod.D.y"]
+
+
+def test_detects_knobs_a_subscripted_literal_sets():
+    source = ("def f(a=1, b=2, c=3, d=4, e=5): pass\n"
+              "def g(x=0, y=1): pass\n")
+    callers = ["from mod import f, g as h\n"
+               "TABLE = {'one': {'config': {'a': 1}, 'other': {'e': 1}},\n"
+               "         'two': {'config': dict(b=2)}, 'three': {}}\n"
+               "def run(name):\n"
+               "    spec = TABLE[name]\n"
+               "    f(**spec['config'])\n"
+               "    f(**TABLE['three'])\n"
+               "    h(y=2)\n"]
+    assert unset({"mod": source}, callers) == ["mod.f.c", "mod.f.d", "mod.f.e", "mod.g.x"]
+    # a subscript of anything but a dict display sets every optional parameter
+    assert unset({"mod": source}, ["def run(spec):\n    f(**spec['config'])\n"]) == [
+        "mod.g.x", "mod.g.y"]
+    assert unset({"mod": source}, ["T = {'k': load()}\nf(**T['k'])\n"]) == [
+        "mod.g.x", "mod.g.y"]
 
 
 def test_detects_unused_imports():

@@ -33,6 +33,8 @@ from test_cli_golden import FIXTURE as CLI_FIXTURE, run_sequence
 from test_document_fuzz import _json_values
 from test_tm import reference_marginal
 
+pytestmark = pytest.mark.hashseed
+
 
 @pytest.fixture(scope="module")
 def system():

@@ -332,8 +332,7 @@ class TestNoRecomputation:
 
         monkeypatch.setattr(tm, "_decode_block", counting)
         run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt, bundle.dev,
-                     str(tmp_path / "r"), tiny_config(iterations=2, finetune_steps=2,
-                                                      finetune_every_iteration=True))
+                     str(tmp_path / "r"), tiny_config(iterations=2, finetune_steps=2))
         assert seen and repeats == []
 
     def test_final_dev_bleu_is_rerank_dev_bleu(self, finished_run):
@@ -397,6 +396,7 @@ def _round_config():
     return tiny_config(trials=5, topk=2, finetune_steps=2)
 
 
+@pytest.mark.hashseed
 class TestRoundHoldsTheRunningTopK:
     """A round saves each trial's final model when the trial ends and keeps
     alive only the models of each direction's running top-k."""

@@ -16,9 +16,13 @@ import os
 import sys
 import tempfile
 
+import pytest
+
 from deskmt.pipeline import run_pipeline
 from deskmt.util import sha256_bytes
 from test_pipeline import tiny_bundle, tiny_config
+
+pytestmark = pytest.mark.hashseed
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "pipeline_golden.json")
 

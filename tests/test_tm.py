@@ -557,6 +557,7 @@ def reference_marginal(model, cond, obs):
     return float(np.log(inner).sum())
 
 
+@pytest.mark.hashseed
 class TestMarginalKernel:
     """channel_scores equals the per-pair reference bit for bit, alone and in
     a batch, also past 8 summed terms."""
@@ -601,6 +602,7 @@ class TestMarginalKernel:
                 for i, j in zip(x_at.tolist(), y_at.tolist())]
 
 
+@pytest.mark.hashseed
 class TestCrossKernel:
     """cross_channel_scores equals the per-pair reference bit for bit for
     every x and y of every block, at the pairwise edge of one-token xs and
@@ -798,6 +800,7 @@ def _models(draw, interpolated):
                     train_ll_trace=trace)
 
 
+@pytest.mark.hashseed
 class TestModelJson:
     """`model_json` writes the text from the table's and the LM's arrays; it
     is the stable JSON of the reference `model_to_dict`'s document
@@ -892,6 +895,7 @@ _CANDIDATE_PROBABILITIES = st.sampled_from(
     | st.floats(0.0, 1.0)
 
 
+@pytest.mark.hashseed
 class TestCandidateTable:
     """The candidate table's two stable sorts give the order of one
     lexsort by (row, -lex, id)."""
