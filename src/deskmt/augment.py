@@ -3,7 +3,8 @@
 Back-translation pairs machine-translated sources with real monolingual
 targets; self-training pairs real monolingual sources with machine-translated
 targets. The machine side is the top-1 of each n-best list that
-`tm.translate_corpus` returns, reranked when a `RerankContext` is given.
+`tm.translate_corpus` returns: lists of the caller's size by beam, or
+reranked by a `RerankContext` at that context's own size.
 Generated pairs whose output side is empty or entirely unknown tokens are
 dropped and counted.
 
@@ -24,14 +25,13 @@ from .corpus import (
     swap_dataset,
 )
 from .rerank import RerankContext
-from .tm import DEFAULT_NBEST, translate_corpus
+from .tm import translate_corpus
 from .util import DataError
 
 
-def _generate(model, mono: TaggedDataset, rerank_ctx: RerankContext | None,
+def _generate(model, mono: TaggedDataset, nbest: int, rerank_ctx: RerankContext | None,
               keep_side: str, tag: str, name: str) -> TaggedDataset:
-    block = translate_corpus(model, list(mono.sentences), DEFAULT_NBEST,
-                             rerank_ctx=rerank_ctx)
+    block = translate_corpus(model, list(mono.sentences), nbest, rerank_ctx=rerank_ctx)
     pairs = []
     dropped = 0
     for sent, hyp in zip(mono.sentences, block.top_hyps()):
@@ -43,37 +43,39 @@ def _generate(model, mono: TaggedDataset, rerank_ctx: RerankContext | None,
                          pairs=tuple(pairs), upsample=1, dropped=dropped)
 
 
-def back_translate(g, mono_target: TaggedDataset,
+def back_translate(g, mono_target: TaggedDataset, nbest: int,
                    rerank_ctx: RerankContext | None = None, *,
                    target_lang: str = "tgt") -> TaggedDataset:
     """Pair each monolingual target sentence with its backward translation.
 
     `g` must translate target -> source; real targets are preserved verbatim
-    and the dataset carries the back-translation tag.
+    and the dataset carries the back-translation tag. `nbest` sizes the
+    beam lists; a `rerank_ctx` decodes at its own size.
     """
     if g.src_lang != target_lang:
         raise DataError(
             f"back-translation needs a {target_lang}->... model, got {g.direction}")
     if mono_target.side != SIDE_MONO_TARGET:
         raise DataError(f"{mono_target.name}: expected a mono-target dataset")
-    return _generate(g, mono_target, rerank_ctx, keep_side="target",
+    return _generate(g, mono_target, nbest, rerank_ctx, keep_side="target",
                      tag=TAG_BACK_TRANSLATED, name=f"bt-{mono_target.name}")
 
 
-def self_train(f, mono_source: TaggedDataset,
+def self_train(f, mono_source: TaggedDataset, nbest: int,
                rerank_ctx: RerankContext | None = None, *,
                source_lang: str = "src") -> TaggedDataset:
     """Pair each monolingual source sentence with its forward translation.
 
     `f` must translate source -> target; real sources are preserved verbatim
-    and the dataset carries the self-training tag.
+    and the dataset carries the self-training tag. `nbest` sizes the beam
+    lists; a `rerank_ctx` decodes at its own size.
     """
     if f.src_lang != source_lang:
         raise DataError(
             f"self-training needs a {source_lang}->... model, got {f.direction}")
     if mono_source.side != SIDE_MONO_SOURCE:
         raise DataError(f"{mono_source.name}: expected a mono-source dataset")
-    return _generate(f, mono_source, rerank_ctx, keep_side="source",
+    return _generate(f, mono_source, nbest, rerank_ctx, keep_side="source",
                      tag=TAG_SELF_TRAINED, name=f"st-{mono_source.name}")
 
 

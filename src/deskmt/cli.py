@@ -262,11 +262,11 @@ def cmd_tune_lambdas(args) -> int:
 # default language label, and the library call that makes the synthetic set
 _AUGMENT = {
     "bt": ("back-translate a target-side monolingual file", SIDE_MONO_TARGET, "tgt",
-           lambda model, mono, rr, lang: augment.back_translate(model, mono, rr,
-                                                                target_lang=lang)),
+           lambda model, mono, nbest, rr, lang: augment.back_translate(
+               model, mono, nbest, rr, target_lang=lang)),
     "st": ("self-train on a source-side monolingual file", SIDE_MONO_SOURCE, "src",
-           lambda model, mono, rr, lang: augment.self_train(model, mono, rr,
-                                                            source_lang=lang)),
+           lambda model, mono, nbest, rr, lang: augment.self_train(
+               model, mono, nbest, rr, source_lang=lang)),
 }
 
 
@@ -275,7 +275,7 @@ def _cmd_augment(args, kind: str) -> int:
     inputs = _Inputs(args)
     model = _load_models(args.model)
     rr = _rerank_ctx(args)
-    out = generate(model, inputs.read(args.mono, side), rr, args.mono_lang)
+    out = generate(model, inputs.read(args.mono, side), args.nbest, rr, args.mono_lang)
     save_corpus(out, args.out)
     provenance = {"generator": tm.model_hash(model), "decode": _decode_label(rr),
                   "lambdas": [args.lambda1, args.lambda2],

@@ -430,7 +430,7 @@ class _PipelineState:
             generator = model_hash(self.system[d])
             ctx = RerankContext(self.system[_OTHER[d]], self.lm[d], self.lambdas[d],
                                 cfg.nbest)
-            made[d] = generate(self.system[d], self.pool[d], rerank_ctx=ctx)
+            made[d] = generate(self.system[d], self.pool[d], cfg.nbest, rerank_ctx=ctx)
             synthetic[name] = _save_dataset(
                 manifest.run_dir, made[d], f"artifacts/datasets/iter{t}_{name}.tsv",
                 provenance={"generator": generator, "decode": "rerank",

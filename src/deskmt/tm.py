@@ -369,17 +369,32 @@ def em_train(mix: DataMix, iterations: int, *, lm_order: int = 3, lm_k: float = 
 
 
 def _group_pairs(pairs, src_id, tgt_id):
-    """Group (src ids + NULL, tgt ids, weight) by shape for batched EM updates."""
-    by_shape: dict[tuple[int, int], list] = {}
-    for (src, tgt), w in pairs:
-        by_shape.setdefault((len(src), len(tgt)), []).append(
-            ([0] + [src_id[s] for s in src], [tgt_id[t] for t in tgt], w))
+    """Group (src ids + NULL, tgt ids, weight) by shape for batched EM updates.
+
+    Shapes come in ascending (source length, target length) order and each
+    shape's rows in the order of `pairs`: `_em_iteration` accumulates its
+    counts in that order. Each side's ids are read in one pass, and the
+    shapes are grouped by one stable sort of their keys.
+    """
+    keys, weights = zip(*pairs)
+    srcs, tgts = zip(*keys)
+    src_len = np.fromiter(map(len, srcs), dtype=np.intp, count=len(srcs))
+    tgt_len = np.fromiter(map(len, tgts), dtype=np.intp, count=len(tgts))
+    weights = np.array(weights, dtype=np.float64)
+    src_ids = np.fromiter(map(src_id.__getitem__, chain.from_iterable(srcs)),
+                          dtype=np.intp, count=int(src_len.sum()))
+    tgt_ids = np.fromiter(map(tgt_id.__getitem__, chain.from_iterable(tgts)),
+                          dtype=np.intp, count=int(tgt_len.sum()))
+    src_start, tgt_start = src_len.cumsum() - src_len, tgt_len.cumsum() - tgt_len
+    shapes, shape = np.unique(src_len * (int(tgt_len.max()) + 1) + tgt_len,
+                              return_inverse=True)
     groups = []
-    for (ls, lt), rows in sorted(by_shape.items()):
-        S = np.array([r[0] for r in rows], dtype=np.intp)
-        T = np.array([r[1] for r in rows], dtype=np.intp)
-        W = np.array([r[2] for r in rows], dtype=np.float64)
-        groups.append((ls, lt, S, T, W))
+    for rows in _members(shape, len(shapes)):
+        ls, lt = int(src_len[rows[0]]), int(tgt_len[rows[0]])
+        S = np.zeros((rows.size, ls + 1), dtype=np.intp)     # NULL is source id 0
+        S[:, 1:] = src_ids[src_start[rows, None] + np.arange(ls)]
+        T = tgt_ids[tgt_start[rows, None] + np.arange(lt)]
+        groups.append((ls, lt, S, T, weights[rows]))
     return groups
 
 

@@ -605,6 +605,33 @@ class TestTranslateOutput:
             " ".join(hyp) for hyp in read_nbest_file("raw.nb").top_hyps()]
 
 
+class TestAugmentNbest:
+    """augment-st and augment-bt decode at --nbest when they do not rerank:
+    their machine side is what translate writes at the same --nbest."""
+
+    @pytest.mark.parametrize("kind, model, mono, machine", [
+        ("st", "fwd.json", "bundle/mono_src.txt", 1),
+        ("bt", "bwd.json", "bundle/mono_tgt.txt", 0),
+    ], ids=["st", "bt"])
+    def test_machine_side_is_translate_at_the_same_nbest(self, workspace, kind, model,
+                                                          mono, machine):
+        from deskmt.corpus import load_corpus
+
+        lines = {}
+        for n in ("1", "50"):
+            out = f"nbest_{kind}_{n}.txt"
+            assert main(["translate", "--model", model, "--input", mono, "--bpe", "bpe.txt",
+                         "--nbest", n, "--output", out]) == EXIT_OK
+            lines[n] = read_text(out, "output").splitlines()
+        # the beam-2 model's top hypotheses depend on the list size here
+        assert lines["1"] != lines["50"]
+        assert main([f"augment-{kind}", "--model", model, "--mono", mono, "--bpe", "bpe.txt",
+                     "--nbest", "1", "--out", f"nbest_{kind}.tsv"]) == EXIT_OK
+        bpe = load_bpe("bpe.txt")
+        pairs = load_corpus(f"nbest_{kind}.tsv", "parallel").pairs
+        assert [decode(pair[machine], bpe) for pair in pairs] == lines["1"]
+
+
 class TestBpeLoadedOnce:
     @pytest.mark.parametrize("argv", [
         ["train", "--parallel", "bundle/parallel.tsv", "--dev", "bundle/dev.tsv",

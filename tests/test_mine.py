@@ -17,6 +17,7 @@ from deskmt.mine import (
     _align,
     _jaccards,
     _lev_sims,
+    _match_blocks,
     build_lexicon,
     greedy_match,
     load_doc_dir,
@@ -154,6 +155,25 @@ class TestLevKernel:
         urls_a = [head + mid + tail for mid in mids_a]
         urls_b = [head + mid + tail for mid in mids_b]
         sims = _lev_sims(urls_a, urls_b)
+        assert sims.shape == (len(urls_a), len(urls_b))
+        for i, a in enumerate(urls_a):
+            for j, b in enumerate(urls_b):
+                assert sims[i, j] == textbook_lev_sim(a, b), (a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(URLS, min_size=1, max_size=5), st.lists(URLS, min_size=1, max_size=5),
+           st.sampled_from([1, 200]))
+    @example(["ab", "abcdef", ""], ["x", "abd"], 200)   # unequal a-lengths, one chunk
+    @example(["a\ud800b", "\udfff"], ["\udfffb", "a\ud800"], 200)   # lone surrogates
+    @example(["x" * 70 + "/a", "y" * 65, "q"], ["x" * 66 + "a", "y" * 80 + "x" * 5, ""], 1)
+    @example(["x" * 70 + "/a", "y" * 65, "q"], ["x" * 66 + "a", "y" * 80 + "x" * 5, ""],
+             1000)
+    def test_chunked_equals_textbook_dp(self, urls_a, urls_b, bound):
+        """With the chunk bound at one element every a runs alone; at 200
+        several a-URLs of unequal lengths share a chunk's rows."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mine_module, "_LEV_CHUNK", bound)
+            sims = _lev_sims(urls_a, urls_b)
         assert sims.shape == (len(urls_a), len(urls_b))
         for i, a in enumerate(urls_a):
             for j, b in enumerate(urls_b):
@@ -328,10 +348,61 @@ class TestGreedyMatch:
         assert greedy_match(np.zeros((3, 0)), -1.0) == []
 
 
+BLOCK_SCORES = st.sampled_from([-0.3, -0.0, 0.0, 0.1, 0.3, 0.3, 0.5, 1.0])
+BLOCKS = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)).flatmap(
+        lambda shape: st.lists(st.lists(BLOCK_SCORES, min_size=shape[1], max_size=shape[1]),
+                               min_size=shape[0], max_size=shape[0]).map(
+            lambda rows: np.array(rows, dtype=float).reshape(shape))),
+    max_size=8)
+
+
+class TestStackedMatching:
+    """`_match_blocks` matches every block as `greedy_oracle` does alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(BLOCKS, st.sampled_from([0.0, 0.3, -1.0, float("-inf"), float("nan")]),
+           st.sampled_from([1, 40, None]))
+    @example([np.array([[-0.0, 0.0], [0.0, -0.0]]), np.zeros((0, 3)), np.zeros((2, 0)),
+              np.full((3, 1), 0.3), np.full((1, 4), 0.3)], 0.0, 40)
+    def test_equals_oracle_block_by_block(self, blocks, threshold, bound):
+        with pytest.MonkeyPatch.context() as mp:
+            if bound is not None:
+                mp.setattr(mine_module, "_MATCH_RUN", bound)
+            k, i, j, score = _match_blocks(blocks, threshold)
+        assert k.dtype == i.dtype == j.dtype == np.intp and score.dtype == np.float64
+        expected = [(b, r, c) for b, block in enumerate(blocks)
+                    for r, c in greedy_oracle(block.tolist(), threshold)]
+        assert list(zip(k.tolist(), i.tolist(), j.tolist())) == expected
+        assert score.tolist() == [blocks[b][r, c] for b, r, c in expected]
+
+    def test_runs_take_similar_shapes_within_the_bound(self, monkeypatch):
+        monkeypatch.setattr(mine_module, "_MATCH_RUN", 40)
+        shapes = [(3, 4), (0, 5), (2, 2), (3, 4), (5, 8), (2, 2), (6, 0), (3, 3)]
+        runs = list(mine_module._match_runs(shapes))
+        assert runs == [[2, 5, 7], [0, 3], [4]]
+        # a run padded to its largest rows and columns fits, or is one block
+        for run in runs:
+            rows = max(shapes[k][0] for k in run)
+            cols = max(shapes[k][1] for k in run)
+            assert len(run) * rows * cols <= 40 or len(run) == 1
+
+    def test_nonfinite_rejected_in_any_block(self):
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(DataError):
+                _match_blocks([np.zeros((2, 2)), np.array([[0.5, bad]])], 0.9)
+
+
 class TestBuildLexicon:
     def test_argmax_above_threshold(self):
         model = one_hot_model({"a": "X", "b": "Y"})
         assert build_lexicon(model) == {"a": "X", "b": "Y"}
+
+    def test_ties_go_to_the_first_maximum(self):
+        src, tgt = (NULL, "a", "b"), ("X", "Y", "Z")
+        t = np.array([[1 / 3] * 3, [0.2, 0.4, 0.4], [0.5, 0.0, 0.5]])
+        model = LexModel(src, tgt, t, train_lm([tgt], 1, 0.5))
+        assert build_lexicon(model) == {"a": "Y", "b": "X"}
 
     def test_low_probability_rows_excluded(self):
         src = (NULL, "a")
@@ -482,6 +553,28 @@ class TestBatchedAlignment:
         with pytest.raises(DataError):
             _align(doc_pairs + [empty], model, floor)
         assert calls == [] and runs == []
+
+    @pytest.mark.parametrize("bound", [1, 200, None])
+    def test_many_document_pairs_equal_the_reference_pair_by_pair(self, monkeypatch, bound):
+        """Document pairs of ragged sizes, empty ones among them, in runs of
+        the stacked matching as small as one block."""
+        if bound is not None:
+            monkeypatch.setattr(mine_module, "_MATCH_RUN", bound)
+        model, bundle = small_channel_model()
+        mono = list(bundle.mono_src.sentences)
+        targets = [tgt for _, tgt in bundle.parallel.pairs]
+        rng = random.Random(29)
+        doc_pairs = []
+        for k in range(24):
+            doc_a = WebDoc(f"a{k}", tuple(rng.sample(mono, rng.randint(0, 7))))
+            doc_b = WebDoc(f"b{k}", tuple(rng.sample(targets, rng.randint(0, 7))))
+            doc_pairs.append((doc_a, doc_b))
+        assert any(not a.sentences for a, _ in doc_pairs)
+        assert any(not b.sentences for _, b in doc_pairs)
+        for floor in (-1e9, -3.0, -1.5):
+            reference = [triple for doc_a, doc_b in doc_pairs
+                         for triple in reference_align(doc_a, doc_b, model, floor)]
+            assert _align(doc_pairs, model, floor) == reference
 
     def test_empty_sentence_to_align_rejected(self):
         model = one_hot_model({"B": "a"})

@@ -211,6 +211,32 @@ def random_mix(rng, n_pairs, vocab_size=5, max_len=4):
     return build_mix([ds])
 
 
+def per_pair_grouping(pairs, src_id, tgt_id):
+    """`tm._group_pairs` as it was written pair by pair: the reference the
+    array grouping is checked against."""
+    by_shape: dict[tuple[int, int], list] = {}
+    for (src, tgt), w in pairs:
+        by_shape.setdefault((len(src), len(tgt)), []).append(
+            ([0] + [src_id[s] for s in src], [tgt_id[t] for t in tgt], w))
+    groups = []
+    for (ls, lt), rows in sorted(by_shape.items()):
+        S = np.array([r[0] for r in rows], dtype=np.intp)
+        T = np.array([r[1] for r in rows], dtype=np.intp)
+        W = np.array([r[2] for r in rows], dtype=np.float64)
+        groups.append((ls, lt, S, T, W))
+    return groups
+
+
+SENTENCES = st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6).map(tuple)
+WEIGHTED_MIXES = st.lists(
+    st.tuples(st.lists(st.tuples(SENTENCES, SENTENCES), min_size=1, max_size=12),
+              st.integers(1, 4)),
+    min_size=1, max_size=3,
+).map(lambda sets: build_mix([
+    TaggedDataset(f"d{k}", SIDE_PARALLEL, "<t>", pairs=tuple(pairs), upsample=up)
+    for k, (pairs, up) in enumerate(sets)]))
+
+
 class TestEmTrain:
     def test_single_pair_single_option(self):
         model = em_train(mix_of([("a", "x")]), iterations=1)
@@ -285,6 +311,22 @@ class TestEmTrain:
         with pytest.raises(ValueError):
             first.t[0, 0] = 0.5
         assert first.train_ll_trace == tuple(trainer.ll_trace[:1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(WEIGHTED_MIXES)
+    def test_grouping_equals_per_pair_grouping(self, mix):
+        """The same shapes in the same order, each shape's rows in the
+        order of first appearance, with their ids and weights."""
+        trainer = EMTrainer(mix)
+        src_id = {s: i for i, s in enumerate(trainer.src_vocab)}
+        tgt_id = {t: i for i, t in enumerate(trainer.tgt_vocab)}
+        expected = per_pair_grouping(mix.weighted_pairs().items(), src_id, tgt_id)
+        assert len(trainer.groups) == len(expected)
+        for got, want in zip(trainer.groups, expected):
+            assert got[:2] == want[:2]
+            for a, b in zip(got[2:], want[2:]):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a, b)
 
     def test_corpus_log_likelihood_matches_trace_start(self):
         mix = mix_of([("a b", "x y"), ("a", "y")])
