@@ -11,8 +11,8 @@ owner, so a rebuilt one gives the same outputs.
 The store reaches an owner through a weak reference whose callback drops
 the owner's entries, so a table dies with its owner without the collector,
 and no table keeps a model alive. A caller that holds a table keeps it
-alive past its eviction: `tm._decode_block` reads one row table for the
-whole block.
+alive past its eviction: `tm._decode_block` reads one row table and its
+stack's candidate tables for the whole block.
 
 The store counts hits, builds and evictions (`cache_counts`).
 """
@@ -24,8 +24,9 @@ from collections import OrderedDict
 from functools import partial
 
 # Entries held at most. The reuse that must survive, in entries read:
-# - fine-tune candidates share one LM across 3 decodes, each decode reading
-#   the LM's row table and the candidate's own candidate table (2);
+# - a fine-tune's k checkpoints share one LM and are decoded in one stacked
+#   decode, which reads the LM's row table and the k checkpoints' candidate
+#   tables (1 + k; 4 at the default of 3 steps);
 # - a reranked decode reads its decoder's row and candidate tables and its
 #   channel model's padded table, block after block (3);
 # - `tune_lambdas` decodes with both directions' systems, each reranked by

@@ -22,7 +22,7 @@ from .corpus import DataMix, TaggedDataset, build_mix
 from .ensemble import Ensemble
 from .lm import FINETUNE_ALPHA, finetune_lm, logprobs, train_lm
 from .metrics import EvalContext, bleu
-from .tm import EMTrainer, LexModel, model_hash, pair_channel_scores, translate_corpus
+from .tm import EMTrainer, LexModel, model_hash, pair_channel_scores, translate_stack
 from .util import NUMBER, DataError, doc_field, read_json, write_text_atomic
 
 DEFAULT_TRIALS = 30
@@ -175,9 +175,14 @@ def dev_bleu(model, dev: TaggedDataset, *, eval_ctx: EvalContext) -> float:
     references of `dev` once for every call that scores against them. A
     reranked dev BLEU is `metrics.evaluate_system(..., decode="rerank").bleu`.
     """
-    block = translate_corpus(model, [src for src, _ in dev.pairs], 1)
-    return bleu([eval_ctx.detok_tokens(hyp) for hyp in block.top_hyps()],
-                eval_ctx.references(dev))
+    return _dev_bleus([model], dev, eval_ctx)[0]
+
+
+def _dev_bleus(models, dev: TaggedDataset, eval_ctx: EvalContext) -> list[float]:
+    """`dev_bleu` of each model, decoded in one `translate_stack` pass."""
+    refs = eval_ctx.references(dev)
+    return [bleu([eval_ctx.detok_tokens(hyp) for hyp in block.top_hyps()], refs)
+            for block in translate_stack(models, [src for src, _ in dev.pairs], 1)]
 
 
 def run_trial(config: TrialConfig, mix: DataMix, dev: TaggedDataset, *,
@@ -252,7 +257,9 @@ def run_search(space: SearchSpace, n: int, seed: int, bitext: TaggedDataset,
     ends, `save(index, model)` writes its final model; the model stays alive
     only while the trial ranks in the first `topk` of `rank_trials` so far.
     So the results hold the models `select_top_k(results, topk)` takes, and
-    the memory a search holds does not grow with n.
+    the memory a search holds does not grow with n. It grows with
+    `finetune_steps` instead: `finetune` holds every checkpoint's table
+    until its one stacked dev decode has scored them.
     """
     results: list[TrialResult] = []
     held: list[int] = []  # the trials whose models are alive, best first
@@ -303,7 +310,11 @@ def finetune(model: LexModel, in_domain: TaggedDataset, dev: TaggedDataset,
     Step 0 is the input model, whose dev BLEU the caller passes as
     `base_bleu` (`run_trial` has already computed it), so fine-tuning can
     never reduce tuning-set BLEU. The LM is interpolated toward in-domain
-    counts with weight `lm_alpha`; ties between checkpoints keep the
+    counts with weight `lm_alpha`. All `max_steps` EM steps run first, and
+    their checkpoints, which share the fine-tuned LM and the decoder
+    settings, are scored on dev in one stacked decode (`tm.translate_stack`),
+    so the checkpoints' tables are held at once. A checkpoint wins when it
+    scores above `base_bleu` and every earlier checkpoint: ties keep the
     earliest.
     """
     if not in_domain.pairs:
@@ -316,11 +327,12 @@ def finetune(model: LexModel, in_domain: TaggedDataset, dev: TaggedDataset,
                     src_lang=model.src_lang, tgt_lang=model.tgt_lang,
                     unk_floor=model.unk_floor)
     trainer = EMTrainer(build_mix([in_domain]), warm_start=model)
-    best_model, best_bleu = model, base_bleu
+    checkpoints = []
     for _ in range(max_steps):
         trainer.step()
-        candidate = trainer.snapshot(ft_lm, **settings)
-        score = dev_bleu(candidate, dev, eval_ctx=eval_ctx)
+        checkpoints.append(trainer.snapshot(ft_lm, **settings))
+    best_model, best_bleu = model, base_bleu
+    for candidate, score in zip(checkpoints, _dev_bleus(checkpoints, dev, eval_ctx)):
         if score > best_bleu:
             best_model, best_bleu = candidate, score
     return best_model, best_bleu

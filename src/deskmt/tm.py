@@ -1,8 +1,9 @@
 """Lexical translation models: IBM-Model-1 EM training, a windowed monotone
-beam decoder producing n-best lists, the corpus decoder `translate_corpus`
-that every decode in the package goes through, and channel scoring of
-sentence pairs in batches (`pair_channel_scores`, and `block_channel_scores`
-for the entries of an n-best block). `cross_channel_scores` scores, in
+beam decoder producing n-best lists, the corpus decoder `translate_stack`
+that every decode in the package goes through (`translate_corpus` is its
+one-model case), and channel scoring of sentence pairs in batches
+(`pair_channel_scores`, and `block_channel_scores` for the entries of an
+n-best block). `cross_channel_scores` scores, in
 each of a list of blocks, every sentence of one side given every sentence of
 the other, as mining's alignment does for its document pairs: the IBM-1
 marginal factorises over the observed sentence's positions, so each
@@ -19,11 +20,14 @@ window of w allows local reorderings of radius w. Each step scores
 and hypotheses are ranked by total score. Unknown source symbols translate to
 the reserved unknown token at a configured floor probability.
 
-`translate_corpus` decodes its sources in blocks of at most `_DECODE_STATES`
-live beam states (sentences x beam width), running each beam step once for
-the whole block. Every sentence keeps its own beam, its own pool order and
-its own selection (see `_decode_block`), so a source's n-best list does not
-depend on the block it is decoded in: a one-source decode is
+`translate_stack` decodes the sources under each of a stack of models that
+share one decoder (LM, target vocabulary and settings), such as the
+checkpoints of a fine-tune, and `translate_corpus` is its one-model case. It
+decodes in blocks of at most `_DECODE_STATES` live beam states (sentences x
+beam width), running each beam step once for the whole block. Every sentence
+keeps its own beam, its own pool order and its own selection (see
+`_decode_block`), so a source's n-best list does not depend on the block it
+is decoded in, nor on the other models of the stack: a one-source decode is
 `translate_corpus` of a list of one. So blocks are filled from the sources
 sorted by length, which keeps a block's steps close to what each of its
 sources needs, and the lists of the sentences that finish at a step are
@@ -427,8 +431,8 @@ def _em_iteration(t: np.ndarray, groups) -> tuple[np.ndarray, float]:
 # only the pool entries that can reach the beam (see `_decode_block`), but
 # its row arrays still grow with the block's states, so the block is bounded;
 # larger blocks run fewer steps, and each step has a fixed cost. A block
-# reads the LM's row table and the candidate table from the decoder cache
-# once and holds them for all its steps; the cache keeps them, and a
+# reads the LM's row table and its stack's candidate tables from the decoder
+# cache once and holds them for all its steps; the cache keeps them, and a
 # reranked decode's padded channel table, from one block to the next (see
 # `cache.BOUND`). Decoding a 300-sentence pool at n=50 (the bench's `recipe`
 # self-training pool, seed 1, with the LM's row table already filled)
@@ -454,7 +458,8 @@ DEFAULT_NBEST = 50
 def translate_corpus(model: LexModel, sources: list[Sentence], nbest: int, *,
                      rerank_ctx=None) -> NBestBlock:
     """The n-best lists of every source, in source order, as one
-    `NBestBlock` over the model's ext symbols.
+    `NBestBlock` over the model's ext symbols: `translate_stack` of the one
+    model.
 
     Every token of a source is translated. With a `rerank_ctx` (a
     `rerank.RerankContext`), the lists hold `rerank_ctx.nbest` entries and
@@ -477,29 +482,68 @@ def translate_corpus(model: LexModel, sources: list[Sentence], nbest: int, *,
     bounded, because a step's row arrays grow with it (see
     `_DECODE_STATES`).
     """
+    return translate_stack([model], sources, nbest, rerank_ctx=rerank_ctx)[0]
+
+
+def translate_stack(models: Sequence[LexModel], sources: list[Sentence], nbest: int, *,
+                    rerank_ctx=None) -> list[NBestBlock]:
+    """Each model's `translate_corpus` of the same sources, in one pass: one
+    `NBestBlock` per model, in the order of `models`.
+
+    The models must share one decoder: the same LM object, target
+    vocabulary, window, LM weight and beam (ValueError otherwise). Only
+    their candidate tables differ, so the stack decodes as one model would:
+    model i's decode of source k is sentence i * len(sources) + k, and the
+    sentences are sorted by length and cut into blocks as `translate_corpus`
+    describes, each block stacking the models' candidate tables (see
+    `_decode_block`). Every list is the one its model gives alone, bit for
+    bit, and a stack of k models runs the beam steps of one decode instead
+    of k.
+    """
+    if not models:
+        raise ValueError("a stack needs at least one model")
+    first = models[0]
+    if any(m.lm is not first.lm or m.tgt_vocab != first.tgt_vocab
+           or (m.window, m.lm_weight, m.beam) != (first.window, first.lm_weight, first.beam)
+           for m in models[1:]):
+        raise ValueError("stacked models must share one LM, target vocabulary, window, "
+                         "LM weight and beam")
     if rerank_ctx is not None:
         nbest = rerank_ctx.nbest
     if not sources:
-        return NBestBlock([], model._ext_vocab(), np.zeros((0, 0), dtype=np.uint8),
-                          np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(1, dtype=np.intp))
+        return [NBestBlock([], m._ext_vocab(), np.zeros((0, 0), dtype=np.uint8),
+                           np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(1, dtype=np.intp))
+                for m in models]
     if nbest < 1:
         raise DataError("n-best size must be >= 1")
     if not all(sources):
         raise DataError("cannot translate an empty sentence")
-    width = max(model.beam, nbest)
+    width = max(first.beam, nbest)
     size = max(1, _DECODE_STATES // width)
-    by_length = sorted(range(len(sources)), key=lambda k: len(sources[k]))
+    k = len(sources)
+    by_length = sorted(range(len(models) * k), key=lambda s: len(sources[s % k]))
     blocks = []
-    for lo in range(0, len(sources), size):
-        block = _decode_block(model, [sources[k] for k in by_length[lo:lo + size]],
-                              width, nbest)
+    for lo in range(0, len(by_length), size):
+        stacked = np.array(by_length[lo:lo + size])
+        block = _decode_block(models, [sources[s] for s in (stacked % k).tolist()],
+                              stacked // k, width, nbest)
         blocks.append(block if rerank_ctx is None else rerank_ctx.rerank(block))
-    return NBestBlock.concat(blocks).select(np.argsort(by_length))
+    joined = NBestBlock.concat(blocks)
+    at = np.argsort(by_length)
+    return [joined.select(at[i * k:(i + 1) * k]) for i in range(len(models))]
 
 
-def _decode_block(model: LexModel, block: list[Sentence], width: int,
-                  n: int) -> NBestBlock:
-    """Beam search for the top-n hypotheses of every source of a block.
+def _decode_block(models: Sequence[LexModel], block: list[Sentence], member: np.ndarray,
+                  width: int, n: int) -> NBestBlock:
+    """Beam search for the top-n hypotheses of every source of a block,
+    block[s] decoded by models[member[s]].
+
+    The models share one decoder (see `translate_stack`), whose LM row table
+    and settings the block reads from the first model; their candidate
+    tables are laid back to back (`_stacked_candidates`), and a source reads
+    only its own model's runs. Everything else the steps compute is per
+    sentence, and a wider lex range across the stack only raises the slack
+    below, which changes how many entries are scored, not which survive.
 
     The effective beam width is max(model.beam, n) so an n-best list can
     always be filled from completed hypotheses; a sentence's list is picked
@@ -551,6 +595,7 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
     order, and each sentence keeps its first `width`: the beam the whole
     pool gives, bit for bit.
     """
+    model = models[0]
     w = model.window
     table = model._row_table()
     order = model.lm.order
@@ -561,12 +606,13 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
     n_ranks = int(ext_rank.max()) + 1
     # without such a pair, equal surfaces are equal id sequences
     one_spelling = n_ranks == ext_rank.size
-    cand_ids, cand_lex, cand_start, cand_count = model._candidate_table()
-    # one ascending key over the table, run index * span - lex; only the
-    # last run's entry (the floor) can have a lex that is not finite, and it
-    # sorts last whatever it is
-    finite = cand_lex[np.isfinite(cand_lex)]
-    lex_top, lex_bottom = finite.max(initial=0.0), finite.min(initial=0.0)
+    cand_ids, cand_lex, cand_start, cand_count, src_base = _stacked_candidates(models)
+    # one ascending key over the table, run index * span - lex; every lex
+    # is finite, the log of a nonzero probability or of a floor. The key's
+    # rounding grows with the run index, by about 2**-52 of index * span,
+    # which the bound's slack (at least _SLACK * span) covers while the
+    # stacked table holds fewer than 10**6 runs
+    lex_top, lex_bottom = cand_lex.max(initial=0.0), cand_lex.min(initial=0.0)
     run_start = np.zeros(cand_ids.size, dtype=bool)
     run_start[cand_start] = True
     run_base = (run_start.cumsum() - 1) * (lex_top - lex_bottom + 1.0)
@@ -574,12 +620,15 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
     slack_floor = 1.0 + max(lex_top, -lex_bottom)
 
     # source position j of sentence s decodes to candidate entries
-    # pos_start[s, j]:pos_start[s, j] + pos_count[s, j]
+    # pos_start[s, j]:pos_start[s, j] + pos_count[s, j]; a sentence's ids
+    # are its model's, shifted to the model's runs, and its padding reads
+    # the model's first run but is never admissible
     lengths = np.array([len(src) for src in block])
-    unknown = len(model.src_vocab)
-    sids = np.full((len(block), lengths.max()), unknown)
-    for s, src in enumerate(block):
-        sids[s, :len(src)] = [model.src_id.get(sym, unknown) for sym in src]
+    sids = np.zeros((len(block), lengths.max()), dtype=np.intp)
+    for s, (src, i) in enumerate(zip(block, member.tolist())):
+        ids, unknown = models[i].src_id, len(models[i].src_vocab)
+        sids[s, :len(src)] = [ids.get(sym, unknown) for sym in src]
+    sids += src_base[member][:, None]
     pos_start, pos_count = cand_start[sids], cand_count[sids]
 
     # live states, sentence by sentence, each sentence's in beam order
@@ -708,6 +757,22 @@ def _decode_block(model: LexModel, block: list[Sentence], width: int,
     return NBestBlock(list(block), ext_vocab, hyps[by_sent], lengths[sent[by_sent]],
                       np.concatenate([v for _, _, v in finished])[by_sent],
                       np.concatenate(([0], sizes.cumsum())))
+
+
+def _stacked_candidates(models: Sequence[LexModel]):
+    """The models' candidate tables (`LexModel._candidate_table`) back to
+    back, as (ext ids, lex log-probs, start, count, base): model i's source
+    id s owns the run at start[base[i] + s], whose starts are shifted past
+    the entries of the models before it."""
+    tables = [m._candidate_table() for m in models]
+    if len(tables) == 1:
+        return (*tables[0], np.zeros(1, dtype=np.intp))
+    ids, lex, start, count = zip(*tables)
+    shift = np.cumsum([0] + [a.size for a in ids[:-1]])
+    base = np.cumsum([0] + [a.size for a in start[:-1]])
+    return (np.concatenate(ids), np.concatenate(lex),
+            np.concatenate([a + at for a, at in zip(start, shift.tolist())]),
+            np.concatenate(count), base)
 
 
 def _dense_rank(key: np.ndarray) -> np.ndarray:

@@ -432,9 +432,9 @@ class TestLengthSortedBlocks:
         blocks = []
         real = tm._decode_block
 
-        def recording(model, block, width, n):
+        def recording(models, block, member, width, n):
             blocks.append([len(src) for src in block])
-            return real(model, block, width, n)
+            return real(models, block, member, width, n)
 
         with mock.patch.object(tm, "_decode_block", recording):
             block = translate_corpus(model, sources, 50, rerank_ctx=rerank_ctx)
@@ -465,6 +465,143 @@ class TestLengthSortedBlocks:
             assert rescored(nb) == rescored(alone)
             if not reranked:
                 assert entries(nb) == entries(decode_one(model, source, 50))
+
+
+def stack_member(rng, tgt, lm, *, beam, window, lm_weight, zero_rows):
+    """A model over `tgt` and `lm` with its own source vocabulary (a random
+    subset of s0-s7), random table and unknown floor; about `zero_rows` of
+    its rows are all zero, and a row's other entries are zero at random."""
+    src = (tm.NULL,) + tuple(sorted(rng.sample([f"s{i}" for i in range(8)],
+                                               rng.randint(1, 6))))
+    t = np.zeros((len(src), len(tgt)))
+    for row in t:
+        if rng.random() >= zero_rows:
+            row[:] = [rng.random() if rng.random() < 0.7 else 0.0 for _ in tgt]
+            row /= max(row.sum(), 1.0)
+    return tm.LexModel(src, tgt, t, lm, beam=beam, window=window, lm_weight=lm_weight,
+                       unk_floor=rng.choice([1e-9, 1e-4, 1e-300, 0.01]))
+
+
+def block_arrays(block):
+    """A block's lists as values: sources, symbols, and the exact bits of
+    its arrays with their dtypes and shapes."""
+    return (block.sources, block.symbols,
+            *[(a.dtype.str, a.shape, a.tobytes()) for a in (block.hyps, block.lengths,
+                                                            block.fwd, block.offsets)])
+
+
+class TestStackedModels:
+    """`translate_stack` decodes each model of a stack that shares one
+    decoder as `translate_corpus` decodes it alone, bit for bit; the stacked
+    candidate table's id maps come from each model's dicts."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), models=st.integers(1, 5), beam=st.integers(1, 4),
+           window=st.integers(0, 1), n=st.sampled_from([1, 3, 12]), order=st.integers(1, 3),
+           lm_weight=st.sampled_from([0.0, 0.4, 2.0]), unk_target=st.booleans(),
+           zero_rows=st.sampled_from([0.0, 0.3, 1.0]), count=st.integers(1, 9),
+           states=st.sampled_from([1, 12, 60, tm._DECODE_STATES]))
+    def test_stack_equals_each_model_alone(self, seed, models, beam, window, n, order,
+                                           lm_weight, unk_target, zero_rows, count, states):
+        rng = random.Random(seed)
+        tgt = tuple(f"t{i}" for i in range(rng.randint(2, 7))) + (
+            (UNK_TOKEN,) if unk_target else ())
+        lm = train_lm([tuple(rng.choice(tgt) for _ in range(rng.randint(1, 5)))
+                       for _ in range(rng.randint(3, 10))], order, 0.5)
+        stack = [stack_member(rng, tgt, lm, beam=beam, window=window, lm_weight=lm_weight,
+                              zero_rows=zero_rows) for _ in range(models)]
+        # symbols some or all models do not know, and a symbol repeated
+        pool = [f"s{i}" for i in range(8)] + ["zz"]
+        sources = [tuple(rng.choice(pool) for _ in range(rng.randint(1, 7)))
+                   for _ in range(count)]
+        sources.append(sources[0])
+        # small bounds split the stack over several blocks, one block may
+        # hold sentences of several models
+        with mock.patch.object(tm, "_DECODE_STATES", states):
+            stacked = tm.translate_stack(stack, sources, n)
+            alone = [translate_corpus(model, sources, n) for model in stack]
+        assert len(stacked) == models
+        for got, want in zip(stacked, alone):
+            assert block_arrays(got) == block_arrays(want)
+
+    def test_a_stack_over_several_blocks(self):
+        rng = random.Random(4)
+        model, src_syms = random_model(rng, beam=5, window=1, order=3, lm_weight=0.4,
+                                       unk_target=True)
+        stack = [model] + [tm.LexModel(model.src_vocab, model.tgt_vocab, model.t * scale,
+                                       model.lm, beam=5, window=1, lm_weight=0.4)
+                           for scale in (0.5, 0.25)]
+        sources = random_sources(rng, src_syms, tm._DECODE_STATES // 5 // 2 + 7)
+        blocks = []
+        real = tm._decode_block
+
+        def recording(models, block, member, width, n):
+            blocks.append(sorted(set(member.tolist())))
+            return real(models, block, member, width, n)
+
+        with mock.patch.object(tm, "_decode_block", recording):
+            stacked = tm.translate_stack(stack, sources, 1)
+        assert len(blocks) >= 2 and any(len(models) > 1 for models in blocks)
+        for got, model in zip(stacked, stack):
+            assert block_arrays(got) == block_arrays(translate_corpus(model, sources, 1))
+
+    def test_reranked_stack_equals_each_model_alone(self):
+        rng = random.Random(9)
+        model, src_syms = random_model(rng, beam=3, window=1, order=2, lm_weight=0.4,
+                                       unk_target=False)
+        backward, _ = random_model(rng, beam=2, window=1, order=2, lm_weight=0.5,
+                                   unk_target=False)
+        ctx = RerankContext(backward, model.lm, NoisyChannelWeights(0.7, 1.3), nbest=6)
+        stack = [model, uniform_model(model)]
+        sources = random_sources(rng, src_syms, 9)
+        for got, member in zip(tm.translate_stack(stack, sources, 6, rerank_ctx=ctx), stack):
+            want = translate_corpus(member, sources, 6, rerank_ctx=ctx)
+            assert [rescored(nb) for nb in nbest_lists(got)] == \
+                [rescored(nb) for nb in nbest_lists(want)]
+
+    def decoders(self):
+        rng = random.Random(2)
+        model, _ = random_model(rng, beam=3, window=1, order=2, lm_weight=0.4,
+                                unk_target=False)
+        other_lm = train_lm([("t0", "t1")], 2, 0.5)
+
+        def like(**changes):
+            settings = dict(tgt_vocab=model.tgt_vocab, t=model.t, lm=model.lm, beam=3,
+                            window=1, lm_weight=0.4)
+            settings.update(changes)
+            tgt_vocab, t = settings.pop("tgt_vocab"), settings.pop("t")
+            return tm.LexModel(model.src_vocab, tgt_vocab, t, **settings)
+
+        return model, like, other_lm
+
+    @pytest.mark.parametrize("change", ["lm", "tgt_vocab", "window", "lm_weight", "beam"])
+    def test_models_of_another_decoder_raise(self, change):
+        model, like, other_lm = self.decoders()
+        other = {"lm": lambda: like(lm=other_lm),
+                 "tgt_vocab": lambda: like(tgt_vocab=model.tgt_vocab[:-1],
+                                           t=model.t[:, :-1]),
+                 "window": lambda: like(window=0),
+                 "lm_weight": lambda: like(lm_weight=0.5),
+                 "beam": lambda: like(beam=4)}[change]()
+        with pytest.raises(ValueError, match="share one LM"):
+            tm.translate_stack([model, other], [("s0",)], 1)
+        with pytest.raises(ValueError, match="share one LM"):
+            tm.translate_stack([other, model, model], [("s0",)], 1)
+
+    def test_a_copy_of_the_lm_is_another_decoder(self):
+        model, like, _ = self.decoders()
+        copy = tm.model_from_dict(json.loads(tm.model_json(model)[0]))
+        with pytest.raises(ValueError, match="share one LM"):
+            tm.translate_stack([model, copy], [("s0",)], 1)
+        # the same settings and LM with another table are one decoder
+        tm.translate_stack([model, like(t=model.t * 0.5)], [("s0",)], 1)
+
+    def test_no_models_raise_and_no_sources_give_empty_blocks(self):
+        model, like, _ = self.decoders()
+        with pytest.raises(ValueError):
+            tm.translate_stack([], [("s0",)], 1)
+        empty = tm.translate_stack([model, like(t=model.t * 0.5)], [], 1)
+        assert [len(block) for block in empty] == [0, 0]
 
 
 def reference_nbest_list(beam, ext_vocab, n):

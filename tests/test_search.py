@@ -12,7 +12,8 @@ from deskmt.corpus import (
     TaggedDataset,
     build_mix,
 )
-from deskmt.lm import logprobs
+from deskmt import tm
+from deskmt.lm import FINETUNE_ALPHA, finetune_lm, logprobs
 from deskmt.metrics import EvalContext
 from deskmt.search import (
     DataError,
@@ -30,7 +31,7 @@ from deskmt.search import (
     select_top_k,
     trial_mix,
 )
-from deskmt.tm import em_train, translate_corpus
+from deskmt.tm import EMTrainer, em_train, translate_corpus
 from test_tm import reference_marginal
 
 
@@ -287,6 +288,21 @@ class TestTrialMix:
             trial_mix(TrialConfig(), None, self.synth(TAG_SELF_TRAINED, 1), None)
 
 
+def reference_checkpoints(model, in_domain, dev, steps):
+    """`finetune`'s checkpoints made step by step, each scored by `dev_bleu`
+    right after its EM step: (checkpoints, scores)."""
+    ft_lm = finetune_lm(model.lm, [tgt for _, tgt in in_domain.pairs], FINETUNE_ALPHA)
+    trainer = EMTrainer(build_mix([in_domain]), warm_start=model)
+    checkpoints, scores = [], []
+    for _ in range(steps):
+        trainer.step()
+        checkpoints.append(trainer.snapshot(
+            ft_lm, beam=model.beam, window=model.window, lm_weight=model.lm_weight,
+            src_lang=model.src_lang, tgt_lang=model.tgt_lang, unk_floor=model.unk_floor))
+        scores.append(dev_bleu(checkpoints[-1], dev, eval_ctx=EvalContext()))
+    return checkpoints, scores
+
+
 class TestFinetune:
     def setup_models(self):
         # out-of-domain bitext: noisy mapping; in-domain: clean mapping
@@ -333,6 +349,42 @@ class TestFinetune:
         b, score_b = finetune(model, in_ds, in_ds, max_steps=2, base_bleu=before,
                               eval_ctx=EvalContext())
         assert (a.t == b.t).all() and score_a == score_b
+
+    def test_checkpoint_choice_is_the_step_by_step_one(self):
+        # on this dev set the steps score a, a, b, b, b with b > a > before:
+        # a later step that only ties the best never wins, nor does a step
+        # that only ties base_bleu
+        model, in_ds = self.setup_models()
+        dev = parallel(4, n_pairs=10, vocab=2)
+        before = dev_bleu(model, dev, eval_ctx=EvalContext())
+        checkpoints, scores = reference_checkpoints(model, in_ds, dev, 5)
+        assert before < scores[0] == scores[1] < scores[2] == scores[3] == scores[4]
+        assert len({tm.model_hash(c) for c in checkpoints}) == 5
+        for base, winner in [(before, 2), (scores[0], 2), (scores[2], None), (100.0, None)]:
+            tuned, score = finetune(model, in_ds, dev, 5, base_bleu=base,
+                                    eval_ctx=EvalContext())
+            if winner is None:   # no step beats base_bleu: the input model stays
+                assert tuned is model and score == base
+            else:
+                assert tm.model_json(tuned) == tm.model_json(checkpoints[winner])
+                assert score == scores[winner]
+
+    @pytest.mark.parametrize("steps", [1, 2, 4])
+    def test_equals_the_step_by_step_reference(self, steps):
+        model, in_ds = self.setup_models()
+        for dev_seed in range(6):
+            dev = parallel(dev_seed, n_pairs=10, vocab=2)
+            before = dev_bleu(model, dev, eval_ctx=EvalContext())
+            checkpoints, scores = reference_checkpoints(model, in_ds, dev, steps)
+            want, want_bleu = model, before
+            for checkpoint, score in zip(checkpoints, scores):
+                if score > want_bleu:
+                    want, want_bleu = checkpoint, score
+            tuned, score = finetune(model, in_ds, dev, steps, base_bleu=before,
+                                    eval_ctx=EvalContext())
+            assert score == want_bleu
+            assert (tuned is model) if want is model else \
+                tm.model_json(tuned) == tm.model_json(want)
 
     def test_empty_in_domain_rejected(self):
         model, in_ds = self.setup_models()
