@@ -11,8 +11,9 @@ owner, so a rebuilt one gives the same outputs.
 The store reaches an owner through a weak reference whose callback drops
 the owner's entries, so a table dies with its owner without the collector,
 and no table keeps a model alive. A caller that holds a table keeps it
-alive past its eviction: `tm._decode_block` reads one row table and its
-stack's candidate tables for the whole block.
+alive past its eviction: `tm.translate_stack` reads its stack's candidate
+tables once and holds them, back to back, for the whole decode, and
+`tm._decode_block` holds one row table for its block.
 
 The store counts hits, builds and evictions (`cache_counts`).
 """
@@ -25,10 +26,10 @@ from functools import partial
 
 # Entries held at most. The reuse that must survive, in entries read:
 # - a fine-tune's k checkpoints share one LM and are decoded in one stacked
-#   decode, which reads the LM's row table and the k checkpoints' candidate
-#   tables (1 + k; 4 at the default of 3 steps);
-# - a reranked decode reads its decoder's row and candidate tables and its
-#   channel model's padded table, block after block (3);
+#   decode, which reads the k checkpoints' candidate tables once, as it
+#   starts, and the LM's row table block after block (1, whatever k);
+# - a reranked decode reads its decoder's candidate table once and its row
+#   table and its channel model's padded table block after block (2);
 # - `tune_lambdas` decodes with both directions' systems, each reranked by
 #   the other, and the next round's augment repeats those two reranked
 #   decodes (6);

@@ -430,10 +430,11 @@ def _em_iteration(t: np.ndarray, groups) -> tuple[np.ndarray, float]:
 # Live beam states per decoded block (sentences x beam width). A step scores
 # only the pool entries that can reach the beam (see `_decode_block`), but
 # its row arrays still grow with the block's states, so the block is bounded;
-# larger blocks run fewer steps, and each step has a fixed cost. A block
-# reads the LM's row table and its stack's candidate tables from the decoder
-# cache once and holds them for all its steps; the cache keeps them, and a
-# reranked decode's padded channel table, from one block to the next (see
+# larger blocks run fewer steps, and each step has a fixed cost. A decode
+# reads its stack's candidate tables from the decoder cache once and holds
+# them, back to back, for all its blocks. A block reads the LM's row table
+# once and holds it for all its steps; the cache keeps it, and a reranked
+# decode's padded channel table, from one block to the next (see
 # `cache.BOUND`). Decoding a 300-sentence pool at n=50 (the bench's `recipe`
 # self-training pool, seed 1, with the LM's row table already filled)
 # peaked at 10.7 MB of traced heap (tracemalloc) as one block, against
@@ -495,10 +496,10 @@ def translate_stack(models: Sequence[LexModel], sources: list[Sentence], nbest: 
     their candidate tables differ, so the stack decodes as one model would:
     model i's decode of source k is sentence i * len(sources) + k, and the
     sentences are sorted by length and cut into blocks as `translate_corpus`
-    describes, each block stacking the models' candidate tables (see
-    `_decode_block`). Every list is the one its model gives alone, bit for
-    bit, and a stack of k models runs the beam steps of one decode instead
-    of k.
+    describes. The models' candidate tables are laid back to back once, for
+    every block (see `_decode_block`). Every list is the one its model gives
+    alone, bit for bit, and a stack of k models runs the beam steps of one
+    decode instead of k.
     """
     if not models:
         raise ValueError("a stack needs at least one model")
@@ -522,10 +523,11 @@ def translate_stack(models: Sequence[LexModel], sources: list[Sentence], nbest: 
     size = max(1, _DECODE_STATES // width)
     k = len(sources)
     by_length = sorted(range(len(models) * k), key=lambda s: len(sources[s % k]))
+    cands = _stacked_candidates(models)
     blocks = []
     for lo in range(0, len(by_length), size):
         stacked = np.array(by_length[lo:lo + size])
-        block = _decode_block(models, [sources[s] for s in (stacked % k).tolist()],
+        block = _decode_block(models, cands, [sources[s] for s in (stacked % k).tolist()],
                               stacked // k, width, nbest)
         blocks.append(block if rerank_ctx is None else rerank_ctx.rerank(block))
     joined = NBestBlock.concat(blocks)
@@ -533,15 +535,15 @@ def translate_stack(models: Sequence[LexModel], sources: list[Sentence], nbest: 
     return [joined.select(at[i * k:(i + 1) * k]) for i in range(len(models))]
 
 
-def _decode_block(models: Sequence[LexModel], block: list[Sentence], member: np.ndarray,
-                  width: int, n: int) -> NBestBlock:
+def _decode_block(models: Sequence[LexModel], cands, block: list[Sentence],
+                  member: np.ndarray, width: int, n: int) -> NBestBlock:
     """Beam search for the top-n hypotheses of every source of a block,
     block[s] decoded by models[member[s]].
 
     The models share one decoder (see `translate_stack`), whose LM row table
-    and settings the block reads from the first model; their candidate
-    tables are laid back to back (`_stacked_candidates`), and a source reads
-    only its own model's runs. Everything else the steps compute is per
+    and settings the block reads from the first model; `cands` is their
+    candidate tables laid back to back (`_stacked_candidates`), and a source
+    reads only its own model's runs. Everything else the steps compute is per
     sentence, and a wider lex range across the stack only raises the slack
     below, which changes how many entries are scored, not which survive.
 
@@ -606,7 +608,7 @@ def _decode_block(models: Sequence[LexModel], block: list[Sentence], member: np.
     n_ranks = int(ext_rank.max()) + 1
     # without such a pair, equal surfaces are equal id sequences
     one_spelling = n_ranks == ext_rank.size
-    cand_ids, cand_lex, cand_start, cand_count, src_base = _stacked_candidates(models)
+    cand_ids, cand_lex, cand_start, cand_count, src_base = cands
     # one ascending key over the table, run index * span - lex; every lex
     # is finite, the log of a nonzero probability or of a floor. The key's
     # rounding grows with the run index, by about 2**-52 of index * span,
@@ -764,10 +766,7 @@ def _stacked_candidates(models: Sequence[LexModel]):
     back, as (ext ids, lex log-probs, start, count, base): model i's source
     id s owns the run at start[base[i] + s], whose starts are shifted past
     the entries of the models before it."""
-    tables = [m._candidate_table() for m in models]
-    if len(tables) == 1:
-        return (*tables[0], np.zeros(1, dtype=np.intp))
-    ids, lex, start, count = zip(*tables)
+    ids, lex, start, count = zip(*(m._candidate_table() for m in models))
     shift = np.cumsum([0] + [a.size for a in ids[:-1]])
     base = np.cumsum([0] + [a.size for a in start[:-1]])
     return (np.concatenate(ids), np.concatenate(lex),

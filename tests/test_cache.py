@@ -144,7 +144,38 @@ class TestOutputsDoNotDependOnTheBound:
         before = cache_counts()
         with mock.patch.object(cache, "BOUND", 1):
             evicted = reranked_decode(17)
-        # 6 blocks, each reading a row table, a candidate table and a padded
-        # table: with room for one, each is built again block after block
-        assert deltas(before)["builds"] >= 3 * 6
+        # a candidate table read once, and 6 blocks, each reading a row table
+        # and a padded table: with room for one, both are built again block
+        # after block
+        assert deltas(before)["builds"] >= 2 * 6 + 1
         assert evicted == kept
+
+
+class TestStackedDecodeReadsEachTableOnce:
+    @pytest.fixture(autouse=True)
+    def empty_store(self, monkeypatch):
+        monkeypatch.setattr(cache, "_STORE", cache._Store())
+
+    def test_a_stack_larger_than_the_bound_over_several_blocks(self):
+        # more checkpoints than the store holds: each candidate table is
+        # read once per decode, and the row table survives from block to
+        # block
+        rng = random.Random(3)
+        mix, fwd, _ = random_models(rng, n_pairs=30)
+        stack = [fwd] + [tm.LexModel(fwd.src_vocab, fwd.tgt_vocab, fwd.t * scale, fwd.lm,
+                                     beam=fwd.beam, window=fwd.window, lm_weight=fwd.lm_weight)
+                         for scale in np.linspace(0.9, 0.3, cache.BOUND + 1)]
+        sources = [src for (src, _), _ in mix.weighted_pairs().items()]
+        blocks = []
+        real = tm._decode_block
+
+        def recording(models, cands, block, member, width, n):
+            blocks.append(len(block))
+            return real(models, cands, block, member, width, n)
+
+        before = cache_counts()
+        with mock.patch.object(tm, "_DECODE_STATES", 40), \
+                mock.patch.object(tm, "_decode_block", recording):
+            tm.translate_stack(stack, sources, 4)
+        assert len(stack) > cache.BOUND and len(blocks) > 1
+        assert deltas(before)["builds"] == len(stack) + 1

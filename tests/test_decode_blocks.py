@@ -432,9 +432,9 @@ class TestLengthSortedBlocks:
         blocks = []
         real = tm._decode_block
 
-        def recording(models, block, member, width, n):
+        def recording(models, cands, block, member, width, n):
             blocks.append([len(src) for src in block])
-            return real(models, block, member, width, n)
+            return real(models, cands, block, member, width, n)
 
         with mock.patch.object(tm, "_decode_block", recording):
             block = translate_corpus(model, sources, 50, rerank_ctx=rerank_ctx)
@@ -535,9 +535,9 @@ class TestStackedModels:
         blocks = []
         real = tm._decode_block
 
-        def recording(models, block, member, width, n):
+        def recording(models, cands, block, member, width, n):
             blocks.append(sorted(set(member.tolist())))
-            return real(models, block, member, width, n)
+            return real(models, cands, block, member, width, n)
 
         with mock.patch.object(tm, "_decode_block", recording):
             stacked = tm.translate_stack(stack, sources, 1)

@@ -323,14 +323,14 @@ class TestNoRecomputation:
         decode = tm._decode_block
         seen, repeats, decoders = set(), [], []
 
-        def counting(models, block, member, width, n):
+        def counting(models, cands, block, member, width, n):
             # every source of every block the corpus decoder runs, with the
             # model of the stack that decodes it
             for x, i in zip(block, member.tolist()):
                 key = (id(models[i]), tuple(x), n)
                 (repeats.append if key in seen else seen.add)(key)
             decoders.append(models)  # keeps every id unique for the whole run
-            return decode(models, block, member, width, n)
+            return decode(models, cands, block, member, width, n)
 
         monkeypatch.setattr(tm, "_decode_block", counting)
         run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt, bundle.dev,
