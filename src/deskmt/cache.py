@@ -2,11 +2,12 @@
 
 Decoding and channel scoring read tables derived from a model or an LM: a
 model's candidate table and padded lexical table (`tm.LexModel`) and an
-LM's row tables (`lm.row_table`), which also hold the lower-order rows they
-are built from. Each is built on first request and kept here, keyed by its
-owner and a name. Past `BOUND` entries the least recently used one is
-evicted, and a later request builds it again. A table is a function of its
-owner, so a rebuilt one gives the same outputs.
+LM's row tables (`lm.row_table`); an n-gram LM's tables also hold the
+lower-order rows they are built from, and an interpolated LM's table reads
+its parts' rows from the parts' tables. Each is built on first request
+and kept here, keyed by its owner and a name. Past `BOUND` entries the
+least recently used one is evicted, and a later request builds it again. A
+table is a function of its owner, so a rebuilt one gives the same outputs.
 
 The store reaches an owner through a weak reference whose callback drops
 the owner's entries, so a table dies with its owner without the collector,
@@ -27,15 +28,28 @@ from functools import partial
 # Entries held at most. The reuse that must survive, in entries read:
 # - a fine-tune's k checkpoints share one LM and are decoded in one stacked
 #   decode, which reads the k checkpoints' candidate tables once, as it
-#   starts, and the LM's row table block after block (1, whatever k);
+#   starts, and block after block the fine-tune LM's row table and, for the
+#   rows that table lacks, its two parts' tables: the trial LM's, which the
+#   trial's own dev decode filled, and the in-domain LM's (3, whatever k);
+# - the in-domain LM is shared by the fine-tunes of a search's trials with
+#   one LM order and smoothing k, so its table serves the next such trial
+#   only if it outlives the entries one trial adds between its two
+#   fine-tune decodes: the best checkpoint's padded table, its candidate
+#   table, the trial LM's table, k = 3 checkpoints' candidate tables and
+#   the fine-tune LM's table (7), with the tables of the trials still held
+#   in the top-k. At 6 it did not; at 10, `search` (seed 1) computes 7,764
+#   top-order part rows against 9,308 at 6. The four more entries cost
+#   about 3 MB of peak RSS in process, where any table may fill them:
+#   `search` 51.8 against 49.2 MB, `recipe` 50.7 against 47.5 MB (seed 1);
 # - a reranked decode reads its decoder's candidate table once and its row
-#   table and its channel model's padded table block after block (2);
+#   table, its parts' tables and its channel model's padded table block
+#   after block (4);
 # - `tune_lambdas` decodes with both directions' systems, each reranked by
 #   the other, and the next round's augment repeats those two reranked
 #   decodes (6);
 # - `mine` reuses one channel model's padded table across 60 document
 #   pairs (1).
-BOUND = 6
+BOUND = 10
 
 
 class _Store:

@@ -33,6 +33,11 @@ DEFAULT_TAGS = (TAG_IN_DOMAIN, TAG_OUT_DOMAIN, TAG_SELF_TRAINED, TAG_BACK_TRANSL
 
 UNK_TOKEN = "<unk>"
 
+# Every integer up to this is a float64, so counts and weights built from
+# integer multiplicities no larger add up to the same float in any order.
+# The search's shared layouts (`tm.PairLayout`, `lm.NGramCounts`) rest on it.
+MAX_COUNT = 2**53
+
 
 def is_tag(token: str) -> bool:
     """A domain tag has the form <...>; the unknown token is not one."""
@@ -77,8 +82,10 @@ class TaggedDataset:
         if self.side not in SIDES:
             raise DataError(f"unknown side {self.side!r}")
         _check_tag(self.tag)
-        if self.upsample < 1:
-            raise DataError("upsample must be a positive integer")
+        if isinstance(self.upsample, bool) or not isinstance(self.upsample, int) \
+                or not 1 <= self.upsample <= MAX_COUNT:
+            raise DataError(f"upsample must be a positive integer of at most 2**53, "
+                            f"got {self.upsample!r}")
         if self.side == SIDE_PARALLEL:
             if self.sentences:
                 raise DataError("parallel dataset must not carry mono sentences")

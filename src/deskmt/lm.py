@@ -33,9 +33,17 @@ Both LM kinds are weighted mixtures of count models: `parts` lists
 (weight, `NGramLM`) pairs, `((1.0, lm),)` for an `NGramLM` and
 `((1 - a, base), (a, indomain))` for an `InterpolatedLM`. Every score,
 `logprobs`' event terms, the decoder's rows and the end-of-sentence term,
-is computed per part in probability space and mixed by `_mix`, which adds
-weight * p in part order and takes the log; for one part of weight 1 that
-is ln p bit for bit.
+is computed per part in probability space and mixed by `_mixture`, which
+adds weight * p in part order; the log is taken last (`_mix`). For one part
+of weight 1 that is ln p bit for bit.
+
+Counting is separate from the model. `NGramCounts` counts a corpus once
+on one trie, with one count array per group of sentence weights, and its
+`lm(k, scale)` builds the model of any weighting of the groups by adding
+the groups' arrays; `train_lm` is its one-group case. A search counts its
+trial sets once per LM order and direction, one group per set, and every
+trial's LM, upsampled by integer ratios, equals the one counted from the
+trial's mix bit for bit (see `NGramCounts`).
 
 `logprobs` scores many sentences in one pass. It maps the batch's tokens to
 ids once, and `logprobs_of_ids`, which reranking calls with an n-best
@@ -46,13 +54,14 @@ The entries of an n-best batch share prefixes, so there are far fewer
 events than tokens: 13,565 against 88,198 over the 300 reranked lists of
 the bench's `recipe` self-training pool (seed 1).
 
-The decoder reads rows, a word's log-probability after a context at every
+The decoder reads rows, a word's probability after a context at every
 symbol of a fixed list, from a `RowTable`: one per (LM, symbol list), kept
 in the decoder cache (`cache`) by `row_table`, so models that share an LM
 and a target vocabulary (fine-tune candidates, an ensemble and its first
 member) share one table while it is held there. The cache holds a bounded
 number of tables, evicting the least recently used; an evicted table is
-built again on the next request, with the same rows.
+built again on the next request, with the same rows. A table holds
+probability rows; the decoder logs the entries it scores.
 A row depends only on the context's LM state, the longest suffix of the
 BOS-padded context that is a node of the count trie, as (depth, node): the
 levels above it hold no counts and a total of 0, so each turns a row r into
@@ -66,13 +75,25 @@ are computed only for the states not held, in one batch per call. The
 table reaches its LM through a weak reference, so no table keeps its LM
 alive, and the cache drops the tables of an LM that dies.
 
+A table's rows are mixed from per-part rows. An `NGramLM`'s table computes
+its rows from the counts; an `InterpolatedLM`'s table computes none: for
+the states it lacks it reads each part's rows from the part's own table,
+`row_table(part, symbols)`, which computes only the rows it lacks, and
+mixes them. So a part shared by several LMs computes each of its rows
+once while the cache holds its table: the trial LM inside each of its
+fine-tune LMs, and the in-domain LM a search's fine-tunes share
+(`search.TrainingLayouts`). On the bench's `search` (seed 1) the n-gram
+tables compute 7,764 top-order rows, against 11,856 when each table
+computed its parts' rows itself.
+
 A table's caches, each cleared before it would pass `_CACHE_CAP` entries:
 
-- its lower-order rows, one dict per part: (level, state key) -> row of
-  P_level after the contexts of that state, for levels below `order`
-  only; many states back off to each of these rows. A top-order row is
-  computed when its state is first met and kept only as the table's
-  log-probability row. The rows die with the table.
+- an n-gram table's lower-order rows: (level, state key) -> row of P_level
+  after the contexts of that state, for levels below `order` only; many
+  states back off to each of these rows. They live in the part's table, so
+  every LM that mixes the part reads them there. A top-order row is
+  computed when its state is first met and kept only as the table's row.
+  The rows die with the table.
 - its rows and its state index, cleared together.
 """
 
@@ -100,11 +121,10 @@ _KEY_LIMIT = 2**62  # `logprobs`' event keys stay below this, so within int64
 class NGramLM:
     """Add-k interpolated n-gram model over a fixed symbol inventory."""
 
-    def __init__(self, order: int, k: float, vocab: tuple[str, ...],
-                 events: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    def __init__(self, order: int, k: float, vocab: tuple[str, ...], tables: tuple,
                  token_total: float):
-        """`events[j]` holds the counts of level j + 1 as (history, word,
-        count) rows; history[:, d - 1] is the id of the token d back."""
+        """`tables` holds the count trie's arrays of `_count_tables`, each a
+        list by level: (child keys, count keys, count values, totals)."""
         self.order = order
         self.k = k
         self.vocab = vocab                      # observed tokens + EOS, sorted
@@ -117,7 +137,9 @@ class NGramLM:
         self._width = len(self.syms) + 1
         self._context_id = dict(self.sym_id)
         self._context_id[BOS] = self.bos_id
-        self._count_tables(events)
+        self._child_keys, self._count_keys, self._count_vals, self._totals = tables
+        if not all(np.isfinite(totals).all() for totals in self._totals):
+            raise DataError("the counts of a context sum past the float range")
         self._check_unseen_floor()
         # state key of (level, node): node + the number of nodes of lower levels
         sizes = [1] + [keys.size for keys in self._child_keys]
@@ -130,29 +152,6 @@ class NGramLM:
         """The model as a mixture of one part; computed, as a stored tuple
         holding the model would be a reference cycle."""
         return ((1.0, self),)
-
-    def _count_tables(self, events) -> None:
-        """Build the trie tables; repeated (context, word) rows add up in row order."""
-        width = self._width
-        nodes = [np.zeros(len(words), dtype=np.int64) for _, words, _ in events]
-        self._child_keys = []
-        for level in range(1, self.order):
-            # the contexts of length `level`: every row's context cut to it
-            keys = [nodes[j] * width + events[j][0][:, level - 1]
-                    for j in range(level, self.order)]
-            level_keys = sorted_distinct(np.concatenate(keys))
-            self._child_keys.append(level_keys)
-            for j, key in zip(range(level, self.order), keys):
-                nodes[j] = level_keys.searchsorted(key)
-        self._count_keys, self._count_vals, self._totals = [], [], []
-        for j, (_, words, counts) in enumerate(events):
-            keys, at = np.unique(nodes[j] * width + words, return_inverse=True)
-            size = self._child_keys[j - 1].size if j else 1
-            self._count_keys.append(keys)
-            self._count_vals.append(np.append(np.bincount(at, counts, keys.size), 0.0))
-            self._totals.append(np.append(np.bincount(nodes[j], counts, size), 0.0))
-        if not all(np.isfinite(totals).all() for totals in self._totals):
-            raise DataError("the counts of a context sum past the float range")
 
     def _check_unseen_floor(self) -> None:
         """DataError unless every event's probability is at least the
@@ -273,14 +272,18 @@ class NGramLM:
         return prob
 
 
-def _mix(parts: tuple, probs: list):
-    """ln of sum of weight * p over the parts, added in part order, where
-    probs[i] holds part i's probabilities; one part of weight 1 gives ln p
-    bit for bit."""
+def _mixture(parts: tuple, probs: list):
+    """sum of weight * p over the parts, added in part order, where probs[i]
+    holds part i's probabilities; one part of weight 1 gives p bit for bit."""
     total = 0.0
     for (weight, _), prob in zip(parts, probs):
         total = total + weight * prob
-    return np.log(total)
+    return total
+
+
+def _mix(parts: tuple, probs: list):
+    """ln of the parts' `_mixture`."""
+    return np.log(_mixture(parts, probs))
 
 
 def _find(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -300,26 +303,35 @@ def _back(ids: np.ndarray, lengths: np.ndarray, d: int, fill: int) -> np.ndarray
 
 
 class RowTable:
-    """Log-probability rows of one LM at a fixed symbol list, one row per
-    LM state met (see the module docstring).
+    """Probability rows of one LM at a fixed symbol list, one row per LM
+    state met (see the module docstring).
 
-    `rows[slots(contexts)[g], i]` is ln P(symbols[i] | contexts[g]); read
-    `rows` after the `slots` call, which may grow or clear the buffer.
-    `ranks` is each symbol's rank among the distinct symbols in string
-    order, so two ids that spell one symbol share a rank. `row_max` is the
-    largest element of the rows held (-inf with none), the bound the decoder
+    `probs[slots(contexts)[g], i]` is P(symbols[i] | contexts[g]); read
+    `probs` after the `slots` call, which may grow or clear the buffer. The
+    decoder takes the entries it scores and logs them, which gives the
+    entries of `rows`, the log-probability rows, bit for bit. `ranks` is
+    each symbol's rank among the distinct symbols in string order, so two
+    ids that spell one symbol share a rank. `row_max` is the largest
+    element of the log rows held (-inf with none), the bound the decoder
     puts on an LM term; a table built again after its eviction from the
     decoder cache may hold other rows and so another `row_max`, which
     changes how many entries a beam step scores, not which survive. The
     table reaches its LM through a weak reference, so it keeps no LM alive.
+
+    The table of an `NGramLM` also keeps the lower-order rows it builds
+    from. The table of an `InterpolatedLM` holds its mixed rows: it reads
+    its parts' rows from the parts' own tables (`row_table(part, symbols)`),
+    so a part shared by several LMs computes each of its rows once while
+    the cache holds its table.
     """
 
     def __init__(self, model: LanguageModel, symbols: tuple[str, ...]):
         rank = {sym: r for r, sym in enumerate(sorted(set(symbols)))}
         self.ranks = np.array([rank[sym] for sym in symbols], dtype=np.int64)
         self._lm = weakref.ref(model)
+        self._symbols = symbols
         self._ids = [part._symbol_ids(symbols) for _, part in model.parts]
-        self._lower = [{} for _ in model.parts]   # each part's lower-order rows
+        self._lower: dict = {}   # an n-gram table's lower-order rows
         self._clear()
 
     def _clear(self) -> None:
@@ -330,8 +342,13 @@ class RowTable:
         self._state_slots = np.empty(0, dtype=np.intp)
 
     @property
-    def rows(self) -> np.ndarray:
+    def probs(self) -> np.ndarray:
         return self._buffer[:self.held]
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The log-probability rows held, computed on each read."""
+        return np.log(self.probs)
 
     def slots(self, contexts: np.ndarray) -> np.ndarray:
         """The row slot of every context: a row of symbol ids, oldest first,
@@ -340,12 +357,33 @@ class RowTable:
         model = self._lm()
         if model is None:
             raise ValueError("the row table's language model is gone")
-        state, walked = 0, []   # each part's (depth, node) of every context
+        state, walked = 0, []   # each part's (state key, depth, node) of every context
         for (_, part), (_, context_id) in zip(model.parts, self._ids):
             depth, node = part._walk(context_id[contexts])
-            walked.append((depth, node))
+            key = part._level_start[depth - 1] + node
+            walked.append((key, depth, node))
             # a digit per part, in base its number of states
-            state = state * int(part._level_start[-1]) + part._level_start[depth - 1] + node
+            state = state * int(part._level_start[-1]) + key
+        if isinstance(model, NGramLM):
+            _, depth, node = walked[0]
+            return self._lookup(state, lambda at: self._ngram_rows(model, depth[at], node[at]))
+        return self._lookup(state, lambda at: _mixture(model.parts, [
+            row_table(part, self._symbols)._part_rows(key[at], depth[at], node[at])
+            for (_, part), (key, depth, node) in zip(model.parts, walked)]))
+
+    def _part_rows(self, key: np.ndarray, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
+        """The rows of an n-gram table's LM after contexts at the states
+        (key, depth, node), computing the rows not held."""
+        model = self._lm()
+        slots = self._lookup(key, lambda at: self._ngram_rows(model, depth[at], node[at]))
+        return self._buffer[slots]
+
+    def _ngram_rows(self, model: NGramLM, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
+        return model._rows(model.order, depth, node, self._lower)[:, self._ids[0][0]]
+
+    def _lookup(self, state: np.ndarray, make) -> np.ndarray:
+        """The slot of every state key; `make(at)` gives the rows of the
+        states not held, at the indices `at` of their first occurrences."""
         found = _find(self._states, state)
         miss = np.flatnonzero(found == self._states.size)
         if not miss.size:
@@ -353,14 +391,10 @@ class RowTable:
         new, first, inverse = np.unique(state[miss], return_index=True, return_inverse=True)
         if self.held and self.held + new.size > _CACHE_CAP:
             self._clear()
-            return self.slots(contexts)
-        at = miss[first]
-        self._append(_mix(model.parts, [
-            part._rows(part.order, depth[at], node[at], kept)[:, index]
-            for (_, part), (depth, node), (index, _), kept
-            in zip(model.parts, walked, self._ids, self._lower)]))
+            return self._lookup(state, make)
+        self._append(make(miss[first]))
         new_slots = np.arange(self.held - new.size, self.held)
-        slot = np.empty(len(contexts), dtype=np.intp)
+        slot = np.empty(len(state), dtype=np.intp)
         hit = found < self._states.size
         slot[hit] = self._state_slots[found[hit]]
         slot[miss] = new_slots[inverse]
@@ -382,11 +416,11 @@ class RowTable:
         if need > len(self._buffer):
             grown = np.empty((max(need, min(len(self._buffer) * 5 // 4, _CACHE_CAP)),
                               self.ranks.size))
-            grown[:self.held] = self.rows
+            grown[:self.held] = self.probs
             self._buffer = grown
         self._buffer[self.held:need] = rows
         self.held = need
-        self.row_max = max(self.row_max, float(rows.max()))
+        self.row_max = max(self.row_max, float(np.log(rows.max())))
 
 
 def row_table(model: LanguageModel, symbols: tuple[str, ...]) -> RowTable:
@@ -395,34 +429,97 @@ def row_table(model: LanguageModel, symbols: tuple[str, ...]) -> RowTable:
     return cached(model, symbols, lambda: RowTable(model, symbols))
 
 
+def _count_tables(order: int, width: int, events) -> tuple:
+    """The count trie of `events`, where `events[j]` holds the counts of
+    level j + 1 as (history, word, counts) rows, history[:, d - 1] the id of
+    the token d back and counts[:, g] the row's count in group g: (child
+    keys, count keys, count values, totals), each a list by level, the last
+    two a list by group. Repeated (context, word) rows add up in row order."""
+    nodes = [np.zeros(len(words), dtype=np.int64) for _, words, _ in events]
+    child_keys = []
+    for level in range(1, order):
+        # the contexts of length `level`: every row's context cut to it
+        keys = [nodes[j] * width + events[j][0][:, level - 1] for j in range(level, order)]
+        level_keys = sorted_distinct(np.concatenate(keys))
+        child_keys.append(level_keys)
+        for j, key in zip(range(level, order), keys):
+            nodes[j] = level_keys.searchsorted(key)
+    count_keys, count_vals, totals = [], [], []
+    for j, (_, words, counts) in enumerate(events):
+        keys, at = np.unique(nodes[j] * width + words, return_inverse=True)
+        size = child_keys[j - 1].size if j else 1
+        count_keys.append(keys)
+        count_vals.append([np.append(np.bincount(at, column, keys.size), 0.0)
+                           for column in counts.T])
+        totals.append([np.append(np.bincount(nodes[j], column, size), 0.0)
+                       for column in counts.T])
+    return child_keys, count_keys, count_vals, totals
+
+
+def _weighted(scale, groups: list) -> np.ndarray:
+    """sum of scale[g] * groups[g], added in group order."""
+    total = scale[0] * groups[0]
+    for weight, values in zip(scale[1:], groups[1:]):
+        total = total + weight * values
+    return total
+
+
+class NGramCounts:
+    """The n-gram counts of one order over a corpus whose sentences carry
+    weights in several groups, each group's counts kept apart on one count
+    trie: `lm(k, scale)` is the LM of the corpus with sentence i weighted
+    sum_g scale[g] * weights[i, g], built without counting again.
+
+    That LM equals, bit for bit, `train_lm` of the corpus with those
+    weights while every count is an integer of at most `MAX_COUNT`: such
+    sums are exact in float64 in any order. A search builds one per
+    direction and LM order, one group per training set, so a trial's LM
+    only combines counts (`search.TrainingLayouts`).
+    """
+
+    def __init__(self, corpus: list[Sentence], order: int, weights: np.ndarray):
+        if order < 1:
+            raise DataError("LM order must be >= 1")
+        if not corpus:
+            raise DataError("cannot train an LM on an empty corpus")
+        tokens = sorted({t for sent in corpus for t in sent})
+        self.order = order
+        self.vocab = tuple(tokens) + (EOS,)
+        syms = self.vocab + ("<unk>",)
+        sym_id = {s: i for i, s in enumerate(syms)}
+        bos_id = len(syms)
+        weights = np.asarray(weights, dtype=np.float64)
+        lengths = np.array([len(sent) for sent in corpus], dtype=np.intp)
+        self._token_totals = []
+        for column in weights.T.tolist():
+            total = 0.0
+            for w, length in zip(column, lengths.tolist()):
+                total += w * length
+            self._token_totals.append(total)
+        ids = np.array([sym_id[t] for sent in corpus for t in sent], dtype=np.int64)
+        counts = np.repeat(weights, lengths, axis=0)
+        history = np.column_stack([np.zeros((ids.size, 0), dtype=np.int64)]
+                                  + [_back(ids, lengths, d, bos_id) for d in range(1, order)])
+        self._tables = _count_tables(order, len(syms) + 1,
+                                     [(history[:, :j], ids, counts) for j in range(order)])
+
+    def lm(self, k: float, scale) -> NGramLM:
+        """The LM of the corpus weighted by `scale`, one weight per group."""
+        if k <= 0:
+            raise DataError("smoothing k must be positive")
+        token_total = _weighted(scale, self._token_totals)
+        child_keys, count_keys, count_vals, totals = self._tables
+        return NGramLM(self.order, k, self.vocab,
+                       (child_keys, count_keys, [_weighted(scale, v) for v in count_vals],
+                        [_weighted(scale, t) for t in totals]), token_total)
+
+
 def train_lm(corpus: list[Sentence], order: int, k: float,
              *, weights: list[int] | None = None) -> NGramLM:
     """Count-based training; `weights` replicates sentences without materializing them."""
-    if order < 1:
-        raise DataError("LM order must be >= 1")
-    if not corpus:
-        raise DataError("cannot train an LM on an empty corpus")
-    if k <= 0:
-        raise DataError("smoothing k must be positive")
     if weights is None:
         weights = [1] * len(corpus)
-
-    tokens = sorted({t for sent in corpus for t in sent})
-    vocab = tuple(tokens) + (EOS,)
-    syms = vocab + ("<unk>",)
-    sym_id = {s: i for i, s in enumerate(syms)}
-    bos_id = len(syms)
-
-    token_total = 0.0
-    for sent, w in zip(corpus, weights):
-        token_total += w * len(sent)
-    lengths = np.array([len(sent) for sent in corpus], dtype=np.intp)
-    ids = np.array([sym_id[t] for sent in corpus for t in sent], dtype=np.int64)
-    counts = np.repeat(np.asarray(weights, dtype=np.float64), lengths)
-    history = np.column_stack([np.zeros((ids.size, 0), dtype=np.int64)]
-                              + [_back(ids, lengths, d, bos_id) for d in range(1, order)])
-    return NGramLM(order, k, vocab,
-                   [(history[:, :j], ids, counts) for j in range(order)], token_total)
+    return NGramCounts(corpus, order, np.reshape(weights, (-1, 1))).lm(k, (1,))
 
 
 class InterpolatedLM:
@@ -515,17 +612,21 @@ def perplexity(model: LanguageModel, corpus: list[Sentence]) -> float:
 FINETUNE_ALPHA = 0.5
 
 
-def finetune_lm(base: NGramLM, in_domain: list[Sentence], alpha: float) -> LanguageModel:
+def finetune_lm(base: LanguageModel, in_domain: list[Sentence], alpha: float) -> LanguageModel:
     """Interpolate the base model with fresh in-domain estimates.
 
     alpha = 0 reproduces the base scores exactly; alpha = 1 reproduces a model
     trained on the in-domain corpus alone.
     """
-    if isinstance(base, InterpolatedLM):
-        # collapse: re-interpolate from the original base instead of nesting
-        base = base.base
-    indomain = train_lm(in_domain, base.order, base.k)
-    return InterpolatedLM(base, indomain, alpha)
+    base = base_ngram(base)
+    return InterpolatedLM(base, train_lm(in_domain, base.order, base.k), alpha)
+
+
+def base_ngram(model: LanguageModel) -> NGramLM:
+    """The n-gram model fine-tuning interpolates from: the model itself, or
+    an interpolated model's base, so fine-tunes re-interpolate from the
+    original base instead of nesting."""
+    return model.base if isinstance(model, InterpolatedLM) else model
 
 
 FORMAT_VERSION = 1
@@ -641,5 +742,9 @@ def lm_from_dict(doc: dict) -> LanguageModel:
         events = [_level_events(j, level, len(vocab) + 1) for j, level in enumerate(levels)]
     except ValueError as e:
         raise DataError(f"{what}: malformed key 'counts': {e}") from e
-    return NGramLM(order, k, vocab, events,
+    child_keys, count_keys, count_vals, totals = _count_tables(
+        order, len(vocab) + 2, [(history, words, counts[:, None])
+                                for history, words, counts in events])
+    return NGramLM(order, k, vocab, (child_keys, count_keys, [v[0] for v in count_vals],
+                                     [t[0] for t in totals]),
                    doc_float(doc, "token_total", what))

@@ -18,16 +18,39 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .corpus import DataMix, TaggedDataset, build_mix
+from .corpus import MAX_COUNT, DataMix, TaggedDataset, build_mix
 from .ensemble import Ensemble
-from .lm import FINETUNE_ALPHA, finetune_lm, logprobs, train_lm
+from .lm import FINETUNE_ALPHA, InterpolatedLM, NGramCounts, NGramLM, base_ngram, logprobs
 from .metrics import EvalContext, bleu
-from .tm import EMTrainer, LexModel, model_hash, pair_channel_scores, translate_stack
+from .tm import (LM_WEIGHT_MAX, EMTrainer, LexModel, PairLayout, model_hash,
+                 pair_channel_scores, translate_stack)
 from .util import NUMBER, DataError, doc_field, read_json, write_text_atomic
 
 DEFAULT_TRIALS = 30
 DEFAULT_PATIENCE = 2
 DEFAULT_FINETUNE_STEPS = 3
+
+
+def _whole(least: int, most: float = math.inf):
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and least <= v <= most
+
+
+def _number(test):
+    return lambda v: isinstance(v, NUMBER) and not isinstance(v, bool) and test(v)
+
+
+# The values each trial setting, and so each search dimension, can take.
+_SETTINGS = {
+    "em_iterations": (_whole(1), "an integer of at least 1"),
+    "lm_order": (_whole(1), "an integer of at least 1"),
+    "smoothing_k": (_number(lambda v: 0 < v < math.inf), "a positive finite number"),
+    "lm_weight": (_number(lambda v: 0 <= v <= LM_WEIGHT_MAX),
+                  f"a number in [0, {LM_WEIGHT_MAX}]"),
+    "window": (_whole(0), "an integer of at least 0"),
+    "beam": (_whole(1), "an integer of at least 1"),
+    **{name: (_whole(1, MAX_COUNT), "an integer in [1, 2**53]")
+       for name in ("up_bitext", "up_fwd", "up_bt")},
+}
 
 
 @dataclass(frozen=True)
@@ -41,6 +64,12 @@ class TrialConfig:
     up_bitext: int = 3
     up_fwd: int = 1
     up_bt: int = 1
+
+    def __post_init__(self) -> None:
+        for name, (valid, kind) in _SETTINGS.items():
+            value = getattr(self, name)
+            if not valid(value):
+                raise DataError(f"trial setting {name!r}: {value!r} is not {kind}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -65,6 +94,8 @@ DEFAULT_SEARCH_SPACE_DIMS = {
 
 @dataclass(frozen=True)
 class SearchSpace:
+    """Each dimension's value list; a value its trial setting cannot take
+    is a DataError naming the dimension."""
     dims: dict
 
     def __post_init__(self) -> None:
@@ -74,8 +105,10 @@ class SearchSpace:
         for name, values in self.dims.items():
             if not values:
                 raise DataError(f"search dimension {name!r} is empty")
-            if not all(isinstance(v, NUMBER) and not isinstance(v, bool) for v in values):
-                raise DataError(f"search dimension {name!r} must hold numbers")
+            valid, kind = _SETTINGS[name]
+            for value in values:
+                if not valid(value):
+                    raise DataError(f"search dimension {name!r}: {value!r} is not {kind}")
 
     def save(self, path: str) -> None:
         write_text_atomic(path, json.dumps({"version": 1, "dims": self.dims},
@@ -87,7 +120,10 @@ class SearchSpace:
         for name in dims:
             if not doc_field(dims, name, list, f"{path}: dims"):
                 raise DataError(f"{path}: dims: key {name!r} must be a non-empty list")
-        return cls(dims=dims)
+        try:
+            return cls(dims=dims)
+        except DataError as e:
+            raise DataError(f"{path}: {e}") from e
 
 
 def default_search_space() -> SearchSpace:
@@ -147,19 +183,23 @@ class TrialError(DataError):
         self.config = config
 
 
-def dev_perplexity(model: LexModel, dev: TaggedDataset) -> float:
+def dev_perplexity(model: LexModel, dev: TaggedDataset, *,
+                   lm_score: np.ndarray | None = None) -> float:
     """Early-stopping signal: perplexity of the composed model score on dev.
 
     The composed score of a pair is the length-agnostic lexical marginal of
     the target given the source plus lm_weight times the LM score; tokens are
     counted including end-of-sentence. The marginal ln P(tgt | src) is the
-    channel score of `tgt` given the hypothesis `src`.
+    channel score of `tgt` given the hypothesis `src`. `lm_score` holds the
+    dev targets' `logprobs` under `model.lm` when the caller has them:
+    `run_trial`'s checkpoints share one LM, so it scores them once.
     """
     sources = [src for src, _ in dev.pairs]
     targets = [tgt for _, tgt in dev.pairs]
     each = np.arange(len(dev.pairs))
     channel = pair_channel_scores(model, targets, sources, each, each)
-    lm_score = logprobs(model.lm, targets)
+    if lm_score is None:
+        lm_score = logprobs(model.lm, targets)
     total = 0.0
     for ch, lp in zip(channel.tolist(), lm_score.tolist()):
         total += ch
@@ -185,25 +225,97 @@ def _dev_bleus(models, dev: TaggedDataset, eval_ctx: EvalContext) -> list[float]
             for block in translate_stack(models, [src for src, _ in dev.pairs], 1)]
 
 
+class TrainingLayouts:
+    """What every mix of one list of training sets shares, whatever its
+    upsampling, built once on first use: EM's `tm.PairLayout` of the sets,
+    and per LM order the `lm.NGramCounts` of their target sides, one group
+    per set. A mix's trainer then only weighs the layout's pairs, and its LM
+    only combines counts; both equal, bit for bit, what the mix alone would
+    build (`EMTrainer(mix)`, `train_lm` of `mix.target_sentences()`),
+    because every weight is an integer and no count passes
+    `corpus.MAX_COUNT` (a DataError stops a mix that could).
+
+    `indomain_lm(order, k)` is the LM of the sets' target sides, each pair
+    counted once, kept per (order, k): the in-domain part every fine-tune
+    of a search interpolates toward, so those fine-tune LMs share it.
+
+    What it holds grows with the sets, not with the trials: the layout's id
+    arrays (one per pair token) and per order a count trie with one count
+    array per set, and the kept in-domain LMs.
+    """
+
+    def __init__(self, datasets: list[TaggedDataset]):
+        self.datasets = tuple(datasets)
+        self._pairs: PairLayout | None = None
+        self._targets: dict | None = None   # target sentence -> its count per set
+        self._tokens: list[int] = []        # each set's target tokens
+        self._counts: dict[int, NGramCounts] = {}
+        self._indomain: dict[tuple, NGramLM] = {}
+
+    def trainer(self, mix: DataMix, warm_start: LexModel | None = None) -> EMTrainer:
+        """`EMTrainer(mix, warm_start)` of a mix of these sets."""
+        if self._pairs is None:
+            self._pairs = PairLayout(self.datasets)
+        return EMTrainer(mix, warm_start, layout=self._pairs)
+
+    def lm(self, mix: DataMix, order: int, k: float) -> NGramLM:
+        """The target-side LM of a mix of these sets: `train_lm` of its
+        `target_sentences()`."""
+        if [ds.pairs for ds in mix.datasets] != [ds.pairs for ds in self.datasets]:
+            raise ValueError("the mix is not of the layouts' training sets")
+        return self._lm(order, k, [ds.upsample for ds in mix.datasets])
+
+    def indomain_lm(self, order: int, k: float) -> NGramLM:
+        """The LM of the sets' targets, each pair's target counted once;
+        built once per (order, k)."""
+        key = (order, k)
+        if key not in self._indomain:
+            self._indomain[key] = self._lm(order, k, [1] * len(self.datasets))
+        return self._indomain[key]
+
+    def _lm(self, order: int, k: float, upsample: list[int]) -> NGramLM:
+        if self._targets is None:
+            self._targets = {}
+            for d, ds in enumerate(self.datasets):
+                for _, tgt in ds.pairs:
+                    self._targets.setdefault(tgt, [0] * len(self.datasets))[d] += 1
+            self._tokens = [sum(len(tgt) for _, tgt in ds.pairs) for ds in self.datasets]
+        if sum(u * n for u, n in zip(upsample, self._tokens)) > MAX_COUNT:
+            raise DataError(f"upsampling {upsample} gives an LM more than 2**53 tokens, "
+                            f"where float64 counts stop being exact")
+        counts = self._counts.get(order)
+        if counts is None:
+            counts = self._counts[order] = NGramCounts(
+                list(self._targets), order, np.array(list(self._targets.values())))
+        return counts.lm(k, upsample)
+
+
 def run_trial(config: TrialConfig, mix: DataMix, dev: TaggedDataset, *,
               eval_ctx: EvalContext,
               patience: int | None = DEFAULT_PATIENCE,
-              src_lang: str = "src", tgt_lang: str = "tgt") -> TrialResult:
+              src_lang: str = "src", tgt_lang: str = "tgt",
+              layouts: TrainingLayouts | None = None) -> TrialResult:
     """Train one model per the config, early-stopping on dev perplexity.
 
     After each EM iteration the dev perplexity of the composed model is
     recorded; training stops once it fails to improve for `patience`
     consecutive checks (None disables stopping). The returned model is the
     best-perplexity checkpoint; its dev BLEU comes from beam decoding.
+
+    The trainer and the LM come from `layouts`, the `TrainingLayouts` of
+    the mix's sets that `run_search` builds once per direction; a trial run
+    alone builds its own. The checkpoints share the LM, so the dev targets'
+    LM scores are computed once, not at every EM step.
     """
     try:
-        sents, weights = zip(*mix.target_sentences())
-        lm = train_lm(list(sents), config.lm_order, config.smoothing_k,
-                      weights=list(weights))
+        if layouts is None:
+            layouts = TrainingLayouts(list(mix.datasets))
+        lm = layouts.lm(mix, config.lm_order, config.smoothing_k)
         settings = dict(beam=config.beam, window=config.window,
                         lm_weight=config.lm_weight, src_lang=src_lang,
                         tgt_lang=tgt_lang)
-        trainer = EMTrainer(mix)
+        trainer = layouts.trainer(mix)
+        lm_score = logprobs(lm, [tgt for _, tgt in dev.pairs])
         trace: list[float] = []
         best_ppl = math.inf
         best_model: LexModel | None = None
@@ -211,7 +323,7 @@ def run_trial(config: TrialConfig, mix: DataMix, dev: TaggedDataset, *,
         for _ in range(config.em_iterations):
             trainer.step()
             model = trainer.snapshot(lm, **settings)
-            ppl = dev_perplexity(model, dev)
+            ppl = dev_perplexity(model, dev, lm_score=lm_score)
             trace.append(ppl)
             if ppl < best_ppl:
                 best_ppl = ppl
@@ -228,18 +340,26 @@ def run_trial(config: TrialConfig, mix: DataMix, dev: TaggedDataset, *,
         raise TrialError(config, e) from e
 
 
+def _trial_sets(bitext: TaggedDataset, st: TaggedDataset | None,
+                bt: TaggedDataset | None) -> list[tuple[TaggedDataset, str]]:
+    """The sets a trial trains on, bitext and the non-empty synthetic sets,
+    each with the config field that upsamples it."""
+    if bitext is None or not bitext.pairs:
+        raise DataError("the training mix needs non-empty bitext")
+    sets = [(bitext, "up_bitext")]
+    if st is not None and st.pairs:
+        sets.append((st, "up_fwd"))
+    if bt is not None and bt.pairs:
+        sets.append((bt, "up_bt"))
+    return sets
+
+
 def trial_mix(config: TrialConfig, bitext: TaggedDataset, st: TaggedDataset | None,
               bt: TaggedDataset | None) -> DataMix:
     """Training mix of one trial: bitext plus the non-empty synthetic sets,
     upsampled by the config's ratios."""
-    if bitext is None or not bitext.pairs:
-        raise DataError("the training mix needs non-empty bitext")
-    datasets = [replace(bitext, upsample=config.up_bitext)]
-    if st is not None and st.pairs:
-        datasets.append(replace(st, upsample=config.up_fwd))
-    if bt is not None and bt.pairs:
-        datasets.append(replace(bt, upsample=config.up_bt))
-    return build_mix(datasets)
+    return build_mix([replace(ds, upsample=getattr(config, field))
+                      for ds, field in _trial_sets(bitext, st, bt)])
 
 
 def run_search(space: SearchSpace, n: int, seed: int, bitext: TaggedDataset,
@@ -260,16 +380,25 @@ def run_search(space: SearchSpace, n: int, seed: int, bitext: TaggedDataset,
     the memory a search holds does not grow with n. It grows with
     `finetune_steps` instead: `finetune` holds every checkpoint's table
     until its one stacked dev decode has scored them.
+
+    What the trials share is built once, before the first: the
+    `TrainingLayouts` of the trial sets (EM's pair layout and the n-gram
+    counts per LM order, with one count array per set) and of the bitext
+    (the fine-tunes' pair layout and their in-domain LM per (LM order,
+    smoothing k)). The search holds them until it returns; they grow with
+    the training sets, not with n.
     """
+    trial_layouts = TrainingLayouts([ds for ds, _ in _trial_sets(bitext, st, bt)])
+    tuning_layouts = TrainingLayouts([bitext])
     results: list[TrialResult] = []
     held: list[int] = []  # the trials whose models are alive, best first
     for i, config in enumerate(sample_configs(space, n, seed)):
         result = run_trial(config, trial_mix(config, bitext, st, bt), dev,
                            eval_ctx=eval_ctx, patience=patience,
-                           src_lang=src_lang, tgt_lang=tgt_lang)
+                           src_lang=src_lang, tgt_lang=tgt_lang, layouts=trial_layouts)
         result.model, result.dev_bleu = finetune(
             result.model, bitext, dev, finetune_steps, base_bleu=result.dev_bleu,
-            eval_ctx=eval_ctx)
+            eval_ctx=eval_ctx, layouts=tuning_layouts)
         if save is not None:
             save(i, result.model)
         results.append(result)
@@ -304,7 +433,8 @@ def select_top_k(results: list[TrialResult], k: int) -> Ensemble:
 
 def finetune(model: LexModel, in_domain: TaggedDataset, dev: TaggedDataset,
              max_steps: int, *, base_bleu: float, lm_alpha: float = FINETUNE_ALPHA,
-             eval_ctx: EvalContext) -> tuple[LexModel, float]:
+             eval_ctx: EvalContext,
+             layouts: TrainingLayouts | None = None) -> tuple[LexModel, float]:
     """Continue EM on in-domain data; return the best dev-BLEU checkpoint and its BLEU.
 
     Step 0 is the input model, whose dev BLEU the caller passes as
@@ -316,17 +446,25 @@ def finetune(model: LexModel, in_domain: TaggedDataset, dev: TaggedDataset,
     so the checkpoints' tables are held at once. A checkpoint wins when it
     scores above `base_bleu` and every earlier checkpoint: ties keep the
     earliest.
+
+    The pair layout and the in-domain LM come from `layouts`, the
+    `TrainingLayouts` of `[in_domain]`, which `run_search` builds once per
+    direction and shares across its trials; a fine-tune run alone builds
+    its own. So the fine-tune LMs of a search's trials with one (LM order,
+    smoothing k) share their in-domain part, and its row tables with it.
     """
     if not in_domain.pairs:
         raise DataError("fine-tuning needs non-empty in-domain data")
     if max_steps <= 0:
         return model, base_bleu
-    targets = [tgt for _, tgt in in_domain.pairs]
-    ft_lm = finetune_lm(model.lm, targets, lm_alpha)
+    if layouts is None:
+        layouts = TrainingLayouts([in_domain])
+    base = base_ngram(model.lm)
+    ft_lm = InterpolatedLM(base, layouts.indomain_lm(base.order, base.k), lm_alpha)
     settings = dict(beam=model.beam, window=model.window, lm_weight=model.lm_weight,
                     src_lang=model.src_lang, tgt_lang=model.tgt_lang,
                     unk_floor=model.unk_floor)
-    trainer = EMTrainer(build_mix([in_domain]), warm_start=model)
+    trainer = layouts.trainer(build_mix([in_domain]), warm_start=model)
     checkpoints = []
     for _ in range(max_steps):
         trainer.step()

@@ -72,7 +72,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .cache import cached
-from .corpus import UNK_TOKEN, DataMix, Sentence
+from .corpus import MAX_COUNT, UNK_TOKEN, DataMix, Sentence
 from .lm import LanguageModel, lm_from_dict, lm_json, row_table, train_lm
 from .util import (DataError, doc_field, doc_float, doc_strings, pair_runs_json, sha256_text,
                    stable_json_object)
@@ -309,29 +309,74 @@ class LexModel:
         return (np.append(ids, nt), np.append(lex, np.log(self.unk_floor)), start, count)
 
 
+class PairLayout:
+    """EM's view of a list of parallel datasets, for any upsampling of them.
+
+    The distinct pairs come in order of first appearance, dataset by
+    dataset (`DataMix.weighted_pairs`' key order), grouped by shape as
+    `_group_pairs` groups them, with each dataset's count of every pair.
+    A mix of these datasets upsampled by u weighs pair p
+    sum_d u[d] * count_d(p) (`weights`), so the mixes of one search share
+    one layout: its groups, vocabularies and id arrays are built once.
+    """
+
+    def __init__(self, datasets: Sequence):
+        self.sources = tuple(ds.pairs for ds in datasets)
+        index: dict = {}   # pair -> its row, in order of first appearance
+        rows = [[index.setdefault(pair, len(index)) for pair in pairs]
+                for pairs in self.sources]
+        if not index:
+            raise DataError("EM training needs at least one parallel pair")
+        self._counts = np.zeros((len(index), len(rows)), dtype=np.int64)
+        for d, at in enumerate(rows):
+            np.add.at(self._counts[:, d], at, 1)
+        self._most = self._counts.max(axis=0).tolist()
+        self.src_vocab = (NULL,) + tuple(sorted({s for src, _ in index for s in src}))
+        self.tgt_vocab = tuple(sorted({t for _, tgt in index for t in tgt}))
+        self.groups = _group_pairs(list(index), {s: i for i, s in enumerate(self.src_vocab)},
+                                   {s: i for i, s in enumerate(self.tgt_vocab)})
+
+    def weights(self, upsample: Sequence[int]) -> np.ndarray:
+        """Each pair's weight in the mix upsampled by `upsample`, one
+        integer per dataset: exact, as a DataError stops any weight that
+        could pass `MAX_COUNT`."""
+        if sum(u * most for u, most in zip(upsample, self._most)) > MAX_COUNT:
+            raise DataError(f"upsampling {list(upsample)} gives a pair a weight past 2**53, "
+                            f"where float64 weights stop being exact")
+        return (self._counts @ np.array(upsample, dtype=np.int64)).astype(np.float64)
+
+
 class EMTrainer:
     """Stepwise IBM Model 1 EM over a training mix.
 
     Starts from a uniform table, or from an existing model's table when warm
     starting (symbols unknown to the warm model initialize uniform).
     Upsampled duplicates are folded into pair weights, which yields exactly
-    the replicated-corpus estimates.
+    the replicated-corpus estimates. The pairs come from `layout`, the
+    `PairLayout` of the mix's datasets (ValueError for another), built
+    here when none is given.
     """
 
-    def __init__(self, mix: DataMix, warm_start: LexModel | None = None):
-        pairs = mix.weighted_pairs().items()
-        if not pairs:
-            raise DataError("EM training needs at least one parallel pair")
-        src_syms = {s for (src, _), _ in pairs for s in src}
-        tgt_syms = {t for (_, tgt), _ in pairs for t in tgt}
+    def __init__(self, mix: DataMix, warm_start: LexModel | None = None, *,
+                 layout: PairLayout | None = None):
+        if layout is None:
+            layout = PairLayout(mix.datasets)
+        elif list(layout.sources) != [ds.pairs for ds in mix.datasets]:
+            raise ValueError("the pair layout is not of the mix's datasets")
+        weights = layout.weights([ds.upsample for ds in mix.datasets])
+        self.src_vocab, self.tgt_vocab = layout.src_vocab, layout.tgt_vocab
+        self.groups = [(ls, lt, S, T, weights[rows]) for ls, lt, S, T, rows in layout.groups]
         if warm_start is not None:
-            src_syms |= set(warm_start.src_vocab[1:])
-            tgt_syms |= set(warm_start.tgt_vocab)
-        self.src_vocab = (NULL,) + tuple(sorted(src_syms))
-        self.tgt_vocab = tuple(sorted(tgt_syms))
-        src_id = {s: i for i, s in enumerate(self.src_vocab)}
-        tgt_id = {s: i for i, s in enumerate(self.tgt_vocab)}
-        self.groups = _group_pairs(pairs, src_id, tgt_id)
+            # the layout's ids move to their places in the larger vocabularies
+            self.src_vocab = (NULL,) + tuple(sorted(set(self.src_vocab[1:])
+                                                    | set(warm_start.src_vocab[1:])))
+            self.tgt_vocab = tuple(sorted(set(self.tgt_vocab) | set(warm_start.tgt_vocab)))
+            src_id = {s: i for i, s in enumerate(self.src_vocab)}
+            tgt_id = {s: i for i, s in enumerate(self.tgt_vocab)}
+            src_map = np.array([0] + [src_id[s] for s in layout.src_vocab[1:]], dtype=np.intp)
+            tgt_map = np.array([tgt_id[s] for s in layout.tgt_vocab], dtype=np.intp)
+            self.groups = [(ls, lt, src_map[S], tgt_map[T], W)
+                           for ls, lt, S, T, W in self.groups]
         nt = len(self.tgt_vocab)
         self.t = np.full((len(self.src_vocab), nt), 1.0 / nt)
         if warm_start is not None:
@@ -373,18 +418,17 @@ def em_train(mix: DataMix, iterations: int, *, lm_order: int = 3, lm_k: float = 
 
 
 def _group_pairs(pairs, src_id, tgt_id):
-    """Group (src ids + NULL, tgt ids, weight) by shape for batched EM updates.
+    """Group (src ids + NULL, tgt ids, rows) of distinct pairs by shape for
+    batched EM updates; `rows` are the pairs' indices in `pairs`.
 
     Shapes come in ascending (source length, target length) order and each
     shape's rows in the order of `pairs`: `_em_iteration` accumulates its
     counts in that order. Each side's ids are read in one pass, and the
     shapes are grouped by one stable sort of their keys.
     """
-    keys, weights = zip(*pairs)
-    srcs, tgts = zip(*keys)
+    srcs, tgts = zip(*pairs)
     src_len = np.fromiter(map(len, srcs), dtype=np.intp, count=len(srcs))
     tgt_len = np.fromiter(map(len, tgts), dtype=np.intp, count=len(tgts))
-    weights = np.array(weights, dtype=np.float64)
     src_ids = np.fromiter(map(src_id.__getitem__, chain.from_iterable(srcs)),
                           dtype=np.intp, count=int(src_len.sum()))
     tgt_ids = np.fromiter(map(tgt_id.__getitem__, chain.from_iterable(tgts)),
@@ -398,7 +442,7 @@ def _group_pairs(pairs, src_id, tgt_id):
         S = np.zeros((rows.size, ls + 1), dtype=np.intp)     # NULL is source id 0
         S[:, 1:] = src_ids[src_start[rows, None] + np.arange(ls)]
         T = tgt_ids[tgt_start[rows, None] + np.arange(lt)]
-        groups.append((ls, lt, S, T, weights[rows]))
+        groups.append((ls, lt, S, T, rows))
     return groups
 
 
@@ -792,8 +836,8 @@ def _entry_scores(table, lm_weight: float, cand_ids: np.ndarray, cand_lex: np.nd
                   lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(scores, candidate entries) of candidate entries first[r]:first[r] +
     lens[r] of every pool row r, row by row. Row r extends a state scored
-    row_score[r] and reads the LM row at table.rows.flat[row_lm[r]:]; an
-    entry scores
+    row_score[r] and reads the LM row at table.probs.flat[row_lm[r]:], the
+    log of each entry it takes; an entry scores
 
         score + (lex + lm_weight * lm)
 
@@ -806,8 +850,9 @@ def _entry_scores(table, lm_weight: float, cand_ids: np.ndarray, cand_lex: np.nd
     cols += np.arange(cols.size)
     at = cand_ids.take(cols)
     at += row_lm.repeat(lens)
-    flat = table.rows.take(at)
+    flat = table.probs.take(at)
     del at
+    np.log(flat, out=flat)
     flat *= lm_weight
     flat += cand_lex.take(cols)
     flat += row_score.repeat(lens)

@@ -150,6 +150,39 @@ class TestOutputsDoNotDependOnTheBound:
         assert deltas(before)["builds"] >= 2 * 6 + 1
         assert evicted == kept
 
+    def test_stacked_and_reranked_decodes_with_an_interpolated_lm(self):
+        # with room for one table, the fine-tune LM's table and its two
+        # parts' tables evict each other at every read: every part table
+        # is built again and every row mixed again
+        kept = interpolated_decodes(23)
+        before = cache_counts()
+        with mock.patch.object(cache, "BOUND", 1):
+            evicted = interpolated_decodes(23)
+        assert deltas(before)["evictions"] > 3 * 6
+        assert evicted == kept
+
+
+def interpolated_decodes(seed: int):
+    """A stack of three checkpoints sharing a fine-tune LM, decoded in one
+    pass, and the first of them decoded reranked, in blocks of few states,
+    as the bytes of every array of their blocks."""
+    rng = random.Random(seed)
+    mix, fwd, bwd = random_models(rng, n_pairs=30)
+    targets = [tgt for (_, tgt), _ in mix.weighted_pairs().items()]
+    ft_lm = finetune_lm(fwd.lm, targets[:8], 0.4)
+    stack = [tm.LexModel(fwd.src_vocab, fwd.tgt_vocab, fwd.t * scale, ft_lm, beam=fwd.beam,
+                         window=fwd.window, lm_weight=fwd.lm_weight)
+             for scale in (1.0, 0.7, 0.4)]
+    sources = [src for (src, _), _ in mix.weighted_pairs().items()]
+    ctx = RerankContext(bwd, finetune_lm(train_lm(targets, 3, 0.4), targets[:6], 0.3),
+                        NoisyChannelWeights(0.7, 0.4), nbest=6)
+    with mock.patch.object(tm, "_DECODE_STATES", 40):
+        blocks = tm.translate_stack(stack, sources, 4)
+        blocks.append(translate_corpus(stack[0], sources, 6, rerank_ctx=ctx))
+    return [[getattr(block, name).tobytes() for name in
+             ("hyps", "lengths", "fwd", "offsets", "channel", "lm", "combined")
+             if getattr(block, name, None) is not None] for block in blocks]
+
 
 class TestStackedDecodeReadsEachTableOnce:
     @pytest.fixture(autouse=True)

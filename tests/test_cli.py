@@ -242,6 +242,25 @@ class TestExitCodes:
         assert "3 distinct configurations" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("command", ["search", "pipeline"])
+    @pytest.mark.parametrize("name, value", [("em_iterations", 2.5), ("em_iterations", 0),
+                                             ("lm_order", 2.0), ("beam", 1.5),
+                                             ("up_bitext", 1.5)])
+    def test_space_value_a_setting_cannot_take_is_2(self, workspace, capsys, command,
+                                                     name, value):
+        path = f"space_bad_{command}_{name}.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"version": 1, "dims": {name: [value]}}, fh)
+        out = f"{command}-bad-space"
+        argv = [command, "--parallel", "bundle/parallel.tsv", "--dev", "bundle/dev.tsv",
+                "--trials", "1", "--topk", "1", "--space", path,
+                "--out-dir" if command == "search" else "--run-dir", out]
+        capsys.readouterr()
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert repr(name) in err and path in err
+        assert not os.path.exists(out)
+
     def test_help_is_0(self):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--help"])

@@ -209,6 +209,11 @@ class TestDatasetValidation:
         with pytest.raises(DataError):
             TaggedDataset("d", SIDE_PARALLEL, "<t>", pairs=(), upsample=0)
 
+    @pytest.mark.parametrize("upsample", [1.5, 2.0, True, "2", None, 2**53 + 1])
+    def test_upsample_that_is_not_a_whole_count_rejected(self, upsample):
+        with pytest.raises(DataError, match="upsample"):
+            TaggedDataset("d", SIDE_PARALLEL, "<t>", pairs=(), upsample=upsample)
+
     def test_unknown_side_rejected(self):
         with pytest.raises(DataError):
             TaggedDataset("d", "sideways", "<t>")

@@ -335,13 +335,13 @@ class TestBoundPruning:
     def test_equal_scores_in_a_row_keep_the_lower_target_id(self):
         # lex and LM terms swapped between a and b: b comes first in lex
         # order, a in id order, and both score ln 0.5 + ln 0.25 at weight 1
-        row = np.log([0.5, 0.25, 0.125, 0.125])   # over a, b, c, <unk>
+        row = np.array([0.5, 0.25, 0.125, 0.125])   # over a, b, c, <unk>
         t = np.array([[0.0, 0.0, 0.0], [0.25, 0.5, 0.0]])
         model = tm.LexModel((tm.NULL, "x"), ("a", "b", "c"), t,
                             train_lm([("a", "b", "c")], 1, 0.5), beam=1, window=0,
                             lm_weight=1.0)
-        with mock.patch.object(lm_module, "_mix",
-                               lambda parts, probs: np.broadcast_to(row, probs[0].shape).copy()):
+        with mock.patch.object(lm_module.RowTable, "_ngram_rows",
+                               lambda self, lm, depth, node: np.tile(row, (len(node), 1))):
             nb = decode_one(model, ("x",), 1)
             assert model._candidate_table()[0][:2].tolist() == [1, 0]
             assert entries(nb) == [(hyp, score.hex())
@@ -380,10 +380,11 @@ class TestMarginCoversTheLmRows:
         # one candidate c ties a's lex; the sample holds b and c, so thr is
         # c's score, which a's equals. a's bound, its lex, lies below thr by
         # lm_weight * (ln 0.5 + 1), yet a wins the tie by pool index
-        real = lm_module._mix
+        real = lm_module.RowTable._ngram_rows
         targets = ("a", "b", "c")
         t = np.array([[0.0, 0.0, 0.0], [0.3, 0.6, 0.0], [0.0, 0.0, 0.3]])
-        with mock.patch.object(lm_module, "_mix", lambda parts, probs: real(parts, probs) + 1.0):
+        with mock.patch.object(lm_module.RowTable, "_ngram_rows",
+                               lambda self, lm, depth, node: real(self, lm, depth, node) * np.e):
             model = tm.LexModel((tm.NULL, "x", "y"), targets, t,
                                 train_lm([("a", "c")], 1, 1e-20), beam=1, window=1,
                                 lm_weight=lm_weight)

@@ -27,6 +27,7 @@ from deskmt.lm import (
 )
 from deskmt.util import stable_json_dumps
 from reference_docs import lm_to_dict as reference_lm_to_dict
+from reference_row_table import ReferenceRowTable
 
 
 def sentence_logprob(model, sentence):
@@ -369,6 +370,7 @@ class TestBatchScores:
         sents = random_corpus(rng, ["a", "b", "c", "d", "e"], 40)
         for model in self.models():
             table = row_table(model, _SCORER_SYMBOLS)
+            kept = set()   # the parts whose tables have held lower-order rows
             for s in sents:
                 assert sentence_logprob(model, s) == reference_logprob(model, s)
                 # a token outside the symbols reads as "zz", which no LM knows
@@ -380,12 +382,15 @@ class TestBatchScores:
                     [batch_term(model, tuple(_SCORER_SYMBOLS[i] for i in ctx), sym).hex()
                      for sym in _SCORER_SYMBOLS]
                 assert table.held <= 5 and table._states.size == table.held
-                # the lower-order rows the table builds from, one dict per part
-                assert len(table._lower) == len(model.parts)
-                for (_, part), kept in zip(model.parts, table._lower):
-                    assert len(kept) <= 5
-                    assert all(level < part.order for level, _ in kept)
-            assert all(table._lower)
+                # the lower-order rows each part's own table builds from
+                for at, (_, part) in enumerate(model.parts):
+                    part_table = row_table(part, _SCORER_SYMBOLS)
+                    assert part_table.held <= 5
+                    assert len(part_table._lower) <= 5
+                    assert all(level < part.order for level, _ in part_table._lower)
+                    if part_table._lower:
+                        kept.add(at)
+            assert kept == set(range(len(model.parts)))
 
     def test_empty_batch(self):
         for model in self.models():
@@ -752,3 +757,69 @@ class TestRowTable:
         del model
         with pytest.raises(ValueError, match="language model is gone"):
             table.slots(np.array([[2]]))
+
+
+def _counting_rows(monkeypatch):
+    """Count the rows `NGramLM._rows` builds, by (id of the part, level)."""
+    built = {}
+    real = NGramLM._rows
+
+    def counted(self, level, depth, node, kept):
+        built[id(self), level] = built.get((id(self), level), 0) + len(node)
+        return real(self, level, depth, node, kept)
+
+    monkeypatch.setattr(NGramLM, "_rows", counted)
+    return built
+
+
+@pytest.mark.hashseed
+class TestPerPartRows:
+    """An interpolated LM's table mixes rows read from its parts' own
+    tables, so a part shared by several LMs computes each row once."""
+
+    def test_a_shared_part_computes_its_rows_once(self, monkeypatch):
+        rng = random.Random(61)
+        base = train_lm(random_corpus(rng, ["a", "b", "c", "d"], 40), order=3, k=0.4)
+        ones = [finetune_lm(base, random_corpus(rng, ["a", "b", "e"], 8), alpha)
+                for alpha in (0.3, 0.7)]
+        contexts = np.array([[i, j] for i in range(4) for j in range(4)])
+        built = _counting_rows(monkeypatch)
+        first = row_table(ones[0], _SCORER_SYMBOLS)
+        first.slots(contexts)
+        base_rows = {level: built.get((id(base), level), 0) for level in (1, 2, 3)}
+        assert base_rows[3] == len({lm_state(base, [_SCORER_SYMBOLS[i] for i in ctx])
+                                    for ctx in contexts.tolist()})
+        second = row_table(ones[1], _SCORER_SYMBOLS)
+        second.slots(contexts)
+        # the base's rows, lower orders included, come from its table
+        assert {level: built.get((id(base), level), 0) for level in (1, 2, 3)} == base_rows
+        assert built[id(ones[1].indomain), 2] > 0
+        assert first.held > 0 and second.held > 0
+
+    @settings(max_examples=120, deadline=None)
+    @given(_corpora, _orders, _ks, st.sampled_from([None, 0.0, 0.4, 1.0]),
+           st.lists(st.lists(st.tuples(*[st.integers(0, len(_TABLE_SYMBOLS) - 1)] * 3),
+                             min_size=1, max_size=8), min_size=1, max_size=4),
+           st.booleans())
+    def test_rows_equal_the_reference_table(self, corpus, order, k, alpha, steps, shared):
+        """Every row the decoder reads equals, bit for bit, the row of the
+        table that computed its parts' rows itself; with `shared`, a second
+        LM over the same base has filled the base's table first."""
+        base = train_lm(corpus, order, k)
+        model = base
+        if alpha is not None:
+            model = finetune_lm(base, [("b", "e"), ("e", "<s>", "a", "a")], alpha)
+        if shared:
+            other = finetune_lm(base, [("a", "c", "c")], 0.5)
+            row_table(other, _TABLE_SYMBOLS).slots(np.array([[0, 1, 2], [2, 3, 4]])[:, 4 - order:])
+        table = row_table(model, _TABLE_SYMBOLS)
+        reference = ReferenceRowTable(model, _TABLE_SYMBOLS)
+        for contexts in steps:
+            width = order - 1
+            ids = np.array([c[3 - width:] for c in contexts], dtype=np.intp).reshape(
+                len(contexts), width)
+            got, want = table.slots(ids), reference.slots(ids)
+            assert table.rows[got].tobytes() == reference.rows[want].tobytes()
+        if alpha is not None or not shared:   # no other LM filled this table
+            assert table.held == reference.held
+            assert table.row_max == reference.row_max

@@ -17,7 +17,7 @@ from deskmt.corpus import (
     save_corpus,
 )
 from deskmt.ensemble import Ensemble
-from deskmt.lm import RowTable
+from deskmt.lm import InterpolatedLM, RowTable
 from deskmt.pipeline import PipelineConfig, PipelineManifest, run_pipeline
 from deskmt.rerank import write_nbest_file
 from deskmt.search import SearchSpace, TrialConfig, default_search_space
@@ -294,22 +294,25 @@ class TestResumeChecksEnsembleMembers:
 class TestLMCaches:
     def test_no_table_keeps_a_top_order_row_of_a_part(self, tmp_path, monkeypatch):
         # every row table of the run, kept past its eviction from the cache,
-        # with its LM's parts' orders
+        # with its LM; lower-order rows live in the tables of n-gram LMs,
+        # which an interpolated LM's table reads its parts' rows from
         created = []
         init = RowTable.__init__
 
         def recording_init(self, model, symbols):
             init(self, model, symbols)
-            created.append((self, [part.order for _, part in model.parts]))
+            created.append((self, isinstance(model, InterpolatedLM), model.order))
 
         monkeypatch.setattr(RowTable, "__init__", recording_init)
         bundle = tiny_bundle(seed=31)
         run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt, bundle.dev,
                      str(tmp_path / "r"), tiny_config())
-        assert created and any(any(table._lower) for table, _ in created)
-        for table, orders in created:
-            for kept, order in zip(table._lower, orders):
-                assert all(level < order for level, _ in kept)
+        assert created and any(table._lower for table, _, _ in created)
+        assert any(mixed for _, mixed, _ in created)
+        for table, mixed, order in created:
+            if mixed:
+                assert not table._lower
+            assert all(level < order for level, _ in table._lower)
 
 
 class TestNoRecomputation:

@@ -1,8 +1,11 @@
 import json
 import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deskmt.corpus import (
     SIDE_PARALLEL,
@@ -13,13 +16,15 @@ from deskmt.corpus import (
     build_mix,
 )
 from deskmt import tm
-from deskmt.lm import FINETUNE_ALPHA, finetune_lm, logprobs
+from deskmt.lm import FINETUNE_ALPHA, InterpolatedLM, finetune_lm, lm_json, logprobs, train_lm
 from deskmt.metrics import EvalContext
 from deskmt.search import (
     DataError,
     SearchSpace,
+    TrainingLayouts,
     TrialConfig,
     TrialResult,
+    _trial_sets,
     check_sample_size,
     default_search_space,
     dev_bleu,
@@ -32,7 +37,7 @@ from deskmt.search import (
     trial_mix,
 )
 from deskmt.tm import EMTrainer, em_train, translate_corpus
-from test_tm import reference_marginal
+from test_tm import per_pair_grouping, reference_marginal
 
 
 def parallel(seed, n_pairs=16, vocab=4):
@@ -125,6 +130,18 @@ class TestSampleConfigs:
         with pytest.raises(DataError, match="'beam'"):
             SearchSpace(dims={"beam": values})
 
+    @pytest.mark.parametrize("name, value", [
+        ("em_iterations", 2.5), ("em_iterations", 0), ("lm_order", 2.0), ("lm_order", 0),
+        ("beam", 1.5), ("beam", 0), ("window", -1), ("window", 1.0),
+        ("smoothing_k", 0), ("smoothing_k", -0.5), ("smoothing_k", math.inf),
+        ("lm_weight", -1.0), ("lm_weight", math.nan), ("lm_weight", 1e308),
+        ("up_bitext", 1.5), ("up_fwd", 0), ("up_bt", 2**53 + 1)])
+    def test_value_a_setting_cannot_take_rejected(self, name, value):
+        with pytest.raises(DataError, match=repr(name)):
+            SearchSpace(dims={name: [1, value] if name != "window" else [0, value]})
+        with pytest.raises(DataError, match=repr(name)):
+            TrialConfig(**{name: value})
+
     def test_empty_dimension_rejected(self):
         with pytest.raises(DataError):
             SearchSpace(dims={"em_iterations": []})
@@ -138,6 +155,9 @@ class TestSampleConfigs:
     @pytest.mark.parametrize("doc,key", [
         ({}, "'dims'"), ([], "JSON object"), ({"dims": []}, "'dims'"),
         ({"dims": {"beam": 5}}, "'beam'"), ({"dims": {"beam": []}}, "'beam'"),
+        ({"dims": {"beam": [1.5]}}, "'beam'"), ({"dims": {"up_bitext": [1.5]}}, "'up_bitext'"),
+        ({"dims": {"em_iterations": [0]}}, "'em_iterations'"),
+        ({"dims": {"colour": [1]}}, "colour"),
     ])
     def test_malformed_space_file_is_data_error(self, tmp_path, doc, key):
         path = tmp_path / "space.json"
@@ -159,7 +179,7 @@ class TestRunTrial:
         # scripted signal: improves once, then strictly worsens from step 2
         scripted = iter([5.0, 6.0, 7.0, 8.0, 9.0])
         monkeypatch.setattr("deskmt.search.dev_perplexity",
-                            lambda model, dev: next(scripted))
+                            lambda model, dev, **_: next(scripted))
         ds = parallel(2)
         mix = build_mix([ds])
         cfg = TrialConfig(em_iterations=5, lm_order=2, beam=2)
@@ -169,7 +189,7 @@ class TestRunTrial:
     def test_patience_two_tolerates_one_bad_check(self, monkeypatch):
         scripted = iter([5.0, 6.0, 4.0, 4.5, 4.6, 4.7])
         monkeypatch.setattr("deskmt.search.dev_perplexity",
-                            lambda model, dev: next(scripted))
+                            lambda model, dev, **_: next(scripted))
         ds = parallel(2)
         mix = build_mix([ds])
         cfg = TrialConfig(em_iterations=6, lm_order=2, beam=2)
@@ -434,3 +454,141 @@ class TestDevReferences:
             tuned, [s for s, _ in dev.pairs], 1).top_hyps()]
         assert dev_bleu(tuned, dev, eval_ctx=ctx) == score == bleu(
             hyps, [fresh.detok_tokens(r) for r in refs])
+
+
+def reference_trainer(mix, warm_start=None):
+    """`EMTrainer.__init__` as it was before the pair layout: the mix's
+    weighted pairs grouped pair by pair: (src vocab, tgt vocab, groups, t)."""
+    pairs = mix.weighted_pairs().items()
+    src_syms = {s for (src, _), _ in pairs for s in src}
+    tgt_syms = {t for (_, tgt), _ in pairs for t in tgt}
+    if warm_start is not None:
+        src_syms |= set(warm_start.src_vocab[1:])
+        tgt_syms |= set(warm_start.tgt_vocab)
+    src_vocab = (tm.NULL,) + tuple(sorted(src_syms))
+    tgt_vocab = tuple(sorted(tgt_syms))
+    src_id = {s: i for i, s in enumerate(src_vocab)}
+    tgt_id = {s: i for i, s in enumerate(tgt_vocab)}
+    groups = per_pair_grouping(pairs, src_id, tgt_id)
+    t = np.full((len(src_vocab), len(tgt_vocab)), 1.0 / len(tgt_vocab))
+    if warm_start is not None:
+        t[np.ix_([src_id[s] for s in warm_start.src_vocab],
+                 [tgt_id[s] for s in warm_start.tgt_vocab])] = warm_start.t
+    return src_vocab, tgt_vocab, groups, t
+
+
+# few symbols, so pairs repeat within a set and across sets
+_SIDES = st.lists(st.sampled_from("abc"), min_size=1, max_size=3).map(tuple)
+_PAIRS = st.lists(st.tuples(_SIDES, _SIDES), max_size=8).map(tuple)
+
+
+def _dataset(name, tag, pairs):
+    return TaggedDataset(name, SIDE_PARALLEL, tag, pairs=pairs)
+
+
+@pytest.mark.hashseed
+class TestSharedLayouts:
+    """A search's `TrainingLayouts`, built once per direction, give every
+    trial the trainer and the LM its mix alone would give, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(bitext=_PAIRS.filter(bool), st_pairs=st.none() | _PAIRS, bt_pairs=st.none() | _PAIRS,
+           configs=st.lists(st.tuples(*[st.integers(1, 5)] * 3), min_size=1, max_size=3),
+           warm=st.booleans(), steps=st.integers(1, 3))
+    def test_trainer_equals_the_reference(self, bitext, st_pairs, bt_pairs, configs, warm,
+                                          steps):
+        bitext = _dataset("p", TAG_IN_DOMAIN, bitext)
+        synthetic = [None if pairs is None else _dataset(name, tag, pairs)
+                     for name, tag, pairs in (("s", TAG_SELF_TRAINED, st_pairs),
+                                              ("b", TAG_BACK_TRANSLATED, bt_pairs))]
+        layouts = TrainingLayouts([ds for ds, _ in _trial_sets(bitext, *synthetic)])
+        # a warm start with symbols the mixes lack, as a fine-tune has
+        warm_start = None
+        if warm:
+            src_vocab, tgt_vocab = (tm.NULL, "a", "q"), ("Q", "b")
+            t = np.array([[0.5, 0.5], [0.25, 0.75], [0.9, 0.1]])
+            warm_start = tm.LexModel(src_vocab, tgt_vocab, t, train_lm([("b",)], 1, 0.5))
+        for up in configs:
+            config = TrialConfig(up_bitext=up[0], up_fwd=up[1], up_bt=up[2])
+            mix = trial_mix(config, bitext, *synthetic)
+            trainer = layouts.trainer(mix, warm_start)
+            src_vocab, tgt_vocab, groups, t = reference_trainer(mix, warm_start)
+            assert (trainer.src_vocab, trainer.tgt_vocab) == (src_vocab, tgt_vocab)
+            assert len(trainer.groups) == len(groups)
+            for got, want in zip(trainer.groups, groups):
+                assert got[:2] == want[:2]
+                for a, b in zip(got[2:], want[2:]):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
+            assert trainer.t.tobytes() == t.tobytes()
+            trace = []
+            for _ in range(steps):
+                trainer.step()
+                t, ll = tm._em_iteration(t, groups)
+                trace.append(ll)
+                assert trainer.t.tobytes() == t.tobytes()
+            assert trainer.ll_trace == trace
+
+    @settings(max_examples=120, deadline=None)
+    @given(bitext=_PAIRS.filter(bool), st_pairs=st.none() | _PAIRS, bt_pairs=st.none() | _PAIRS,
+           configs=st.lists(st.tuples(*[st.integers(1, 5)] * 3), min_size=1, max_size=3),
+           order=st.integers(1, 3), k=st.sampled_from([0.1, 0.5, 2.0]))
+    def test_lm_writes_the_text_of_train_lm(self, bitext, st_pairs, bt_pairs, configs,
+                                            order, k):
+        bitext = _dataset("p", TAG_IN_DOMAIN, bitext)
+        synthetic = [None if pairs is None else _dataset(name, tag, pairs)
+                     for name, tag, pairs in (("s", TAG_SELF_TRAINED, st_pairs),
+                                              ("b", TAG_BACK_TRANSLATED, bt_pairs))]
+        layouts = TrainingLayouts([ds for ds, _ in _trial_sets(bitext, *synthetic)])
+        for up in configs:
+            mix = trial_mix(TrialConfig(up_bitext=up[0], up_fwd=up[1], up_bt=up[2]),
+                            bitext, *synthetic)
+            sents, weights = zip(*mix.target_sentences())
+            expected = train_lm(list(sents), order, k, weights=list(weights))
+            assert lm_json(layouts.lm(mix, order, k)) == lm_json(expected)
+        # the in-domain LM of the bitext alone, each pair's target once
+        tuning = TrainingLayouts([bitext])
+        indomain = tuning.indomain_lm(order, k)
+        assert tuning.indomain_lm(order, k) is indomain
+        assert lm_json(indomain) == lm_json(train_lm([t for _, t in bitext.pairs], order, k))
+
+    def test_a_mix_of_other_sets_is_refused(self):
+        ds = parallel(7)
+        layouts = TrainingLayouts([ds])
+        other = build_mix([parallel(8)])
+        with pytest.raises(ValueError):
+            layouts.trainer(other)
+        with pytest.raises(ValueError):
+            layouts.lm(other, 2, 0.5)
+
+    def test_a_count_past_2_to_the_53_is_data_error(self):
+        pair = (("a", "b"), ("x", "y"))   # twice, so its weight is 2**54
+        ds = _dataset("p", TAG_IN_DOMAIN, (pair, pair))
+        layouts = TrainingLayouts([ds])
+        mix = build_mix([replace(ds, upsample=2**53)])
+        with pytest.raises(DataError, match="2\\*\\*53"):
+            layouts.trainer(mix)
+        with pytest.raises(DataError, match="2\\*\\*53"):
+            layouts.lm(mix, 2, 0.5)
+
+    def test_a_search_builds_each_layout_once(self, monkeypatch):
+        # 6 trials, each fine-tuned: one pair grouping for the trials and
+        # one for the fine-tunes; one in-domain LM per (order, k)
+        grouped = []
+        real = tm._group_pairs
+        monkeypatch.setattr(tm, "_group_pairs", lambda *a: grouped.append(1) or real(*a))
+        ds = parallel(5, n_pairs=24)
+        indomain = set()
+        real_init = InterpolatedLM.__init__
+
+        def recording(self, base, part, alpha):
+            indomain.add((id(part), base.order, base.k))
+            real_init(self, base, part, alpha)
+
+        monkeypatch.setattr(InterpolatedLM, "__init__", recording)
+        space = SearchSpace(dims={"em_iterations": [2], "lm_order": [2, 3],
+                                  "smoothing_k": [0.3, 1.0], "up_bitext": [1, 2, 3]})
+        run_search(space, 6, 3, ds, None, None, ds, topk=2, finetune_steps=2,
+                   eval_ctx=EvalContext(), patience=None)
+        assert len(grouped) == 2
+        assert len(indomain) == len({(order, k) for _, order, k in indomain})
