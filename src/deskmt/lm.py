@@ -32,10 +32,11 @@ level (`_counts_json`), with no list built per count.
 Both LM kinds are weighted mixtures of count models: `parts` lists
 (weight, `NGramLM`) pairs, `((1.0, lm),)` for an `NGramLM` and
 `((1 - a, base), (a, indomain))` for an `InterpolatedLM`. Every score,
-`logprobs`' event terms, the decoder's rows and the end-of-sentence term,
-is computed per part in probability space and mixed by `_mixture`, which
-adds weight * p in part order; the log is taken last (`_mix`). For one part
-of weight 1 that is ln p bit for bit.
+`logprobs`' event terms, the end-of-sentence term and the entries the
+decoder takes, is computed per part in probability space and mixed by the
+one function `mixture`, which adds weight * p in part order, element by
+element; the log is taken last (`_mix`). For one part of weight 1 that is
+ln p bit for bit.
 
 Counting is separate from the model. `NGramCounts` counts a corpus once
 on one trie, with one count array per group of sentence weights, and its
@@ -55,45 +56,37 @@ events than tokens: 13,565 against 88,198 over the 300 reranked lists of
 the bench's `recipe` self-training pool (seed 1).
 
 The decoder reads rows, a word's probability after a context at every
-symbol of a fixed list, from a `RowTable`: one per (LM, symbol list), kept
-in the decoder cache (`cache`) by `row_table`, so models that share an LM
-and a target vocabulary (fine-tune candidates, an ensemble and its first
-member) share one table while it is held there. The cache holds a bounded
-number of tables, evicting the least recently used; an evicted table is
-built again on the next request, with the same rows. A table holds
-probability rows; the decoder logs the entries it scores.
+symbol of a fixed list, from a `RowTable`: one per (n-gram LM, symbol
+list), kept in the decoder cache (`cache`) by `row_table`, so models that
+share an LM and a target vocabulary (fine-tune candidates, an ensemble and
+its first member) share one table while it is held there. An interpolated
+LM has no table of its own: the decoder reads each part's table and mixes
+the parts' probabilities at the entries it takes (`tm._entry_scores`). So
+a part shared by several LMs computes each of its rows once while the cache
+holds its table: the trial LM inside each of its fine-tune LMs, and the
+in-domain LM a search's fine-tunes share (`search.TrainingLayouts`). The
+cache holds a bounded number of tables, evicting the least recently used;
+an evicted table is built again on the next request, with the same rows.
+A table holds probability rows; the decoder logs the entries it scores.
+
 A row depends only on the context's LM state, the longest suffix of the
 BOS-padded context that is a node of the count trie, as (depth, node): the
 levels above it hold no counts and a total of 0, so each turns a row r into
-(ks * r) / ks whatever the tokens are. A model's state is the tuple of its
-parts' states, keyed by folding the parts' keys as digits. So a table holds
-one row per state: on the bench's `recipe` (seed 1) its LMs' tables hold
-3,917 rows for 16,631 distinct contexts decoded. Every context is walked
-down each part's count trie (one `_find` per level) to its state key, and
-one `searchsorted` in the table's sorted state keys gives its slot; rows
-are computed only for the states not held, in one batch per call. The
-table reaches its LM through a weak reference, so no table keeps its LM
-alive, and the cache drops the tables of an LM that dies.
-
-A table's rows are mixed from per-part rows. An `NGramLM`'s table computes
-its rows from the counts; an `InterpolatedLM`'s table computes none: for
-the states it lacks it reads each part's rows from the part's own table,
-`row_table(part, symbols)`, which computes only the rows it lacks, and
-mixes them. So a part shared by several LMs computes each of its rows
-once while the cache holds its table: the trial LM inside each of its
-fine-tune LMs, and the in-domain LM a search's fine-tunes share
-(`search.TrainingLayouts`). On the bench's `search` (seed 1) the n-gram
-tables compute 7,764 top-order rows, against 11,856 when each table
-computed its parts' rows itself.
+(ks * r) / ks whatever the tokens are. So a table holds one row per state:
+on the bench's `recipe` (seed 1) the tables compute 4,794 top-order rows for
+20,026 distinct (n-gram LM, context) pairs decoded. Every context is walked down the count trie (one
+`_find` per level) to its state key, and one `searchsorted` in the table's
+sorted state keys gives its slot; rows are computed only for the states not
+held, in one batch per call. The table reaches its LM through a weak
+reference, so no table keeps its LM alive, and the cache drops the tables
+of an LM that dies.
 
 A table's caches, each cleared before it would pass `_CACHE_CAP` entries:
 
-- an n-gram table's lower-order rows: (level, state key) -> row of P_level
-  after the contexts of that state, for levels below `order` only; many
-  states back off to each of these rows. They live in the part's table, so
-  every LM that mixes the part reads them there. A top-order row is
-  computed when its state is first met and kept only as the table's row.
-  The rows die with the table.
+- its lower-order rows: (level, state key) -> row of P_level after the
+  contexts of that state, for levels below `order` only; many states back
+  off to each of these rows. A top-order row is computed when its state is
+  first met and kept only as the table's row. The rows die with the table.
 - its rows and its state index, cleared together.
 """
 
@@ -272,9 +265,10 @@ class NGramLM:
         return prob
 
 
-def _mixture(parts: tuple, probs: list):
-    """sum of weight * p over the parts, added in part order, where probs[i]
-    holds part i's probabilities; one part of weight 1 gives p bit for bit."""
+def mixture(parts, probs: list):
+    """sum of weight * p over the (weight, part) pairs, added in part
+    order, where probs[i] holds part i's probabilities, element by element;
+    one part of weight 1 gives p bit for bit."""
     total = 0.0
     for (weight, _), prob in zip(parts, probs):
         total = total + weight * prob
@@ -282,8 +276,8 @@ def _mixture(parts: tuple, probs: list):
 
 
 def _mix(parts: tuple, probs: list):
-    """ln of the parts' `_mixture`."""
-    return np.log(_mixture(parts, probs))
+    """ln of the parts' `mixture`."""
+    return np.log(mixture(parts, probs))
 
 
 def _find(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -303,52 +297,41 @@ def _back(ids: np.ndarray, lengths: np.ndarray, d: int, fill: int) -> np.ndarray
 
 
 class RowTable:
-    """Probability rows of one LM at a fixed symbol list, one row per LM
-    state met (see the module docstring).
+    """Probability rows of one n-gram LM at a fixed symbol list, one row per
+    LM state met (see the module docstring).
 
     `probs[slots(contexts)[g], i]` is P(symbols[i] | contexts[g]); read
     `probs` after the `slots` call, which may grow or clear the buffer. The
-    decoder takes the entries it scores and logs them, which gives the
-    entries of `rows`, the log-probability rows, bit for bit. `ranks` is
-    each symbol's rank among the distinct symbols in string order, so two
-    ids that spell one symbol share a rank. `row_max` is the largest
-    element of the log rows held (-inf with none), the bound the decoder
-    puts on an LM term; a table built again after its eviction from the
-    decoder cache may hold other rows and so another `row_max`, which
-    changes how many entries a beam step scores, not which survive. The
-    table reaches its LM through a weak reference, so it keeps no LM alive.
-
-    The table of an `NGramLM` also keeps the lower-order rows it builds
-    from. The table of an `InterpolatedLM` holds its mixed rows: it reads
-    its parts' rows from the parts' own tables (`row_table(part, symbols)`),
-    so a part shared by several LMs computes each of its rows once while
-    the cache holds its table.
+    decoder mixes the entries it takes from its LM's parts' tables by
+    `mixture` and logs them. `ranks` is each symbol's rank among the
+    distinct symbols in string order, so two ids that spell one symbol
+    share a rank. `prob_max` is the largest probability held (0.0 with
+    none); the decoder bounds an LM term by the log of the parts' mixture of
+    these. A table built again after its eviction from the decoder cache
+    may hold other rows and so another `prob_max`, which changes how many
+    entries a beam step scores, not which survive. The table also keeps the
+    lower-order rows it builds from, and reaches its LM through a weak
+    reference, so it keeps no LM alive.
     """
 
-    def __init__(self, model: LanguageModel, symbols: tuple[str, ...]):
+    def __init__(self, model: NGramLM, symbols: tuple[str, ...]):
         rank = {sym: r for r, sym in enumerate(sorted(set(symbols)))}
         self.ranks = np.array([rank[sym] for sym in symbols], dtype=np.int64)
         self._lm = weakref.ref(model)
-        self._symbols = symbols
-        self._ids = [part._symbol_ids(symbols) for _, part in model.parts]
-        self._lower: dict = {}   # an n-gram table's lower-order rows
+        self._word_ids, self._context_ids = model._symbol_ids(symbols)
+        self._lower: dict = {}   # the lower-order rows
         self._clear()
 
     def _clear(self) -> None:
         self._buffer = np.empty((0, self.ranks.size))
         self.held = 0
-        self.row_max = -np.inf
+        self.prob_max = 0.0
         self._states = np.empty(0, dtype=np.int64)   # state keys held, sorted
         self._state_slots = np.empty(0, dtype=np.intp)
 
     @property
     def probs(self) -> np.ndarray:
         return self._buffer[:self.held]
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The log-probability rows held, computed on each read."""
-        return np.log(self.probs)
 
     def slots(self, contexts: np.ndarray) -> np.ndarray:
         """The row slot of every context: a row of symbol ids, oldest first,
@@ -357,33 +340,8 @@ class RowTable:
         model = self._lm()
         if model is None:
             raise ValueError("the row table's language model is gone")
-        state, walked = 0, []   # each part's (state key, depth, node) of every context
-        for (_, part), (_, context_id) in zip(model.parts, self._ids):
-            depth, node = part._walk(context_id[contexts])
-            key = part._level_start[depth - 1] + node
-            walked.append((key, depth, node))
-            # a digit per part, in base its number of states
-            state = state * int(part._level_start[-1]) + key
-        if isinstance(model, NGramLM):
-            _, depth, node = walked[0]
-            return self._lookup(state, lambda at: self._ngram_rows(model, depth[at], node[at]))
-        return self._lookup(state, lambda at: _mixture(model.parts, [
-            row_table(part, self._symbols)._part_rows(key[at], depth[at], node[at])
-            for (_, part), (key, depth, node) in zip(model.parts, walked)]))
-
-    def _part_rows(self, key: np.ndarray, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
-        """The rows of an n-gram table's LM after contexts at the states
-        (key, depth, node), computing the rows not held."""
-        model = self._lm()
-        slots = self._lookup(key, lambda at: self._ngram_rows(model, depth[at], node[at]))
-        return self._buffer[slots]
-
-    def _ngram_rows(self, model: NGramLM, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
-        return model._rows(model.order, depth, node, self._lower)[:, self._ids[0][0]]
-
-    def _lookup(self, state: np.ndarray, make) -> np.ndarray:
-        """The slot of every state key; `make(at)` gives the rows of the
-        states not held, at the indices `at` of their first occurrences."""
+        depth, node = model._walk(self._context_ids[contexts])
+        state = model._level_start[depth - 1] + node
         found = _find(self._states, state)
         miss = np.flatnonzero(found == self._states.size)
         if not miss.size:
@@ -391,8 +349,9 @@ class RowTable:
         new, first, inverse = np.unique(state[miss], return_index=True, return_inverse=True)
         if self.held and self.held + new.size > _CACHE_CAP:
             self._clear()
-            return self._lookup(state, make)
-        self._append(make(miss[first]))
+            return self.slots(contexts)
+        at = miss[first]
+        self._append(model._rows(model.order, depth[at], node[at], self._lower)[:, self._word_ids])
         new_slots = np.arange(self.held - new.size, self.held)
         slot = np.empty(len(state), dtype=np.intp)
         hit = found < self._states.size
@@ -420,12 +379,12 @@ class RowTable:
             self._buffer = grown
         self._buffer[self.held:need] = rows
         self.held = need
-        self.row_max = max(self.row_max, float(np.log(rows.max())))
+        self.prob_max = max(self.prob_max, float(rows.max()))
 
 
-def row_table(model: LanguageModel, symbols: tuple[str, ...]) -> RowTable:
-    """The LM's row table for `symbols`, from the decoder cache: made on
-    first request, and again after the cache evicted it."""
+def row_table(model: NGramLM, symbols: tuple[str, ...]) -> RowTable:
+    """The n-gram LM's row table for `symbols`, from the decoder cache:
+    made on first request, and again after the cache evicted it."""
     return cached(model, symbols, lambda: RowTable(model, symbols))
 
 

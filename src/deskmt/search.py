@@ -22,7 +22,7 @@ from .corpus import MAX_COUNT, DataMix, TaggedDataset, build_mix
 from .ensemble import Ensemble
 from .lm import FINETUNE_ALPHA, InterpolatedLM, NGramCounts, NGramLM, base_ngram, logprobs
 from .metrics import EvalContext, bleu
-from .tm import (LM_WEIGHT_MAX, EMTrainer, LexModel, PairLayout, model_hash,
+from .tm import (LM_WEIGHT_MAX, WIDTH_MAX, EMTrainer, LexModel, PairLayout, model_hash,
                  pair_channel_scores, translate_stack)
 from .util import NUMBER, DataError, doc_field, read_json, write_text_atomic
 
@@ -47,7 +47,7 @@ _SETTINGS = {
     "lm_weight": (_number(lambda v: 0 <= v <= LM_WEIGHT_MAX),
                   f"a number in [0, {LM_WEIGHT_MAX}]"),
     "window": (_whole(0), "an integer of at least 0"),
-    "beam": (_whole(1), "an integer of at least 1"),
+    "beam": (_whole(1, WIDTH_MAX), "an integer in [1, 2**62]"),
     **{name: (_whole(1, MAX_COUNT), "an integer in [1, 2**53]")
        for name in ("up_bitext", "up_fwd", "up_bt")},
 }

@@ -73,7 +73,7 @@ import numpy as np
 
 from .cache import cached
 from .corpus import MAX_COUNT, UNK_TOKEN, DataMix, Sentence
-from .lm import LanguageModel, lm_from_dict, lm_json, row_table, train_lm
+from .lm import LanguageModel, lm_from_dict, lm_json, mixture, row_table, train_lm
 from .util import (DataError, doc_field, doc_float, doc_strings, pair_runs_json, sha256_text,
                    stable_json_object)
 
@@ -88,6 +88,11 @@ DEFAULT_UNK_FLOOR = 1e-9
 # 100,000 steps stays finite, as do the sums of two such scores that the
 # decoder's bound forms.
 LM_WEIGHT_MAX = 1e300
+
+# The largest beam and n-best size the decoder takes: the beam width, the
+# larger of the two, and the indices the decoder adds to it stay within
+# int64.
+WIDTH_MAX = 2**62
 
 
 @dataclass(eq=False)
@@ -205,11 +210,12 @@ class LexModel:
     which evicts the least recently used tables past its bound and builds
     them again on request.
 
-    The LM rows the decoder reads belong to the LM, not the model:
-    `_row_table` returns `lm.row_table(lm, tgt_vocab + <unk>)`, which holds
-    one row per LM state, so models that share an LM and a target vocabulary
-    (fine-tune candidates, an ensemble and its first member) share one table
-    while the cache holds it.
+    The LM rows the decoder reads belong to the LM's parts, not the model:
+    `_row_tables` returns `lm.row_table(part, tgt_vocab + <unk>)` of each
+    n-gram part, which holds one row per state of that part, so models that
+    share an LM or a part and a target vocabulary (fine-tune candidates, an
+    ensemble and its first member, the fine-tunes of one trial LM) share
+    its table while the cache holds it.
     """
 
     def __init__(self, src_vocab: tuple[str, ...], tgt_vocab: tuple[str, ...],
@@ -219,8 +225,10 @@ class LexModel:
                  train_ll_trace: tuple[float, ...] = ()):
         if not src_vocab or src_vocab[0] != NULL:
             raise DataError("source vocabulary must start with the NULL symbol")
-        if beam < 1 or window < 0:
-            raise DataError("invalid decoder settings")
+        if not 1 <= beam <= WIDTH_MAX:
+            raise DataError(f"decoder setting 'beam' must lie in [1, {WIDTH_MAX}], got {beam!r}")
+        if window < 0:
+            raise DataError(f"decoder setting 'window' must be at least 0, got {window!r}")
         if not 0.0 <= lm_weight <= LM_WEIGHT_MAX:
             raise DataError(f"decoder setting 'lm_weight' must lie in [0, {LM_WEIGHT_MAX}], "
                             f"got {lm_weight!r}")
@@ -263,11 +271,13 @@ class LexModel:
             self._caches["ext_vocab"] = ext
         return ext
 
-    def _row_table(self):
-        """The LM's `RowTable` over the ext symbols; its `ranks` order the
-        ext symbols as strings, the two ext ids of the unknown token sharing
-        one rank."""
-        return row_table(self.lm, self._ext_vocab())
+    def _row_tables(self) -> tuple:
+        """(weight, `RowTable` over the ext symbols) of each of the LM's
+        parts, which `lm.mixture` mixes as it mixes the parts. A table's
+        `ranks` order the ext symbols as strings, the two ext ids of the
+        unknown token sharing one rank."""
+        return tuple((weight, row_table(part, self._ext_vocab()))
+                     for weight, part in self.lm.parts)
 
     def _t_ext(self) -> np.ndarray:
         """Lexical table padded with a floor row/column for unknown symbols,
@@ -472,22 +482,22 @@ def _em_iteration(t: np.ndarray, groups) -> tuple[np.ndarray, float]:
 
 
 # Live beam states per decoded block (sentences x beam width). A step scores
-# only the pool entries that can reach the beam (see `_decode_block`), but
-# its row arrays still grow with the block's states, so the block is bounded;
+# only the pool entries that can reach the beam (see `_decode_block`), but its
+# row arrays still grow with the block's states, so the block is bounded;
 # larger blocks run fewer steps, and each step has a fixed cost. A decode
 # reads its stack's candidate tables from the decoder cache once and holds
-# them, back to back, for all its blocks. A block reads the LM's row table
-# once and holds it for all its steps; the cache keeps it, and a reranked
-# decode's padded channel table, from one block to the next (see
+# them, back to back, for all its blocks. A block reads the row tables of the
+# LM's parts once and holds them for all its steps; the cache keeps them, and
+# a reranked decode's padded channel table, from one block to the next (see
 # `cache.BOUND`). Decoding a 300-sentence pool at n=50 (the bench's `recipe`
-# self-training pool, seed 1, with the LM's row table already filled)
-# peaked at 10.7 MB of traced heap (tracemalloc) as one block, against
-# 3.1 MB in length-sorted blocks of this size, 1.8 MB of 2048 states,
-# 1.2 MB of 1024 or 256 states and 1.4 MB one sentence at a time; the
-# returned `NBestBlock` of 13,008 entries holds 0.4 MB of it. Reranked
-# block by block, the peaks are 3.4, 2.3 and 2.1 MB at 4096, 2048 and 1024
-# states. Decoding and reranking that pool took a median of 114, 132 and
-# 152 ms of CPU at 4096, 2048 and 1024 states (6 rounds each, interleaved).
+# self-training pool, seed 1, with the LM's row table already filled) peaked
+# at 10.7 MB of traced heap (tracemalloc) as one block, against 3.1 MB in
+# length-sorted blocks of this size, 1.8 MB of 2048 states, 1.2 MB of 1024 or
+# 256 states and 1.4 MB one sentence at a time; the returned `NBestBlock` of
+# 13,008 entries holds 0.4 MB of it. Reranked block by block, the peaks are
+# 3.4, 2.3 and 2.1 MB at 4096, 2048 and 1024 states. Decoding and reranking
+# that pool took a median of 114, 132 and 152 ms of CPU at 4096, 2048 and 1024
+# states (6 rounds each, interleaved).
 _DECODE_STATES = 4096
 
 # Relative slack of the bound's comparison; see `_decode_block`.
@@ -555,12 +565,12 @@ def translate_stack(models: Sequence[LexModel], sources: list[Sentence], nbest: 
                          "LM weight and beam")
     if rerank_ctx is not None:
         nbest = rerank_ctx.nbest
+    if not 1 <= nbest <= WIDTH_MAX:
+        raise DataError(f"n-best size 'nbest' must lie in [1, {WIDTH_MAX}], got {nbest!r}")
     if not sources:
         return [NBestBlock([], m._ext_vocab(), np.zeros((0, 0), dtype=np.uint8),
                            np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(1, dtype=np.intp))
                 for m in models]
-    if nbest < 1:
-        raise DataError("n-best size must be >= 1")
     if not all(sources):
         raise DataError("cannot translate an empty sentence")
     width = max(first.beam, nbest)
@@ -584,10 +594,10 @@ def _decode_block(models: Sequence[LexModel], cands, block: list[Sentence],
     """Beam search for the top-n hypotheses of every source of a block,
     block[s] decoded by models[member[s]].
 
-    The models share one decoder (see `translate_stack`), whose LM row table
-    and settings the block reads from the first model; `cands` is their
-    candidate tables laid back to back (`_stacked_candidates`), and a source
-    reads only its own model's runs. Everything else the steps compute is per
+    The models share one decoder (see `translate_stack`), whose settings
+    and LM row tables, one per part of the LM, the block reads from the
+    first model; `cands` is their candidate tables laid back to back
+    (`_stacked_candidates`), and a source reads only its own model's runs. Everything else the steps compute is per
     sentence, and a wider lex range across the stack only raises the slack
     below, which changes how many entries are scored, not which survive.
 
@@ -622,33 +632,36 @@ def _decode_block(models: Sequence[LexModel], cands, block: list[Sentence],
 
         state + (lex + lm_weight * lm)
 
-    and no LM row exceeds the table's `row_max` (LM rows are log-probabilities,
-    at most 0), so it scores at most its bound state + lex + lift, lift =
-    lm_weight * max(row_max, 0). A row's candidates come in descending lex
-    order (`LexModel._candidate_table`), so the entries whose bound reaches
-    a given score are a prefix of the row. The step first scores each row's
-    first ceil(width / rows of its sentence) entries; their width-th best
-    score per sentence, thr (-inf when they are fewer than width), is at
-    most the pool's width-th best, so every entry of the next beam scores at
-    least thr. Each row then also scores the rest of the prefix whose bound
-    reaches thr, found for all rows by one searchsorted in a key over the
-    candidate table. Its comparison, lex >= thr - state - lift, has a slack
-    of `_SLACK` times 1 + |thr| + |state| + lift + max |lex|: the score's
-    three roundings and the comparison's own move a value by at most 2**-53
-    of a magnitude below that sum, so the slack covers them many times
-    over. The scored entries at or above thr are sorted by (sentence,
-    -score, row, candidate id), which is the pool's (-score, pool index)
-    order, and each sentence keeps its first `width`: the beam the whole
-    pool gives, bit for bit.
+    where lm is the log of the parts' `lm.mixture` at the entry. Each part's
+    probability is at most its table's `prob_max`, and a product by a weight
+    >= 0, a sum and the log are monotone in floating point, so lm is at most
+    top, the log of the parts' mixture of those maxima in the same order
+    (about 0 or less). So an entry scores at most its bound state + lex +
+    lift, lift = lm_weight * max(top, 0). A row's candidates come in
+    descending lex order (`LexModel._candidate_table`), so the entries whose
+    bound reaches a given score are a prefix of the row. The step first scores
+    each row's first ceil(width / rows of its sentence) entries; their
+    width-th best score per sentence, thr (-inf when they are fewer than
+    width), is at most the pool's width-th best, so every entry of the next
+    beam scores at least thr. Each row then also scores the rest of the prefix
+    whose bound reaches thr, found for all rows by one searchsorted in a key
+    over the candidate table. Its comparison, lex >= thr - state - lift, has a
+    slack of `_SLACK` times 1 + |thr| + |state| + lift + max |lex|: the
+    score's three roundings and the comparison's own move a value by at most
+    2**-53 of a magnitude below that sum, so the slack covers them many times
+    over. The scored entries at or above thr are sorted by (sentence, -score,
+    row, candidate id), which is the pool's (-score, pool index) order, and
+    each sentence keeps its first `width`: the beam the whole pool gives, bit
+    for bit.
     """
     model = models[0]
     w = model.window
-    table = model._row_table()
+    tables = model._row_tables()
     order = model.lm.order
     ext_vocab = model._ext_vocab()
     # LM contexts compare by symbol, and a target vocabulary that holds the
     # unknown token spells it with two ext ids: both have one rank
-    ext_rank = table.ranks
+    ext_rank = tables[0][1].ranks
     n_ranks = int(ext_rank.max()) + 1
     # without such a pair, equal surfaces are equal id sequences
     one_spelling = n_ranks == ext_rank.size
@@ -717,10 +730,12 @@ def _decode_block(models: Sequence[LexModel], cands, block: list[Sentence],
         rows_per_sent = np.bincount(row_sent, minlength=len(block))
         if not rows_per_sent[lengths >= i].all():
             raise DataError("no admissible decoding path (window too small)")
-        # each group's LM row is the table's row at the group's slot; the
-        # table holds one row per LM state and is gathered from in place
-        slot = table.slots(emitted[group_first, c0:i - 1])
-        row_lm = slot[group[row_state]] * len(ext_vocab)
+        # each group's LM row in each part's table is the row at the group's
+        # slot there; a table holds one row per state of its part and is
+        # gathered from in place
+        contexts = emitted[group_first, c0:i - 1]
+        row_lm = [table.slots(contexts)[group[row_state]] * len(ext_vocab)
+                  for _, table in tables]
         row_score = score[row_state]
         row_first = pos_start[row_sent, row_pos]
         row_count = pos_count[row_sent, row_pos]
@@ -728,7 +743,7 @@ def _decode_block(models: Sequence[LexModel], cands, block: list[Sentence],
         # the sample, each row's first ceil(width / rows of its sentence)
         # entries, and thr, each sentence's width-th best sampled score
         sampled = np.minimum(row_count, (-(-width // np.maximum(rows_per_sent, 1)))[row_sent])
-        flat, cols = _entry_scores(table, model.lm_weight, cand_ids, cand_lex,
+        flat, cols = _entry_scores(tables, model.lm_weight, cand_ids, cand_lex,
                                    row_lm, row_score, row_first, sampled)
         sample_sent = row_sent.repeat(sampled)
         per_sent = np.bincount(sample_sent, minlength=len(block))
@@ -739,14 +754,15 @@ def _decode_block(models: Sequence[LexModel], cands, block: list[Sentence],
         thr[bounded] = flat[by_score[(per_sent.cumsum() - per_sent)[bounded] + width - 1]]
 
         # the rest of each row's prefix whose bound reaches thr
-        lift = model.lm_weight * max(table.row_max, 0.0)
+        top = float(np.log(mixture(tables, [table.prob_max for _, table in tables])))
+        lift = model.lm_weight * max(top, 0.0)
         row_thr = thr[row_sent]
         with np.errstate(invalid="ignore"):  # -inf - -inf: the row keeps all
             least = row_thr - row_score - (
                 lift + _SLACK * (slack_floor + lift + np.abs(row_thr) + np.abs(row_score)))
         reach = cand_key.searchsorted(run_base[row_first] - least, "right") - row_first
         more = np.clip(reach, sampled, row_count) - sampled
-        more_flat, more_cols = _entry_scores(table, model.lm_weight, cand_ids, cand_lex,
+        more_flat, more_cols = _entry_scores(tables, model.lm_weight, cand_ids, cand_lex,
                                              row_lm, row_score, row_first + sampled, more)
         flat = np.concatenate((flat, more_flat))
         cols = np.concatenate((cols, more_cols))
@@ -831,26 +847,28 @@ def _by_sentence(order: np.ndarray, sent: np.ndarray) -> np.ndarray:
     return order[sent.astype(np.min_scalar_type(sent.max(initial=0))).argsort(kind="stable")]
 
 
-def _entry_scores(table, lm_weight: float, cand_ids: np.ndarray, cand_lex: np.ndarray,
-                  row_lm: np.ndarray, row_score: np.ndarray, first: np.ndarray,
-                  lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _entry_scores(tables: tuple, lm_weight: float, cand_ids: np.ndarray,
+                  cand_lex: np.ndarray, row_lm: list, row_score: np.ndarray,
+                  first: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(scores, candidate entries) of candidate entries first[r]:first[r] +
     lens[r] of every pool row r, row by row. Row r extends a state scored
-    row_score[r] and reads the LM row at table.probs.flat[row_lm[r]:], the
-    log of each entry it takes; an entry scores
+    row_score[r]; in the p-th of the (weight, table) pairs `tables`, its LM
+    row is at table.probs.flat[row_lm[p][r]:]. Each entry gathers every
+    part's probability, `lm.mixture` mixes them with the tables' weights,
+    and lm is the log of the mixture; an entry scores
 
         score + (lex + lm_weight * lm)
 
     with each addition and product as written (a + b is b + a and a * b is
     b * a, bit for bit), so an entry's score does not depend on which
-    entries are scored with it. The LM gather is freed once it is used.
+    entries are scored with it. The LM gathers are freed once mixed.
     """
     ends = lens.cumsum()
     cols = (first - ends + lens).repeat(lens)
     cols += np.arange(cols.size)
     at = cand_ids.take(cols)
-    at += row_lm.repeat(lens)
-    flat = table.probs.take(at)
+    flat = mixture(tables, [table.probs.take(at + lm.repeat(lens))
+                            for (_, table), lm in zip(tables, row_lm)])
     del at
     np.log(flat, out=flat)
     flat *= lm_weight

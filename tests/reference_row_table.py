@@ -1,29 +1,27 @@
-"""`lm.RowTable` as it was before its rows were mixed from per-part tables:
-each table computed its parts' rows itself, with one lower-order dict per
-part, and held log-probability rows. Kept as the reference the per-part
-tables are checked against, bit for bit."""
+"""The decoder's LM rows as one table per LM mixed them: each table held
+its LM's mixed probability rows, one per state of all its parts together,
+and computed every part's rows itself, with one lower-order dict per part.
+Kept as the reference the entries the decoder mixes from its parts' own
+tables are checked against, bit for bit: patched in as a model's one table
+of weight 1 (`as_row_tables`), the decoder reads its entries from here."""
 
 import weakref
 
 import numpy as np
 
-from deskmt.lm import _CACHE_CAP, _find, _mix
-
+from deskmt.lm import _CACHE_CAP, _find, mixture
 
 
 class ReferenceRowTable:
-    """Log-probability rows of one LM at a fixed symbol list, one row per
-    LM state met (see the module docstring).
+    """Probability rows of one LM at a fixed symbol list, one row per LM
+    state met, a state being the tuple of its parts' states.
 
-    `rows[slots(contexts)[g], i]` is ln P(symbols[i] | contexts[g]); read
-    `rows` after the `slots` call, which may grow or clear the buffer.
-    `ranks` is each symbol's rank among the distinct symbols in string
-    order, so two ids that spell one symbol share a rank. `row_max` is the
-    largest element of the rows held (-inf with none), the bound the decoder
-    puts on an LM term; a table built again after its eviction from the
-    decoder cache may hold other rows and so another `row_max`, which
-    changes how many entries a beam step scores, not which survive. The
-    table reaches its LM through a weak reference, so it keeps no LM alive.
+    `probs[slots(contexts)[g], i]` is the parts' `mixture` of P(symbols[i] |
+    contexts[g]); read `probs` after the `slots` call, which may grow or
+    clear the buffer. `ranks` is each symbol's rank among the distinct
+    symbols in string order. `prob_max` is the largest probability held
+    (0.0 with none). The table reaches its LM through a weak reference, so
+    it keeps no LM alive.
     """
 
     def __init__(self, model, symbols: tuple[str, ...]):
@@ -37,12 +35,12 @@ class ReferenceRowTable:
     def _clear(self) -> None:
         self._buffer = np.empty((0, self.ranks.size))
         self.held = 0
-        self.row_max = -np.inf
+        self.prob_max = 0.0
         self._states = np.empty(0, dtype=np.int64)   # state keys held, sorted
         self._state_slots = np.empty(0, dtype=np.intp)
 
     @property
-    def rows(self) -> np.ndarray:
+    def probs(self) -> np.ndarray:
         return self._buffer[:self.held]
 
     def slots(self, contexts: np.ndarray) -> np.ndarray:
@@ -67,7 +65,7 @@ class ReferenceRowTable:
             self._clear()
             return self.slots(contexts)
         at = miss[first]
-        self._append(_mix(model.parts, [
+        self._append(mixture(model.parts, [
             part._rows(part.order, depth[at], node[at], kept)[:, index]
             for (_, part), (depth, node), (index, _), kept
             in zip(model.parts, walked, self._ids, self._lower)]))
@@ -88,14 +86,24 @@ class ReferenceRowTable:
         return slot
 
     def _append(self, rows: np.ndarray) -> None:
-        # the buffer grows by a quarter: tables of many LMs live at once, so
-        # doubling would leave up to half of every buffer unused
         need = self.held + len(rows)
         if need > len(self._buffer):
             grown = np.empty((max(need, min(len(self._buffer) * 5 // 4, _CACHE_CAP)),
                               self.ranks.size))
-            grown[:self.held] = self.rows
+            grown[:self.held] = self.probs
             self._buffer = grown
         self._buffer[self.held:need] = rows
         self.held = need
-        self.row_max = max(self.row_max, float(rows.max()))
+        self.prob_max = max(self.prob_max, float(rows.max()))
+
+
+def as_row_tables(tables: dict):
+    """A stand-in for `LexModel._row_tables`: the model's LM as one part of
+    weight 1, its table a `ReferenceRowTable` kept in `tables` by LM, so
+    the models of a stack and the blocks of a decode share it."""
+    def row_tables(model):
+        key = id(model.lm)
+        if key not in tables:
+            tables[key] = (model.lm, ReferenceRowTable(model.lm, model._ext_vocab()))
+        return ((1.0, tables[key][1]),)
+    return row_tables

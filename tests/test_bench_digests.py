@@ -19,7 +19,11 @@ WORKLOADS = os.path.join(ROOT, "bench", "workloads.py")
 
 PINNED = [
     ("recipe", 1, "c34de0389a07fa59e1d75742392b573f0a682ee081b4f34cd27ce6f25c4475b6"),
+    ("recipe", 2, "0ac850bff44e86e60d17f657f4357f456f1a1bfe5b57de1d06b5e580e62ded53"),
+    ("recipe", 3, "dffd308f4d4b0d84db5b3ff312bb4d69b29235fcc25823e0df1b4a84b8038aae"),
     ("search", 1, "91cda3304daa749c90358f420620c8abd3b4e4085e34be04bc834532c039c40b"),
+    ("search", 2, "813b83f4aa2d13ea387867e194ae5ce18a19b10a35f9f4e78a1ef13a5616f6ee"),
+    ("search", 3, "59595f5cfcb5591c3740839963492d3a69251379df3db5c993e617804d651d25"),
     ("mine", 1, "97b0943701906e30d41e5b5b1d1b634deb78e0d49ace81c77a8cc230b99cd434"),
     ("mine", 2, "25260dd22c4bf451615087ceee59179bb036a8f0ffa03b53600f6595b43b5142"),
     ("mine", 3, "bc059b1d69fd5cb1439ebcd6d676de856b63603cee4f711b6e98ec108a8313f7"),

@@ -3,7 +3,7 @@ decoding and channel scoring derive from models and LMs.
 
 The store's outputs never depend on its bound: an evicted table is built
 again from its owner, and a rebuilt row table differs only in its
-`row_max`, which changes how many entries a beam step scores, not which
+`prob_max`, which changes how many entries a beam step scores, not which
 survive. The goldens are checked here with the bound at its minimum.
 """
 
@@ -87,8 +87,8 @@ class TestCounts:
 
 class TestStoreStaysBounded:
     def test_a_search_and_its_finetune_hold_at_most_the_bound(self, monkeypatch):
-        # every row table made, by weak reference; with topk 8 every trial's
-        # fine-tuned model stays alive
+        # every row table made, by weak reference: one per trial LM and the
+        # in-domain LM; with topk 10 every trial's fine-tuned model stays alive
         made = []
         init = RowTable.__init__
 
@@ -98,7 +98,7 @@ class TestStoreStaysBounded:
 
         monkeypatch.setattr(RowTable, "__init__", recording_init)
         ds = parallel(5, n_pairs=24)
-        results = run_search(tiny_space(), 8, 3, ds, None, None, ds, topk=8,
+        results = run_search(tiny_space(), 10, 3, ds, None, None, ds, topk=10,
                              finetune_steps=3, eval_ctx=EvalContext(), patience=None)
         assert len(made) > cache.BOUND
         assert sum(ref() is not None for ref in made) <= cache.BOUND

@@ -105,7 +105,7 @@ class TestExitCodes:
         assert not os.path.exists("bad_settings.json")
 
     @pytest.mark.parametrize("key, value", [("lm_weight", float("nan")), ("unk_floor", 0.0),
-                                            ("unk_floor", 2.0)])
+                                            ("unk_floor", 2.0), ("beam", 2**63)])
     def test_model_document_with_bad_settings_is_2(self, workspace, key, value, capsys):
         doc = read_json("fwd.json", "model")
         doc[key] = value
@@ -114,6 +114,13 @@ class TestExitCodes:
         assert main(["translate", "--model", "bad_doc.json", "--input", "bundle/mono_src.txt",
                      "--output", "bad_doc.txt", "--bpe", "bpe.txt"]) == EXIT_DATA
         assert repr(key) in capsys.readouterr().err
+
+    def test_nbest_the_decoder_cannot_hold_is_2(self, workspace, capsys):
+        assert main(["translate", "--model", "fwd.json", "--input", "bundle/mono_src.txt",
+                     "--output", "wide.txt", "--bpe", "bpe.txt",
+                     "--nbest", str(2**63)]) == EXIT_DATA
+        assert "'nbest'" in capsys.readouterr().err
+        assert not os.path.exists("wide.txt")
 
     @pytest.mark.parametrize("argv", [
         ["search", "--parallel", "p.tsv", "--dev", "d.tsv", "--out-dir", "o"],
@@ -245,7 +252,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["search", "pipeline"])
     @pytest.mark.parametrize("name, value", [("em_iterations", 2.5), ("em_iterations", 0),
                                              ("lm_order", 2.0), ("beam", 1.5),
-                                             ("up_bitext", 1.5)])
+                                             ("beam", 2**63), ("up_bitext", 1.5)])
     def test_space_value_a_setting_cannot_take_is_2(self, workspace, capsys, command,
                                                      name, value):
         path = f"space_bad_{command}_{name}.json"

@@ -19,13 +19,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deskmt import cache
 from deskmt import lm as lm_module
 from deskmt import tm
 from deskmt.corpus import SIDE_PARALLEL, UNK_TOKEN, TaggedDataset, build_mix
-from deskmt.lm import train_lm
+from deskmt.lm import NGramLM, finetune_lm, mixture, train_lm
 from deskmt.rerank import NoisyChannelWeights, RerankContext
 from deskmt.tm import DataError, em_train, translate_corpus
 from nbest_lists import decode_one, nbest_lists
+from reference_row_table import as_row_tables
 
 pytestmark = pytest.mark.hashseed
 
@@ -36,10 +38,13 @@ def lm_row(model, ctx):
     """The decoder's LM log-probabilities over the ext ids after a context
     of ext symbols."""
     ext_id = {s: i for i, s in enumerate(model._ext_vocab())}
-    table = model._row_table()
-    slot = table.slots(np.array([[ext_id[t] for t in ctx]],
-                                dtype=np.intp).reshape(1, len(ctx)))[0]
-    return table.rows[slot]
+    contexts = np.array([[ext_id[t] for t in ctx]], dtype=np.intp).reshape(1, len(ctx))
+    tables = model._row_tables()
+    probs = []
+    for _, table in tables:
+        slot = table.slots(contexts)[0]
+        probs.append(table.probs[slot])
+    return np.log(mixture(tables, probs))
 
 
 def reference_nbest(model, src, n, pools=None):
@@ -198,8 +203,8 @@ class TestBlocksEqualSingleSentences:
         fresh = tm.model_from_dict(json.loads(tm.model_json(model)[0]))
         with mock.patch.object(lm_module, "_CACHE_CAP", cap):
             cleared = nbest_lists(translate_corpus(fresh, sources, 8))
-            table = fresh._row_table()
-        assert table is not model._row_table()
+            table = fresh._row_tables()[0][1]
+        assert table is not model._row_tables()[0][1]
         assert [entries(nb) for nb in cleared] == [entries(nb) for nb in kept]
 
     @pytest.mark.parametrize("limit", [1, 200])
@@ -335,13 +340,14 @@ class TestBoundPruning:
     def test_equal_scores_in_a_row_keep_the_lower_target_id(self):
         # lex and LM terms swapped between a and b: b comes first in lex
         # order, a in id order, and both score ln 0.5 + ln 0.25 at weight 1
-        row = np.array([0.5, 0.25, 0.125, 0.125])   # over a, b, c, <unk>
+        row = np.array([0.5, 0.25, 0.125, 0.125, 0.125])   # over a, b, c, </s>, <unk>
         t = np.array([[0.0, 0.0, 0.0], [0.25, 0.5, 0.0]])
         model = tm.LexModel((tm.NULL, "x"), ("a", "b", "c"), t,
                             train_lm([("a", "b", "c")], 1, 0.5), beam=1, window=0,
                             lm_weight=1.0)
-        with mock.patch.object(lm_module.RowTable, "_ngram_rows",
-                               lambda self, lm, depth, node: np.tile(row, (len(node), 1))):
+        with mock.patch.object(NGramLM, "_rows",
+                               lambda self, level, depth, node, kept:
+                               np.tile(row, (len(node), 1))):
             nb = decode_one(model, ("x",), 1)
             assert model._candidate_table()[0][:2].tolist() == [1, 0]
             assert entries(nb) == [(hyp, score.hex())
@@ -350,8 +356,8 @@ class TestBoundPruning:
 
 
 class TestMarginCoversTheLmRows:
-    """The bound adds lm_weight * max(row_max, 0) for the LM term, so it holds
-    whatever the weight, also for rows at or above 0."""
+    """The bound adds lm_weight * max(ln prob_max, 0) for the LM term, so it
+    holds whatever the weight, also for rows at or above 0."""
 
     WEIGHTS = [0.0, 0.4, 1.0, 50.0, 1e6, 1e12, 1e300]
 
@@ -370,8 +376,8 @@ class TestMarginCoversTheLmRows:
             for source in [("x", "y"), ("y", "x", "x"), ("x", "zz", "y")]:
                 assert entries(decode_one(model, source, 3)) == [
                     (hyp, score.hex()) for hyp, score in reference_nbest(model, source, 3)]
-        table = model._row_table()
-        assert table.row_max == 0.0 == table.rows[:, 0].min()
+        (_, table), = model._row_tables()
+        assert table.prob_max == 1.0 == table.probs[:, 0].min()
 
     @pytest.mark.parametrize("lm_weight", WEIGHTS)
     def test_rows_above_zero(self, lm_weight):
@@ -380,18 +386,18 @@ class TestMarginCoversTheLmRows:
         # one candidate c ties a's lex; the sample holds b and c, so thr is
         # c's score, which a's equals. a's bound, its lex, lies below thr by
         # lm_weight * (ln 0.5 + 1), yet a wins the tie by pool index
-        real = lm_module.RowTable._ngram_rows
+        real = NGramLM._rows
         targets = ("a", "b", "c")
         t = np.array([[0.0, 0.0, 0.0], [0.3, 0.6, 0.0], [0.0, 0.0, 0.3]])
-        with mock.patch.object(lm_module.RowTable, "_ngram_rows",
-                               lambda self, lm, depth, node: real(self, lm, depth, node) * np.e):
-            model = tm.LexModel((tm.NULL, "x", "y"), targets, t,
-                                train_lm([("a", "c")], 1, 1e-20), beam=1, window=1,
+        lm = train_lm([("a", "c")], 1, 1e-20)
+        with mock.patch.object(NGramLM, "_rows", lambda self, level, depth, node, kept:
+                               real(self, level, depth, node, kept) * np.e):
+            model = tm.LexModel((tm.NULL, "x", "y"), targets, t, lm, beam=1, window=1,
                                 lm_weight=lm_weight)
             nb = decode_one(model, ("x", "y"), 1)
             assert entries(nb) == [(hyp, score.hex())
                                    for hyp, score in reference_nbest(model, ("x", "y"), 1)]
-            assert model._row_table().row_max == pytest.approx(np.log(0.5) + 1.0)
+            assert model._row_tables()[0][1].prob_max == pytest.approx(0.5 * np.e)
         if lm_weight:
             assert nb[0].hyp == ("a", "c")
 
@@ -605,6 +611,59 @@ class TestStackedModels:
         assert [len(block) for block in empty] == [0, 0]
 
 
+def all_arrays(block):
+    """`block_arrays` and the exact bits of the rerank scores a block holds."""
+    return block_arrays(block) + tuple(
+        None if a is None else a.tobytes() for a in (block.channel, block.lm, block.combined))
+
+
+class TestEntriesMixedFromPartTables:
+    """The decoder mixes the LM entries it takes from the tables of its LM's
+    parts; a decode that reads them from rows mixed whole, by the reference
+    table of `tests/reference_row_table.py` patched in, gives the same
+    blocks bit for bit, plain and reranked, with the decoder cache's bound
+    at its minimum too. Only the LM bound differs, which changes how many
+    entries a step scores, not which survive."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), checkpoints=st.integers(1, 3),
+           order=st.integers(1, 3), alpha=st.sampled_from([None, 0.0, 0.4, 1.0]),
+           reranked=st.booleans(), bound=st.sampled_from([None, 1]),
+           n=st.sampled_from([1, 4]), states=st.sampled_from([12, tm._DECODE_STATES]))
+    def test_stack_equals_the_mixed_row_decode(self, seed, checkpoints, order, alpha,
+                                               reranked, bound, n, states):
+        rng = random.Random(seed)
+        tgt = tuple(f"t{i}" for i in range(rng.randint(2, 6))) + (
+            (UNK_TOKEN,) if rng.random() < 0.5 else ())
+
+        def corpus(count):
+            return [tuple(rng.choice(tgt) for _ in range(rng.randint(1, 5)))
+                    for _ in range(count)]
+
+        lm = train_lm(corpus(rng.randint(3, 10)), order, rng.choice([0.05, 0.5]))
+        if alpha is not None:
+            lm = finetune_lm(lm, corpus(3), alpha)
+        stack = [stack_member(rng, tgt, lm, beam=rng.randint(1, 4), window=1,
+                              lm_weight=0.6, zero_rows=0.2)]
+        first = stack[0]
+        stack += [tm.LexModel(first.src_vocab, tgt, first.t * rng.random(), lm,
+                              beam=first.beam, window=1, lm_weight=0.6)
+                  for _ in range(checkpoints - 1)]
+        ctx = None
+        if reranked:
+            backward, _ = random_model(rng, beam=2, window=1, order=2, lm_weight=0.5,
+                                       unk_target=False)
+            ctx = RerankContext(backward, lm, NoisyChannelWeights(0.7, 1.3), nbest=n)
+        sources = [tuple(rng.choice([f"s{i}" for i in range(8)] + ["zz"])
+                         for _ in range(rng.randint(1, 7))) for _ in range(rng.randint(1, 8))]
+        with mock.patch.object(tm, "_DECODE_STATES", states), \
+                mock.patch.object(cache, "BOUND", bound or cache.BOUND):
+            got = tm.translate_stack(stack, sources, n, rerank_ctx=ctx)
+            with mock.patch.object(tm.LexModel, "_row_tables", as_row_tables({})):
+                want = tm.translate_stack(stack, sources, n, rerank_ctx=ctx)
+        assert [all_arrays(block) for block in got] == [all_arrays(block) for block in want]
+
+
 def reference_nbest_list(beam, ext_vocab, n):
     """The per-state n-best assembly `tm._nbest_lists` replaces, kept as its
     specification: the (hyp, score) entries of a finished beam of (score,
@@ -668,7 +727,7 @@ class TestArrayNbestLists:
         sent = np.array([s for s, _, _ in states])
         score = np.array([v for _, v, _ in states])
         emitted = np.array([ids for _, _, ids in states], dtype=np.intp)
-        kept = tm._nbest_lists(sent, score, *sequence_ids(emitted, model._row_table().ranks), n)
+        kept = tm._nbest_lists(sent, score, *sequence_ids(emitted, model._row_tables()[0][1].ranks), n)
         got = picked_lists(sent, score, emitted, ext_vocab, kept)
         for s, nb in got.items():
             beam = [(v, ids) for t, v, ids in states if t == s]
@@ -698,7 +757,7 @@ class TestArrayNbestLists:
         ext_vocab = model._ext_vocab()
         sent, score = np.zeros(3, dtype=np.intp), np.array([-1.0, -2.0, -3.0])
         emitted = np.array([[0, 1], [5, 1], [2, 2]])
-        kept = tm._nbest_lists(sent, score, *sequence_ids(emitted, model._row_table().ranks), 5)
+        kept = tm._nbest_lists(sent, score, *sequence_ids(emitted, model._row_tables()[0][1].ranks), 5)
         got = picked_lists(sent, score, emitted, ext_vocab, kept)
         assert entries(got[0]) == [((UNK_TOKEN, "a"), (-2.0).hex()),
                                    (("b", "b"), (-3.0).hex())]

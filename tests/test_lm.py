@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deskmt import lm as lm_module
+from deskmt import tm
 from deskmt.lm import (
     EOS,
     DataError,
@@ -21,10 +22,12 @@ from deskmt.lm import (
     lm_from_dict,
     lm_json,
     logprobs,
+    mixture,
     perplexity,
     row_table,
     train_lm,
 )
+from deskmt.tm import translate_corpus
 from deskmt.util import stable_json_dumps
 from reference_docs import lm_to_dict as reference_lm_to_dict
 from reference_row_table import ReferenceRowTable
@@ -45,18 +48,34 @@ def random_corpus(rng, vocab, n_sents, max_len=8):
             for _ in range(n_sents)]
 
 
+def mixed_probs(model, symbols, contexts):
+    """The decoder's LM probability rows after `contexts`, rows of ids into
+    `symbols`: each part's rows read from the part's row table and mixed by
+    `mixture`, element by element, as the decoder mixes the entries it
+    takes."""
+    part_probs = []
+    for _, part in model.parts:
+        table = row_table(part, symbols)
+        slots = table.slots(contexts)   # before `probs`, which it may grow
+        part_probs.append(table.probs[slots])
+    return mixture(model.parts, part_probs)
+
+
+def mixed_rows(model, symbols, contexts):
+    """The logs of `mixed_probs`, the terms the decoder scores."""
+    return np.log(mixed_probs(model, symbols, contexts))
+
+
 def table_row(model, symbols, context):
-    """ln P(symbol | context) of every symbol, read from the model's row
-    table over the symbols and the context's tokens; the context is cut to
-    its last order - 1 tokens, as the decoder gives it."""
+    """ln P(symbol | context) of every symbol, as the decoder takes it from
+    the row tables over the symbols and the context's tokens; the context
+    is cut to its last order - 1 tokens, as the decoder gives it."""
     symbols = tuple(symbols)
     table_symbols = tuple(dict.fromkeys(symbols + tuple(context)))
     context = context[max(0, len(context) - model.order + 1):] if model.order > 1 else ()
     ids = np.array([[table_symbols.index(t) for t in context]],
                    dtype=np.intp).reshape(1, len(context))
-    table = row_table(model, table_symbols)
-    slot = table.slots(ids)[0]
-    return table.rows[slot, :len(symbols)]
+    return mixed_rows(model, table_symbols, ids)[0, :len(symbols)]
 
 
 def probs(model, context):
@@ -369,23 +388,22 @@ class TestBatchScores:
         rng = random.Random(53)
         sents = random_corpus(rng, ["a", "b", "c", "d", "e"], 40)
         for model in self.models():
-            table = row_table(model, _SCORER_SYMBOLS)
             kept = set()   # the parts whose tables have held lower-order rows
             for s in sents:
                 assert sentence_logprob(model, s) == reference_logprob(model, s)
                 # a token outside the symbols reads as "zz", which no LM knows
                 ctx = [_SCORER_SYMBOLS.index(t) if t in _SCORER_SYMBOLS else 3
                        for t in s[-(model.order - 1):]]
-                slot = table.slots(np.array([ctx]))[0]
-                row = table.rows[slot]
+                row = mixed_rows(model, _SCORER_SYMBOLS, np.array([ctx]))[0]
                 assert [float(v).hex() for v in row] == \
                     [batch_term(model, tuple(_SCORER_SYMBOLS[i] for i in ctx), sym).hex()
                      for sym in _SCORER_SYMBOLS]
-                assert table.held <= 5 and table._states.size == table.held
-                # the lower-order rows each part's own table builds from
+                # each part's own table, its rows and the lower-order rows
+                # it builds from
                 for at, (_, part) in enumerate(model.parts):
                     part_table = row_table(part, _SCORER_SYMBOLS)
                     assert part_table.held <= 5
+                    assert part_table._states.size == part_table.held
                     assert len(part_table._lower) <= 5
                     assert all(level < part.order for level, _ in part_table._lower)
                     if part_table._lower:
@@ -704,7 +722,8 @@ def lm_state(model, context):
 
 
 class TestRowTable:
-    """The decoder's rows: one per LM state, each the batch scorer's terms."""
+    """The decoder's rows: one per state of an n-gram part, and the parts'
+    rows mixed are the batch scorer's terms."""
 
     @settings(max_examples=150, deadline=None)
     @given(_corpora, _orders, _ks, st.sampled_from([None, 0.0, 0.4, 1.0]),
@@ -716,38 +735,43 @@ class TestRowTable:
         model = train_lm(corpus, order, k)
         if alpha is not None:
             model = finetune_lm(model, [("b", "e"), ("e", "<s>", "a", "a")], alpha)
-        table = row_table(model, _TABLE_SYMBOLS)
-        slot_of = {}
+        tables = [row_table(part, _TABLE_SYMBOLS) for _, part in model.parts]
+        slot_of = [{} for _ in tables]   # each part's slot of every context
         for width, contexts in steps:
             # one step's contexts share a length of at most order - 1
             width = min(width, order - 1)
             ids = np.array([c[3 - width:] for c in contexts],
                            dtype=np.intp).reshape(len(contexts), width)
-            for ctx, slot in zip(map(tuple, ids.tolist()), table.slots(ids).tolist()):
-                assert slot_of.setdefault(ctx, slot) == slot
+            for table, seen in zip(tables, slot_of):
+                for ctx, slot in zip(map(tuple, ids.tolist()), table.slots(ids).tolist()):
+                    assert seen.setdefault(ctx, slot) == slot
         vocab = list(_TABLE_SYMBOLS)
-        for ctx, slot in slot_of.items():
+        for (_, part), table, seen in zip(model.parts, tables, slot_of):
+            slot_of_state = {}
+            for ctx, slot in seen.items():
+                state = lm_state(part, [vocab[i] for i in ctx])
+                assert slot_of_state.setdefault(state, slot) == slot
+            assert table.held == len(slot_of_state) == len(set(seen.values()))
+            assert table.prob_max == table.probs.max()
+        for ctx in slot_of[0]:
             back = [ctx[-d] if d <= len(ctx) else len(vocab) for d in range(1, order)]
             history = np.array([back] * len(vocab), dtype=np.int64).reshape(len(vocab), order - 1)
             expected = lm_module._event_logprobs(model, vocab, history, np.arange(len(vocab)))
-            assert [float(v).hex() for v in table.rows[slot]] == \
-                [float(v).hex() for v in expected]
-        states = {ctx: lm_state(model, [vocab[i] for i in ctx]) for ctx in slot_of}
-        slot_of_state = {}
-        for ctx, state in states.items():
-            assert slot_of_state.setdefault(state, slot_of[ctx]) == slot_of[ctx]
-        assert table.held == len(slot_of_state) == len(set(slot_of.values()))
+            got = mixed_rows(model, _TABLE_SYMBOLS, np.array([ctx], dtype=np.intp))[0]
+            assert [float(v).hex() for v in got] == [float(v).hex() for v in expected]
 
     def test_rows_die_with_the_lm_without_the_collector(self):
         gc.disable()
         try:
             model = finetune_lm(train_lm([("a", "b", "c")] * 4, 3, 0.3), [("b", "d")], 0.4)
-            table = row_table(model, _TABLE_SYMBOLS)
-            table.slots(np.array([[2, 3], [0, 2], [5, 6]]))
-            assert row_table(model, _TABLE_SYMBOLS) is table and table.held > 0
-            refs = [weakref.ref(obj) for obj in (model, model.base, model.indomain, table)]
-            del model, table
-            assert [ref() for ref in refs] == [None] * 4
+            tables = [row_table(part, _TABLE_SYMBOLS) for _, part in model.parts]
+            for table in tables:
+                table.slots(np.array([[2, 3], [0, 2], [5, 6]]))
+                assert table.held > 0
+            assert [row_table(part, _TABLE_SYMBOLS) for _, part in model.parts] == tables
+            refs = [weakref.ref(obj) for obj in (model, model.base, model.indomain, *tables)]
+            del model, tables, table
+            assert [ref() for ref in refs] == [None] * 5
         finally:
             gc.enable()
 
@@ -772,54 +796,85 @@ def _counting_rows(monkeypatch):
     return built
 
 
+_STEPS = st.lists(st.lists(st.tuples(*[st.integers(0, len(_TABLE_SYMBOLS) - 1)] * 3),
+                           min_size=1, max_size=8), min_size=1, max_size=4)
+
+
 @pytest.mark.hashseed
 class TestPerPartRows:
-    """An interpolated LM's table mixes rows read from its parts' own
+    """The decoder mixes an interpolated LM's entries from its parts' own
     tables, so a part shared by several LMs computes each row once."""
 
     def test_a_shared_part_computes_its_rows_once(self, monkeypatch):
+        # two fine-tune LMs over one base, decoded in turn: every row of the
+        # base, lower orders included, is computed once, and the second
+        # decode reads the base's rows from the table the first one filled
         rng = random.Random(61)
         base = train_lm(random_corpus(rng, ["a", "b", "c", "d"], 40), order=3, k=0.4)
         ones = [finetune_lm(base, random_corpus(rng, ["a", "b", "e"], 8), alpha)
                 for alpha in (0.3, 0.7)]
-        contexts = np.array([[i, j] for i in range(4) for j in range(4)])
+        src_vocab = (tm.NULL, "s0", "s1", "s2", "s3")
+        targets = ("a", "b", "c", "d", "e")
+        t = np.array([[rng.random() for _ in targets] for _ in src_vocab])
+        models = [tm.LexModel(src_vocab, targets, t / t.sum(axis=1, keepdims=True), lm,
+                              beam=3, window=1, lm_weight=0.6) for lm in ones]
+        sources = [tuple(rng.choice(src_vocab[1:]) for _ in range(rng.randint(1, 6)))
+                   for _ in range(12)]
         built = _counting_rows(monkeypatch)
-        first = row_table(ones[0], _SCORER_SYMBOLS)
-        first.slots(contexts)
-        base_rows = {level: built.get((id(base), level), 0) for level in (1, 2, 3)}
-        assert base_rows[3] == len({lm_state(base, [_SCORER_SYMBOLS[i] for i in ctx])
-                                    for ctx in contexts.tolist()})
-        second = row_table(ones[1], _SCORER_SYMBOLS)
-        second.slots(contexts)
-        # the base's rows, lower orders included, come from its table
-        assert {level: built.get((id(base), level), 0) for level in (1, 2, 3)} == base_rows
-        assert built[id(ones[1].indomain), 2] > 0
-        assert first.held > 0 and second.held > 0
+        translate_corpus(models[0], sources, 4)
+        first = {level: built.get((id(base), level), 0) for level in (1, 2, 3)}
+        translate_corpus(models[1], sources, 4)
+        table = row_table(base, models[0]._ext_vocab())
+        assert first[3] > 0 and built[id(ones[1].indomain), 3] > 0
+        assert built[id(base), 3] == table.held
+        for level in (1, 2):
+            assert built[id(base), level] == sum(key[0] == level for key in table._lower)
+        assert [t for _, t in models[1]._row_tables()][0] is table
 
     @settings(max_examples=120, deadline=None)
-    @given(_corpora, _orders, _ks, st.sampled_from([None, 0.0, 0.4, 1.0]),
-           st.lists(st.lists(st.tuples(*[st.integers(0, len(_TABLE_SYMBOLS) - 1)] * 3),
-                             min_size=1, max_size=8), min_size=1, max_size=4),
+    @given(_corpora, _orders, _ks, st.sampled_from([None, 0.0, 0.4, 1.0]), _STEPS,
            st.booleans())
     def test_rows_equal_the_reference_table(self, corpus, order, k, alpha, steps, shared):
-        """Every row the decoder reads equals, bit for bit, the row of the
-        table that computed its parts' rows itself; with `shared`, a second
-        LM over the same base has filled the base's table first."""
+        """Every entry the decoder mixes from its parts' tables equals, bit
+        for bit, the element of the row a table that mixed whole rows, and
+        computed its parts' rows itself, holds; with `shared`, a second LM
+        over the same base has filled the base's table first."""
         base = train_lm(corpus, order, k)
         model = base
         if alpha is not None:
             model = finetune_lm(base, [("b", "e"), ("e", "<s>", "a", "a")], alpha)
         if shared:
             other = finetune_lm(base, [("a", "c", "c")], 0.5)
-            row_table(other, _TABLE_SYMBOLS).slots(np.array([[0, 1, 2], [2, 3, 4]])[:, 4 - order:])
-        table = row_table(model, _TABLE_SYMBOLS)
+            mixed_probs(other, _TABLE_SYMBOLS, np.array([[0, 1, 2], [2, 3, 4]])[:, 4 - order:])
         reference = ReferenceRowTable(model, _TABLE_SYMBOLS)
         for contexts in steps:
             width = order - 1
             ids = np.array([c[3 - width:] for c in contexts], dtype=np.intp).reshape(
                 len(contexts), width)
-            got, want = table.slots(ids), reference.slots(ids)
-            assert table.rows[got].tobytes() == reference.rows[want].tobytes()
-        if alpha is not None or not shared:   # no other LM filled this table
+            got, want = mixed_probs(model, _TABLE_SYMBOLS, ids), reference.slots(ids)
+            assert got.tobytes() == reference.probs[want].tobytes()
+        if alpha is None and not shared:   # no other LM filled this table
+            table = row_table(model, _TABLE_SYMBOLS)
             assert table.held == reference.held
-            assert table.row_max == reference.row_max
+            assert table.prob_max == reference.prob_max
+
+    @settings(max_examples=150, deadline=None)
+    @given(_corpora, _orders, st.sampled_from([1e-12, 0.01, 0.3, 7.5]),
+           st.sampled_from([None, 0.0, 0.1, 0.3, 0.4, 0.7, 1.0]), _STEPS)
+    def test_no_mixed_entry_exceeds_the_bound_of_the_parts_maxima(self, corpus, order, k,
+                                                                   alpha, steps):
+        """The decoder's LM bound, the parts' mixture of their tables'
+        largest probabilities, is at least every entry it mixes, and so is
+        its log; at each step, as the tables grow."""
+        model = train_lm(corpus, order, k)
+        if alpha is not None:
+            model = finetune_lm(model, [("b", "e"), ("e", "<s>", "a", "a")], alpha)
+        for contexts in steps:
+            width = order - 1
+            ids = np.array([c[3 - width:] for c in contexts], dtype=np.intp).reshape(
+                len(contexts), width)
+            entries = mixed_probs(model, _TABLE_SYMBOLS, ids)
+            bound = mixture(model.parts, [row_table(part, _TABLE_SYMBOLS).prob_max
+                                          for _, part in model.parts])
+            assert entries.max() <= bound
+            assert np.log(entries).max() <= np.log(bound)

@@ -17,7 +17,7 @@ from deskmt.corpus import (
     save_corpus,
 )
 from deskmt.ensemble import Ensemble
-from deskmt.lm import InterpolatedLM, RowTable
+from deskmt.lm import InterpolatedLM, NGramLM, RowTable
 from deskmt.pipeline import PipelineConfig, PipelineManifest, run_pipeline
 from deskmt.rerank import write_nbest_file
 from deskmt.search import SearchSpace, TrialConfig, default_search_space
@@ -294,24 +294,30 @@ class TestResumeChecksEnsembleMembers:
 class TestLMCaches:
     def test_no_table_keeps_a_top_order_row_of_a_part(self, tmp_path, monkeypatch):
         # every row table of the run, kept past its eviction from the cache,
-        # with its LM; lower-order rows live in the tables of n-gram LMs,
-        # which an interpolated LM's table reads its parts' rows from
+        # with its LM: each is an n-gram LM's, fine-tuned and reranking LMs
+        # included, and keeps lower-order rows only
         created = []
         init = RowTable.__init__
 
         def recording_init(self, model, symbols):
             init(self, model, symbols)
-            created.append((self, isinstance(model, InterpolatedLM), model.order))
+            created.append((self, type(model), model.order))
 
         monkeypatch.setattr(RowTable, "__init__", recording_init)
+        interpolated = []   # the run does build interpolated LMs
+        real_interpolated_init = InterpolatedLM.__init__
+
+        def recording_interpolated(self, base, indomain, alpha):
+            real_interpolated_init(self, base, indomain, alpha)
+            interpolated.append(alpha)
+
+        monkeypatch.setattr(InterpolatedLM, "__init__", recording_interpolated)
         bundle = tiny_bundle(seed=31)
         run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt, bundle.dev,
                      str(tmp_path / "r"), tiny_config())
-        assert created and any(table._lower for table, _, _ in created)
-        assert any(mixed for _, mixed, _ in created)
-        for table, mixed, order in created:
-            if mixed:
-                assert not table._lower
+        assert interpolated and created and any(table._lower for table, _, _ in created)
+        for table, kind, order in created:
+            assert kind is NGramLM
             assert all(level < order for level, _ in table._lower)
 
 

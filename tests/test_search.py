@@ -36,7 +36,7 @@ from deskmt.search import (
     select_top_k,
     trial_mix,
 )
-from deskmt.tm import EMTrainer, em_train, translate_corpus
+from deskmt.tm import WIDTH_MAX, EMTrainer, em_train, translate_corpus
 from test_tm import per_pair_grouping, reference_marginal
 
 
@@ -132,7 +132,8 @@ class TestSampleConfigs:
 
     @pytest.mark.parametrize("name, value", [
         ("em_iterations", 2.5), ("em_iterations", 0), ("lm_order", 2.0), ("lm_order", 0),
-        ("beam", 1.5), ("beam", 0), ("window", -1), ("window", 1.0),
+        ("beam", 1.5), ("beam", 0), ("beam", WIDTH_MAX + 1), ("beam", 2**63),
+        ("window", -1), ("window", 1.0),
         ("smoothing_k", 0), ("smoothing_k", -0.5), ("smoothing_k", math.inf),
         ("lm_weight", -1.0), ("lm_weight", math.nan), ("lm_weight", 1e308),
         ("up_bitext", 1.5), ("up_fwd", 0), ("up_bt", 2**53 + 1)])
@@ -157,7 +158,7 @@ class TestSampleConfigs:
         ({"dims": {"beam": 5}}, "'beam'"), ({"dims": {"beam": []}}, "'beam'"),
         ({"dims": {"beam": [1.5]}}, "'beam'"), ({"dims": {"up_bitext": [1.5]}}, "'up_bitext'"),
         ({"dims": {"em_iterations": [0]}}, "'em_iterations'"),
-        ({"dims": {"colour": [1]}}, "colour"),
+        ({"dims": {"colour": [1]}}, "colour"), ({"dims": {"beam": [2**63]}}, "'beam'"),
     ])
     def test_malformed_space_file_is_data_error(self, tmp_path, doc, key):
         path = tmp_path / "space.json"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deskmt.corpus import SIDE_PARALLEL, UNK_TOKEN, TaggedDataset, build_mix, swap_direction
-from deskmt.lm import finetune_lm, train_lm
+from deskmt.lm import finetune_lm, mixture, train_lm
 from deskmt.ensemble import Ensemble
 from deskmt import cache
 from deskmt import tm as tm_module
@@ -88,10 +88,13 @@ def build_model(t_dict, src_vocab, tgt_vocab, lm_corpus, *, beam=5, window=0,
 def lm_row(model, ctx):
     """The decoder's LM log-probabilities over the ext ids after a token context."""
     ext_id = {s: i for i, s in enumerate(model._ext_vocab())}
-    table = model._row_table()
-    slot = table.slots(np.array([[ext_id[t] for t in ctx]],
-                                dtype=np.intp).reshape(1, len(ctx)))[0]
-    return table.rows[slot]
+    contexts = np.array([[ext_id[t] for t in ctx]], dtype=np.intp).reshape(1, len(ctx))
+    tables = model._row_tables()
+    probs = []
+    for _, table in tables:
+        slot = table.slots(contexts)[0]
+        probs.append(table.probs[slot])
+    return np.log(mixture(tables, probs))
 
 
 def candidates(model, symbol):
@@ -968,9 +971,10 @@ class TestCandidateTable:
 
 
 class TestDecoderSettings:
-    """`lm_weight` lies in [0, LM_WEIGHT_MAX] and `unk_floor` in (0, 1]; any
-    other value is a DataError naming the setting, from the constructor and
-    from a model document."""
+    """`lm_weight` lies in [0, LM_WEIGHT_MAX], `unk_floor` in (0, 1] and
+    `beam` in [1, WIDTH_MAX]; any other value is a DataError naming the
+    setting, from the constructor and from a model document. The n-best
+    size lies in [1, WIDTH_MAX] too."""
 
     BAD_LM_WEIGHTS = [math.nan, math.inf, -math.inf, -0.5, sys.float_info.max,
                       tm_module.LM_WEIGHT_MAX * 10]
@@ -999,6 +1003,38 @@ class TestDecoderSettings:
         with pytest.raises(DataError, match="'unk_floor'"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("value", [0, -1, tm_module.WIDTH_MAX + 1, 2**63, 10**400])
+    def test_bad_beam(self, value):
+        with pytest.raises(DataError, match="'beam'"):
+            LexModel((NULL, "a"), ("x",), np.ones((2, 1)), train_lm([("x",)], 1, 0.5),
+                     beam=value)
+        doc = model_doc(self.build())
+        doc["beam"] = value
+        with pytest.raises(DataError, match="'beam'"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [0, tm_module.WIDTH_MAX + 1, 2**63, 10**400])
+    def test_bad_nbest(self, value):
+        model = self.build()
+        for sources in ([("a",)], []):
+            with pytest.raises(DataError, match="'nbest'"):
+                translate_corpus(model, sources, value)
+
+    def test_widest_beam_and_nbest_decode(self):
+        # the decoder's indices stay within int64 at the largest width
+        t = np.array([[0.0, 0.0], [0.6, 0.4]])
+        lm = train_lm([("x", "y")], 2, 0.5)
+        narrow = LexModel((NULL, "a"), ("x", "y"), t, lm, beam=4, window=1, lm_weight=0.3)
+        wide = LexModel((NULL, "a"), ("x", "y"), t, lm, beam=tm_module.WIDTH_MAX, window=1,
+                        lm_weight=0.3)
+        sources = [("a", "a"), ("a",)]
+        assert model_from_dict(model_doc(wide)).beam == tm_module.WIDTH_MAX
+        want = nbest_lists(translate_corpus(narrow, sources, 8))
+        assert [len(nb) for nb in want] == [4, 2]
+        for model, n in [(narrow, tm_module.WIDTH_MAX), (wide, 8),
+                         (wide, tm_module.WIDTH_MAX)]:
+            assert nbest_lists(translate_corpus(model, sources, n)) == want
+
     def test_bounds_load_and_decode_finite(self):
         # at the largest weight an LM far from certain still scores finite
         lm = train_lm([("x", "y"), ("y",)], 2, 0.5)
@@ -1025,24 +1061,39 @@ class TestSharedRowTable:
 
     def test_models_sharing_an_lm_and_vocabulary_share_one_table(self, monkeypatch):
         model, twin, ens = self.models()
-        table = model._row_table()
-        assert twin._row_table() is table and ens._row_table() is table
+        (weight, table), = model._row_tables()
+        assert weight == 1.0
+        assert twin._row_tables() == ens._row_tables() == ((1.0, table),)
         x = ("s1", "s2", "s3")
         translate_corpus(model, [x], 3)
-        held, states, rows = table.held, table._states.copy(), table.rows.copy()
+        held, states, probs = table.held, table._states.copy(), table.probs.copy()
         assert held > 0
         translate_corpus(twin, [x], 3)   # the twin meets the same contexts: no new row
         assert table.held == held and np.array_equal(table._states, states)
-        assert np.array_equal(table.rows, rows)
+        assert np.array_equal(table.probs, probs)
         other = LexModel(model.src_vocab, model.tgt_vocab[:-1], model.t[:, :-1],
                          model.lm)
-        assert other._row_table() is not table
+        assert other._row_tables()[0][1] is not table
         # shared while it is in the cache: once evicted, the next request
         # builds a new table, which the other models then share
         monkeypatch.setattr(cache, "BOUND", 1)
         model._t_ext()
-        rebuilt = twin._row_table()
-        assert rebuilt is not table and ens._row_table() is rebuilt
+        (_, rebuilt), = twin._row_tables()
+        assert rebuilt is not table and ens._row_tables()[0][1] is rebuilt
+
+    def test_fine_tunes_of_one_lm_share_its_table(self):
+        # an interpolated LM owns no table: its decoder reads its parts'
+        # tables, so fine-tunes of one base share the base's table
+        model, _, _ = self.models()
+        tunes = [LexModel(model.src_vocab, model.tgt_vocab, model.t,
+                          finetune_lm(model.lm, [("t1", "t2")], alpha), window=1,
+                          lm_weight=0.4) for alpha in (0.3, 0.6)]
+        (_, base), = model._row_tables()
+        for tune in tunes:
+            tables = tune._row_tables()
+            assert [w for w, _ in tables] == [w for w, _ in tune.lm.parts]
+            assert tables[0][1] is base
+        assert tunes[0]._row_tables()[1][1] is not tunes[1]._row_tables()[1][1]
 
     def test_rows_die_with_their_models_without_the_collector(self):
         gc.disable()
@@ -1051,7 +1102,7 @@ class TestSharedRowTable:
             for m in models:
                 translate_corpus(m, [("s0", "s4")], 2)
             lm_ref = weakref.ref(models[0].lm)
-            table_ref = weakref.ref(models[0]._row_table())
+            table_ref = weakref.ref(models[0]._row_tables()[0][1])
             rows_seen = table_ref().held
             del models, m
             assert rows_seen > 0
