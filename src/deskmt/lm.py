@@ -56,30 +56,23 @@ events than tokens: 13,565 against 88,198 over the 300 reranked lists of
 the bench's `recipe` self-training pool (seed 1).
 
 The decoder reads rows, a word's probability after a context at every
-symbol of a fixed list, from a `RowTable`: one per (n-gram LM, symbol
-list), kept in the decoder cache (`cache`) by `row_table`, so models that
-share an LM and a target vocabulary (fine-tune candidates, an ensemble and
-its first member) share one table while it is held there. An interpolated
+symbol of a fixed list, from a `RowTable` of an n-gram LM. An interpolated
 LM has no table of its own: the decoder reads each part's table and mixes
-the parts' probabilities at the entries it takes (`tm._entry_scores`). So
-a part shared by several LMs computes each of its rows once while the cache
-holds its table: the trial LM inside each of its fine-tune LMs, and the
-in-domain LM a search's fine-tunes share (`search.TrainingLayouts`). The
-cache holds a bounded number of tables, evicting the least recently used;
-an evicted table is built again on the next request, with the same rows.
-A table holds probability rows; the decoder logs the entries it scores.
+the parts' probabilities at the entries it takes (`tm._entry_scores`). A
+decode builds its LM's part tables as it starts and drops them when it
+returns (`tm.translate_stack`), so a table lives for one call, and the
+models of a stack, which share one LM, share its tables. A table holds
+probability rows; the decoder logs the entries it scores.
 
 A row depends only on the context's LM state, the longest suffix of the
 BOS-padded context that is a node of the count trie, as (depth, node): the
 levels above it hold no counts and a total of 0, so each turns a row r into
 (ks * r) / ks whatever the tokens are. So a table holds one row per state:
-on the bench's `recipe` (seed 1) the tables compute 4,794 top-order rows for
-20,026 distinct (n-gram LM, context) pairs decoded. Every context is walked down the count trie (one
-`_find` per level) to its state key, and one `searchsorted` in the table's
-sorted state keys gives its slot; rows are computed only for the states not
-held, in one batch per call. The table reaches its LM through a weak
-reference, so no table keeps its LM alive, and the cache drops the tables
-of an LM that dies.
+on the bench's `recipe` (seed 1) the tables compute 6,848 top-order rows for
+20,026 distinct (n-gram LM, context) pairs decoded. Every context is walked
+down the count trie (one `_find` per level) to its state key, and one
+`searchsorted` in the table's sorted state keys gives its slot; rows are
+computed only for the states not held, in one batch per call.
 
 A table's caches, each cleared before it would pass `_CACHE_CAP` entries:
 
@@ -94,12 +87,10 @@ from __future__ import annotations
 
 import math
 import sys
-import weakref
 from itertools import chain
 
 import numpy as np
 
-from .cache import cached
 from .corpus import Sentence
 from .util import (NUMBER, DataError, doc_field, doc_float, doc_strings, pair_runs_json,
                    sorted_distinct, stable_json_object)
@@ -307,17 +298,15 @@ class RowTable:
     distinct symbols in string order, so two ids that spell one symbol
     share a rank. `prob_max` is the largest probability held (0.0 with
     none); the decoder bounds an LM term by the log of the parts' mixture of
-    these. A table built again after its eviction from the decoder cache
-    may hold other rows and so another `prob_max`, which changes how many
-    entries a beam step scores, not which survive. The table also keeps the
-    lower-order rows it builds from, and reaches its LM through a weak
-    reference, so it keeps no LM alive.
+    these, so a table that has met other states holds another `prob_max`,
+    which changes how many entries a beam step scores, not which survive.
+    The table also keeps the lower-order rows it builds from.
     """
 
     def __init__(self, model: NGramLM, symbols: tuple[str, ...]):
         rank = {sym: r for r, sym in enumerate(sorted(set(symbols)))}
         self.ranks = np.array([rank[sym] for sym in symbols], dtype=np.int64)
-        self._lm = weakref.ref(model)
+        self._lm = model
         self._word_ids, self._context_ids = model._symbol_ids(symbols)
         self._lower: dict = {}   # the lower-order rows
         self._clear()
@@ -337,9 +326,7 @@ class RowTable:
         """The row slot of every context: a row of symbol ids, oldest first,
         at most order - 1 long (a shorter one is BOS-padded). Every context
         is walked to its state; only the states not held get rows."""
-        model = self._lm()
-        if model is None:
-            raise ValueError("the row table's language model is gone")
+        model = self._lm
         depth, node = model._walk(self._context_ids[contexts])
         state = model._level_start[depth - 1] + node
         found = _find(self._states, state)
@@ -380,12 +367,6 @@ class RowTable:
         self._buffer[self.held:need] = rows
         self.held = need
         self.prob_max = max(self.prob_max, float(rows.max()))
-
-
-def row_table(model: NGramLM, symbols: tuple[str, ...]) -> RowTable:
-    """The n-gram LM's row table for `symbols`, from the decoder cache:
-    made on first request, and again after the cache evicted it."""
-    return cached(model, symbols, lambda: RowTable(model, symbols))
 
 
 def _count_tables(order: int, width: int, events) -> tuple:

@@ -451,7 +451,7 @@ def finetune(model: LexModel, in_domain: TaggedDataset, dev: TaggedDataset,
     `TrainingLayouts` of `[in_domain]`, which `run_search` builds once per
     direction and shares across its trials; a fine-tune run alone builds
     its own. So the fine-tune LMs of a search's trials with one (LM order,
-    smoothing k) share their in-domain part, and its row tables with it.
+    smoothing k) share their in-domain part.
     """
     if not in_domain.pairs:
         raise DataError("fine-tuning needs non-empty in-domain data")

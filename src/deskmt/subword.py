@@ -244,9 +244,14 @@ def load_bpe(path: str) -> BpeModel:
             raise DataError(f"{path}:{lineno}: a merge line needs exactly "
                             f"two symbols separated by one space")
         merges.append((pair[0], pair[1]))
-    if not fields.get("vocab", "").isdigit() or "joiner" not in fields:
+    vocab = fields.get("vocab", "")
+    try:   # ASCII digits only: str.isdigit also passes "²"
+        vocab_size = int(vocab) if vocab.isascii() and vocab.isdigit() else None
+    except ValueError:   # more digits than `int` converts
+        vocab_size = None
+    if vocab_size is None or "joiner" not in fields:
         raise DataError(f"{path}:1: the header needs vocab=<int> and joiner=")
     reserved = frozenset(fields.get("reserved", "").split())
     symbols = chars + tuple(l + r for l, r in merges)
-    return BpeModel(merges=tuple(merges), vocab_size_target=int(fields["vocab"]),
+    return BpeModel(merges=tuple(merges), vocab_size_target=vocab_size,
                     joiner=fields["joiner"], reserved=reserved, symbols=symbols)

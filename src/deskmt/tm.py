@@ -71,9 +71,8 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .cache import cached
 from .corpus import MAX_COUNT, UNK_TOKEN, DataMix, Sentence
-from .lm import LanguageModel, lm_from_dict, lm_json, mixture, row_table, train_lm
+from .lm import LanguageModel, RowTable, lm_from_dict, lm_json, mixture, train_lm
 from .util import (DataError, doc_field, doc_float, doc_strings, pair_runs_json, sha256_text,
                    stable_json_object)
 
@@ -205,17 +204,13 @@ class LexModel:
     the memoized `model_hash` are built from its table, LM and settings on
     first use and never invalidated, so changing any of them afterwards
     gives stale results. Derive a new model instead. `_caches` holds the
-    ext vocabulary and the hash; the candidate table and the padded table
-    (`_candidate_table`, `_t_ext`) are kept in the decoder cache (`cache`),
-    which evicts the least recently used tables past its bound and builds
-    them again on request.
+    ext vocabulary and the hash.
 
-    The LM rows the decoder reads belong to the LM's parts, not the model:
-    `_row_tables` returns `lm.row_table(part, tgt_vocab + <unk>)` of each
-    n-gram part, which holds one row per state of that part, so models that
-    share an LM or a part and a target vocabulary (fine-tune candidates, an
-    ensemble and its first member, the fine-tunes of one trial LM) share
-    its table while the cache holds it.
+    The tables a decode or a channel score reads, the candidate table, the
+    padded table and the LM's row tables (`_candidate_table`, `_t_ext`,
+    `_row_tables`), are built by the call that reads them and die when it
+    returns. The LM rows belong to the LM's parts, not the model: a row
+    table holds one row per state of one n-gram part.
     """
 
     def __init__(self, src_vocab: tuple[str, ...], tgt_vocab: tuple[str, ...],
@@ -262,7 +257,7 @@ class LexModel:
     def direction(self) -> str:
         return f"{self.src_lang}->{self.tgt_lang}"
 
-    # decoding state, built lazily and shared across calls
+    # decoding state: the ext vocabulary is kept, the tables built per call
 
     def _ext_vocab(self) -> tuple[str, ...]:
         ext = self._caches.get("ext_vocab")
@@ -272,19 +267,15 @@ class LexModel:
         return ext
 
     def _row_tables(self) -> tuple:
-        """(weight, `RowTable` over the ext symbols) of each of the LM's
-        parts, which `lm.mixture` mixes as it mixes the parts. A table's
-        `ranks` order the ext symbols as strings, the two ext ids of the
-        unknown token sharing one rank."""
-        return tuple((weight, row_table(part, self._ext_vocab()))
+        """(weight, a new `RowTable` over the ext symbols) of each of the
+        LM's parts, which `lm.mixture` mixes as it mixes the parts. A
+        table's `ranks` order the ext symbols as strings, the two ext ids of
+        the unknown token sharing one rank."""
+        return tuple((weight, RowTable(part, self._ext_vocab()))
                      for weight, part in self.lm.parts)
 
     def _t_ext(self) -> np.ndarray:
-        """Lexical table padded with a floor row/column for unknown symbols,
-        from the decoder cache."""
-        return cached(self, "t_ext", self._build_t_ext)
-
-    def _build_t_ext(self) -> np.ndarray:
+        """Lexical table padded with a floor row/column for unknown symbols."""
         ns, nt = self.t.shape
         t_ext = np.full((ns + 1, nt + 1), self.unk_floor)
         t_ext[:ns, :nt] = self.t
@@ -292,7 +283,7 @@ class LexModel:
 
     def _candidate_table(self):
         """(ext ids, lex log-probs, start, count) of every source symbol's
-        decodable targets, back to back, from the decoder cache.
+        decodable targets, back to back.
 
         Source id s owns entries start[s]:start[s] + count[s], its run, in
         descending lex order, ties in ascending target id order, so the
@@ -301,9 +292,6 @@ class LexModel:
         or whose table row is all zero decodes to the unknown token at the
         floor probability, the last run.
         """
-        return cached(self, "cands", self._build_candidate_table)
-
-    def _build_candidate_table(self):
         ns, nt = self.t.shape
         rows, ids = np.nonzero(self.t)
         lex = np.log(self.t[rows, ids])
@@ -485,16 +473,14 @@ def _em_iteration(t: np.ndarray, groups) -> tuple[np.ndarray, float]:
 # only the pool entries that can reach the beam (see `_decode_block`), but its
 # row arrays still grow with the block's states, so the block is bounded;
 # larger blocks run fewer steps, and each step has a fixed cost. A decode
-# reads its stack's candidate tables from the decoder cache once and holds
-# them, back to back, for all its blocks. A block reads the row tables of the
-# LM's parts once and holds them for all its steps; the cache keeps them, and
-# a reranked decode's padded channel table, from one block to the next (see
-# `cache.BOUND`). Decoding a 300-sentence pool at n=50 (the bench's `recipe`
-# self-training pool, seed 1, with the LM's row table already filled) peaked
-# at 10.7 MB of traced heap (tracemalloc) as one block, against 3.1 MB in
-# length-sorted blocks of this size, 1.8 MB of 2048 states, 1.2 MB of 1024 or
-# 256 states and 1.4 MB one sentence at a time; the returned `NBestBlock` of
-# 13,008 entries holds 0.4 MB of it. Reranked block by block, the peaks are
+# builds its stack's candidate tables, back to back, and the row tables of
+# the LM's parts once, and holds them for all its blocks. Decoding a
+# 300-sentence pool at n=50 (the bench's `recipe` self-training pool, seed 1,
+# with the LM's row table already filled) peaked at 10.7 MB of traced heap
+# (tracemalloc) as one block, against 3.1 MB in length-sorted blocks of this
+# size, 1.8 MB of 2048 states, 1.2 MB of 1024 or 256 states and 1.4 MB one
+# sentence at a time; the returned `NBestBlock` of 13,008 entries holds
+# 0.4 MB of it. Reranked block by block, the peaks are
 # 3.4, 2.3 and 2.1 MB at 4096, 2048 and 1024 states. Decoding and reranking
 # that pool took a median of 114, 132 and 152 ms of CPU at 4096, 2048 and 1024
 # states (6 rounds each, interleaved).
@@ -550,10 +536,11 @@ def translate_stack(models: Sequence[LexModel], sources: list[Sentence], nbest: 
     their candidate tables differ, so the stack decodes as one model would:
     model i's decode of source k is sentence i * len(sources) + k, and the
     sentences are sorted by length and cut into blocks as `translate_corpus`
-    describes. The models' candidate tables are laid back to back once, for
-    every block (see `_decode_block`). Every list is the one its model gives
-    alone, bit for bit, and a stack of k models runs the beam steps of one
-    decode instead of k.
+    describes. The models' candidate tables are laid back to back once, and
+    the row table of each of the LM's parts is built once, for every block
+    (see `_decode_block`); both die when the call returns. Every list is the
+    one its model gives alone, bit for bit, and a stack of k models runs the
+    beam steps of one decode instead of k.
     """
     if not models:
         raise ValueError("a stack needs at least one model")
@@ -578,10 +565,12 @@ def translate_stack(models: Sequence[LexModel], sources: list[Sentence], nbest: 
     k = len(sources)
     by_length = sorted(range(len(models) * k), key=lambda s: len(sources[s % k]))
     cands = _stacked_candidates(models)
+    tables = first._row_tables()
     blocks = []
     for lo in range(0, len(by_length), size):
         stacked = np.array(by_length[lo:lo + size])
-        block = _decode_block(models, cands, [sources[s] for s in (stacked % k).tolist()],
+        block = _decode_block(models, cands, tables,
+                              [sources[s] for s in (stacked % k).tolist()],
                               stacked // k, width, nbest)
         blocks.append(block if rerank_ctx is None else rerank_ctx.rerank(block))
     joined = NBestBlock.concat(blocks)
@@ -589,15 +578,16 @@ def translate_stack(models: Sequence[LexModel], sources: list[Sentence], nbest: 
     return [joined.select(at[i * k:(i + 1) * k]) for i in range(len(models))]
 
 
-def _decode_block(models: Sequence[LexModel], cands, block: list[Sentence],
+def _decode_block(models: Sequence[LexModel], cands, tables: tuple, block: list[Sentence],
                   member: np.ndarray, width: int, n: int) -> NBestBlock:
     """Beam search for the top-n hypotheses of every source of a block,
     block[s] decoded by models[member[s]].
 
     The models share one decoder (see `translate_stack`), whose settings
-    and LM row tables, one per part of the LM, the block reads from the
-    first model; `cands` is their candidate tables laid back to back
-    (`_stacked_candidates`), and a source reads only its own model's runs. Everything else the steps compute is per
+    the block reads from the first model, and whose LM row tables, one per
+    part of the LM, are `tables` (`LexModel._row_tables`); `cands` is their
+    candidate tables laid back to back (`_stacked_candidates`), and a source
+    reads only its own model's runs. Everything else the steps compute is per
     sentence, and a wider lex range across the stack only raises the slack
     below, which changes how many entries are scored, not which survive.
 
@@ -656,7 +646,6 @@ def _decode_block(models: Sequence[LexModel], cands, block: list[Sentence],
     """
     model = models[0]
     w = model.window
-    tables = model._row_tables()
     order = model.lm.order
     ext_vocab = model._ext_vocab()
     # LM contexts compare by symbol, and a target vocabulary that holds the
@@ -939,7 +928,7 @@ def pair_channel_scores(model: LexModel, xs: list[Sentence], ys: list[Sentence],
     pairs it is computed with.
     """
     ns, nt = model.t.shape
-    return _pair_scores(model, _ids_end_to_end(xs, model.tgt_id, nt),
+    return _pair_scores(model, model._t_ext(), _ids_end_to_end(xs, model.tgt_id, nt),
                         _ids_end_to_end(ys, model.src_id, ns), x_at, y_at)
 
 
@@ -952,17 +941,17 @@ def block_channel_scores(model: LexModel, block: NBestBlock) -> np.ndarray:
     to_src = np.fromiter(map(model.src_id.get, block.symbols, repeat(ns)), dtype=np.intp,
                          count=len(block.symbols))
     ids, lengths = block.tokens()
-    return _pair_scores(model, _ids_end_to_end(block.sources, model.tgt_id, nt),
+    return _pair_scores(model, model._t_ext(), _ids_end_to_end(block.sources, model.tgt_id, nt),
                         (to_src.take(ids), lengths.cumsum() - lengths, lengths),
                         block.list_of_entries(), np.arange(lengths.size))
 
 
-def _pair_scores(model: LexModel, x, y, x_at: np.ndarray, y_at: np.ndarray) -> np.ndarray:
+def _pair_scores(model: LexModel, t_ext: np.ndarray, x, y, x_at: np.ndarray,
+                 y_at: np.ndarray) -> np.ndarray:
     """`pair_channel_scores` of sentences given as (ids laid end to end,
     each sentence's start, its length): x in the model's target ids, y in
-    its source ids."""
+    its source ids; `t_ext` is the model's padded table (`LexModel._t_ext`)."""
     (x_ids, x_start, x_len), (y_ids, y_start, y_len) = x, y
-    t_ext = model._t_ext()
     out = np.zeros(len(x_at))
     base = int(x_len.max(initial=0)) + 1
     shapes, group = np.unique(y_len[y_at] * base + x_len[x_at], return_inverse=True)
@@ -1021,12 +1010,14 @@ def cross_channel_scores(model: LexModel, blocks: list[tuple[Sequence[Sentence],
     one log per y and column where it takes one per pair and position. The
     blocks are scored in runs (see `_CROSS_RUN`), each run's rows laid end to
     end and its pairs scored together, so a run costs a fixed number of
-    NumPy calls however many blocks it holds.
+    NumPy calls however many blocks it holds. The model's table is padded
+    once per call, for every run.
     """
     ns, nt = model.t.shape
+    t_ext = model._t_ext()
     out = [np.zeros((len(xs), len(ys))) for xs, ys in blocks]
     for run in _cross_runs(blocks, nt):
-        _cross_run(model, blocks, run, out)
+        _cross_run(model, t_ext, blocks, run, out)
     return out
 
 
@@ -1051,8 +1042,9 @@ def _cross_runs(blocks, nt: int):
         yield run
 
 
-def _cross_run(model: LexModel, blocks, run, out: list[np.ndarray]) -> None:
-    """Score one run of `_cross_runs` into the blocks' matrices `out`."""
+def _cross_run(model: LexModel, t_ext: np.ndarray, blocks, run, out: list[np.ndarray]) -> None:
+    """Score one run of `_cross_runs` into the blocks' matrices `out`, from
+    the model's padded table `t_ext`."""
     ns, nt = model.t.shape
     heights = np.array([len(blocks[k][0]) for k, _, _ in run], dtype=np.intp)
     widths = np.array([hi - lo for _, lo, hi in run], dtype=np.intp)
@@ -1066,7 +1058,8 @@ def _cross_run(model: LexModel, blocks, run, out: list[np.ndarray]) -> None:
     keys, tok_col = np.unique(np.repeat(np.repeat(pieces, heights), x_len) * (nt + 1) + x_ids,
                               return_inverse=True)
     first = np.searchsorted(keys // (nt + 1), np.arange(len(run) + 1))
-    rows, row_base = _cross_rows(model, y, np.repeat(pieces, widths), keys % (nt + 1), first)
+    rows, row_base = _cross_rows(model, t_ext, y, np.repeat(pieces, widths), keys % (nt + 1),
+                                 first)
     # each piece's pairs, row by row
     sizes = heights * widths
     pair_first = sizes.cumsum() - sizes
@@ -1078,7 +1071,7 @@ def _cross_run(model: LexModel, blocks, run, out: list[np.ndarray]) -> None:
     lengths, group = np.unique(x_len[x_at], return_inverse=True)
     for m, members in zip(lengths.tolist(), _members(group, len(lengths))):
         if m == 1:
-            scores[members] = _pair_scores(model, x, y, x_at[members], y_at[members])
+            scores[members] = _pair_scores(model, t_ext, x, y, x_at[members], y_at[members])
             continue
         step = max(1, _CROSS_RUN // max(m, 1))
         for lo in range(0, members.size, step):
@@ -1091,14 +1084,14 @@ def _cross_run(model: LexModel, blocks, run, out: list[np.ndarray]) -> None:
         out[k][:, lo:hi] = scores[pair_first[p]:pair_first[p] + sizes[p]].reshape(heights[p], hi - lo)
 
 
-def _cross_rows(model: LexModel, y, y_piece: np.ndarray, symbols: np.ndarray,
-                first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cross_rows(model: LexModel, t_ext: np.ndarray, y, y_piece: np.ndarray,
+                symbols: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of `cross_channel_scores` for the ys `y`, laid end to end,
     and each y's base: y's entry for its piece's column c (counted across
     all pieces) is rows[base[y] + c]. Piece p's columns are the ext target
-    ids symbols[first[p]:first[p + 1]]; y_piece is each y's piece."""
+    ids symbols[first[p]:first[p + 1]]; y_piece is each y's piece, and
+    `t_ext` the model's padded table."""
     y_ids, y_start, y_len = y
-    t_ext = model._t_ext()
     # ys longest first, so the ys with an i-th symbol are a prefix, and so
     # are their rows' elements
     longest = np.argsort(-y_len, kind="stable")

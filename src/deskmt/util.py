@@ -123,13 +123,18 @@ def read_text(path: str, what: str) -> str:
 
 
 def read_json(path: str, what: str) -> dict:
-    """The JSON object a file holds; DataError if it is unreadable, not JSON or
-    not an object (see `read_text`)."""
+    """The JSON object a file holds; DataError if it is unreadable, not JSON,
+    nested deeper than the parser recurses, holds an integer of more digits
+    than `int` converts, or is not an object (see `read_text`)."""
     text = read_text(path, what)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: {what} is not JSON: {e}") from e
+    except RecursionError as e:
+        raise DataError(f"{path}: {what} is nested too deeply to read") from e
+    except ValueError as e:   # an integer past the interpreter's digit limit
+        raise DataError(f"{path}: {what} holds an integer too long to read: {e}") from e
     if not isinstance(doc, dict):
         raise DataError(f"{path}: {what} is not a JSON object")
     return doc

@@ -3,9 +3,8 @@ its LM's mixed probability rows, one per state of all its parts together,
 and computed every part's rows itself, with one lower-order dict per part.
 Kept as the reference the entries the decoder mixes from its parts' own
 tables are checked against, bit for bit: patched in as a model's one table
-of weight 1 (`as_row_tables`), the decoder reads its entries from here."""
-
-import weakref
+of weight 1 (`reference_row_tables`), the decoder reads its entries from
+here."""
 
 import numpy as np
 
@@ -20,14 +19,13 @@ class ReferenceRowTable:
     contexts[g]); read `probs` after the `slots` call, which may grow or
     clear the buffer. `ranks` is each symbol's rank among the distinct
     symbols in string order. `prob_max` is the largest probability held
-    (0.0 with none). The table reaches its LM through a weak reference, so
-    it keeps no LM alive.
+    (0.0 with none).
     """
 
     def __init__(self, model, symbols: tuple[str, ...]):
         rank = {sym: r for r, sym in enumerate(sorted(set(symbols)))}
         self.ranks = np.array([rank[sym] for sym in symbols], dtype=np.int64)
-        self._lm = weakref.ref(model)
+        self._lm = model
         self._ids = [part._symbol_ids(symbols) for _, part in model.parts]
         self._lower = [{} for _ in model.parts]   # each part's lower-order rows
         self._clear()
@@ -47,9 +45,7 @@ class ReferenceRowTable:
         """The row slot of every context: a row of symbol ids, oldest first,
         at most order - 1 long (a shorter one is BOS-padded). Every context
         is walked to its state; only the states not held get rows."""
-        model = self._lm()
-        if model is None:
-            raise ValueError("the row table's language model is gone")
+        model = self._lm
         state, walked = 0, []   # each part's (depth, node) of every context
         for (_, part), (_, context_id) in zip(model.parts, self._ids):
             depth, node = part._walk(context_id[contexts])
@@ -97,13 +93,8 @@ class ReferenceRowTable:
         self.prob_max = max(self.prob_max, float(rows.max()))
 
 
-def as_row_tables(tables: dict):
+def reference_row_tables(model):
     """A stand-in for `LexModel._row_tables`: the model's LM as one part of
-    weight 1, its table a `ReferenceRowTable` kept in `tables` by LM, so
-    the models of a stack and the blocks of a decode share it."""
-    def row_tables(model):
-        key = id(model.lm)
-        if key not in tables:
-            tables[key] = (model.lm, ReferenceRowTable(model.lm, model._ext_vocab()))
-        return ((1.0, tables[key][1]),)
-    return row_tables
+    weight 1, its table a new `ReferenceRowTable`, which the decode that
+    builds it holds for all its blocks."""
+    return ((1.0, ReferenceRowTable(model.lm, model._ext_vocab())),)

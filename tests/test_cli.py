@@ -13,6 +13,12 @@ from deskmt.subword import decode, load_bpe
 from deskmt.util import read_json, read_text
 
 
+# a document nested deeper than the JSON parser recurses, and an integer of
+# more digits than `int` converts
+DEEP_JSON = '{"a": ' + "[" * 100_000 + "]" * 100_000 + "}"
+LONG_INT = "9" * 5000
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """A small bundle plus BPE and two trained models, built through the CLI."""
@@ -114,6 +120,37 @@ class TestExitCodes:
         assert main(["translate", "--model", "bad_doc.json", "--input", "bundle/mono_src.txt",
                      "--output", "bad_doc.txt", "--bpe", "bpe.txt"]) == EXIT_DATA
         assert repr(key) in capsys.readouterr().err
+
+    def test_json_past_the_parser_limits_is_2(self, workspace, capsys):
+        # nested deeper than the parser recurses, or an integer of more
+        # digits than `int` converts: a DataError that names the file
+        with open("deep.json", "w", encoding="utf-8") as fh:
+            fh.write(DEEP_JSON)
+        assert main(["translate", "--model", "deep.json", "--input", "bundle/mono_src.txt",
+                     "--output", "deep.txt", "--bpe", "bpe.txt"]) == EXIT_DATA
+        assert "deep.json: model is nested too deeply" in capsys.readouterr().err
+        assert not os.path.exists("deep.txt")
+        with open("long_int.json", "w", encoding="utf-8") as fh:
+            fh.write('{"version": 1, "dims": {"beam": [' + LONG_INT + "]}}")
+        assert main(["search", "--parallel", "bundle/parallel.tsv", "--dev", "bundle/dev.tsv",
+                     "--trials", "2", "--space", "long_int.json",
+                     "--out-dir", "searchrun-long"]) == EXIT_DATA
+        assert "long_int.json: " in capsys.readouterr().err
+        assert not os.path.exists("searchrun-long")
+
+    @pytest.mark.parametrize("vocab", ["\u00b2", LONG_INT], ids=["superscript-two", "long"])
+    def test_bpe_vocab_of_other_than_ascii_digits_is_2(self, workspace, capsys, vocab):
+        # "²" passes str.isdigit, and neither it nor 5,000 digits passes int()
+        lines = read_text("bpe.txt", "BPE model").split("\n")
+        header = " ".join(f"vocab={vocab}" if part.startswith("vocab=") else part
+                          for part in lines[0].split(" "))
+        with open("vocab_bpe.txt", "w", encoding="utf-8") as fh:
+            fh.write("\n".join([header] + lines[1:]))
+        assert main(["train", "--parallel", "bundle/parallel.tsv", "--dev", "bundle/dev.tsv",
+                     "--bpe", "vocab_bpe.txt", "--em-iterations", "1", "--lm-order", "2",
+                     "--out", "vocab_model.json"]) == EXIT_DATA
+        assert "vocab_bpe.txt:1: the header needs vocab=<int>" in capsys.readouterr().err
+        assert not os.path.exists("vocab_model.json")
 
     def test_nbest_the_decoder_cannot_hold_is_2(self, workspace, capsys):
         assert main(["translate", "--model", "fwd.json", "--input", "bundle/mono_src.txt",

@@ -13,13 +13,13 @@ builds.
 
 import json
 import random
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deskmt import cache
 from deskmt import lm as lm_module
 from deskmt import tm
 from deskmt.corpus import SIDE_PARALLEL, UNK_TOKEN, TaggedDataset, build_mix
@@ -27,7 +27,7 @@ from deskmt.lm import NGramLM, finetune_lm, mixture, train_lm
 from deskmt.rerank import NoisyChannelWeights, RerankContext
 from deskmt.tm import DataError, em_train, translate_corpus
 from nbest_lists import decode_one, nbest_lists
-from reference_row_table import as_row_tables
+from reference_row_table import reference_row_tables
 
 pytestmark = pytest.mark.hashseed
 
@@ -45,6 +45,21 @@ def lm_row(model, ctx):
         slot = table.slots(contexts)[0]
         probs.append(table.probs[slot])
     return np.log(mixture(tables, probs))
+
+
+@contextmanager
+def recorded_row_tables():
+    """The (weight, table) pairs of every `LexModel._row_tables` call made
+    within the block, in call order: the tables each decode built."""
+    built = []
+    real = tm.LexModel._row_tables
+
+    def recording(model):
+        built.append(real(model))
+        return built[-1]
+
+    with mock.patch.object(tm.LexModel, "_row_tables", recording):
+        yield built
 
 
 def reference_nbest(model, src, n, pools=None):
@@ -198,13 +213,9 @@ class TestBlocksEqualSingleSentences:
                                        unk_target=True)
         sources = random_sources(rng, src_syms, 6)
         kept = nbest_lists(translate_corpus(model, sources, 8))
-        # a copy whose LM has no row table in the cache: its table is made,
-        # and cleared, under the cap
-        fresh = tm.model_from_dict(json.loads(tm.model_json(model)[0]))
+        # the decode builds its table, which is cleared under the cap
         with mock.patch.object(lm_module, "_CACHE_CAP", cap):
-            cleared = nbest_lists(translate_corpus(fresh, sources, 8))
-            table = fresh._row_tables()[0][1]
-        assert table is not model._row_tables()[0][1]
+            cleared = nbest_lists(translate_corpus(model, sources, 8))
         assert [entries(nb) for nb in cleared] == [entries(nb) for nb in kept]
 
     @pytest.mark.parametrize("limit", [1, 200])
@@ -370,14 +381,15 @@ class TestMarginCoversTheLmRows:
         t[2, :] = 0.5 / len(targets)
         t[2, 0] = 0.5
         lm = train_lm([("a",)] * 3, 2, 1e-20)
-        for lm_weight in self.WEIGHTS:
-            model = tm.LexModel((tm.NULL, "x", "y"), targets, t, lm, beam=2, window=1,
-                                lm_weight=lm_weight, unk_floor=TINY)
-            for source in [("x", "y"), ("y", "x", "x"), ("x", "zz", "y")]:
-                assert entries(decode_one(model, source, 3)) == [
-                    (hyp, score.hex()) for hyp, score in reference_nbest(model, source, 3)]
-        (_, table), = model._row_tables()
-        assert table.prob_max == 1.0 == table.probs[:, 0].min()
+        with recorded_row_tables() as built:
+            for lm_weight in self.WEIGHTS:
+                model = tm.LexModel((tm.NULL, "x", "y"), targets, t, lm, beam=2, window=1,
+                                    lm_weight=lm_weight, unk_floor=TINY)
+                for source in [("x", "y"), ("y", "x", "x"), ("x", "zz", "y")]:
+                    assert entries(decode_one(model, source, 3)) == [
+                        (hyp, score.hex()) for hyp, score in reference_nbest(model, source, 3)]
+        for (_, table), in built:
+            assert table.prob_max == 1.0 == table.probs[:, 0].min()
 
     @pytest.mark.parametrize("lm_weight", WEIGHTS)
     def test_rows_above_zero(self, lm_weight):
@@ -391,13 +403,14 @@ class TestMarginCoversTheLmRows:
         t = np.array([[0.0, 0.0, 0.0], [0.3, 0.6, 0.0], [0.0, 0.0, 0.3]])
         lm = train_lm([("a", "c")], 1, 1e-20)
         with mock.patch.object(NGramLM, "_rows", lambda self, level, depth, node, kept:
-                               real(self, level, depth, node, kept) * np.e):
+                               real(self, level, depth, node, kept) * np.e), \
+                recorded_row_tables() as built:
             model = tm.LexModel((tm.NULL, "x", "y"), targets, t, lm, beam=1, window=1,
                                 lm_weight=lm_weight)
             nb = decode_one(model, ("x", "y"), 1)
+            assert built[0][0][1].prob_max == pytest.approx(0.5 * np.e)
             assert entries(nb) == [(hyp, score.hex())
                                    for hyp, score in reference_nbest(model, ("x", "y"), 1)]
-            assert model._row_tables()[0][1].prob_max == pytest.approx(0.5 * np.e)
         if lm_weight:
             assert nb[0].hyp == ("a", "c")
 
@@ -439,9 +452,9 @@ class TestLengthSortedBlocks:
         blocks = []
         real = tm._decode_block
 
-        def recording(models, cands, block, member, width, n):
+        def recording(models, cands, tables, block, member, width, n):
             blocks.append([len(src) for src in block])
-            return real(models, cands, block, member, width, n)
+            return real(models, cands, tables, block, member, width, n)
 
         with mock.patch.object(tm, "_decode_block", recording):
             block = translate_corpus(model, sources, 50, rerank_ctx=rerank_ctx)
@@ -542,9 +555,9 @@ class TestStackedModels:
         blocks = []
         real = tm._decode_block
 
-        def recording(models, cands, block, member, width, n):
+        def recording(models, cands, tables, block, member, width, n):
             blocks.append(sorted(set(member.tolist())))
-            return real(models, cands, block, member, width, n)
+            return real(models, cands, tables, block, member, width, n)
 
         with mock.patch.object(tm, "_decode_block", recording):
             stacked = tm.translate_stack(stack, sources, 1)
@@ -621,17 +634,16 @@ class TestEntriesMixedFromPartTables:
     """The decoder mixes the LM entries it takes from the tables of its LM's
     parts; a decode that reads them from rows mixed whole, by the reference
     table of `tests/reference_row_table.py` patched in, gives the same
-    blocks bit for bit, plain and reranked, with the decoder cache's bound
-    at its minimum too. Only the LM bound differs, which changes how many
+    blocks bit for bit, plain and reranked. Only the LM bound differs, which changes how many
     entries a step scores, not which survive."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), checkpoints=st.integers(1, 3),
            order=st.integers(1, 3), alpha=st.sampled_from([None, 0.0, 0.4, 1.0]),
-           reranked=st.booleans(), bound=st.sampled_from([None, 1]),
-           n=st.sampled_from([1, 4]), states=st.sampled_from([12, tm._DECODE_STATES]))
+           reranked=st.booleans(), n=st.sampled_from([1, 4]),
+           states=st.sampled_from([12, tm._DECODE_STATES]))
     def test_stack_equals_the_mixed_row_decode(self, seed, checkpoints, order, alpha,
-                                               reranked, bound, n, states):
+                                               reranked, n, states):
         rng = random.Random(seed)
         tgt = tuple(f"t{i}" for i in range(rng.randint(2, 6))) + (
             (UNK_TOKEN,) if rng.random() < 0.5 else ())
@@ -656,10 +668,9 @@ class TestEntriesMixedFromPartTables:
             ctx = RerankContext(backward, lm, NoisyChannelWeights(0.7, 1.3), nbest=n)
         sources = [tuple(rng.choice([f"s{i}" for i in range(8)] + ["zz"])
                          for _ in range(rng.randint(1, 7))) for _ in range(rng.randint(1, 8))]
-        with mock.patch.object(tm, "_DECODE_STATES", states), \
-                mock.patch.object(cache, "BOUND", bound or cache.BOUND):
+        with mock.patch.object(tm, "_DECODE_STATES", states):
             got = tm.translate_stack(stack, sources, n, rerank_ctx=ctx)
-            with mock.patch.object(tm.LexModel, "_row_tables", as_row_tables({})):
+            with mock.patch.object(tm.LexModel, "_row_tables", reference_row_tables):
                 want = tm.translate_stack(stack, sources, n, rerank_ctx=ctx)
         assert [all_arrays(block) for block in got] == [all_arrays(block) for block in want]
 

@@ -6,6 +6,7 @@ import random
 import sys
 import warnings
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,19 +19,19 @@ from deskmt.lm import (
     DataError,
     InterpolatedLM,
     NGramLM,
+    RowTable,
     finetune_lm,
     lm_from_dict,
     lm_json,
     logprobs,
     mixture,
     perplexity,
-    row_table,
     train_lm,
 )
-from deskmt.tm import translate_corpus
 from deskmt.util import stable_json_dumps
 from reference_docs import lm_to_dict as reference_lm_to_dict
 from reference_row_table import ReferenceRowTable
+from test_decode_blocks import recorded_row_tables
 
 
 def sentence_logprob(model, sentence):
@@ -48,22 +49,27 @@ def random_corpus(rng, vocab, n_sents, max_len=8):
             for _ in range(n_sents)]
 
 
-def mixed_probs(model, symbols, contexts):
+def part_tables(model, symbols):
+    """A new `RowTable` over `symbols` of each of the LM's parts, as a
+    decode builds them."""
+    return [RowTable(part, symbols) for _, part in model.parts]
+
+
+def mixed_probs(model, symbols, contexts, tables=None):
     """The decoder's LM probability rows after `contexts`, rows of ids into
-    `symbols`: each part's rows read from the part's row table and mixed by
-    `mixture`, element by element, as the decoder mixes the entries it
-    takes."""
+    `symbols`: each part's rows read from the part's row table in `tables`
+    (new ones by default) and mixed by `mixture`, element by element, as
+    the decoder mixes the entries it takes."""
     part_probs = []
-    for _, part in model.parts:
-        table = row_table(part, symbols)
+    for table in tables or part_tables(model, symbols):
         slots = table.slots(contexts)   # before `probs`, which it may grow
         part_probs.append(table.probs[slots])
     return mixture(model.parts, part_probs)
 
 
-def mixed_rows(model, symbols, contexts):
+def mixed_rows(model, symbols, contexts, tables=None):
     """The logs of `mixed_probs`, the terms the decoder scores."""
-    return np.log(mixed_probs(model, symbols, contexts))
+    return np.log(mixed_probs(model, symbols, contexts, tables))
 
 
 def table_row(model, symbols, context):
@@ -388,20 +394,20 @@ class TestBatchScores:
         rng = random.Random(53)
         sents = random_corpus(rng, ["a", "b", "c", "d", "e"], 40)
         for model in self.models():
+            tables = part_tables(model, _SCORER_SYMBOLS)
             kept = set()   # the parts whose tables have held lower-order rows
             for s in sents:
                 assert sentence_logprob(model, s) == reference_logprob(model, s)
                 # a token outside the symbols reads as "zz", which no LM knows
                 ctx = [_SCORER_SYMBOLS.index(t) if t in _SCORER_SYMBOLS else 3
                        for t in s[-(model.order - 1):]]
-                row = mixed_rows(model, _SCORER_SYMBOLS, np.array([ctx]))[0]
+                row = mixed_rows(model, _SCORER_SYMBOLS, np.array([ctx]), tables)[0]
                 assert [float(v).hex() for v in row] == \
                     [batch_term(model, tuple(_SCORER_SYMBOLS[i] for i in ctx), sym).hex()
                      for sym in _SCORER_SYMBOLS]
                 # each part's own table, its rows and the lower-order rows
                 # it builds from
-                for at, (_, part) in enumerate(model.parts):
-                    part_table = row_table(part, _SCORER_SYMBOLS)
+                for at, ((_, part), part_table) in enumerate(zip(model.parts, tables)):
                     assert part_table.held <= 5
                     assert part_table._states.size == part_table.held
                     assert len(part_table._lower) <= 5
@@ -735,7 +741,7 @@ class TestRowTable:
         model = train_lm(corpus, order, k)
         if alpha is not None:
             model = finetune_lm(model, [("b", "e"), ("e", "<s>", "a", "a")], alpha)
-        tables = [row_table(part, _TABLE_SYMBOLS) for _, part in model.parts]
+        tables = part_tables(model, _TABLE_SYMBOLS)
         slot_of = [{} for _ in tables]   # each part's slot of every context
         for width, contexts in steps:
             # one step's contexts share a length of at most order - 1
@@ -764,23 +770,24 @@ class TestRowTable:
         gc.disable()
         try:
             model = finetune_lm(train_lm([("a", "b", "c")] * 4, 3, 0.3), [("b", "d")], 0.4)
-            tables = [row_table(part, _TABLE_SYMBOLS) for _, part in model.parts]
+            tables = part_tables(model, _TABLE_SYMBOLS)
             for table in tables:
                 table.slots(np.array([[2, 3], [0, 2], [5, 6]]))
                 assert table.held > 0
-            assert [row_table(part, _TABLE_SYMBOLS) for _, part in model.parts] == tables
             refs = [weakref.ref(obj) for obj in (model, model.base, model.indomain, *tables)]
             del model, tables, table
             assert [ref() for ref in refs] == [None] * 5
         finally:
             gc.enable()
 
-    def test_a_table_kept_past_its_lm_reads_no_rows(self):
+    def test_a_table_holds_its_lm(self):
+        # a table outlives the last other name of its LM and still reads rows
         model = train_lm([("a", "b", "c")] * 4, 2, 0.3)
-        table = row_table(model, _TABLE_SYMBOLS)
+        table = RowTable(model, _TABLE_SYMBOLS)
+        want = mixed_probs(model, _TABLE_SYMBOLS, np.array([[2]]))
         del model
-        with pytest.raises(ValueError, match="language model is gone"):
-            table.slots(np.array([[2]]))
+        slots = table.slots(np.array([[2]]))   # before `probs`, which it may grow
+        assert table.probs[slots].tobytes() == want.tobytes()
 
 
 def _counting_rows(monkeypatch):
@@ -803,58 +810,67 @@ _STEPS = st.lists(st.lists(st.tuples(*[st.integers(0, len(_TABLE_SYMBOLS) - 1)] 
 @pytest.mark.hashseed
 class TestPerPartRows:
     """The decoder mixes an interpolated LM's entries from its parts' own
-    tables, so a part shared by several LMs computes each row once."""
+    tables, one per part for a decode's call."""
 
     def test_a_shared_part_computes_its_rows_once(self, monkeypatch):
-        # two fine-tune LMs over one base, decoded in turn: every row of the
-        # base, lower orders included, is computed once, and the second
-        # decode reads the base's rows from the table the first one filled
+        # two checkpoints sharing a fine-tune LM, stacked and decoded in
+        # blocks of 3 sentences: the call builds one table per part, which
+        # every block reads, so each row of a part, lower orders included,
+        # is computed once; a second call builds new tables and computes the
+        # rows again
         rng = random.Random(61)
         base = train_lm(random_corpus(rng, ["a", "b", "c", "d"], 40), order=3, k=0.4)
-        ones = [finetune_lm(base, random_corpus(rng, ["a", "b", "e"], 8), alpha)
-                for alpha in (0.3, 0.7)]
+        ft_lm = finetune_lm(base, random_corpus(rng, ["a", "b", "e"], 8), 0.3)
         src_vocab = (tm.NULL, "s0", "s1", "s2", "s3")
         targets = ("a", "b", "c", "d", "e")
         t = np.array([[rng.random() for _ in targets] for _ in src_vocab])
-        models = [tm.LexModel(src_vocab, targets, t / t.sum(axis=1, keepdims=True), lm,
-                              beam=3, window=1, lm_weight=0.6) for lm in ones]
+        models = [tm.LexModel(src_vocab, targets, t / t.sum(axis=1, keepdims=True) * scale,
+                              ft_lm, beam=3, window=1, lm_weight=0.6) for scale in (1.0, 0.5)]
         sources = [tuple(rng.choice(src_vocab[1:]) for _ in range(rng.randint(1, 6)))
                    for _ in range(12)]
         built = _counting_rows(monkeypatch)
-        translate_corpus(models[0], sources, 4)
-        first = {level: built.get((id(base), level), 0) for level in (1, 2, 3)}
-        translate_corpus(models[1], sources, 4)
-        table = row_table(base, models[0]._ext_vocab())
-        assert first[3] > 0 and built[id(ones[1].indomain), 3] > 0
-        assert built[id(base), 3] == table.held
-        for level in (1, 2):
-            assert built[id(base), level] == sum(key[0] == level for key in table._lower)
-        assert [t for _, t in models[1]._row_tables()][0] is table
+        blocks = []
+        decode = tm._decode_block
+
+        def recording(models, cands, tables, block, member, width, n):
+            blocks.append(tables)
+            return decode(models, cands, tables, block, member, width, n)
+
+        with mock.patch.object(tm, "_DECODE_STATES", 12), \
+                mock.patch.object(tm, "_decode_block", recording), \
+                recorded_row_tables() as made:
+            tm.translate_stack(models, sources, 4)
+            first = dict(built)
+            tm.translate_stack(models, sources, 4)
+        assert len(made) == 2 and len(blocks) == 2 * 8
+        assert all(tables is made[0] for tables in blocks[:8])
+        assert [part for _, part in ft_lm.parts] == [base, ft_lm.indomain]
+        for (_, part), (_, table) in zip(ft_lm.parts, made[0]):
+            assert first[id(part), 3] == table.held > 0
+            for level in (1, 2):
+                assert first[id(part), level] == sum(key[0] == level for key in table._lower)
+        assert built == {key: 2 * count for key, count in first.items()}
 
     @settings(max_examples=120, deadline=None)
-    @given(_corpora, _orders, _ks, st.sampled_from([None, 0.0, 0.4, 1.0]), _STEPS,
-           st.booleans())
-    def test_rows_equal_the_reference_table(self, corpus, order, k, alpha, steps, shared):
+    @given(_corpora, _orders, _ks, st.sampled_from([None, 0.0, 0.4, 1.0]), _STEPS)
+    def test_rows_equal_the_reference_table(self, corpus, order, k, alpha, steps):
         """Every entry the decoder mixes from its parts' tables equals, bit
         for bit, the element of the row a table that mixed whole rows, and
-        computed its parts' rows itself, holds; with `shared`, a second LM
-        over the same base has filled the base's table first."""
-        base = train_lm(corpus, order, k)
-        model = base
+        computed its parts' rows itself, holds; at each step, as the tables
+        grow."""
+        model = train_lm(corpus, order, k)
         if alpha is not None:
-            model = finetune_lm(base, [("b", "e"), ("e", "<s>", "a", "a")], alpha)
-        if shared:
-            other = finetune_lm(base, [("a", "c", "c")], 0.5)
-            mixed_probs(other, _TABLE_SYMBOLS, np.array([[0, 1, 2], [2, 3, 4]])[:, 4 - order:])
+            model = finetune_lm(model, [("b", "e"), ("e", "<s>", "a", "a")], alpha)
+        tables = part_tables(model, _TABLE_SYMBOLS)
         reference = ReferenceRowTable(model, _TABLE_SYMBOLS)
         for contexts in steps:
             width = order - 1
             ids = np.array([c[3 - width:] for c in contexts], dtype=np.intp).reshape(
                 len(contexts), width)
-            got, want = mixed_probs(model, _TABLE_SYMBOLS, ids), reference.slots(ids)
+            got, want = mixed_probs(model, _TABLE_SYMBOLS, ids, tables), reference.slots(ids)
             assert got.tobytes() == reference.probs[want].tobytes()
-        if alpha is None and not shared:   # no other LM filled this table
-            table = row_table(model, _TABLE_SYMBOLS)
+        if alpha is None:   # one part: its table holds the reference's rows
+            table, = tables
             assert table.held == reference.held
             assert table.prob_max == reference.prob_max
 
@@ -869,12 +885,12 @@ class TestPerPartRows:
         model = train_lm(corpus, order, k)
         if alpha is not None:
             model = finetune_lm(model, [("b", "e"), ("e", "<s>", "a", "a")], alpha)
+        tables = part_tables(model, _TABLE_SYMBOLS)
         for contexts in steps:
             width = order - 1
             ids = np.array([c[3 - width:] for c in contexts], dtype=np.intp).reshape(
                 len(contexts), width)
-            entries = mixed_probs(model, _TABLE_SYMBOLS, ids)
-            bound = mixture(model.parts, [row_table(part, _TABLE_SYMBOLS).prob_max
-                                          for _, part in model.parts])
+            entries = mixed_probs(model, _TABLE_SYMBOLS, ids, tables)
+            bound = mixture(model.parts, [table.prob_max for table in tables])
             assert entries.max() <= bound
             assert np.log(entries).max() <= np.log(bound)

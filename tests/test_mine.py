@@ -512,9 +512,9 @@ class TestBatchedAlignment:
             calls.append(blocks)
             return cross_channel_scores(model, blocks)
 
-        def counted_run(model, blocks, run, out):
+        def counted_run(model, t_ext, blocks, run, out):
             runs.append(list(run))
-            return cross_run(model, blocks, run, out)
+            return cross_run(model, t_ext, blocks, run, out)
 
         cross_run = tm_module._cross_run
         monkeypatch.setattr(mine_module, "cross_channel_scores", counted)

@@ -59,8 +59,6 @@ CONCURRENCY_MODULES = ("multiprocessing", "concurrent", "threading")
 # Public names with no caller in src/ or bench/, each with why it stays.
 UNCALLED = {
     "lm.perplexity": "the LM's own quality measure, for library users",
-    "cache.cache_counts": "the decoder cache's hits, builds and evictions, the "
-                          "source of its figures for run events and library users",
 }
 
 # Optional parameters and defaulted dataclass fields that no call in src/ or

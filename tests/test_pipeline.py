@@ -232,6 +232,17 @@ class TestValidation:
     ], ids=["no-run-id", "no-iterations", "int-run-id", "str-stages", "list"])
     def test_malformed_manifest_is_data_error(self, tmp_path, doc):
         (tmp_path / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+        self.assert_load_fails(tmp_path)
+
+    @pytest.mark.parametrize("text", [
+        '{"version": 1, "run_id": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"version": 1, "run_id": "x", "iterations": [' + "9" * 5000 + "]}",
+    ], ids=["deep", "long-int"])
+    def test_manifest_past_the_parser_limits_is_data_error(self, tmp_path, text):
+        (tmp_path / "manifest.json").write_text(text, encoding="utf-8")
+        self.assert_load_fails(tmp_path)
+
+    def assert_load_fails(self, tmp_path):
         with pytest.raises(DataError, match=re.escape(str(tmp_path / "manifest.json"))):
             PipelineManifest.load(str(tmp_path))
         bundle = tiny_bundle(seed=29)
@@ -293,7 +304,7 @@ class TestResumeChecksEnsembleMembers:
 
 class TestLMCaches:
     def test_no_table_keeps_a_top_order_row_of_a_part(self, tmp_path, monkeypatch):
-        # every row table of the run, kept past its eviction from the cache,
+        # every row table of the run, kept past the decode that built it,
         # with its LM: each is an n-gram LM's, fine-tuned and reranking LMs
         # included, and keeps lower-order rows only
         created = []
@@ -332,14 +343,14 @@ class TestNoRecomputation:
         decode = tm._decode_block
         seen, repeats, decoders = set(), [], []
 
-        def counting(models, cands, block, member, width, n):
+        def counting(models, cands, tables, block, member, width, n):
             # every source of every block the corpus decoder runs, with the
             # model of the stack that decodes it
             for x, i in zip(block, member.tolist()):
                 key = (id(models[i]), tuple(x), n)
                 (repeats.append if key in seen else seen.add)(key)
             decoders.append(models)  # keeps every id unique for the whole run
-            return decode(models, cands, block, member, width, n)
+            return decode(models, cands, tables, block, member, width, n)
 
         monkeypatch.setattr(tm, "_decode_block", counting)
         run_pipeline(bundle.parallel, bundle.mono_src, bundle.mono_tgt, bundle.dev,

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from deskmt.corpus import SIDE_PARALLEL, UNK_TOKEN, TaggedDataset, build_mix, swap_direction
 from deskmt.lm import finetune_lm, mixture, train_lm
 from deskmt.ensemble import Ensemble
-from deskmt import cache
 from deskmt import tm as tm_module
 from deskmt.rerank import NoisyChannelWeights, RerankContext, rerank
 from deskmt.tm import (
@@ -28,10 +27,12 @@ from deskmt.tm import (
     model_from_dict,
     pair_channel_scores,
     translate_corpus,
+    translate_stack,
 )
 from deskmt.util import content_hash, stable_json_dumps
 from nbest_lists import decode_one, nbest_lists
 from reference_docs import model_to_dict as reference_model_to_dict
+from test_decode_blocks import recorded_row_tables
 
 
 def model_doc(model):
@@ -686,15 +687,15 @@ class TestCrossKernel:
             monkeypatch.setattr(tm_module, "_CROSS_RUN", bound)
         runs = []
 
-        def counted_run(model, blocks, run, out):
+        def counted_run(model, t_ext, blocks, run, out):
             runs.append((list(run), []))
-            return cross_run(model, blocks, run, out)
+            return cross_run(model, t_ext, blocks, run, out)
 
-        def counted_rows(model, y, y_piece, symbols, first):
+        def counted_rows(model, t_ext, y, y_piece, symbols, first):
             runs[-1][1].append((y[2].size, y_piece.tolist(),
                                 [symbols[first[p]:first[p + 1]].tolist()
                                  for p in range(first.size - 1)]))
-            return cross_rows(model, y, y_piece, symbols, first)
+            return cross_rows(model, t_ext, y, y_piece, symbols, first)
 
         cross_run, cross_rows = tm_module._cross_run, tm_module._cross_rows
         monkeypatch.setattr(tm_module, "_cross_run", counted_run)
@@ -920,7 +921,7 @@ class TestTableChecks:
 
 
 def reference_candidate_table(model):
-    """`_build_candidate_table` as it was written with one three-key sort."""
+    """`_candidate_table` as it was written with one three-key sort."""
     ns, nt = model.t.shape
     rows, ids = np.nonzero(model.t)
     lex = np.log(model.t[rows, ids])
@@ -956,7 +957,7 @@ class TestCandidateTable:
                                         max_size=ns * nt)), dtype=float).reshape(ns, nt)
         model = LexModel((NULL,) + tuple(f"s{i}" for i in range(1, ns)),
                          tuple(f"t{j}" for j in range(nt)), t, TestTableChecks.LM)
-        got = model._build_candidate_table()
+        got = model._candidate_table()
         want = reference_candidate_table(model)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -965,7 +966,7 @@ class TestCandidateTable:
         p, q = _SAME_LOG[1]
         t = np.array([[0.25, 0.5, 0.25, 0.5], [q, p, 0.0, q]])
         model = LexModel((NULL, "a"), ("w", "x", "y", "z"), t, TestTableChecks.LM)
-        ids, _, start, count = model._build_candidate_table()
+        ids, _, start, count = model._candidate_table()
         assert ids.tolist() == [1, 3, 0, 2, 0, 1, 3, 4]
         assert start.tolist() == [0, 4, 7] and count.tolist() == [4, 3, 1]
 
@@ -1059,55 +1060,32 @@ class TestSharedRowTable:
                         window=1, lm_weight=0.4)
         return model, twin, Ensemble([model])
 
-    def test_models_sharing_an_lm_and_vocabulary_share_one_table(self, monkeypatch):
+    def test_models_sharing_an_lm_and_vocabulary_share_one_table(self):
+        # a stack of them builds one table for its call, which every model's
+        # sources read: the twin meets the same contexts, so no new rows
         model, twin, ens = self.models()
-        (weight, table), = model._row_tables()
-        assert weight == 1.0
-        assert twin._row_tables() == ens._row_tables() == ((1.0, table),)
         x = ("s1", "s2", "s3")
-        translate_corpus(model, [x], 3)
-        held, states, probs = table.held, table._states.copy(), table.probs.copy()
-        assert held > 0
-        translate_corpus(twin, [x], 3)   # the twin meets the same contexts: no new row
-        assert table.held == held and np.array_equal(table._states, states)
-        assert np.array_equal(table.probs, probs)
-        other = LexModel(model.src_vocab, model.tgt_vocab[:-1], model.t[:, :-1],
-                         model.lm)
-        assert other._row_tables()[0][1] is not table
-        # shared while it is in the cache: once evicted, the next request
-        # builds a new table, which the other models then share
-        monkeypatch.setattr(cache, "BOUND", 1)
-        model._t_ext()
-        (_, rebuilt), = twin._row_tables()
-        assert rebuilt is not table and ens._row_tables()[0][1] is rebuilt
-
-    def test_fine_tunes_of_one_lm_share_its_table(self):
-        # an interpolated LM owns no table: its decoder reads its parts'
-        # tables, so fine-tunes of one base share the base's table
-        model, _, _ = self.models()
-        tunes = [LexModel(model.src_vocab, model.tgt_vocab, model.t,
-                          finetune_lm(model.lm, [("t1", "t2")], alpha), window=1,
-                          lm_weight=0.4) for alpha in (0.3, 0.6)]
-        (_, base), = model._row_tables()
-        for tune in tunes:
-            tables = tune._row_tables()
-            assert [w for w, _ in tables] == [w for w, _ in tune.lm.parts]
-            assert tables[0][1] is base
-        assert tunes[0]._row_tables()[1][1] is not tunes[1]._row_tables()[1][1]
+        with recorded_row_tables() as built:
+            alone = translate_corpus(model, [x], 3)
+            stacked = translate_stack([model, twin, ens], [x], 3)
+        (((weight, one), ), ((_, table), )) = built
+        assert weight == 1.0 and table.held == one.held > 0
+        assert np.array_equal(table._states, one._states)
+        assert np.array_equal(table.probs, one.probs)
+        assert nbest_lists(stacked[0]) == nbest_lists(stacked[2]) == nbest_lists(alone)
 
     def test_rows_die_with_their_models_without_the_collector(self):
         gc.disable()
         try:
             models = self.models()
-            for m in models:
-                translate_corpus(m, [("s0", "s4")], 2)
+            with recorded_row_tables() as built:
+                for m in models:
+                    translate_corpus(m, [("s0", "s4")], 2)
             lm_ref = weakref.ref(models[0].lm)
-            table_ref = weakref.ref(models[0]._row_tables()[0][1])
-            rows_seen = table_ref().held
-            del models, m
+            table_refs = [weakref.ref(table) for tables in built for _, table in tables]
+            rows_seen = built[0][0][1].held
+            del models, m, built
             assert rows_seen > 0
-            assert lm_ref() is None and table_ref() is None
-            # the cache dropped the entries of the dead models and LM
-            assert all(ref() is not None for ref, _ in cache._STORE._entries.values())
+            assert lm_ref() is None and [ref() for ref in table_refs] == [None] * 3
         finally:
             gc.enable()

@@ -82,6 +82,17 @@ class TestReadJson:
         with pytest.raises(DataError, match=re.escape(f"{path}: {problem}")):
             read_json(str(path), "doc")
 
+    @pytest.mark.parametrize("text, problem", [
+        ('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}", "doc is nested too deeply to read"),
+        ('{"a": [' + "9" * 5000 + "]}", "doc holds an integer too long to read"),
+        ('{"a": -' + "1" * 4301 + "}", "doc holds an integer too long to read"),
+    ], ids=["deep", "long-int", "negative-long-int"])
+    def test_past_the_parser_limits_is_data_error(self, tmp_path, text, problem):
+        path = tmp_path / "d.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: {problem}")):
+            read_json(str(path), "doc")
+
 
 class TestSortedDistinct:
     @settings(max_examples=200, deadline=None)
